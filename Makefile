@@ -1,6 +1,10 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race chaos chaos-reconfig pipeline-race shard-race multicore-race overload-race wan-race bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
+.PHONY: all tier1 fmt race chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
+
+# Test selections that more than one target runs, each written once.
+PIPELINE_RACE = -run 'Pipelin|Linearizability|Recovery' ./internal/core ./internal/chaos ./internal/paxos
+SHARD_RACE = -run 'Shard|GroupMux|CrossGroup|OpenFile|WithPrefix|Rank|Group' ./internal/shard ./internal/transport ./internal/storage ./internal/metrics ./internal/omega ./internal/cluster ./internal/bench .
 
 all: tier1
 
@@ -33,18 +37,24 @@ chaos:
 chaos-reconfig:
 	$(GO) test -race -count 1 -run 'Reconfig|OnlineJoin|ChaosCrashRejoin|RemoveReplica|TCPOnlineJoin|GracefulShutdown|Learner|SetPeers|Prune|SnapshotMembers|TailBitFlip|Checkpoint' ./internal/cluster ./internal/core ./internal/omega ./internal/storage ./internal/chaos .
 
+# Durability-pipeline suite under the race detector: group commit and
+# sync policies in the WAL, the persister's fail-stop on storage errors,
+# crash/restart with memory loss, and the durable chaos scenario.
+durable-race:
+	$(GO) test -race -count 1 -run 'Durable|PersistFailure|ConcurrentFlush|GroupCommit|Buffered|SyncPolicy|AsyncRewrite|Poison' ./internal/storage ./internal/cluster ./internal/chaos
+
 # Pipelined-mode suite under the race detector: wave pipelining, the
 # linearizability matrix (depth × batching), recovery truncation, and
 # the leader-crash-mid-pipeline chaos test.
 pipeline-race:
-	$(GO) test -race -count 1 -run 'Pipelin|Linearizability|Recovery' ./internal/core ./internal/chaos ./internal/paxos
+	$(GO) test -race -count 1 $(PIPELINE_RACE)
 
 # Sharded-consensus suite under the race detector (PR 7, DESIGN.md §13):
 # the shard router, the group multiplexer, per-group WAL directory
 # creation, the sharded in-process cluster scenarios, the groups={1,4}
 # TCP linearizability matrix, and the cross-group transaction refusal.
 shard-race:
-	$(GO) test -race -count 1 -run 'Shard|GroupMux|CrossGroup|OpenFile|WithPrefix|Rank|Group' ./internal/shard ./internal/transport ./internal/storage ./internal/metrics ./internal/omega ./internal/cluster ./internal/bench .
+	$(GO) test -race -count 1 $(SHARD_RACE)
 
 # Multi-core gate at a widened scheduler (PR 8, DESIGN.md §14): tier-1
 # plus the pipeline/shard race suites at GOMAXPROCS=4, then the new
@@ -59,9 +69,20 @@ shard-race:
 # sibling claim first (DESIGN.md §16).
 multicore-race:
 	GOMAXPROCS=4 $(GO) test -count 1 ./...
-	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'Pipelin|Linearizability|Recovery' ./internal/core ./internal/chaos ./internal/paxos
-	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'Shard|GroupMux|CrossGroup|OpenFile|WithPrefix|Rank|Group' ./internal/shard ./internal/transport ./internal/storage ./internal/metrics ./internal/omega ./internal/cluster ./internal/bench .
+	GOMAXPROCS=4 $(GO) test -race -count 1 $(PIPELINE_RACE)
+	GOMAXPROCS=4 $(GO) test -race -count 1 $(SHARD_RACE)
 	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'ParallelRead|ReadView|ReadPool|Sink|DecodeStage|ReplyWriter|Multicore' ./internal/core ./internal/service ./internal/transport ./internal/cluster
+
+# The canonical benchmark (BENCHMARK.json, benchmark/README.md): four
+# named workloads, end-to-end and per-layer metrics. It is its own Go
+# module, so tier-1 neither builds nor tests it — benchmark-test does,
+# and must stay green whenever the API it compiles against changes.
+benchmark:
+	bash benchmark/run.sh
+
+benchmark-test:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 bench:
 	$(GO) run ./cmd/benchpaxos -exp all
@@ -71,10 +92,9 @@ bench-quick:
 	$(GO) run ./cmd/benchpaxos -exp all -quick
 
 # Scaled-down durable-mode run: fig5/fig6 over file-backed WALs with
-# group commit, plus the inline-fsync ablation baseline.
+# group commit.
 bench-durable-quick:
 	$(GO) run ./cmd/benchpaxos -exp fig5,fig6 -quick -durable
-	$(GO) run ./cmd/benchpaxos -exp fig5,fig6 -quick -durable -nopersist -syncpolicy always
 
 # Scaled-down pipeline-depth sweep over durable WALs (PR 4).
 bench-pipeline-quick:

@@ -44,6 +44,7 @@ import (
 	"gridrep/internal/bench"
 	"gridrep/internal/client"
 	"gridrep/internal/cluster"
+	"gridrep/internal/core"
 	"gridrep/internal/gateway"
 	"gridrep/internal/metrics"
 	"gridrep/internal/netem"
@@ -61,13 +62,11 @@ var (
 
 	// Durable mode: every replica runs over a real storage.File WAL
 	// (Sync on) in a temp dir, so the numbers include the fsync path the
-	// in-memory default hides. -nopersist is the before-side of the
-	// group-commit comparison: per-record inline fsync on the event
-	// loop, the pre-durability-pipeline behavior.
+	// in-memory default hides. (The per-record-vs-group-commit
+	// ablation lives in the internal/storage microbenchmarks.)
 	durable    = flag.Bool("durable", false, "run over file-backed WALs (storage.File, Sync on) in a temp dir")
 	syncPolicy = flag.String("syncpolicy", "batch", "durable-mode sync policy: always|batch|interval")
 	syncEvery  = flag.Duration("syncinterval", 0, "durable-mode fsync interval for -syncpolicy interval (default 2ms)")
-	noPersist  = flag.Bool("nopersist", false, "durable-mode ablation: inline per-record fsync, no persister (the pre-group-commit baseline)")
 
 	// Pipelining: -pipeline sets PipelineDepth for every cluster an
 	// experiment builds (1 = the paper's serial wave protocol); the
@@ -129,8 +128,8 @@ var (
 // -durable WAL directory (a fresh subdir per cluster, removed at exit).
 func clusterConfig(profile netem.Profile, n int) cluster.Config {
 	cfg := cluster.Config{N: n, Profile: profile, Seed: 1,
-		ClientDeadline: 120 * time.Second, PipelineDepth: *pipeline,
-		Groups: *groups}
+		ClientDeadline: 120 * time.Second, Groups: *groups,
+		Options: core.Options{PipelineDepth: *pipeline}}
 	if !*durable {
 		return cfg
 	}
@@ -154,7 +153,6 @@ func clusterConfig(profile netem.Profile, n int) cluster.Config {
 	}
 	cfg.SyncPolicy = pol
 	cfg.SyncInterval = *syncEvery
-	cfg.NoPersist = *noPersist
 	return cfg
 }
 
@@ -259,15 +257,14 @@ type ExpResult struct {
 
 // Report is the top-level -json document.
 type Report struct {
-	GeneratedAt   string      `json:"generated_at"`
-	Quick         bool        `json:"quick"`
-	GoMaxProcs    int         `json:"gomaxprocs"`
-	Durable       bool        `json:"durable,omitempty"`
-	SyncPolicy    string      `json:"sync_policy,omitempty"`
-	NoPersist     bool        `json:"no_persist,omitempty"`
-	PipelineDepth int         `json:"pipeline_depth,omitempty"`
-	Groups        int         `json:"groups,omitempty"`
-	Experiments   []ExpResult `json:"experiments"`
+	GeneratedAt string      `json:"generated_at"`
+	Quick       bool        `json:"quick"`
+	GoMaxProcs  int         `json:"gomaxprocs"`
+	Durable     bool        `json:"durable,omitempty"`
+	SyncPolicy  string      `json:"sync_policy,omitempty"`
+	Pipeline    int         `json:"pipeline_depth,omitempty"`
+	Groups      int         `json:"groups,omitempty"`
+	Experiments []ExpResult `json:"experiments"`
 }
 
 var report = Report{}
@@ -326,17 +323,12 @@ func main() {
 	report.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	report.Quick = *quick
 	report.GoMaxProcs = runtime.GOMAXPROCS(0)
-	report.PipelineDepth = *pipeline
+	report.Pipeline = *pipeline
 	report.Groups = *groups
 	if *durable {
 		report.Durable = true
 		report.SyncPolicy = *syncPolicy
-		report.NoPersist = *noPersist
-		mode := "group commit, off-loop persister"
-		if *noPersist {
-			mode = "inline per-record fsync (baseline)"
-		}
-		fmt.Printf("durable mode: storage.File WALs, policy=%s, %s\n\n", *syncPolicy, mode)
+		fmt.Printf("durable mode: storage.File WALs, policy=%s, group commit, off-loop persister\n\n", *syncPolicy)
 	}
 	defer func() {
 		if durableRoot != "" {
@@ -992,8 +984,8 @@ func overloadLabProfile() netem.Profile {
 func overloadLabConfig(gw *gateway.Config) cluster.Config {
 	return cluster.Config{
 		N: 3, Profile: overloadLabProfile(), Seed: 1,
-		ClientDeadline: 120 * time.Second, PipelineDepth: 1,
-		NoBatch: true, Gateway: gw,
+		ClientDeadline: 120 * time.Second, Gateway: gw,
+		Options: core.Options{PipelineDepth: 1, NoBatch: true},
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gridrep/internal/cluster"
+	"gridrep/internal/core"
 	"gridrep/internal/netem"
 	"gridrep/internal/storage"
 	"gridrep/internal/wire"
@@ -35,7 +36,7 @@ func TestProbeWaveFragmentation(t *testing.T) {
 			stores[wire.NodeID(i)] = fs
 		}
 		cfg := cluster.Config{N: 3, Profile: netem.Sysnet(), Seed: 1,
-			ClientDeadline: 60 * time.Second, PipelineDepth: depth, Stores: stores}
+			ClientDeadline: 60 * time.Second, Options: core.Options{PipelineDepth: depth}, Stores: stores}
 		c, err := cluster.New(cfg)
 		if err != nil {
 			t.Fatal(err)

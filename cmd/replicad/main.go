@@ -35,14 +35,15 @@ func main() {
 	syncFlag := flag.String("sync", "batch", "WAL sync policy: always, batch, or interval")
 	syncEvery := flag.Duration("syncinterval", 0, "fsync period for -sync interval (default 2ms)")
 	seed := flag.Int64("seed", time.Now().UnixNano(), "RNG seed for nondeterministic services")
-	hb := flag.Duration("heartbeat", 25*time.Millisecond, "Ω heartbeat interval")
-	pipeline := flag.Int("pipeline", 1, "max accept waves in flight while leading (1 = serial protocol)")
-	commitFlush := flag.Duration("commit-flush", 0, "commit notification batching window (0 = default 1ms; widen on WAN links)")
-	rttPlace := flag.Bool("rtt-placement", false, "fold measured peer RTTs into leader placement: the cluster converges on the best-connected replica regardless of boot order (DESIGN.md 16)")
-	wireCompat := flag.Bool("wire-compat", false, "emit only pre-geo wire encodings so not-yet-upgraded replicas keep decoding this one (rolling upgrades); overrides -rtt-placement, near reads fall back to the leader path")
+	var o gridrep.Options // the protocol tunables, bound straight into the struct the server takes
+	flag.DurationVar(&o.HeartbeatInterval, "heartbeat", 25*time.Millisecond, "Ω heartbeat interval")
+	flag.IntVar(&o.PipelineDepth, "pipeline", 1, "max accept waves in flight while leading (1 = serial protocol)")
+	flag.DurationVar(&o.CommitFlushDelay, "commit-flush", 0, "commit notification batching window (0 = default 1ms; widen on WAN links)")
+	flag.BoolVar(&o.RTTPlacement, "rtt-placement", false, "fold measured peer RTTs into leader placement: the cluster converges on the best-connected replica regardless of boot order (DESIGN.md 16)")
+	flag.BoolVar(&o.WireCompat, "wire-compat", false, "emit only pre-geo wire encodings so not-yet-upgraded replicas keep decoding this one (rolling upgrades); overrides -rtt-placement, near reads fall back to the leader path")
+	flag.Uint64Var(&o.SnapshotEvery, "snapshot-every", 0, "durable service snapshot cadence in applied instances (0 = default 4096)")
+	flag.Uint64Var(&o.PruneKeep, "prune-keep", 0, "WAL instances retained below the cluster-min applied watermark (0 = default 1024)")
 	join := flag.Bool("join", false, "join a running cluster as a learner: catch up via snapshot streaming, then get promoted to voter by a committed config entry")
-	snapEvery := flag.Uint64("snapshot-every", 0, "durable service snapshot cadence in applied instances (0 = default 4096)")
-	pruneKeep := flag.Uint64("prune-keep", 0, "WAL instances retained below the cluster-min applied watermark (0 = default 1024)")
 	gatewayOn := flag.Bool("gateway", false, "enable the client-facing edge: admission control, per-tenant fair queueing, typed overload sheds, session dedup window")
 	gwInflight := flag.Int("gateway-inflight", 0, "global admitted-but-unanswered budget (0 = pipeline depth x groups x 64)")
 	gwQueue := flag.Int("gateway-queue", 0, "per-tenant fair-queue length (0 = 2x the in-flight budget)")
@@ -107,21 +108,15 @@ func main() {
 		log.Fatalf("replicad: %v", err)
 	}
 	sopts := gridrep.ServerOptions{
-		ID:                gridrep.NodeID(*id),
-		Peers:             peers,
-		NewService:        newSvc,
-		Groups:            *groups,
-		WALPath:           *wal,
-		SyncPolicy:        pol,
-		SyncEvery:         *syncEvery,
-		HeartbeatInterval: *hb,
-		PipelineDepth:     *pipeline,
-		CommitFlushDelay:  *commitFlush,
-		RTTPlacement:      *rttPlace,
-		WireCompat:        *wireCompat,
-		Join:              *join,
-		SnapshotEvery:     *snapEvery,
-		PruneKeep:         *pruneKeep,
+		ID:         gridrep.NodeID(*id),
+		Peers:      peers,
+		NewService: newSvc,
+		Groups:     *groups,
+		WALPath:    *wal,
+		SyncPolicy: pol,
+		SyncEvery:  *syncEvery,
+		Options:    o,
+		Join:       *join,
 	}
 	if *gatewayOn {
 		sopts.Gateway = &gridrep.GatewayOptions{
@@ -181,7 +176,7 @@ func main() {
 					}
 					rs := srv.ReplicaStats()
 					log.Printf("replica: pipeline=%d inflight=%d/%d waves{started=%d committed=%d} rollbacks{demotions=%d waves=%d recovery_discarded=%d} deferred_drops=%d",
-						rs.PipelineDepth, rs.WavesInFlight, rs.MaxWavesInFlight,
+						o.PipelineDepth, rs.WavesInFlight, rs.MaxWavesInFlight,
 						rs.WavesStarted, rs.WavesCommitted,
 						rs.SpecRollbacks, rs.WavesRolledBack, rs.RecoveryDiscarded,
 						rs.DeferredDrops)

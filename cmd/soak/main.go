@@ -49,12 +49,11 @@ func main() {
 	flag.Parse()
 
 	cfg := cluster.Config{
-		Service:           service.KVFactory,
-		HeartbeatInterval: 5 * time.Millisecond,
-		ClientRetryEvery:  50 * time.Millisecond,
-		ClientDeadline:    30 * time.Second,
-		NearReads:         *near,
-		RTTPlacement:      *rttPlace,
+		Service:          service.KVFactory,
+		Options:          core.Options{HeartbeatInterval: 5 * time.Millisecond, RTTPlacement: *rttPlace},
+		ClientRetryEvery: 50 * time.Millisecond,
+		ClientDeadline:   30 * time.Second,
+		NearReads:        *near,
 	}
 	if *profile != "" {
 		p, err := netem.ProfileByName(*profile)

@@ -17,12 +17,12 @@ import (
 func startGatewayServer(t *testing.T, dir string, id gridrep.NodeID, peers map[gridrep.NodeID]string) *gridrep.Server {
 	t.Helper()
 	srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
-		ID:                id,
-		Peers:             peers,
-		Service:           gridrep.NewKV(),
-		WALPath:           filepath.Join(dir, fmt.Sprintf("r%d.wal", id)),
-		HeartbeatInterval: 10 * time.Millisecond,
-		Gateway:           &gridrep.GatewayOptions{},
+		ID:      id,
+		Peers:   peers,
+		Service: gridrep.NewKV(),
+		WALPath: filepath.Join(dir, fmt.Sprintf("r%d.wal", id)),
+		Options: gridrep.Options{HeartbeatInterval: 10 * time.Millisecond},
+		Gateway: &gridrep.GatewayOptions{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@
 package gridrep
 
 import (
-	"fmt"
 	"time"
 
 	"gridrep/internal/client"
@@ -66,6 +65,15 @@ type (
 
 	// StateMode selects the §3.3 state-transfer reduction.
 	StateMode = core.StateMode
+
+	// Options are the protocol tunables — heartbeat and timeouts,
+	// pipeline depth, commit-flush window, state-transfer mode, snapshot
+	// cadence, RTT placement, WireCompat. ServerOptions and
+	// ClusterOptions embed the struct, so a TCP replica and an in-process
+	// cluster take exactly the same knobs:
+	//
+	//	gridrep.ClusterOptions{Options: gridrep.Options{PipelineDepth: 4}}
+	Options = core.Options
 
 	// SyncPolicy selects when a WAL-backed replica forces a group-commit
 	// batch to disk.
@@ -228,14 +236,12 @@ type ClusterOptions struct {
 	SyncEvery time.Duration
 	// ClientDeadline bounds each client operation (default 30s).
 	ClientDeadline time.Duration
-	// StateMode selects how proposals carry service state (default
-	// StateAuto).
-	StateMode StateMode
-	// PipelineDepth bounds how many accept waves the leader keeps in
-	// flight speculatively (default 1 — the paper's serial protocol,
-	// one wave per RTT+fsync). Higher depths overlap consensus instances
-	// on the stable leader; see DESIGN.md §10.
-	PipelineDepth int
+	// Options are the protocol tunables, the same struct ServerOptions
+	// takes. Zero values take defaults derived from Profile: timeouts
+	// from its worst one-way delay, pipeline depth and commit-flush
+	// window from its tuning hints (the WAN profiles deepen and widen
+	// them).
+	Options
 	// Groups is the number of independent consensus groups hosted by
 	// every replica process (default 1). With Groups > 1 the key space
 	// is partitioned by hash routing: each group runs its own state
@@ -245,15 +251,6 @@ type ClusterOptions struct {
 	// multi-group transaction fails with ErrCrossGroup. See DESIGN.md
 	// §13.
 	Groups int
-	// CommitFlushDelay bounds how long a committed wave's client
-	// notifications may wait for batching. Zero adopts the profile's
-	// tuning hint (WAN profiles widen the window), falling back to 1ms.
-	CommitFlushDelay time.Duration
-	// RTTPlacement folds measured network distance into Ω leader
-	// placement (DESIGN.md §16): each replica gossips its mean peer RTT
-	// and the elector converges on the best-connected replica regardless
-	// of boot order.
-	RTTPlacement bool
 	// NearReads makes clients serve X-Paxos reads from their nearest
 	// replica's confirm quorum instead of always the leader (DESIGN.md
 	// §16) — the WAN read-latency optimisation.
@@ -267,49 +264,23 @@ type Cluster struct {
 
 // NewCluster starts an in-process replicated service.
 func NewCluster(opts ClusterOptions) (*Cluster, error) {
-	cfg := cluster.Config{
+	inner, err := cluster.New(cluster.Config{
 		N:              opts.Replicas,
 		Groups:         opts.Groups,
 		Service:        opts.Service,
 		Profile:        opts.Profile,
 		Seed:           opts.Seed,
+		DataDir:        opts.DataDir,
+		SyncPolicy:     opts.SyncPolicy,
+		SyncInterval:   opts.SyncEvery,
+		Options:        opts.Options,
 		ClientDeadline: opts.ClientDeadline,
-		StateMode:      opts.StateMode,
-		PipelineDepth:  opts.PipelineDepth,
-
-		CommitFlushDelay: opts.CommitFlushDelay,
-		RTTPlacement:     opts.RTTPlacement,
-		NearReads:        opts.NearReads,
-	}
-	if opts.DataDir != "" {
-		cfg.Stores = make(map[wire.NodeID]storage.Store)
-		n := opts.Replicas
-		if n == 0 {
-			n = 3
-		}
-		for i := 0; i < n; i++ {
-			st, err := storage.OpenFile(walPath(opts.DataDir, i))
-			if err != nil {
-				return nil, err
-			}
-			st.SetPolicy(opts.SyncPolicy, opts.SyncEvery)
-			cfg.Stores[wire.NodeID(i)] = st
-		}
-		// Groups beyond 0 are created by the cluster itself under
-		// DataDir/group-<g>/ with the same sync policy.
-		cfg.DataDir = opts.DataDir
-		cfg.SyncPolicy = opts.SyncPolicy
-		cfg.SyncInterval = opts.SyncEvery
-	}
-	inner, err := cluster.New(cfg)
+		NearReads:      opts.NearReads,
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &Cluster{inner: inner}, nil
-}
-
-func walPath(dir string, i int) string {
-	return fmt.Sprintf("%s/replica-%d.wal", dir, i)
 }
 
 // NewClient attaches a client to the cluster.
@@ -333,7 +304,7 @@ func (c *Cluster) Restart(id NodeID) error { return c.inner.Restart(id) }
 // SuspectLeader forces a leader switch without a crash (§3.6).
 func (c *Cluster) SuspectLeader() { c.inner.SuspectLeader() }
 
-// Close stops the cluster.
+// Close stops the cluster and closes the write-ahead logs under DataDir.
 func (c *Cluster) Close() { c.inner.Close() }
 
 // Internal returns the underlying harness for advanced use (failure

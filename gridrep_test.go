@@ -174,10 +174,10 @@ func TestTCPDeployment(t *testing.T) {
 	}
 	for id := gridrep.NodeID(0); id < 3; id++ {
 		srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
-			ID:                id,
-			Peers:             peers,
-			Service:           gridrep.NewKV(),
-			HeartbeatInterval: 10 * time.Millisecond,
+			ID:      id,
+			Peers:   peers,
+			Service: gridrep.NewKV(),
+			Options: gridrep.Options{HeartbeatInterval: 10 * time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -5,14 +5,15 @@ import (
 	"time"
 
 	"gridrep/internal/cluster"
+	"gridrep/internal/core"
 )
 
 func loopbackCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
-		HeartbeatInterval: 5 * time.Millisecond,
-		ClientRetryEvery:  200 * time.Millisecond,
-		ClientDeadline:    10 * time.Second,
+		Options:          core.Options{HeartbeatInterval: 5 * time.Millisecond},
+		ClientRetryEvery: 200 * time.Millisecond,
+		ClientDeadline:   10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,10 +137,10 @@ func TestLatencyOrderingLoopback(t *testing.T) {
 func TestShardedThroughputSpreadsGroups(t *testing.T) {
 	const groups = 4
 	c, err := cluster.New(cluster.Config{
-		Groups:            groups,
-		HeartbeatInterval: 5 * time.Millisecond,
-		ClientRetryEvery:  200 * time.Millisecond,
-		ClientDeadline:    10 * time.Second,
+		Groups:           groups,
+		Options:          core.Options{HeartbeatInterval: 5 * time.Millisecond},
+		ClientRetryEvery: 200 * time.Millisecond,
+		ClientDeadline:   10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

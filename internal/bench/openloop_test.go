@@ -5,16 +5,17 @@ import (
 	"time"
 
 	"gridrep/internal/cluster"
+	"gridrep/internal/core"
 	"gridrep/internal/gateway"
 )
 
 func gatewayCluster(t *testing.T, gw *gateway.Config) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
-		HeartbeatInterval: 5 * time.Millisecond,
-		ClientRetryEvery:  200 * time.Millisecond,
-		ClientDeadline:    10 * time.Second,
-		Gateway:           gw,
+		Options:          core.Options{HeartbeatInterval: 5 * time.Millisecond},
+		ClientRetryEvery: 200 * time.Millisecond,
+		ClientDeadline:   10 * time.Second,
+		Gateway:          gw,
 	})
 	if err != nil {
 		t.Fatal(err)

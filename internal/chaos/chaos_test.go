@@ -248,9 +248,11 @@ func TestClusterSurvivesLinkChaos(t *testing.T) {
 			// Ping timeout (100ms) beats the election timeout, so the
 			// blackholed leader is deposed by the transport's PeerDown
 			// signal, not by Ω's slow silence detector.
-			HeartbeatInterval: 10 * time.Millisecond,
-			ElectionTimeout:   300 * time.Millisecond,
-			RetryTimeout:      40 * time.Millisecond,
+			Options: core.Options{
+				HeartbeatInterval: 10 * time.Millisecond,
+				ElectionTimeout:   300 * time.Millisecond,
+				RetryTimeout:      40 * time.Millisecond,
+			},
 		})
 		if err != nil {
 			t.Fatalf("replica %d: %v", id, err)

@@ -69,14 +69,16 @@ func TestDurableClusterSurvivesCrashUnderChaos(t *testing.T) {
 			}
 		}
 		r, err := core.New(core.Config{
-			ID:                id,
-			Peers:             peers,
-			Service:           service.NewKV(),
-			Store:             st,
-			Transport:         tr,
-			HeartbeatInterval: 10 * time.Millisecond,
-			ElectionTimeout:   300 * time.Millisecond,
-			RetryTimeout:      40 * time.Millisecond,
+			ID:        id,
+			Peers:     peers,
+			Service:   service.NewKV(),
+			Store:     st,
+			Transport: tr,
+			Options: core.Options{
+				HeartbeatInterval: 10 * time.Millisecond,
+				ElectionTimeout:   300 * time.Millisecond,
+				RetryTimeout:      40 * time.Millisecond,
+			},
 		})
 		if err != nil {
 			t.Fatalf("replica %d: %v", id, err)

@@ -71,15 +71,17 @@ func TestPipelinedLeaderCrashMidFlight(t *testing.T) {
 			}
 		}
 		r, err := core.New(core.Config{
-			ID:                id,
-			Peers:             peers,
-			Service:           service.NewKV(),
-			Store:             st,
-			Transport:         tr,
-			HeartbeatInterval: 10 * time.Millisecond,
-			ElectionTimeout:   300 * time.Millisecond,
-			RetryTimeout:      40 * time.Millisecond,
-			PipelineDepth:     4,
+			ID:        id,
+			Peers:     peers,
+			Service:   service.NewKV(),
+			Store:     st,
+			Transport: tr,
+			Options: core.Options{
+				HeartbeatInterval: 10 * time.Millisecond,
+				ElectionTimeout:   300 * time.Millisecond,
+				RetryTimeout:      40 * time.Millisecond,
+				PipelineDepth:     4,
+			},
 		})
 		if err != nil {
 			t.Fatalf("replica %d: %v", id, err)

@@ -72,18 +72,20 @@ func TestReconfigJoinUnderLinkChaos(t *testing.T) {
 			}
 		}
 		r, err := core.New(core.Config{
-			ID:                id,
-			Peers:             known,
-			Service:           service.NewKV(),
-			Store:             st,
-			Transport:         tr,
-			HeartbeatInterval: 10 * time.Millisecond,
-			ElectionTimeout:   300 * time.Millisecond,
-			RetryTimeout:      40 * time.Millisecond,
-			SnapshotEvery:     16,
-			PruneKeep:         4,
-			Join:              join,
-			AdvertiseAddr:     realBook[id],
+			ID:        id,
+			Peers:     known,
+			Service:   service.NewKV(),
+			Store:     st,
+			Transport: tr,
+			Options: core.Options{
+				HeartbeatInterval: 10 * time.Millisecond,
+				ElectionTimeout:   300 * time.Millisecond,
+				RetryTimeout:      40 * time.Millisecond,
+				SnapshotEvery:     16,
+				PruneKeep:         4,
+			},
+			Join:          join,
+			AdvertiseAddr: realBook[id],
 		})
 		if err != nil {
 			t.Fatalf("replica %d: %v", id, err)

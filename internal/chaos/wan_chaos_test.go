@@ -80,9 +80,11 @@ func TestWANRegionPartitionZeroAckedLoss(t *testing.T) {
 			// (~5ms worst mean) by a wide margin, and the ping timeout
 			// beats the election timeout so the partitioned leader is
 			// deposed by the transport's PeerDown signal.
-			HeartbeatInterval: 20 * time.Millisecond,
-			ElectionTimeout:   400 * time.Millisecond,
-			RetryTimeout:      80 * time.Millisecond,
+			Options: core.Options{
+				HeartbeatInterval: 20 * time.Millisecond,
+				ElectionTimeout:   400 * time.Millisecond,
+				RetryTimeout:      80 * time.Millisecond,
+			},
 		})
 		if err != nil {
 			t.Fatalf("replica %d: %v", id, err)

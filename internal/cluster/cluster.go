@@ -13,7 +13,6 @@ package cluster
 import (
 	"fmt"
 	"log"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -23,7 +22,6 @@ import (
 	"gridrep/internal/metrics"
 	"gridrep/internal/netem"
 	"gridrep/internal/service"
-	"gridrep/internal/shard"
 	"gridrep/internal/storage"
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
@@ -49,14 +47,16 @@ type Config struct {
 	// must follow application keys.
 	Service service.Factory
 	// Stores optionally provides stable storage per replica (default
-	// in-memory); retained across Crash/Restart. With Groups > 1 this
-	// map covers group 0 only; other groups use DataDir-derived WALs or
-	// in-memory stores (see GroupStore).
+	// in-memory); retained across Crash/Restart and never closed by the
+	// cluster — they stay the caller's. With Groups > 1 this map covers
+	// group 0 only; other groups use DataDir-derived WALs or in-memory
+	// stores.
 	Stores map[wire.NodeID]storage.Store
 	// DataDir, when set and no store is supplied for a replica, gives
 	// each replica a file-backed WAL at <DataDir>/replica-<id>.wal
 	// instead of the in-memory default. Groups beyond 0 nest under
-	// <DataDir>/group-<g>/.
+	// <DataDir>/group-<g>/. The cluster owns the WALs it opens: Close
+	// flushes and closes them.
 	DataDir string
 	// SyncPolicy and SyncInterval configure DataDir-created WALs (see
 	// storage.SyncPolicy; interval only applies to
@@ -64,12 +64,12 @@ type Config struct {
 	SyncPolicy   storage.SyncPolicy
 	SyncInterval time.Duration
 
-	// HeartbeatInterval, ElectionTimeout, RetryTimeout override the
-	// replica timing; zero values derive sensible defaults from the
-	// profile's MaxOneWay.
-	HeartbeatInterval time.Duration
-	ElectionTimeout   time.Duration
-	RetryTimeout      time.Duration
+	// Options are the replica tunables, forwarded whole to every group
+	// of every node. Zero values take defaults derived from the profile:
+	// timeouts from its MaxOneWay, pipeline depth and commit-flush window
+	// from its tuning hints (long-haul profiles ask for a deep pipeline
+	// and a wide window).
+	core.Options
 
 	// ClientRetryEvery and ClientDeadline configure clients.
 	ClientRetryEvery time.Duration
@@ -82,52 +82,11 @@ type Config struct {
 	// the network starts (used for space-time diagrams).
 	Tracer func(time.Time, *wire.Envelope)
 
-	// PipelineDepth forwards the core speculative-pipelining bound: how
-	// many accept waves the leader may keep in flight. Zero adopts the
-	// profile's tuning hint when it has one (long-haul profiles ask for
-	// a deep pipeline), else the core default 1, the paper's serial
-	// protocol.
-	PipelineDepth int
-	// CommitFlushDelay forwards the core commit-flush window. Zero
-	// adopts the profile's tuning hint when it has one (long-haul
-	// profiles widen it to amortize commit broadcasts), else the core
-	// default.
-	CommitFlushDelay time.Duration
-	// RTTPlacement forwards the core RTT-aware leader placement knob
-	// (DESIGN.md §16): replicas gossip their aggregate peer RTT and Ω
-	// moves leadership to the replica closest to the rest of the
-	// cluster, regardless of boot order.
-	RTTPlacement bool
 	// NearReads makes every client stamp its reads with the replica the
 	// transport reports the lowest RTT to, which then serves the read
 	// from its local state after a voter-quorum confirm round (DESIGN.md
 	// §16) — cross-continent clients skip the hop to a far leader.
 	NearReads bool
-	// WireCompat forwards the core rolling-upgrade knob: replicas emit
-	// only pre-§16 wire encodings (no Confirm.MaxAcc stamp, no
-	// heartbeat cost gossip), so a mixed-version cluster keeps
-	// decoding every message. Overrides RTTPlacement; near reads fall
-	// back to the leader path while set.
-	WireCompat bool
-	// NoBatch forwards the core ablation knob: one request per accept
-	// wave.
-	NoBatch bool
-	// NoPersist forwards the core durability-pipeline ablation knob:
-	// file-backed stores write and fsync inline on the event loop, the
-	// pre-group-commit behavior.
-	NoPersist bool
-	// StateMode forwards the §3.3 state-transfer mode to every replica.
-	StateMode core.StateMode
-	// ReadConcurrency forwards the core parallel-read worker count
-	// (DESIGN.md §14): 0 sizes the pool to GOMAXPROCS (disabled on one
-	// processor), negative disables it, positive forces that many
-	// workers even on a single processor (tests use this).
-	ReadConcurrency int
-	// SnapshotEvery and PruneKeep forward the core snapshot/prune
-	// cadence (reconfiguration tests shrink them to exercise snapshot
-	// catch-up quickly).
-	SnapshotEvery uint64
-	PruneKeep     uint64
 	// Gateway, when non-nil, wraps every node's endpoint in the
 	// client-facing edge (DESIGN.md §15): admission control, weighted
 	// fair queueing, typed overload sheds, per-session dedup. Nil keeps
@@ -148,30 +107,7 @@ func (c *Config) fillDefaults() {
 	if c.Service == nil {
 		c.Service = service.NoopFactory
 	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 25 * time.Millisecond
-		if hb := 2 * c.Profile.MaxOneWay; hb > c.HeartbeatInterval {
-			c.HeartbeatInterval = hb
-		}
-	}
-	if c.ElectionTimeout == 0 {
-		c.ElectionTimeout = 8 * c.HeartbeatInterval
-	}
-	if c.RetryTimeout == 0 {
-		c.RetryTimeout = 4 * c.HeartbeatInterval
-		if rt := 6 * c.Profile.MaxOneWay; rt > c.RetryTimeout {
-			c.RetryTimeout = rt
-		}
-	}
-	if c.PipelineDepth == 0 && c.Profile.PipelineDepth > 0 {
-		c.PipelineDepth = c.Profile.PipelineDepth
-	}
-	if c.CommitFlushDelay == 0 {
-		c.CommitFlushDelay = c.Profile.CommitFlushDelay
-	}
-	if c.Stores == nil {
-		c.Stores = make(map[wire.NodeID]storage.Store)
-	}
+	c.Options.FillDefaults(c.Profile.MaxOneWay, c.Profile.PipelineDepth, c.Profile.CommitFlushDelay)
 }
 
 // gsKey identifies one (node, group) replica slot.
@@ -180,23 +116,27 @@ type gsKey struct {
 	g  int
 }
 
+// slot is the stable storage of one replica slot. It outlives the
+// node's crashes: Restart recovers from the same object. owned marks a
+// store the cluster opened itself, which Close therefore closes; stores
+// handed in through Config.Stores or SetStore stay the caller's.
+type slot struct {
+	st    storage.Store
+	owned bool
+}
+
 // Cluster is a running deployment. All methods are safe for concurrent
-// use; the exported Replicas map must only be read directly when no
-// failure injection runs concurrently.
+// use.
 type Cluster struct {
-	cfg      Config
-	Net      *transport.Network
-	Replicas map[wire.NodeID]*core.Replica // group 0 — the pre-sharding view
-	ids      []wire.NodeID
+	cfg Config
+	Net *transport.Network
+	ids []wire.NodeID
 
 	mu      sync.Mutex
 	nextCli uint32
-	joiners map[wire.NodeID]bool                // replicas added via AddReplica
-	greps   map[gsKey]*core.Replica             // groups beyond 0
-	gstores map[gsKey]storage.Store             // groups beyond 0
-	muxes   map[wire.NodeID]*transport.GroupMux // sharded nodes only
-	regs    map[wire.NodeID]*metrics.Registry   // shared per-node registry (sharded)
-	gws     map[wire.NodeID]*gateway.Gateway    // per-node edge (Config.Gateway set)
+	joiners map[wire.NodeID]bool  // replicas added via AddReplica
+	nodes   map[wire.NodeID]*Node // running nodes
+	stores  map[gsKey]slot
 }
 
 // New builds and starts a cluster.
@@ -205,15 +145,14 @@ func New(cfg Config) (*Cluster, error) {
 	net := transport.NewNetwork(cfg.Profile.NewModel(cfg.Seed))
 	net.SetTracer(cfg.Tracer)
 	c := &Cluster{
-		cfg:      cfg,
-		Net:      net,
-		Replicas: make(map[wire.NodeID]*core.Replica),
-		joiners:  make(map[wire.NodeID]bool),
-		greps:    make(map[gsKey]*core.Replica),
-		gstores:  make(map[gsKey]storage.Store),
-		muxes:    make(map[wire.NodeID]*transport.GroupMux),
-		regs:     make(map[wire.NodeID]*metrics.Registry),
-		gws:      make(map[wire.NodeID]*gateway.Gateway),
+		cfg:     cfg,
+		Net:     net,
+		joiners: make(map[wire.NodeID]bool),
+		nodes:   make(map[wire.NodeID]*Node),
+		stores:  make(map[gsKey]slot),
+	}
+	for id, st := range cfg.Stores {
+		c.stores[gsKey{id, 0}] = slot{st: st}
 	}
 	for i := 0; i < cfg.N; i++ {
 		c.ids = append(c.ids, wire.NodeID(i))
@@ -231,53 +170,22 @@ func New(cfg Config) (*Cluster, error) {
 func (c *Cluster) Groups() int { return c.cfg.Groups }
 
 // store resolves (creating if necessary) the stable storage for one
-// (node, group) slot. Caller holds c.mu.
+// replica slot: in memory, or with DataDir set a WAL the cluster owns.
+// Caller holds c.mu.
 func (c *Cluster) store(id wire.NodeID, g int) (storage.Store, error) {
-	if g == 0 {
-		st, ok := c.cfg.Stores[id]
-		if !ok {
-			var err error
-			if st, err = c.newStore(id, g); err != nil {
-				return nil, err
-			}
-			c.cfg.Stores[id] = st
-		}
-		return st, nil
-	}
 	k := gsKey{id, g}
-	st, ok := c.gstores[k]
-	if !ok {
+	if sl, ok := c.stores[k]; ok {
+		return sl.st, nil
+	}
+	var st storage.Store = storage.NewMem()
+	if c.cfg.DataDir != "" {
 		var err error
-		if st, err = c.newStore(id, g); err != nil {
+		if st, err = OpenWAL(GroupWALPath(c.cfg.DataDir, g, id), c.cfg.SyncPolicy, c.cfg.SyncInterval); err != nil {
 			return nil, err
 		}
-		c.gstores[k] = st
 	}
+	c.stores[k] = slot{st: st, owned: true}
 	return st, nil
-}
-
-func (c *Cluster) newStore(id wire.NodeID, g int) (storage.Store, error) {
-	if c.cfg.DataDir == "" {
-		return storage.NewMem(), nil
-	}
-	path := GroupWALPath(c.cfg.DataDir, g, id)
-	fs, err := storage.OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	fs.SetPolicy(c.cfg.SyncPolicy, c.cfg.SyncInterval)
-	return fs, nil
-}
-
-// GroupWALPath is the WAL layout shared by the in-process cluster and
-// the TCP server: group 0 keeps the pre-sharding path (a `-groups 1`
-// data dir is byte-for-byte a single-group one), and each further group
-// nests in its own subdirectory.
-func GroupWALPath(dir string, g int, id wire.NodeID) string {
-	if g == 0 {
-		return filepath.Join(dir, fmt.Sprintf("replica-%d.wal", id))
-	}
-	return filepath.Join(dir, fmt.Sprintf("group-%d", g), fmt.Sprintf("replica-%d.wal", id))
 }
 
 // startReplica boots every consensus group of one node.
@@ -288,82 +196,23 @@ func (c *Cluster) startReplica(id wire.NodeID) error {
 	if err != nil {
 		return err
 	}
-	// The client-facing edge wraps the endpoint before the group
-	// multiplexer, matching the TCP server assembly: endpoint → gateway
-	// → (mux) → cores.
-	var edge transport.Transport = ep
-	if c.cfg.Gateway != nil {
-		gw := gateway.Wrap(ep, *c.cfg.Gateway)
-		c.gws[id] = gw
-		edge = gw
+	n, err := StartNode(NodeConfig{
+		ID:        id,
+		Peers:     c.ids,
+		BootN:     c.cfg.N,
+		Groups:    c.cfg.Groups,
+		Edge:      ep,
+		Service:   c.cfg.Service,
+		OpenStore: func(g int) (storage.Store, error) { return c.store(id, g) },
+		Options:   c.cfg.Options,
+		Gateway:   c.cfg.Gateway,
+		Join:      c.joiners[id],
+		Logger:    c.cfg.Logger,
+	})
+	if err != nil {
+		return err
 	}
-	groups := c.cfg.Groups
-	var trFor func(g int) transport.Transport
-	var regFor func(g int) *metrics.Registry
-	if groups == 1 {
-		// Single-group: the endpoint goes straight into the core — no
-		// multiplexer, no shared registry. This is the exact pre-sharding
-		// assembly, byte-for-byte on the wire and name-for-name in
-		// metrics.
-		trFor = func(int) transport.Transport { return edge }
-		regFor = func(int) *metrics.Registry { return nil }
-	} else {
-		router := shard.NewRouter(groups, c.cfg.Service())
-		mux := transport.NewGroupMux(edge, groups, router.Route)
-		c.muxes[id] = mux
-		reg := metrics.NewRegistry()
-		c.regs[id] = reg
-		trFor = func(g int) transport.Transport { return mux.Group(g) }
-		regFor = func(g int) *metrics.Registry {
-			if g == 0 {
-				return reg
-			}
-			return reg.WithPrefix(fmt.Sprintf("group_%d_", g))
-		}
-	}
-	for g := 0; g < groups; g++ {
-		st, err := c.store(id, g)
-		if err != nil {
-			return err
-		}
-		var rank func(wire.NodeID) uint64
-		if groups > 1 {
-			rank = shard.LeaderRank(uint32(g), c.cfg.N)
-		}
-		rep, err := core.New(core.Config{
-			ID:                id,
-			Peers:             append([]wire.NodeID{}, c.ids...),
-			Service:           c.cfg.Service(),
-			Store:             st,
-			Transport:         trFor(g),
-			HeartbeatInterval: c.cfg.HeartbeatInterval,
-			ElectionTimeout:   c.cfg.ElectionTimeout,
-			RetryTimeout:      c.cfg.RetryTimeout,
-			CommitFlushDelay:  c.cfg.CommitFlushDelay,
-			PipelineDepth:     c.cfg.PipelineDepth,
-			RTTPlacement:      c.cfg.RTTPlacement,
-			WireCompat:        c.cfg.WireCompat,
-			NoBatch:           c.cfg.NoBatch,
-			NoPersist:         c.cfg.NoPersist,
-			StateMode:         c.cfg.StateMode,
-			ReadConcurrency:   c.cfg.ReadConcurrency,
-			SnapshotEvery:     c.cfg.SnapshotEvery,
-			PruneKeep:         c.cfg.PruneKeep,
-			Join:              c.joiners[id],
-			Metrics:           regFor(g),
-			LeaderRank:        rank,
-			Logger:            c.cfg.Logger,
-		})
-		if err != nil {
-			return err
-		}
-		if g == 0 {
-			c.Replicas[id] = rep
-		} else {
-			c.greps[gsKey{id, g}] = rep
-		}
-		rep.Start()
-	}
+	c.nodes[id] = n
 	return nil
 }
 
@@ -378,17 +227,7 @@ func (c *Cluster) NewClient() (*client.Client, error) {
 	c.nextCli++
 	id := c.nextCli
 	c.mu.Unlock()
-	ep, err := c.Net.Endpoint(wire.ClientIDBase + wire.NodeID(id))
-	if err != nil {
-		return nil, err
-	}
-	return client.New(client.Config{
-		Transport:  ep,
-		Replicas:   c.IDs(),
-		RetryEvery: c.cfg.ClientRetryEvery,
-		Deadline:   c.cfg.ClientDeadline,
-		NearRead:   c.cfg.NearReads,
-	}), nil
+	return c.clientAt(wire.ClientIDBase + wire.NodeID(id))
 }
 
 // NewSessionClient attaches a client for one logical session of a
@@ -397,7 +236,12 @@ func (c *Cluster) NewClient() (*client.Client, error) {
 // exactly as the TCP ClientMux does, so replica-side gateways see the
 // same tenant space either way.
 func (c *Cluster) NewSessionClient(tenant uint8, n uint32) (*client.Client, error) {
-	ep, err := c.Net.Endpoint(gateway.SessionID(tenant, n))
+	return c.clientAt(gateway.SessionID(tenant, n))
+}
+
+// clientAt attaches a client on its own endpoint id.
+func (c *Cluster) clientAt(id wire.NodeID) (*client.Client, error) {
+	ep, err := c.Net.Endpoint(id)
 	if err != nil {
 		return nil, err
 	}
@@ -410,26 +254,18 @@ func (c *Cluster) NewSessionClient(tenant uint8, n uint32) (*client.Client, erro
 	}), nil
 }
 
-// Gateway returns node id's client-facing edge, when one is running.
-func (c *Cluster) Gateway(id wire.NodeID) (*gateway.Gateway, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	gw, ok := c.gws[id]
-	return gw, ok
-}
-
 // GatewayStats sums the edge counters across every running node — the
 // cluster-wide view of admissions, sheds, and dedup hits.
 func (c *Cluster) GatewayStats() gateway.Stats {
 	c.mu.Lock()
-	gws := make([]*gateway.Gateway, 0, len(c.gws))
-	for _, gw := range c.gws {
-		gws = append(gws, gw)
+	nodes := make([]*Node, 0, len(c.nodes))
+	for _, n := range c.nodes {
+		nodes = append(nodes, n)
 	}
 	c.mu.Unlock()
 	var sum gateway.Stats
-	for _, gw := range gws {
-		st := gw.Stats()
+	for _, n := range nodes {
+		st := n.GatewayStats()
 		sum.Admitted += st.Admitted
 		sum.Queued += st.Queued
 		sum.DedupHits += st.DedupHits
@@ -445,64 +281,46 @@ func (c *Cluster) GatewayStats() gateway.Stats {
 	return sum
 }
 
-// Replica returns the running group-0 replica with the given ID, if any.
-func (c *Cluster) Replica(id wire.NodeID) (*core.Replica, bool) {
+// node returns the running node with the given ID, if any.
+func (c *Cluster) node(id wire.NodeID) (*Node, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rep, ok := c.Replicas[id]
-	return rep, ok
+	n, ok := c.nodes[id]
+	return n, ok
 }
+
+// Replica returns the running group-0 replica with the given ID, if any.
+func (c *Cluster) Replica(id wire.NodeID) (*core.Replica, bool) { return c.GroupReplica(id, 0) }
 
 // GroupReplica returns node id's replica for consensus group g, if
 // running.
 func (c *Cluster) GroupReplica(id wire.NodeID, g int) (*core.Replica, bool) {
-	if g == 0 {
-		return c.Replica(id)
+	n, ok := c.node(id)
+	if !ok || g >= n.Groups() {
+		return nil, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rep, ok := c.greps[gsKey{id, g}]
-	return rep, ok
-}
-
-// GroupStore returns the stable storage assigned to node id's group g.
-func (c *Cluster) GroupStore(id wire.NodeID, g int) (storage.Store, bool) {
-	if g == 0 {
-		return c.Store(id)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.gstores[gsKey{id, g}]
-	return st, ok
+	return n.Group(g), true
 }
 
 // NodeMetrics returns the node's process-wide registry when sharded
 // (group 0 unprefixed, group g prefixed group_<g>_), or the group-0
 // replica's own registry otherwise.
 func (c *Cluster) NodeMetrics(id wire.NodeID) (*metrics.Registry, bool) {
-	c.mu.Lock()
-	if reg, ok := c.regs[id]; ok {
-		c.mu.Unlock()
-		return reg, true
-	}
-	c.mu.Unlock()
-	rep, ok := c.Replica(id)
+	n, ok := c.node(id)
 	if !ok {
 		return nil, false
 	}
-	return rep.Metrics(), true
+	return n.Metrics(), true
 }
 
 // GroupHealths reports every group's protocol position on one node, in
 // group order — the in-process twin of the TCP server's /healthz array.
 func (c *Cluster) GroupHealths(id wire.NodeID) []core.Health {
-	out := make([]core.Health, 0, c.cfg.Groups)
-	for g := 0; g < c.cfg.Groups; g++ {
-		if rep, ok := c.GroupReplica(id, g); ok {
-			out = append(out, rep.Health())
-		}
+	n, ok := c.node(id)
+	if !ok {
+		return nil
 	}
-	return out
+	return n.Healths()
 }
 
 // Running returns the IDs of currently running replicas.
@@ -511,7 +329,7 @@ func (c *Cluster) Running() []wire.NodeID {
 	defer c.mu.Unlock()
 	var out []wire.NodeID
 	for _, id := range c.ids {
-		if _, ok := c.Replicas[id]; ok {
+		if _, ok := c.nodes[id]; ok {
 			out = append(out, id)
 		}
 	}
@@ -581,30 +399,15 @@ func (c *Cluster) WaitForAllLeaders(timeout time.Duration) ([]wire.NodeID, error
 }
 
 // Crash stops a node — every consensus group it hosts — and drops all
-// its traffic, modelling a crash failure (§3.1).
+// its traffic, modelling a crash failure (§3.1). Its stores are kept,
+// unflushed and open, for Restart.
 func (c *Cluster) Crash(id wire.NodeID) {
 	c.mu.Lock()
-	reps := make([]*core.Replica, 0, c.cfg.Groups)
-	if rep, ok := c.Replicas[id]; ok {
-		reps = append(reps, rep)
-		delete(c.Replicas, id)
-	}
-	for g := 1; g < c.cfg.Groups; g++ {
-		if rep, ok := c.greps[gsKey{id, g}]; ok {
-			reps = append(reps, rep)
-			delete(c.greps, gsKey{id, g})
-		}
-	}
-	mux := c.muxes[id]
-	delete(c.muxes, id)
-	delete(c.regs, id)
-	delete(c.gws, id) // closed via rep.Stop (single-group) or mux.Close
+	n, ok := c.nodes[id]
+	delete(c.nodes, id)
 	c.mu.Unlock()
-	for _, rep := range reps {
-		rep.Stop()
-	}
-	if mux != nil {
-		mux.Close()
+	if ok {
+		n.Stop()
 	}
 	c.Net.Model().SetDown(id, true)
 }
@@ -623,31 +426,26 @@ func (c *Cluster) Restart(id wire.NodeID) error {
 // Crash tests use it to model memory loss faithfully: the retained Store
 // object still holds staged (never-flushed) records in RAM, so a test
 // reopens the WAL file fresh and swaps it in, keeping only what a real
-// restart would replay from disk. The replica must not be running.
+// restart would replay from disk. The replica must not be running. The
+// new store stays the caller's; a replaced store the cluster had opened
+// itself is closed here, unflushed, while nothing writes the file.
 func (c *Cluster) SetStore(id wire.NodeID, st storage.Store) {
 	c.mu.Lock()
-	c.cfg.Stores[id] = st
+	old := c.stores[gsKey{id, 0}]
+	c.stores[gsKey{id, 0}] = slot{st: st}
 	c.mu.Unlock()
-}
-
-// SetGroupStore is SetStore for an arbitrary consensus group.
-func (c *Cluster) SetGroupStore(id wire.NodeID, g int, st storage.Store) {
-	if g == 0 {
-		c.SetStore(id, st)
-		return
+	if old.owned {
+		old.st.Close()
 	}
-	c.mu.Lock()
-	c.gstores[gsKey{id, g}] = st
-	c.mu.Unlock()
 }
 
 // Store returns the stable storage currently assigned to a replica
 // (group 0).
 func (c *Cluster) Store(id wire.NodeID) (storage.Store, bool) {
 	c.mu.Lock()
-	st, ok := c.cfg.Stores[id]
+	sl, ok := c.stores[gsKey{id, 0}]
 	c.mu.Unlock()
-	return st, ok
+	return sl.st, ok
 }
 
 // AddReplica starts a brand-new node that joins the running cluster
@@ -739,30 +537,23 @@ func (c *Cluster) SuspectGroupLeader(g int) {
 	}
 }
 
-// Close stops every replica and the network.
+// Close stops every replica and the network, then flushes and closes
+// the stores the cluster opened itself; caller-provided stores are left
+// as they are.
 func (c *Cluster) Close() {
 	c.mu.Lock()
-	reps := make([]*core.Replica, 0, len(c.Replicas)+len(c.greps))
-	for _, rep := range c.Replicas {
-		reps = append(reps, rep)
-	}
-	for _, rep := range c.greps {
-		reps = append(reps, rep)
-	}
-	c.Replicas = map[wire.NodeID]*core.Replica{}
-	c.greps = map[gsKey]*core.Replica{}
-	muxes := make([]*transport.GroupMux, 0, len(c.muxes))
-	for _, m := range c.muxes {
-		muxes = append(muxes, m)
-	}
-	c.muxes = map[wire.NodeID]*transport.GroupMux{}
-	c.gws = map[wire.NodeID]*gateway.Gateway{} // closed via Stop/mux.Close below
+	nodes, stores := c.nodes, c.stores
+	c.nodes, c.stores = map[wire.NodeID]*Node{}, map[gsKey]slot{}
 	c.mu.Unlock()
-	for _, rep := range reps {
-		rep.Stop()
-	}
-	for _, m := range muxes {
-		m.Close()
+	for _, n := range nodes {
+		n.Stop()
 	}
 	c.Net.Close()
+	for _, sl := range stores {
+		if sl.owned {
+			// A failed final flush loses only records no quorum was ever
+			// told about; there is no caller to report it to.
+			_ = flushAndClose(sl.st)
+		}
+	}
 }

@@ -146,12 +146,12 @@ func TestStoresRetainedAcrossRestart(t *testing.T) {
 			break
 		}
 	}
-	st := c.cfg.Stores[backup]
+	st, _ := c.Store(backup)
 	c.Crash(backup)
 	if err := c.Restart(backup); err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.Stores[backup] != st {
+	if now, _ := c.Store(backup); now != st {
 		t.Fatal("restart replaced the stable store")
 	}
 }

@@ -153,18 +153,19 @@ func (f *flakyWAL) PutAccepted(entries []wire.Entry, max wire.Ballot) error {
 // TestPersistFailureFailStops: a replica whose storage starts failing —
 // whether the failure surfaces in the persister goroutine's Flush or in
 // an inline mutation on the event loop — must fail-stop, and the
-// remaining quorum must keep serving.
+// remaining quorum must keep serving. The inline case hides the store's
+// Flusher side behind a plain storage.Store, which is what puts a
+// replica on the inline path.
 func TestPersistFailureFailStops(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		nopersist bool
-		mk        func(f *storage.File) *flakyWAL
+		name string
+		mk   func(f *storage.File) storage.Store
 	}{
-		{"persister-flush", false, func(f *storage.File) *flakyWAL {
+		{"persister-flush", func(f *storage.File) storage.Store {
 			return &flakyWAL{File: f, failFlush: true, okFlushes: 5}
 		}},
-		{"loop-inline", true, func(f *storage.File) *flakyWAL {
-			return &flakyWAL{File: f, failAccept: true, okAccepts: 5}
+		{"loop-inline", func(f *storage.File) storage.Store {
+			return struct{ storage.Store }{&flakyWAL{File: f, failAccept: true, okAccepts: 5}}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,10 +176,9 @@ func TestPersistFailureFailStops(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := newTestCluster(t, Config{
-				Service:   service.KVFactory,
-				DataDir:   dataDir,
-				NoPersist: tc.nopersist,
-				Stores:    map[wire.NodeID]storage.Store{flakyID: tc.mk(f)},
+				Service: service.KVFactory,
+				DataDir: dataDir,
+				Stores:  map[wire.NodeID]storage.Store{flakyID: tc.mk(f)},
 			})
 			if _, err := c.WaitForLeader(5 * time.Second); err != nil {
 				t.Fatal(err)

@@ -52,9 +52,11 @@ func waitPruned(t *testing.T, c *Cluster, timeout time.Duration) uint64 {
 // member afterwards. No acked write may be lost along the way.
 func TestOnlineJoinSnapshotCatchUp(t *testing.T) {
 	c := newTestCluster(t, Config{
-		Service:       service.KVFactory,
-		SnapshotEvery: 32,
-		PruneKeep:     8,
+		Service: service.KVFactory,
+		Options: core.Options{
+			SnapshotEvery: 32,
+			PruneKeep:     8,
+		},
 	})
 	if _, err := c.WaitForLeader(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -209,11 +211,13 @@ func TestReconfigureRefusesUnsafeChanges(t *testing.T) {
 func TestChaosCrashRejoinViaSnapshot(t *testing.T) {
 	dataDir := t.TempDir()
 	c := newTestCluster(t, Config{
-		Service:       service.KVFactory,
-		DataDir:       dataDir,
-		SyncPolicy:    storage.SyncPolicyBatch,
-		SnapshotEvery: 16,
-		PruneKeep:     4,
+		Service:    service.KVFactory,
+		DataDir:    dataDir,
+		SyncPolicy: storage.SyncPolicyBatch,
+		Options: core.Options{
+			SnapshotEvery: 16,
+			PruneKeep:     4,
+		},
 	})
 	if _, err := c.WaitForLeader(5 * time.Second); err != nil {
 		t.Fatal(err)

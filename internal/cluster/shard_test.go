@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"gridrep/internal/client"
+	"gridrep/internal/gateway"
+	"gridrep/internal/metrics"
 	"gridrep/internal/service"
 	"gridrep/internal/shard"
 	"gridrep/internal/wire"
@@ -126,19 +128,36 @@ func TestShardedMetricsAndHealth(t *testing.T) {
 	}
 }
 
+// TestShardedGatewayMetricsRegistered: a sharded node's cores cannot see
+// the edge through their group endpoints, so the node registers it on
+// the shared registry itself — exactly once, unprefixed, as the TCP
+// server always did.
+func TestShardedGatewayMetricsRegistered(t *testing.T) {
+	c := newTestCluster(t, Config{N: 1, Groups: 2, Service: service.KVFactory, Gateway: &gateway.Config{}})
+	reg, _ := c.NodeMetrics(0)
+	if _, ok := metrics.Find(reg.Snapshot(), "gridrep_gateway_admitted_total"); !ok {
+		t.Fatalf("no gridrep_gateway_* instruments on a sharded in-process node: %v", reg.Names())
+	}
+}
+
 // TestShardedGroupFailoverIsolation: suspecting one group's leader moves
 // only that group's leadership; sibling groups keep their leaders and
 // the whole key space stays writable.
 func TestShardedGroupFailoverIsolation(t *testing.T) {
 	const n, groups = 3, 3
 	c := newShardedCluster(t, n, groups)
+	// Wait for the rank preemption of §16 to settle every group on its
+	// preferred replica first: until then leadership moves on its own.
 	before := make([]wire.NodeID, groups)
+	settle := time.Now().Add(10 * time.Second)
 	for g := 0; g < groups; g++ {
-		l, ok := c.GroupLeader(g)
-		if !ok {
-			t.Fatalf("group %d has no leader", g)
+		before[g] = wire.NodeID(g % n)
+		for l, ok := c.GroupLeader(g); !ok || l != before[g]; l, ok = c.GroupLeader(g) {
+			if time.Now().After(settle) {
+				t.Fatalf("group %d leader = %v,%v; want %v", g, l, ok, before[g])
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		before[g] = l
 	}
 
 	c.SuspectGroupLeader(1)

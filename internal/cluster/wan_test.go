@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"gridrep/internal/core"
 	"gridrep/internal/netem"
 	"gridrep/internal/service"
 	"gridrep/internal/wire"
@@ -100,15 +101,17 @@ func TestWANNearReadLinearizableUnderRegionPartition(t *testing.T) {
 	}
 	prof := netem.WAN3Scaled(0.02) // real shape, ~2ms cross-region hops
 	c := newTestCluster(t, Config{
-		N:                 3,
-		Profile:           prof,
-		Seed:              1,
-		Service:           service.KVFactory,
-		NearReads:         true,
-		RTTPlacement:      true,
-		HeartbeatInterval: 25 * time.Millisecond,
-		ClientRetryEvery:  50 * time.Millisecond,
-		ClientDeadline:    30 * time.Second,
+		N:         3,
+		Profile:   prof,
+		Seed:      1,
+		Service:   service.KVFactory,
+		NearReads: true,
+		Options: core.Options{
+			RTTPlacement:      true,
+			HeartbeatInterval: 25 * time.Millisecond,
+		},
+		ClientRetryEvery: 50 * time.Millisecond,
+		ClientDeadline:   30 * time.Second,
 	})
 	if _, err := c.WaitForLeader(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -200,14 +203,14 @@ func TestWANNearReadLinearizableUnderRegionPartition(t *testing.T) {
 func TestWANNearReadsServeFromNearReplica(t *testing.T) {
 	prof := netem.WAN3Scaled(0.02)
 	c := newTestCluster(t, Config{
-		N:                 3,
-		Profile:           prof,
-		Seed:              1,
-		Service:           service.KVFactory,
-		NearReads:         true,
-		HeartbeatInterval: 25 * time.Millisecond,
-		ClientRetryEvery:  50 * time.Millisecond,
-		ClientDeadline:    30 * time.Second,
+		N:                3,
+		Profile:          prof,
+		Seed:             1,
+		Service:          service.KVFactory,
+		NearReads:        true,
+		Options:          core.Options{HeartbeatInterval: 25 * time.Millisecond},
+		ClientRetryEvery: 50 * time.Millisecond,
+		ClientDeadline:   30 * time.Second,
 	})
 	if _, err := c.WaitForLeader(10 * time.Second); err != nil {
 		t.Fatal(err)

@@ -121,57 +121,9 @@ type Config struct {
 	// Transport carries protocol messages. Required.
 	Transport transport.Transport
 
-	// HeartbeatInterval drives Ω heartbeats (default 25ms).
-	HeartbeatInterval time.Duration
-	// ElectionTimeout is how long a silent leader stays trusted
-	// (default 8×HeartbeatInterval).
-	ElectionTimeout time.Duration
-	// RetryTimeout bounds how long the leader waits before
-	// retransmitting an unacknowledged prepare/accept/catch-up
-	// (default 4×HeartbeatInterval).
-	RetryTimeout time.Duration
-	// CompactEvery triggers log-state compaction after this many
-	// committed instances (default 1024).
-	CompactEvery uint64
-	// CommitFlushDelay bounds how long a committed wave's notification
-	// may wait for the next accept wave to carry it (default 1ms).
-	// Commits always piggyback on the next wave's accept broadcast;
-	// this timer only covers the case where the queue drains and no
-	// next wave follows, so the last wave's commit is never delayed
-	// beyond this bound.
-	CommitFlushDelay time.Duration
-	// PipelineDepth bounds how many accept waves the leader may keep in
-	// flight speculatively. The default 1 is the paper's serial protocol:
-	// instance i is proposed only after i−1 commits. Depths above 1 let
-	// the leader execute wave i+1 against its local post-i state and
-	// propose it while wave i's quorum round trip and fsync are still
-	// outstanding; every wave keeps an undo snapshot so a ballot demotion
-	// rolls the service back to the last committed instance, and client
-	// replies still fire only when a wave and all its predecessors
-	// commit. See DESIGN.md §10 for the ordering/rollback contract.
-	PipelineDepth int
-	// NoBatch disables multi-instance accept waves (ablation knob): each
-	// wave carries exactly one request, so the strictly sequential
-	// reading of §3.3 is enforced even under load. Default off — the
-	// paper's own recovery path sends multi-instance accepts, and
-	// batching is what lets write throughput scale in Figure 5.
-	NoBatch bool
-	// NoPersist disables the durability pipeline (ablation knob): even
-	// when Store implements storage.Flusher, mutations are written and
-	// fsynced inline on the event loop and dependent sends go out
-	// immediately — the pre-group-commit behavior. Default off.
-	NoPersist bool
-	// ReadConcurrency sizes the parallel-read worker pool (DESIGN.md
-	// §14): when the service implements service.ReadViewer, confirmed
-	// X-Paxos reads execute concurrently against pinned immutable views
-	// and their replies fan out off the event loop. 0 (the default)
-	// sizes the pool to GOMAXPROCS, and disables it when that is 1 —
-	// one core gains nothing from handing reads off, and skipping the
-	// pool keeps the single-core read path byte-identical to the serial
-	// engine. Negative disables the pool unconditionally.
-	ReadConcurrency int
-	// StateMode selects the state-transfer reduction of §3.3.
-	StateMode StateMode
+	// Options are the protocol tunables (options.go), forwarded whole by
+	// every layer above.
+	Options
 
 	// Join marks this replica as a joiner: it starts as a non-voting
 	// learner outside the voting membership, announces itself with
@@ -183,14 +135,6 @@ type Config struct {
 	// this replica, carried in JoinReq so existing members can extend
 	// their address books. Empty on transports that route by ID alone.
 	AdvertiseAddr string
-	// SnapshotEvery takes a durable service snapshot every this many
-	// applied instances (default 4096). Snapshots bound WAL pruning and
-	// serve streaming catch-up.
-	SnapshotEvery uint64
-	// PruneKeep retains this many instances below the cluster-wide
-	// minimum applied watermark when pruning the WAL (default 1024);
-	// everything older is discarded once a durable snapshot covers it.
-	PruneKeep uint64
 
 	// Metrics, if set, is where this replica registers its instruments —
 	// typically a metrics.Registry.WithPrefix view when several consensus
@@ -208,28 +152,6 @@ type Config struct {
 	// instead of sticking with whoever claimed first.
 	LeaderRank func(wire.NodeID) uint64
 
-	// RTTPlacement folds measured network distance into Ω leader
-	// preference (DESIGN.md §16): each replica smooths its transport's
-	// per-peer round-trip estimates (transport.RTTReporter) into one
-	// placement cost, gossips it on heartbeats, and Ω ranks replicas by
-	// cost before LeaderRank/ID — so leadership converges onto the
-	// replica closest to the rest of the cluster. Enables the same rank
-	// preemption as LeaderRank. No-op when the transport cannot report
-	// RTTs.
-	RTTPlacement bool
-
-	// WireCompat keeps every message this replica emits decodable by
-	// pre-§16 binaries, for rolling a mixed-version cluster through an
-	// upgrade: confirms are not stamped with MaxAcc and RTT placement
-	// costs are not measured or gossiped (WireCompat overrides
-	// RTTPlacement). The cost is features, not safety — without the
-	// stamp this replica's confirms cannot vouch for nearest-replica
-	// reads, so near-stamped reads fall back to the leader path on
-	// their first retry. Run the upgraded binaries with WireCompat until
-	// every replica is new, then drop it (and only then enable
-	// RTTPlacement or near reads).
-	WireCompat bool
-
 	// Logger, if set, receives role transitions and anomalies.
 	Logger *log.Logger
 }
@@ -238,30 +160,7 @@ func (c *Config) fillDefaults() {
 	if c.Store == nil {
 		c.Store = storage.NewMem()
 	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 25 * time.Millisecond
-	}
-	if c.ElectionTimeout == 0 {
-		c.ElectionTimeout = 8 * c.HeartbeatInterval
-	}
-	if c.RetryTimeout == 0 {
-		c.RetryTimeout = 4 * c.HeartbeatInterval
-	}
-	if c.CompactEvery == 0 {
-		c.CompactEvery = 1024
-	}
-	if c.CommitFlushDelay == 0 {
-		c.CommitFlushDelay = time.Millisecond
-	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 1
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 4096
-	}
-	if c.PruneKeep == 0 {
-		c.PruneKeep = 1024
-	}
+	c.Options.FillDefaults(0, 0, 0)
 }
 
 // wave is one in-flight multi-instance accept (§3.3: several instances,
@@ -559,10 +458,12 @@ func New(cfg Config) (*Replica, error) {
 	if ins, ok := cfg.Transport.(metrics.Instrumented); ok {
 		ins.RegisterMetrics(r.reg)
 	}
-	if fl, ok := cfg.Store.(storage.Flusher); ok && !cfg.NoPersist {
+	if fl, ok := cfg.Store.(storage.Flusher); ok {
 		// The store supports group commit: stage mutations on the loop,
 		// flush them from the persister goroutine, and route dependent
-		// sends through it (persist.go has the ordering contract).
+		// sends through it (persist.go has the ordering contract). A
+		// store that is not a Flusher takes the inline path: every
+		// mutation is durable when its call returns.
 		fl.SetBuffered(true)
 		r.persisted = make(chan []func(), 64)
 		r.persist = newPersister(fl, cfg.Transport, r.persisted, func(err error) {
@@ -672,6 +573,10 @@ func (r *Replica) Inspect(f func(r *Replica)) bool {
 
 // ID returns the replica's node ID.
 func (r *Replica) ID() wire.NodeID { return r.cfg.ID }
+
+// Options returns the tunables the replica runs with, defaults filled.
+// Safe from any goroutine: they never change after New.
+func (r *Replica) Options() Options { return r.cfg.Options }
 
 // Accessors for Inspect closures (event-loop confined).
 

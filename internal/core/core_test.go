@@ -39,6 +39,16 @@ func newCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
 	return c
 }
 
+// replica returns the running group-0 replica id.
+func replica(t *testing.T, c *cluster.Cluster, id wire.NodeID) *core.Replica {
+	t.Helper()
+	rep, ok := c.Replica(id)
+	if !ok {
+		t.Fatalf("replica %v is not running", id)
+	}
+	return rep
+}
+
 func newKVCluster(t *testing.T) (*cluster.Cluster, *client.Client) {
 	t.Helper()
 	c := newCluster(t, cluster.Config{Service: service.KVFactory})
@@ -223,7 +233,7 @@ func waitConverged(t *testing.T, c *cluster.Cluster) {
 		var chosen []uint64
 		var applied []uint64
 		for _, id := range c.IDs() {
-			rep, ok := c.Replicas[id]
+			rep, ok := c.Replica(id)
 			if !ok {
 				continue // crashed
 			}
@@ -252,7 +262,7 @@ func snapshotAll(t *testing.T, c *cluster.Cluster) [][]byte {
 	t.Helper()
 	var snaps [][]byte
 	for _, id := range c.IDs() {
-		rep, ok := c.Replicas[id]
+		rep, ok := c.Replica(id)
 		if !ok {
 			continue
 		}

@@ -8,6 +8,7 @@ import (
 
 	"gridrep/internal/client"
 	"gridrep/internal/cluster"
+	"gridrep/internal/core"
 	"gridrep/internal/service"
 	"gridrep/internal/wire"
 )
@@ -17,10 +18,10 @@ import (
 // one of them exactly once.
 func TestRequestsDuringElectionAreServed(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
-		Service:           service.KVFactory,
-		HeartbeatInterval: 5 * time.Millisecond,
-		ClientRetryEvery:  100 * time.Millisecond,
-		ClientDeadline:    20 * time.Second,
+		Service:          service.KVFactory,
+		Options:          core.Options{HeartbeatInterval: 5 * time.Millisecond},
+		ClientRetryEvery: 100 * time.Millisecond,
+		ClientDeadline:   20 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -504,9 +504,13 @@ func (r *Replica) noteCommitted(e wire.Entry, replyNow bool) {
 	}
 }
 
+// compactEvery is how many committed instances pass between log-state
+// compactions.
+const compactEvery = 1024
+
 // maybeCompact strips old state payloads from the log periodically.
 func (r *Replica) maybeCompact() {
-	if chosen := r.acc.Chosen(); chosen-r.lastCompact >= r.cfg.CompactEvery {
+	if chosen := r.acc.Chosen(); chosen-r.lastCompact >= compactEvery {
 		r.lastCompact = chosen
 		if err := r.acc.Compact(chosen); err != nil {
 			r.fatal("compact: %v", err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gridrep/internal/cluster"
+	"gridrep/internal/core"
 	"gridrep/internal/service"
 )
 
@@ -30,9 +31,11 @@ func TestReadLinearizability(t *testing.T) {
 		for _, noBatch := range []bool{false, true} {
 			t.Run(fmt.Sprintf("depth=%d,nobatch=%v", depth, noBatch), func(t *testing.T) {
 				readLinearizability(t, cluster.Config{
-					Service:       service.KVFactory,
-					PipelineDepth: depth,
-					NoBatch:       noBatch,
+					Service: service.KVFactory,
+					Options: core.Options{
+						PipelineDepth: depth,
+						NoBatch:       noBatch,
+					},
 				})
 			})
 		}

@@ -17,8 +17,8 @@ import (
 func modeCluster(t *testing.T, mode core.StateMode) *cluster.Cluster {
 	t.Helper()
 	return newCluster(t, cluster.Config{
-		Service:   service.KVFactory,
-		StateMode: mode,
+		Service: service.KVFactory,
+		Options: core.Options{StateMode: mode},
 	})
 }
 
@@ -173,7 +173,7 @@ func TestDeltaModeTransactions(t *testing.T) {
 func TestReplayModeBroker(t *testing.T) {
 	seed := int64(0)
 	c := newCluster(t, cluster.Config{
-		StateMode: core.StateModeReplay,
+		Options: core.Options{StateMode: core.StateModeReplay},
 		Service: func() service.Service {
 			seed++
 			return service.NewBroker(seed)
@@ -206,7 +206,7 @@ func TestReplayModeBroker(t *testing.T) {
 func TestReplayModeFailoverKeepsSelections(t *testing.T) {
 	seed := int64(50)
 	c := newCluster(t, cluster.Config{
-		StateMode: core.StateModeReplay,
+		Options: core.Options{StateMode: core.StateModeReplay},
 		Service: func() service.Service {
 			seed++
 			return service.NewBroker(seed)
@@ -251,9 +251,9 @@ func TestReplayModeSchedDurable(t *testing.T) {
 		stores[wire.NodeID(i)] = st
 	}
 	c := newCluster(t, cluster.Config{
-		StateMode: core.StateModeReplay,
-		Service:   func() service.Service { return service.NewSched() },
-		Stores:    stores,
+		Options: core.Options{StateMode: core.StateModeReplay},
+		Service: func() service.Service { return service.NewSched() },
+		Stores:  stores,
 	})
 	cli, err := c.NewClient()
 	if err != nil {
@@ -292,7 +292,7 @@ func TestModeMismatchRejected(t *testing.T) {
 		ID:        0,
 		Peers:     []wire.NodeID{0},
 		Service:   service.NewNoop(),
-		StateMode: core.StateModeDelta,
+		Options:   core.Options{StateMode: core.StateModeDelta},
 		Transport: nopTransport{},
 	})
 	if err == nil {
@@ -302,7 +302,7 @@ func TestModeMismatchRejected(t *testing.T) {
 		ID:        0,
 		Peers:     []wire.NodeID{0},
 		Service:   service.NewNoop(),
-		StateMode: core.StateModeReplay,
+		Options:   core.Options{StateMode: core.StateModeReplay},
 		Transport: nopTransport{},
 	})
 	if err == nil {

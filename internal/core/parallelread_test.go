@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gridrep/internal/cluster"
+	"gridrep/internal/core"
 	"gridrep/internal/metrics"
 	"gridrep/internal/service"
 )
@@ -37,7 +38,7 @@ func readCounters(t *testing.T, c *cluster.Cluster) (parallel, inline int64) {
 // a quiescent leader actually dispatches off-loop: the parallel counter
 // moves, and every read still sees the committed value.
 func TestParallelReadPoolEngages(t *testing.T) {
-	c := newCluster(t, cluster.Config{Service: service.KVFactory, ReadConcurrency: 4})
+	c := newCluster(t, cluster.Config{Service: service.KVFactory, Options: core.Options{ReadConcurrency: 4}})
 	cli, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -89,9 +90,11 @@ func TestParallelReadPoolEngages(t *testing.T) {
 // value correctness is asserted by the linearizability matrix.
 func TestParallelReadVsWritesSnapshotsScrapes(t *testing.T) {
 	c := newCluster(t, cluster.Config{
-		Service:         service.KVFactory,
-		ReadConcurrency: 4,
-		SnapshotEvery:   8,
+		Service: service.KVFactory,
+		Options: core.Options{
+			ReadConcurrency: 4,
+			SnapshotEvery:   8,
+		},
 	})
 	wcli, err := c.NewClient()
 	if err != nil {
@@ -161,8 +164,8 @@ func TestReadLinearizabilityMulticore(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
 			readLinearizability(t, cluster.Config{
-				Service:         service.KVFactory,
-				ReadConcurrency: 4,
+				Service: service.KVFactory,
+				Options: core.Options{ReadConcurrency: 4},
 			})
 		})
 	}

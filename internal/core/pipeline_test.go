@@ -84,19 +84,18 @@ func checkCounter(t *testing.T, c *cluster.Cluster, want int64) {
 // (the counter is exact) and the pipeline must actually have been used.
 func TestPipelinedWritesOverlapAndCommitInOrder(t *testing.T) {
 	c := newCluster(t, cluster.Config{
-		Service:       service.KVFactory,
-		Profile:       netem.WAN(0),
-		PipelineDepth: 4,
-		NoBatch:       true, // one request per wave: the pipeline, not batching, must absorb concurrency
+		Service: service.KVFactory,
+		Profile: netem.WAN(0),
+		Options: core.Options{
+			PipelineDepth: 4,
+			NoBatch:       true, // one request per wave: the pipeline, not batching, must absorb concurrency
+		},
 	})
 	const writers, each = 4, 6
 	runWriters(t, c, writers, each)
 	checkCounter(t, c, writers*each)
 
 	st := leaderStats(t, c)
-	if st.PipelineDepth != 4 {
-		t.Fatalf("PipelineDepth = %d, want 4", st.PipelineDepth)
-	}
 	if st.MaxWavesInFlight < 2 {
 		t.Fatalf("MaxWavesInFlight = %d; waves never overlapped", st.MaxWavesInFlight)
 	}
@@ -114,10 +113,12 @@ func TestPipelinedWritesOverlapAndCommitInOrder(t *testing.T) {
 // flight, reproducing the paper's serial protocol exactly.
 func TestPipelineDepthOneStaysSerial(t *testing.T) {
 	c := newCluster(t, cluster.Config{
-		Service:       service.KVFactory,
-		Profile:       netem.WAN(0),
-		PipelineDepth: 1,
-		NoBatch:       true,
+		Service: service.KVFactory,
+		Profile: netem.WAN(0),
+		Options: core.Options{
+			PipelineDepth: 1,
+			NoBatch:       true,
+		},
 	})
 	runWriters(t, c, 4, 4)
 	checkCounter(t, c, 16)
@@ -137,10 +138,12 @@ func TestPipelineDepthOneStaysSerial(t *testing.T) {
 // reply cache deduplicates.
 func TestLeaderSwitchMidPipelineRollsBack(t *testing.T) {
 	c := newCluster(t, cluster.Config{
-		Service:       service.KVFactory,
-		Profile:       netem.WAN(0),
-		PipelineDepth: 4,
-		NoBatch:       true,
+		Service: service.KVFactory,
+		Profile: netem.WAN(0),
+		Options: core.Options{
+			PipelineDepth: 4,
+			NoBatch:       true,
+		},
 	})
 	oldLeader, ok := c.Leader()
 	if !ok {

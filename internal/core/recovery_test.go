@@ -97,9 +97,9 @@ func TestRecoveryAdoptsUncommittedSuffix(t *testing.T) {
 		2: seedStore(t, []wire.Entry{e1, e2, e3}, 2),
 	}
 	c := newCluster(t, cluster.Config{
-		Service:   service.KVFactory,
-		Stores:    stores,
-		StateMode: core.StateModeFull,
+		Service: service.KVFactory,
+		Stores:  stores,
+		Options: core.Options{StateMode: core.StateModeFull},
 	})
 	cli, err := c.NewClient()
 	if err != nil {
@@ -169,9 +169,9 @@ func TestRecoveryDiscardsSuffixPastGap(t *testing.T) {
 		2: seedStore(t, []wire.Entry{e4}, 0),
 	}
 	c := newCluster(t, cluster.Config{
-		Service:   service.KVFactory,
-		Stores:    stores,
-		StateMode: core.StateModeFull,
+		Service: service.KVFactory,
+		Stores:  stores,
+		Options: core.Options{StateMode: core.StateModeFull},
 	})
 	cli, err := c.NewClient()
 	if err != nil {
@@ -239,9 +239,9 @@ func TestRecoveryDiscardsBallotRegression(t *testing.T) {
 		2: seedStore(t, []wire.Entry{e1, e2}, 1),
 	}
 	c := newCluster(t, cluster.Config{
-		Service:   service.KVFactory,
-		Stores:    stores,
-		StateMode: core.StateModeFull,
+		Service: service.KVFactory,
+		Stores:  stores,
+		Options: core.Options{StateMode: core.StateModeFull},
 	})
 	cli, err := c.NewClient()
 	if err != nil {
@@ -304,9 +304,9 @@ func TestHigherBallotSuffixWins(t *testing.T) {
 		2: seedStore(t, []wire.Entry{e1, winner}, 1),
 	}
 	c := newCluster(t, cluster.Config{
-		Service:   service.KVFactory,
-		Stores:    stores,
-		StateMode: core.StateModeFull,
+		Service: service.KVFactory,
+		Stores:  stores,
+		Options: core.Options{StateMode: core.StateModeFull},
 	})
 	cli, err := c.NewClient()
 	if err != nil {

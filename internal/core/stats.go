@@ -160,8 +160,6 @@ func (s *stats) noteInFlight(n int) {
 // is kept as a compatibility shim: every field reads the registered
 // instrument that replaced it.
 type Stats struct {
-	// PipelineDepth is the configured bound on in-flight accept waves.
-	PipelineDepth int
 	// WavesInFlight is the current number of speculative waves
 	// outstanding; MaxWavesInFlight is its high-water mark since start.
 	WavesInFlight    int64
@@ -192,7 +190,6 @@ type Stats struct {
 // does not need to run inside Inspect.
 func (r *Replica) Stats() Stats {
 	return Stats{
-		PipelineDepth:     r.cfg.PipelineDepth,
 		WavesInFlight:     r.stats.wavesInFlight.Load(),
 		MaxWavesInFlight:  r.stats.maxWavesInFlight.Load(),
 		WavesStarted:      r.stats.wavesStarted.Load(),

@@ -194,7 +194,7 @@ func TestTxnCommitSingleConsensusInstance(t *testing.T) {
 	c, cli := newKVCluster(t)
 	leaderID, _ := c.Leader()
 	var before uint64
-	c.Replicas[leaderID].Inspect(func(r *core.Replica) { before = r.Chosen() })
+	replica(t, c, leaderID).Inspect(func(r *core.Replica) { before = r.Chosen() })
 
 	tx := cli.Begin()
 	for i := 0; i < 5; i++ {
@@ -206,7 +206,7 @@ func TestTxnCommitSingleConsensusInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var after uint64
-	c.Replicas[leaderID].Inspect(func(r *core.Replica) { after = r.Chosen() })
+	replica(t, c, leaderID).Inspect(func(r *core.Replica) { after = r.Chosen() })
 	if after != before+1 {
 		t.Fatalf("commit index advanced by %d, want 1 (one instance per txn)", after-before)
 	}
@@ -217,7 +217,7 @@ func TestTxnOpsDoNotCoordinate(t *testing.T) {
 	c, cli := newKVCluster(t)
 	leaderID, _ := c.Leader()
 	var before uint64
-	c.Replicas[leaderID].Inspect(func(r *core.Replica) { before = r.Chosen() })
+	replica(t, c, leaderID).Inspect(func(r *core.Replica) { before = r.Chosen() })
 	tx := cli.Begin()
 	for i := 0; i < 4; i++ {
 		if _, err := tx.Do(service.KVPut(fmt.Sprintf("k%d", i), []byte("v"))); err != nil {
@@ -225,7 +225,7 @@ func TestTxnOpsDoNotCoordinate(t *testing.T) {
 		}
 	}
 	var during uint64
-	c.Replicas[leaderID].Inspect(func(r *core.Replica) { during = r.Chosen() })
+	replica(t, c, leaderID).Inspect(func(r *core.Replica) { during = r.Chosen() })
 	if during != before {
 		t.Fatalf("commit index moved during open transaction (%d -> %d)", before, during)
 	}
@@ -233,7 +233,7 @@ func TestTxnOpsDoNotCoordinate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var after uint64
-	c.Replicas[leaderID].Inspect(func(r *core.Replica) { after = r.Chosen() })
+	replica(t, c, leaderID).Inspect(func(r *core.Replica) { after = r.Chosen() })
 	if after != before {
 		t.Fatalf("aborted transaction consumed log instances (%d -> %d)", before, after)
 	}
@@ -276,7 +276,7 @@ func TestTxnNoopConcurrent(t *testing.T) {
 	waitConverged(t, c)
 	leaderID, _ := c.Leader()
 	var version uint64
-	c.Replicas[leaderID].Inspect(func(r *core.Replica) {
+	replica(t, c, leaderID).Inspect(func(r *core.Replica) {
 		version = r.Service().(*service.Noop).Version()
 	})
 	if want := uint64(nClients * 10 * 3); version != want {

@@ -20,14 +20,14 @@ func TestReadsConsumeNoLogInstances(t *testing.T) {
 	}
 	leaderID, _ := c.Leader()
 	var before uint64
-	c.Replicas[leaderID].Inspect(func(r *core.Replica) { before = r.Chosen() })
+	replica(t, c, leaderID).Inspect(func(r *core.Replica) { before = r.Chosen() })
 	for i := 0; i < 10; i++ {
 		if _, err := cli.Read(service.KVGet("k")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var after uint64
-	c.Replicas[leaderID].Inspect(func(r *core.Replica) { after = r.Chosen() })
+	replica(t, c, leaderID).Inspect(func(r *core.Replica) { after = r.Chosen() })
 	if after != before {
 		t.Fatalf("reads consumed %d log instances", after-before)
 	}

@@ -17,10 +17,10 @@ import (
 func newCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
-		Service:           service.KVFactory,
-		HeartbeatInterval: 5 * time.Millisecond,
-		ClientRetryEvery:  50 * time.Millisecond,
-		ClientDeadline:    20 * time.Second,
+		Service:          service.KVFactory,
+		Options:          core.Options{HeartbeatInterval: 5 * time.Millisecond},
+		ClientRetryEvery: 50 * time.Millisecond,
+		ClientDeadline:   20 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,21 +17,20 @@ import (
 // callback); replies go back over the shared link from whichever group
 // handled the request.
 //
-// Lifecycle: the mux owns the pump goroutine but NOT the underlying
-// transport — closing a group endpoint (a replica's Stop path) detaches
-// only that group, and Close tears down the pump plus every group
-// channel and then closes the underlying transport. The underlying
-// transport deliberately stays un-probed for metrics.Instrumented
-// through the group endpoints: it is shared, so the process owner
-// registers it once on the root registry instead of once per group.
+// Lifecycle: closing a group endpoint (a replica's Stop path) detaches
+// only that group; Close detaches every group and then closes the
+// underlying transport. The underlying transport deliberately stays
+// un-probed for metrics.Instrumented through the group endpoints: it is
+// shared, so the process owner registers it once on the root registry
+// instead of once per group.
 type GroupMux struct {
-	under Transport
+	under SinkTransport
 	// route maps a client request to its consensus group; an error means
 	// the request is unroutable (cross-group transaction) and the mux
 	// replies wire.StatusCrossGroup on the caller's behalf.
 	route func(*wire.Request) (uint32, error)
-	// routeMu serializes route calls: with a Sinker underneath, dispatch
-	// runs concurrently from per-connection decode goroutines, and the
+	// routeMu serializes route calls: dispatch runs concurrently from the
+	// underlying transport's per-connection decode goroutines, and the
 	// shard router keeps single-goroutine transaction-pinning state.
 	routeMu sync.Mutex
 	eps     []*groupEndpoint
@@ -42,22 +41,19 @@ type GroupMux struct {
 	drops     atomic.Uint64 // envelopes for unknown or closed groups
 	crossGrp  atomic.Uint64 // requests refused as cross-group
 	closeOnce sync.Once
-	pumpDone  chan struct{}
 }
 
 // NewGroupMux wraps under with an n-group multiplexer. route decides
 // the group for every inbound client request (see Route semantics in
-// internal/shard); the mux serializes calls to it. When the underlying
-// transport implements Sinker, inbound envelopes dispatch to group
-// queues directly from the transport's per-connection goroutines —
-// fan-in stays sharded by connection and no pump goroutine exists
-// (DESIGN.md §14); otherwise a pump drains under.Recv, the legacy path.
-func NewGroupMux(under Transport, n int, route func(*wire.Request) (uint32, error)) *GroupMux {
+// internal/shard); the mux serializes calls to it. Inbound envelopes
+// dispatch to group queues directly from the underlying transport's
+// per-connection goroutines through its sink — fan-in stays sharded by
+// connection and the mux owns no goroutine (DESIGN.md §14).
+func NewGroupMux(under SinkTransport, n int, route func(*wire.Request) (uint32, error)) *GroupMux {
 	m := &GroupMux{
-		under:    under,
-		route:    route,
-		eps:      make([]*groupEndpoint, n),
-		pumpDone: make(chan struct{}),
+		under: under,
+		route: route,
+		eps:   make([]*groupEndpoint, n),
 	}
 	for g := range m.eps {
 		m.eps[g] = &groupEndpoint{
@@ -69,12 +65,7 @@ func NewGroupMux(under Transport, n int, route func(*wire.Request) (uint32, erro
 	if hr, ok := under.(HealthReporter); ok {
 		hr.SetHealth(m.fanOutHealth)
 	}
-	if sk, ok := under.(Sinker); ok {
-		sk.SetSink(m.dispatch)
-		close(m.pumpDone) // no pump to wait for
-	} else {
-		go m.pump()
-	}
+	under.SetSink(m.dispatch)
 	return m
 }
 
@@ -95,16 +86,14 @@ func (m *GroupMux) Drops() uint64 { return m.drops.Load() }
 // wire.StatusCrossGroup.
 func (m *GroupMux) CrossGroupRefusals() uint64 { return m.crossGrp.Load() }
 
-// Close detaches every group, stops the pump, and closes the underlying
-// transport.
+// Close detaches every group and closes the underlying transport.
 func (m *GroupMux) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
 		for _, ep := range m.eps {
 			ep.detach()
 		}
-		err = m.under.Close() // closes under.Recv, which stops the pump
-		<-m.pumpDone
+		err = m.under.Close()
 	})
 	return err
 }
@@ -121,18 +110,9 @@ func (m *GroupMux) fanOutHealth(peer wire.NodeID, up bool) {
 	}
 }
 
-// pump dispatches inbound envelopes to group channels on transports
-// without a Sinker.
-func (m *GroupMux) pump() {
-	defer close(m.pumpDone)
-	for env := range m.under.Recv() {
-		m.dispatch(env)
-	}
-}
-
 // dispatch routes one inbound envelope to its group's queue. Safe for
-// concurrent callers (the sink path runs it from every connection's
-// decode goroutine): routing is serialized by routeMu, and group
+// concurrent callers (the sink runs it from every connection's decode
+// goroutine): routing is serialized by routeMu, and group
 // delivery is mutex-guarded per endpoint.
 func (m *GroupMux) dispatch(env *wire.Envelope) {
 	g := env.Group
@@ -170,7 +150,7 @@ type groupEndpoint struct {
 	mux   *GroupMux
 	group uint32
 	// mu orders deliver against detach: a replica's Stop may close the
-	// group channel while the pump is mid-delivery, and an unguarded
+	// group channel while a dispatch is mid-delivery, and an unguarded
 	// close would panic the send.
 	mu     sync.Mutex
 	recv   chan *wire.Envelope
@@ -215,7 +195,7 @@ func (ep *groupEndpoint) detach() {
 }
 
 // deliver hands an envelope to the group's event loop without ever
-// blocking the pump: a full or closed group counts the envelope as
+// blocking the transport goroutine that called the sink: a full or closed group counts the envelope as
 // dropped, and the protocol's retransmissions recover — the same
 // contract as the underlying transports' receive buffers.
 func (ep *groupEndpoint) deliver(env *wire.Envelope) {

@@ -9,9 +9,11 @@ import (
 	"gridrep/internal/wire"
 )
 
-// fakeUnder is a scriptable underlying Transport for mux tests.
+// fakeUnder is a scriptable underlying SinkTransport for mux tests:
+// inject plays the part of a connection's decode goroutine.
 type fakeUnder struct {
 	recv chan *wire.Envelope
+	sink func(*wire.Envelope)
 
 	mu     sync.Mutex
 	sent   []*wire.Envelope
@@ -20,8 +22,11 @@ type fakeUnder struct {
 }
 
 func newFakeUnder() *fakeUnder {
-	return &fakeUnder{recv: make(chan *wire.Envelope, 64)}
+	return &fakeUnder{recv: make(chan *wire.Envelope)}
 }
+
+func (f *fakeUnder) SetSink(fn func(*wire.Envelope)) { f.sink = fn }
+func (f *fakeUnder) inject(env *wire.Envelope)       { f.sink(env) }
 
 func (f *fakeUnder) Local() wire.NodeID { return 0 }
 func (f *fakeUnder) Send(env *wire.Envelope) {
@@ -72,7 +77,7 @@ func TestGroupMuxDispatchByGroup(t *testing.T) {
 	defer m.Close()
 
 	for g := uint32(0); g < 3; g++ {
-		under.recv <- &wire.Envelope{From: 1, Group: g, Msg: &wire.Heartbeat{From: 1, Epoch: uint64(g)}}
+		under.inject(&wire.Envelope{From: 1, Group: g, Msg: &wire.Heartbeat{From: 1, Epoch: uint64(g)}})
 	}
 	for g := 0; g < 3; g++ {
 		env := muxRecvOne(t, m.Group(g))
@@ -82,7 +87,7 @@ func TestGroupMuxDispatchByGroup(t *testing.T) {
 	}
 
 	// Unknown group: dropped and counted.
-	under.recv <- &wire.Envelope{From: 1, Group: 9, Msg: &wire.Heartbeat{From: 1}}
+	under.inject(&wire.Envelope{From: 1, Group: 9, Msg: &wire.Heartbeat{From: 1}})
 	deadline := time.Now().Add(2 * time.Second)
 	for m.Drops() == 0 {
 		if time.Now().After(deadline) {
@@ -121,16 +126,16 @@ func TestGroupMuxRoutesClientRequests(t *testing.T) {
 	defer m.Close()
 
 	// Routable request: lands on group 1 despite arriving with group 0.
-	under.recv <- &wire.Envelope{From: wire.ClientIDBase, Msg: &wire.RequestMsg{
-		Req: wire.Request{Client: wire.ClientIDBase, Seq: 7, Kind: wire.KindWrite, Op: []byte("put k v")}}}
+	under.inject(&wire.Envelope{From: wire.ClientIDBase, Msg: &wire.RequestMsg{
+		Req: wire.Request{Client: wire.ClientIDBase, Seq: 7, Kind: wire.KindWrite, Op: []byte("put k v")}}})
 	env := muxRecvOne(t, m.Group(1))
 	if env.Msg.(*wire.RequestMsg).Req.Seq != 7 {
 		t.Fatalf("group 1 got %+v", env)
 	}
 
 	// Unroutable request: refused with StatusCrossGroup on the wire.
-	under.recv <- &wire.Envelope{From: wire.ClientIDBase, Msg: &wire.RequestMsg{
-		Req: wire.Request{Client: wire.ClientIDBase, Seq: 8, Kind: wire.KindTxnOp, Txn: 3, Op: []byte("put q v")}}}
+	under.inject(&wire.Envelope{From: wire.ClientIDBase, Msg: &wire.RequestMsg{
+		Req: wire.Request{Client: wire.ClientIDBase, Seq: 8, Kind: wire.KindTxnOp, Txn: 3, Op: []byte("put q v")}}})
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if sent := under.sentEnvs(); len(sent) > 0 {
@@ -197,8 +202,8 @@ func TestGroupMuxDetachIsolation(t *testing.T) {
 	defer m.Close()
 
 	m.Group(0).Close()
-	under.recv <- &wire.Envelope{From: 1, Group: 0, Msg: &wire.Heartbeat{From: 1}}
-	under.recv <- &wire.Envelope{From: 1, Group: 1, Msg: &wire.Heartbeat{From: 1, Epoch: 5}}
+	under.inject(&wire.Envelope{From: 1, Group: 0, Msg: &wire.Heartbeat{From: 1}})
+	under.inject(&wire.Envelope{From: 1, Group: 1, Msg: &wire.Heartbeat{From: 1, Epoch: 5}})
 	if env := muxRecvOne(t, m.Group(1)); env.Msg.(*wire.Heartbeat).Epoch != 5 {
 		t.Fatalf("sibling group got %+v", env)
 	}

@@ -54,6 +54,14 @@ type Sinker interface {
 	SetSink(fn func(*wire.Envelope))
 }
 
+// SinkTransport is a Transport that delivers through a sink: what the
+// group multiplexer requires underneath. The in-process endpoints, the
+// TCP transport and the gateway all are.
+type SinkTransport interface {
+	Transport
+	Sinker
+}
+
 // RTTReporter is implemented by transports that can estimate per-peer
 // round-trip times. The TCP transport smooths its keepalive ping RTTs
 // into a per-peer EWMA; the in-process fabric derives the figure from

@@ -57,13 +57,15 @@ func TestTCPOnlineJoinWithPrunedWAL(t *testing.T) {
 	srvs := make(map[gridrep.NodeID]*gridrep.Server, 4)
 	for id := gridrep.NodeID(0); id < 3; id++ {
 		srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
-			ID:                id,
-			Peers:             peers,
-			Service:           gridrep.NewKV(),
-			WALPath:           filepath.Join(dir, fmt.Sprintf("r%d.wal", id)),
-			HeartbeatInterval: 10 * time.Millisecond,
-			SnapshotEvery:     16,
-			PruneKeep:         4,
+			ID:      id,
+			Peers:   peers,
+			Service: gridrep.NewKV(),
+			WALPath: filepath.Join(dir, fmt.Sprintf("r%d.wal", id)),
+			Options: gridrep.Options{
+				HeartbeatInterval: 10 * time.Millisecond,
+				SnapshotEvery:     16,
+				PruneKeep:         4,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -120,14 +122,16 @@ func TestTCPOnlineJoinWithPrunedWAL(t *testing.T) {
 	joinPeers[3] = jp[3]
 	start := time.Now()
 	joiner, err := gridrep.ListenAndServe(gridrep.ServerOptions{
-		ID:                3,
-		Peers:             joinPeers,
-		Service:           gridrep.NewKV(),
-		WALPath:           filepath.Join(dir, "r3.wal"),
-		HeartbeatInterval: 10 * time.Millisecond,
-		SnapshotEvery:     16,
-		PruneKeep:         4,
-		Join:              true,
+		ID:      3,
+		Peers:   joinPeers,
+		Service: gridrep.NewKV(),
+		WALPath: filepath.Join(dir, "r3.wal"),
+		Options: gridrep.Options{
+			HeartbeatInterval: 10 * time.Millisecond,
+			SnapshotEvery:     16,
+			PruneKeep:         4,
+		},
+		Join: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,11 +198,11 @@ func TestTCPGracefulShutdownFlushesWAL(t *testing.T) {
 	peers := reservePorts(t, []gridrep.NodeID{0})
 	walPath := filepath.Join(dir, "r0.wal")
 	srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
-		ID:                0,
-		Peers:             peers,
-		Service:           gridrep.NewKV(),
-		WALPath:           walPath,
-		HeartbeatInterval: 10 * time.Millisecond,
+		ID:      0,
+		Peers:   peers,
+		Service: gridrep.NewKV(),
+		WALPath: walPath,
+		Options: gridrep.Options{HeartbeatInterval: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

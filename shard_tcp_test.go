@@ -20,12 +20,12 @@ import (
 func startShardedServer(t *testing.T, dir string, id gridrep.NodeID, peers map[gridrep.NodeID]string, groups int) *gridrep.Server {
 	t.Helper()
 	srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
-		ID:                id,
-		Peers:             peers,
-		NewService:        func() gridrep.Service { return gridrep.NewKV() },
-		Groups:            groups,
-		WALPath:           filepath.Join(dir, fmt.Sprintf("r%d", id), "replica.wal"),
-		HeartbeatInterval: 10 * time.Millisecond,
+		ID:         id,
+		Peers:      peers,
+		NewService: func() gridrep.Service { return gridrep.NewKV() },
+		Groups:     groups,
+		WALPath:    filepath.Join(dir, fmt.Sprintf("r%d", id), "replica.wal"),
+		Options:    gridrep.Options{HeartbeatInterval: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,14 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"time"
 
 	"gridrep/internal/client"
-	"gridrep/internal/core"
+	"gridrep/internal/cluster"
 	"gridrep/internal/gateway"
 	"gridrep/internal/metrics"
-	"gridrep/internal/shard"
 	"gridrep/internal/storage"
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
@@ -55,41 +53,17 @@ type ServerOptions struct {
 	SyncPolicy SyncPolicy
 	// SyncEvery is the SyncInterval period (default 2ms).
 	SyncEvery time.Duration
-	// HeartbeatInterval tunes Ω (default 25ms).
-	HeartbeatInterval time.Duration
-	// PipelineDepth bounds how many accept waves this replica keeps in
-	// flight speculatively while leading (default 1 — the paper's serial
-	// protocol; see DESIGN.md §10).
-	PipelineDepth int
-	// CommitFlushDelay bounds how long a committed wave's client
-	// notifications may wait for batching (default 1ms). WAN deployments
-	// benefit from wider windows — see the profile tuning hints in
-	// EXPERIMENTS.md.
-	CommitFlushDelay time.Duration
-	// RTTPlacement folds measured link RTTs into Ω leader placement
-	// (DESIGN.md §16): each replica gossips its mean peer RTT and the
-	// elector converges on the best-connected replica regardless of boot
-	// order. Heartbeat RTT estimates come from the TCP transport's pings.
-	RTTPlacement bool
-	// WireCompat keeps every emitted message decodable by pre-§16
-	// binaries for rolling upgrades of a mixed-version cluster: the
-	// Confirm.MaxAcc barrier stamp and heartbeat cost gossip — trailing
-	// wire fields old peers reject — are suppressed. Overrides
-	// RTTPlacement; nearest-replica reads fall back to the leader path
-	// while set. Roll the new binaries with WireCompat, drop it once
-	// every replica is upgraded, then enable the §16 features.
-	WireCompat bool
+	// Options are the protocol tunables, the same struct ClusterOptions
+	// takes, with the same defaults (no network profile to derive them
+	// from: 25ms heartbeat, serial pipeline, 1ms commit-flush window).
+	// Options.WireCompat is the rolling-upgrade switch.
+	Options
 	// Join starts this replica as an online joiner (DESIGN.md §12): a
 	// non-voting learner that announces itself to the peers listed in
 	// Peers, catches up via snapshot streaming, and becomes a voter
 	// through a committed configuration entry. Peers must still contain
 	// this replica's own listen address under ID.
 	Join bool
-	// SnapshotEvery and PruneKeep tune the durable-snapshot cadence and
-	// the WAL retention slack below the cluster-wide applied watermark
-	// (defaults 4096 and 1024 instances).
-	SnapshotEvery uint64
-	PruneKeep     uint64
 	// Transport tunes the TCP transport (zero value = defaults).
 	Transport TransportOptions
 	// Gateway, when non-nil, enables the client-facing edge (DESIGN.md
@@ -111,175 +85,66 @@ type GatewayStats = gateway.Stats
 // Server is one running TCP replica process — every consensus group it
 // hosts (one in the classic deployment, N in a sharded one).
 type Server struct {
-	rep    *core.Replica   // group 0
-	groups []*core.Replica // all groups, index = group id
-	tr     *transport.TCP
-	gw     *gateway.Gateway    // nil when the edge is disabled
-	mux    *transport.GroupMux // nil in single-group mode
-	stores []storage.Store     // per group; nil entries for in-memory
-	store  storage.Store       // group 0 (nil when in-memory)
-	reg    *metrics.Registry   // shared registry in sharded mode, else group 0's
-}
-
-// groupWALPath derives group g's WAL path from the configured one:
-// group 0 keeps it unchanged (a -groups 1 data dir is byte-for-byte a
-// single-group one), group g nests in a group-<g> subdirectory.
-func groupWALPath(walPath string, g int) string {
-	if g == 0 {
-		return walPath
-	}
-	return filepath.Join(filepath.Dir(walPath), fmt.Sprintf("group-%d", g), filepath.Base(walPath))
+	node *cluster.Node
+	tr   *transport.TCP
 }
 
 // ListenAndServe starts a replica serving the replication protocol over
 // TCP. It returns once the replica is listening; the protocol runs in
 // the background until Close.
 func ListenAndServe(opts ServerOptions) (*Server, error) {
-	groups := opts.Groups
-	if groups <= 0 {
-		groups = 1
-	}
 	newService := opts.NewService
 	if newService == nil {
 		if opts.Service == nil {
 			return nil, fmt.Errorf("gridrep: ServerOptions.Service (or NewService) is required")
 		}
-		if groups > 1 {
+		if opts.Groups > 1 {
 			return nil, fmt.Errorf("gridrep: Groups > 1 requires ServerOptions.NewService (one independent service instance per group)")
 		}
 		svc := opts.Service
 		newService = func() Service { return svc }
 	}
-	book := make(map[wire.NodeID]string, len(opts.Peers))
-	peers := make([]wire.NodeID, 0, len(opts.Peers))
-	for id, addr := range opts.Peers {
-		book[id] = addr
-		peers = append(peers, id)
+	ids := make([]wire.NodeID, 0, len(opts.Peers))
+	for id := range opts.Peers {
+		ids = append(ids, id)
 	}
-	tr, err := transport.ListenTCPOpts(opts.ID, book, opts.Transport)
+	tr, err := transport.ListenTCPOpts(opts.ID, opts.Peers, opts.Transport)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{tr: tr}
-
-	// The client-facing edge wraps the TCP transport before the group
-	// multiplexer sees it: TCP → gateway → (mux) → cores, so admission
-	// decisions happen on the decode goroutines, at the edge. With
-	// Gateway nil the TCP endpoint is used directly — the PR 8 path,
-	// byte for byte.
-	var edge transport.Transport = tr
-	if opts.Gateway != nil {
-		gcfg := *opts.Gateway
-		if gcfg.MaxInFlight <= 0 {
-			depth := opts.PipelineDepth
-			if depth <= 0 {
-				depth = 1
-			}
-			gcfg.MaxInFlight = depth * groups * 64
-		}
-		s.gw = gateway.Wrap(tr, gcfg)
-		edge = s.gw
+	bootN := len(ids)
+	if opts.Join && bootN > 1 {
+		// A joiner's book already includes itself; the founding members
+		// ranked group leadership without it.
+		bootN--
 	}
-
-	fail := func(err error) (*Server, error) {
-		for _, rep := range s.groups {
-			rep.Stop()
+	cfg := cluster.NodeConfig{
+		ID:            opts.ID,
+		Peers:         ids,
+		BootN:         bootN,
+		Groups:        opts.Groups,
+		Edge:          tr,
+		Service:       newService,
+		OwnStores:     true,
+		Options:       opts.Options,
+		Gateway:       opts.Gateway,
+		Join:          opts.Join,
+		AdvertiseAddr: opts.Peers[opts.ID],
+	}
+	if opts.WALPath != "" {
+		cfg.OpenStore = func(g int) (storage.Store, error) {
+			return cluster.OpenWAL(cluster.WALFile(opts.WALPath, g), opts.SyncPolicy, opts.SyncEvery)
 		}
-		if s.mux != nil {
-			s.mux.Close()
-		} else {
-			edge.Close()
-		}
+	}
+	node, err := cluster.StartNode(cfg)
+	if err != nil {
 		return nil, err
 	}
-
-	// Transport and metrics assembly. Single-group keeps the exact
-	// pre-sharding path: the TCP endpoint goes straight into the core,
-	// which probes it for metrics/health itself. Sharded mode wraps it
-	// in a GroupMux (hash routing, group-id stamping, health fan-out)
-	// and shares one registry: group 0 unprefixed, group g prefixed
-	// group_<g>_, the shared transport registered once at the root.
-	trFor := func(g int) transport.Transport { return edge }
-	regFor := func(g int) *metrics.Registry { return nil }
-	if groups > 1 {
-		router := shard.NewRouter(groups, newService())
-		s.mux = transport.NewGroupMux(edge, groups, router.Route)
-		s.reg = metrics.NewRegistry()
-		if s.gw != nil {
-			s.gw.RegisterMetrics(s.reg) // registers the TCP underlay too
-		} else {
-			tr.RegisterMetrics(s.reg)
-		}
-		trFor = func(g int) transport.Transport { return s.mux.Group(g) }
-		regFor = func(g int) *metrics.Registry {
-			if g == 0 {
-				return s.reg
-			}
-			return s.reg.WithPrefix(fmt.Sprintf("group_%d_", g))
-		}
-	}
-	// Leadership spread ranks are derived from the bootstrap member
-	// count; a joiner's book already includes itself, so subtract it to
-	// agree with the members' ranks.
-	rankN := len(opts.Peers)
-	if opts.Join && rankN > 1 {
-		rankN--
-	}
-
-	for g := 0; g < groups; g++ {
-		var store storage.Store
-		if opts.WALPath != "" {
-			fs, err := storage.OpenFile(groupWALPath(opts.WALPath, g))
-			if err != nil {
-				return fail(err)
-			}
-			fs.SetPolicy(opts.SyncPolicy, opts.SyncEvery)
-			store = fs
-		}
-		var rank func(wire.NodeID) uint64
-		if groups > 1 {
-			rank = shard.LeaderRank(uint32(g), rankN)
-		}
-		rep, err := core.New(core.Config{
-			ID:                opts.ID,
-			Peers:             peers,
-			Service:           newService(),
-			Store:             store,
-			Transport:         trFor(g),
-			HeartbeatInterval: opts.HeartbeatInterval,
-			PipelineDepth:     opts.PipelineDepth,
-			CommitFlushDelay:  opts.CommitFlushDelay,
-			RTTPlacement:      opts.RTTPlacement,
-			WireCompat:        opts.WireCompat,
-			Join:              opts.Join,
-			AdvertiseAddr:     opts.Peers[opts.ID],
-			SnapshotEvery:     opts.SnapshotEvery,
-			PruneKeep:         opts.PruneKeep,
-			Metrics:           regFor(g),
-			LeaderRank:        rank,
-		})
-		if err != nil {
-			if store != nil {
-				if cl, ok := store.(interface{ Close() error }); ok {
-					cl.Close()
-				}
-			}
-			return fail(err)
-		}
-		s.groups = append(s.groups, rep)
-		s.stores = append(s.stores, store)
-		rep.Start()
-	}
-	s.rep = s.groups[0]
-	s.store = s.stores[0]
-	if s.reg == nil {
-		s.reg = s.rep.Metrics()
-	}
-	return s, nil
+	return &Server{node: node, tr: tr}, nil
 }
 
 // Groups returns the number of consensus groups this process hosts.
-func (s *Server) Groups() int { return len(s.groups) }
+func (s *Server) Groups() int { return s.node.Groups() }
 
 // Addr returns the replica's actual listen address.
 func (s *Server) Addr() string { return s.tr.Addr() }
@@ -289,36 +154,25 @@ func (s *Server) TransportStats() TransportStats { return s.tr.Stats() }
 
 // ReplicaStats snapshots the replica's protocol counters: pipeline
 // occupancy, speculative rollbacks, and deferred-request drops.
-func (s *Server) ReplicaStats() ReplicaStats { return s.rep.Stats() }
+func (s *Server) ReplicaStats() ReplicaStats { return s.node.Group(0).Stats() }
 
 // GatewayStats snapshots the client-facing edge counters; the zero
 // value when the gateway is disabled.
-func (s *Server) GatewayStats() GatewayStats {
-	if s.gw == nil {
-		return GatewayStats{}
-	}
-	return s.gw.Stats()
-}
+func (s *Server) GatewayStats() GatewayStats { return s.node.GatewayStats() }
 
 // Metrics returns the process's metrics registry — protocol, WAL, and
 // transport instruments in one place (sharded: group 0 unprefixed,
 // group g under group_<g>_). Safe from any goroutine.
-func (s *Server) Metrics() *MetricsRegistry { return s.reg }
+func (s *Server) Metrics() *MetricsRegistry { return s.node.Metrics() }
 
 // Health snapshots the group-0 replica's protocol position: role,
 // ballot, commit index, applied index. Safe from any goroutine; see
 // GroupHealths for the per-group view of a sharded server.
-func (s *Server) Health() Health { return s.rep.Health() }
+func (s *Server) Health() Health { return s.node.Group(0).Health() }
 
 // GroupHealths snapshots every consensus group's protocol position, in
 // group order — the payload of the sharded /healthz array.
-func (s *Server) GroupHealths() []Health {
-	out := make([]Health, 0, len(s.groups))
-	for _, rep := range s.groups {
-		out = append(out, rep.Health())
-	}
-	return out
-}
+func (s *Server) GroupHealths() []Health { return s.node.Healths() }
 
 // groupHealth is one /healthz array element: a group id plus that
 // group's Health, flattened into one JSON object.
@@ -336,18 +190,19 @@ type groupHealth struct {
 // their own mux.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", metrics.Handler(s.reg))
+	mux.Handle("/metrics", metrics.Handler(s.node.Metrics()))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if len(s.groups) == 1 {
-			_ = enc.Encode(s.rep.Health())
+		hs := s.node.Healths()
+		if len(hs) == 1 {
+			_ = enc.Encode(hs[0])
 			return
 		}
-		out := make([]groupHealth, 0, len(s.groups))
-		for g, rep := range s.groups {
-			out = append(out, groupHealth{Group: g, Health: rep.Health()})
+		out := make([]groupHealth, 0, len(hs))
+		for g, h := range hs {
+			out = append(out, groupHealth{Group: g, Health: h})
 		}
 		_ = enc.Encode(out)
 	})
@@ -358,14 +213,7 @@ func (s *Server) DebugHandler() http.Handler {
 // model: staged WAL records are dropped — acknowledged writes are
 // durable on a quorum, not on one replica's shutdown path). Use
 // Shutdown for a clean exit.
-func (s *Server) Close() {
-	for _, rep := range s.groups {
-		rep.Stop()
-	}
-	if s.mux != nil {
-		s.mux.Close()
-	}
-}
+func (s *Server) Close() { s.node.Stop() }
 
 // Shutdown stops the process gracefully: every group's event loop and
 // persister exit, staged WAL batches are flushed, and the stores are
@@ -373,31 +221,7 @@ func (s *Server) Close() {
 // truncates the preallocated tail. Preferred over Close when the
 // process will restart and should replay as much of its own logs as
 // possible.
-func (s *Server) Shutdown() error {
-	for _, rep := range s.groups {
-		rep.Stop()
-	}
-	if s.mux != nil {
-		s.mux.Close()
-	}
-	var err error
-	for _, store := range s.stores {
-		if store == nil {
-			continue
-		}
-		if fl, ok := store.(storage.Flusher); ok {
-			if ferr := fl.Flush(); err == nil {
-				err = ferr
-			}
-		}
-		if cl, ok := store.(interface{ Close() error }); ok {
-			if cerr := cl.Close(); err == nil {
-				err = cerr
-			}
-		}
-	}
-	return err
-}
+func (s *Server) Shutdown() error { return s.node.Shutdown() }
 
 // AddVoter asks this replica to promote a caught-up learner to voter;
 // RemoveReplica proposes removing a member. Both changes are decided by
@@ -409,15 +233,7 @@ func (s *Server) Shutdown() error {
 // group that already committed the change accepts the retry as a
 // no-op-level refusal it reports distinctly).
 func (s *Server) AddVoter(id NodeID, addr string) error {
-	for g, rep := range s.groups {
-		if err := rep.Reconfigure(wire.ConfigAddVoter, id, addr); err != nil {
-			if len(s.groups) > 1 {
-				return fmt.Errorf("group %d: %w", g, err)
-			}
-			return err
-		}
-	}
-	return nil
+	return s.reconfigure(wire.ConfigAddVoter, id, addr)
 }
 
 // RemoveReplica proposes removing a member from the voting
@@ -427,9 +243,14 @@ func (s *Server) AddVoter(id NodeID, addr string) error {
 // that would drop the live voter count below the new configuration's
 // quorum.
 func (s *Server) RemoveReplica(id NodeID) error {
-	for g, rep := range s.groups {
-		if err := rep.Reconfigure(wire.ConfigRemove, id, ""); err != nil {
-			if len(s.groups) > 1 {
+	return s.reconfigure(wire.ConfigRemove, id, "")
+}
+
+// reconfigure proposes one membership change in every hosted group.
+func (s *Server) reconfigure(op wire.ConfigOp, id NodeID, addr string) error {
+	for g := 0; g < s.node.Groups(); g++ {
+		if err := s.node.Group(g).Reconfigure(op, id, addr); err != nil {
+			if s.node.Groups() > 1 {
 				return fmt.Errorf("group %d: %w", g, err)
 			}
 			return err
@@ -458,26 +279,35 @@ type DialOptions struct {
 	NearReplica NodeID
 }
 
-// Dial connects a client to a TCP-deployed replicated service.
-func Dial(opts DialOptions) (*Client, error) {
+// dial opens the client-side transport and fills in everything of the
+// client configuration but the transport itself — a ClientMux puts a
+// session endpoint there, Dial the connection set.
+func dial(opts DialOptions) (*transport.TCP, client.Config, error) {
 	if len(opts.Replicas) == 0 {
-		return nil, fmt.Errorf("gridrep: DialOptions.Replicas is required")
+		return nil, client.Config{}, fmt.Errorf("gridrep: DialOptions.Replicas is required")
 	}
-	book := make(map[wire.NodeID]string, len(opts.Replicas))
 	ids := make([]wire.NodeID, 0, len(opts.Replicas))
-	for id, addr := range opts.Replicas {
-		book[id] = addr
+	for id := range opts.Replicas {
 		ids = append(ids, id)
 	}
-	tr := transport.DialTCPOpts(wire.ClientIDBase+wire.NodeID(opts.ID), book, opts.Transport)
-	return client.New(client.Config{
-		Transport:   tr,
+	tr := transport.DialTCPOpts(wire.ClientIDBase+wire.NodeID(opts.ID), opts.Replicas, opts.Transport)
+	return tr, client.Config{
 		Replicas:    ids,
 		Deadline:    opts.Deadline,
 		NearRead:    opts.NearRead,
 		NearPin:     opts.NearPin,
 		NearReplica: opts.NearReplica,
-	}), nil
+	}, nil
+}
+
+// Dial connects a client to a TCP-deployed replicated service.
+func Dial(opts DialOptions) (*Client, error) {
+	tr, cfg, err := dial(opts)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Transport = tr
+	return client.New(cfg), nil
 }
 
 // ClientMux multiplexes many logical client sessions over one shared
@@ -486,36 +316,19 @@ func Dial(opts DialOptions) (*Client, error) {
 // own sequence space, so tens of thousands of clients don't need tens
 // of thousands of sockets.
 type ClientMux struct {
-	mux      *gateway.SessionMux
-	replicas []wire.NodeID
-	deadline time.Duration
-	near     client.Config // NearRead/NearPin/NearReplica template
+	mux *gateway.SessionMux
+	cfg client.Config // every session's configuration, Transport unset
 }
 
 // DialMux connects the shared transport for a session-multiplexed
 // client process. The ID in opts seeds nothing here — session identity
 // comes from Session's tenant and session number.
 func DialMux(opts DialOptions) (*ClientMux, error) {
-	if len(opts.Replicas) == 0 {
-		return nil, fmt.Errorf("gridrep: DialOptions.Replicas is required")
+	tr, cfg, err := dial(opts)
+	if err != nil {
+		return nil, err
 	}
-	book := make(map[wire.NodeID]string, len(opts.Replicas))
-	ids := make([]wire.NodeID, 0, len(opts.Replicas))
-	for id, addr := range opts.Replicas {
-		book[id] = addr
-		ids = append(ids, id)
-	}
-	tr := transport.DialTCPOpts(wire.ClientIDBase+wire.NodeID(opts.ID), book, opts.Transport)
-	return &ClientMux{
-		mux:      gateway.NewSessionMux(tr),
-		replicas: ids,
-		deadline: opts.Deadline,
-		near: client.Config{
-			NearRead:    opts.NearRead,
-			NearPin:     opts.NearPin,
-			NearReplica: opts.NearReplica,
-		},
-	}, nil
+	return &ClientMux{mux: gateway.NewSessionMux(tr), cfg: cfg}, nil
 }
 
 // Session opens (or returns) the client for session n of tenant. All
@@ -526,14 +339,9 @@ func (m *ClientMux) Session(tenant uint8, n uint32) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return client.New(client.Config{
-		Transport:   ep,
-		Replicas:    m.replicas,
-		Deadline:    m.deadline,
-		NearRead:    m.near.NearRead,
-		NearPin:     m.near.NearPin,
-		NearReplica: m.near.NearReplica,
-	}), nil
+	cfg := m.cfg
+	cfg.Transport = ep
+	return client.New(cfg), nil
 }
 
 // Close closes every session and the shared transport.
