@@ -1,10 +1,18 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
+.PHONY: all tier1 fmt race selectors chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
 
-# Test selections that more than one target runs, each written once.
+# The race gates' test selections, each written once: `-run 'regex'`
+# then the packages it applies to. `make selectors` checks every
+# (regex, package) pair still selects something.
+RECONFIG_RACE = -run 'Reconfig|OnlineJoin|ChaosCrashRejoin|RemoveReplica|TCPOnlineJoin|GracefulShutdown|Learner|SetPeers|Prune|SnapshotMembers|TailBitFlip|Checkpoint' ./internal/cluster ./internal/omega ./internal/storage ./internal/chaos .
+DURABLE_RACE = -run 'Durable|PersistFailure|ConcurrentFlush|GroupCommit|Buffered|SyncPolicy|AsyncRewrite|Poison' ./internal/storage ./internal/cluster ./internal/chaos
 PIPELINE_RACE = -run 'Pipelin|Linearizability|Recovery' ./internal/core ./internal/chaos ./internal/paxos
 SHARD_RACE = -run 'Shard|GroupMux|CrossGroup|OpenFile|WithPrefix|Rank|Group' ./internal/shard ./internal/transport ./internal/storage ./internal/metrics ./internal/omega ./internal/cluster ./internal/bench .
+MULTICORE_RACE = -run 'ParallelRead|ReadView|ReadPool|Sink|DecodeStage|ReplyWriter|Multicore' ./internal/core ./internal/service ./internal/transport
+OVERLOAD_RACE = -run 'Overload|RetryAfter|ReplyDrop|Shed|OpenLoop' ./internal/client ./internal/transport ./internal/bench
+OVERLOAD_TCP_RACE = -run 'TCPIdempotentRetryAcrossLeaderCrash' .
+WAN_RACE = -run 'Preempt|Cost|Rank|Near|Vouch|Confirm|Deposed|ReadExpires|ExclusiveTxnOpen|WAN|Wan|ProfileTimeout|ProfileByName|RegionPartition' ./internal/omega ./internal/core ./internal/client ./internal/netem ./internal/cluster ./internal/chaos
 
 all: tier1
 
@@ -25,6 +33,20 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
+# A renamed or merged test silently drops out of a gate that selects it
+# by regex. This fails when any (-run regex, package) pair above lists
+# no test; run it before the gates.
+selectors:
+	@fail=0; \
+	check() { re=$$2; shift 2; for pkg in "$$@"; do \
+		$(GO) test -list "$$re" $$pkg | grep -q '^Test' || \
+			{ echo "selectors: -run '$$re' selects no test in $$pkg"; fail=1; }; \
+	done; }; \
+	check $(RECONFIG_RACE); check $(DURABLE_RACE); check $(PIPELINE_RACE); \
+	check $(SHARD_RACE); check $(MULTICORE_RACE); check $(OVERLOAD_RACE); \
+	check $(OVERLOAD_TCP_RACE); check $(WAN_RACE); \
+	exit $$fail
+
 # Just the socket-level chaos suite (transport + chaos), race-enabled.
 chaos:
 	$(GO) test -race ./internal/transport ./internal/chaos
@@ -35,13 +57,13 @@ chaos:
 # acceptance test, the TCP -join test, and graceful-shutdown WAL
 # flushing.
 chaos-reconfig:
-	$(GO) test -race -count 1 -run 'Reconfig|OnlineJoin|ChaosCrashRejoin|RemoveReplica|TCPOnlineJoin|GracefulShutdown|Learner|SetPeers|Prune|SnapshotMembers|TailBitFlip|Checkpoint' ./internal/cluster ./internal/core ./internal/omega ./internal/storage ./internal/chaos .
+	$(GO) test -race -count 1 $(RECONFIG_RACE)
 
 # Durability-pipeline suite under the race detector: group commit and
 # sync policies in the WAL, the persister's fail-stop on storage errors,
 # crash/restart with memory loss, and the durable chaos scenario.
 durable-race:
-	$(GO) test -race -count 1 -run 'Durable|PersistFailure|ConcurrentFlush|GroupCommit|Buffered|SyncPolicy|AsyncRewrite|Poison' ./internal/storage ./internal/cluster ./internal/chaos
+	$(GO) test -race -count 1 $(DURABLE_RACE)
 
 # Pipelined-mode suite under the race detector: wave pipelining, the
 # linearizability matrix (depth × batching), recovery truncation, and
@@ -71,7 +93,7 @@ multicore-race:
 	GOMAXPROCS=4 $(GO) test -count 1 ./...
 	GOMAXPROCS=4 $(GO) test -race -count 1 $(PIPELINE_RACE)
 	GOMAXPROCS=4 $(GO) test -race -count 1 $(SHARD_RACE)
-	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'ParallelRead|ReadView|ReadPool|Sink|DecodeStage|ReplyWriter|Multicore' ./internal/core ./internal/service ./internal/transport ./internal/cluster
+	GOMAXPROCS=4 $(GO) test -race -count 1 $(MULTICORE_RACE)
 
 # The canonical benchmark (BENCHMARK.json, benchmark/README.md): four
 # named workloads, end-to-end and per-layer metrics. It is its own Go
@@ -119,8 +141,8 @@ bench-multicore-quick:
 # WALs.
 overload-race:
 	GOMAXPROCS=4 $(GO) test -race -count 1 ./internal/gateway
-	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'Overload|RetryAfter|ReplyDrop|Shed|OpenLoop' ./internal/client ./internal/transport ./internal/bench
-	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'TCPIdempotentRetryAcrossLeaderCrash' .
+	GOMAXPROCS=4 $(GO) test -race -count 1 $(OVERLOAD_RACE)
+	GOMAXPROCS=4 $(GO) test -race -count 1 $(OVERLOAD_TCP_RACE)
 
 # Scaled-down open-loop goodput ablation (PR 9): Poisson offered load
 # at 1-4x saturation with admission on vs off, on the latency-bound
@@ -130,12 +152,13 @@ bench-overload-quick:
 
 # Geo-replication suite under the race detector at GOMAXPROCS=4
 # (PR 10, DESIGN.md §16): Ω rank preemption and cost-composed ranks,
-# the RTT placement feed, nearest-replica reads end to end, the WAN
-# profile timeout derivation, the wan3 linearizability bracket under
-# region partition (in-process fabric), and the region-partition chaos
-# scenario over real TCP.
+# the RTT placement feed, the read path's rule, regression and seam
+# tests with nearest-replica reads end to end, the WAN profile timeout
+# derivation, the wan3 linearizability bracket under region partition
+# (in-process fabric), and the region-partition chaos scenario over
+# real TCP.
 wan-race:
-	GOMAXPROCS=4 $(GO) test -race -count 1 -run 'Preempt|Cost|Rank|Near|WAN|Wan|ProfileTimeout|ProfileByName|RegionPartition' ./internal/omega ./internal/core ./internal/client ./internal/netem ./internal/cluster ./internal/chaos .
+	GOMAXPROCS=4 $(GO) test -race -count 1 $(WAN_RACE)
 
 # Scaled-down per-region read-latency comparison (PR 10): leader reads
 # vs nearest-replica reads on the compressed wan3/wan5 geographies.

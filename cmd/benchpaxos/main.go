@@ -850,6 +850,7 @@ func figWAN(res *ExpResult) {
 		var lead wire.NodeID
 		for _, near := range []bool{false, true} {
 			cfg := clusterConfig(pr.p, pr.n)
+			cfg.Service = service.KVFactory // the ops below are KV ops
 			cfg.NearReads = near
 			c := startCluster(cfg)
 			lead, _ = c.Leader()

@@ -68,26 +68,27 @@ func TestProbeWaveFragmentation(t *testing.T) {
 		el := time.Since(start)
 		lead, _ := c.Leader()
 		rep, _ := c.Replica(lead)
-		st := rep.Stats()
+		started := uint64(rep.Metrics().Value("gridrep_waves_started_total"))
+		maxInFlight := rep.Metrics().Value("gridrep_waves_in_flight_max")
 		fs := stores[lead].(*storage.File).Stats()
 		t.Logf("depth=%d: %.0f req/s, waves=%d avg_batch=%.2f max_inflight=%d leader_wal{batches=%d syncs=%d records=%d}",
-			depth, float64(writers*each)/el.Seconds(), st.WavesStarted,
-			float64(writers*each)/float64(st.WavesStarted), st.MaxWavesInFlight,
+			depth, float64(writers*each)/el.Seconds(), started,
+			float64(writers*each)/float64(started), maxInFlight,
 			fs.Batches, fs.Syncs, fs.Records)
-		if st.MaxWavesInFlight > int64(depth) {
-			t.Errorf("depth=%d: %d waves in flight exceeds PipelineDepth", depth, st.MaxWavesInFlight)
+		if maxInFlight > int64(depth) {
+			t.Errorf("depth=%d: %d waves in flight exceeds PipelineDepth", depth, maxInFlight)
 		}
 		// The launch gate must hold batching at the serial schedule's
 		// size: the whole run is writers×each requests, and the serial
 		// protocol needs at most one wave per round trip. A fragmenting
 		// leader (the pre-gate failure mode) started 2-3× the serial
 		// wave count; allow 25% slack for the cold-start ramp.
-		if depth > 1 && st.WavesStarted > serialWaves*5/4 {
+		if depth > 1 && started > serialWaves*5/4 {
 			t.Errorf("depth=%d: %d waves for %d requests (serial took %d) — speculative batch fragmentation",
-				depth, st.WavesStarted, writers*each, serialWaves)
+				depth, started, writers*each, serialWaves)
 		}
 		if depth == 1 {
-			serialWaves = st.WavesStarted
+			serialWaves = started
 		}
 		c.Close()
 	}

@@ -174,12 +174,12 @@ func main() {
 							gs.ShedThrottle, gs.ShedQueueFull, gs.ShedQueueAged,
 							gs.ExpiredInFlight, gs.InFlight, gs.QueueDepth, gs.Sessions)
 					}
-					rs := srv.ReplicaStats()
+					v := func(name string) int64 { return srv.Metrics().Value("gridrep_" + name) }
 					log.Printf("replica: pipeline=%d inflight=%d/%d waves{started=%d committed=%d} rollbacks{demotions=%d waves=%d recovery_discarded=%d} deferred_drops=%d",
-						o.PipelineDepth, rs.WavesInFlight, rs.MaxWavesInFlight,
-						rs.WavesStarted, rs.WavesCommitted,
-						rs.SpecRollbacks, rs.WavesRolledBack, rs.RecoveryDiscarded,
-						rs.DeferredDrops)
+						o.PipelineDepth, v("waves_in_flight"), v("waves_in_flight_max"),
+						v("waves_started_total"), v("waves_committed_total"),
+						v("spec_rollbacks_total"), v("waves_rolled_back_total"), v("recovery_discarded_total"),
+						v("deferred_drops_total"))
 				}
 			}
 		}()

@@ -79,11 +79,6 @@ type (
 	// batch to disk.
 	SyncPolicy = storage.SyncPolicy
 
-	// ReplicaStats is a snapshot of a replica's protocol counters
-	// (pipeline occupancy, speculative rollbacks, deferred-request
-	// drops); see Server.ReplicaStats.
-	ReplicaStats = core.Stats
-
 	// Health is a replica's protocol position (role, ballot, commit and
 	// applied indexes), the payload of the /healthz debug endpoint.
 	Health = core.Health

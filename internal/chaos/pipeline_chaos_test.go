@@ -168,8 +168,8 @@ func TestPipelinedLeaderCrashMidFlight(t *testing.T) {
 		}(w, cli)
 	}
 
-	// Wait until the leader demonstrably has 2+ waves in flight (Stats is
-	// safe from any goroutine), then kill it mid-pipeline.
+	// Wait until the leader demonstrably has 2+ waves in flight (the
+	// registry is safe from any goroutine), then kill it mid-pipeline.
 	var victim wire.NodeID
 	deadline := time.Now().Add(15 * time.Second)
 	for {
@@ -177,15 +177,16 @@ func TestPipelinedLeaderCrashMidFlight(t *testing.T) {
 			t.Fatal("pipeline never held 2+ waves in flight")
 		}
 		lead, ok := leaderOf()
-		if ok && replica(lead).Stats().WavesInFlight >= 2 {
+		if ok && replica(lead).Metrics().Value("gridrep_waves_in_flight") >= 2 {
 			victim = lead
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	st := replica(victim).Stats()
+	vm := replica(victim).Metrics()
 	t.Logf("killing leader %d with %d waves in flight (max %d, started %d, committed %d)",
-		victim, st.WavesInFlight, st.MaxWavesInFlight, st.WavesStarted, st.WavesCommitted)
+		victim, vm.Value("gridrep_waves_in_flight"), vm.Value("gridrep_waves_in_flight_max"),
+		vm.Value("gridrep_waves_started_total"), vm.Value("gridrep_waves_committed_total"))
 
 	// Honest crash: Stop discards staged in-RAM records; the reopened WAL
 	// replays only what fsync put on disk.
@@ -217,7 +218,7 @@ func TestPipelinedLeaderCrashMidFlight(t *testing.T) {
 	wg.Wait()
 	newLead := waitLeader()
 	t.Logf("recovered: leader %d, recovery_discarded=%d",
-		newLead, replica(newLead).Stats().RecoveryDiscarded)
+		newLead, replica(newLead).Metrics().Value("gridrep_recovery_discarded_total"))
 
 	// Zero lost acknowledged writes: the committed prefix survived the
 	// crash and the discarded speculative suffix took no ack with it.

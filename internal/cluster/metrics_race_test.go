@@ -11,8 +11,8 @@ import (
 )
 
 // TestMetricsConcurrentReaders hammers every cross-goroutine observation
-// surface — Stats, Health, registry Snapshot, and the Prometheus
-// renderer — from concurrent readers while a 3-replica cluster commits
+// surface — Health, registry Snapshot, and the Prometheus renderer —
+// from concurrent readers while a 3-replica cluster commits
 // writes. Run under -race (the race CI tier does) this is the proof that
 // the metrics migration left no unsynchronized reads of event-loop
 // state.
@@ -44,7 +44,6 @@ func TestMetricsConcurrentReaders(t *testing.T) {
 						return
 					default:
 					}
-					_ = rep.Stats()
 					_ = rep.Health()
 					_ = rep.Metrics().Snapshot()
 					_ = rep.Metrics().WritePrometheus(io.Discard)
@@ -89,18 +88,18 @@ func TestMetricsConcurrentReaders(t *testing.T) {
 		t.Fatalf("leader health = %+v", h)
 	}
 	rep := leadRep
-	var maxWaves uint64
+	var maxWaves int64
 	for _, id := range c.IDs() {
 		r, ok := c.Replica(id)
 		if !ok {
 			continue
 		}
-		if s := r.Stats(); s.WavesCommitted > maxWaves {
-			rep, maxWaves = r, s.WavesCommitted
+		if n := r.Metrics().Value("gridrep_waves_committed_total"); n > maxWaves {
+			rep, maxWaves = r, n
 		}
 	}
 	if maxWaves == 0 {
-		t.Fatal("no replica stats show committed waves")
+		t.Fatal("no replica registry shows committed waves")
 	}
 	snap := rep.Metrics().Snapshot()
 	m, ok := metrics.Find(snap, "gridrep_commit_latency_seconds")

@@ -229,13 +229,13 @@ func TestWANNearReadsServeFromNearReplica(t *testing.T) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
-	var near uint64
+	var near int64
 	for _, id := range c.IDs() {
 		rep, ok := c.Replica(id)
 		if !ok {
 			continue
 		}
-		near += rep.Stats().ReadsNear
+		near += rep.Metrics().Value("gridrep_reads_near_total")
 	}
 	if near == 0 {
 		t.Fatalf("no reads served via the near path after %d reads with NearReads on", reads)

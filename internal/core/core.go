@@ -15,11 +15,12 @@
 //     multi-instance accept message, the same mechanism §3.3 uses for
 //     leader recovery ("one single message" covering several instances);
 //     service state is attached only to the batch's highest instance.
-//   - Reads (X-Paxos) skip consensus: every non-leader replica that
-//     receives the read sends a confirm — carrying the highest ballot it
-//     has accepted — to that ballot's proposer; the leader replies after
-//     a majority of confirms, and after every write it had proposed
-//     before the read arrived has committed.
+//   - Reads (X-Paxos) skip consensus: every replica that receives a read
+//     it does not serve sends a confirm — carrying the highest ballot it
+//     has promised and the highest instance it has accepted — to the
+//     replica that does (the leader, or the client's stamped nearest
+//     replica); that replica replies once a voter majority has vouched
+//     and its committed state covers the read's barrier (reads.go).
 //   - Transactions (T-Paxos) execute on the leader with immediate
 //     replies; a single consensus instance at commit carries the whole
 //     transaction and the resulting state. Leader switches abort open
@@ -179,45 +180,6 @@ type wave struct {
 	firstAt  time.Time // admission time of the wave's oldest request
 }
 
-// pendingRead is an X-Paxos read waiting for majority confirms and for
-// the commit barrier (every instance proposed before the read arrived).
-// Once both hold the read executes; under pipelining the service state it
-// observed may still be speculative, so the reply is held until the
-// newest instance proposed at execution time (execTop) commits.
-type pendingRead struct {
-	req      wire.Request
-	confirms map[wire.NodeID]bool
-	barrier  uint64
-	executed bool
-	execTop  uint64 // newest proposed instance at execution time
-	result   []byte
-	errStr   string
-	failed   bool
-}
-
-// pendingNearRead is an X-Paxos read this replica serves on the
-// client's behalf because it is the client's nearest replica (DESIGN.md
-// §16). It needs (a) confirms from a quorum of voters — each carrying
-// the sender's max accepted instance — and (b) the local applied index
-// to reach the highest such instance. Any write acked before the read
-// started was accepted at its instance by a majority, every confirm
-// quorum intersects that majority, and the intersecting voter's MaxAcc
-// covers the write — so waiting for applied ≥ max(MaxAcc) guarantees
-// the served state includes it.
-type pendingNearRead struct {
-	req     wire.Request
-	froms   map[wire.NodeID]bool
-	maxAcc  uint64 // barrier: highest accepted instance any confirmer reported
-	expires time.Time
-}
-
-// nearConfirm buffers a near-read confirm that outran the client's own
-// request (the same race confirmBuf covers for the leader path).
-type nearConfirm struct {
-	from   wire.NodeID
-	maxAcc uint64
-}
-
 // cachedReply supports at-most-once execution per client.
 type cachedReply struct {
 	seq    uint64
@@ -301,21 +263,16 @@ type Replica struct {
 	pendingCommit bool
 	commitFlush   *time.Timer
 
+	// The read path (reads.go): reads holds the reads this replica is
+	// serving, confirmBuf the confirms that outran their read (swept by
+	// generation: bufGen advances once per ElectionTimeout, at bufSwept),
+	// and confirmQ the burst's outgoing confirm keys per serving replica.
 	reads      map[wire.Key]*pendingRead
-	confirmBuf map[wire.Key][]wire.NodeID
-	confirmQ   []wire.Key     // reads awaiting one coalesced Confirm send
+	confirmBuf map[wire.Key][]heldConfirm
+	bufGen     uint64
+	bufSwept   time.Time
+	confirmQ   map[wire.NodeID][]wire.Key
 	deferred   []wire.Request // requests received while preparing
-
-	// Nearest-replica reads (DESIGN.md §16): nearReads holds reads this
-	// replica is serving as the client's nearest replica, nearConfirmBuf
-	// buffers confirms that outran their read, and nearQ batches confirm
-	// keys per near-serving target for one coalesced Confirm each
-	// (nearQN counts the queued keys across targets, for the cap).
-	nearReads      map[wire.Key]*pendingNearRead
-	nearConfirmBuf map[wire.Key][]nearConfirm
-	nearQ          map[wire.NodeID][]wire.Key
-	nearQN         int
-	nearBufSwept   time.Time
 
 	// lastCost is the placement cost last handed to the elector;
 	// updatePlacementCost applies hysteresis against it so EWMA noise on
@@ -423,21 +380,19 @@ func New(cfg Config) (*Replica, error) {
 			// stability-first behaviour pinned by the omega tests.
 			Preempt: cfg.LeaderRank != nil || cfg.RTTPlacement,
 		}),
-		reads:          make(map[wire.Key]*pendingRead),
-		confirmBuf:     make(map[wire.Key][]wire.NodeID),
-		nearReads:      make(map[wire.Key]*pendingNearRead),
-		nearConfirmBuf: make(map[wire.Key][]nearConfirm),
-		nearQ:          make(map[wire.NodeID][]wire.Key),
-		txns:           make(map[txnKey]*txnState),
-		lastReply:      make(map[wire.NodeID]cachedReply),
-		pending:        make(map[wire.Key]bool),
-		writers:        make(map[wire.NodeID]time.Time),
-		peerAddrs:      make(map[wire.NodeID]string),
-		peerApplied:    make(map[wire.NodeID]uint64),
-		stop:           make(chan struct{}),
-		done:           make(chan struct{}),
-		ctl:            make(chan func(), 16),
-		health:         make(chan peerHealth, 64),
+		reads:       make(map[wire.Key]*pendingRead),
+		confirmBuf:  make(map[wire.Key][]heldConfirm),
+		confirmQ:    make(map[wire.NodeID][]wire.Key),
+		txns:        make(map[txnKey]*txnState),
+		lastReply:   make(map[wire.NodeID]cachedReply),
+		pending:     make(map[wire.Key]bool),
+		writers:     make(map[wire.NodeID]time.Time),
+		peerAddrs:   make(map[wire.NodeID]string),
+		peerApplied: make(map[wire.NodeID]uint64),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
+		ctl:         make(chan func(), 16),
+		health:      make(chan peerHealth, 64),
 	}
 	r.commitFlush = time.NewTimer(time.Hour)
 	if !r.commitFlush.Stop() {
@@ -682,7 +637,7 @@ func (r *Replica) run() {
 				r.handle(more)
 			}
 			r.flushConfirms()
-			r.flushNearReads()
+			r.flushReads()
 		case ph := <-r.health:
 			r.onPeerHealth(ph)
 		case <-r.commitFlush.C:
@@ -833,7 +788,7 @@ func (r *Replica) tick(now time.Time) {
 	if r.cfg.RTTPlacement && !r.cfg.WireCompat {
 		r.updatePlacementCost()
 	}
-	r.sweepNearReads(now)
+	r.sweepReads(now)
 	if hb := r.elector.Tick(now); hb != nil {
 		hb.Chosen = r.acc.Chosen()
 		hb.Applied = r.applied // gossip the applied watermark (prune driver)
@@ -1016,7 +971,10 @@ func (r *Replica) stepDown() {
 	}
 	r.waves = nil
 	r.stats.wavesInFlight.Set(0)
-	// Tell waiting clients to retry elsewhere.
+	// Tell waiting clients to retry elsewhere. Every pending read goes,
+	// however it was being vouched: evidence counted by ballot dies with
+	// the ballot, and a near read caught here costs its client one
+	// rebroadcast, exactly like an expired one.
 	for _, pr := range r.reads {
 		r.reply(pr.req, wire.StatusNotLeader, nil, "leader switch")
 	}
@@ -1032,7 +990,7 @@ func (r *Replica) stepDown() {
 	}
 	r.queue, r.blocked, r.deferred = nil, nil, nil
 	r.pending = make(map[wire.Key]bool)
-	r.confirmBuf = make(map[wire.Key][]wire.NodeID)
+	r.confirmBuf = make(map[wire.Key][]heldConfirm)
 	// Any unflushed commit is moot: backups will learn the commit index
 	// from the next leader's traffic or from heartbeats. An uncommitted
 	// configuration proposal dies with the ballot; the next leader's

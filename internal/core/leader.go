@@ -9,24 +9,25 @@ import (
 )
 
 // onRequest dispatches a client request according to its kind and the
-// replica's role. Backups ignore everything except reads, for which they
-// send X-Paxos confirms; clients rely on the broadcast reaching whoever
-// currently leads (§3.3).
+// replica's role. Backups ignore everything except reads, which they
+// confirm or — when the client named them its nearest replica — serve;
+// clients rely on the broadcast reaching whoever currently leads (§3.3).
 func (r *Replica) onRequest(req wire.Request) {
 	switch req.Kind {
 	case wire.KindRead:
-		if req.NearSet && req.Near != r.cfg.ID {
-			// The client asked its nearest replica to serve this read;
-			// everyone else — leader included — just vouches for it.
-			r.queueNearConfirm(req)
-		} else if req.NearSet && !(r.role == RoleLeading && r.activated) {
-			r.registerNearRead(req)
-		} else if r.role == RoleLeading && r.activated {
+		// One rule (reads.go): the replica the request names serves it,
+		// everyone else — the leader included — only vouches. A read
+		// that finds no server (no leader known yet, or this replica
+		// would be it but is neither active nor preparing) is dropped;
+		// the client retries.
+		switch server, ok := r.readServer(req); {
+		case !ok:
+		case server != r.cfg.ID:
+			r.confirmQ[server] = append(r.confirmQ[server], req.Key())
+		case req.NearSet || r.IsActiveLeader():
 			r.registerRead(req)
-		} else if r.role == RolePreparing {
+		case r.role == RolePreparing:
 			r.deferRequest(req)
-		} else {
-			r.sendConfirm(req)
 		}
 	case wire.KindOriginal:
 		// The paper's unreplicated baseline: execute and reply with no
@@ -406,7 +407,6 @@ func (r *Replica) commitReady() {
 	// Unblock reads whose barrier (or speculative execution horizon) the
 	// commits satisfied, then refill the pipeline.
 	r.flushReads()
-	r.flushNearReads()
 	r.drainBlocked()
 	r.maybeStartWave()
 }
@@ -515,378 +515,6 @@ func (r *Replica) maybeCompact() {
 		if err := r.acc.Compact(chosen); err != nil {
 			r.fatal("compact: %v", err)
 		}
-	}
-}
-
-// --- X-Paxos read path (§3.4) ---
-
-// sendConfirm implements the backup half of X-Paxos: confirm the read to
-// the proposer of the highest ballot this replica has accepted. The key
-// is only queued here; flushConfirms sends one coalesced Confirm for all
-// reads that arrived in the same event-loop burst.
-func (r *Replica) sendConfirm(req wire.Request) {
-	if len(r.confirmQ) < 65536 {
-		r.confirmQ = append(r.confirmQ, req.Key())
-	}
-}
-
-// flushConfirms sends the queued read confirmations as one Confirm
-// message per destination. The ballot and destination are evaluated at
-// send time, which is what makes each listed key valid per-read
-// evidence: the message leaves after every listed read was received,
-// carrying the highest ballot this replica has accepted as of now.
-// Every confirm also carries MaxAcc, the highest accepted instance —
-// the near-read barrier (DESIGN.md §16); near-serving replicas take the
-// max over their confirm quorum, so the stamp must be on every confirm
-// a quorum might count, not just the near-targeted ones.
-func (r *Replica) flushConfirms() {
-	maxAcc, stamp := r.acc.MaxInstance(), !r.cfg.WireCompat
-	if !stamp {
-		// Compat mode: the stamp is a post-v1 trailing wire field old
-		// peers cannot decode; an unstamped confirm still carries §3.4
-		// leadership evidence, it just cannot vouch for near reads.
-		maxAcc = 0
-	}
-	if r.nearQN > 0 {
-		// Near-targeted confirms are durability-gated exactly like
-		// leader-path ones. A near-serving backup ignores their ballot,
-		// but when the client's Near target is the active leader the
-		// read lands on the §3.4 path there (onRequest), and the
-		// leader's onConfirm counts any matching-ballot voter confirm as
-		// leadership evidence — so the ballot this message carries must
-		// be backed by a flushed promise, or a crash that forgets the
-		// staged record could let a new leader commit writes while the
-		// old one still assembles read majorities from pre-crash
-		// confirms. (The MaxAcc stamp alone would not need the gate: it
-		// only ever raises the near-read barrier, so an overshooting
-		// claim is harmless.)
-		bal := r.acc.Promised()
-		for target, keys := range r.nearQ {
-			r.sendDurable(target, &wire.Confirm{Bal: bal, From: r.cfg.ID, Reads: keys, MaxAcc: maxAcc, MaxAccSet: stamp})
-			delete(r.nearQ, target)
-		}
-		r.nearQN = 0
-	}
-	if len(r.confirmQ) == 0 {
-		return
-	}
-	keys := r.confirmQ
-	r.confirmQ = nil
-	bal := r.acc.Promised()
-	target := bal.Node
-	if bal.IsZero() {
-		// Nothing promised yet: fall back to the Ω estimate.
-		leader, ok := r.elector.Leader(time.Now())
-		if !ok {
-			return
-		}
-		target = leader
-	}
-	if target == r.cfg.ID {
-		return // we believe we lead but are not active; client will retry
-	}
-	// A confirm asserts this replica's promise/accept horizon; if that
-	// ballot's promise is still staged, sending now would let a §3.4 read
-	// majority count a vote the disk could forget. Durable-gate it.
-	r.sendDurable(target, &wire.Confirm{Bal: bal, From: r.cfg.ID, Reads: keys, MaxAcc: maxAcc, MaxAccSet: stamp})
-}
-
-// registerRead starts X-Paxos coordination for a read at the leader: the
-// reply needs (a) confirms from a majority — counting the leader itself —
-// proving no higher ballot has superseded us, and (b) commitment of every
-// write proposed before the read arrived, so the reply reflects the
-// latest completed write.
-func (r *Replica) registerRead(req wire.Request) {
-	if r.exclusiveBusy() {
-		r.blocked = append(r.blocked, req)
-		return
-	}
-	key := req.Key()
-	if _, dup := r.reads[key]; dup {
-		return
-	}
-	pr := &pendingRead{
-		req:      req,
-		confirms: map[wire.NodeID]bool{r.cfg.ID: true},
-		barrier:  r.nextInstance - 1,
-	}
-	for _, from := range r.confirmBuf[key] {
-		pr.confirms[from] = true
-	}
-	delete(r.confirmBuf, key)
-	r.reads[key] = pr
-	r.tryFinishRead(pr)
-}
-
-// onConfirm counts a backup's confirms toward the matching pending
-// reads. One message may vouch for many reads (backup-side coalescing);
-// every key is independent evidence for its own read. Only confirms for
-// the leader's own current ballot prove leadership; a confirm carrying
-// any other ballot is ignored (§3.4: only the leader with the highest
-// accepted ballot can assemble a majority).
-func (r *Replica) onConfirm(m *wire.Confirm) {
-	if r.role != RoleLeading || !m.Bal.Equal(r.bal) {
-		// Not valid §3.4 leadership evidence — but it may still vouch
-		// for reads this replica serves as the client's nearest, whose
-		// claim (the sender's accepted horizon) is ballot-independent.
-		r.onNearConfirm(m)
-		return
-	}
-	if !r.isVoter(m.From) {
-		return // a learner's confirm is not §3.4 majority evidence
-	}
-	for _, key := range m.Reads {
-		if pnr, ok := r.nearReads[key]; ok {
-			// Registered before this replica took leadership; the
-			// confirm still serves it on the near path — but only a
-			// stamped one: without MaxAcc there is no barrier claim to
-			// fold, and counting it could serve a read below an
-			// acknowledged write.
-			if m.MaxAccSet {
-				r.foldNearConfirm(pnr, m.From, m.MaxAcc)
-				r.tryFinishNearRead(pnr)
-			}
-			continue
-		}
-		pr, ok := r.reads[key]
-		if !ok {
-			// The confirm can outrun the client's request; buffer it.
-			if len(r.confirmBuf) < 65536 {
-				r.confirmBuf[key] = append(r.confirmBuf[key], m.From)
-			}
-			continue
-		}
-		pr.confirms[m.From] = true
-		r.tryFinishRead(pr)
-	}
-}
-
-// --- nearest-replica reads (DESIGN.md §16) ---
-
-// queueNearConfirm queues one confirm for a read another replica serves
-// as the client's nearest; flushConfirms coalesces the queue into one
-// Confirm per serving replica. Any role may vouch — the message claims
-// only this replica's accepted horizon, never leadership.
-func (r *Replica) queueNearConfirm(req wire.Request) {
-	if r.nearQN >= 65536 {
-		return
-	}
-	r.nearQ[req.Near] = append(r.nearQ[req.Near], req.Key())
-	r.nearQN++
-}
-
-// registerNearRead starts serving a read stamped with this replica as
-// the client's nearest. An active leader never lands here — onRequest
-// routes its near-stamped reads through the ordinary §3.4 path, which
-// is strictly cheaper when client and leader are already adjacent.
-func (r *Replica) registerNearRead(req wire.Request) {
-	key := req.Key()
-	if _, dup := r.nearReads[key]; dup {
-		return
-	}
-	pnr := &pendingNearRead{
-		req:     req,
-		froms:   make(map[wire.NodeID]bool),
-		maxAcc:  r.acc.MaxInstance(),
-		expires: time.Now().Add(r.cfg.ElectionTimeout),
-	}
-	if r.isVoter(r.cfg.ID) {
-		pnr.froms[r.cfg.ID] = true
-	}
-	for _, c := range r.nearConfirmBuf[key] {
-		r.foldNearConfirm(pnr, c.from, c.maxAcc)
-	}
-	delete(r.nearConfirmBuf, key)
-	r.nearReads[key] = pnr
-	r.tryFinishNearRead(pnr)
-}
-
-// onNearConfirm folds a confirm into the near reads it vouches for; a
-// confirm that outran its read is buffered, mirroring confirmBuf. Only
-// stamped confirms count: one without MaxAcc (a pre-§16 peer, or
-// WireCompat mode) makes no barrier claim, and folding it as "barrier
-// zero" could serve a read that misses an acknowledged write.
-func (r *Replica) onNearConfirm(m *wire.Confirm) {
-	if !r.isVoter(m.From) || !m.MaxAccSet {
-		return
-	}
-	for _, key := range m.Reads {
-		pnr, ok := r.nearReads[key]
-		if !ok {
-			if len(r.nearConfirmBuf) < 65536 {
-				r.nearConfirmBuf[key] = append(r.nearConfirmBuf[key],
-					nearConfirm{from: m.From, maxAcc: m.MaxAcc})
-			}
-			continue
-		}
-		r.foldNearConfirm(pnr, m.From, m.MaxAcc)
-		r.tryFinishNearRead(pnr)
-	}
-}
-
-// foldNearConfirm counts one voter's vouch and raises the read's
-// barrier to the accepted horizon it reported.
-func (r *Replica) foldNearConfirm(pnr *pendingNearRead, from wire.NodeID, maxAcc uint64) {
-	if !r.isVoter(from) {
-		return
-	}
-	pnr.froms[from] = true
-	if maxAcc > pnr.maxAcc {
-		pnr.maxAcc = maxAcc
-	}
-}
-
-// tryFinishNearRead serves a near read once a voter quorum has vouched
-// and the locally applied state covers every reported accepted horizon.
-// Why that is linearizable: a write acked before the read started was
-// accepted at its instance i by a majority; the read's voter quorum
-// intersects it, and the intersecting voter had accepted i before it
-// confirmed — so the barrier is ≥ i, and applied ≥ barrier means the
-// served state includes the write. A leading replica additionally needs
-// a quiet pipeline: with waves in flight (or an exclusive transaction
-// open) the live service state is speculative, and a near read must
-// only ever expose committed state.
-func (r *Replica) tryFinishNearRead(pnr *pendingNearRead) {
-	if len(pnr.froms) < r.quorum() || r.applied < pnr.maxAcc {
-		return
-	}
-	if r.role == RoleLeading && (len(r.waves) > 0 || r.exclusiveBusy()) {
-		return
-	}
-	delete(r.nearReads, pnr.req.Key())
-	r.stats.readsNear.Add(1)
-	res, err := r.svc.Execute(pnr.req.Op)
-	if err != nil {
-		r.reply(pnr.req, wire.StatusError, nil, err.Error())
-		return
-	}
-	r.reply(pnr.req, wire.StatusOK, res, "")
-}
-
-// flushNearReads re-checks the near reads' gates after applied moved or
-// the pipeline drained.
-func (r *Replica) flushNearReads() {
-	if len(r.nearReads) == 0 {
-		return
-	}
-	var ready []*pendingNearRead
-	for _, pnr := range r.nearReads {
-		if len(pnr.froms) >= r.quorum() && r.applied >= pnr.maxAcc {
-			ready = append(ready, pnr)
-		}
-	}
-	for _, pnr := range ready {
-		r.tryFinishNearRead(pnr)
-	}
-}
-
-// sweepNearReads expires near reads whose quorum or barrier never
-// materialized (partitioned voters, an accepted-but-never-chosen
-// barrier instance). The client is told to retry; its rebroadcast
-// drops the Near stamp and the leader path takes over. The confirm
-// buffer is generation-swept on the same cadence so confirms for reads
-// that never arrive cannot accrete.
-func (r *Replica) sweepNearReads(now time.Time) {
-	for key, pnr := range r.nearReads {
-		if now.After(pnr.expires) {
-			delete(r.nearReads, key)
-			r.reply(pnr.req, wire.StatusNotLeader, nil, "near read timed out")
-		}
-	}
-	if len(r.nearConfirmBuf) > 0 && now.Sub(r.nearBufSwept) > r.cfg.ElectionTimeout {
-		r.nearBufSwept = now
-		r.nearConfirmBuf = make(map[wire.Key][]nearConfirm)
-	}
-}
-
-// tryFinishRead advances one read through its two gates. The read
-// executes once a confirm majority proves leadership and the commit
-// barrier is satisfied; under pipelining the service state it executes
-// against may include speculative waves launched after the read arrived,
-// so the reply is additionally held until everything proposed up to the
-// execution point has committed. If those waves roll back instead, the
-// leader steps down and the held read is answered NotLeader — the
-// speculative result is never exposed. At PipelineDepth 1 the execution
-// point never leads the commit index when both gates pass, so the reply
-// leaves immediately, exactly the pre-pipelining behavior.
-func (r *Replica) tryFinishRead(pr *pendingRead) {
-	if !pr.executed {
-		if len(pr.confirms) < r.quorum() || r.acc.Chosen() < pr.barrier {
-			return
-		}
-		if r.dispatchRead(pr) {
-			return
-		}
-		pr.executed = true
-		r.stats.readsInline.Add(1)
-		pr.execTop = r.nextInstance - 1
-		res, err := r.svc.Execute(pr.req.Op)
-		if err != nil {
-			pr.failed = true
-			pr.errStr = err.Error()
-		} else {
-			pr.result = res
-		}
-	}
-	if r.acc.Chosen() < pr.execTop {
-		return // result reflects speculative state; wait for its commit
-	}
-	delete(r.reads, pr.req.Key())
-	if pr.failed {
-		r.reply(pr.req, wire.StatusError, nil, pr.errStr)
-		return
-	}
-	r.reply(pr.req, wire.StatusOK, pr.result, "")
-}
-
-// dispatchRead hands a gate-cleared read to the worker pool
-// (readpool.go). Eligibility beyond the pool existing: no speculative
-// wave may be in flight — with waves outstanding the live service state
-// leads the commit index, and a view pinned now would expose
-// uncommitted effects (those reads keep the inline execute-and-hold
-// path) — and the service must agree to pin (a KV with open transaction
-// locks refuses, because a frozen view cannot report lock conflicts).
-// A full pool queue also falls back inline; the event loop never
-// blocks. On dispatch the read is complete from the protocol's point of
-// view — confirmed, barrier-committed, state pinned — so it leaves
-// r.reads now and a later step-down has nothing to answer.
-func (r *Replica) dispatchRead(pr *pendingRead) bool {
-	if r.readPool == nil || len(r.waves) != 0 {
-		return false
-	}
-	view, ok := r.viewer.ReadView()
-	if !ok {
-		return false
-	}
-	if !r.readPool.tryDispatch(readJob{view: view, req: pr.req}) {
-		return false
-	}
-	delete(r.reads, pr.req.Key())
-	r.stats.readsParallel.Add(1)
-	return true
-}
-
-// flushReads re-checks barrier and execution-horizon satisfaction after a
-// commit.
-func (r *Replica) flushReads() {
-	if len(r.reads) == 0 {
-		return
-	}
-	chosen := r.acc.Chosen()
-	var ready []*pendingRead
-	for _, pr := range r.reads {
-		if pr.executed {
-			if chosen >= pr.execTop {
-				ready = append(ready, pr)
-			}
-			continue
-		}
-		if len(pr.confirms) >= r.quorum() && chosen >= pr.barrier {
-			ready = append(ready, pr)
-		}
-	}
-	for _, pr := range ready {
-		r.tryFinishRead(pr)
 	}
 }
 

@@ -45,9 +45,11 @@ type Options struct {
 	// batching is what lets write throughput scale in Figure 5.
 	NoBatch bool
 	// ReadConcurrency sizes the parallel-read worker pool (DESIGN.md
-	// §14): when the service implements service.ReadViewer, confirmed
-	// X-Paxos reads execute concurrently against pinned immutable views
-	// and their replies fan out off the event loop. 0 (the default)
+	// §14): when the service implements service.ReadViewer, reads whose
+	// gates have cleared (DESIGN.md §18) — at the leader or at a replica
+	// serving as a client's nearest — execute concurrently against
+	// pinned immutable views and their replies fan out off the event
+	// loop. 0 (the default)
 	// sizes the pool to GOMAXPROCS, and disables it when that is 1 —
 	// one core gains nothing from handing reads off, and skipping the
 	// pool keeps the single-core read path byte-identical to the serial
@@ -78,9 +80,10 @@ type Options struct {
 	// pre-§16 binaries, for rolling a mixed-version cluster through an
 	// upgrade: confirms are not stamped with MaxAcc and RTT placement
 	// costs are not measured or gossiped (WireCompat overrides
-	// RTTPlacement). The cost is features, not safety — without the
-	// stamp this replica's confirms cannot vouch for nearest-replica
-	// reads, so near-stamped reads fall back to the leader path on
+	// RTTPlacement). The cost is features, not safety — an unstamped
+	// confirm still vouches by ballot to the active leader, but it makes
+	// no barrier claim a non-leader could use (DESIGN.md §18), so reads
+	// stamped for a nearest replica expire there and reach the leader on
 	// their first retry. Run the upgraded binaries with WireCompat until
 	// every replica is new, then drop it (and only then enable
 	// RTTPlacement or near reads).

@@ -7,10 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"gridrep/internal/client"
 	"gridrep/internal/cluster"
 	"gridrep/internal/core"
-	"gridrep/internal/metrics"
 	"gridrep/internal/service"
+	"gridrep/internal/wire"
 )
 
 // readCounters sums gridrep_reads_parallel_total / _inline_total across
@@ -22,13 +23,8 @@ func readCounters(t *testing.T, c *cluster.Cluster) (parallel, inline int64) {
 		if !ok {
 			continue
 		}
-		snap := rep.Metrics().Snapshot()
-		if m, ok := metrics.Find(snap, "gridrep_reads_parallel_total"); ok {
-			parallel += m.Value
-		}
-		if m, ok := metrics.Find(snap, "gridrep_reads_inline_total"); ok {
-			inline += m.Value
-		}
+		parallel += rep.Metrics().Value("gridrep_reads_parallel_total")
+		inline += rep.Metrics().Value("gridrep_reads_inline_total")
 	}
 	return
 }
@@ -145,13 +141,51 @@ func TestParallelReadVsWritesSnapshotsScrapes(t *testing.T) {
 			}
 		}()
 	}
+	// A near-read client pinned to a backup: the pool serves a
+	// non-leader's reads too, against views pinned between the deltas the
+	// backup applies.
+	lead, _ := c.Leader()
+	ep, err := c.Net.Endpoint(wire.ClientIDBase + 930)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ncli := client.New(client.Config{
+		Transport: ep, Replicas: c.IDs(), RetryEvery: 100 * time.Millisecond,
+		NearRead: true, NearPin: true, NearReplica: others(c, lead)[0],
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer ncli.Close()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := ncli.Read(service.KVGet("ctr")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	for i := 0; i < 60; i++ { // writer: every commit rewrites state the views pin
 		if _, err := wcli.Write(service.KVAdd("ctr", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	pooledNear := func() bool {
+		m := replica(t, c, others(c, lead)[0]).Metrics()
+		return m.Value("gridrep_reads_near_total") > 0 && m.Value("gridrep_reads_parallel_total") > 0
+	}
+	for deadline := time.Now().Add(5 * time.Second); !pooledNear() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
+	if !pooledNear() {
+		t.Fatal("the pinned backup never served a near read from its pool")
+	}
 }
 
 // TestReadLinearizabilityMulticore reruns the linearizability bracket

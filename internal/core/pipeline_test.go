@@ -8,12 +8,13 @@ import (
 
 	"gridrep/internal/cluster"
 	"gridrep/internal/core"
+	"gridrep/internal/metrics"
 	"gridrep/internal/netem"
 	"gridrep/internal/service"
 )
 
-// leaderStats snapshots the current leader's protocol counters.
-func leaderStats(t *testing.T, c *cluster.Cluster) core.Stats {
+// leaderMetrics returns the current leader's registry.
+func leaderMetrics(t *testing.T, c *cluster.Cluster) *metrics.Registry {
 	t.Helper()
 	id, ok := c.Leader()
 	if !ok {
@@ -23,7 +24,7 @@ func leaderStats(t *testing.T, c *cluster.Cluster) core.Stats {
 	if !ok {
 		t.Fatal("leader replica missing")
 	}
-	return rep.Stats()
+	return rep.Metrics()
 }
 
 // runWriters issues writers*each KVAdd("ctr", 1) increments from
@@ -95,16 +96,15 @@ func TestPipelinedWritesOverlapAndCommitInOrder(t *testing.T) {
 	runWriters(t, c, writers, each)
 	checkCounter(t, c, writers*each)
 
-	st := leaderStats(t, c)
-	if st.MaxWavesInFlight < 2 {
-		t.Fatalf("MaxWavesInFlight = %d; waves never overlapped", st.MaxWavesInFlight)
+	m := leaderMetrics(t, c)
+	if max := m.Value("gridrep_waves_in_flight_max"); max < 2 {
+		t.Fatalf("waves in flight max = %d; waves never overlapped", max)
 	}
-	if st.WavesInFlight != 0 {
-		t.Fatalf("WavesInFlight = %d after quiescence", st.WavesInFlight)
+	if n := m.Value("gridrep_waves_in_flight"); n != 0 {
+		t.Fatalf("waves in flight = %d after quiescence", n)
 	}
-	if st.WavesStarted != st.WavesCommitted {
-		t.Fatalf("waves started %d != committed %d after quiescence",
-			st.WavesStarted, st.WavesCommitted)
+	if started, committed := m.Value("gridrep_waves_started_total"), m.Value("gridrep_waves_committed_total"); started != committed {
+		t.Fatalf("waves started %d != committed %d after quiescence", started, committed)
 	}
 }
 
@@ -123,10 +123,8 @@ func TestPipelineDepthOneStaysSerial(t *testing.T) {
 	runWriters(t, c, 4, 4)
 	checkCounter(t, c, 16)
 
-	st := leaderStats(t, c)
-	if st.MaxWavesInFlight > 1 {
-		t.Fatalf("MaxWavesInFlight = %d at depth 1; the serial protocol allows only 1",
-			st.MaxWavesInFlight)
+	if max := leaderMetrics(t, c).Value("gridrep_waves_in_flight_max"); max > 1 {
+		t.Fatalf("waves in flight max = %d at depth 1; the serial protocol allows only 1", max)
 	}
 }
 
@@ -157,15 +155,15 @@ func TestLeaderSwitchMidPipelineRollsBack(t *testing.T) {
 		defer close(done)
 		runWriters(t, c, writers, each)
 	}()
-	// Wait until the pipeline is demonstrably occupied (Stats is safe
-	// from any goroutine), then yank leadership mid-flight: with a ~35ms
+	// Wait until the pipeline is demonstrably occupied (the registry is
+	// safe from any goroutine), then yank leadership mid-flight: with a ~35ms
 	// quorum RTT the in-flight waves cannot commit before the demotion
 	// lands on the event loop.
 	deadline := time.Now().Add(5 * time.Second)
-	for rep.Stats().WavesInFlight < 2 && time.Now().Before(deadline) {
+	for rep.Metrics().Value("gridrep_waves_in_flight") < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if rep.Stats().WavesInFlight < 2 {
+	if rep.Metrics().Value("gridrep_waves_in_flight") < 2 {
 		t.Fatal("pipeline never filled with 2+ waves")
 	}
 	c.SuspectLeader()
@@ -180,9 +178,8 @@ func TestLeaderSwitchMidPipelineRollsBack(t *testing.T) {
 	// concurrent WAN writers and a ~35ms quorum RTT the pipeline is
 	// essentially always occupied, so the demotion must have found waves
 	// in flight.
-	st := rep.Stats()
-	if st.SpecRollbacks == 0 {
-		t.Fatalf("SpecRollbacks = 0 after demotion mid-pipeline (waves rolled back: %d)",
-			st.WavesRolledBack)
+	if rep.Metrics().Value("gridrep_spec_rollbacks_total") == 0 {
+		t.Fatalf("spec rollbacks = 0 after demotion mid-pipeline (waves rolled back: %d)",
+			rep.Metrics().Value("gridrep_waves_rolled_back_total"))
 	}
 }

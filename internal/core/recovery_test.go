@@ -194,9 +194,8 @@ func TestRecoveryDiscardsSuffixPastGap(t *testing.T) {
 	leaderID, _ := c.Leader()
 	rep, _ := c.Replica(leaderID)
 	var chosen uint64
-	var discarded uint64
 	rep.Inspect(func(r *core.Replica) { chosen = r.Chosen() })
-	discarded = rep.Stats().RecoveryDiscarded
+	discarded := rep.Metrics().Value("gridrep_recovery_discarded_total")
 	if chosen != 1 {
 		t.Fatalf("chosen = %d, want 1 (instance 4 discarded, new write is first)", chosen)
 	}

@@ -12,7 +12,7 @@ import (
 // loop is the only writer; the metrics instruments are atomics, so
 // snapshots are race-free without handing readers a ticket onto the
 // loop. Every instrument registers into the replica's metrics.Registry
-// (DESIGN.md §11); Stats below is the thin compatibility shim over it.
+// (DESIGN.md §11), the one surface they are read through.
 type stats struct {
 	deferredDrops     metrics.Counter
 	specRollbacks     metrics.Counter
@@ -23,15 +23,15 @@ type stats struct {
 	wavesInFlight     metrics.Gauge
 	maxWavesInFlight  metrics.Gauge
 
-	// Read execution split (DESIGN.md §14): parallel counts reads
-	// dispatched to the worker pool, inline counts reads executed on
-	// the event loop (pool absent, speculative waves in flight, view
-	// pin refused, or pool queue full).
+	// Where each served read executed (DESIGN.md "Reads"): parallel
+	// counts reads dispatched to the worker pool, inline counts reads
+	// executed on the event loop (pool absent, speculative waves in
+	// flight, view pin refused, or pool queue full). readsNear counts,
+	// independently of where they ran, the reads this replica served
+	// while not the active leader — as the client's nearest replica.
 	readsParallel metrics.Counter
 	readsInline   metrics.Counter
-	// readsNear counts X-Paxos reads this replica served as the
-	// client's nearest replica (DESIGN.md §16).
-	readsNear metrics.Counter
+	readsNear     metrics.Counter
 
 	// Reconfiguration instruments (DESIGN.md §12): snapshot catch-up
 	// traffic on both sides, durable snapshot saves, WAL prune
@@ -153,53 +153,6 @@ func (s *stats) register(reg *metrics.Registry) {
 func (s *stats) noteInFlight(n int) {
 	s.wavesInFlight.Set(int64(n))
 	s.maxWavesInFlight.SetMax(int64(n))
-}
-
-// Stats is a point-in-time snapshot of replica-level protocol counters.
-// Safe to take from any goroutine. It predates the metrics registry and
-// is kept as a compatibility shim: every field reads the registered
-// instrument that replaced it.
-type Stats struct {
-	// WavesInFlight is the current number of speculative waves
-	// outstanding; MaxWavesInFlight is its high-water mark since start.
-	WavesInFlight    int64
-	MaxWavesInFlight int64
-	// WavesStarted / WavesCommitted count accept waves launched and
-	// committed while leading.
-	WavesStarted   uint64
-	WavesCommitted uint64
-	// SpecRollbacks counts ballot demotions that rolled the service back
-	// to the last committed instance; WavesRolledBack counts the
-	// speculative waves those rollbacks discarded.
-	SpecRollbacks   uint64
-	WavesRolledBack uint64
-	// RecoveryDiscarded counts learned entries a new leader discarded
-	// during prepare-phase recovery because they sat past a gap (or a
-	// ballot regression) — a crashed leader's uncommitted speculative
-	// suffix.
-	RecoveryDiscarded uint64
-	// DeferredDrops counts client requests dropped because the
-	// prepare-phase deferral buffer was full (the client retries).
-	DeferredDrops uint64
-	// ReadsNear counts X-Paxos reads this replica served as the
-	// client's nearest replica (DESIGN.md §16).
-	ReadsNear uint64
-}
-
-// Stats snapshots the replica's counters. Unlike the other accessors it
-// does not need to run inside Inspect.
-func (r *Replica) Stats() Stats {
-	return Stats{
-		WavesInFlight:     r.stats.wavesInFlight.Load(),
-		MaxWavesInFlight:  r.stats.maxWavesInFlight.Load(),
-		WavesStarted:      r.stats.wavesStarted.Load(),
-		WavesCommitted:    r.stats.wavesCommitted.Load(),
-		SpecRollbacks:     r.stats.specRollbacks.Load(),
-		WavesRolledBack:   r.stats.wavesRolledBack.Load(),
-		RecoveryDiscarded: r.stats.recoveryDiscarded.Load(),
-		DeferredDrops:     r.stats.deferredDrops.Load(),
-		ReadsNear:         r.stats.readsNear.Load(),
-	}
 }
 
 // Metrics returns the replica's metrics registry: the core instruments

@@ -5,10 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"gridrep/internal/client"
 	"gridrep/internal/cluster"
 	"gridrep/internal/core"
 	"gridrep/internal/netem"
 	"gridrep/internal/service"
+	"gridrep/internal/wire"
 )
 
 func TestReadsConsumeNoLogInstances(t *testing.T) {
@@ -44,13 +46,12 @@ func TestDeposedLeaderCannotServeReads(t *testing.T) {
 	}
 	old, _ := c.Leader()
 	// Cut the old leader off from the other replicas (but not from
-	// clients).
-	for _, id := range c.IDs() {
-		if id != old {
-			c.Net.Model().Cut(old, id)
-		}
+	// clients), and have only them distrust it: hearing nothing, it goes
+	// on believing it leads.
+	for _, id := range others(c, old) {
+		c.Net.Model().Cut(old, id)
+		replica(t, c, id).Inspect(func(r *core.Replica) { r.Elector().Suspect(old) })
 	}
-	c.SuspectLeader()
 	// Wait for a new leader among the connected majority.
 	deadline := time.Now().Add(5 * time.Second)
 	var newLeader = old
@@ -64,19 +65,57 @@ func TestDeposedLeaderCannotServeReads(t *testing.T) {
 	if newLeader == old {
 		t.Fatal("no new leader emerged")
 	}
-	// Write through the new leader, then read. The old leader may still
-	// think it leads, but it cannot collect confirms for its stale
+	// Write through the new leader, then read. The old leader still
+	// thinks it leads, but it cannot collect confirms for its stale
 	// ballot, so the reply must come from the new leader and reflect
-	// the new write.
+	// the new write. The write must not reach the old leader: a wave it
+	// can never commit would block its reads by itself, and the point is
+	// that the confirm rule does.
+	c.Net.Model().Cut(old, cli.ID())
 	if _, err := cli.Write(service.KVPut("k", []byte("v2"))); err != nil {
 		t.Fatal(err)
 	}
+	c.Net.Model().Heal(old, cli.ID())
 	res, err := cli.Read(service.KVGet("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := service.KVReply(res); string(v) != "v2" {
 		t.Fatalf("read returned %q — a deposed leader served a stale read", v)
+	}
+
+	// The same through the other kind of evidence: a client pinned to the
+	// deposed leader as its nearest replica, and the confirm a backup
+	// that has moved to the new ballot sends there (delivered by hand —
+	// the partition would drop it). The stamp counts in any role, so the
+	// old leader now has its quorum; what must stop it is the barrier the
+	// stamp carries, which its state can never reach.
+	if !isActiveLeader(t, c, old) {
+		t.Fatal("the old leader stepped down; the schedule needs it to believe it leads")
+	}
+	ep, err := c.Net.Endpoint(wire.ClientIDBase + 920)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := client.New(client.Config{
+		Transport: ep, Replicas: c.IDs(), RetryEvery: 100 * time.Millisecond,
+		NearRead: true, NearPin: true, NearReplica: old,
+	})
+	defer pinned.Close()
+	var bal wire.Ballot
+	var chosen uint64
+	replica(t, c, newLeader).Inspect(func(r *core.Replica) { bal, chosen = r.Ballot(), r.Chosen() })
+	forger := newRawClient(t, c, 921)
+	forger.ep.Send(&wire.Envelope{To: old, Msg: &wire.Confirm{
+		Bal: bal, From: newLeader, Reads: []wire.Key{{Client: pinned.ID(), Seq: 1}},
+		MaxAcc: chosen, MaxAccSet: true,
+	}})
+	res, err = pinned.Read(service.KVGet("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := service.KVReply(res); string(v) != "v2" {
+		t.Fatalf("near read returned %q — a deposed leader served a stale read on stamp evidence", v)
 	}
 }
 

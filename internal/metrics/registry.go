@@ -194,6 +194,14 @@ func Find(snap []Metric, name string) (Metric, bool) {
 	return Metric{}, false
 }
 
+// Value reads one counter or gauge by name: 0 when no such instrument
+// is registered. It snapshots the registry, so it suits status lines and
+// tests, not hot paths.
+func (r *Registry) Value(name string) int64 {
+	m, _ := Find(r.Snapshot(), name)
+	return m.Value
+}
+
 // promValue renders a native-unit value for Prometheus: seconds for
 // nanosecond histograms, the raw value otherwise.
 func promValue(u Unit, v float64) string {

@@ -133,12 +133,12 @@ type Request struct {
 	Txn    uint64      // transaction ID; 0 when not in a transaction
 	TxnSeq uint32      // 0-based index of this op within its transaction
 	Op     []byte      // service-specific operation payload
-	// Near, when NearSet, asks the named replica to serve this X-Paxos
-	// read from its own confirm quorum instead of the leader (nearest-
-	// replica reads, DESIGN.md §16). Every other replica sends its
-	// Confirm to Near rather than to the leader; Near assembles a
-	// majority, waits for its applied state to cover the quorum's
-	// highest accepted instance, and executes the read locally. Encoded
+	// Near, when NearSet, names the replica that serves this X-Paxos
+	// read in the leader's place (nearest-replica reads, DESIGN.md §16;
+	// the read rule is §18). Every other replica sends its Confirm to
+	// Near rather than to the leader; Near assembles a voter majority,
+	// waits for its applied state to cover the quorum's highest accepted
+	// instance, and executes the read locally. Encoded
 	// as a flag bit on the kind byte, so requests without it are
 	// byte-for-byte the pre-§16 format. Only meaningful for KindRead.
 	Near    NodeID
@@ -451,27 +451,28 @@ type Commit struct {
 func (*Commit) Type() MsgType { return MsgCommit }
 
 // Confirm is the X-Paxos read confirmation (§3.4): upon receiving a read
-// request from a client, every non-leader replica sends a Confirm for that
-// read to the process that proposed the highest ballot it has accepted.
+// request it does not serve, a replica sends a Confirm for that read to
+// the replica that does — the process that proposed the highest ballot it
+// has promised, or the nearest replica the request names.
 // Reads that arrive at a backup in one burst coalesce into a single
 // Confirm carrying every read's key, so N concurrent reads cost one
 // confirm message per backup instead of N. Each key is still independent
 // per-read evidence: the confirm was sent after each listed read was
 // received, which is what the linearizability argument needs.
 type Confirm struct {
-	Bal   Ballot // highest ballot the sender has accepted
+	Bal   Ballot // highest ballot the sender has promised
 	From  NodeID
 	Reads []Key // the read requests being confirmed
 	// MaxAcc is the sender's highest accepted instance at send time. A
-	// nearest-replica read server (DESIGN.md §16) takes the maximum over
-	// its confirm quorum as the read barrier: any acked write is
-	// accepted by a majority, every confirm majority intersects it, so
-	// the barrier covers the write. The leader's confirm path ignores it
-	// (the leader's own log is the barrier there). Encoded as a trailing
-	// field only when MaxAccSet, so confirms without the stamp are
-	// byte-for-byte the pre-§16 format; a confirm without the stamp
-	// (an old peer, or WireCompat mode) never vouches for near reads —
-	// there is no barrier claim to fold.
+	// replica counting the confirm by its stamp (DESIGN.md §18) raises
+	// the read's barrier to it: any acked write is accepted by a
+	// majority, every confirm majority intersects it, so the barrier
+	// covers the write. The active leader counting a confirm under its
+	// own ballot ignores it (its own proposal horizon is the barrier
+	// there). Encoded as a trailing field only when MaxAccSet, so
+	// confirms without the stamp are byte-for-byte the pre-§16 format; a
+	// confirm without the stamp (an old peer, or WireCompat mode) vouches
+	// by ballot only — there is no barrier claim to fold.
 	MaxAcc    uint64
 	MaxAccSet bool
 }

@@ -152,10 +152,6 @@ func (s *Server) Addr() string { return s.tr.Addr() }
 // TransportStats snapshots the replica's transport counters.
 func (s *Server) TransportStats() TransportStats { return s.tr.Stats() }
 
-// ReplicaStats snapshots the replica's protocol counters: pipeline
-// occupancy, speculative rollbacks, and deferred-request drops.
-func (s *Server) ReplicaStats() ReplicaStats { return s.node.Group(0).Stats() }
-
 // GatewayStats snapshots the client-facing edge counters; the zero
 // value when the gateway is disabled.
 func (s *Server) GatewayStats() GatewayStats { return s.node.GatewayStats() }
