@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race selectors chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
+.PHONY: all tier1 fmt race selectors snapshot-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
 
 # The race gates' test selections, each written once: `-run 'regex'`
 # then the packages it applies to. `make selectors` checks every
@@ -46,6 +46,24 @@ selectors:
 	check $(SHARD_RACE); check $(MULTICORE_RACE); check $(OVERLOAD_RACE); \
 	check $(OVERLOAD_TCP_RACE); check $(WAN_RACE); \
 	exit $$fail
+
+# State moves one way (DESIGN.md "State transfer"): core copies the full
+# service state at five named places — wave undo, full-mode wave top,
+# exclusive-transaction preSnap, reconfiguration-wave undo, durable
+# snapshot — and bulk state never rides in a CatchUpResp. This fails when
+# a sixth svc.Snapshot() call appears in non-test internal/core, or when
+# any non-test file outside the codec builds a CatchUpResp with State or
+# StateAt set. The bound goes down again when the undo-point item lands.
+SNAPSHOT_SITES_MAX = 5
+snapshot-sites:
+	@n=$$(cat $$(ls internal/core/*.go | grep -v _test) | grep -c 'svc\.Snapshot()'); \
+	if [ $$n -gt $(SNAPSHOT_SITES_MAX) ]; then \
+		echo "snapshot-sites: $$n svc.Snapshot() calls in non-test internal/core, limit $(SNAPSHOT_SITES_MAX)"; exit 1; fi; \
+	set=$$(git ls-files '*.go' | grep -v -e _test.go -e '^internal/wire/' | \
+		xargs grep -n -A6 'CatchUpResp{' | grep -E '\bState(At)?:' || true); \
+	if [ -n "$$set" ]; then \
+		echo "snapshot-sites: CatchUpResp carries state again:"; echo "$$set"; exit 1; fi; \
+	echo "snapshot-sites: $$n of $(SNAPSHOT_SITES_MAX) svc.Snapshot() sites, no CatchUpResp state"
 
 # Just the socket-level chaos suite (transport + chaos), race-enabled.
 chaos:

@@ -126,6 +126,95 @@ func TestOnlineJoinSnapshotCatchUp(t *testing.T) {
 	}
 }
 
+// TestReconfigHealedBackupAppliesConfigEntries isolates a backup on the
+// network — not Crash/Restart, whose re-seeded peer list would hide a
+// skipped entry — while a membership change commits, heals it, and
+// requires the healed backup to hold the membership the leader holds:
+// the configuration entry reached it through catch-up and must have been
+// applied, not jumped over. Once with an added voter, once with a removed
+// one.
+func TestReconfigHealedBackupAppliesConfigEntries(t *testing.T) {
+	for _, remove := range []bool{false, true} {
+		t.Run(fmt.Sprintf("remove=%v", remove), func(t *testing.T) {
+			c := newTestCluster(t, Config{N: 4, Service: service.KVFactory})
+			leader, err := c.WaitForLeader(5 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli, err := c.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			put := func(k string) {
+				t.Helper()
+				if _, err := cli.Write(service.KVPut(k, []byte(k))); err != nil {
+					t.Fatalf("write %s: %v", k, err)
+				}
+			}
+			for i := 0; i < 5; i++ {
+				put(fmt.Sprintf("pre%d", i))
+			}
+			var backups []wire.NodeID
+			for _, id := range c.Running() {
+				if id != leader {
+					backups = append(backups, id)
+				}
+			}
+			isolated, changed := backups[0], backups[1]
+			c.Net.Model().SetDown(isolated, true)
+
+			lrep, _ := c.Replica(leader)
+			if remove {
+				if err := c.RemoveReplica(changed); err != nil {
+					t.Fatal(err)
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for len(lrep.Health().Members) != 3 {
+					if time.Now().After(deadline) {
+						t.Fatalf("removal never committed; members = %v", lrep.Health().Members)
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			} else {
+				changed = wire.NodeID(4)
+				if err := c.AddReplica(changed); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.WaitForVoter(changed, 20*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 5; i++ {
+				put(fmt.Sprintf("post%d", i))
+			}
+			c.Net.Model().SetDown(isolated, false)
+
+			irep, _ := c.Replica(isolated)
+			want := lrep.Health()
+			deadline := time.Now().Add(10 * time.Second)
+			for irep.Health().Applied < want.Applied {
+				if time.Now().After(deadline) {
+					t.Fatalf("healed backup stuck at applied=%d, want %d", irep.Health().Applied, want.Applied)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			var voters []wire.NodeID
+			irep.Inspect(func(r *core.Replica) { voters = r.Voters() })
+			listed := false
+			for _, v := range voters {
+				listed = listed || v == changed
+			}
+			if listed == remove {
+				t.Fatalf("healed backup voters = %v after the change to %v: configuration entry skipped", voters, changed)
+			}
+			if got := fmt.Sprint(irep.Health().Members); got != fmt.Sprint(want.Members) {
+				t.Fatalf("healed backup members = %s, leader has %v", got, want.Members)
+			}
+		})
+	}
+}
+
 // TestRemoveReplicaShrinksQuorum removes a backup through the consensus
 // path and checks the survivors keep serving with the smaller quorum.
 func TestRemoveReplicaShrinksQuorum(t *testing.T) {

@@ -57,13 +57,6 @@ func (r *Replica) onAccept(from wire.NodeID, m *wire.Accept) {
 	r.advanceChosen(m.Commit, m.Bal)
 }
 
-// onCommitMsg learns that a prefix of instances is chosen.
-func (r *Replica) onCommitMsg(m *wire.Commit) {
-	if r.role == RoleBackup {
-		r.advanceChosen(m.Index, m.Bal)
-	}
-}
-
 // advanceChosen moves the commit index toward a leader's claim and
 // applies the newly chosen entries to the service.
 //
@@ -106,15 +99,10 @@ func (r *Replica) advanceChosen(idx uint64, claimBal wire.Ballot) {
 }
 
 // applyCommitted folds chosen entries (applied, idx] into the service
-// state, dispatching on what each proposal carries:
-//
-//   - a full snapshot: adopt it (it subsumes everything before it, which
-//     is how full-mode waves work — state only on the top instance);
-//   - a delta: apply it, which requires contiguity;
-//   - captured nondeterminism (Aux): replay the requests
-//     deterministically, also contiguous;
-//   - nothing (a no-op filler, or a full-mode intermediate): a no-op
-//     advances; an intermediate is skipped and covered by the wave top.
+// state, dispatching on what each proposal carries; with installSnapshot
+// it is the only way a non-leader's applied index moves. DESIGN.md "State
+// transfer" tabulates what each kind of proposal carries, who may strip
+// it, and which arm consumes it.
 func (r *Replica) applyCommitted(idx uint64) {
 	for inst := r.applied + 1; inst <= idx; inst++ {
 		e, ok := r.acc.Get(inst)
@@ -123,17 +111,18 @@ func (r *Replica) applyCommitted(idx uint64) {
 		}
 		p := &e.Prop
 		switch {
-		case p.IsConfig():
-			// A configuration entry carries no service effect; its
-			// commit point is where the participant set and quorum
-			// switch (reconfig.go). Contiguity required: membership
-			// changes must take effect in decision order.
-			if r.applied != inst-1 {
-				return
+		case len(p.Reqs) == 0:
+			// A configuration entry (or an old no-op filler). Reached in
+			// order even where full mode skipped the intermediates below:
+			// applied never passes an entry the walk did not visit.
+			if p.IsConfig() {
+				r.applyConfigEntry(inst, p)
 			}
-			r.applyConfigEntry(inst, p)
-			r.applied = inst
+			if r.applied == inst-1 {
+				r.applied = inst
+			}
 		case p.HasState && p.Kind == wire.StateFull:
+			// Subsumes all before it; full-mode intermediates fall through.
 			if err := r.svc.Restore(p.State); err != nil {
 				r.fatal("state restore at %d: %v", inst, err)
 				return
@@ -148,84 +137,92 @@ func (r *Replica) applyCommitted(idx uint64) {
 				return
 			}
 			r.applied = inst
-		case len(p.Aux) == len(p.Reqs) && len(p.Reqs) > 0:
+		case len(p.Aux) == len(p.Reqs):
 			if r.applied != inst-1 || r.replayer == nil {
 				return
 			}
 			for i := range p.Reqs {
+				if p.Reqs[i].Kind == wire.KindTxnCommit {
+					continue // the marker; the ops before it are the effect
+				}
 				if _, err := r.replayer.Replay(p.Reqs[i].Op, p.Aux[i]); err != nil {
 					r.fatal("replay at %d: %v", inst, err)
 					return
 				}
 			}
 			r.applied = inst
-		case len(p.Reqs) == 0:
-			// No-op filler from a recovery wave.
-			if r.applied == inst-1 {
-				r.applied = inst
-			}
-		default:
-			// Full-mode intermediate: no state attached; the wave's
-			// top snapshot will cover it.
 		}
 	}
 }
 
-// sendCatchup asks the peers for the chosen suffix this replica lacks.
+// sendCatchup asks one peer for the chosen suffix above r.applied: the
+// promiser that reported the highest commit index when preparing, else the
+// leader the highest promise names, and on each repeat for the same gap
+// the next entry of r.others — a peer that cannot answer is passed over.
 func (r *Replica) sendCatchup(now time.Time) {
-	r.catchupSentAt = now
-	r.othersDo(&wire.CatchUpReq{From: r.cfg.ID, HaveChosen: r.applied})
+	if len(r.others) == 0 {
+		return
+	}
+	to := r.acc.Promised().Node
+	if r.role == RolePreparing {
+		to = r.prep.MaxChosenFrom
+	}
+	i := r.lagAsks
+	for j, p := range r.others {
+		if p == to {
+			i += j
+		}
+	}
+	r.lagSince, r.lagAsks = now, r.lagAsks+1
+	r.send(r.others[i%len(r.others)], &wire.CatchUpReq{From: r.cfg.ID, HaveChosen: r.applied})
 }
 
-// onCatchUpReq serves a lagging replica: the chosen entries above its
-// index plus a full snapshot of the responder's current service state.
-// Only a replica whose state is clean — fully applied, no speculative
-// wave execution, no open exclusive transaction — may answer.
+// tickCatchup runs on each tick that finds applied trailing what is known
+// chosen. A first sighting only starts the clock — a heartbeat's Chosen
+// normally runs one piggybacked commit ahead and the next accept closes
+// that gap; one open at the same applied index a RetryTimeout later is lag.
+func (r *Replica) tickCatchup(now time.Time) {
+	if r.lagSince.IsZero() || r.lagAt != r.applied {
+		r.lagAt, r.lagSince, r.lagAsks = r.applied, now, 0
+	} else if now.Sub(r.lagSince) > r.cfg.RetryTimeout {
+		r.sendCatchup(now)
+	}
+}
+
+// onCatchUpReq serves a lagging replica the chosen entries above its index
+// while they still carry what applyCommitted needs. Once they do not, bulk
+// state travels by the chunk stream (reconfig.go): the durable snapshot if
+// it is ahead of the requester, else one taken now — a replica with no
+// clean state past the requester stays silent.
 func (r *Replica) onCatchUpReq(m *wire.CatchUpReq) {
 	chosen := r.acc.Chosen()
 	if chosen <= m.HaveChosen {
 		return
 	}
-	if m.HaveChosen < r.acc.PrunedTo() {
-		// The suffix the requester needs starts below our pruned
-		// prefix: entry catch-up is impossible, so open a snapshot
-		// stream instead. The durable snapshot always covers the
-		// pruned prefix (the prune guard), needs no quiescence, and
-		// the requester pulls the rest chunk by chunk (reconfig.go).
-		r.sendSnapChunk(m.From, 0)
+	if entries, ok := r.acc.EntriesBetween(m.HaveChosen, chosen); ok {
+		r.send(m.From, &wire.CatchUpResp{From: r.cfg.ID, Entries: entries, Chosen: chosen})
 		return
 	}
-	if r.applied != chosen {
+	if _, at := r.acc.ServiceSnapshot(); at <= m.HaveChosen &&
+		(r.applied <= m.HaveChosen || !r.maybeSnapshot(1)) {
 		return
 	}
-	if len(r.waves) > 0 || (r.exclus && len(r.txns) > 0) {
-		return // speculative state; the requester will retry
-	}
-	r.send(m.From, &wire.CatchUpResp{
-		From:    r.cfg.ID,
-		Entries: r.acc.EntriesBetween(m.HaveChosen, chosen),
-		Chosen:  chosen,
-		State:   r.svc.Snapshot(),
-		StateAt: chosen,
-	})
+	r.sendSnapChunk(m.From, 0)
 }
 
-// onCatchUpResp installs chosen entries and the snapshot from a peer.
+// onCatchUpResp installs a peer's chosen entries and applies them as
+// advanceChosen does; State and StateAt (older peers fill them) are ignored.
 func (r *Replica) onCatchUpResp(m *wire.CatchUpResp) {
-	if m.StateAt != m.Chosen || m.Chosen <= r.applied {
+	if m.Chosen <= r.applied {
 		return
 	}
 	if err := r.acc.Install(m.Entries, m.Chosen); err != nil {
 		r.fatal("catch-up install: %v", err)
 		return
 	}
-	if err := r.svc.Restore(m.State); err != nil {
-		r.fatal("catch-up restore: %v", err)
-		return
-	}
-	r.applied = m.Chosen
-	r.logf("caught up to %d", m.Chosen)
-
+	r.applyCommitted(m.Chosen)
+	r.maybeCompact()
+	r.logf("caught up to %d", r.applied)
 	if r.role == RolePreparing && r.awaitCatchup && r.applied >= r.prep.MaxChosen() {
 		r.awaitCatchup = false
 		r.finishActivation()

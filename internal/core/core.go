@@ -23,7 +23,7 @@
 //     and its committed state covers the read's barrier (reads.go).
 //   - Transactions (T-Paxos) execute on the leader with immediate
 //     replies; a single consensus instance at commit carries the whole
-//     transaction and the resulting state. Leader switches abort open
+//     transaction and its effect. Leader switches abort open
 //     transactions (§3.6).
 //
 // A Replica runs one event-loop goroutine; every protocol structure is
@@ -47,9 +47,9 @@ import (
 )
 
 // StateMode selects how proposals carry service state (§3.3 discusses
-// all three). The default Auto picks the cheapest mode the service
-// supports: Replay when it implements service.Replayer, Delta when it
-// implements service.Differ, Full otherwise.
+// all three). The default Auto picks the cheapest mode that can express
+// the service's writes and its transactions: Replay for a Serialize'd
+// service.Replayer, Delta for a service.TxnDiffer, Full otherwise.
 type StateMode int
 
 const (
@@ -198,8 +198,8 @@ type Replica struct {
 	txnSvc   service.Transactional
 	exclus   bool // transactions serialize all other work
 	mode     StateMode
-	differ   service.Differ   // non-nil in delta mode
-	replayer service.Replayer // non-nil in replay mode
+	differ   service.TxnDiffer // non-nil in delta mode
+	replayer service.Replayer  // non-nil in replay mode
 
 	// Parallel read execution (readpool.go): viewer pins immutable
 	// state views, readPool runs gate-cleared reads off-loop. Both nil
@@ -212,11 +212,13 @@ type Replica struct {
 	bal       wire.Ballot
 	maxSeen   wire.Ballot // highest ballot observed anywhere
 
-	prep          *paxos.PrepareRound
-	prepSentAt    time.Time
-	prepBackoff   time.Time
-	awaitCatchup  bool
-	catchupSentAt time.Time
+	prep         *paxos.PrepareRound
+	prepSentAt   time.Time
+	prepBackoff  time.Time
+	awaitCatchup bool
+	lagAt        uint64    // the catch-up gap (backup.go): applied when first seen,
+	lagSince     time.Time // when it was first seen or last asked about,
+	lagAsks      int       // and how many peers have been asked
 
 	queue        []workItem
 	waves        []*wave // in-flight waves, oldest first (≤ PipelineDepth)
@@ -337,28 +339,22 @@ func New(cfg Config) (*Replica, error) {
 		return nil, err
 	}
 	txnSvc := service.AsTransactional(cfg.Service)
+	exclus := service.IsExclusive(txnSvc)
 	mode := cfg.StateMode
 	replayer, isReplayer := cfg.Service.(service.Replayer)
-	differ, isDiffer := cfg.Service.(service.Differ)
-	if mode == StateModeAuto {
-		switch {
-		case isReplayer:
-			mode = StateModeReplay
-		case isDiffer:
-			mode = StateModeDelta
-		default:
-			mode = StateModeFull
-		}
-	}
-	switch mode {
-	case StateModeReplay:
-		if !isReplayer {
-			return nil, fmt.Errorf("core: StateModeReplay requires a service.Replayer")
-		}
-	case StateModeDelta:
-		if !isDiffer {
-			return nil, fmt.Errorf("core: StateModeDelta requires a service.Differ")
-		}
+	differ, isTxnDiffer := cfg.Service.(service.TxnDiffer)
+	// A mode must express writes and T-Paxos commits: replay needs the
+	// transaction's ops run on the base state through the Replayer (a
+	// Serialize'd service), delta a commit that yields its write set.
+	switch auto := mode == StateModeAuto; {
+	case (auto || mode == StateModeReplay) && isReplayer && exclus:
+		mode, differ = StateModeReplay, nil
+	case (auto || mode == StateModeDelta) && isTxnDiffer:
+		mode, replayer = StateModeDelta, nil
+	case auto || mode == StateModeFull:
+		mode, differ, replayer = StateModeFull, nil, nil
+	default:
+		return nil, fmt.Errorf("core: the service cannot express its writes and transactions in %v mode", mode)
 	}
 	r := &Replica{
 		cfg:    cfg,
@@ -366,7 +362,7 @@ func New(cfg Config) (*Replica, error) {
 		acc:    acc,
 		svc:    cfg.Service,
 		txnSvc: txnSvc,
-		exclus: service.IsExclusive(txnSvc),
+		exclus: exclus,
 		mode:   mode,
 		elector: omega.New(omega.Config{
 			Self:     cfg.ID,
@@ -460,12 +456,7 @@ func New(cfg Config) (*Replica, error) {
 			}
 		})
 	}
-	if mode == StateModeReplay {
-		r.replayer = replayer
-	}
-	if mode == StateModeDelta {
-		r.differ = differ
-	}
+	r.differ, r.replayer = differ, replayer
 	r.maxSeen = acc.Promised()
 	r.nextInstance = acc.Chosen() + 1
 	// Seed the participant set before replay: boot replay below may walk
@@ -742,8 +733,10 @@ func (r *Replica) handle(env *wire.Envelope) {
 		r.onAccept(env.From, m)
 	case *wire.Accepted:
 		r.onAccepted(env.From, m)
-	case *wire.Commit:
-		r.onCommitMsg(m)
+	case *wire.Commit: // a prefix of instances is chosen
+		if r.role == RoleBackup {
+			r.advanceChosen(m.Index, m.Bal)
+		}
 	case *wire.Confirm:
 		r.onConfirm(m)
 	case *wire.Heartbeat:
@@ -795,12 +788,13 @@ func (r *Replica) tick(now time.Time) {
 		r.othersDo(hb)
 	}
 	r.tickJoin(now)
-	r.maybeSnapshot()
+	r.maybeSnapshot(r.cfg.SnapshotEvery)
 	r.maybePrune(now)
 	leader, ok := r.elector.Leader(now)
 	switch {
 	case ok && leader == r.cfg.ID && r.role == RoleBackup:
-		if now.After(r.prepBackoff) {
+		// Not mid-snapshot-stream: the suffix a prepare would ask for is gone.
+		if now.After(r.prepBackoff) && r.snapFetch == nil {
 			r.startPrepare(now)
 		}
 	case (!ok || leader != r.cfg.ID) && r.role != RoleBackup:
@@ -814,9 +808,7 @@ func (r *Replica) tick(now time.Time) {
 	switch r.role {
 	case RolePreparing:
 		if r.awaitCatchup {
-			if now.Sub(r.catchupSentAt) > r.cfg.RetryTimeout {
-				r.sendCatchup(now)
-			}
+			r.tickCatchup(now)
 		} else if now.Sub(r.prepSentAt) > r.cfg.RetryTimeout {
 			r.prepSentAt = now
 			r.othersDo(&wire.Prepare{Bal: r.bal, After: r.acc.Chosen()})
@@ -834,14 +826,12 @@ func (r *Replica) tick(now time.Time) {
 		// A backup whose applied state trails the commit index is
 		// missing entries (or their state), and one whose commit index
 		// trails a peer's claim could not validate the claimed prefix
-		// locally; either way, fetch the suffix. An in-progress
-		// snapshot stream supersedes the broadcast — tickFetch re-pulls
-		// or abandons it.
+		// locally; either way, fetch the suffix if the gap stays open
+		// and no snapshot stream is in progress.
 		if r.snapFetch != nil {
 			r.tickFetch(now)
-		} else if (r.acc.Chosen() > r.applied || r.hintChosen > r.acc.Chosen()) &&
-			now.Sub(r.catchupSentAt) > r.cfg.RetryTimeout {
-			r.sendCatchup(now)
+		} else if r.acc.Chosen() > r.applied || r.hintChosen > r.acc.Chosen() {
+			r.tickCatchup(now)
 		}
 	}
 }

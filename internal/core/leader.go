@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"gridrep/internal/paxos"
@@ -200,27 +199,32 @@ func (r *Replica) startWave(items []workItem) {
 	}
 	for _, it := range items {
 		if it.txn != nil {
-			// T-Paxos commit: one instance decides the whole
-			// transaction and the state after applying it (§3.5).
+			// T-Paxos commit: one instance decides the whole transaction
+			// and carries its effect (§3.5) — the write set as one delta,
+			// the aux each op captured, or full mode's wave top.
 			if it.txn.exclusive {
 				// The pre-transaction snapshot is the only state
 				// that excludes the transaction's effects.
 				undo = it.txn.preSnap
 			}
-			if err := it.txn.ws.Commit(); err != nil {
-				r.finishTxn(it.txn)
-				r.reply(it.req, wire.StatusAborted, nil, err.Error())
-				continue
-			}
 			reqs := append(append([]wire.Request{}, it.txn.ops...), it.req)
 			results := append(append([][]byte{}, it.txn.results...), nil)
 			prop := wire.Proposal{Reqs: reqs, Results: results}
-			if r.mode != StateModeFull {
-				// Transaction effects are not expressible as deltas or
-				// replays; attach a full snapshot to this instance.
-				prop.State = r.svc.Snapshot()
-				prop.HasState = true
-				prop.Kind = wire.StateFull
+			var err error
+			switch r.mode {
+			case StateModeDelta:
+				prop.State, err = r.differ.CommitDelta(it.txn.ws)
+				prop.HasState, prop.Kind = true, wire.StateDelta
+			case StateModeReplay:
+				prop.Aux = append(it.txn.aux, nil)
+				fallthrough
+			default:
+				err = it.txn.ws.Commit()
+			}
+			if err != nil {
+				r.finishTxn(it.txn)
+				r.reply(it.req, wire.StatusAborted, nil, err.Error())
+				continue
 			}
 			entries = append(entries, wire.Entry{Instance: r.nextInstance, Prop: prop})
 			r.nextInstance++
@@ -615,41 +619,15 @@ func (r *Replica) activate() {
 	r.maybeStartWave()
 }
 
-// rebuildReplyCache reconstructs per-client reply state from the log so a
-// new leader answers retransmits of already-committed requests instead of
-// re-executing them.
+// rebuildReplyCache reconstructs per-client reply state from the chosen
+// log so a new leader answers retransmits of already-committed requests
+// instead of re-executing them; the learned suffix above the commit index
+// enters the cache when its re-proposal commits.
 func (r *Replica) rebuildReplyCache() {
 	r.lastReply = make(map[wire.NodeID]cachedReply)
-	chosen := r.acc.Chosen()
-	// Scan all accepted entries at or below the commit index plus the
-	// learned suffix (which is about to be re-proposed).
-	var insts []uint64
-	for inst := range acceptedInstances(r.acc, chosen) {
-		insts = append(insts, inst)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	for _, inst := range insts {
-		e, _ := r.acc.Get(inst)
-		for i, req := range e.Prop.Reqs {
-			var res []byte
-			if i < len(e.Prop.Results) {
-				res = e.Prop.Results[i]
-			}
-			if cur, ok := r.lastReply[req.Client]; !ok || req.Seq > cur.seq {
-				r.lastReply[req.Client] = cachedReply{seq: req.Seq, result: res, status: wire.StatusOK}
-			}
+	for inst := r.acc.PrunedTo() + 1; inst <= r.acc.Chosen(); inst++ {
+		if e, ok := r.acc.Get(inst); ok {
+			r.noteCommitted(e, false)
 		}
 	}
-}
-
-// acceptedInstances enumerates the instances with accepted entries at or
-// below the commit index.
-func acceptedInstances(acc *paxos.Acceptor, chosen uint64) map[uint64]struct{} {
-	out := make(map[uint64]struct{})
-	for inst := uint64(1); inst <= chosen; inst++ {
-		if _, ok := acc.Get(inst); ok {
-			out[inst] = struct{}{}
-		}
-	}
-	return out
 }

@@ -111,34 +111,9 @@ func TestDeltaModeFailover(t *testing.T) {
 	}
 }
 
-func TestDeltaModeCatchUp(t *testing.T) {
-	c := modeCluster(t, core.StateModeDelta)
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	c.Crash(2)
-	for i := 0; i < 10; i++ {
-		if _, err := cli.Write(service.KVAdd("n", 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Restart(2); err != nil {
-		t.Fatal(err)
-	}
-	waitConverged(t, c)
-	snaps := snapshotAll(t, c)
-	for i, s := range snaps {
-		if !bytes.Equal(s, snaps[0]) {
-			t.Fatalf("replica #%d diverged after delta-mode catch-up", i)
-		}
-	}
-}
-
 func TestDeltaModeTransactions(t *testing.T) {
-	// Transactions attach full snapshots even in delta mode; interleave
-	// them with delta writes and verify consistency.
+	// A transaction commits as one delta, its write set; interleave
+	// transactions with delta writes and verify consistency.
 	c := modeCluster(t, core.StateModeDelta)
 	cli, err := c.NewClient()
 	if err != nil {

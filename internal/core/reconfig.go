@@ -365,11 +365,7 @@ func (r *Replica) sendSnapChunk(to wire.NodeID, offset uint64) {
 // snapshot instance this replica no longer holds (SaveSnapshot moved
 // on) restarts the stream at the current snapshot's offset 0.
 func (r *Replica) onSnapReq(m *wire.SnapReq) {
-	_, at := r.acc.ServiceSnapshot()
-	if at == 0 {
-		return
-	}
-	if m.SnapAt != 0 && m.SnapAt != at {
+	if _, at := r.acc.ServiceSnapshot(); m.SnapAt != 0 && m.SnapAt != at {
 		r.sendSnapChunk(m.From, 0)
 		return
 	}
@@ -378,16 +374,22 @@ func (r *Replica) onSnapReq(m *wire.SnapReq) {
 
 // onSnapChunk folds one received chunk into the in-progress fetch,
 // pulls the next, and installs the snapshot when complete. Only a
-// backup that actually trails the snapshot installs; anything else is
-// a stale or duplicate stream.
+// replica that trails the snapshot and does not lead installs; anything
+// else is a stale or duplicate stream.
 func (r *Replica) onSnapChunk(m *wire.SnapChunk) {
-	if r.role != RoleBackup || m.SnapAt <= r.applied || m.Total > maxSnapTotal {
+	if m.SnapAt <= r.applied || m.Total > maxSnapTotal || r.role == RoleLeading {
 		return
 	}
 	f := r.snapFetch
 	if f == nil || f.at != m.SnapAt || f.from != m.From {
 		if m.Offset != 0 {
 			return // mid-stream chunk of a stream we are not assembling
+		}
+		if r.role == RolePreparing {
+			// The effects above this would-be leader's state are gone from
+			// the peer it asked: it stands down and fetches as a backup.
+			r.logf("suffix above %d is gone at %v; standing down to fetch a snapshot", r.applied, m.From)
+			r.stepDown()
 		}
 		f = &snapFetch{
 			from:    m.From,
@@ -467,7 +469,7 @@ func (r *Replica) installSnapshot(f *snapFetch) {
 
 // tickFetch drives the in-progress snapshot stream's reliability: a
 // quiet stream re-pulls the current offset; a dead one is abandoned so
-// the normal catch-up broadcast can find another peer.
+// catch-up can move on to the next peer.
 func (r *Replica) tickFetch(now time.Time) {
 	f := r.snapFetch
 	if f == nil || now.Sub(f.lastAt) <= r.cfg.RetryTimeout {
@@ -476,8 +478,7 @@ func (r *Replica) tickFetch(now time.Time) {
 	if now.Sub(f.lastAt) > 4*r.cfg.RetryTimeout {
 		r.logf("catch-up stream from %v stalled at %d/%d bytes; abandoning",
 			f.from, len(f.buf), f.total)
-		r.snapFetch = nil
-		r.sendCatchup(now)
+		r.snapFetch = nil // the tick's catch-up, long overdue, asks the next peer
 		return
 	}
 	r.send(f.from, &wire.SnapReq{From: r.cfg.ID, SnapAt: f.at, Offset: uint64(len(f.buf))})
@@ -485,29 +486,23 @@ func (r *Replica) tickFetch(now time.Time) {
 
 // --- durable service snapshots and WAL pruning ---
 
-// maybeSnapshot takes a durable service snapshot every SnapshotEvery
-// applied instances. Only a clean state is captured: no speculative
-// wave executions and no open exclusive transaction, so the service
-// reflects exactly instance r.applied. Snapshots are what make pruning
-// (and snapshot catch-up) possible — storage refuses to prune above
-// the last durable snapshot.
-func (r *Replica) maybeSnapshot() {
-	if r.cfg.SnapshotEvery == 0 {
-		return
-	}
+// maybeSnapshot takes a durable service snapshot — the bound storage will
+// not prune above — once applied is every instances past the last
+// (SnapshotEvery on the tick, 1 for a catch-up responder that needs one
+// now) and reports whether it did. Only a clean state is captured, with no
+// speculative wave executions and no open exclusive transaction, so that
+// the service reflects exactly instance r.applied.
+func (r *Replica) maybeSnapshot(every uint64) bool {
 	_, at := r.acc.ServiceSnapshot()
-	if r.applied < at+r.cfg.SnapshotEvery {
-		return
+	if r.applied < at+every || len(r.waves) > 0 || r.exclusiveBusy() {
+		return false
 	}
-	if len(r.waves) > 0 || (r.exclus && len(r.txns) > 0) {
-		return
-	}
-	snap := r.svc.Snapshot()
-	if err := r.acc.SaveSnapshot(snap, r.applied); err != nil {
+	if err := r.acc.SaveSnapshot(r.svc.Snapshot(), r.applied); err != nil {
 		r.fatal("snapshot save: %v", err)
-		return
+		return false
 	}
 	r.stats.snapSaves.Add(1)
+	return true
 }
 
 // maybePrune discards WAL entries below the cluster-wide minimum

@@ -10,8 +10,8 @@ import (
 
 // T-Paxos (§3.5): within a transaction the leader executes each request
 // against a workspace and replies immediately, with no coordination; one
-// consensus instance at commit carries the whole transaction and the
-// resulting state. Aborts are leader-local. A leader switch aborts every
+// consensus instance at commit carries the whole transaction and its
+// effect (startWave). Aborts are leader-local. A leader switch aborts every
 // open transaction (§3.6) — a new leader answers continuations of
 // transactions it never saw with StatusAborted.
 
@@ -25,7 +25,8 @@ type txnState struct {
 	ws         service.Workspace
 	ops        []wire.Request
 	results    [][]byte
-	nextSeq    uint32 // expected TxnSeq of the next operation
+	aux        [][]byte // per op: the choices it captured (nil outside replay mode)
+	nextSeq    uint32   // expected TxnSeq of the next operation
 	committing bool
 	exclusive  bool
 	preSnap    []byte // pre-transaction state (exclusive services only)
@@ -110,7 +111,14 @@ func (r *Replica) onTxnOp(key txnKey, tx *txnState, req wire.Request) {
 		return
 	}
 
-	res, err := tx.ws.Execute(req.Op)
+	var res, aux []byte
+	var err error
+	if r.mode == StateModeReplay {
+		// Serialize'd (New), so the op runs on the base state either way.
+		res, aux, err = r.replayer.ExecuteCapture(req.Op)
+	} else {
+		res, err = tx.ws.Execute(req.Op)
+	}
 	if err != nil {
 		if errors.Is(err, service.ErrConflict) {
 			// Lock conflict: wound the transaction (§3.5).
@@ -124,6 +132,7 @@ func (r *Replica) onTxnOp(key txnKey, tx *txnState, req wire.Request) {
 	}
 	tx.ops = append(tx.ops, req)
 	tx.results = append(tx.results, res)
+	tx.aux = append(tx.aux, aux)
 	tx.nextSeq++
 	// The T-Paxos fast path: reply with no replica coordination.
 	r.reply(req, wire.StatusOK, res, "")

@@ -96,16 +96,18 @@ func (a *Acceptor) entriesFor(after uint64, gaps []uint64) []wire.Entry {
 	return out
 }
 
-// stripIntermediateFullStates removes full snapshots from all but the
-// final entry (§3.3: replicas only care about the latest state). Deltas
-// are kept everywhere — each one is needed to rebuild the sequence.
+// stripIntermediateFullStates removes every full snapshot but the newest
+// (§3.3: replicas only care about the latest state; a configuration entry
+// may follow the wave top that carries it). Deltas are kept everywhere —
+// each one is needed to rebuild the sequence.
 func stripIntermediateFullStates(out []wire.Entry) {
-	for i := range out {
-		if i < len(out)-1 && out[i].Prop.HasState && out[i].Prop.Kind == wire.StateFull {
-			cp := out[i].Prop
-			cp.HasState = false
-			cp.State = nil
-			out[i].Prop = cp
+	newest := true
+	for i := len(out) - 1; i >= 0; i-- {
+		if p := &out[i].Prop; p.HasState && p.Kind == wire.StateFull {
+			if !newest {
+				p.HasState, p.State = false, nil
+			}
+			newest = false
 		}
 	}
 }
@@ -165,16 +167,26 @@ func (a *Acceptor) Compact(keepStateFrom uint64) error {
 }
 
 // EntriesBetween returns the accepted entries with lo < instance <= hi in
-// instance order, for catch-up responses. State is attached only to the
-// final entry, matching the §3.3 convention.
-func (a *Acceptor) EntriesBetween(lo, hi uint64) []wire.Entry {
-	var out []wire.Entry
+// instance order, only the newest full state attached, and the catch-up
+// responder's predicate (DESIGN.md "State transfer"): does applying them
+// in order take the state after lo to the state after hi? Each must be
+// present and carry its effect (a delta, aux per request), have none by
+// nature (a configuration entry) or precede a full state; else the
+// effects were pruned or stripped by Compact.
+func (a *Acceptor) EntriesBetween(lo, hi uint64) (out []wire.Entry, applicable bool) {
+	applicable = lo >= a.st.PrunedTo
 	a.st.Accepted.Ascend(lo, hi, func(e wire.Entry) bool {
+		switch p := &e.Prop; {
+		case p.HasState && p.Kind == wire.StateFull:
+			applicable = true
+		case len(p.Reqs) > 0 && !p.HasState && len(p.Aux) != len(p.Reqs):
+			applicable = false
+		}
 		out = append(out, e)
 		return true
 	})
 	stripIntermediateFullStates(out)
-	return out
+	return out, applicable && uint64(len(out)) == hi-lo
 }
 
 // ServiceSnapshot returns the durable service snapshot and the instance

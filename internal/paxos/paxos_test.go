@@ -208,7 +208,7 @@ func TestEntriesBetween(t *testing.T) {
 	for _, inst := range []uint64{5, 6, 7, 8} {
 		a.OnAccept(&wire.Accept{Bal: bal(1, 0), Entries: []wire.Entry{ent(inst, "x", true)}})
 	}
-	es := a.EntriesBetween(5, 7)
+	es, _ := a.EntriesBetween(5, 7)
 	if len(es) != 2 || es[0].Instance != 6 || es[1].Instance != 7 {
 		t.Fatalf("EntriesBetween(5,7) = %+v", es)
 	}

@@ -28,8 +28,9 @@ type PrepareRound struct {
 	rejected bool
 	maxProm  wire.Ballot
 
-	entries   map[uint64]wire.Entry // highest-ballot proposal per instance
-	maxChosen uint64
+	entries       map[uint64]wire.Entry // highest-ballot proposal per instance
+	maxChosen     uint64
+	MaxChosenFrom wire.NodeID // who reported maxChosen: the peer to catch up from
 }
 
 // NewPrepareRound starts bookkeeping for a prepare at bal needing quorum
@@ -63,7 +64,7 @@ func (r *PrepareRound) Add(p *wire.Promise, from wire.NodeID) (done, rejected bo
 	}
 	r.promised[from] = true
 	if p.Chosen > r.maxChosen {
-		r.maxChosen = p.Chosen
+		r.maxChosen, r.MaxChosenFrom = p.Chosen, from
 	}
 	for _, e := range p.Entries {
 		cur, ok := r.entries[e.Instance]

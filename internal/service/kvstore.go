@@ -39,6 +39,7 @@ func NewKV() *KV {
 var (
 	_ Service       = (*KV)(nil)
 	_ Transactional = (*KV)(nil)
+	_ TxnDiffer     = (*KV)(nil)
 )
 
 // KV operation opcodes.
@@ -308,17 +309,27 @@ func (w *kvWS) Commit() error {
 	if w.done {
 		return nil
 	}
-	if len(w.overlay) > 0 || len(w.deleted) > 0 {
-		data := w.s.mutableData()
-		for k, v := range w.overlay {
-			data[k] = v
-		}
-		for k := range w.deleted {
-			delete(data, k)
-		}
+	_, err := w.s.CommitDelta(w)
+	return err
+}
+
+// CommitDelta implements TxnDiffer: a transaction commits by encoding its
+// write set as a delta and applying that, the path backups take too.
+func (s *KV) CommitDelta(ws Workspace) ([]byte, error) {
+	w := ws.(*kvWS) // a workspace from this store's Begin, by contract
+	enc := wire.NewEncoder(nil)
+	enc.Uvarint(uint64(len(w.overlay) + len(w.deleted)))
+	for k, v := range w.overlay {
+		enc.Bool(true)
+		enc.String(k)
+		enc.Bytes8(v)
+	}
+	for k := range w.deleted {
+		enc.Bool(false)
+		enc.String(k)
 	}
 	w.finish()
-	return nil
+	return enc.Bytes(), s.ApplyDelta(enc.Bytes())
 }
 
 func (w *kvWS) Abort() {

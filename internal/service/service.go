@@ -159,6 +159,16 @@ type Differ interface {
 	ApplyDelta(delta []byte) error
 }
 
+// TxnDiffer is a Differ whose native transactions commit as one delta —
+// the write set, not the state — in the format ApplyDelta reads.
+type TxnDiffer interface {
+	Differ
+	Transactional
+	// CommitDelta commits ws (from Begin) as ws.Commit would and returns
+	// the delta reproducing it on a replica at the pre-commit state.
+	CommitDelta(ws Workspace) (delta []byte, err error)
+}
+
 // Sharder is implemented by services whose operations address a single
 // key, enabling sharded deployments (DESIGN.md §13) to route each
 // operation to one of N independent consensus groups by hashing that

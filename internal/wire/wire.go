@@ -503,8 +503,7 @@ type Heartbeat struct {
 
 func (*Heartbeat) Type() MsgType { return MsgHeartbeat }
 
-// CatchUpReq asks a peer for the log suffix after HaveChosen and the
-// latest state.
+// CatchUpReq asks a peer for the chosen log suffix after HaveChosen.
 type CatchUpReq struct {
 	From       NodeID
 	HaveChosen uint64
@@ -512,17 +511,15 @@ type CatchUpReq struct {
 
 func (*CatchUpReq) Type() MsgType { return MsgCatchUpReq }
 
-// CatchUpResp carries chosen log entries (request metadata) plus a full
-// snapshot of the responder's service state, exactly what a lagging
-// replica needs (§3.3: replicas keep all requests but only the latest
-// state). The explicit snapshot makes catch-up independent of the
-// proposals' state mode.
+// CatchUpResp carries the chosen entries a lagging replica asked for, each
+// with the effect needed to apply it (DESIGN.md "State transfer"; a peer
+// that no longer holds the effects streams SnapChunks instead). State and
+// StateAt, once the responder's full service state, stay in the encoding:
+// no longer sent, ignored when received.
 type CatchUpResp struct {
 	From    NodeID
 	Entries []Entry
 	Chosen  uint64
-	// State is the responder's full service snapshot, valid after
-	// applying instance StateAt.
 	State   []byte
 	StateAt uint64
 }
