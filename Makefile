@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race selectors snapshot-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
+.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
 
 # The race gates' test selections, each written once: `-run 'regex'`
 # then the packages it applies to. `make selectors` checks every
@@ -64,6 +64,15 @@ snapshot-sites:
 	if [ -n "$$set" ]; then \
 		echo "snapshot-sites: CatchUpResp carries state again:"; echo "$$set"; exit 1; fi; \
 	echo "snapshot-sites: $$n of $(SNAPSHOT_SITES_MAX) svc.Snapshot() sites, no CatchUpResp state"
+
+# The step function (DESIGN.md §20): protocol code reads time only as the
+# step's now. This fails when any non-test internal/core file but the
+# wall-clock driver reads the clock or arms a timer.
+clock-sites:
+	@hits=$$(grep -nE 'time\.(Now|Since|Until|After|AfterFunc|NewTimer|NewTicker|Tick|Sleep)\(' \
+		$$(ls internal/core/*.go | grep -v -e _test.go -e /driver.go) || true); \
+	if [ -n "$$hits" ]; then echo "clock-sites: wall clock outside driver.go:"; echo "$$hits"; exit 1; fi; \
+	echo "clock-sites: no wall clock in internal/core outside driver.go"
 
 # Just the socket-level chaos suite (transport + chaos), race-enabled.
 chaos:

@@ -26,15 +26,15 @@
 //     transaction and its effect. Leader switches abort open
 //     transactions (§3.6).
 //
-// A Replica runs one event-loop goroutine; every protocol structure is
-// confined to it.
+// The protocol is a set of step functions over (now, input) — DESIGN.md
+// §20 — driven by one event-loop goroutine on the wall clock (driver.go)
+// or, in tests, by a seeded simulator on a virtual one (sim_test.go).
 package core
 
 import (
 	"fmt"
 	"log"
 	"runtime"
-	"sync"
 	"time"
 
 	"gridrep/internal/metrics"
@@ -178,6 +178,9 @@ type wave struct {
 	txns     []*txnState // transactions committing in this wave
 	sentAt   time.Time
 	firstAt  time.Time // admission time of the wave's oldest request
+	// exec is the execution time (execLat) the launching step spent
+	// before the accept left; the quorum and commit phases start after it.
+	exec time.Duration
 }
 
 // cachedReply supports at-most-once execution per client.
@@ -190,6 +193,14 @@ type cachedReply struct {
 // Replica is one service process of the replicated nondeterministic
 // service.
 type Replica struct {
+	driver // the wall-clock event loop and its channels (driver.go)
+
+	// now is the time of the step being run — the only clock protocol
+	// code reads. Every entry point sets it (DESIGN.md §20).
+	now      time.Time
+	nextTick time.Time // when the periodic tick is next due
+	failed   bool      // a fatal local fault: the replica takes no further steps
+
 	cfg      Config
 	tr       transport.Transport
 	acc      *paxos.Acceptor
@@ -258,12 +269,10 @@ type Replica struct {
 	stats stats             // cross-goroutine counters (stats.go)
 	reg   *metrics.Registry // all layers' instruments (DESIGN.md §11)
 
-	// pendingCommit is set when a wave committed but no broadcast has
-	// told the backups yet; the next accept wave carries it for free,
-	// and commitFlush fires a standalone Commit if no wave follows
-	// within CommitFlushDelay.
-	pendingCommit bool
-	commitFlush   *time.Timer
+	// flushAt is set when a wave committed but no broadcast has told
+	// the backups yet; the next accept wave carries it for free (and
+	// clears it), else the tick at flushAt sends a standalone Commit.
+	flushAt time.Time
 
 	// The read path (reads.go): reads holds the reads this replica is
 	// serving, confirmBuf the confirms that outran their read (swept by
@@ -297,26 +306,19 @@ type Replica struct {
 
 	lastCompact uint64
 
-	// Durability pipeline (persist.go): non-nil persist means the store
-	// buffers records and the persister goroutine owns Flush. deferEnvs
-	// and deferFns accumulate one burst's post-durability work; persisted
-	// carries completion closures back from the persister.
-	persist   *persister
-	persisted chan []func()
+	// Durability (persist.go): non-nil flusher means the store stages
+	// records and a driver flushes them. deferEnvs and deferFns
+	// accumulate one burst's post-durability work; awaiting holds the
+	// closures of the wake jobs endBurst handed out, oldest first, until
+	// the driver reports them durable.
+	flusher   storage.Flusher
 	deferEnvs []*wire.Envelope
 	deferFns  []func()
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	downOnce sync.Once
-	done     chan struct{}
-	ctl      chan func()
-	health   chan peerHealth
+	awaiting  [][]func()
 }
 
 // peerHealth is a transport-level link transition for one peer, reported
-// by transports implementing transport.HealthReporter and consumed on
-// the event loop.
+// by transports implementing transport.HealthReporter.
 type peerHealth struct {
 	peer wire.NodeID
 	up   bool
@@ -385,15 +387,8 @@ func New(cfg Config) (*Replica, error) {
 		writers:     make(map[wire.NodeID]time.Time),
 		peerAddrs:   make(map[wire.NodeID]string),
 		peerApplied: make(map[wire.NodeID]uint64),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-		ctl:         make(chan func(), 16),
-		health:      make(chan peerHealth, 64),
 	}
-	r.commitFlush = time.NewTimer(time.Hour)
-	if !r.commitFlush.Stop() {
-		<-r.commitFlush.C
-	}
+	r.initDriver()
 	// One registry per replica covers every layer: the core instruments
 	// plus whatever the store and transport publish (they self-register
 	// when they implement metrics.Instrumented, the same probe pattern as
@@ -410,16 +405,13 @@ func New(cfg Config) (*Replica, error) {
 		ins.RegisterMetrics(r.reg)
 	}
 	if fl, ok := cfg.Store.(storage.Flusher); ok {
-		// The store supports group commit: stage mutations on the loop,
-		// flush them from the persister goroutine, and route dependent
-		// sends through it (persist.go has the ordering contract). A
-		// store that is not a Flusher takes the inline path: every
-		// mutation is durable when its call returns.
+		// The store supports group commit: stage mutations in the step,
+		// let the driver flush them, and route dependent sends through
+		// the flush (persist.go has the ordering contract). A store that
+		// is not a Flusher takes the inline path: every mutation is
+		// durable when its call returns.
 		fl.SetBuffered(true)
-		r.persisted = make(chan []func(), 64)
-		r.persist = newPersister(fl, cfg.Transport, r.persisted, func(err error) {
-			r.fatalOffLoop("persist flush: %v", err)
-		})
+		r.flusher = fl
 	}
 	if rv, ok := cfg.Service.(service.ReadViewer); ok && cfg.ReadConcurrency >= 0 {
 		// The service can pin immutable read views; start the parallel
@@ -444,18 +436,6 @@ func New(cfg Config) (*Replica, error) {
 				func() int64 { return int64(len(rp.jobs)) })
 		}
 	}
-	if hr, ok := cfg.Transport.(transport.HealthReporter); ok {
-		// Feed socket-level peer health into the event loop; leader
-		// election then reacts to real connection death (§3.6 leader
-		// switches), not just missing heartbeats. Non-blocking: a
-		// stalled replica must never back-pressure transport goroutines.
-		hr.SetHealth(func(peer wire.NodeID, up bool) {
-			select {
-			case r.health <- peerHealth{peer: peer, up: up}:
-			default:
-			}
-		})
-	}
 	r.differ, r.replayer = differ, replayer
 	r.maxSeen = acc.Promised()
 	r.nextInstance = acc.Chosen() + 1
@@ -470,51 +450,6 @@ func New(cfg Config) (*Replica, error) {
 	// missed suffix) is fetched from peers later.
 	r.applyCommitted(acc.Chosen())
 	return r, nil
-}
-
-// Start launches the event loop (and the persister, if any).
-func (r *Replica) Start() {
-	if r.persist != nil {
-		r.persist.start()
-	}
-	go r.run()
-}
-
-// Stop terminates the event loop, the persister, and the transport
-// endpoint. Staged records that were never flushed are dropped — a
-// deliberate crash model: an acknowledged write is durable on a quorum,
-// never on the goodwill of one replica's shutdown path.
-func (r *Replica) Stop() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	<-r.done
-	r.downOnce.Do(func() {
-		if r.persist != nil {
-			r.persist.stop()
-		}
-		if r.readPool != nil {
-			// Only the (now stopped) event loop dispatches, and workers
-			// reply through the transport — join them before Close.
-			r.readPool.stop()
-		}
-		r.tr.Close()
-	})
-}
-
-// Inspect runs f on the replica's event loop and waits for it; tests and
-// failure injectors use it to observe or perturb internal state safely.
-func (r *Replica) Inspect(f func(r *Replica)) bool {
-	doneCh := make(chan struct{})
-	select {
-	case r.ctl <- func() { f(r); close(doneCh) }:
-	case <-r.done:
-		return false
-	}
-	select {
-	case <-doneCh:
-		return true
-	case <-r.done:
-		return false
-	}
 }
 
 // ID returns the replica's node ID.
@@ -568,159 +503,102 @@ func (r *Replica) quorum() int { return paxos.Quorum(len(r.voters)) }
 // othersDo sends msg to every current member — voters and learners —
 // except self. Learners receive everything (that is how they catch up)
 // but their votes are discarded.
-func (r *Replica) othersDo(msg wire.Message) {
-	for _, p := range r.others {
-		r.tr.Send(&wire.Envelope{To: p, Msg: msg})
-	}
-}
+func (r *Replica) othersDo(msg wire.Message) { transport.Broadcast(r.tr, r.others, msg) }
 
 func (r *Replica) send(to wire.NodeID, msg wire.Message) {
 	r.tr.Send(&wire.Envelope{To: to, Msg: msg})
 }
 
-// run is the event loop: all protocol state is confined to this
-// goroutine.
-func (r *Replica) run() {
-	defer close(r.done)
-	tickEvery := r.cfg.HeartbeatInterval / 2
-	if tickEvery < time.Millisecond {
-		tickEvery = time.Millisecond
+// The step entry points (DESIGN.md §20). Each takes the time its input
+// happened; below them nothing starts a goroutine, touches a channel or
+// a timer, or reads the wall clock.
+
+// enter begins a step at now and shows its input to the record seam.
+func (r *Replica) enter(now time.Time, in any) {
+	r.now = now
+	if r.record != nil {
+		r.record(now, in)
 	}
-	ticker := time.NewTicker(tickEvery)
-	defer ticker.Stop()
-	defer r.commitFlush.Stop()
-	r.tick(time.Now())
-	for {
-		// Whatever the previous iteration staged or deferred becomes one
-		// persister job before the loop blocks again (a no-op without a
-		// persister, or when nothing is pending).
-		r.submitPersist()
-		r.publishHealth()
-		select {
-		case <-r.stop:
-			return
-		case f := <-r.ctl:
-			f()
-		case fns := <-r.persisted:
-			r.runPersisted(fns)
-		case env, ok := <-r.tr.Recv():
-			if !ok {
-				return
-			}
-			r.handle(env)
-			// Opportunistically drain the burst that arrived with this
-			// envelope before selecting again: the batch is the natural
-			// coalescing window for read confirms — and for the group
-			// commit below — and it keeps a loaded replica from
-			// interleaving timer work between every message.
-			for i := 0; i < burstDrainMax; i++ {
-				var more *wire.Envelope
-				select {
-				case more, ok = <-r.tr.Recv():
-					if !ok {
-						return
-					}
-				default:
-				}
-				if more == nil {
-					break
-				}
-				r.handle(more)
-			}
-			r.flushConfirms()
-			r.flushReads()
-		case ph := <-r.health:
-			r.onPeerHealth(ph)
-		case <-r.commitFlush.C:
-			r.flushCommit()
-		case now := <-ticker.C:
-			r.tick(now)
+}
+
+// deadline is when the core next needs a tick: the earlier of the
+// periodic tick and a pending commit flush.
+func (r *Replica) deadline() time.Time {
+	if !r.flushAt.IsZero() && r.flushAt.Before(r.nextTick) {
+		return r.flushAt
+	}
+	return r.nextTick
+}
+
+// durable is the step for persist completions: the oldest n jobs endBurst
+// handed out with closures (wake) are durable, so those run, in order.
+func (r *Replica) durable(now time.Time, n int) {
+	r.enter(now, n)
+	for ; n > 0 && len(r.awaiting) > 0; n-- {
+		fns := r.awaiting[0]
+		r.awaiting = r.awaiting[1:]
+		for _, fn := range fns {
+			fn()
 		}
 	}
 }
 
+// control is the step that runs an Inspect closure.
+func (r *Replica) control(now time.Time, f func(*Replica)) {
+	r.enter(now, f)
+	f(r)
+}
+
+// endBurst closes a burst of steps: it sends the burst's coalesced
+// confirms, re-checks pending reads, and hands back one persist job — the
+// deferred sends plus any staged records, which still need a flush —
+// keeping the deferred closures until durable reports the job done.
+func (r *Replica) endBurst() (persistJob, bool) {
+	r.enter(r.now, burstInput{})
+	r.flushConfirms()
+	r.flushReads()
+	if r.flusher == nil || !r.flusher.Staged() && len(r.deferEnvs) == 0 && len(r.deferFns) == 0 {
+		return persistJob{}, false
+	}
+	job := persistJob{envs: r.deferEnvs, wake: len(r.deferFns) > 0}
+	if job.wake {
+		r.awaiting = append(r.awaiting, r.deferFns)
+	}
+	r.deferEnvs, r.deferFns = nil, nil
+	return job, true
+}
+
 // sendDurable routes a message that claims durable acceptor state — a
-// Promise, an Accepted, a Confirm — through the persister, so it leaves
-// only after the staged records backing the claim are flushed. Without a
-// persister the inline store already made them durable; send now.
+// Promise, an Accepted, a Confirm — into the burst's persist job, so it
+// leaves only after the staged records backing the claim are flushed.
+// Without a flusher the inline store already made them durable; send now.
 func (r *Replica) sendDurable(to wire.NodeID, msg wire.Message) {
-	if r.persist != nil {
+	if r.flusher != nil {
 		r.deferEnvs = append(r.deferEnvs, &wire.Envelope{To: to, Msg: msg})
 		return
 	}
 	r.send(to, msg)
 }
 
-// deferLoop schedules fn to run on the event loop once every record
-// staged so far is durable; without a persister it runs immediately. The
+// deferLoop schedules fn to run in a later step, once every record
+// staged so far is durable; without a flusher it runs immediately. The
 // leader's own quorum votes go through here.
 func (r *Replica) deferLoop(fn func()) {
-	if r.persist != nil {
+	if r.flusher != nil {
 		r.deferFns = append(r.deferFns, fn)
 		return
 	}
 	fn()
 }
 
-// runPersisted executes post-durability closures on the event loop.
-func (r *Replica) runPersisted(fns []func()) {
-	for _, fn := range fns {
-		fn()
-	}
-}
-
-// submitPersist packages the burst's deferred sends and closures — plus
-// any staged records with no dependent send, which still need a flush —
-// into one persister job. The submit select keeps draining completions so
-// the loop and the persister can never deadlock on each other; closures
-// run mid-submit may defer more work, which the outer loop picks up.
-func (r *Replica) submitPersist() {
-	if r.persist == nil {
-		return
-	}
-	needFlush := r.persist.fl.Staged()
-	for needFlush || len(r.deferEnvs) > 0 || len(r.deferFns) > 0 {
-		needFlush = false // one flush-only job per call is enough
-		job := persistJob{envs: r.deferEnvs, fns: r.deferFns}
-		r.deferEnvs, r.deferFns = nil, nil
-	submit:
-		for {
-			select {
-			case r.persist.jobs <- job:
-				break submit
-			case fns := <-r.persisted:
-				r.runPersisted(fns)
-			case <-r.stop:
-				return
-			}
-		}
-	}
-}
-
-// burstDrainMax bounds how many queued envelopes one loop iteration may
-// consume before re-checking timers and control channels.
-const burstDrainMax = 256
-
-// flushCommit broadcasts a deferred commit notification: the queue
-// drained with no follow-on wave to piggyback it, so the backups must
-// hear about the chosen instances now.
-func (r *Replica) flushCommit() {
-	if !r.pendingCommit {
-		return
-	}
-	r.pendingCommit = false
-	if r.role != RoleLeading {
-		return
-	}
-	r.othersDo(&wire.Commit{Bal: r.bal, Index: r.acc.Chosen()})
-}
-
-func (r *Replica) handle(env *wire.Envelope) {
+// deliver is the step for one received envelope.
+func (r *Replica) deliver(now time.Time, env *wire.Envelope) {
+	r.enter(now, env)
 	if !env.From.IsClient() {
 		// Any message from a peer replica is liveness evidence; without
 		// this, heartbeats queued behind bulk traffic cause spurious
 		// leader suspicion under load.
-		r.elector.Observe(env.From, time.Now())
+		r.elector.Observe(env.From, r.now)
 	}
 	switch m := env.Msg.(type) {
 	case *wire.RequestMsg:
@@ -740,7 +618,7 @@ func (r *Replica) handle(env *wire.Envelope) {
 	case *wire.Confirm:
 		r.onConfirm(m)
 	case *wire.Heartbeat:
-		r.elector.OnHeartbeat(m, time.Now())
+		r.elector.OnHeartbeat(m, r.now)
 		r.notePeerApplied(m.From, m.Applied)
 		if r.role == RoleBackup && m.Chosen > r.acc.Chosen() && m.Chosen > r.hintChosen {
 			// Heartbeats carry no ballot, so the claim cannot be
@@ -762,12 +640,13 @@ func (r *Replica) handle(env *wire.Envelope) {
 	}
 }
 
-// onPeerHealth applies a transport link transition to the Ω elector. A
-// dead socket revokes the peer's liveness credit immediately — if that
-// peer led, an election starts now instead of after the heartbeat
-// timeout — while a reconnect merely counts as liveness evidence.
-func (r *Replica) onPeerHealth(ph peerHealth) {
-	now := time.Now()
+// onPeerHealth is the step for a transport link transition, applied to
+// the Ω elector. A dead socket revokes the peer's liveness credit
+// immediately — if that peer led, an election starts now instead of
+// after the heartbeat timeout — while a reconnect merely counts as
+// liveness evidence.
+func (r *Replica) onPeerHealth(now time.Time, ph peerHealth) {
+	r.enter(now, ph)
 	if ph.up {
 		r.elector.PeerUp(ph.peer, now)
 		return
@@ -776,8 +655,26 @@ func (r *Replica) onPeerHealth(ph peerHealth) {
 	r.elector.PeerDown(ph.peer, now)
 }
 
-// tick drives heartbeats, leadership transitions, and retransmissions.
+// tick is the timer step. A due commit flush goes out — the queue
+// drained with no follow-on wave to piggyback the commit, so the backups
+// must hear about the chosen instances now — and, on a cadence of half a
+// heartbeat, the periodic work: heartbeats, leadership transitions,
+// expiries and retransmissions. Called before deadline() it does nothing.
 func (r *Replica) tick(now time.Time) {
+	r.enter(now, tickInput{})
+	if !r.flushAt.IsZero() && !now.Before(r.flushAt) {
+		r.flushAt = time.Time{}
+		if r.role == RoleLeading {
+			r.othersDo(&wire.Commit{Bal: r.bal, Index: r.acc.Chosen()})
+		}
+	}
+	if now.Before(r.nextTick) {
+		return
+	}
+	every := max(r.cfg.HeartbeatInterval/2, time.Millisecond)
+	if r.nextTick = r.nextTick.Add(every); !r.nextTick.After(now) {
+		r.nextTick = now.Add(every)
+	}
 	if r.cfg.RTTPlacement && !r.cfg.WireCompat {
 		r.updatePlacementCost()
 	}
@@ -818,7 +715,7 @@ func (r *Replica) tick(now time.Time) {
 		r.maybePromote()
 		for _, w := range r.waves {
 			if !w.acked && now.Sub(w.sentAt) > r.cfg.RetryTimeout {
-				w.sentAt = now
+				w.sentAt, w.exec = now, 0
 				r.othersDo(&wire.Accept{Bal: r.bal, Entries: w.entries, Commit: r.acc.Chosen()})
 			}
 		}
@@ -985,28 +882,18 @@ func (r *Replica) stepDown() {
 	// from the next leader's traffic or from heartbeats. An uncommitted
 	// configuration proposal dies with the ballot; the next leader's
 	// recovery either re-proposes or discards it.
-	r.pendingCommit = false
+	r.flushAt = time.Time{}
 	r.pendingConfig = false
 	r.nextInstance = r.acc.Chosen() + 1
 	r.logf("stepped down at chosen=%d", r.acc.Chosen())
 }
 
 // fatal reports an unrecoverable local fault (storage failure). The
-// replica stops participating, which the protocol tolerates as a crash.
+// replica stops participating, which the protocol tolerates as a crash:
+// its driver takes no further step once this one returns.
 func (r *Replica) fatal(format string, args ...interface{}) {
 	r.logf("FATAL: "+format, args...)
-	r.stopOnce.Do(func() { close(r.stop) })
-}
-
-// fatalOffLoop is fatal for goroutines other than the event loop (the
-// persister); it touches no loop-confined state — not even the role that
-// logf would format.
-func (r *Replica) fatalOffLoop(format string, args ...interface{}) {
-	if r.cfg.Logger != nil {
-		r.cfg.Logger.Printf("replica %v [persister]: FATAL: "+format,
-			append([]interface{}{r.cfg.ID}, args...)...)
-	}
-	r.stopOnce.Do(func() { close(r.stop) })
+	r.failed = true
 }
 
 func (r *Replica) reply(req wire.Request, status wire.ReplyStatus, result []byte, errStr string) {

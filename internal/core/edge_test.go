@@ -131,52 +131,6 @@ func TestStaleBallotMessagesIgnored(t *testing.T) {
 	}
 }
 
-// TestManySequentialLeaderSwitches cycles leadership repeatedly; state
-// must survive every switch and the log must stay dense.
-func TestManySequentialLeaderSwitches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow switch cycling")
-	}
-	c, cli := newKVCluster(t)
-	total := 0
-	for round := 0; round < 5; round++ {
-		for i := 0; i < 4; i++ {
-			if _, err := cli.Write(service.KVAdd("ctr", 1)); err != nil {
-				t.Fatalf("round %d write %d: %v", round, i, err)
-			}
-			total++
-		}
-		old, _ := c.Leader()
-		c.SuspectLeader()
-		// Generous deadline and periodic re-suspicion: under whole-tree
-		// test load a single election can overrun several seconds, and a
-		// lone suspicion can be washed out by an incumbent heartbeat
-		// that was already in flight.
-		deadline := time.Now().Add(20 * time.Second)
-		resuspect := time.Now().Add(time.Second)
-		for {
-			if l, ok := c.Leader(); ok && l != old {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: no switch", round)
-			}
-			if time.Now().After(resuspect) {
-				c.SuspectLeader()
-				resuspect = time.Now().Add(time.Second)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	res, err := cli.Read(service.KVGet("ctr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := service.KVInt(res); got != int64(total) {
-		t.Fatalf("ctr = %d, want %d after 5 leader switches", got, total)
-	}
-}
-
 // TestLargeOperationPayloads pushes MB-scale operations through the full
 // protocol stack (codec, waves, state snapshots).
 func TestLargeOperationPayloads(t *testing.T) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"gridrep/internal/paxos"
@@ -68,7 +70,7 @@ func (r *Replica) deferRequest(req wire.Request) {
 
 // admitWrite queues a write for the next wave, deduplicating retransmits.
 func (r *Replica) admitWrite(req wire.Request) {
-	r.noteWriter(req.Client)
+	r.writers[req.Client] = r.now // retransmits count: the client is still there
 	if r.dedup(req) {
 		return
 	}
@@ -77,24 +79,16 @@ func (r *Replica) admitWrite(req wire.Request) {
 		return
 	}
 	r.pending[req.Key()] = true
-	r.queue = append(r.queue, workItem{req: req, at: time.Now()})
+	r.queue = append(r.queue, workItem{req: req, at: r.now})
 	r.maybeStartWave()
-}
-
-// noteWriter refreshes a client's slot in the live writer population
-// (see Replica.writers); retransmits count — the client is still there.
-func (r *Replica) noteWriter(c wire.NodeID) {
-	r.writers[c] = time.Now()
 }
 
 // sweepWriters forgets writers that have been quiet for a full election
 // timeout; called from the tick while leading.
 func (r *Replica) sweepWriters(now time.Time) {
-	for c, seen := range r.writers {
-		if now.Sub(seen) > r.cfg.ElectionTimeout {
-			delete(r.writers, c)
-		}
-	}
+	maps.DeleteFunc(r.writers, func(_ wire.NodeID, seen time.Time) bool {
+		return now.Sub(seen) > r.cfg.ElectionTimeout
+	})
 }
 
 // dedup implements at-most-once execution per client: a retransmitted
@@ -187,7 +181,7 @@ func (r *Replica) maybeStartWave() {
 // startWave executes one batch of work items against the current (possibly
 // speculative) service state and launches the covering accept wave.
 func (r *Replica) startWave(items []workItem) {
-	execStart := time.Now()
+	execStart := wallClock()
 	undo := r.svc.Snapshot()
 	var entries []wire.Entry
 	var txns []*txnState
@@ -250,8 +244,9 @@ func (r *Replica) startWave(items []workItem) {
 		top.Prop.HasState = true
 		top.Prop.Kind = wire.StateFull
 	}
-	r.stats.execLat.Since(execStart)
-	r.launchWave(&wave{entries: entries, undo: undo, txns: txns, firstAt: firstAt})
+	exec := wallClock().Sub(execStart)
+	r.stats.execLat.ObserveDuration(exec)
+	r.launchWave(&wave{entries: entries, undo: undo, txns: txns, firstAt: firstAt, exec: exec})
 }
 
 // executeWrite runs one write on the service per the state mode,
@@ -297,7 +292,7 @@ func (r *Replica) launchWave(w *wave) {
 		insts[i] = e.Instance
 	}
 	w.round = paxos.NewAcceptRound(r.bal, insts, r.quorum())
-	w.sentAt = time.Now()
+	w.sentAt = r.now
 	r.waves = append(r.waves, w)
 	r.stats.wavesStarted.Add(1)
 	r.stats.noteInFlight(len(r.waves))
@@ -311,7 +306,7 @@ func (r *Replica) launchWave(w *wave) {
 	r.othersDo(msg)
 	// The accept's Commit field just told every backup about all chosen
 	// instances; any deferred commit notification rode along for free.
-	r.pendingCommit = false
+	r.flushAt = time.Time{}
 	// The leader's own vote joins the quorum only once the staged accept
 	// record is durable. The backups' votes arrive already durable, so a
 	// quorum of backups can complete the wave before the local fsync
@@ -320,7 +315,7 @@ func (r *Replica) launchWave(w *wave) {
 	// flush, one per outstanding wave; each guards against its wave
 	// having committed or been rolled back by the time it runs.
 	r.deferLoop(func() {
-		if r.role != RoleLeading || !r.waveInFlight(w) {
+		if r.role != RoleLeading || !slices.Contains(r.waves, w) {
 			return
 		}
 		if done, _ := w.round.Add(acked, r.cfg.ID); done {
@@ -335,18 +330,8 @@ func (r *Replica) launchWave(w *wave) {
 func (r *Replica) noteAcked(w *wave) {
 	w.acked = true
 	if !w.recovery {
-		r.stats.quorumLat.Since(w.sentAt)
+		r.stats.quorumLat.ObserveDuration(r.now.Sub(w.sentAt) - w.exec)
 	}
-}
-
-// waveInFlight reports whether w is still in the in-flight pipeline.
-func (r *Replica) waveInFlight(w *wave) bool {
-	for _, cur := range r.waves {
-		if cur == w {
-			return true
-		}
-	}
-	return false
 }
 
 // onAccepted folds a phase-2b vote into the in-flight wave it covers.
@@ -366,7 +351,7 @@ func (r *Replica) onAccepted(from wire.NodeID, m *wire.Accepted) {
 		}
 		r.logf("wave rejected by %v (promised %v)", from, m.MaxProm)
 		r.elector.Demote() // withdraw the Ω claim; a stronger leader exists
-		r.prepBackoff = time.Now().Add(r.cfg.RetryTimeout)
+		r.prepBackoff = r.now.Add(r.cfg.RetryTimeout)
 		r.stepDown()
 		return
 	}
@@ -397,7 +382,7 @@ func (r *Replica) commitReady() {
 		r.stats.wavesCommitted.Add(1)
 		r.stats.noteInFlight(len(r.waves))
 		if !w.recovery {
-			r.stats.commitLat.Since(w.sentAt)
+			r.stats.commitLat.ObserveDuration(r.now.Sub(w.sentAt) - w.exec)
 		}
 		committed = true
 		r.commitWave(w)
@@ -429,16 +414,7 @@ func (r *Replica) commitWave(w *wave) {
 		r.fatal("mark chosen: %v", err)
 		return
 	}
-	r.pendingCommit = true
-	defer func() {
-		if r.pendingCommit {
-			// Stop-and-drain before Reset: a plain Reset on a timer that
-			// already fired (and whose tick was never read) would leave
-			// the stale tick queued, making the next commit's flush
-			// window fire immediately instead of after CommitFlushDelay.
-			resetTimerDrained(r.commitFlush, r.cfg.CommitFlushDelay)
-		}
-	}()
+	r.flushAt = r.now.Add(r.cfg.CommitFlushDelay)
 
 	if w.recovery {
 		// Adopt the recovered state: the previous leader executed these
@@ -474,7 +450,7 @@ func (r *Replica) commitWave(w *wave) {
 		// Leader-side request latency: oldest admission in the wave to
 		// its reply, the component of client-observed latency this
 		// replica controls.
-		r.stats.requestLat.Since(w.firstAt)
+		r.stats.requestLat.ObserveDuration(r.now.Sub(w.firstAt))
 	}
 	for _, tx := range w.txns {
 		r.finishTxn(tx)
@@ -537,7 +513,7 @@ func (r *Replica) onPromise(from wire.NodeID, m *wire.Promise) {
 		if r.maxSeen.Less(r.prep.MaxPromSeen()) {
 			r.maxSeen = r.prep.MaxPromSeen()
 		}
-		r.prepBackoff = time.Now().Add(r.cfg.RetryTimeout)
+		r.prepBackoff = r.now.Add(r.cfg.RetryTimeout)
 		r.stepDown()
 		return
 	}
@@ -551,7 +527,7 @@ func (r *Replica) onPromise(from wire.NodeID, m *wire.Promise) {
 func (r *Replica) onPrepared() {
 	if r.prep.MaxChosen() > r.acc.Chosen() || r.applied < r.acc.Chosen() {
 		r.awaitCatchup = true
-		r.sendCatchup(time.Now())
+		r.sendCatchup(r.now)
 		return
 	}
 	r.finishActivation()

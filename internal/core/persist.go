@@ -4,19 +4,21 @@ import (
 	"gridrep/internal/storage"
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
-	"sync"
+	"sync/atomic"
 )
 
 // The durability pipeline (DESIGN.md §9).
 //
-// When the replica's Store implements storage.Flusher, the event loop
-// never waits on disk: acceptor mutations stage into the store's group-
-// commit buffer, and at the end of every loop iteration submitPersist
-// hands the persister goroutine one job — the burst's deferred protocol
-// sends plus any on-loop completion closures. The persister drains all
-// queued jobs, calls Flush once for the lot (group commit), then performs
-// the jobs' sends itself (transports are safe for concurrent senders) and
-// ships the closures back to the event loop. The ordering contract:
+// When the replica's Store implements storage.Flusher, no step waits on
+// disk: acceptor mutations stage into the store's group-commit buffer,
+// and every burst of steps ends with endBurst handing its driver one job
+// — the burst's deferred protocol sends — while the core keeps the
+// burst's on-loop completion closures. The driver makes the job durable
+// and performs its sends, then reports how many jobs with closures are
+// done; the core runs their closures (durable). The wall-clock driver's
+// persister below drains all queued jobs, calls Flush once for the lot
+// (group commit), performs the sends itself (transports are safe for
+// concurrent senders) and counts the jobs off. The ordering contract:
 //
 //   - A message that claims durable acceptor state — a Promise, an
 //     Accepted, an X-Paxos Confirm — is deferred via sendDurable and
@@ -33,52 +35,54 @@ import (
 //     an early backup-quorum commit leaves the stale closure inert.
 //   - Everything else (Prepare/Accept broadcasts, Commit notifications,
 //     heartbeats, catch-up traffic, client replies) claims nothing about
-//     local durable state and is sent immediately from the loop.
+//     local durable state and is sent immediately.
 //
 // Jobs from one replica are flushed and dispatched strictly in submission
 // order, preserving the per-link FIFO the protocol's retransmission logic
 // assumes. A Flush failure poisons the store; the persister then
 // fail-stops the replica, same as an inline storage failure would.
 
-// persistJob is one event-loop burst's deferred work: envelopes to send
-// and closures to run on the loop, both only after the staged records are
-// durable.
+// persistJob is one burst's deferred sends, to leave once the records
+// staged so far are durable. wake marks a job the core holds closures
+// for: only those are counted off and wake the loop, so a backup, which
+// defers sends but no closures, is never woken by its own flushes.
 type persistJob struct {
 	envs []*wire.Envelope
-	fns  []func()
+	wake bool
 }
 
-// persister owns a replica's WAL flushes and post-durability dispatch.
+// persister owns a replica's WAL flushes and post-durability sends.
 type persister struct {
-	fl      storage.Flusher
-	tr      transport.Transport
-	jobs    chan persistJob
-	deliver chan []func() // completion closures back to the event loop
-	fail    func(error)   // fatal hook (safe off-loop)
-	quit    chan struct{}
-	done    chan struct{}
-	once    sync.Once
+	fl        storage.Flusher
+	tr        transport.Transport
+	jobs      chan persistJob
+	persisted chan struct{} // signalled, never blocking, as wake jobs complete
+	woke      atomic.Uint64 // wake jobs durable and sent, not yet reported
+	fail      func(error)   // fatal hook (safe off-loop)
+	quit      chan struct{}
+	done      chan struct{}
 }
 
-func newPersister(fl storage.Flusher, tr transport.Transport, deliver chan []func(), fail func(error)) *persister {
-	return &persister{
-		fl:      fl,
-		tr:      tr,
-		jobs:    make(chan persistJob, 128),
-		deliver: deliver,
-		fail:    fail,
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+func newPersister(fl storage.Flusher, tr transport.Transport, fail func(error)) *persister {
+	p := &persister{
+		fl:        fl,
+		tr:        tr,
+		jobs:      make(chan persistJob, 128),
+		persisted: make(chan struct{}, 1),
+		fail:      fail,
+		quit:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
+	go p.run()
+	return p
 }
-
-func (p *persister) start() { go p.run() }
 
 // stop terminates the persister without a final flush: staged records die
 // with the process, the same crash the protocol already tolerates (an
 // acknowledged write is durable on a quorum, not on any one replica).
+// Replica.Stop calls it once.
 func (p *persister) stop() {
-	p.once.Do(func() { close(p.quit) })
+	close(p.quit)
 	<-p.done
 }
 
@@ -107,18 +111,20 @@ func (p *persister) run() {
 			p.fail(err)
 			return
 		}
-		var fns []func()
+		var wake uint64
 		for _, j := range batch {
 			for _, env := range j.envs {
 				p.tr.Send(env)
 			}
-			fns = append(fns, j.fns...)
+			if j.wake {
+				wake++
+			}
 		}
-		if len(fns) > 0 {
+		if wake > 0 {
+			p.woke.Add(wake)
 			select {
-			case p.deliver <- fns:
-			case <-p.quit:
-				return
+			case p.persisted <- struct{}{}:
+			default:
 			}
 		}
 	}

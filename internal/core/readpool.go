@@ -28,7 +28,6 @@ type readPool struct {
 	workers int
 
 	inFlight atomic.Int64 // dispatched, not yet replied
-	executed atomic.Uint64
 }
 
 // readJob is one pool-bound read: the pinned view plus the request the
@@ -98,7 +97,6 @@ func (p *readPool) worker() {
 			rep.Result = res
 		}
 		p.tr.Send(&wire.Envelope{To: j.req.Client, Msg: &wire.ReplyMsg{Rep: rep}})
-		p.executed.Add(1)
 		p.inFlight.Add(-1)
 	}
 }

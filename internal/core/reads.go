@@ -62,7 +62,7 @@ func (r *Replica) readServer(req wire.Request) (wire.NodeID, bool) {
 	if bal := r.acc.Promised(); !bal.IsZero() {
 		return bal.Node, true
 	}
-	return r.elector.Leader(time.Now())
+	return r.elector.Leader(r.now)
 }
 
 // flushConfirms sends the burst's queued confirms, one coalesced message
@@ -111,7 +111,7 @@ func (r *Replica) registerRead(req wire.Request) {
 		req:     req,
 		vouched: make(map[wire.NodeID]bool),
 		barrier: r.acc.MaxInstance(),
-		expires: time.Now().Add(r.cfg.ElectionTimeout),
+		expires: r.now.Add(r.cfg.ElectionTimeout),
 	}
 	if r.IsActiveLeader() {
 		// A leader's horizon is what it has proposed (or recovered): its

@@ -20,7 +20,7 @@ func (s *sendRecorder) Recv() <-chan *wire.Envelope { return nil }
 func (s *sendRecorder) Close() error                { return nil }
 
 // bareReplica is replica 1 of voters {0,1,2} with just enough wired up to
-// drive the read path by hand, off any event loop. The non-nil persister
+// drive the read path by hand, off any event loop. The staging store
 // makes sendDurable defer instead of send.
 func bareReplica(t *testing.T) (*Replica, *sendRecorder) {
 	t.Helper()
@@ -37,7 +37,7 @@ func bareReplica(t *testing.T) (*Replica, *sendRecorder) {
 		reads:        make(map[wire.Key]*pendingRead),
 		confirmBuf:   make(map[wire.Key][]heldConfirm),
 		confirmQ:     make(map[wire.NodeID][]wire.Key),
-		persist:      &persister{},
+		flusher:      newSimStore(),
 		nextInstance: 1,
 	}
 	r.cfg.ID = 1

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"time"
 
 	"gridrep/internal/paxos"
@@ -68,33 +69,13 @@ type snapFetch struct {
 }
 
 // isVoter reports whether n is in the current voting membership.
-func (r *Replica) isVoter(n wire.NodeID) bool {
-	for _, v := range r.voters {
-		if v == n {
-			return true
-		}
-	}
-	return false
-}
+func (r *Replica) isVoter(n wire.NodeID) bool { return slices.Contains(r.voters, n) }
 
 // isLearner reports whether n is a non-voting learner.
-func (r *Replica) isLearner(n wire.NodeID) bool {
-	for _, l := range r.learners {
-		if l == n {
-			return true
-		}
-	}
-	return false
-}
+func (r *Replica) isLearner(n wire.NodeID) bool { return slices.Contains(r.learners, n) }
 
 func removeID(ids []wire.NodeID, n wire.NodeID) []wire.NodeID {
-	out := ids[:0:0]
-	for _, id := range ids {
-		if id != n {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(ids), func(id wire.NodeID) bool { return id == n })
 }
 
 // refreshMembership rebuilds everything derived from the membership
@@ -102,17 +83,7 @@ func removeID(ids []wire.NodeID, n wire.NodeID) []wire.NodeID {
 // participant set (voters only — a learner is never entitled to lead),
 // and the cross-goroutine health mirror.
 func (r *Replica) refreshMembership() {
-	r.others = r.others[:0]
-	for _, p := range r.voters {
-		if p != r.cfg.ID {
-			r.others = append(r.others, p)
-		}
-	}
-	for _, p := range r.learners {
-		if p != r.cfg.ID {
-			r.others = append(r.others, p)
-		}
-	}
+	r.others = removeID(append(slices.Clone(r.voters), r.learners...), r.cfg.ID)
 	r.elector.SetPeers(r.voters)
 	r.stats.membersView.Store(&membersView{
 		members:  append([]wire.NodeID(nil), r.voters...),
@@ -133,11 +104,7 @@ func (r *Replica) initMembership() {
 		r.learners = append([]wire.NodeID(nil), learners...)
 		r.membersAt = at
 	case r.cfg.Join:
-		for _, p := range r.cfg.Peers {
-			if p != r.cfg.ID {
-				r.voters = append(r.voters, p)
-			}
-		}
+		r.voters = removeID(r.cfg.Peers, r.cfg.ID)
 		r.learners = []wire.NodeID{r.cfg.ID}
 	default:
 		r.voters = append([]wire.NodeID(nil), r.cfg.Peers...)
@@ -192,7 +159,6 @@ func (r *Replica) proposeConfig(op wire.ConfigOp, node wire.NodeID, addr string)
 	if r.pendingConfig {
 		return ErrConfigInFlight
 	}
-	now := time.Now()
 	switch op {
 	case wire.ConfigAddVoter:
 		if r.isVoter(node) {
@@ -220,7 +186,7 @@ func (r *Replica) proposeConfig(op wire.ConfigOp, node wire.NodeID, addr string)
 		// moment the change commits.
 		live := 0
 		for _, v := range r.voters {
-			if v != node && r.elector.Alive(v, now) {
+			if v != node && r.elector.Alive(v, r.now) {
 				live++
 			}
 		}
@@ -397,7 +363,7 @@ func (r *Replica) onSnapChunk(m *wire.SnapChunk) {
 			total:   m.Total,
 			sum:     m.Sum,
 			buf:     make([]byte, 0, m.Total),
-			started: time.Now(),
+			started: r.now,
 		}
 		r.snapFetch = f
 	}
@@ -405,7 +371,7 @@ func (r *Replica) onSnapChunk(m *wire.SnapChunk) {
 		return // duplicate or out-of-order; the retry path re-pulls
 	}
 	f.buf = append(f.buf, m.Data...)
-	f.lastAt = time.Now()
+	f.lastAt = r.now
 	f.members = m.Members
 	f.learners = m.Learners
 	r.stats.catchupChunksIn.Add(1)
@@ -461,10 +427,10 @@ func (r *Replica) installSnapshot(f *snapFetch) {
 		r.joining = r.cfg.Join && !r.isVoter(r.cfg.ID)
 	}
 	r.stats.catchupInstalls.Add(1)
-	r.stats.catchupLat.Since(f.started)
+	r.stats.catchupLat.ObserveDuration(r.now.Sub(f.started))
 	r.logf("installed catch-up snapshot at %d (%d bytes) from %v",
 		f.at, len(f.buf), f.from)
-	r.sendCatchup(time.Now())
+	r.sendCatchup(r.now)
 }
 
 // tickFetch drives the in-progress snapshot stream's reliability: a

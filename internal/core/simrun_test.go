@@ -1,0 +1,511 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"gridrep/internal/client"
+	"gridrep/internal/netem"
+	"gridrep/internal/service"
+	"gridrep/internal/storage"
+	"gridrep/internal/transport"
+	"gridrep/internal/wire"
+)
+
+// Tests that run the step functions under the simulator (sim_test.go).
+
+// kvAdd is one counter increment request.
+func kvAdd(key string) wire.Request {
+	return wire.Request{Kind: wire.KindWrite, Op: service.KVAdd(key, 1)}
+}
+
+// loop keeps c issuing next() until stop, counting acknowledged writes.
+func (c *simClient) loop(stop time.Time, next func() wire.Request, acked *int) {
+	if !c.s.now.Before(stop) {
+		return
+	}
+	c.do(next(), func(rep wire.Reply) {
+		if rep.Status != wire.StatusOK {
+			c.s.t.Errorf("client %d: %v %s", c.id, rep.Status, rep.Err)
+			return
+		}
+		*acked++
+		c.loop(stop, next, acked)
+	})
+}
+
+// mixedRun is the determinism workload: two clients writing and reading
+// a small KV, and one forced leader suspicion mid-run.
+func mixedRun(t *testing.T, seed int64) []byte {
+	s := newSim(t, simConfig{seed: seed})
+	s.trace = new(bytes.Buffer)
+	s.awaitLeader(time.Second)
+	stop := s.now.Add(2 * time.Second)
+	acked := 0
+	for i := 0; i < 2; i++ {
+		c, n := s.newClient(), 0
+		c.loop(stop, func() wire.Request {
+			n++
+			if n%3 == 0 {
+				return wire.Request{Kind: wire.KindRead, Op: service.KVGet(fmt.Sprint("k", n%8))}
+			}
+			return wire.Request{Kind: wire.KindWrite, Op: service.KVPut(fmt.Sprint("k", n%8), []byte{byte(n)})}
+		}, &acked)
+	}
+	s.after(time.Second, func() {
+		if l, ok := s.leader(); ok {
+			s.suspect(l)
+		}
+	})
+	s.runFor(3 * time.Second)
+	if acked == 0 || len(s.violations) > 0 {
+		t.Fatalf("seed %d: %d ops acknowledged, violations %v", seed, acked, s.violations)
+	}
+	return s.trace.Bytes()
+}
+
+// TestSimDeterministicTrace: a seed is a run. The same seed twice gives
+// a byte-identical trace of every delivery — virtual time, sender,
+// receiver, encoded bytes — and another seed gives another trace.
+func TestSimDeterministicTrace(t *testing.T) {
+	a, b, c := mixedRun(t, 1), mixedRun(t, 1), mixedRun(t, 2)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("seed 1 twice: traces differ (%d vs %d bytes)", len(a), len(b))
+	}
+	if bytes.Equal(a, c) {
+		t.Fatal("seeds 1 and 2 produced the same trace")
+	}
+	t.Logf("trace: %d bytes", len(a))
+}
+
+// stepInput is one recorded step input, as the record seam saw it, with
+// envelopes kept encoded so that a log is plain values.
+type stepInput struct {
+	now time.Time
+	in  any
+}
+
+type stepLog []stepInput
+
+// replay feeds a recorded log through the step functions of r.
+func (l stepLog) replay(r *Replica) {
+	for _, s := range l {
+		switch in := s.in.(type) {
+		case []byte:
+			env, err := wire.DecodeEnvelope(in)
+			if err != nil {
+				panic(err)
+			}
+			r.deliver(s.now, env)
+		case tickInput:
+			r.tick(s.now)
+		case burstInput:
+			r.endBurst()
+		case int:
+			r.durable(s.now, in)
+		case peerHealth:
+			r.onPeerHealth(s.now, in)
+		case func(*Replica):
+			r.control(s.now, in)
+		default:
+			panic(fmt.Sprintf("unknown step input %T", in))
+		}
+	}
+}
+
+// TestSimRecordReplay records a live in-process run — three replicas
+// built with New on transport.Network, Mem stores, KV writes and reads,
+// one forced leader suspicion — at each replica's driver, then replays
+// every replica's inputs through the step functions with no network: the
+// replayed replicas end in byte-equal state at equal indexes and ballots.
+func TestSimRecordReplay(t *testing.T) {
+	model := netem.NewModel(1, nil)
+	lat := netem.Latency{Base: 100 * time.Microsecond, Jitter: 100 * time.Microsecond}
+	model.SetLinkSym(netem.ClassReplica, netem.ClassReplica, lat)
+	model.SetLinkSym(netem.ClassReplica, netem.ClassClient, lat)
+	net := transport.NewNetwork(model)
+	defer net.Close()
+	peers := []wire.NodeID{0, 1, 2}
+	config := func(id wire.NodeID, tr transport.Transport) Config {
+		return Config{ID: id, Peers: peers, Service: service.NewKV(), Store: storage.NewMem(), Transport: tr,
+			Options: Options{HeartbeatInterval: 5 * time.Millisecond, ReadConcurrency: -1}}
+	}
+	logs := make([]stepLog, len(peers))
+	reps := make([]*Replica, len(peers))
+	for i, id := range peers {
+		ep, err := net.Endpoint(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reps[i], err = New(config(id, ep)); err != nil {
+			t.Fatal(err)
+		}
+		log := &logs[i]
+		reps[i].record = func(now time.Time, in any) {
+			if env, ok := in.(*wire.Envelope); ok {
+				in = wire.EncodeEnvelope(nil, env)
+			}
+			*log = append(*log, stepInput{now, in})
+		}
+		reps[i].Start()
+	}
+	leader := func(not wire.NodeID) wire.NodeID {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			for i, r := range reps {
+				active := false
+				r.Inspect(func(r *Replica) { active = r.IsActiveLeader() })
+				if active && peers[i] != not {
+					return peers[i]
+				}
+			}
+		}
+		t.Fatal("no active leader")
+		return 0
+	}
+	ep, err := net.Endpoint(wire.ClientIDBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := client.New(client.Config{Transport: ep, Replicas: peers, RetryEvery: 50 * time.Millisecond})
+	defer cli.Close()
+	work := func(round int) {
+		for i := 0; i < 20; i++ {
+			if _, err := cli.Write(service.KVPut(fmt.Sprint("k", i%8), []byte(fmt.Sprint(round, i)))); err != nil {
+				t.Fatal(err)
+			}
+			if i%4 == 0 {
+				if _, err := cli.Read(service.KVGet(fmt.Sprint("k", i%8))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	old := leader(^wire.NodeID(0)) // any replica
+	work(0)
+	for _, r := range reps {
+		r.Inspect(func(r *Replica) { r.Elector().Suspect(old) })
+	}
+	leader(old)
+	work(1)
+	for _, r := range reps {
+		r.Stop()
+	}
+	for i, live := range reps {
+		again, err := New(config(peers[i], &sendRecorder{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[i].replay(again)
+		if !bytes.Equal(again.svc.Snapshot(), live.svc.Snapshot()) || again.Chosen() != live.Chosen() ||
+			again.Applied() != live.Applied() || again.Ballot() != live.Ballot() {
+			t.Fatalf("replica %d: replay of %d inputs ended at chosen %d applied %d ballot %v, live at %d %d %v",
+				peers[i], len(logs[i]), again.Chosen(), again.Applied(), again.Ballot(), live.Chosen(), live.Applied(), live.Ballot())
+		}
+	}
+	t.Logf("replayed %d, %d, %d inputs", len(logs[0]), len(logs[1]), len(logs[2]))
+}
+
+// TestSimCorpus replays past review findings as scripted schedules. Each
+// row passes on this tree; each fails under its mutation (CHANGES.md).
+func TestSimCorpus(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"near-confirm durability gap (PR 10)", corpusConfirmDurability},
+		{"dirty read under an open exclusive transaction (PR 19)", corpusExclusiveDirtyRead},
+	} {
+		t.Run(row.name, row.run)
+	}
+}
+
+// corpusConfirmDurability: a backup stages a new leader's promise and, in
+// the same instant, is asked to vouch for a read — its confirm carries
+// that promise's ballot. The backup then crashes before the flush and
+// forgets the promise. A confirm sent ahead of the flush (send instead
+// of sendDurable in flushConfirms) has by then claimed a ballot no disk
+// backs; the vouching check catches it at the send.
+func corpusConfirmDurability(t *testing.T) {
+	s := newSim(t, simConfig{seed: 10, fsync: [2]time.Duration{20 * time.Millisecond, 20 * time.Millisecond}})
+	old := s.awaitLeader(time.Second)
+	writer, reader := s.newClient(), s.newClient()
+	if rep := writer.call(wire.Request{Kind: wire.KindWrite, Op: service.KVPut("k", []byte("v1"))}, time.Second); rep.Status != wire.StatusOK {
+		t.Fatalf("write: %v", rep.Status)
+	}
+	backup := wire.NodeID(2) // the replica that neither led nor will lead next
+	if old == 2 {
+		backup = 1
+	}
+	staged := s.nodes[backup].store.promised
+	var got *wire.Reply
+	s.watch = func() {
+		n := s.nodes[backup]
+		if n.r == nil || !staged.Less(n.r.acc.Promised()) {
+			return
+		}
+		s.watch = nil // the backup has just staged the next leader's promise
+		reader.do(wire.Request{Kind: wire.KindRead, Op: service.KVGet("k")}, func(rep wire.Reply) { got = &rep })
+		s.after(5*time.Millisecond, func() { s.crash(backup) })
+		s.after(200*time.Millisecond, func() { s.restart(backup) })
+	}
+	s.suspect(old)
+	if !s.runUntil(5*time.Second, func() bool { return got != nil }) {
+		t.Fatal("the read was never answered")
+	}
+	if v, _ := service.KVReply(got.Result); got.Status != wire.StatusOK || string(v) != "v1" {
+		t.Fatalf("read: %v %q, want v1", got.Status, v)
+	}
+	if len(s.violations) > 0 {
+		t.Fatalf("vouched ahead of the flush:\n%s", strings.Join(s.violations, "\n"))
+	}
+}
+
+// corpusExclusiveDirtyRead: a read registers at the leader with its own
+// vote only; an exclusive (serialized) transaction then executes an op
+// against the live state; the backups' confirms complete the read's
+// quorum while the transaction is open. The read must wait — dropping
+// exclusiveBusy() from tryFinishRead's gate answers it from state the
+// abort then erases.
+func corpusExclusiveDirtyRead(t *testing.T) {
+	s := newSim(t, simConfig{seed: 20, service: func(id wire.NodeID, inc int) service.Service {
+		return service.NewBroker(int64(id)*100 + int64(inc))
+	}})
+	lead := s.awaitLeader(time.Second)
+	tx, reader := s.newClient(), s.newClient()
+	if rep := tx.call(wire.Request{Kind: wire.KindWrite, Op: service.BrokerRegister("n1", 10)}, time.Second); rep.Status != wire.StatusOK {
+		t.Fatalf("register: %v", rep.Status)
+	}
+	var replies []wire.Reply
+	reader.seq++
+	read := wire.Request{Client: reader.id, Seq: reader.seq, Kind: wire.KindRead, Op: service.BrokerList()}
+	reader.busy, reader.done = true, func(rep wire.Reply) { replies = append(replies, rep); reader.busy = true }
+	reader.sendTo(read, lead)
+	s.runFor(5 * time.Millisecond)
+	op := wire.Request{Kind: wire.KindTxnOp, Txn: 1, Op: service.BrokerRequest(3)}
+	if rep := tx.call(op, time.Second); rep.Status != wire.StatusOK {
+		t.Fatalf("txn op: %v", rep.Status)
+	}
+	reader.sendTo(read, s.peers()...)
+	s.runFor(20 * time.Millisecond)
+	if rep := tx.call(wire.Request{Kind: wire.KindTxnAbort, Txn: 1}, time.Second); rep.Status != wire.StatusOK {
+		t.Fatalf("abort: %v", rep.Status)
+	}
+	s.runUntil(time.Second, func() bool { return len(replies) > 0 })
+	if len(replies) == 0 {
+		t.Fatal("the held read was never answered")
+	}
+	for _, rep := range replies {
+		if rep.Status != wire.StatusOK || string(rep.Result) != "n1 0/10\n" {
+			t.Fatalf("read answered %v %q, want the committed %q", rep.Status, rep.Result, "n1 0/10\n")
+		}
+	}
+}
+
+// TestManySequentialLeaderSwitches cycles leadership twenty times under
+// a fixed seed; state must survive every switch and the log stay dense.
+func TestManySequentialLeaderSwitches(t *testing.T) {
+	s := newSim(t, simConfig{seed: 3})
+	c := s.newClient()
+	et := s.nodes[0].r.cfg.ElectionTimeout
+	total := 0
+	for round := 0; round < 20; round++ {
+		old := s.awaitLeader(20 * et)
+		for i := 0; i < 4; i++ {
+			if rep := c.call(kvAdd("ctr"), 20*et); rep.Status != wire.StatusOK {
+				t.Fatalf("round %d write %d: %v", round, i, rep.Status)
+			}
+			total++
+		}
+		s.suspect(old)
+		if !s.runUntil(20*et, func() bool { l, ok := s.leader(); return ok && l != old }) {
+			t.Fatalf("round %d: no switch away from %d", round, old)
+		}
+	}
+	rep := c.call(wire.Request{Kind: wire.KindRead, Op: service.KVGet("ctr")}, 20*et)
+	if got, _ := service.KVInt(rep.Result); got != int64(total) {
+		t.Fatalf("ctr = %d, want %d after 20 leader switches", got, total)
+	}
+	if !s.runUntil(20*et, s.converged) {
+		t.Fatal("replicas did not converge")
+	}
+	if len(s.violations) > 0 {
+		t.Fatal(strings.Join(s.violations, "\n"))
+	}
+}
+
+// TestSimChurn ports TestSoakExactlyOnceUnderChurn's fault mix to the
+// simulator: four clients increment one counter while a seeded plan
+// switches leaders, crashes replicas (losing unflushed records),
+// restarts them from their stores, and drops client traffic in bursts.
+// Every seed must keep the exactly-once bracket, converge byte-equal, and
+// have an active leader within ten election timeouts of its last fault.
+func TestSimChurn(t *testing.T) {
+	churnSeeds := int64(200)
+	if raceEnabled {
+		churnSeeds = 20
+	}
+	start := time.Now()
+	steps, known := 0, 0
+	var virtual time.Duration
+	for seed := int64(1); seed <= churnSeeds; seed++ {
+		s, dups := churn(t, seed)
+		steps, known, virtual = steps+s.steps, known+dups, virtual+s.now.Sub(simEpoch)
+		if t.Failed() {
+			t.Fatalf("seed %d failed", seed)
+		}
+	}
+	t.Logf("%d seeds, %d steps, %v virtual in %v wall; %d re-executions below an installed snapshot (ROADMAP)",
+		churnSeeds, steps, virtual, time.Since(start), known)
+}
+
+// churn runs one seeded fault plan and returns the simulator and how
+// many requests were re-executed by a leader whose log starts above
+// their first instance — the open reply-cache gap (ROADMAP): a replica
+// that installed a snapshot leads with an at-most-once cache rebuilt
+// from the log above it. Any other duplicate fails the test.
+func churn(t testing.TB, seed int64) (*sim, int) {
+	s := newSim(t, simConfig{seed: seed})
+	et := s.nodes[0].r.cfg.ElectionTimeout
+	// Every request's instance as first seen chosen on any replica, how
+	// far its proposer's log was pruned then, and the second instance of
+	// a known-kind re-execution.
+	type sighting struct{ inst, pruned, dup uint64 }
+	chosen, scanned, known := map[wire.Key]sighting{}, map[*Replica]uint64{}, 0
+	s.watch = func() {
+		for _, n := range s.nodes {
+			if n.r == nil {
+				continue
+			}
+			for inst := max(scanned[n.r], n.r.acc.PrunedTo()) + 1; inst <= n.r.acc.Chosen(); inst++ {
+				e, ok := n.r.acc.Get(inst)
+				if !ok {
+					break
+				}
+				scanned[n.r] = inst
+				var pruned uint64
+				if p := s.nodes[e.Bal.Node].r; p != nil {
+					pruned = p.acc.PrunedTo()
+				}
+				for _, q := range e.Prop.Reqs {
+					c, seen := chosen[q.Key()]
+					if !seen {
+						chosen[q.Key()] = sighting{inst: inst, pruned: pruned}
+						continue
+					}
+					if inst == c.inst || inst == c.dup {
+						continue
+					}
+					// The later instance re-executed the request: the known
+					// kind if its proposer's log no longer held the earlier.
+					laterPruned := pruned
+					if inst < c.inst {
+						laterPruned = c.pruned
+					}
+					if c.dup != 0 || laterPruned < min(inst, c.inst) {
+						t.Errorf("seed %d: %v chosen at %d and %d", seed, q.Key(), c.inst, inst)
+						continue
+					}
+					c.dup = inst
+					chosen[q.Key()] = c
+					known++
+				}
+			}
+		}
+	}
+	s.awaitLeader(time.Second)
+	stop := s.now.Add(3 * time.Second)
+	acked := 0
+	clients := make([]*simClient, 4)
+	for i := range clients {
+		clients[i] = s.newClient()
+		clients[i].loop(stop, func() wire.Request { return kvAdd("ctr") }, &acked)
+	}
+	lastFault := s.now
+	fault := func() { lastFault = s.now }
+	var plan func()
+	plan = func() {
+		if !s.now.Before(stop) {
+			return
+		}
+		s.after(150*time.Millisecond, plan)
+		fault()
+		leader, hasLeader := s.leader()
+		switch pick := s.rng.Intn(8); {
+		case pick < 3: // leader switch
+			if hasLeader {
+				s.suspect(leader)
+			}
+		case pick < 6: // crash a backup (2) or the leader (1), restart it later
+			var victims []wire.NodeID
+			for _, n := range s.nodes {
+				if n.r != nil && (n.id == leader && hasLeader) == (pick == 5) {
+					victims = append(victims, n.id)
+				}
+			}
+			if len(victims) > 0 {
+				id := victims[s.rng.Intn(len(victims))]
+				s.crash(id)
+				s.after(100*time.Millisecond, func() { s.restart(id); fault() })
+			}
+		default: // loss burst between clients and replicas
+			s.model.SetLoss(netem.ClassClient, netem.ClassReplica, 0.25)
+			s.model.SetLoss(netem.ClassReplica, netem.ClassClient, 0.25)
+			s.after(50*time.Millisecond, func() {
+				s.model.SetLoss(netem.ClassClient, netem.ClassReplica, 0)
+				s.model.SetLoss(netem.ClassReplica, netem.ClassClient, 0)
+				fault()
+			})
+		}
+	}
+	s.after(150*time.Millisecond, plan)
+	s.runFor(stop.Sub(s.now) + 100*time.Millisecond) // every restart has fired
+	if !s.runUntil(10*et-s.now.Sub(lastFault), func() bool { _, ok := s.leader(); return ok }) {
+		t.Errorf("seed %d: no active leader within 10 election timeouts of the last fault", seed)
+		return s, known
+	}
+	inDoubt := func() (n int) {
+		for _, c := range clients {
+			if c.busy {
+				n++
+			}
+		}
+		return n
+	}
+	s.runUntil(5*time.Second, func() bool { return inDoubt() == 0 })
+	if !s.runUntil(5*time.Second, s.converged) {
+		t.Errorf("seed %d: replicas did not converge", seed)
+		return s, known
+	}
+	res, _ := s.nodes[0].r.Service().Execute(service.KVGet("ctr"))
+	got, _ := service.KVInt(res)
+	if lo, hi := int64(acked), int64(acked+inDoubt()+known); got < lo || got > hi {
+		t.Errorf("seed %d: counter %d outside [%d, %d]: lost or duplicated increments", seed, got, lo, hi)
+	}
+	if len(s.violations) > 0 {
+		t.Errorf("seed %d: %s", seed, strings.Join(s.violations, "\n"))
+	}
+	return s, known
+}
+
+// BenchmarkSimClock measures simulated seconds per wall second on the
+// reference workload: three replicas, a 64-key KV, 25 ms heartbeats and
+// ten writes a second.
+func BenchmarkSimClock(b *testing.B) {
+	s := newSim(b, simConfig{seed: 1, opts: Options{HeartbeatInterval: 25 * time.Millisecond}})
+	s.awaitLeader(time.Second)
+	c, n := s.newClient(), 0
+	var write func()
+	write = func() {
+		n++
+		c.do(wire.Request{Kind: wire.KindWrite, Op: service.KVPut(fmt.Sprint("k", n%64), []byte("value"))}, func(wire.Reply) {})
+		s.after(100*time.Millisecond, write)
+	}
+	write()
+	b.ResetTimer()
+	start := time.Now()
+	s.runFor(time.Duration(b.N) * time.Second)
+	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "sim-s/s")
+}

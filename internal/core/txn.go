@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"gridrep/internal/service"
 	"gridrep/internal/wire"
@@ -39,7 +38,7 @@ func txnUID(k txnKey) uint64 {
 }
 
 func (r *Replica) onTxnRequest(req wire.Request) {
-	r.noteWriter(req.Client)
+	r.writers[req.Client] = r.now
 	key := txnKey{client: req.Client, txn: req.Txn}
 	tx := r.txns[key]
 
@@ -56,7 +55,7 @@ func (r *Replica) onTxnRequest(req wire.Request) {
 		}
 		tx.committing = true
 		r.pending[req.Key()] = true
-		r.queue = append(r.queue, workItem{req: req, txn: tx, at: time.Now()})
+		r.queue = append(r.queue, workItem{req: req, txn: tx, at: r.now})
 		r.maybeStartWave()
 	case wire.KindTxnAbort:
 		if tx != nil {
