@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
+.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites stats-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
 
 # The race gates' test selections, each written once: `-run 'regex'`
 # then the packages it applies to. `make selectors` checks every
@@ -73,6 +73,18 @@ clock-sites:
 		$$(ls internal/core/*.go | grep -v -e _test.go -e /driver.go) || true); \
 	if [ -n "$$hits" ]; then echo "clock-sites: wall clock outside driver.go:"; echo "$$hits"; exit 1; fi; \
 	echo "clock-sites: no wall clock in internal/core outside driver.go"
+
+# One counter surface (DESIGN.md §11): every counter is read by name
+# through the metrics registry. This fails when non-test Go outside
+# internal/chaos and benchmark/ declares a Stats() method, a Meter type,
+# or a Drops() uint64 other than the in-process fabric's (the benchmark
+# reads it) and the client-side SessionMux's (clients keep no registry).
+stats-sites:
+	@hits=$$(git ls-files '*.go' | grep -v -e _test.go -e '^internal/chaos/' -e '^benchmark/' | \
+		xargs grep -nE '^func \([^)]*\) Stats\(|^type Meter\b|^func \([^)]*\) Drops\(\) uint64' | \
+		grep -vE '\(\w+ \*(Network|SessionMux)\) Drops\(\)' || true); \
+	if [ -n "$$hits" ]; then echo "stats-sites: counters read outside the registry:"; echo "$$hits"; exit 1; fi; \
+	echo "stats-sites: every counter is read through the registry"
 
 # Just the socket-level chaos suite (transport + chaos), race-enabled.
 chaos:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -19,33 +18,14 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/metric_names from the running code")
 
-// gatewayMetricNames is the one intended difference from the lists
-// recorded at the commit before the node assembly was unified: an
-// in-process sharded node with a gateway used to register none of the
-// edge's instruments.
-var gatewayMetricNames = []string{
-	"gridrep_gateway_admitted_total",
-	"gridrep_gateway_dedup_hits_total",
-	"gridrep_gateway_dup_passthrough_total",
-	"gridrep_gateway_expired_inflight_total",
-	"gridrep_gateway_inflight",
-	"gridrep_gateway_queued",
-	"gridrep_gateway_queued_total",
-	"gridrep_gateway_sessions",
-	"gridrep_gateway_shed_queue_aged_total",
-	"gridrep_gateway_shed_queue_full_total",
-	"gridrep_gateway_shed_throttle_total",
-}
-
 // TestMetricNamesGolden pins every registered instrument name for
 // {in-process, TCP} × groups {1, 2} × gateway {off, on}, WAL-backed, on
 // the KV service. The benchmark reads its per-layer metrics as registry
 // deltas by name, so a rename or a registration lost in assembly would
 // silently zero a metric; here it fails a byte comparison. The lists
-// under testdata/metric_names were recorded before the two front doors
-// shared one assembly; addedSince lists what was added on purpose.
+// under testdata/metric_names only ever gain names: rerun with -update
+// after registering a new instrument, and never rename one.
 func TestMetricNamesGolden(t *testing.T) {
-	addedSince := map[string][]string{"inproc-groups2-gateway": gatewayMetricNames}
 	// A fixed pool size: the read-pool gauges exist only when the pool
 	// does, which otherwise depends on the host's processor count.
 	tunables := gridrep.Options{ReadConcurrency: 2}
@@ -94,11 +74,8 @@ func TestMetricNamesGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := append(strings.Fields(string(recorded)), addedSince[name]...)
-					sort.Strings(want)
-					if got != strings.Join(want, "\n")+"\n" {
-						t.Errorf("registered metric names differ from %s (+%d listed additions)\ngot:\n%swant:\n%s",
-							path, len(addedSince[name]), got, strings.Join(want, "\n"))
+					if got != string(recorded) {
+						t.Errorf("registered metric names differ from %s\ngot:\n%swant:\n%s", path, got, recorded)
 					}
 				})
 			}

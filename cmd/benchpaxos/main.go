@@ -1040,7 +1040,11 @@ func figOverload(res *ExpResult) {
 		c := startCluster(overloadLabConfig(gw))
 		fmt.Printf("  %-14s %10s %10s %8s %10s %8s %8s %8s %8s\n",
 			label, "offered/s", "goodput/s", "shed%", "edge-shed", "t/o", "p50 ms", "p95 ms", "p99 ms")
-		var prevSheds uint64
+		edge := func(name string) int64 { return c.SumMetric("gridrep_gateway_" + name) }
+		sheds := func() int64 {
+			return edge("shed_throttle_total") + edge("shed_queue_full_total") + edge("shed_queue_aged_total")
+		}
+		var prevSheds int64
 		for _, m := range multiples {
 			// Workers must exceed the edge's budget+queue capacity
 			// (otherwise the pool itself becomes the admission controller
@@ -1063,7 +1067,7 @@ func figOverload(res *ExpResult) {
 			}
 			edgeSheds := 0
 			if withGateway {
-				s := c.GatewayStats().Sheds()
+				s := sheds()
 				edgeSheds = int(s - prevSheds)
 				prevSheds = s
 			}
@@ -1079,9 +1083,8 @@ func figOverload(res *ExpResult) {
 			})
 		}
 		if withGateway {
-			gs := c.GatewayStats()
 			fmt.Printf("  %s: edge totals admitted=%d queued=%d sheds=%d dedup=%d dup_pass=%d\n",
-				label, gs.Admitted, gs.Queued, gs.Sheds(), gs.DedupHits, gs.DupPassthrough)
+				label, edge("admitted_total"), edge("queued_total"), sheds(), edge("dedup_hits_total"), edge("dup_passthrough_total"))
 		}
 		c.Close()
 	}

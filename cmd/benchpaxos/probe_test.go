@@ -68,13 +68,13 @@ func TestProbeWaveFragmentation(t *testing.T) {
 		el := time.Since(start)
 		lead, _ := c.Leader()
 		rep, _ := c.Replica(lead)
-		started := uint64(rep.Metrics().Value("gridrep_waves_started_total"))
-		maxInFlight := rep.Metrics().Value("gridrep_waves_in_flight_max")
-		fs := stores[lead].(*storage.File).Stats()
+		reg := rep.Metrics()
+		started := uint64(reg.Value("gridrep_waves_started_total"))
+		maxInFlight := reg.Value("gridrep_waves_in_flight_max")
 		t.Logf("depth=%d: %.0f req/s, waves=%d avg_batch=%.2f max_inflight=%d leader_wal{batches=%d syncs=%d records=%d}",
 			depth, float64(writers*each)/el.Seconds(), started,
 			float64(writers*each)/float64(started), maxInFlight,
-			fs.Batches, fs.Syncs, fs.Records)
+			reg.Value("gridrep_wal_batches_total"), reg.Value("gridrep_wal_syncs_total"), reg.Value("gridrep_wal_records_total"))
 		if maxInFlight > int64(depth) {
 			t.Errorf("depth=%d: %d waves in flight exceeds PipelineDepth", depth, maxInFlight)
 		}

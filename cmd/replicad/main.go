@@ -40,7 +40,6 @@ func main() {
 	flag.IntVar(&o.PipelineDepth, "pipeline", 1, "max accept waves in flight while leading (1 = serial protocol)")
 	flag.DurationVar(&o.CommitFlushDelay, "commit-flush", 0, "commit notification batching window (0 = default 1ms; widen on WAN links)")
 	flag.BoolVar(&o.RTTPlacement, "rtt-placement", false, "fold measured peer RTTs into leader placement: the cluster converges on the best-connected replica regardless of boot order (DESIGN.md 16)")
-	flag.BoolVar(&o.WireCompat, "wire-compat", false, "emit only pre-geo wire encodings so not-yet-upgraded replicas keep decoding this one (rolling upgrades); overrides -rtt-placement, near reads fall back to the leader path")
 	flag.Uint64Var(&o.SnapshotEvery, "snapshot-every", 0, "durable service snapshot cadence in applied instances (0 = default 4096)")
 	flag.Uint64Var(&o.PruneKeep, "prune-keep", 0, "WAL instances retained below the cluster-min applied watermark (0 = default 1024)")
 	join := flag.Bool("join", false, "join a running cluster as a learner: catch up via snapshot streaming, then get promoted to voter by a committed config entry")
@@ -151,6 +150,8 @@ func main() {
 		fmt.Printf("metrics on http://%s/metrics (health: /healthz)\n", *metricsAddr)
 	}
 
+	// Every counter is read by name from the process's metrics registry.
+	v := func(name string) int64 { return srv.Metrics().Value("gridrep_" + name) }
 	stopStats := make(chan struct{})
 	if *statsEvery > 0 {
 		go func() {
@@ -161,20 +162,17 @@ func main() {
 				case <-stopStats:
 					return
 				case <-ticker.C:
-					st := srv.TransportStats()
 					log.Printf("transport: peers=%d depth=%d dials=%d fails=%d reconnects=%d sent=%d recvd=%d rtt=%v drops{queue=%d route=%d write=%d recv=%d reply=%d(shed=%d slow=%d)}",
-						st.ConnectedPeers, st.QueueDepth, st.Dials, st.DialFails,
-						st.Reconnects, st.Sent, st.Recvd, st.LastRTT,
-						st.DropsQueueFull, st.DropsNoRoute, st.DropsWriteFail, st.DropsRecvOverflow,
-						st.DropsReplyOverflow, st.DropsReplyShed, st.DropsReplySlowClient)
+						v("tcp_connected_peers"), v("tcp_queue_depth"), v("tcp_dials_total"), v("tcp_dial_failures_total"),
+						v("tcp_reconnects_total"), v("tcp_sent_total"), v("tcp_recvd_total"), time.Duration(v("tcp_last_rtt_nanoseconds")),
+						v("tcp_drop_queue_full_total"), v("tcp_drop_no_route_total"), v("tcp_drop_write_fail_total"), v("tcp_drop_recv_overflow_total"),
+						v("tcp_drop_reply_overflow_total"), v("tcp_drop_reply_shed_total"), v("tcp_drop_reply_slow_client_total"))
 					if *gatewayOn {
-						gs := srv.GatewayStats()
 						log.Printf("gateway: admitted=%d queued=%d dedup=%d dup_pass=%d sheds{throttle=%d queue_full=%d aged=%d} expired=%d inflight=%d depth=%d sessions=%d",
-							gs.Admitted, gs.Queued, gs.DedupHits, gs.DupPassthrough,
-							gs.ShedThrottle, gs.ShedQueueFull, gs.ShedQueueAged,
-							gs.ExpiredInFlight, gs.InFlight, gs.QueueDepth, gs.Sessions)
+							v("gateway_admitted_total"), v("gateway_queued_total"), v("gateway_dedup_hits_total"), v("gateway_dup_passthrough_total"),
+							v("gateway_shed_throttle_total"), v("gateway_shed_queue_full_total"), v("gateway_shed_queue_aged_total"),
+							v("gateway_expired_inflight_total"), v("gateway_inflight"), v("gateway_queued"), v("gateway_sessions"))
 					}
-					v := func(name string) int64 { return srv.Metrics().Value("gridrep_" + name) }
 					log.Printf("replica: pipeline=%d inflight=%d/%d waves{started=%d committed=%d} rollbacks{demotions=%d waves=%d recovery_discarded=%d} deferred_drops=%d",
 						o.PipelineDepth, v("waves_in_flight"), v("waves_in_flight_max"),
 						v("waves_started_total"), v("waves_committed_total"),
@@ -195,8 +193,13 @@ func main() {
 	<-sig
 	fmt.Println("shutting down")
 	close(stopStats)
-	st := srv.TransportStats()
-	log.Printf("transport final: dials=%d reconnects=%d drops=%d", st.Dials, st.Reconnects, st.Drops())
+	// The drop total sums the five causes; the shed and slow-client
+	// counters split reply overflow and would count it twice.
+	var drops int64
+	for _, cause := range []string{"queue_full", "no_route", "write_fail", "recv_overflow", "reply_overflow"} {
+		drops += v("tcp_drop_" + cause + "_total")
+	}
+	log.Printf("transport final: dials=%d reconnects=%d drops=%d", v("tcp_dials_total"), v("tcp_reconnects_total"), drops)
 	if dbg != nil {
 		dbg.Close()
 	}

@@ -263,11 +263,13 @@ func runOpenLoop(c *cluster.Cluster, inj *failure.Injector, plan failure.Plan, r
 		rep.Switches, rep.Crashes, rep.Restarts, rep.LossBursts)
 	fmt.Printf("workload: offered %.0f/s, goodput %.0f/s, %d acked, %d sheds, %d timeouts, %d unserved, p95 %.1fms\n",
 		o.p.OfferedPerSec, o.p.GoodputPerSec, o.p.OKs, o.p.Sheds, o.p.Timeouts, o.p.Unserved, o.p.LatP95MS)
-	// Stats sum over the currently-running edges only: a crashed node
+	// Counters sum over the currently-running edges only: a crashed node
 	// comes back with a fresh gateway, so these undercount the run.
-	gs := c.GatewayStats()
+	edge := func(name string) int64 { return c.SumMetric("gridrep_gateway_" + name) }
 	fmt.Printf("edge (live nodes): admitted=%d queued=%d sheds=%d dedup=%d dup_pass=%d expired=%d\n",
-		gs.Admitted, gs.Queued, gs.Sheds(), gs.DedupHits, gs.DupPassthrough, gs.ExpiredInFlight)
+		edge("admitted_total"), edge("queued_total"),
+		edge("shed_throttle_total")+edge("shed_queue_full_total")+edge("shed_queue_aged_total"),
+		edge("dedup_hits_total"), edge("dup_passthrough_total"), edge("expired_inflight_total"))
 	// One warmup success per worker precedes the measured window.
 	return int64(o.p.OKs + workers), int64(o.p.Sheds + o.p.Timeouts)
 }

@@ -68,9 +68,9 @@ type (
 
 	// Options are the protocol tunables — heartbeat and timeouts,
 	// pipeline depth, commit-flush window, state-transfer mode, snapshot
-	// cadence, RTT placement, WireCompat. ServerOptions and
-	// ClusterOptions embed the struct, so a TCP replica and an in-process
-	// cluster take exactly the same knobs:
+	// cadence, RTT placement. ServerOptions and ClusterOptions embed the
+	// struct, so a TCP replica and an in-process cluster take exactly the
+	// same knobs:
 	//
 	//	gridrep.ClusterOptions{Options: gridrep.Options{PipelineDepth: 4}}
 	Options = core.Options

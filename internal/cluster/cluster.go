@@ -254,29 +254,20 @@ func (c *Cluster) clientAt(id wire.NodeID) (*client.Client, error) {
 	}), nil
 }
 
-// GatewayStats sums the edge counters across every running node — the
-// cluster-wide view of admissions, sheds, and dedup hits.
-func (c *Cluster) GatewayStats() gateway.Stats {
+// SumMetric adds up one named counter or gauge over every running
+// node's registry — the cluster-wide view of the edge counters. A node
+// restarted after a crash starts from zero, so the sum covers the live
+// nodes' lifetimes, not the whole run.
+func (c *Cluster) SumMetric(name string) int64 {
 	c.mu.Lock()
 	nodes := make([]*Node, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		nodes = append(nodes, n)
 	}
 	c.mu.Unlock()
-	var sum gateway.Stats
+	var sum int64
 	for _, n := range nodes {
-		st := n.GatewayStats()
-		sum.Admitted += st.Admitted
-		sum.Queued += st.Queued
-		sum.DedupHits += st.DedupHits
-		sum.DupPassthrough += st.DupPassthrough
-		sum.ShedThrottle += st.ShedThrottle
-		sum.ShedQueueFull += st.ShedQueueFull
-		sum.ShedQueueAged += st.ShedQueueAged
-		sum.ExpiredInFlight += st.ExpiredInFlight
-		sum.InFlight += st.InFlight
-		sum.QueueDepth += st.QueueDepth
-		sum.Sessions += st.Sessions
+		sum += n.Metrics().Value(name)
 	}
 	return sum
 }

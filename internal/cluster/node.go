@@ -95,14 +95,15 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if groups > 1 {
 		// Sharded: hash routing, group-id stamping and health fan-out in
 		// a GroupMux, and one registry for the process with the shared
-		// edge registered once at the root (the group endpoints hide it
-		// from the cores' own probe).
+		// edge and the mux registered once at the root (the group
+		// endpoints hide the edge from the cores' own probe).
 		mux = transport.NewGroupMux(edge, groups, shard.NewRouter(groups, cfg.Service()).Route)
 		n.top = mux
 		n.reg = metrics.NewRegistry()
 		if ins, ok := edge.(metrics.Instrumented); ok {
 			ins.RegisterMetrics(n.reg)
 		}
+		mux.RegisterMetrics(n.reg)
 	}
 	fail := func(err error) (*Node, error) {
 		n.Stop()
@@ -172,15 +173,6 @@ func (n *Node) Healths() []core.Health {
 		out = append(out, rep.Health())
 	}
 	return out
-}
-
-// GatewayStats snapshots the client-facing edge's counters; the zero
-// value when the node runs without one.
-func (n *Node) GatewayStats() gateway.Stats {
-	if n.gw == nil {
-		return gateway.Stats{}
-	}
-	return n.gw.Stats()
 }
 
 // Stop halts the node abruptly — every group's replica, then the

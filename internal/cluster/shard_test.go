@@ -191,8 +191,9 @@ func TestShardedGroupFailoverIsolation(t *testing.T) {
 }
 
 // TestShardedCrossGroupTxnRefused: a transaction whose second op hashes
-// to a different group fails with ErrCrossGroup (typed, end to end),
-// while a single-group transaction commits.
+// to a different group fails with ErrCrossGroup (typed, end to end) and
+// is counted on the node registry, while a single-group transaction
+// commits.
 func TestShardedCrossGroupTxnRefused(t *testing.T) {
 	const n, groups = 3, 4
 	c := newShardedCluster(t, n, groups)
@@ -240,6 +241,10 @@ func TestShardedCrossGroupTxnRefused(t *testing.T) {
 		t.Fatalf("cross-group txn op: err = %v, want ErrCrossGroup", err)
 	}
 	_ = txn.Abort()
+	// The refusing node's multiplexer publishes it on the node registry.
+	if n := c.SumMetric("gridrep_groupmux_cross_group_refusals_total"); n < 1 {
+		t.Fatalf("cross-group refusals on the node registries = %d, want >= 1", n)
+	}
 }
 
 // TestShardedWALLayout: group 0 keeps the pre-sharding WAL path, other

@@ -675,7 +675,7 @@ func (r *Replica) tick(now time.Time) {
 	if r.nextTick = r.nextTick.Add(every); !r.nextTick.After(now) {
 		r.nextTick = now.Add(every)
 	}
-	if r.cfg.RTTPlacement && !r.cfg.WireCompat {
+	if r.cfg.RTTPlacement {
 		r.updatePlacementCost()
 	}
 	r.sweepReads(now)

@@ -76,18 +76,6 @@ type Options struct {
 	// order. Enables the same rank preemption as LeaderRank. No-op when
 	// the transport cannot report RTTs.
 	RTTPlacement bool
-	// WireCompat keeps every message this replica emits decodable by
-	// pre-§16 binaries, for rolling a mixed-version cluster through an
-	// upgrade: confirms are not stamped with MaxAcc and RTT placement
-	// costs are not measured or gossiped (WireCompat overrides
-	// RTTPlacement). The cost is features, not safety — an unstamped
-	// confirm still vouches by ballot to the active leader, but it makes
-	// no barrier claim a non-leader could use (DESIGN.md §18), so reads
-	// stamped for a nearest replica expire there and reach the leader on
-	// their first retry. Run the upgraded binaries with WireCompat until
-	// every replica is new, then drop it (and only then enable
-	// RTTPlacement or near reads).
-	WireCompat bool
 }
 
 // FillDefaults replaces every zero tunable with its default. The

@@ -81,12 +81,8 @@ func (r *Replica) flushConfirms() {
 	if len(r.confirmQ) == 0 {
 		return
 	}
-	c := wire.Confirm{Bal: r.acc.Promised(), From: r.cfg.ID}
-	if !r.cfg.WireCompat {
-		// The stamp is a post-v1 trailing wire field old peers cannot
-		// decode; an unstamped confirm still vouches by ballot.
-		c.MaxAcc, c.MaxAccSet = r.acc.MaxInstance(), true
-	}
+	c := wire.Confirm{Bal: r.acc.Promised(), From: r.cfg.ID,
+		MaxAcc: r.acc.MaxInstance(), MaxAccSet: true}
 	for to, keys := range r.confirmQ {
 		m := c
 		m.Reads = keys
@@ -153,11 +149,11 @@ func (r *Replica) onConfirm(m *wire.Confirm) {
 // whether it counted. Only voters count. By ballot: this replica is the
 // active leader and the sender had promised its ballot — §3.4's proof
 // that no higher ballot has superseded it; the barrier stays this
-// replica's own horizon, so an unstamped (WireCompat) confirm is still
-// useful and a stale accepted suffix at the sender cannot stall the
-// read. By stamp: the sender's accepted horizon covers every write it
-// had accepted before confirming, in any role and under any ballot; the
-// barrier rises to it. A confirm that is neither makes no claim this
+// replica's own horizon, so an unstamped confirm (only an old peer
+// sends one) is still useful and a stale accepted suffix at the sender
+// cannot stall the read. By stamp: the sender's accepted horizon covers
+// every write it had accepted before confirming, in any role and under
+// any ballot; the barrier rises to it. A confirm that is neither makes no claim this
 // replica can use — folding an absent stamp as "barrier zero" could
 // serve below an acknowledged write.
 func (r *Replica) vouch(pr *pendingRead, c heldConfirm) bool {

@@ -108,23 +108,6 @@ func TestNearConfirmsAreDurabilityGated(t *testing.T) {
 	}
 }
 
-// TestWireCompatSuppressesMaxAccStamp: in rolling-upgrade compat mode
-// the confirm must omit the MaxAcc stamp (a post-v1 trailing wire field
-// pre-geo peers reject) while still carrying the §3.4 ballot evidence.
-func TestWireCompatSuppressesMaxAccStamp(t *testing.T) {
-	r, _ := bareReplica(t)
-	r.cfg.WireCompat = true
-	r.onRequest(wire.Request{Client: wire.ClientIDBase, Seq: 3, Kind: wire.KindRead, Near: 2, NearSet: true})
-	r.flushConfirms()
-	if len(r.deferEnvs) != 1 {
-		t.Fatalf("deferred envelopes = %d, want 1", len(r.deferEnvs))
-	}
-	c := r.deferEnvs[0].Msg.(*wire.Confirm)
-	if c.MaxAccSet || c.MaxAcc != 0 {
-		t.Fatalf("WireCompat confirm still stamped: MaxAccSet=%v MaxAcc=%d", c.MaxAccSet, c.MaxAcc)
-	}
-}
-
 // TestReadVouchRule pins the one rule that decides whether a confirm
 // counts toward a read and what it does to the barrier: by ballot (the
 // active leader's own ballot — barrier stays its own horizon), by stamp
@@ -147,7 +130,7 @@ func TestReadVouchRule(t *testing.T) {
 		barrier uint64
 	}{
 		// The active leader: its own ballot vouches, stamped or not
-		// (the unstamped row is a WireCompat peer), and leaves the
+		// (the unstamped row is an old peer), and leaves the
 		// barrier alone; a foreign ballot needs the stamp.
 		{"active", mine, true, voter, true, 5},
 		{"active", mine, false, voter, true, 5},

@@ -217,7 +217,7 @@ type Gateway struct {
 	dedupHits     metrics.Counter
 	dupPass       metrics.Counter
 	expiredTot    metrics.Counter
-	drops         atomic.Uint64
+	drops         metrics.Counter // recv overflow (or delivery after Close)
 }
 
 const gatewayRecvBuf = 65536
@@ -261,16 +261,6 @@ func (g *Gateway) SetHealth(fn func(peer wire.NodeID, up bool)) {
 	if hr, ok := g.under.(transport.HealthReporter); ok {
 		hr.SetHealth(fn)
 	}
-}
-
-// Drops implements transport.Meter: the gateway's own recv overflow
-// plus whatever the wrapped transport dropped.
-func (g *Gateway) Drops() uint64 {
-	d := g.drops.Load()
-	if m, ok := g.under.(transport.Meter); ok {
-		d += m.Drops()
-	}
-	return d
 }
 
 // Close stops the sweeper, closes the wrapped transport (which
@@ -625,45 +615,6 @@ func (g *Gateway) sweep(now time.Time) {
 	}
 }
 
-// Stats is a point-in-time snapshot of the edge counters, for tests
-// and the bench harness.
-type Stats struct {
-	Admitted        uint64
-	Queued          uint64
-	DedupHits       uint64
-	DupPassthrough  uint64
-	ShedThrottle    uint64
-	ShedQueueFull   uint64
-	ShedQueueAged   uint64
-	ExpiredInFlight uint64
-	InFlight        int
-	QueueDepth      int
-	Sessions        int
-}
-
-// Sheds is the total number of requests shed at the edge.
-func (s Stats) Sheds() uint64 { return s.ShedThrottle + s.ShedQueueFull + s.ShedQueueAged }
-
-// Stats returns a snapshot of the gateway counters.
-func (g *Gateway) Stats() Stats {
-	g.mu.Lock()
-	inflight, queued, sessions := g.inflight, g.queuedN, len(g.sessions)
-	g.mu.Unlock()
-	return Stats{
-		Admitted:        g.admitted.Load(),
-		Queued:          g.queuedTot.Load(),
-		DedupHits:       g.dedupHits.Load(),
-		DupPassthrough:  g.dupPass.Load(),
-		ShedThrottle:    g.shedThrottle.Load(),
-		ShedQueueFull:   g.shedQueueFull.Load(),
-		ShedQueueAged:   g.shedQueueAged.Load(),
-		ExpiredInFlight: g.expiredTot.Load(),
-		InFlight:        inflight,
-		QueueDepth:      queued,
-		Sessions:        sessions,
-	}
-}
-
 // RegisterMetrics implements metrics.Instrumented: the wrapped
 // transport's instruments first (the gateway replaces it in the probe
 // chain, so it must keep the transport visible), then the gateway's
@@ -688,6 +639,8 @@ func (g *Gateway) RegisterMetrics(reg *metrics.Registry) {
 		"retransmits of in-flight requests passed through unadmitted", &g.dupPass)
 	reg.RegisterCounter("gridrep_gateway_expired_inflight_total",
 		"admitted requests expired by TTL with no reply observed", &g.expiredTot)
+	reg.RegisterCounter("gridrep_gateway_recv_overflow_total",
+		"envelopes dropped by the edge's full (or closed) receive buffer", &g.drops)
 	reg.RegisterGaugeFunc("gridrep_gateway_inflight",
 		"admitted requests currently awaiting a reply", func() int64 {
 			g.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gridrep/internal/metrics"
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
 )
@@ -135,6 +136,14 @@ func newTestGateway(t *testing.T, cfg Config) (*Gateway, *fakeUnder, *collector,
 	return g, f, c, clk
 }
 
+// edgeCounters publishes g's instruments into a fresh registry and
+// returns a reader for them, named without the gridrep_gateway_ prefix.
+func edgeCounters(g *Gateway) func(name string) int64 {
+	reg := metrics.NewRegistry()
+	g.RegisterMetrics(reg)
+	return func(name string) int64 { return reg.Value("gridrep_gateway_" + name) }
+}
+
 // TestPassiveForwards: a gateway that has never produced a client reply
 // (a follower) is a pure pass-through: no admission state, no sheds.
 func TestPassiveForwards(t *testing.T) {
@@ -148,8 +157,9 @@ func TestPassiveForwards(t *testing.T) {
 	if reps := f.sentReplies(); len(reps) != 0 {
 		t.Fatalf("passive gateway sent %d replies", len(reps))
 	}
-	if st := g.Stats(); st.Admitted != 0 || st.InFlight != 0 || st.Sessions != 0 {
-		t.Fatalf("passive gateway kept state: %+v", st)
+	gw := edgeCounters(g)
+	if a, i, s := gw("admitted_total"), gw("inflight"), gw("sessions"); a != 0 || i != 0 || s != 0 {
+		t.Fatalf("passive gateway kept state: admitted/inflight/sessions = %d/%d/%d", a, i, s)
 	}
 }
 
@@ -165,9 +175,9 @@ func TestBudgetQueueShed(t *testing.T) {
 	if got := len(c.take()); got != 2 {
 		t.Fatalf("forwarded %d, want the budget of 2", got)
 	}
-	st := g.Stats()
-	if st.Admitted != 2 || st.Queued != 2 || st.ShedQueueFull != 2 {
-		t.Fatalf("admit/queue/shed = %d/%d/%d, want 2/2/2", st.Admitted, st.Queued, st.ShedQueueFull)
+	gw := edgeCounters(g)
+	if a, q, s := gw("admitted_total"), gw("queued_total"), gw("shed_queue_full_total"); a != 2 || q != 2 || s != 2 {
+		t.Fatalf("admit/queue/shed = %d/%d/%d, want 2/2/2", a, q, s)
 	}
 	reps := f.sentReplies()
 	if len(reps) != 2 {
@@ -186,8 +196,8 @@ func TestBudgetQueueShed(t *testing.T) {
 	if len(drained) != 2 {
 		t.Fatalf("drained %d queued requests, want 2", len(drained))
 	}
-	if st := g.Stats(); st.QueueDepth != 0 || st.InFlight != 2 {
-		t.Fatalf("after drain: %+v", st)
+	if d, i := gw("queued"), gw("inflight"); d != 0 || i != 2 {
+		t.Fatalf("after drain: queue depth %d, inflight %d; want 0, 2", d, i)
 	}
 }
 
@@ -213,8 +223,8 @@ func TestDedupWindow(t *testing.T) {
 	if len(reps) != 1 || reps[0].Status != wire.StatusOK || reps[0].Seq != 1 || len(reps[0].Result) != 1 {
 		t.Fatalf("cached reply wrong: %+v", reps)
 	}
-	if st := g.Stats(); st.DedupHits != 1 {
-		t.Fatalf("dedup hits = %d", st.DedupHits)
+	if n := edgeCounters(g)("dedup_hits_total"); n != 1 {
+		t.Fatalf("dedup hits = %d", n)
 	}
 
 	// Eviction: push DedupWindow new answered requests; the oldest seq
@@ -242,8 +252,8 @@ func TestNotLeaderNotCached(t *testing.T) {
 	c.take()
 	g.Send(replyEnv(sid, 1, wire.StatusNotLeader))
 	f.sentReplies()
-	if st := g.Stats(); st.InFlight != 0 {
-		t.Fatalf("NotLeader did not clear the slot: %+v", st)
+	if n := edgeCounters(g)("inflight"); n != 0 {
+		t.Fatalf("NotLeader did not clear the slot: inflight = %d", n)
 	}
 
 	// The retry is a dup below the watermark: passed through, not shed,
@@ -270,9 +280,9 @@ func TestInFlightRetransmitPassesThrough(t *testing.T) {
 	if got := len(c.take()); got != 3 {
 		t.Fatalf("forwarded %d, want 3 (1 admit + 2 passthrough)", got)
 	}
-	st := g.Stats()
-	if st.Admitted != 1 || st.DupPassthrough != 2 || st.InFlight != 1 {
-		t.Fatalf("admit/dup/inflight = %d/%d/%d", st.Admitted, st.DupPassthrough, st.InFlight)
+	gw := edgeCounters(g)
+	if a, d, i := gw("admitted_total"), gw("dup_passthrough_total"), gw("inflight"); a != 1 || d != 2 || i != 1 {
+		t.Fatalf("admit/dup/inflight = %d/%d/%d", a, d, i)
 	}
 	if reps := f.sentReplies(); len(reps) != 0 {
 		t.Fatalf("retransmit shed: %+v", reps)
@@ -371,14 +381,14 @@ func TestInFlightTTLExpiry(t *testing.T) {
 	f.inject(reqEnv(SessionID(0, 1), 1))
 	f.inject(reqEnv(SessionID(0, 2), 1))
 	c.take()
-	if st := g.Stats(); st.InFlight != 2 {
-		t.Fatalf("inflight = %d", st.InFlight)
+	gw := edgeCounters(g)
+	if n := gw("inflight"); n != 2 {
+		t.Fatalf("inflight = %d", n)
 	}
 	clk.Advance(time.Second)
 	g.sweep(clk.Now())
-	st := g.Stats()
-	if st.InFlight != 0 || st.ExpiredInFlight != 2 {
-		t.Fatalf("after TTL: %+v", st)
+	if i, e := gw("inflight"), gw("expired_inflight_total"); i != 0 || e != 2 {
+		t.Fatalf("after TTL: inflight %d, expired %d; want 0, 2", i, e)
 	}
 	// The freed budget admits again (the gateway is passive now — the
 	// fake clock advanced past ActiveWindow — so re-activate first).
@@ -400,9 +410,9 @@ func TestQueueAgedShed(t *testing.T) {
 	c.take()
 	clk.Advance(time.Second)
 	g.sweep(clk.Now())
-	st := g.Stats()
-	if st.ShedQueueAged != 1 || st.QueueDepth != 0 {
-		t.Fatalf("aged shed: %+v", st)
+	gw := edgeCounters(g)
+	if a, d := gw("shed_queue_aged_total"), gw("queued"); a != 1 || d != 0 {
+		t.Fatalf("aged shed: shed %d, queue depth %d; want 1, 0", a, d)
 	}
 	reps := f.sentReplies()
 	if len(reps) != 1 || reps[0].Status != wire.StatusOverload || reps[0].Client != SessionID(0, 2) {
@@ -459,6 +469,5 @@ func TestSessionIDTenant(t *testing.T) {
 
 var _ transport.Transport = (*Gateway)(nil)
 var _ transport.Sinker = (*Gateway)(nil)
-var _ transport.Meter = (*Gateway)(nil)
 var _ transport.HealthReporter = (*Gateway)(nil)
 var _ transport.Transport = (*sessionEP)(nil)

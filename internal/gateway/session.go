@@ -94,14 +94,9 @@ func (m *SessionMux) Open(tenant uint8, n uint32) (transport.Transport, error) {
 }
 
 // Drops counts replies that arrived for no open session plus per-session
-// buffer overflow, plus whatever the underlying transport dropped.
-func (m *SessionMux) Drops() uint64 {
-	d := m.drops.Load()
-	if mt, ok := m.under.(transport.Meter); ok {
-		d += mt.Drops()
-	}
-	return d
-}
+// buffer overflow. The mux lives in client processes, which keep no
+// metrics registry, so this method is its only read surface.
+func (m *SessionMux) Drops() uint64 { return m.drops.Load() }
 
 // Close closes every session endpoint and the underlying transport.
 func (m *SessionMux) Close() error {

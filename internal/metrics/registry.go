@@ -155,9 +155,8 @@ type Metric struct {
 	Hist  *HistSnapshot // histograms only
 }
 
-// Snapshot captures every registered instrument. This is the API that
-// replaced the ad-hoc stats structs; the old surfaces are thin shims
-// over the same instruments.
+// Snapshot captures every registered instrument. It is the one read
+// surface for every layer's counters; no layer keeps a stats struct.
 func (r *Registry) Snapshot() []Metric {
 	r = r.base()
 	r.mu.Lock()

@@ -65,20 +65,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// FileStats is a point-in-time snapshot of a File's I/O counters.
-type FileStats struct {
-	// Records appended (staged or written through).
-	Records uint64
-	// Batches flushed by group commit and the bytes they carried.
-	Batches    uint64
-	BatchBytes uint64
-	// Syncs actually issued to the device.
-	Syncs uint64
-	// Rewrites completed and rewrite attempts that failed.
-	Rewrites    uint64
-	RewriteErrs uint64
-}
-
 // File is an append-only write-ahead log implementing Store. Every
 // mutation is one CRC-protected record; Load replays the log and stops at
 // the first torn or corrupt record (the tail a crash may have produced).
@@ -140,7 +126,7 @@ type File struct {
 	tail      []byte         // records flushed while the rewrite snapshot was built
 	rewriteWG sync.WaitGroup // joins the rewrite goroutine on Close
 
-	// I/O instruments (metrics package atomics; FileStats is the shim).
+	// I/O instruments (metrics package atomics, read through a registry).
 	// The histograms are created in OpenFile so the hot path never has to
 	// nil-check; RegisterMetrics publishes everything into a registry.
 	records, batches, batchBytes, syncs, rewrites, rewriteErrs metrics.Counter
@@ -241,22 +227,6 @@ func (s *File) Staged() bool {
 	s.mu.Unlock()
 	return n > 0
 }
-
-// Stats returns a snapshot of the I/O counters. Kept as a compatibility
-// shim over the registered instruments.
-func (s *File) Stats() FileStats {
-	return FileStats{
-		Records:     s.records.Load(),
-		Batches:     s.batches.Load(),
-		BatchBytes:  s.batchBytes.Load(),
-		Syncs:       s.syncs.Load(),
-		Rewrites:    s.rewrites.Load(),
-		RewriteErrs: s.rewriteErrs.Load(),
-	}
-}
-
-// FsyncLatency snapshots the device-sync latency histogram.
-func (s *File) FsyncLatency() metrics.HistSnapshot { return s.fsyncLat.Snapshot() }
 
 // RegisterMetrics implements metrics.Instrumented: the replica that owns
 // this store publishes its instruments into the replica's registry.

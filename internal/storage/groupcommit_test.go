@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gridrep/internal/metrics"
 	"gridrep/internal/wire"
 )
 
@@ -17,6 +18,15 @@ func openTestFile(t *testing.T, path string) *File {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// walCounters publishes s's instruments into a fresh registry and
+// returns a reader for its counters, named without the gridrep_wal_
+// prefix and _total suffix.
+func walCounters(s *File) func(name string) int64 {
+	reg := metrics.NewRegistry()
+	s.RegisterMetrics(reg)
+	return func(name string) int64 { return reg.Value("gridrep_wal_" + name + "_total") }
 }
 
 // reopen models a crash: the old File is abandoned (its staged buffer and
@@ -93,15 +103,15 @@ func TestFlushBatchesOneSync(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Records != 9 {
-		t.Errorf("Records = %d, want 9", st.Records)
+	wal := walCounters(s)
+	if n := wal("records"); n != 9 {
+		t.Errorf("records = %d, want 9", n)
 	}
-	if st.Batches != 1 {
-		t.Errorf("Batches = %d, want 1", st.Batches)
+	if n := wal("batches"); n != 1 {
+		t.Errorf("batches = %d, want 1", n)
 	}
-	if st.Syncs != 1 {
-		t.Errorf("Syncs = %d, want 1 (one fdatasync per burst)", st.Syncs)
+	if n := wal("syncs"); n != 1 {
+		t.Errorf("syncs = %d, want 1 (one fdatasync per burst)", n)
 	}
 }
 
@@ -113,6 +123,7 @@ func TestChosenCoalescing(t *testing.T) {
 	s := openTestFile(t, path)
 	defer s.Close()
 	s.SetBuffered(true)
+	wal := walCounters(s)
 
 	b := wire.Ballot{Round: 1, Node: 0}
 	if err := s.PutAccepted([]wire.Entry{entry(1, b, "a", false)}, b); err != nil {
@@ -121,7 +132,7 @@ func TestChosenCoalescing(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Syncs; got != 1 {
+	if got := wal("syncs"); got != 1 {
 		t.Fatalf("Syncs after critical batch = %d, want 1", got)
 	}
 
@@ -132,7 +143,7 @@ func TestChosenCoalescing(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Syncs; got != 1 {
+	if got := wal("syncs"); got != 1 {
 		t.Fatalf("chosen-only batch forced a sync: Syncs = %d, want 1", got)
 	}
 
@@ -143,7 +154,7 @@ func TestChosenCoalescing(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Syncs; got != 2 {
+	if got := wal("syncs"); got != 2 {
 		t.Fatalf("Syncs after second critical batch = %d, want 2", got)
 	}
 	if st := reopen(t, path); st.Chosen != 1 || st.Accepted.Len() != 2 {
@@ -157,6 +168,7 @@ func TestSyncPolicyAlways(t *testing.T) {
 	defer s.Close()
 	s.SetPolicy(SyncPolicyAlways, 0)
 	s.SetBuffered(true)
+	wal := walCounters(s)
 
 	b := wire.Ballot{Round: 1, Node: 0}
 	if err := s.PutAccepted([]wire.Entry{entry(1, b, "a", false)}, b); err != nil {
@@ -171,7 +183,7 @@ func TestSyncPolicyAlways(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Syncs; got != 2 {
+	if got := wal("syncs"); got != 2 {
 		t.Fatalf("Syncs = %d, want 2 under SyncPolicyAlways", got)
 	}
 }
@@ -183,6 +195,7 @@ func TestSyncPolicyInterval(t *testing.T) {
 	defer s.Close()
 	s.SetPolicy(SyncPolicyInterval, time.Hour)
 	s.SetBuffered(true)
+	wal := walCounters(s)
 
 	b := wire.Ballot{Round: 1, Node: 0}
 	for i := uint64(1); i <= 3; i++ {
@@ -195,7 +208,7 @@ func TestSyncPolicyInterval(t *testing.T) {
 	}
 	// The first flush syncs (no sync has ever run); the rest fall within
 	// the hour-long interval and are deferred.
-	if got := s.Stats().Syncs; got != 1 {
+	if got := wal("syncs"); got != 1 {
 		t.Fatalf("Syncs = %d, want 1 within the interval", got)
 	}
 
@@ -210,7 +223,7 @@ func TestSyncPolicyInterval(t *testing.T) {
 	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Stats().Syncs; got != 1 {
+	if got := walCounters(s2)("syncs"); got != 1 {
 		t.Fatalf("Syncs = %d, want 1 once the interval elapsed", got)
 	}
 }
@@ -275,15 +288,15 @@ func TestAsyncRewrite(t *testing.T) {
 	}
 	// Let in-flight background rewrites finish before checking.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Rewrites == 0 && time.Now().Before(deadline) {
+	wal := walCounters(s)
+	for wal("rewrites") == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	st := s.Stats()
-	if st.Rewrites == 0 {
+	if wal("rewrites") == 0 {
 		t.Fatal("no background rewrite ran despite tiny threshold")
 	}
-	if st.RewriteErrs != 0 {
-		t.Fatalf("RewriteErrs = %d, want 0", st.RewriteErrs)
+	if n := wal("rewrite_errors"); n != 0 {
+		t.Fatalf("rewrite errors = %d, want 0", n)
 	}
 
 	got := reopen(t, path)

@@ -306,7 +306,6 @@ type Endpoint struct {
 }
 
 var _ Transport = (*Endpoint)(nil)
-var _ Meter = (*Endpoint)(nil)
 var _ Sinker = (*Endpoint)(nil)
 var _ RTTReporter = (*Endpoint)(nil)
 
@@ -321,9 +320,6 @@ func (ep *Endpoint) Send(env *wire.Envelope) { ep.net.send(ep.id, env) }
 
 // Recv implements Transport.
 func (ep *Endpoint) Recv() <-chan *wire.Envelope { return ep.recv }
-
-// Drops implements Meter, reporting the fabric-wide drop count.
-func (ep *Endpoint) Drops() uint64 { return ep.net.Drops() }
 
 // PeerRTT implements RTTReporter from the netem model: the round trip
 // is the sum of the two directed links' mean one-way latencies. Where

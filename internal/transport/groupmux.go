@@ -2,9 +2,9 @@ package transport
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"gridrep/internal/metrics"
 	"gridrep/internal/wire"
 )
 
@@ -21,8 +21,10 @@ import (
 // only that group; Close detaches every group and then closes the
 // underlying transport. The underlying transport deliberately stays
 // un-probed for metrics.Instrumented through the group endpoints: it is
-// shared, so the process owner registers it once on the root registry
-// instead of once per group.
+// shared, so the process owner registers it — and the mux's own
+// counters, through RegisterMetrics — once on the root registry instead
+// of once per group. Each group endpoint registers only its own queue
+// overflow, into its group's registry.
 type GroupMux struct {
 	under SinkTransport
 	// route maps a client request to its consensus group; an error means
@@ -38,8 +40,8 @@ type GroupMux struct {
 	healthMu sync.Mutex
 	healthFn []func(wire.NodeID, bool)
 
-	drops     atomic.Uint64 // envelopes for unknown or closed groups
-	crossGrp  atomic.Uint64 // requests refused as cross-group
+	drops     metrics.Counter // envelopes for unknown or closed groups
+	crossGrp  metrics.Counter // requests refused as cross-group
 	closeOnce sync.Once
 }
 
@@ -77,14 +79,14 @@ const groupRecvBuf = 65536
 // Group returns group g's virtual transport.
 func (m *GroupMux) Group(g int) Transport { return m.eps[g] }
 
-// Drops counts envelopes the mux itself discarded (closed or unknown
-// group, full group buffer), excluding the underlying transport's own
-// drops — group endpoints add those in.
-func (m *GroupMux) Drops() uint64 { return m.drops.Load() }
-
-// CrossGroupRefusals counts client requests refused with
-// wire.StatusCrossGroup.
-func (m *GroupMux) CrossGroupRefusals() uint64 { return m.crossGrp.Load() }
+// RegisterMetrics implements metrics.Instrumented for the mux's own
+// counters; the process owner calls it once on the root registry.
+func (m *GroupMux) RegisterMetrics(reg *metrics.Registry) {
+	reg.RegisterCounter("gridrep_groupmux_drops_total",
+		"envelopes for an unknown or closed consensus group", &m.drops)
+	reg.RegisterCounter("gridrep_groupmux_cross_group_refusals_total",
+		"client requests refused with StatusCrossGroup", &m.crossGrp)
+}
 
 // Close detaches every group and closes the underlying transport.
 func (m *GroupMux) Close() error {
@@ -154,15 +156,15 @@ type groupEndpoint struct {
 	// close would panic the send.
 	mu     sync.Mutex
 	recv   chan *wire.Envelope
-	drops  atomic.Uint64
+	drops  metrics.Counter // full group queue
 	closed bool
 }
 
 var (
-	_ Transport      = (*groupEndpoint)(nil)
-	_ Meter          = (*groupEndpoint)(nil)
-	_ HealthReporter = (*groupEndpoint)(nil)
-	_ RTTReporter    = (*groupEndpoint)(nil)
+	_ Transport            = (*groupEndpoint)(nil)
+	_ metrics.Instrumented = (*groupEndpoint)(nil)
+	_ HealthReporter       = (*groupEndpoint)(nil)
+	_ RTTReporter          = (*groupEndpoint)(nil)
 )
 
 func (ep *groupEndpoint) Local() wire.NodeID { return ep.mux.under.Local() }
@@ -212,15 +214,12 @@ func (ep *groupEndpoint) deliver(env *wire.Envelope) {
 	}
 }
 
-// Drops implements Meter: this group's overflow drops plus its share of
-// the shared link's accounting (reported in full to each group; the
-// figures are diagnostic, not additive across groups).
-func (ep *groupEndpoint) Drops() uint64 {
-	d := ep.drops.Load()
-	if mt, ok := ep.mux.under.(Meter); ok {
-		d += mt.Drops()
-	}
-	return d
+// RegisterMetrics implements metrics.Instrumented: the group's core
+// probes its transport, so this group's queue overflow lands in the
+// group's own (prefixed) registry.
+func (ep *groupEndpoint) RegisterMetrics(reg *metrics.Registry) {
+	reg.RegisterCounter("gridrep_group_recv_overflow_total",
+		"envelopes dropped by this group's full receive queue", &ep.drops)
 }
 
 // PeerRTT implements RTTReporter by delegating to the shared link: all

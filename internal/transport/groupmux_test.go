@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gridrep/internal/metrics"
 	"gridrep/internal/wire"
 )
 
@@ -44,7 +45,6 @@ func (f *fakeUnder) Close() error {
 	}
 	return nil
 }
-func (f *fakeUnder) Drops() uint64 { return 0 }
 func (f *fakeUnder) SetHealth(fn func(peer wire.NodeID, up bool)) {
 	f.mu.Lock()
 	f.health = fn
@@ -55,6 +55,14 @@ func (f *fakeUnder) sentEnvs() []*wire.Envelope {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]*wire.Envelope(nil), f.sent...)
+}
+
+// muxCounters publishes m's own instruments into a fresh registry, as a
+// sharded node does on its shared one, and returns a reader for them.
+func muxCounters(m *GroupMux) func(name string) int64 {
+	reg := metrics.NewRegistry()
+	m.RegisterMetrics(reg)
+	return func(name string) int64 { return reg.Value("gridrep_groupmux_" + name + "_total") }
 }
 
 func muxRecvOne(t *testing.T, tr Transport) *wire.Envelope {
@@ -88,8 +96,9 @@ func TestGroupMuxDispatchByGroup(t *testing.T) {
 
 	// Unknown group: dropped and counted.
 	under.inject(&wire.Envelope{From: 1, Group: 9, Msg: &wire.Heartbeat{From: 1}})
+	ctr := muxCounters(m)
 	deadline := time.Now().Add(2 * time.Second)
-	for m.Drops() == 0 {
+	for ctr("drops") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("out-of-range group never counted as drop")
 		}
@@ -150,8 +159,8 @@ func TestGroupMuxRoutesClientRequests(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if m.CrossGroupRefusals() != 1 {
-		t.Fatalf("CrossGroupRefusals = %d, want 1", m.CrossGroupRefusals())
+	if n := muxCounters(m)("cross_group_refusals"); n != 1 {
+		t.Fatalf("cross-group refusals = %d, want 1", n)
 	}
 	select {
 	case env := <-m.Group(0).Recv():
@@ -207,7 +216,7 @@ func TestGroupMuxDetachIsolation(t *testing.T) {
 	if env := muxRecvOne(t, m.Group(1)); env.Msg.(*wire.Heartbeat).Epoch != 5 {
 		t.Fatalf("sibling group got %+v", env)
 	}
-	if m.Drops() == 0 {
+	if muxCounters(m)("drops") == 0 {
 		t.Fatal("delivery to detached group not counted as drop")
 	}
 	// Double close is safe.

@@ -132,12 +132,12 @@ func TestTCPShedNeverBlocksEventLoop(t *testing.T) {
 		t.Fatal("Send burst blocked on a non-reading client")
 	}
 
-	st := rep.Stats()
-	if st.DropsReplyShed+st.DropsReplySlowClient != st.DropsReplyOverflow {
-		t.Fatalf("cause split %d+%d != overflow total %d",
-			st.DropsReplyShed, st.DropsReplySlowClient, st.DropsReplyOverflow)
+	ctr := tcpCounters(rep)
+	shed, slow, total := ctr("drop_reply_shed_total"), ctr("drop_reply_slow_client_total"), ctr("drop_reply_overflow_total")
+	if shed+slow != total {
+		t.Fatalf("cause split %d+%d != overflow total %d", shed, slow, total)
 	}
-	if st.DropsReplyOverflow > 0 && st.DropsReplyShed == 0 {
-		t.Fatalf("overflow drops %d attributed to nothing shed in an all-shed burst", st.DropsReplyOverflow)
+	if total > 0 && shed == 0 {
+		t.Fatalf("overflow drops %d attributed to nothing shed in an all-shed burst", total)
 	}
 }

@@ -162,7 +162,7 @@ func TestTCPReplyWriterQueue(t *testing.T) {
 			t.Fatalf("reply writer reordered: seq %d at position %d", rep.Seq, i)
 		}
 	}
-	if d := reps[0].Stats().DropsReplyOverflow; d != 0 {
+	if d := tcpCounters(reps[0])("drop_reply_overflow_total"); d != 0 {
 		t.Fatalf("reply overflow drops = %d with a draining client", d)
 	}
 }

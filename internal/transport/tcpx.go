@@ -119,8 +119,8 @@ const (
 // maxFrame bounds a single frame on the wire.
 const maxFrame = wire.MaxBlob + (1 << 16)
 
-// counters aggregates transport events; read via Stats or, registered
-// through RegisterMetrics, via the replica's metrics registry.
+// counters aggregates transport events; they are read through the
+// registry RegisterMetrics publishes them into.
 type counters struct {
 	dials, dialFails, reconnects    metrics.Counter
 	sent, recvd                     metrics.Counter
@@ -139,47 +139,6 @@ type counters struct {
 	// (created at transport construction, registered on demand — the
 	// storage.File histogram pattern).
 	decodeLat *metrics.Histogram
-}
-
-// Stats is a point-in-time snapshot of the transport's counters, the
-// observability surface the TCP deployment logs and benchmarks sample.
-type Stats struct {
-	// Dials counts successful connection establishments; DialFails
-	// counts failed attempts. Reconnects counts re-establishments after
-	// a previously healthy link died.
-	Dials, DialFails, Reconnects uint64
-	// Sent and Recvd count envelope frames moved on the wire.
-	Sent, Recvd uint64
-	// PingsSent / PongsRecvd count transport heartbeats on supervised
-	// links; LastRTT is the most recent measured ping round trip.
-	PingsSent, PongsRecvd uint64
-	LastRTT               time.Duration
-	// Drops, by cause. DropsQueueFull: a supervisor queue overflowed
-	// (oldest envelope discarded). DropsNoRoute: no address and no
-	// learned return route. DropsWriteFail: a frame died with its
-	// connection. DropsRecvOverflow: the receive buffer overflowed
-	// (oldest envelope discarded). DropsReplyOverflow: an accept-side
-	// reply writer's queue overflowed (oldest reply discarded); it is
-	// split by cause into DropsReplyShed (the overflowing write was a
-	// gateway StatusOverload shed — backpressure from the edge rejecting
-	// faster than the client socket drains) and DropsReplySlowClient
-	// (an ordinary reply to a client that stopped reading). The two
-	// addends sum to DropsReplyOverflow.
-	DropsQueueFull, DropsNoRoute, DropsWriteFail, DropsRecvOverflow uint64
-	DropsReplyOverflow                                              uint64
-	DropsReplyShed, DropsReplySlowClient                            uint64
-	// QueueDepth is the current total of enqueued outbound envelopes
-	// across all peer supervisors; ConnectedPeers counts supervised
-	// links that are currently up.
-	QueueDepth     int
-	ConnectedPeers int
-}
-
-// Drops returns the total number of dropped envelopes, matching the
-// accounting Network.Drops provides for the in-process transport.
-func (s Stats) Drops() uint64 {
-	return s.DropsQueueFull + s.DropsNoRoute + s.DropsWriteFail +
-		s.DropsRecvOverflow + s.DropsReplyOverflow
 }
 
 type tcpConn struct {
@@ -315,7 +274,6 @@ func newTCP(local wire.NodeID, book map[wire.NodeID]string, opts Options) *TCP {
 
 var _ Transport = (*TCP)(nil)
 var _ HealthReporter = (*TCP)(nil)
-var _ Meter = (*TCP)(nil)
 var _ Sinker = (*TCP)(nil)
 var _ RTTReporter = (*TCP)(nil)
 
@@ -379,40 +337,6 @@ func (t *TCP) notifyHealth(peer wire.NodeID, up bool) {
 		fn(peer, up)
 	}
 }
-
-// Stats returns a snapshot of the transport counters.
-func (t *TCP) Stats() Stats {
-	s := Stats{
-		Dials:                t.stats.dials.Load(),
-		DialFails:            t.stats.dialFails.Load(),
-		Reconnects:           t.stats.reconnects.Load(),
-		Sent:                 t.stats.sent.Load(),
-		Recvd:                t.stats.recvd.Load(),
-		PingsSent:            t.stats.pingsSent.Load(),
-		PongsRecvd:           t.stats.pongsRecvd.Load(),
-		LastRTT:              time.Duration(t.stats.lastRTT.Load()),
-		DropsQueueFull:       t.stats.dropQueueFull.Load(),
-		DropsNoRoute:         t.stats.dropNoRoute.Load(),
-		DropsWriteFail:       t.stats.dropWriteFail.Load(),
-		DropsRecvOverflow:    t.stats.dropRecvOverflow.Load(),
-		DropsReplyOverflow:   t.stats.dropReplyOverflow.Load(),
-		DropsReplyShed:       t.stats.dropReplyShed.Load(),
-		DropsReplySlowClient: t.stats.dropReplySlow.Load(),
-	}
-	t.mu.Lock()
-	for _, sup := range t.sups {
-		s.QueueDepth += len(sup.q)
-		if sup.isUp() {
-			s.ConnectedPeers++
-		}
-	}
-	t.mu.Unlock()
-	return s
-}
-
-// Drops implements Meter: total envelopes dropped so far, in parity with
-// Network.Drops on the in-process transport.
-func (t *TCP) Drops() uint64 { return t.Stats().Drops() }
 
 // RegisterMetrics implements metrics.Instrumented: the replica that owns
 // this transport publishes its instruments into the replica's registry.

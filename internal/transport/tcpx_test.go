@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"gridrep/internal/metrics"
 	"gridrep/internal/wire"
 )
 
@@ -42,6 +43,14 @@ func fastOpts() Options {
 		PingEvery:    10 * time.Millisecond,
 		PingTimeout:  80 * time.Millisecond,
 	}
+}
+
+// tcpCounters publishes tr's instruments into a fresh registry and
+// returns a reader for them, named without the gridrep_tcp_ prefix.
+func tcpCounters(tr *TCP) func(name string) int64 {
+	reg := metrics.NewRegistry()
+	tr.RegisterMetrics(reg)
+	return func(name string) int64 { return reg.Value("gridrep_tcp_" + name) }
 }
 
 func tcpRecv(t *testing.T, tr *TCP, within time.Duration) *wire.Envelope {
@@ -243,14 +252,15 @@ func TestTCPSupervisorReconnect(t *testing.T) {
 		}
 		break
 	}
-	if st := a.Stats(); st.Reconnects < 1 || st.Dials < 2 {
-		t.Errorf("stats = %+v, want >=1 reconnect and >=2 dials", st)
+	ctr := tcpCounters(a)
+	if r, d := ctr("reconnects_total"), ctr("dials_total"); r < 1 || d < 2 {
+		t.Errorf("reconnects = %d, dials = %d; want >=1 reconnect and >=2 dials", r, d)
 	}
 }
 
 // TestTCPRecvOverflowDropsOldest verifies the receive buffer evicts the
-// oldest envelope on overflow and accounts for every drop, matching the
-// in-process transport's Drops() accounting.
+// oldest envelope on overflow and accounts for every drop under its
+// cause.
 func TestTCPRecvOverflowDropsOldest(t *testing.T) {
 	opts := fastOpts()
 	opts.RecvBuf = 4
@@ -267,10 +277,11 @@ func TestTCPRecvOverflowDropsOldest(t *testing.T) {
 		env.To = 1
 		a.Send(env)
 	}
+	ctr := tcpCounters(b)
 	deadline := time.Now().Add(5 * time.Second)
-	for b.Drops() < 6 {
+	for ctr("drop_recv_overflow_total") < 6 {
 		if time.Now().After(deadline) {
-			t.Fatalf("drops = %d, want 6", b.Drops())
+			t.Fatalf("recv overflow drops = %d, want 6", ctr("drop_recv_overflow_total"))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -280,8 +291,13 @@ func TestTCPRecvOverflowDropsOldest(t *testing.T) {
 			t.Fatalf("surviving epoch = %d, want %d (oldest must be evicted first)", got, want)
 		}
 	}
-	if st := b.Stats(); st.DropsRecvOverflow != 6 {
-		t.Errorf("DropsRecvOverflow = %d, want 6", st.DropsRecvOverflow)
+	for _, cause := range []string{"queue_full", "no_route", "write_fail", "reply_overflow"} {
+		if n := ctr("drop_" + cause + "_total"); n != 0 {
+			t.Errorf("%s drops = %d, want 0: every drop here is a recv overflow", cause, n)
+		}
+	}
+	if n := ctr("drop_recv_overflow_total"); n != 6 {
+		t.Errorf("recv overflow drops = %d, want 6", n)
 	}
 }
 
@@ -346,14 +362,15 @@ func TestTCPPingRTT(t *testing.T) {
 	a.Send(env)
 	tcpRecv(t, b, 2*time.Second)
 
+	ctr := tcpCounters(a)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := a.Stats()
-		if st.PingsSent >= 1 && st.PongsRecvd >= 1 && st.LastRTT > 0 {
+		pings, pongs, rtt := ctr("pings_sent_total"), ctr("pongs_recvd_total"), ctr("last_rtt_nanoseconds")
+		if pings >= 1 && pongs >= 1 && rtt > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no ping round trip: %+v", st)
+			t.Fatalf("no ping round trip: pings %d, pongs %d, rtt %dns", pings, pongs, rtt)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -74,14 +74,6 @@ type RTTReporter interface {
 	PeerRTT(peer wire.NodeID) (rtt time.Duration, ok bool)
 }
 
-// Meter is implemented by transports that account for dropped messages.
-// Both the in-process Network endpoints and the TCP transport implement
-// it with the same semantics: a monotonic count of envelopes the
-// transport discarded (overflow, dead routes, model loss).
-type Meter interface {
-	Drops() uint64
-}
-
 // Broadcast sends msg from t to every node in dst.
 func Broadcast(t Transport, dst []wire.NodeID, msg wire.Message) {
 	for _, to := range dst {

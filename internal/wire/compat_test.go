@@ -10,7 +10,8 @@ import (
 // messages that do not carry them must encode byte-for-byte as the
 // pre-§16 format (what an old binary emits and the only thing it can
 // decode), and a new decoder must accept both forms. These tests pin
-// the rolling-upgrade contract the core WireCompat knob relies on.
+// the rolling-upgrade contract: a new binary decodes what an old one
+// emits.
 
 // legacyConfirmBytes hand-builds the pre-§16 encoding of a Confirm
 // envelope: ballot, sender, reads — and no trailing MaxAcc.

@@ -318,8 +318,8 @@ func (m *Commit) UnmarshalFrom(dec *Decoder) error {
 // field (like Request's nearFlag, but keyed on position: the envelope
 // holds exactly one message, so "bytes remain" is the presence bit):
 // confirms without the stamp encode byte-for-byte as the pre-§16
-// format, which is what lets a mixed-version cluster roll through an
-// upgrade with core.Config.WireCompat set on the new binaries.
+// format. Current binaries always stamp; the unstamped form arrives only
+// from old peers.
 func (m *Confirm) MarshalTo(enc *Encoder) {
 	enc.Ballot(m.Bal)
 	enc.NodeID(m.From)
@@ -334,7 +334,7 @@ func (m *Confirm) MarshalTo(enc *Encoder) {
 }
 
 // UnmarshalFrom implements Message. A confirm from a peer that does not
-// stamp MaxAcc (pre-§16 binary, or WireCompat mode) decodes with
+// stamp MaxAcc (a pre-§16 binary) decodes with
 // MaxAccSet false — the receiver must not treat the absent barrier
 // claim as "barrier zero".
 func (m *Confirm) UnmarshalFrom(dec *Decoder) error {

@@ -471,8 +471,8 @@ type Confirm struct {
 	// own ballot ignores it (its own proposal horizon is the barrier
 	// there). Encoded as a trailing field only when MaxAccSet, so
 	// confirms without the stamp are byte-for-byte the pre-§16 format; a
-	// confirm without the stamp (an old peer, or WireCompat mode) vouches
-	// by ballot only — there is no barrier claim to fold.
+	// confirm without the stamp (only an old peer sends one) vouches by
+	// ballot only — there is no barrier claim to fold.
 	MaxAcc    uint64
 	MaxAccSet bool
 }

@@ -20,10 +20,6 @@ import (
 // dead links. The zero value picks sensible defaults.
 type TransportOptions = transport.Options
 
-// TransportStats is a snapshot of the TCP transport's counters: dials,
-// reconnects, drops by cause, queue depth, and heartbeat RTT.
-type TransportStats = transport.Stats
-
 // ServerOptions configures one TCP replica process.
 type ServerOptions struct {
 	// ID is this replica's index into Peers.
@@ -56,7 +52,6 @@ type ServerOptions struct {
 	// Options are the protocol tunables, the same struct ClusterOptions
 	// takes, with the same defaults (no network profile to derive them
 	// from: 25ms heartbeat, serial pipeline, 1ms commit-flush window).
-	// Options.WireCompat is the rolling-upgrade switch.
 	Options
 	// Join starts this replica as an online joiner (DESIGN.md §12): a
 	// non-voting learner that announces itself to the peers listed in
@@ -77,10 +72,6 @@ type ServerOptions struct {
 
 // GatewayOptions tunes the client-facing edge; see internal/gateway.
 type GatewayOptions = gateway.Config
-
-// GatewayStats is a snapshot of the edge counters: admissions, queue
-// occupancy, sheds by cause, and dedup hits.
-type GatewayStats = gateway.Stats
 
 // Server is one running TCP replica process — every consensus group it
 // hosts (one in the classic deployment, N in a sharded one).
@@ -149,16 +140,10 @@ func (s *Server) Groups() int { return s.node.Groups() }
 // Addr returns the replica's actual listen address.
 func (s *Server) Addr() string { return s.tr.Addr() }
 
-// TransportStats snapshots the replica's transport counters.
-func (s *Server) TransportStats() TransportStats { return s.tr.Stats() }
-
-// GatewayStats snapshots the client-facing edge counters; the zero
-// value when the gateway is disabled.
-func (s *Server) GatewayStats() GatewayStats { return s.node.GatewayStats() }
-
-// Metrics returns the process's metrics registry — protocol, WAL, and
-// transport instruments in one place (sharded: group 0 unprefixed,
-// group g under group_<g>_). Safe from any goroutine.
+// Metrics returns the process's metrics registry — protocol, WAL,
+// transport and gateway instruments in one place, and the only way to
+// read them (sharded: group 0 unprefixed, group g under group_<g>_).
+// Safe from any goroutine.
 func (s *Server) Metrics() *MetricsRegistry { return s.node.Metrics() }
 
 // Health snapshots the group-0 replica's protocol position: role,
