@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites stats-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
+.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites stats-sites coverage-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
 
 # The race gates' test selections, each written once: `-run 'regex'`
 # then the packages it applies to. `make selectors` checks every
@@ -85,6 +85,28 @@ stats-sites:
 		grep -vE '\(\w+ \*(Network|SessionMux)\) Drops\(\)' || true); \
 	if [ -n "$$hits" ]; then echo "stats-sites: counters read outside the registry:"; echo "$$hits"; exit 1; fi; \
 	echo "stats-sites: every counter is read through the registry"
+
+# "By nothing" is 0 (the ROADMAP's keep-or-delete ledger), at function
+# granularity: tier-1 reaches every non-test function of core, wire,
+# transport and storage. This runs tier-1 with coverage over those four
+# packages and fails listing each function `go tool cover -func` reports
+# at 0.0% that testdata/coverage_allow.txt does not name. An allowlist
+# line is "<file>:<function> <reason>"; a line without a reason fails.
+COVERAGE_PKGS = gridrep/internal/core,gridrep/internal/wire,gridrep/internal/transport,gridrep/internal/storage
+COVERAGE_ALLOW = testdata/coverage_allow.txt
+coverage-sites:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	grep -vE '^(#|$$)' $(COVERAGE_ALLOW) > $$tmp/allow || true; \
+	bad=$$(awk 'NF < 2' $$tmp/allow); \
+	if [ -n "$$bad" ]; then echo "coverage-sites: allowlist lines without a reason:"; echo "$$bad"; exit 1; fi; \
+	awk '{ print $$1 }' $$tmp/allow > $$tmp/keys; \
+	$(GO) test -count 1 -coverpkg=$(COVERAGE_PKGS) -coverprofile=$$tmp/prof ./... > $$tmp/log 2>&1 || \
+		{ cat $$tmp/log; exit 1; }; \
+	zero=$$($(GO) tool cover -func=$$tmp/prof | \
+		awk '$$NF == "0.0%" { sub(/^gridrep\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1 ":" $$2 }' | \
+		grep -vxF -f $$tmp/keys || true); \
+	if [ -n "$$zero" ]; then echo "coverage-sites: functions no tier-1 test reaches:"; echo "$$zero"; exit 1; fi; \
+	echo "coverage-sites: tier-1 reaches every function in core, wire, transport and storage"
 
 # Just the socket-level chaos suite (transport + chaos), race-enabled.
 chaos:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -26,9 +27,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/metric_names fro
 // under testdata/metric_names only ever gain names: rerun with -update
 // after registering a new instrument, and never rename one.
 func TestMetricNamesGolden(t *testing.T) {
-	// A fixed pool size: the read-pool gauges exist only when the pool
-	// does, which otherwise depends on the host's processor count.
-	tunables := gridrep.Options{ReadConcurrency: 2}
+	// Two processors while the replicas start: the read-pool gauges exist
+	// only when the pool does, which otherwise depends on the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, deploy := range []string{"inproc", "tcp"} {
 		for _, groups := range []int{1, 2} {
 			for _, gw := range []bool{false, true} {
@@ -42,7 +43,7 @@ func TestMetricNamesGolden(t *testing.T) {
 					var names []string
 					if deploy == "inproc" {
 						c, err := cluster.New(cluster.Config{N: 1, Groups: groups, Service: service.KVFactory,
-							DataDir: t.TempDir(), Options: tunables, Gateway: gwOpts})
+							DataDir: t.TempDir(), Gateway: gwOpts})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -54,7 +55,7 @@ func TestMetricNamesGolden(t *testing.T) {
 							ID: 0, Peers: map[gridrep.NodeID]string{0: "127.0.0.1:0"},
 							NewService: service.KVFactory, Groups: groups,
 							WALPath: filepath.Join(t.TempDir(), "replica.wal"),
-							Options: tunables, Gateway: gwOpts,
+							Gateway: gwOpts,
 						})
 						if err != nil {
 							t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 
 	"gridrep/internal/bench"
 	"gridrep/internal/cluster"
-	"gridrep/internal/core"
 	"gridrep/internal/netem"
 	"gridrep/internal/service"
 )
@@ -256,13 +255,20 @@ func BenchmarkAblationStateSize(b *testing.B) {
 
 // DESIGN.md §5.2 ablation, second axis: the §3.3 state-transfer modes.
 // With a large store, full mode ships the whole snapshot per wave while
-// delta mode ships only the touched keys.
+// delta mode ships only the touched keys. The mode follows the service:
+// KV runs in delta mode, and in full mode behind the bare Service
+// interface, as a user's service without Differ would.
 func BenchmarkAblationStateModes(b *testing.B) {
-	for _, mode := range []core.StateMode{core.StateModeFull, core.StateModeDelta} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, mode := range []struct {
+		name    string
+		service service.Factory
+	}{
+		{"full", func() service.Service { return struct{ service.Service }{service.NewKV()} }},
+		{"delta", service.KVFactory},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
 			c := benchCluster(b, netem.Sysnet(), func(cfg *cluster.Config) {
-				cfg.Service = service.KVFactory
-				cfg.StateMode = mode
+				cfg.Service = mode.service
 			})
 			cli, err := c.NewClient()
 			if err != nil {

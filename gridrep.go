@@ -63,14 +63,13 @@ type (
 	// Txn is an open T-Paxos transaction.
 	Txn = client.Txn
 
-	// StateMode selects the §3.3 state-transfer reduction.
-	StateMode = core.StateMode
-
 	// Options are the protocol tunables — heartbeat and timeouts,
-	// pipeline depth, commit-flush window, state-transfer mode, snapshot
-	// cadence, RTT placement. ServerOptions and ClusterOptions embed the
-	// struct, so a TCP replica and an in-process cluster take exactly the
-	// same knobs:
+	// pipeline depth, commit-flush window, snapshot cadence, RTT
+	// placement. The state-transfer reduction of §3.3 is not among them:
+	// it follows from the Service's capabilities (full state, a delta, or
+	// the captured choices to replay). ServerOptions and ClusterOptions
+	// embed the struct, so a TCP replica and an in-process cluster take
+	// exactly the same knobs:
 	//
 	//	gridrep.ClusterOptions{Options: gridrep.Options{PipelineDepth: 4}}
 	Options = core.Options
@@ -106,15 +105,6 @@ const (
 // ParseSyncPolicy parses "always", "batch" or "interval" (the -sync flag
 // vocabulary of replicad and benchpaxos).
 var ParseSyncPolicy = storage.ParseSyncPolicy
-
-// State-transfer modes (§3.3). StateAuto picks the cheapest mode the
-// service supports.
-const (
-	StateAuto   = core.StateModeAuto
-	StateFull   = core.StateModeFull
-	StateDelta  = core.StateModeDelta
-	StateReplay = core.StateModeReplay
-)
 
 // Client errors, re-exported.
 var (

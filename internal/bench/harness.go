@@ -9,7 +9,6 @@ import (
 	"gridrep/internal/cluster"
 	"gridrep/internal/metrics"
 	"gridrep/internal/service"
-	"gridrep/internal/wire"
 )
 
 // ReqClass selects which request kind a workload issues, matching the
@@ -367,16 +366,4 @@ func TxnSeries(cl *cluster.Cluster, mode TxnMode, nReqs int, clientCounts []int,
 		out = append(out, ThroughputPoint{Clients: c, PerSecond: tp, RequestTot: totalTxns})
 	}
 	return out, nil
-}
-
-// RequestKindFor maps a ReqClass to its wire kind (exported for tools).
-func (c ReqClass) RequestKindFor() wire.RequestKind {
-	switch c {
-	case ClassRead:
-		return wire.KindRead
-	case ClassWrite:
-		return wire.KindWrite
-	default:
-		return wire.KindOriginal
-	}
 }

@@ -303,20 +303,3 @@ func MeasureOpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopPoint, er
 	}
 	return p, nil
 }
-
-// OpenLoopSeries measures one point per target rate, reusing cfg for
-// everything else. Each point draws fresh sessions, so rate points are
-// independent runs against the same cluster.
-func OpenLoopSeries(cl *cluster.Cluster, cfg OpenLoopConfig, rates []float64) ([]OpenLoopPoint, error) {
-	var out []OpenLoopPoint
-	for _, r := range rates {
-		c := cfg
-		c.Rate = r
-		p, err := MeasureOpenLoop(cl, c)
-		if err != nil {
-			return nil, fmt.Errorf("open loop at %.0f/s: %w", r, err)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}

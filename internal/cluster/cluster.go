@@ -230,15 +230,6 @@ func (c *Cluster) NewClient() (*client.Client, error) {
 	return c.clientAt(wire.ClientIDBase + wire.NodeID(id))
 }
 
-// NewSessionClient attaches a client for one logical session of a
-// tenant. On the in-process network every session gets its own cheap
-// endpoint — the session ID packs the tenant into the client NodeID
-// exactly as the TCP ClientMux does, so replica-side gateways see the
-// same tenant space either way.
-func (c *Cluster) NewSessionClient(tenant uint8, n uint32) (*client.Client, error) {
-	return c.clientAt(gateway.SessionID(tenant, n))
-}
-
 // clientAt attaches a client on its own endpoint id.
 func (c *Cluster) clientAt(id wire.NodeID) (*client.Client, error) {
 	ep, err := c.Net.Endpoint(id)

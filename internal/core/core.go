@@ -32,9 +32,7 @@
 package core
 
 import (
-	"fmt"
 	"log"
-	"runtime"
 	"time"
 
 	"gridrep/internal/metrics"
@@ -46,39 +44,26 @@ import (
 	"gridrep/internal/wire"
 )
 
-// StateMode selects how proposals carry service state (§3.3 discusses
-// all three). The default Auto picks the cheapest mode that can express
-// the service's writes and its transactions: Replay for a Serialize'd
-// service.Replayer, Delta for a service.TxnDiffer, Full otherwise.
-type StateMode int
+// stateMode is how proposals carry service state (§3.3 discusses all
+// three). It is a property of the service: New picks the cheapest mode
+// that can express the service's writes and its transactions — replay
+// for a Serialize'd service.Replayer, delta for a service.TxnDiffer, full
+// otherwise.
+type stateMode int
 
 const (
-	// StateModeAuto: choose per the service's capabilities.
-	StateModeAuto StateMode = iota
-	// StateModeFull: proposals carry full post-execution snapshots
-	// (attached only to the top instance of each accept wave).
-	StateModeFull
-	// StateModeDelta: proposals carry per-instance state deltas
+	// stateFull: proposals carry full post-execution snapshots (attached
+	// only to the top instance of each accept wave). The paper's basic
+	// protocol, and the only mode for a Service with neither capability.
+	stateFull stateMode = iota
+	// stateDelta: proposals carry per-instance state deltas
 	// (service.Differ).
-	StateModeDelta
-	// StateModeReplay: proposals carry the captured nondeterministic
-	// choices; replicas regenerate state by deterministic re-execution
+	stateDelta
+	// stateReplay: proposals carry the captured nondeterministic choices;
+	// replicas regenerate state by deterministic re-execution
 	// (service.Replayer).
-	StateModeReplay
+	stateReplay
 )
-
-func (m StateMode) String() string {
-	switch m {
-	case StateModeFull:
-		return "full"
-	case StateModeDelta:
-		return "delta"
-	case StateModeReplay:
-		return "replay"
-	default:
-		return "auto"
-	}
-}
 
 // Role is a replica's current protocol role.
 type Role int
@@ -208,13 +193,14 @@ type Replica struct {
 	svc      service.Service
 	txnSvc   service.Transactional
 	exclus   bool // transactions serialize all other work
-	mode     StateMode
+	mode     stateMode
 	differ   service.TxnDiffer // non-nil in delta mode
 	replayer service.Replayer  // non-nil in replay mode
 
 	// Parallel read execution (readpool.go): viewer pins immutable
-	// state views, readPool runs gate-cleared reads off-loop. Both nil
-	// when the service cannot pin views or ReadConcurrency disables it.
+	// state views, readPool runs gate-cleared reads off-loop. Start sets
+	// both, unless the service cannot pin views or the process has one
+	// processor.
 	viewer   service.ReadViewer
 	readPool *readPool
 
@@ -342,21 +328,19 @@ func New(cfg Config) (*Replica, error) {
 	}
 	txnSvc := service.AsTransactional(cfg.Service)
 	exclus := service.IsExclusive(txnSvc)
-	mode := cfg.StateMode
 	replayer, isReplayer := cfg.Service.(service.Replayer)
 	differ, isTxnDiffer := cfg.Service.(service.TxnDiffer)
 	// A mode must express writes and T-Paxos commits: replay needs the
 	// transaction's ops run on the base state through the Replayer (a
 	// Serialize'd service), delta a commit that yields its write set.
-	switch auto := mode == StateModeAuto; {
-	case (auto || mode == StateModeReplay) && isReplayer && exclus:
-		mode, differ = StateModeReplay, nil
-	case (auto || mode == StateModeDelta) && isTxnDiffer:
-		mode, replayer = StateModeDelta, nil
-	case auto || mode == StateModeFull:
-		mode, differ, replayer = StateModeFull, nil, nil
+	mode := stateFull
+	switch {
+	case isReplayer && exclus:
+		mode, differ = stateReplay, nil
+	case isTxnDiffer:
+		mode, replayer = stateDelta, nil
 	default:
-		return nil, fmt.Errorf("core: the service cannot express its writes and transactions in %v mode", mode)
+		differ, replayer = nil, nil
 	}
 	r := &Replica{
 		cfg:    cfg,
@@ -413,29 +397,6 @@ func New(cfg Config) (*Replica, error) {
 		fl.SetBuffered(true)
 		r.flusher = fl
 	}
-	if rv, ok := cfg.Service.(service.ReadViewer); ok && cfg.ReadConcurrency >= 0 {
-		// The service can pin immutable read views; start the parallel
-		// read pool (readpool.go) unless a single-core process makes it
-		// pure overhead.
-		workers := cfg.ReadConcurrency
-		if workers == 0 && runtime.GOMAXPROCS(0) > 1 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > 0 {
-			r.viewer = rv
-			r.readPool = newReadPool(cfg.Transport, cfg.ID, workers)
-			rp := r.readPool
-			r.reg.RegisterGaugeFunc("gridrep_read_pool_workers",
-				"goroutines executing X-Paxos reads in parallel",
-				func() int64 { return int64(rp.workers) })
-			r.reg.RegisterGaugeFunc("gridrep_read_pool_in_flight",
-				"parallel reads dispatched and not yet replied",
-				func() int64 { return rp.inFlight.Load() })
-			r.reg.RegisterGaugeFunc("gridrep_read_pool_queue_depth",
-				"parallel reads queued for a worker",
-				func() int64 { return int64(len(rp.jobs)) })
-		}
-	}
 	r.differ, r.replayer = differ, replayer
 	r.maxSeen = acc.Promised()
 	r.nextInstance = acc.Chosen() + 1
@@ -461,9 +422,6 @@ func (r *Replica) Options() Options { return r.cfg.Options }
 
 // Accessors for Inspect closures (event-loop confined).
 
-// Role returns the current role (call inside Inspect).
-func (r *Replica) Role() Role { return r.role }
-
 // IsActiveLeader reports whether the replica is serving requests (call
 // inside Inspect).
 func (r *Replica) IsActiveLeader() bool { return r.role == RoleLeading && r.activated }
@@ -485,9 +443,6 @@ func (r *Replica) Service() service.Service { return r.svc }
 // Elector returns the Ω elector (call inside Inspect; tests use Suspect
 // to force leader switches).
 func (r *Replica) Elector() *omega.Elector { return r.elector }
-
-// OpenTxns returns the number of open transactions (call inside Inspect).
-func (r *Replica) OpenTxns() int { return len(r.txns) }
 
 func (r *Replica) logf(format string, args ...interface{}) {
 	if r.cfg.Logger != nil {

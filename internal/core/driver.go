@@ -1,16 +1,19 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
+	"gridrep/internal/service"
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
 )
 
 // The wall-clock driver (DESIGN.md §20): the one goroutine that owns a
 // replica's channels and timer and feeds the step functions time.Now()
-// per input. The simulator in sim_test.go is the other driver.
+// per input, plus the goroutines it starts beside it — the persister and
+// the read pool. The simulator in sim_test.go is the other driver.
 type driver struct {
 	persist  *persister // the flush goroutine, when the store stages records
 	stop     chan struct{}
@@ -58,7 +61,11 @@ func (r *Replica) initDriver() {
 	}
 }
 
-// Start launches the event loop (and the persister, if any).
+// Start launches the event loop, the persister when the store stages
+// records, and the parallel read pool (readpool.go) when the service can
+// pin read views and the process has more than one processor — on one,
+// handing reads off gains nothing, and the read path stays the serial
+// engine's.
 func (r *Replica) Start() {
 	if r.flusher != nil {
 		r.persist = newPersister(r.flusher, r.tr, func(err error) {
@@ -69,6 +76,11 @@ func (r *Replica) Start() {
 			}
 			r.stopOnce.Do(func() { close(r.stop) })
 		})
+	}
+	if rv, ok := r.svc.(service.ReadViewer); ok && runtime.GOMAXPROCS(0) > 1 {
+		r.viewer = rv
+		r.readPool = newReadPool(r.tr, r.cfg.ID, runtime.GOMAXPROCS(0))
+		r.readPool.RegisterMetrics(r.reg)
 	}
 	go r.run()
 }

@@ -206,10 +206,10 @@ func (r *Replica) startWave(items []workItem) {
 			prop := wire.Proposal{Reqs: reqs, Results: results}
 			var err error
 			switch r.mode {
-			case StateModeDelta:
+			case stateDelta:
 				prop.State, err = r.differ.CommitDelta(it.txn.ws)
 				prop.HasState, prop.Kind = true, wire.StateDelta
-			case StateModeReplay:
+			case stateReplay:
 				prop.Aux = append(it.txn.aux, nil)
 				fallthrough
 			default:
@@ -237,7 +237,7 @@ func (r *Replica) startWave(items []workItem) {
 	if len(entries) == 0 {
 		return
 	}
-	if r.mode == StateModeFull {
+	if r.mode == stateFull {
 		// State rides on the top instance only (§3.3).
 		top := &entries[len(entries)-1]
 		top.Prop.State = r.svc.Snapshot()
@@ -253,7 +253,7 @@ func (r *Replica) startWave(items []workItem) {
 // producing the proposal for its consensus instance.
 func (r *Replica) executeWrite(req wire.Request) (wire.Proposal, error) {
 	switch r.mode {
-	case StateModeReplay:
+	case stateReplay:
 		res, aux, err := r.replayer.ExecuteCapture(req.Op)
 		if err != nil {
 			return wire.Proposal{}, err
@@ -263,7 +263,7 @@ func (r *Replica) executeWrite(req wire.Request) (wire.Proposal, error) {
 			Results: [][]byte{res},
 			Aux:     [][]byte{aux},
 		}, nil
-	case StateModeDelta:
+	case stateDelta:
 		res, delta, err := r.differ.ExecuteDelta(req.Op)
 		if err != nil {
 			return wire.Proposal{}, err

@@ -30,20 +30,19 @@ func TestReadLinearizability(t *testing.T) {
 	for _, depth := range []int{1, 4} {
 		for _, noBatch := range []bool{false, true} {
 			t.Run(fmt.Sprintf("depth=%d,nobatch=%v", depth, noBatch), func(t *testing.T) {
-				readLinearizability(t, cluster.Config{
+				readLinearizability(t, newCluster(t, cluster.Config{
 					Service: service.KVFactory,
 					Options: core.Options{
 						PipelineDepth: depth,
 						NoBatch:       noBatch,
 					},
-				})
+				}))
 			})
 		}
 	}
 }
 
-func readLinearizability(t *testing.T, cfg cluster.Config) {
-	c := newCluster(t, cfg)
+func readLinearizability(t *testing.T, c *cluster.Cluster) {
 	wcli, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)

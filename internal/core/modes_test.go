@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"gridrep/internal/cluster"
 	"gridrep/internal/core"
@@ -13,40 +12,38 @@ import (
 	"gridrep/internal/wire"
 )
 
-// modeCluster builds a KV cluster forced into a specific state mode.
-func modeCluster(t *testing.T, mode core.StateMode) *cluster.Cluster {
-	t.Helper()
-	return newCluster(t, cluster.Config{
-		Service: service.KVFactory,
-		Options: core.Options{StateMode: mode},
-	})
-}
+// plainKV is a KV behind the bare service.Service interface: like a
+// user's service that implements neither Differ nor Replayer, it runs in
+// full mode, where the KV itself runs in delta mode.
+func plainKV() service.Service { return struct{ service.Service }{service.NewKV()} }
 
-// TestStateModesEquivalent drives the identical workload through all
-// three state-transfer modes and requires identical replicated state —
-// §3.3's point that the reductions change bytes on the wire, not
-// semantics.
+// TestStateModesEquivalent drives the identical workload through full and
+// delta mode and requires identical replicated state — §3.3's point that
+// the reductions change bytes on the wire, not semantics.
 func TestStateModesEquivalent(t *testing.T) {
 	var finals [][]byte
-	for _, mode := range []core.StateMode{core.StateModeFull, core.StateModeDelta} {
-		c := modeCluster(t, mode)
+	for _, mode := range []struct {
+		name    string
+		service service.Factory
+	}{{"full", plainKV}, {"delta", service.KVFactory}} {
+		c := newCluster(t, cluster.Config{Service: mode.service})
 		cli, err := c.NewClient()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
 			if _, err := cli.Write(service.KVPut(fmt.Sprintf("k%d", i%3), []byte{byte(i)})); err != nil {
-				t.Fatalf("%v: %v", mode, err)
+				t.Fatalf("%s: %v", mode.name, err)
 			}
 			if _, err := cli.Write(service.KVAdd("ctr", 2)); err != nil {
-				t.Fatalf("%v: %v", mode, err)
+				t.Fatalf("%s: %v", mode.name, err)
 			}
 		}
 		waitConverged(t, c)
 		snaps := snapshotAll(t, c)
 		for i, s := range snaps {
 			if !bytes.Equal(s, snaps[0]) {
-				t.Fatalf("%v: replica #%d diverged", mode, i)
+				t.Fatalf("%s: replica #%d diverged", mode.name, i)
 			}
 		}
 		finals = append(finals, snaps[0])
@@ -58,7 +55,7 @@ func TestStateModesEquivalent(t *testing.T) {
 }
 
 func TestDeltaModeBackupsFollow(t *testing.T) {
-	c := modeCluster(t, core.StateModeDelta)
+	c := newCluster(t, cluster.Config{Service: service.KVFactory})
 	cli, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +83,7 @@ func TestDeltaModeBackupsFollow(t *testing.T) {
 }
 
 func TestDeltaModeFailover(t *testing.T) {
-	c := modeCluster(t, core.StateModeDelta)
+	c := newCluster(t, cluster.Config{Service: service.KVFactory})
 	cli, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +111,7 @@ func TestDeltaModeFailover(t *testing.T) {
 func TestDeltaModeTransactions(t *testing.T) {
 	// A transaction commits as one delta, its write set; interleave
 	// transactions with delta writes and verify consistency.
-	c := modeCluster(t, core.StateModeDelta)
+	c := newCluster(t, cluster.Config{Service: service.KVFactory})
 	cli, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +145,6 @@ func TestDeltaModeTransactions(t *testing.T) {
 func TestReplayModeBroker(t *testing.T) {
 	seed := int64(0)
 	c := newCluster(t, cluster.Config{
-		Options: core.Options{StateMode: core.StateModeReplay},
 		Service: func() service.Service {
 			seed++
 			return service.NewBroker(seed)
@@ -181,7 +177,6 @@ func TestReplayModeBroker(t *testing.T) {
 func TestReplayModeFailoverKeepsSelections(t *testing.T) {
 	seed := int64(50)
 	c := newCluster(t, cluster.Config{
-		Options: core.Options{StateMode: core.StateModeReplay},
 		Service: func() service.Service {
 			seed++
 			return service.NewBroker(seed)
@@ -226,7 +221,6 @@ func TestReplayModeSchedDurable(t *testing.T) {
 		stores[wire.NodeID(i)] = st
 	}
 	c := newCluster(t, cluster.Config{
-		Options: core.Options{StateMode: core.StateModeReplay},
 		Service: func() service.Service { return service.NewSched() },
 		Stores:  stores,
 	})
@@ -259,37 +253,3 @@ func TestReplayModeSchedDurable(t *testing.T) {
 		}
 	}
 }
-
-func TestModeMismatchRejected(t *testing.T) {
-	// Forcing a mode the service cannot support must fail at
-	// construction, not corrupt state later.
-	_, err := core.New(core.Config{
-		ID:        0,
-		Peers:     []wire.NodeID{0},
-		Service:   service.NewNoop(),
-		Options:   core.Options{StateMode: core.StateModeDelta},
-		Transport: nopTransport{},
-	})
-	if err == nil {
-		t.Fatal("delta mode accepted for a non-Differ service")
-	}
-	_, err = core.New(core.Config{
-		ID:        0,
-		Peers:     []wire.NodeID{0},
-		Service:   service.NewNoop(),
-		Options:   core.Options{StateMode: core.StateModeReplay},
-		Transport: nopTransport{},
-	})
-	if err == nil {
-		t.Fatal("replay mode accepted for a non-Replayer service")
-	}
-}
-
-type nopTransport struct{}
-
-func (nopTransport) Local() wire.NodeID          { return 0 }
-func (nopTransport) Send(*wire.Envelope)         {}
-func (nopTransport) Recv() <-chan *wire.Envelope { return nil }
-func (nopTransport) Close() error                { return nil }
-
-var _ = time.Now // keep time imported for helpers

@@ -7,7 +7,7 @@ import "time"
 // embed the struct by value and every layer forwards it whole
 // (`Options: cfg.Options`), so a knob exists once and cannot be dropped
 // on the way down. DESIGN.md "Node assembly and options" has the knob
-// table with each one's status (supported / test seam).
+// table: each one's status and what selects it in production.
 type Options struct {
 	// HeartbeatInterval drives Ω heartbeats (default 25ms, raised to
 	// twice the deployment's worst one-way delay when that is known).
@@ -44,21 +44,6 @@ type Options struct {
 	// paper's own recovery path sends multi-instance accepts, and
 	// batching is what lets write throughput scale in Figure 5.
 	NoBatch bool
-	// ReadConcurrency sizes the parallel-read worker pool (DESIGN.md
-	// §14): when the service implements service.ReadViewer, reads whose
-	// gates have cleared (DESIGN.md §18) — at the leader or at a replica
-	// serving as a client's nearest — execute concurrently against
-	// pinned immutable views and their replies fan out off the event
-	// loop. 0 (the default)
-	// sizes the pool to GOMAXPROCS, and disables it when that is 1 —
-	// one core gains nothing from handing reads off, and skipping the
-	// pool keeps the single-core read path byte-identical to the serial
-	// engine. Negative disables the pool unconditionally; positive
-	// forces that many workers even on a single processor (the test
-	// seam).
-	ReadConcurrency int
-	// StateMode selects the state-transfer reduction of §3.3.
-	StateMode StateMode
 	// SnapshotEvery takes a durable service snapshot every this many
 	// applied instances (default 4096). Snapshots bound WAL pruning and
 	// serve streaming catch-up.

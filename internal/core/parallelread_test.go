@@ -29,12 +29,20 @@ func readCounters(t *testing.T, c *cluster.Cluster) (parallel, inline int64) {
 	return
 }
 
-// TestParallelReadPoolEngages forces the read pool on (the 1-CPU CI
-// host would otherwise auto-disable it) and checks a read burst against
-// a quiescent leader actually dispatches off-loop: the parallel counter
-// moves, and every read still sees the committed value.
+// poolCluster starts cfg's cluster at GOMAXPROCS 4, so every replica
+// starts its parallel read pool — which a single processor leaves off —
+// and restores the scheduler width before returning.
+func poolCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	return newCluster(t, cfg)
+}
+
+// TestParallelReadPoolEngages starts the read pool whatever the host's
+// processor count and checks a read burst against a quiescent leader
+// actually dispatches off-loop: the parallel counter moves, and every
+// read still sees the committed value.
 func TestParallelReadPoolEngages(t *testing.T) {
-	c := newCluster(t, cluster.Config{Service: service.KVFactory, Options: core.Options{ReadConcurrency: 4}})
+	c := poolCluster(t, cluster.Config{Service: service.KVFactory})
 	cli, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -85,12 +93,9 @@ func TestParallelReadPoolEngages(t *testing.T) {
 // chiefly under -race (make multicore-race runs it at GOMAXPROCS=4);
 // value correctness is asserted by the linearizability matrix.
 func TestParallelReadVsWritesSnapshotsScrapes(t *testing.T) {
-	c := newCluster(t, cluster.Config{
+	c := poolCluster(t, cluster.Config{
 		Service: service.KVFactory,
-		Options: core.Options{
-			ReadConcurrency: 4,
-			SnapshotEvery:   8,
-		},
+		Options: core.Options{SnapshotEvery: 8},
 	})
 	wcli, err := c.NewClient()
 	if err != nil {
@@ -189,18 +194,15 @@ func TestParallelReadVsWritesSnapshotsScrapes(t *testing.T) {
 }
 
 // TestReadLinearizabilityMulticore reruns the linearizability bracket
-// with the parallel read pool forced on, across GOMAXPROCS {1,4}: the
-// off-loop read path must preserve exactly the §3.4 contract the inline
-// path gives, regardless of scheduler width.
+// with the parallel read pool started, then run across GOMAXPROCS {1,4}:
+// the off-loop read path must preserve exactly the §3.4 contract the
+// inline path gives, regardless of scheduler width.
 func TestReadLinearizabilityMulticore(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			readLinearizability(t, cluster.Config{
-				Service: service.KVFactory,
-				Options: core.Options{ReadConcurrency: 4},
-			})
+			c := poolCluster(t, cluster.Config{Service: service.KVFactory})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			readLinearizability(t, c)
 		})
 	}
 }

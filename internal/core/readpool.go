@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gridrep/internal/metrics"
 	"gridrep/internal/service"
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
@@ -55,6 +56,20 @@ func newReadPool(tr transport.Transport, local wire.NodeID, workers int) *readPo
 		go p.worker()
 	}
 	return p
+}
+
+// RegisterMetrics implements metrics.Instrumented: the pool's gauges, in
+// the registry of the replica that starts it.
+func (p *readPool) RegisterMetrics(reg *metrics.Registry) {
+	reg.RegisterGaugeFunc("gridrep_read_pool_workers",
+		"goroutines executing X-Paxos reads in parallel",
+		func() int64 { return int64(p.workers) })
+	reg.RegisterGaugeFunc("gridrep_read_pool_in_flight",
+		"parallel reads dispatched and not yet replied",
+		func() int64 { return p.inFlight.Load() })
+	reg.RegisterGaugeFunc("gridrep_read_pool_queue_depth",
+		"parallel reads queued for a worker",
+		func() int64 { return int64(len(p.jobs)) })
 }
 
 // tryDispatch hands a read to the pool without ever blocking the event

@@ -531,8 +531,3 @@ func (r *Replica) tickJoin(now time.Time) {
 func (r *Replica) Voters() []wire.NodeID {
 	return append([]wire.NodeID(nil), r.voters...)
 }
-
-// Learners returns the current learner set (call inside Inspect).
-func (r *Replica) Learners() []wire.NodeID {
-	return append([]wire.NodeID(nil), r.learners...)
-}

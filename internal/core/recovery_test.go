@@ -97,9 +97,8 @@ func TestRecoveryAdoptsUncommittedSuffix(t *testing.T) {
 		2: seedStore(t, []wire.Entry{e1, e2, e3}, 2),
 	}
 	c := newCluster(t, cluster.Config{
-		Service: service.KVFactory,
+		Service: plainKV, // full mode, which the seeded entries are in
 		Stores:  stores,
-		Options: core.Options{StateMode: core.StateModeFull},
 	})
 	cli, err := c.NewClient()
 	if err != nil {
@@ -169,9 +168,8 @@ func TestRecoveryDiscardsSuffixPastGap(t *testing.T) {
 		2: seedStore(t, []wire.Entry{e4}, 0),
 	}
 	c := newCluster(t, cluster.Config{
-		Service: service.KVFactory,
+		Service: plainKV, // full mode, which the seeded entries are in
 		Stores:  stores,
-		Options: core.Options{StateMode: core.StateModeFull},
 	})
 	cli, err := c.NewClient()
 	if err != nil {
@@ -238,9 +236,8 @@ func TestRecoveryDiscardsBallotRegression(t *testing.T) {
 		2: seedStore(t, []wire.Entry{e1, e2}, 1),
 	}
 	c := newCluster(t, cluster.Config{
-		Service: service.KVFactory,
+		Service: plainKV, // full mode, which the seeded entries are in
 		Stores:  stores,
-		Options: core.Options{StateMode: core.StateModeFull},
 	})
 	cli, err := c.NewClient()
 	if err != nil {
@@ -303,9 +300,8 @@ func TestHigherBallotSuffixWins(t *testing.T) {
 		2: seedStore(t, []wire.Entry{e1, winner}, 1),
 	}
 	c := newCluster(t, cluster.Config{
-		Service: service.KVFactory,
+		Service: plainKV, // full mode, which the seeded entries are in
 		Stores:  stores,
-		Options: core.Options{StateMode: core.StateModeFull},
 	})
 	cli, err := c.NewClient()
 	if err != nil {

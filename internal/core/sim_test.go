@@ -21,8 +21,9 @@ import (
 // Every envelope goes through the codec as on transport.Network, delay
 // and loss come from netem.Model.Decide, delivery is FIFO per directed
 // link, and each replica's persist jobs are flushed by a staged
-// in-memory store whose crash drops what was never flushed. The read
-// pool is off. Nothing here reads the wall clock, so a seed is a run.
+// in-memory store whose crash drops what was never flushed. Replicas are
+// never Started, so no read pool runs. Nothing here reads the wall clock,
+// so a seed is a run.
 
 // simStore is a storage.Flusher over a storage.Mem that holds only what
 // was flushed: staged records wait in order and a crash drops them.
@@ -157,6 +158,9 @@ type sim struct {
 	// watch, when set, runs after every event: scripted schedules use it
 	// to act the moment a condition holds.
 	watch func()
+	// drop, when set, sees every send and loses the ones it returns true
+	// for: scripted schedules use it to lose one message.
+	drop func(from wire.NodeID, env *wire.Envelope) bool
 	// violations lists every message that claimed durable acceptor state
 	// its sender had not flushed (durability before vouching).
 	violations []string
@@ -184,7 +188,6 @@ func newSim(t testing.TB, cfg simConfig) *sim {
 	if cfg.opts.HeartbeatInterval == 0 {
 		cfg.opts.HeartbeatInterval = 5 * time.Millisecond
 	}
-	cfg.opts.ReadConcurrency = -1
 	s := &sim{
 		t:       t,
 		cfg:     cfg,
@@ -249,6 +252,9 @@ func (s *sim) send(from wire.NodeID, env *wire.Envelope) {
 	}
 	if !from.IsClient() {
 		s.checkDurable(from, env)
+	}
+	if s.drop != nil && s.drop(from, env) {
+		return
 	}
 	s.out = append(s.out, simOut{from: from, to: env.To, data: wire.EncodeEnvelope(nil, env)})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -131,10 +132,13 @@ func TestSimRecordReplay(t *testing.T) {
 	peers := []wire.NodeID{0, 1, 2}
 	config := func(id wire.NodeID, tr transport.Transport) Config {
 		return Config{ID: id, Peers: peers, Service: service.NewKV(), Store: storage.NewMem(), Transport: tr,
-			Options: Options{HeartbeatInterval: 5 * time.Millisecond, ReadConcurrency: -1}}
+			Options: Options{HeartbeatInterval: 5 * time.Millisecond}}
 	}
 	logs := make([]stepLog, len(peers))
 	reps := make([]*Replica, len(peers))
+	// One processor while they start: no read pool, so the live replicas
+	// run the read path their replay below runs.
+	procs := runtime.GOMAXPROCS(1)
 	for i, id := range peers {
 		ep, err := net.Endpoint(id)
 		if err != nil {
@@ -152,6 +156,7 @@ func TestSimRecordReplay(t *testing.T) {
 		}
 		reps[i].Start()
 	}
+	runtime.GOMAXPROCS(procs)
 	leader := func(not wire.NodeID) wire.NodeID {
 		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 			for i, r := range reps {
@@ -301,6 +306,83 @@ func corpusExclusiveDirtyRead(t *testing.T) {
 		if rep.Status != wire.StatusOK || string(rep.Result) != "n1 0/10\n" {
 			t.Fatalf("read answered %v %q, want the committed %q", rep.Status, rep.Result, "n1 0/10\n")
 		}
+	}
+}
+
+// TestSimSnapshotStream: a replica that lost its memory rejoins a cluster
+// whose logs are pruned by pulling a snapshot of several chunks, one
+// SnapReq per chunk. The schedule drops one chunk, which the requester
+// re-pulls once the stream has been quiet for a RetryTimeout; then the
+// serving peer goes silent, and past 4 × RetryTimeout the requester
+// abandons the stream and the next peer serves it from the start.
+func TestSimSnapshotStream(t *testing.T) {
+	s := newSim(t, simConfig{seed: 5, opts: Options{SnapshotEvery: 8, PruneKeep: 2}})
+	lead := s.awaitLeader(time.Second)
+	c := s.newClient()
+	val := bytes.Repeat([]byte{'v'}, 32<<10)
+	for i := 0; i < 24; i++ {
+		if rep := c.call(wire.Request{Kind: wire.KindWrite, Op: service.KVPut(fmt.Sprint("key-", i), val)}, time.Second); rep.Status != wire.StatusOK {
+			t.Fatalf("write %d: %v", i, rep.Status)
+		}
+	}
+	if !s.runUntil(5*time.Second, func() bool {
+		for _, n := range s.nodes {
+			if n.r.acc.PrunedTo() == 0 {
+				return false
+			}
+		}
+		return true
+	}) {
+		t.Fatal("the logs were never pruned")
+	}
+	if snap, _ := s.nodes[lead].r.acc.ServiceSnapshot(); len(snap) <= 2*snapChunkSize {
+		t.Fatalf("the snapshot is %d bytes, want more than two %d-byte chunks", len(snap), snapChunkSize)
+	}
+	lag := (lead + 1) % 3
+	s.crash(lag)
+	s.nodes[lag].store = newSimStore() // memory loss: it returns at instance 0
+
+	sent := map[wire.NodeID]int{} // chunks each peer got through to the lagger
+	dropped, silenced := false, false
+	var silent wire.NodeID
+	s.drop = func(from wire.NodeID, env *wire.Envelope) bool {
+		chunk, ok := env.Msg.(*wire.SnapChunk)
+		switch {
+		case !ok || env.To != lag:
+			return false
+		case silenced && from == silent:
+			return true
+		case chunk.Offset > 0 && !dropped:
+			dropped = true
+			return true
+		}
+		sent[from]++
+		if dropped && !silenced {
+			silenced, silent = true, from // the re-pulled chunk was its last
+		}
+		return false
+	}
+	s.restart(lag)
+	if !s.runUntil(5*time.Second, s.converged) {
+		t.Fatal("the lagger never caught up")
+	}
+	r := s.nodes[lag].r
+	if !silenced {
+		t.Fatal("the dropped chunk was never re-pulled")
+	}
+	if n := r.stats.catchupInstalls.Load(); n != 1 {
+		t.Fatalf("%d snapshot installs, want 1", n)
+	}
+	if n := r.stats.catchupChunksIn.Load(); n < 3 {
+		t.Fatalf("%d chunks received, want at least 3", n)
+	}
+	for _, n := range s.nodes {
+		if n.id != lag && n.id != silent && sent[n.id] < 3 {
+			t.Fatalf("the next peer, %d, sent %d chunks: it did not serve the whole stream", n.id, sent[n.id])
+		}
+	}
+	if len(s.violations) > 0 {
+		t.Fatal(strings.Join(s.violations, "\n"))
 	}
 }
 

@@ -97,11 +97,11 @@ func metric(t *testing.T, c *cluster.Cluster, id wire.NodeID, name string) int64
 	return m.Value
 }
 
-// xferService is one row of the state-transfer table: a service, the mode
-// it runs in, and a write workload that exercises its nondeterminism.
+// xferService is one row of the state-transfer table: a service, named
+// after the mode it runs in, and a write workload that exercises its
+// nondeterminism.
 type xferService struct {
 	name    string
-	mode    core.StateMode
 	factory func() service.Factory
 	setup   [][]byte
 	write   func(i int) []byte
@@ -114,12 +114,12 @@ type xferService struct {
 
 var xferServices = []xferService{
 	{
-		name: "delta-kv", mode: core.StateModeDelta, stripped: true,
+		name: "delta-kv", stripped: true,
 		factory: func() service.Factory { return service.KVFactory },
 		write:   func(i int) []byte { return service.KVPut(fmt.Sprintf("k%d", i%64), []byte(fmt.Sprint(i))) },
 	},
 	{
-		name: "replay-sched", mode: core.StateModeReplay,
+		name:    "replay-sched",
 		factory: func() service.Factory { return func() service.Service { return service.NewSched() } },
 		write: func(i int) []byte {
 			if i%3 == 2 {
@@ -129,7 +129,7 @@ var xferServices = []xferService{
 		},
 	},
 	{
-		name: "replay-broker", mode: core.StateModeReplay,
+		name: "replay-broker",
 		factory: func() service.Factory {
 			seed := int64(0)
 			return func() service.Service { seed++; return service.NewBroker(seed) }
@@ -138,7 +138,7 @@ var xferServices = []xferService{
 		write: func(int) []byte { return service.BrokerRequest(2) },
 	},
 	{
-		name: "full-noop", mode: core.StateModeFull,
+		name:    "full-noop",
 		factory: func() service.Factory { return service.NoopFactory },
 		write:   func(int) []byte { return service.NoopWriteOp },
 	},
@@ -156,7 +156,6 @@ type xferRun struct {
 }
 
 func newXferRun(t *testing.T, svc xferService, opts core.Options) *xferRun {
-	opts.StateMode = svc.mode
 	x := &xferRun{t: t, svc: svc, trace: &msgTrace{}, logs: &syncBuf{}}
 	x.c = newCluster(t, cluster.Config{
 		Service: svc.factory(),

@@ -112,7 +112,7 @@ func (r *Replica) onTxnOp(key txnKey, tx *txnState, req wire.Request) {
 
 	var res, aux []byte
 	var err error
-	if r.mode == StateModeReplay {
+	if r.mode == stateReplay {
 		// Serialize'd (New), so the op runs on the base state either way.
 		res, aux, err = r.replayer.ExecuteCapture(req.Op)
 	} else {

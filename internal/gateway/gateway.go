@@ -186,7 +186,7 @@ func (t *tenant) refill(now time.Time, rate, burst float64) {
 // transport before the group multiplexer: TCP/Endpoint → Gateway →
 // GroupMux → cores.
 type Gateway struct {
-	under transport.Transport
+	under transport.SinkTransport
 	cfg   Config
 
 	sink atomic.Pointer[func(*wire.Envelope)]
@@ -222,10 +222,10 @@ type Gateway struct {
 
 const gatewayRecvBuf = 65536
 
-// Wrap interposes the gateway on under. If under can sink (TCP,
-// chanx), inbound envelopes are filtered on the decode goroutines with
-// no extra hop; otherwise a pump goroutine drains under.Recv.
-func Wrap(under transport.Transport, cfg Config) *Gateway {
+// Wrap interposes the gateway on under through its sink: inbound
+// envelopes are filtered on under's delivery goroutines (TCP's decode
+// stages, the fabric's delivery loop) with no extra hop.
+func Wrap(under transport.SinkTransport, cfg Config) *Gateway {
 	g := &Gateway{
 		under:    under,
 		cfg:      cfg.withDefaults(),
@@ -234,12 +234,7 @@ func Wrap(under transport.Transport, cfg Config) *Gateway {
 		tenants:  make(map[uint8]*tenant),
 		stop:     make(chan struct{}),
 	}
-	if s, ok := under.(transport.Sinker); ok {
-		s.SetSink(g.inbound)
-	} else {
-		g.wg.Add(1)
-		go g.pump()
-	}
+	under.SetSink(g.inbound)
 	g.wg.Add(1)
 	go g.sweeper()
 	return g
@@ -280,14 +275,6 @@ func (g *Gateway) closeRecv() {
 		close(g.recv)
 	}
 	g.recvMu.Unlock()
-}
-
-func (g *Gateway) pump() {
-	defer g.wg.Done()
-	for env := range g.under.Recv() {
-		g.inbound(env)
-	}
-	g.closeRecv()
 }
 
 // deliver hands an envelope to the layer above: the inner sink when one

@@ -40,9 +40,9 @@ func TestSessionMuxDemux(t *testing.T) {
 	f.mu.Unlock()
 
 	// Replies go to their session only; unknown sessions count as drops.
-	f.recv <- replyEnv(b.Local(), 1, wire.StatusOK)
-	f.recv <- replyEnv(a.Local(), 1, wire.StatusOK)
-	f.recv <- replyEnv(SessionID(5, 5), 1, wire.StatusOK)
+	f.inject(replyEnv(b.Local(), 1, wire.StatusOK))
+	f.inject(replyEnv(a.Local(), 1, wire.StatusOK))
+	f.inject(replyEnv(SessionID(5, 5), 1, wire.StatusOK))
 
 	got := <-a.Recv()
 	if got.Msg.(*wire.ReplyMsg).Rep.Client != a.Local() {
@@ -52,8 +52,9 @@ func TestSessionMuxDemux(t *testing.T) {
 	if got.Msg.(*wire.ReplyMsg).Rep.Client != b.Local() {
 		t.Fatalf("session b got %+v", got)
 	}
-	for m.Drops() == 0 {
-	} // the unknown-session reply is dropped asynchronously
+	if n := m.Drops(); n != 1 {
+		t.Fatalf("drops = %d, want the one reply for no open session", n)
+	}
 
 	// Closing one session detaches it without touching the other.
 	if err := a.Close(); err != nil {
@@ -62,7 +63,7 @@ func TestSessionMuxDemux(t *testing.T) {
 	if _, ok := <-a.Recv(); ok {
 		t.Fatal("closed session recv still open")
 	}
-	f.recv <- replyEnv(b.Local(), 2, wire.StatusOK)
+	f.inject(replyEnv(b.Local(), 2, wire.StatusOK))
 	if got := <-b.Recv(); got.Msg.(*wire.ReplyMsg).Rep.Seq != 2 {
 		t.Fatalf("session b after a.Close: %+v", got)
 	}

@@ -53,26 +53,25 @@ const sessionRecvBuf = 64
 // is its session ID; sends are stamped with that ID — the transports
 // preserve a pre-stamped From — so the replica's accept path learns one
 // reply route per session and the gateway sees per-session sequence
-// spaces. A pump goroutine demultiplexes inbound replies back to
-// session endpoints by their reply's client field.
+// spaces. Inbound replies are demultiplexed to session endpoints by
+// their reply's client field, straight from the underlying transport's
+// sink as the group multiplexer does: the mux owns no goroutine.
 type SessionMux struct {
-	under transport.Transport
+	under transport.SinkTransport
 
 	mu     sync.Mutex
 	eps    map[wire.NodeID]*sessionEP
 	closed bool
 
-	wg    sync.WaitGroup
 	drops atomic.Uint64
 }
 
 // NewSessionMux wraps under, which must deliver replies addressed to
 // arbitrary session IDs (the TCP dial transport does: its receive path
 // does not filter on the envelope's To field).
-func NewSessionMux(under transport.Transport) *SessionMux {
+func NewSessionMux(under transport.SinkTransport) *SessionMux {
 	m := &SessionMux{under: under, eps: make(map[wire.NodeID]*sessionEP)}
-	m.wg.Add(1)
-	go m.pump()
+	under.SetSink(m.dispatch)
 	return m
 }
 
@@ -98,7 +97,8 @@ func (m *SessionMux) Open(tenant uint8, n uint32) (transport.Transport, error) {
 // metrics registry, so this method is its only read surface.
 func (m *SessionMux) Drops() uint64 { return m.drops.Load() }
 
-// Close closes every session endpoint and the underlying transport.
+// Close closes the underlying transport, which quiesces its sink
+// callbacks, and then detaches every session endpoint.
 func (m *SessionMux) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -107,37 +107,35 @@ func (m *SessionMux) Close() error {
 	}
 	m.closed = true
 	m.mu.Unlock()
-	err := m.under.Close() // pump drains and exits on the closed Recv
-	m.wg.Wait()
-	return err
-}
-
-func (m *SessionMux) pump() {
-	defer m.wg.Done()
-	for env := range m.under.Recv() {
-		to := env.To
-		if rm, ok := env.Msg.(*wire.ReplyMsg); ok && rm.Rep.Client != 0 {
-			to = rm.Rep.Client
-		}
-		m.mu.Lock()
-		ep := m.eps[to]
-		m.mu.Unlock()
-		if ep == nil {
-			m.drops.Add(1)
-			continue
-		}
-		ep.deliver(env, &m.drops)
-	}
+	err := m.under.Close()
 	m.mu.Lock()
 	eps := make([]*sessionEP, 0, len(m.eps))
 	for _, ep := range m.eps {
 		eps = append(eps, ep)
 	}
-	m.closed = true
 	m.mu.Unlock()
 	for _, ep := range eps {
 		ep.closeRecv()
 	}
+	return err
+}
+
+// dispatch hands one inbound envelope to its session without blocking
+// the transport goroutine that called the sink; it may run concurrently,
+// one caller per connection.
+func (m *SessionMux) dispatch(env *wire.Envelope) {
+	to := env.To
+	if rm, ok := env.Msg.(*wire.ReplyMsg); ok && rm.Rep.Client != 0 {
+		to = rm.Rep.Client
+	}
+	m.mu.Lock()
+	ep := m.eps[to]
+	m.mu.Unlock()
+	if ep == nil {
+		m.drops.Add(1)
+		return
+	}
+	ep.deliver(env, &m.drops)
 }
 
 // sessionEP is one logical session's view of the shared transport.

@@ -93,9 +93,6 @@ type Histogram struct {
 // NewHistogram returns an empty histogram measuring the given unit.
 func NewHistogram(unit Unit) *Histogram { return &Histogram{unit: unit} }
 
-// Unit returns the histogram's native unit.
-func (h *Histogram) Unit() Unit { return h.unit }
-
 // bucketIndex maps a value to its bucket: the smallest i with v <= 2^i,
 // clamped into the overflow bucket.
 func bucketIndex(v uint64) int {

@@ -208,6 +208,3 @@ func (r *AcceptRound) covers(acked []uint64) bool {
 // MaxPromSeen returns the highest conflicting promise reported by a
 // rejecting acceptor.
 func (r *AcceptRound) MaxPromSeen() wire.Ballot { return r.maxProm }
-
-// Instances returns the wave's instance numbers.
-func (r *AcceptRound) Instances() []uint64 { return r.instances }

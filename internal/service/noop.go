@@ -1,10 +1,6 @@
 package service
 
-import (
-	"encoding/binary"
-
-	"gridrep/internal/wire"
-)
+import "encoding/binary"
 
 // Noop is the paper's benchmark service (§4): every request invokes an
 // empty method, so measurements isolate replication overhead. Its state
@@ -112,11 +108,3 @@ var (
 	NoopReadOp  = []byte(nil)
 	NoopWriteOp = []byte{1}
 )
-
-// NoopRequest builds a benchmark request of the given kind.
-func NoopRequest(kind wire.RequestKind) []byte {
-	if kind == wire.KindRead {
-		return NoopReadOp
-	}
-	return NoopWriteOp
-}

@@ -36,8 +36,8 @@ func benchFile(b *testing.B, sync bool) *File {
 	return s
 }
 
-// BenchmarkFileAppendPerRecord is the pre-group-commit write path: every
-// record is its own write (and, in the sync variant, its own fsync).
+// BenchmarkFileAppendPerRecord is the inline write path: every record is
+// its own flush (and, in the sync variant, its own fdatasync).
 func BenchmarkFileAppendPerRecord(b *testing.B) {
 	for _, sync := range []bool{true, false} {
 		name := "nosync"
@@ -58,7 +58,7 @@ func BenchmarkFileAppendPerRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkFileAppendGroupCommit stages records in buffered mode and makes
+// BenchmarkFileAppendGroupCommit runs the File in staged mode and makes
 // a whole burst durable with one Flush — one write into the preallocated
 // extent, one fdatasync — amortizing the per-record sync cost burst-fold.
 func BenchmarkFileAppendGroupCommit(b *testing.B) {

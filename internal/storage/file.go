@@ -14,7 +14,7 @@ import (
 	"gridrep/internal/wire"
 )
 
-// SyncPolicy selects when a buffered File forces its batch to disk.
+// SyncPolicy selects when a staged File forces its batch to disk.
 type SyncPolicy int
 
 const (
@@ -71,15 +71,15 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // When the log grows past rewriteAt bytes, it is rewritten as a single
 // snapshot record.
 //
-// File has two write modes. Unbuffered (the default, and the only mode
-// before the durability pipeline existed) writes and — when Sync is set —
-// fsyncs each record inline, on the caller's goroutine. Buffered mode
-// (SetBuffered; see Flusher) stages the records of one event-loop burst
-// in memory and makes them durable together at the next Flush: one write
-// into a preallocated region, one fdatasync, governed by the SyncPolicy.
-// In buffered mode a mutation is NOT durable when the method returns; the
-// replica's persister goroutine calls Flush before releasing any protocol
-// message that claims the staged state.
+// File has one write path: every mutation stages its record in memory,
+// and Flush makes the staged records durable together — one write into a
+// preallocated region, one fdatasync, governed by the SyncPolicy. In
+// staged mode (SetBuffered; see Flusher) a mutation is NOT durable when
+// the method returns; the replica's persister goroutine calls Flush
+// before releasing any protocol message that claims the staged state.
+// Otherwise (the default) each mutation flushes its own record before
+// returning and, when Sync is set, forces it to the device whatever the
+// policy, so it is durable when the call returns.
 type File struct {
 	path string
 
@@ -88,8 +88,8 @@ type File struct {
 	// tests leave it on.
 	Sync bool
 
-	// policy and syncEvery govern buffered flushes only; unbuffered
-	// writes always sync per record (when Sync is set).
+	// policy and syncEvery govern staged flushes only; an inline
+	// mutation always syncs its record (when Sync is set).
 	policy    SyncPolicy
 	syncEvery time.Duration
 
@@ -200,7 +200,7 @@ var (
 	_ Flusher = (*File)(nil)
 )
 
-// SetPolicy selects the buffered-mode sync policy. every is only used by
+// SetPolicy selects the staged-mode sync policy. every is only used by
 // SyncPolicyInterval (default 2ms). Call before the store is shared.
 func (s *File) SetPolicy(p SyncPolicy, every time.Duration) {
 	s.policy = p
@@ -209,11 +209,9 @@ func (s *File) SetPolicy(p SyncPolicy, every time.Duration) {
 	}
 }
 
-// Policy returns the buffered-mode sync policy.
-func (s *File) Policy() SyncPolicy { return s.policy }
-
-// SetBuffered implements Flusher. Turning buffering off with records
-// staged is the caller's bug; Flush first.
+// SetBuffered implements Flusher: on, mutations leave their records
+// staged for Flush. Turning it off with records staged is the caller's
+// bug; Flush first.
 func (s *File) SetBuffered(on bool) {
 	s.mu.Lock()
 	s.buffered = on
@@ -232,7 +230,7 @@ func (s *File) Staged() bool {
 // this store publishes its instruments into the replica's registry.
 func (s *File) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("gridrep_wal_records_total",
-		"WAL records appended (staged or written through)", &s.records)
+		"WAL records appended", &s.records)
 	reg.RegisterCounter("gridrep_wal_batches_total",
 		"group-commit batches flushed", &s.batches)
 	reg.RegisterCounter("gridrep_wal_batch_bytes_total",
@@ -458,9 +456,9 @@ func appendFrame(dst, body []byte) []byte {
 }
 
 // encScratch resets and returns the shared record encoder. Mutations all
-// run on the replica's event loop, one at a time, and both stage and
-// writeRecord copy the encoded bytes out before returning, so one
-// buffer serves every record without a per-mutation allocation.
+// run on the replica's event loop, one at a time, under mu, and stage
+// copies the encoded bytes out, so one buffer serves every record
+// without a per-mutation allocation.
 func (s *File) encScratch() *wire.Encoder {
 	s.scratch.Reset()
 	return s.scratch
@@ -476,33 +474,29 @@ func (s *File) stage(body []byte, critical bool) {
 	s.records.Add(1)
 }
 
-// writeRecord writes one framed record through to the file and — when
-// Sync is set — fsyncs it, exactly the pre-group-commit semantics. Any
-// failure poisons the store.
-func (s *File) writeRecord(body []byte) error {
-	rec := appendFrame(nil, body)
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if _, err := s.f.WriteAt(rec, s.size); err != nil {
-		return s.poison(err)
-	}
-	s.size += int64(len(rec))
-	if s.rewriting {
-		s.tail = append(s.tail, rec...)
-	}
-	s.records.Add(1)
-	if s.Sync {
-		start := time.Now()
-		if err := s.f.Sync(); err != nil {
-			return s.poison(err)
-		}
-		s.fsyncLat.Since(start)
-		s.syncs.Add(1)
-		s.lastSync = time.Now()
-	} else {
-		s.dirty = true
+// lock takes mu for a mutation. Once the store is poisoned it returns
+// the poison error instead, with mu released.
+func (s *File) lock() error {
+	s.mu.Lock()
+	if s.failed != nil {
+		err := s.failed
+		s.mu.Unlock()
+		return err
 	}
 	return nil
+}
+
+// commit ends a mutation that staged its record under mu, and releases
+// mu. In staged mode the record waits for the persister's Flush;
+// otherwise it is flushed now and, when Sync is set, forced to the
+// device, so the mutation is durable when its call returns.
+func (s *File) commit() error {
+	buffered := s.buffered
+	s.mu.Unlock()
+	if buffered {
+		return nil
+	}
+	return s.flush(true)
 }
 
 // Flush implements Flusher: it writes every staged record as one batch
@@ -511,11 +505,15 @@ func (s *File) writeRecord(body []byte) error {
 // state on disk, so the fail-stop contract is per batch. Safe to call
 // concurrently with staging; records staged after Flush reads the buffer
 // wait for the next Flush.
-func (s *File) Flush() error {
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
+func (s *File) Flush() error { return s.flush(false) }
+
+// flush writes the staged batch; force syncs it whatever the policy. wmu
+// is taken before the batch, so an inline mutation whose record another
+// flush already took still returns only once that flush has written it.
+func (s *File) flush(force bool) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.lock(); err != nil {
 		return err
 	}
 	batch := s.staged
@@ -527,14 +525,11 @@ func (s *File) Flush() error {
 	s.stagedRecs = 0
 	s.mu.Unlock()
 
-	s.wmu.Lock()
 	if len(batch) > 0 {
 		if err := s.preallocLocked(s.size + int64(len(batch))); err != nil {
-			s.wmu.Unlock()
 			return s.poison(err)
 		}
 		if _, err := s.f.WriteAt(batch, s.size); err != nil {
-			s.wmu.Unlock()
 			return s.poison(err)
 		}
 		s.size += int64(len(batch))
@@ -547,10 +542,9 @@ func (s *File) Flush() error {
 		s.batchBytes.Add(uint64(len(batch)))
 		s.batchRecs.Observe(recs)
 	}
-	if s.shouldSyncLocked() {
+	if s.shouldSyncLocked(force) {
 		start := time.Now()
 		if err := fdatasync(s.f); err != nil {
-			s.wmu.Unlock()
 			return s.poison(err)
 		}
 		s.fsyncLat.Since(start)
@@ -559,7 +553,6 @@ func (s *File) Flush() error {
 		s.syncs.Add(1)
 	}
 	s.maybeRewriteLocked()
-	s.wmu.Unlock()
 
 	// Recycle the flushed buffer for the next burst.
 	s.mu.Lock()
@@ -572,9 +565,12 @@ func (s *File) Flush() error {
 
 // shouldSyncLocked decides whether this flush forces the batch to the
 // device. Caller holds wmu.
-func (s *File) shouldSyncLocked() bool {
+func (s *File) shouldSyncLocked(force bool) bool {
 	if !s.Sync || !s.dirty {
 		return false
+	}
+	if force {
+		return true
 	}
 	switch s.policy {
 	case SyncPolicyBatch:
@@ -600,7 +596,7 @@ func (s *File) preallocLocked(need int64) error {
 	return nil
 }
 
-// Load implements Store. In buffered mode the returned state includes
+// Load implements Store. In staged mode the returned state includes
 // staged (not yet durable) mutations — the event loop's own view.
 func (s *File) Load() (*PersistentState, error) {
 	s.mu.Lock()
@@ -613,10 +609,7 @@ func (s *File) Load() (*PersistentState, error) {
 
 // SetPromised implements Store.
 func (s *File) SetPromised(b wire.Ballot) error {
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
+	if err := s.lock(); err != nil {
 		return err
 	}
 	if !s.state.Promised.Less(b) {
@@ -626,29 +619,15 @@ func (s *File) SetPromised(b wire.Ballot) error {
 	enc := s.encScratch()
 	enc.Uint8(recPromise)
 	enc.Ballot(b)
-	if s.buffered {
-		s.stage(enc.Bytes(), true)
-		s.state.Promised = b
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
-	if err := s.writeRecord(enc.Bytes()); err != nil {
-		return err
-	}
-	s.mu.Lock()
+	s.stage(enc.Bytes(), true)
 	s.state.Promised = b
-	s.mu.Unlock()
-	return nil
+	return s.commit()
 }
 
 // PutAccepted implements Store. The entries are encoded by reusing the
 // Accept message marshaller.
 func (s *File) PutAccepted(entries []wire.Entry, maxAccepted wire.Ballot) error {
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
+	if err := s.lock(); err != nil {
 		return err
 	}
 	enc := s.encScratch()
@@ -657,30 +636,16 @@ func (s *File) PutAccepted(entries []wire.Entry, maxAccepted wire.Ballot) error 
 	enc.Uvarint(1)
 	acc := wire.Accept{Entries: entries}
 	acc.MarshalTo(enc)
-	if s.buffered {
-		s.stage(enc.Bytes(), true)
-		s.state.putAccepted(entries, maxAccepted)
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
-	if err := s.writeRecord(enc.Bytes()); err != nil {
-		return err
-	}
-	s.mu.Lock()
+	s.stage(enc.Bytes(), true)
 	s.state.putAccepted(entries, maxAccepted)
-	s.mu.Unlock()
-	return nil
+	return s.commit()
 }
 
 // SetChosen implements Store. Chosen records are non-critical: in
-// buffered mode they never force a sync of their own (see
+// staged mode they never force a sync of their own (see
 // SyncPolicyBatch).
 func (s *File) SetChosen(idx uint64) error {
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
+	if err := s.lock(); err != nil {
 		return err
 	}
 	if idx <= s.state.Chosen {
@@ -690,70 +655,31 @@ func (s *File) SetChosen(idx uint64) error {
 	enc := s.encScratch()
 	enc.Uint8(recChosen)
 	enc.Uvarint(idx)
-	if s.buffered {
-		s.stage(enc.Bytes(), false)
-		s.state.Chosen = idx
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
-	if err := s.writeRecord(enc.Bytes()); err != nil {
-		return err
-	}
-	s.mu.Lock()
+	s.stage(enc.Bytes(), false)
 	s.state.Chosen = idx
-	s.mu.Unlock()
-	return nil
+	return s.commit()
 }
 
 // Compact implements Store. Past the rewrite threshold the whole state is
-// folded into one snapshot record in a fresh file — synchronously in
-// unbuffered mode, in the background in buffered mode (triggered by the
-// next Flush).
+// folded into one snapshot record in a fresh file, in the background
+// (triggered by the next flush).
 func (s *File) Compact(keepStateFrom uint64) error {
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
+	if err := s.lock(); err != nil {
 		return err
 	}
 	enc := s.encScratch()
 	enc.Uint8(recCompact)
 	enc.Uvarint(keepStateFrom)
-	if s.buffered {
-		s.stage(enc.Bytes(), false)
-		s.compactInMemory(keepStateFrom)
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
-	if err := s.writeRecord(enc.Bytes()); err != nil {
-		return err
-	}
-	s.mu.Lock()
+	s.stage(enc.Bytes(), false)
 	s.compactInMemory(keepStateFrom)
-	s.mu.Unlock()
-
-	s.wmu.Lock()
-	need := s.size >= s.rewriteAt && !s.rewriting
-	s.wmu.Unlock()
-	if !need {
-		return nil
-	}
-	s.mu.Lock()
-	snap := s.state.Clone()
-	s.mu.Unlock()
-	return s.rewriteTo(snap)
+	return s.commit()
 }
 
 // SaveSnapshot implements Store. Snapshot records are critical: pruning
 // relies on the snapshot being durable, so it must not linger unsynced
 // behind a batch policy.
 func (s *File) SaveSnapshot(snap []byte, at uint64) error {
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
+	if err := s.lock(); err != nil {
 		return err
 	}
 	if at < s.state.ServiceSnapAt {
@@ -764,30 +690,16 @@ func (s *File) SaveSnapshot(snap []byte, at uint64) error {
 	enc.Uint8(recServiceSnap)
 	enc.Uvarint(at)
 	enc.Bytes8(snap)
-	if s.buffered {
-		s.stage(enc.Bytes(), true)
-		s.state.ApplySnapshot(snap, at)
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
-	if err := s.writeRecord(enc.Bytes()); err != nil {
-		return err
-	}
-	s.mu.Lock()
+	s.stage(enc.Bytes(), true)
 	s.state.ApplySnapshot(snap, at)
-	s.mu.Unlock()
-	return nil
+	return s.commit()
 }
 
 // SetMembers implements Store. Membership records are critical: a
 // replica that forgot a committed configuration could count votes
 // against the wrong quorum after recovery.
 func (s *File) SetMembers(members, learners []wire.NodeID, at uint64) error {
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
+	if err := s.lock(); err != nil {
 		return err
 	}
 	enc := s.encScratch()
@@ -801,20 +713,9 @@ func (s *File) SetMembers(members, learners []wire.NodeID, at uint64) error {
 	for _, id := range learners {
 		enc.NodeID(id)
 	}
-	if s.buffered {
-		s.stage(enc.Bytes(), true)
-		s.state.ApplyMembers(members, learners, at)
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
-	if err := s.writeRecord(enc.Bytes()); err != nil {
-		return err
-	}
-	s.mu.Lock()
+	s.stage(enc.Bytes(), true)
 	s.state.ApplyMembers(members, learners, at)
-	s.mu.Unlock()
-	return nil
+	return s.commit()
 }
 
 // PruneTo implements Store. The prune point is clamped to the durable
@@ -823,10 +724,7 @@ func (s *File) SetMembers(members, learners []wire.NodeID, at uint64) error {
 // Physical reclamation happens at the next log rewrite, which skips the
 // pruned prefix.
 func (s *File) PruneTo(keepFrom uint64) error {
-	s.mu.Lock()
-	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
+	if err := s.lock(); err != nil {
 		return err
 	}
 	if keepFrom > s.state.ServiceSnapAt+1 {
@@ -839,22 +737,10 @@ func (s *File) PruneTo(keepFrom uint64) error {
 	enc := s.encScratch()
 	enc.Uint8(recPrune)
 	enc.Uvarint(keepFrom)
-	if s.buffered {
-		s.stage(enc.Bytes(), false)
-		s.state.Accepted.PruneTo(keepFrom)
-		s.state.PrunedTo = keepFrom - 1
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
-	if err := s.writeRecord(enc.Bytes()); err != nil {
-		return err
-	}
-	s.mu.Lock()
+	s.stage(enc.Bytes(), false)
 	s.state.Accepted.PruneTo(keepFrom)
 	s.state.PrunedTo = keepFrom - 1
-	s.mu.Unlock()
-	return nil
+	return s.commit()
 }
 
 // Checkpoint synchronously folds the current state into a single
@@ -895,7 +781,7 @@ func (s *File) Checkpoint() error {
 // in both the snapshot and the tail, which is harmless because replaying
 // a record is idempotent.
 func (s *File) maybeRewriteLocked() {
-	if s.rewriting || s.size < s.rewriteAt || !s.buffered {
+	if s.rewriting || s.size < s.rewriteAt {
 		return
 	}
 	s.rewriting = true

@@ -84,6 +84,27 @@ func TestBufferedFlushDurability(t *testing.T) {
 	}
 }
 
+// TestInlineMutationIsDurable: outside staged mode a mutation flushes its
+// own record and forces it to the device before returning — even a
+// chosen record, which the batch policy lets ride a later staged sync.
+func TestInlineMutationIsDurable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	s := openTestFile(t, path)
+	defer s.Close()
+	if err := s.SetChosen(3); err != nil {
+		t.Fatal(err)
+	}
+	if s.Staged() {
+		t.Fatal("an inline mutation left its record staged")
+	}
+	if n := walCounters(s)("syncs"); n != 1 {
+		t.Fatalf("syncs = %d after one inline chosen record, want 1", n)
+	}
+	if st := reopen(t, path); st.Chosen != 3 {
+		t.Fatalf("chosen = %d on disk when the call returned, want 3", st.Chosen)
+	}
+}
+
 // TestFlushBatchesOneSync: a burst of mutations becomes one batch and one
 // device sync.
 func TestFlushBatchesOneSync(t *testing.T) {
@@ -258,7 +279,7 @@ func TestBatchedFlushPoisonsStore(t *testing.T) {
 	}
 }
 
-// TestAsyncRewrite: in buffered mode the snapshot rewrite runs off the
+// TestAsyncRewrite: in staged mode the snapshot rewrite runs off the
 // flush path; appends continue during it and the reopened state matches.
 func TestAsyncRewrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")

@@ -112,10 +112,6 @@ func (l *AcceptedLog) Len() int { return l.n }
 // 0 if none. Pruning does not lower it.
 func (l *AcceptedLog) Max() uint64 { return l.max }
 
-// Base returns the pruned prefix bound: instances <= Base have been
-// discarded.
-func (l *AcceptedLog) Base() uint64 { return l.base }
-
 // Ascend calls fn on every present entry with lo < instance <= hi in
 // instance order; hi == 0 means unbounded above. fn returning false
 // stops the walk.

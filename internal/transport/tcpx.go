@@ -46,7 +46,7 @@ type TCP struct {
 	mu       sync.Mutex
 	book     map[wire.NodeID]string
 	sups     map[wire.NodeID]*supervisor
-	inbound  map[wire.NodeID]*tcpConn // learned client return routes
+	inbound  map[wire.NodeID]*tcpConn // learned client return routes (accept side)
 	accepted map[*tcpConn]struct{}    // all live accept-side conns
 	health   func(peer wire.NodeID, up bool)
 	closed   bool
@@ -415,9 +415,11 @@ func (t *TCP) RegisterMetrics(reg *metrics.Registry) {
 }
 
 // Send implements Transport. Envelopes to peers in the address book are
-// handed to that peer's connection supervisor (started on first use) and
-// written off the caller's goroutine; failures never block the caller.
-// Replies to learned client routes are written inline, best effort.
+// handed to that peer's connection supervisor (started on first use),
+// and replies to learned client routes to that connection's reply
+// writer; either way they are written off the caller's goroutine, so a
+// replica's event loop (or a parallel-read worker) never blocks on a
+// socket, and failures never block the caller.
 //
 // Encoding uses pooled buffers: the frame bytes live in a wire.GetBuf
 // buffer that returns to the pool once written (or dropped), so a warm
@@ -462,21 +464,7 @@ func (t *TCP) Send(env *wire.Envelope) {
 		wire.PutBuf(bp)
 		return
 	}
-	if conn.wq != nil {
-		// Learned client route: hand the reply to the connection's
-		// writer goroutine so the caller (a replica's event loop, or a
-		// parallel-read worker) never blocks on the client's socket.
-		conn.enqueueReply(bp, &t.stats, shed)
-		return
-	}
-	err := conn.writeFrame(frameEnv, *bp)
-	wire.PutBuf(bp)
-	if err != nil {
-		t.stats.dropWriteFail.Add(1)
-		t.dropInbound(env.To, conn)
-		return
-	}
-	t.stats.sent.Add(1)
+	conn.enqueueReply(bp, &t.stats, shed)
 }
 
 // Recv implements Transport.
@@ -534,15 +522,6 @@ func (t *TCP) startSupervisorLocked(peer wire.NodeID) *supervisor {
 	t.wg.Add(1)
 	go sup.run()
 	return sup
-}
-
-func (t *TCP) dropInbound(peer wire.NodeID, conn *tcpConn) {
-	t.mu.Lock()
-	if t.inbound[peer] == conn {
-		delete(t.inbound, peer)
-	}
-	t.mu.Unlock()
-	conn.c.Close()
 }
 
 func (t *TCP) acceptLoop() {

@@ -55,8 +55,9 @@ type Sinker interface {
 }
 
 // SinkTransport is a Transport that delivers through a sink: what the
-// group multiplexer requires underneath. The in-process endpoints, the
-// TCP transport and the gateway all are.
+// group multiplexer, the gateway and the session multiplexer require
+// underneath. The in-process endpoints, the TCP transport and the
+// gateway all are.
 type SinkTransport interface {
 	Transport
 	Sinker

@@ -94,18 +94,11 @@ type Decoder struct {
 	buf   []byte
 	off   int
 	err   error
-	alias bool
+	alias bool // Bytes8 aliases buf; ownership of buf moves to the result
 }
 
 // NewDecoder returns a Decoder reading from buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
-
-// NewDecoderNoCopy returns a Decoder whose Bytes8 results alias buf
-// instead of copying it. Ownership of buf transfers to the decoded
-// values: the caller must not modify or reuse buf afterwards. Aliased
-// slices are capped at their own length, so appending to one never
-// clobbers neighbouring fields.
-func NewDecoderNoCopy(buf []byte) *Decoder { return &Decoder{buf: buf, alias: true} }
 
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -194,7 +187,8 @@ func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
 // Bytes8 consumes a length-prefixed byte string. With NewDecoder the
 // result is a copy and remains valid after the source buffer is reused;
-// with NewDecoderNoCopy it aliases the source buffer.
+// in alias mode (DecodeEnvelopeOwned) it aliases the source buffer,
+// capped at its own length so an append never clobbers a neighbour.
 func (d *Decoder) Bytes8() []byte {
 	n := d.Uvarint()
 	if d.err != nil {

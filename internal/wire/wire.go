@@ -307,9 +307,6 @@ type Entry struct {
 	Prop     Proposal
 }
 
-// Num returns the entry's proposal number.
-func (e *Entry) Num() ProposalNum { return ProposalNum{Bal: e.Bal, Instance: e.Instance} }
-
 // MsgType discriminates envelope payloads on the wire.
 type MsgType uint8
 

@@ -6,6 +6,38 @@ import (
 	"testing/quick"
 )
 
+// TestMsgTypeString names every message type, one row each, and falls
+// back to the number for a type outside the protocol.
+func TestMsgTypeString(t *testing.T) {
+	names := map[MsgType]string{
+		MsgInvalid:     "msgtype(0)",
+		MsgRequest:     "request",
+		MsgReply:       "reply",
+		MsgPrepare:     "prepare",
+		MsgPromise:     "promise",
+		MsgAccept:      "accept",
+		MsgAccepted:    "accepted",
+		MsgCommit:      "commit",
+		MsgConfirm:     "confirm",
+		MsgHeartbeat:   "heartbeat",
+		MsgCatchUpReq:  "catchup-req",
+		MsgCatchUpResp: "catchup-resp",
+		MsgJoinReq:     "join-req",
+		MsgSnapReq:     "snap-req",
+		MsgSnapChunk:   "snap-chunk",
+		numMsgTypes:    "msgtype(15)",
+	}
+	for typ := MsgInvalid; typ <= numMsgTypes; typ++ {
+		want, ok := names[typ]
+		if !ok {
+			t.Fatalf("message type %d has no row", typ)
+		}
+		if got := typ.String(); got != want {
+			t.Errorf("MsgType(%d).String() = %q, want %q", typ, got, want)
+		}
+	}
+}
+
 func TestBallotOrder(t *testing.T) {
 	cases := []struct {
 		a, b Ballot

@@ -6,23 +6,20 @@ import (
 	"time"
 
 	"gridrep/internal/cluster"
-	"gridrep/internal/core"
 )
 
 // TestEveryTunableReachesTheReplica sets every field of Options — found
 // by reflection, so a field added later is covered without touching this
 // test — boots one replica through each front door, and requires the
 // replica to report exactly what was asked for. A knob a layer forgets
-// to forward fails here; that is how ElectionTimeout, RetryTimeout,
-// StateMode, NoBatch and ReadConcurrency were once unreachable over TCP.
+// to forward fails here; that is how ElectionTimeout, RetryTimeout and
+// NoBatch were once unreachable over TCP.
 func TestEveryTunableReachesTheReplica(t *testing.T) {
 	var want Options
 	v := reflect.ValueOf(&want).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
 		switch {
-		case f.Type() == reflect.TypeOf(core.StateModeAuto):
-			f.SetInt(int64(core.StateModeFull)) // the non-zero mode every service supports
 		case f.Type() == reflect.TypeOf(time.Duration(0)):
 			f.SetInt(int64(time.Duration(i+2) * time.Millisecond))
 		case f.Kind() == reflect.Int:
