@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites stats-sites coverage-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
+.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites stats-sites inbox-sites coverage-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
 
 # The race gates' test selections, each written once: `-run 'regex'`
 # then the packages it applies to. `make selectors` checks every
@@ -9,7 +9,7 @@ RECONFIG_RACE = -run 'Reconfig|OnlineJoin|ChaosCrashRejoin|RemoveReplica|TCPOnli
 DURABLE_RACE = -run 'Durable|PersistFailure|ConcurrentFlush|GroupCommit|Buffered|SyncPolicy|AsyncRewrite|Poison' ./internal/storage ./internal/cluster ./internal/chaos
 PIPELINE_RACE = -run 'Pipelin|Linearizability|Recovery' ./internal/core ./internal/chaos ./internal/paxos
 SHARD_RACE = -run 'Shard|GroupMux|CrossGroup|OpenFile|WithPrefix|Rank|Group' ./internal/shard ./internal/transport ./internal/storage ./internal/metrics ./internal/omega ./internal/cluster ./internal/bench .
-MULTICORE_RACE = -run 'ParallelRead|ReadView|ReadPool|Sink|DecodeStage|ReplyWriter|Multicore' ./internal/core ./internal/service ./internal/transport
+MULTICORE_RACE = -run 'ParallelRead|ReadView|ReadPool|Sink|Inbox|DecodeStage|ReplyWriter|Multicore' ./internal/core ./internal/service ./internal/transport
 OVERLOAD_RACE = -run 'Overload|RetryAfter|ReplyDrop|Shed|OpenLoop' ./internal/client ./internal/transport ./internal/bench
 OVERLOAD_TCP_RACE = -run 'TCPIdempotentRetryAcrossLeaderCrash' .
 WAN_RACE = -run 'Preempt|Cost|Rank|Near|Vouch|Confirm|Deposed|ReadExpires|ExclusiveTxnOpen|WAN|Wan|ProfileTimeout|ProfileByName|RegionPartition' ./internal/omega ./internal/core ./internal/client ./internal/netem ./internal/cluster ./internal/chaos
@@ -86,13 +86,23 @@ stats-sites:
 	if [ -n "$$hits" ]; then echo "stats-sites: counters read outside the registry:"; echo "$$hits"; exit 1; fi; \
 	echo "stats-sites: every counter is read through the registry"
 
+# One receive queue (DESIGN.md §6): every transport and multiplexer
+# receives through transport.Inbox, which owns the one overflow rule.
+# This fails listing each receive channel built in non-test Go outside
+# internal/transport/inbox.go and benchmark/.
+inbox-sites:
+	@hits=$$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' -e '^internal/transport/inbox.go$$' | \
+		xargs grep -n 'make(chan \*wire\.Envelope' || true); \
+	if [ -n "$$hits" ]; then echo "inbox-sites: receive queues outside transport.Inbox:"; echo "$$hits"; exit 1; fi; \
+	echo "inbox-sites: every receive queue is a transport.Inbox"
+
 # "By nothing" is 0 (the ROADMAP's keep-or-delete ledger), at function
 # granularity: tier-1 reaches every non-test function of core, wire,
-# transport and storage. This runs tier-1 with coverage over those four
-# packages and fails listing each function `go tool cover -func` reports
+# transport, storage and gateway. This runs tier-1 with coverage over
+# those five packages and fails listing each function `go tool cover -func` reports
 # at 0.0% that testdata/coverage_allow.txt does not name. An allowlist
 # line is "<file>:<function> <reason>"; a line without a reason fails.
-COVERAGE_PKGS = gridrep/internal/core,gridrep/internal/wire,gridrep/internal/transport,gridrep/internal/storage
+COVERAGE_PKGS = gridrep/internal/core,gridrep/internal/wire,gridrep/internal/transport,gridrep/internal/storage,gridrep/internal/gateway
 COVERAGE_ALLOW = testdata/coverage_allow.txt
 coverage-sites:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
@@ -106,7 +116,7 @@ coverage-sites:
 		awk '$$NF == "0.0%" { sub(/^gridrep\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1 ":" $$2 }' | \
 		grep -vxF -f $$tmp/keys || true); \
 	if [ -n "$$zero" ]; then echo "coverage-sites: functions no tier-1 test reaches:"; echo "$$zero"; exit 1; fi; \
-	echo "coverage-sites: tier-1 reaches every function in core, wire, transport and storage"
+	echo "coverage-sites: tier-1 reaches every function in core, wire, transport, storage and gateway"
 
 # Just the socket-level chaos suite (transport + chaos), race-enabled.
 chaos:

@@ -62,7 +62,6 @@ func TestMeasureOpenLoopShedsPastBudget(t *testing.T) {
 	c := gatewayCluster(t, &gateway.Config{
 		MaxInFlight: 1,
 		QueueLen:    1,
-		RetryAfter:  200 * time.Millisecond,
 	})
 	p, err := MeasureOpenLoop(c, OpenLoopConfig{
 		Class:    ClassWrite,

@@ -11,7 +11,7 @@
 //   - Admission control: a token bucket per tenant plus one global
 //     in-flight budget sized from pipeline depth × groups. When the
 //     budget is exhausted, requests wait in per-tenant fair queues
-//     (deficit round-robin, weighted); when those fill, the gateway
+//     (round-robin, one request per turn); when those fill, the gateway
 //     sheds at the edge with a typed StatusOverload reply carrying a
 //     retry-after hint, instead of letting work queue on an event loop.
 //   - Idempotent retry: a bounded per-session dedup window caches
@@ -24,7 +24,7 @@
 //
 // Only a replying replica enforces admission. Followers never answer
 // clients — their cores silently ignore client writes — so a gateway
-// that has not produced a client reply within ActiveWindow is passive
+// that has not produced a client reply within activeWindow is passive
 // and forwards everything. This keeps follower sheds from polluting
 // client broadcast, costs nothing at cold start (the first requests
 // pass through, the leader answers, its gateway turns active), and
@@ -42,9 +42,10 @@ import (
 	"gridrep/internal/wire"
 )
 
-// Config tunes the edge. The zero value gets sensible defaults from
-// withDefaults; a zero TenantRate disables the per-tenant bucket while
-// keeping the global budget.
+// Config is what a deployment sets on the edge: replicad's four gateway
+// flags. The zero value gets sensible defaults from withDefaults; a zero
+// TenantRate disables the per-tenant bucket while keeping the global
+// budget.
 type Config struct {
 	// MaxInFlight is the global admitted-but-unanswered budget. Size it
 	// from pipeline depth × groups × batch headroom: admitting more than
@@ -57,26 +58,28 @@ type Config struct {
 	TenantBurst int
 	// QueueLen bounds each tenant's fair queue (default 2×MaxInFlight).
 	QueueLen int
-	// Weights sets per-tenant DRR weights; unlisted tenants weigh 1.
-	Weights map[uint8]int
-	// RetryAfter is the base shed backoff hint (default 50ms). The
-	// actual hint scales with queue depth.
-	RetryAfter time.Duration
-	// InFlightTTL expires admissions that will never see a reply — e.g.
-	// admitted just before leadership moved away (default 2s).
-	InFlightTTL time.Duration
-	// DedupWindow is the number of terminal replies cached per session
-	// (default 32).
-	DedupWindow int
-	// SessionTTL evicts idle session state (default 60s).
-	SessionTTL time.Duration
-	// ActiveWindow is how long after its last client reply a gateway
-	// keeps enforcing admission (default 1s). A gateway that has not
-	// replied within the window is passive: a pure pass-through.
-	ActiveWindow time.Duration
-	// Clock is a test seam; nil means time.Now.
-	Clock func() time.Time
+
+	clock func() time.Time // the package tests' seam; nil means time.Now
 }
+
+// The edge's timings and window size; no deployment sets them.
+const (
+	// retryAfter is the base shed backoff hint; hintLocked scales it
+	// with queue depth.
+	retryAfter = 50 * time.Millisecond
+	// inFlightTTL expires admissions that will never see a reply — e.g.
+	// admitted just before leadership moved away — and sheds queued
+	// requests that have waited longer.
+	inFlightTTL = 2 * time.Second
+	// dedupWindow is the number of terminal replies cached per session.
+	dedupWindow = 32
+	// sessionTTL evicts idle session state.
+	sessionTTL = 60 * time.Second
+	// activeWindow is how long after its last client reply a gateway
+	// keeps enforcing admission. A gateway that has not replied within
+	// it is passive: a pure pass-through.
+	activeWindow = time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
@@ -91,23 +94,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueLen <= 0 {
 		c.QueueLen = 2 * c.MaxInFlight
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 50 * time.Millisecond
-	}
-	if c.InFlightTTL <= 0 {
-		c.InFlightTTL = 2 * time.Second
-	}
-	if c.DedupWindow <= 0 {
-		c.DedupWindow = 32
-	}
-	if c.SessionTTL <= 0 {
-		c.SessionTTL = 60 * time.Second
-	}
-	if c.ActiveWindow <= 0 {
-		c.ActiveWindow = time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
+	if c.clock == nil {
+		c.clock = time.Now
 	}
 	return c
 }
@@ -135,7 +123,7 @@ type session struct {
 	pos      int
 }
 
-func (s *session) cache(rep *wire.Reply, window int) {
+func (s *session) cache(rep *wire.Reply) {
 	cp := *rep
 	if cp.Result != nil {
 		cp.Result = append([]byte(nil), cp.Result...)
@@ -144,12 +132,12 @@ func (s *session) cache(rep *wire.Reply, window int) {
 		s.window[cp.Seq] = &cp
 		return
 	}
-	if len(s.ring) < window {
+	if len(s.ring) < dedupWindow {
 		s.ring = append(s.ring, cp.Seq)
 	} else {
 		delete(s.window, s.ring[s.pos])
 		s.ring[s.pos] = cp.Seq
-		s.pos = (s.pos + 1) % window
+		s.pos = (s.pos + 1) % dedupWindow
 	}
 	s.window[cp.Seq] = &cp
 }
@@ -161,14 +149,12 @@ type queuedReq struct {
 }
 
 // tenant is the per-tenant admission state: the token bucket and the
-// DRR queue.
+// fair queue.
 type tenant struct {
-	weight  int
-	tokens  float64
-	last    time.Time
-	queue   []queuedReq
-	deficit float64
-	active  bool
+	tokens float64
+	last   time.Time
+	queue  []queuedReq
+	active bool
 }
 
 func (t *tenant) refill(now time.Time, rate, burst float64) {
@@ -189,18 +175,14 @@ type Gateway struct {
 	under transport.SinkTransport
 	cfg   Config
 
-	sink atomic.Pointer[func(*wire.Envelope)]
-
-	recvMu     sync.Mutex
-	recv       chan *wire.Envelope
-	recvClosed bool
+	inbox *transport.Inbox
 
 	lastReplyNS atomic.Int64 // wall clock of the last outbound client reply
 
 	mu       sync.Mutex
 	sessions map[wire.NodeID]*session
 	tenants  map[uint8]*tenant
-	rr       []uint8 // active-tenant ring for DRR
+	rr       []uint8 // active-tenant ring for round robin
 	rrIdx    int
 	inflight int
 	queuedN  int
@@ -220,6 +202,7 @@ type Gateway struct {
 	drops         metrics.Counter // recv overflow (or delivery after Close)
 }
 
+// gatewayRecvBuf is a replica inbox's depth: one event loop drains it.
 const gatewayRecvBuf = 65536
 
 // Wrap interposes the gateway on under through its sink: inbound
@@ -229,7 +212,7 @@ func Wrap(under transport.SinkTransport, cfg Config) *Gateway {
 	g := &Gateway{
 		under:    under,
 		cfg:      cfg.withDefaults(),
-		recv:     make(chan *wire.Envelope, gatewayRecvBuf),
+		inbox:    transport.NewInbox(gatewayRecvBuf),
 		sessions: make(map[wire.NodeID]*session),
 		tenants:  make(map[uint8]*tenant),
 		stop:     make(chan struct{}),
@@ -244,11 +227,11 @@ func Wrap(under transport.SinkTransport, cfg Config) *Gateway {
 func (g *Gateway) Local() wire.NodeID { return g.under.Local() }
 
 // Recv implements transport.Transport.
-func (g *Gateway) Recv() <-chan *wire.Envelope { return g.recv }
+func (g *Gateway) Recv() <-chan *wire.Envelope { return g.inbox.Recv() }
 
 // SetSink implements transport.Sinker for the layer above (the group
 // multiplexer or a core). Set it before traffic starts.
-func (g *Gateway) SetSink(fn func(*wire.Envelope)) { g.sink.Store(&fn) }
+func (g *Gateway) SetSink(fn func(*wire.Envelope)) { g.inbox.SetSink(fn) }
 
 // SetHealth forwards to the underlying transport when it reports
 // link health.
@@ -264,37 +247,14 @@ func (g *Gateway) Close() error {
 	g.stopOnce.Do(func() { close(g.stop) })
 	err := g.under.Close()
 	g.wg.Wait()
-	g.closeRecv()
+	g.inbox.Close()
 	return err
 }
 
-func (g *Gateway) closeRecv() {
-	g.recvMu.Lock()
-	if !g.recvClosed {
-		g.recvClosed = true
-		close(g.recv)
-	}
-	g.recvMu.Unlock()
-}
-
-// deliver hands an envelope to the layer above: the inner sink when one
-// is set, the recv channel otherwise.
+// deliver hands an envelope to the layer above; an eviction from the
+// full inbox, or a refusal by the closed one, counts as a drop.
 func (g *Gateway) deliver(env *wire.Envelope) {
-	if fn := g.sink.Load(); fn != nil {
-		(*fn)(env)
-		return
-	}
-	g.recvMu.Lock()
-	if g.recvClosed {
-		g.recvMu.Unlock()
-		g.drops.Add(1)
-		return
-	}
-	select {
-	case g.recv <- env:
-		g.recvMu.Unlock()
-	default:
-		g.recvMu.Unlock()
+	if g.inbox.Deliver(env) != transport.Queued {
 		g.drops.Add(1)
 	}
 }
@@ -315,11 +275,11 @@ func (g *Gateway) inbound(env *wire.Envelope) {
 // admission (see the package comment).
 func (g *Gateway) replying(now time.Time) bool {
 	last := g.lastReplyNS.Load()
-	return last != 0 && now.UnixNano()-last <= int64(g.cfg.ActiveWindow)
+	return last != 0 && now.UnixNano()-last <= int64(activeWindow)
 }
 
 func (g *Gateway) handleRequest(env *wire.Envelope, req *wire.Request) {
-	now := g.cfg.Clock()
+	now := g.cfg.clock()
 	if !g.replying(now) {
 		// Passive edge: a follower (or a not-yet-warm leader). Forward
 		// untouched; the core ignores what it should ignore.
@@ -402,7 +362,7 @@ func (g *Gateway) handleRequest(env *wire.Envelope, req *wire.Request) {
 // hintLocked scales the base retry-after by how deep the backlog is,
 // clamped to 5s. Called with g.mu held.
 func (g *Gateway) hintLocked() time.Duration {
-	h := g.cfg.RetryAfter * time.Duration(1+g.queuedN/g.cfg.MaxInFlight)
+	h := retryAfter * time.Duration(1+g.queuedN/g.cfg.MaxInFlight)
 	if h > 5*time.Second {
 		h = 5 * time.Second
 	}
@@ -441,11 +401,7 @@ func (g *Gateway) session(id wire.NodeID, now time.Time) *session {
 func (g *Gateway) tenantState(id uint8, now time.Time) *tenant {
 	t, ok := g.tenants[id]
 	if !ok {
-		w := g.cfg.Weights[id]
-		if w < 1 {
-			w = 1
-		}
-		t = &tenant{weight: w, tokens: float64(g.cfg.TenantBurst), last: now}
+		t = &tenant{tokens: float64(g.cfg.TenantBurst), last: now}
 		g.tenants[id] = t
 	}
 	return t
@@ -462,7 +418,7 @@ func (g *Gateway) Send(env *wire.Envelope) {
 }
 
 func (g *Gateway) observeReply(rep *wire.Reply) {
-	now := g.cfg.Clock()
+	now := g.cfg.clock()
 	g.lastReplyNS.Store(now.UnixNano())
 	g.mu.Lock()
 	sess, ok := g.sessions[rep.Client]
@@ -479,7 +435,7 @@ func (g *Gateway) observeReply(rep *wire.Reply) {
 	}
 	switch rep.Status {
 	case wire.StatusOK, wire.StatusAborted, wire.StatusError, wire.StatusCrossGroup:
-		sess.cache(rep, g.cfg.DedupWindow)
+		sess.cache(rep)
 	}
 	out := g.drainLocked()
 	g.mu.Unlock()
@@ -488,52 +444,44 @@ func (g *Gateway) observeReply(rep *wire.Reply) {
 	}
 }
 
-// drainLocked releases parked requests under deficit round-robin while
-// budget slots remain. Called with g.mu held; returns the envelopes to
-// forward after unlock.
+// drainLocked releases parked requests while budget slots remain, round
+// robin across tenants, one request per turn. Called with g.mu held;
+// returns the envelopes to forward after unlock.
 func (g *Gateway) drainLocked() []*wire.Envelope {
 	var out []*wire.Envelope
 	for g.inflight < g.cfg.MaxInFlight && len(g.rr) > 0 {
 		if g.rrIdx >= len(g.rr) {
 			g.rrIdx = 0
 		}
-		id := g.rr[g.rrIdx]
-		tn := g.tenants[id]
-		// Top up the quantum only once the previous one is spent, so a
-		// heavy tenant keeps its turn across slot-at-a-time drains and
-		// weights hold even when the budget frees one slot per reply.
-		if tn.deficit < 1 {
-			tn.deficit += float64(tn.weight)
-		}
-		for tn.deficit >= 1 && len(tn.queue) > 0 && g.inflight < g.cfg.MaxInFlight {
-			q := tn.queue[0]
-			tn.queue = tn.queue[1:]
+		tn := g.tenants[g.rr[g.rrIdx]]
+		var q queuedReq
+		if len(tn.queue) > 0 { // a sweep may have aged the queue empty
+			q, tn.queue = tn.queue[0], tn.queue[1:]
 			g.queuedN--
-			tn.deficit--
-			req := &q.env.Msg.(*wire.RequestMsg).Req
-			sess := g.sessions[req.Client]
-			if sess == nil {
-				continue
-			}
-			e, ok := sess.inflight[req.Seq]
-			if !ok || e.counted {
-				// Answered (or forwarded via a retransmit) while parked.
-				continue
-			}
-			e.counted = true
-			sess.inflight[req.Seq] = e
-			g.inflight++
-			out = append(out, q.env)
 		}
 		if len(tn.queue) == 0 {
 			tn.active = false
-			tn.deficit = 0
 			g.rr = append(g.rr[:g.rrIdx], g.rr[g.rrIdx+1:]...)
-		} else if tn.deficit < 1 {
-			// Quantum spent: rotate. A tenant stopped mid-quantum by the
-			// budget keeps the turn for the next drain.
+		} else {
 			g.rrIdx++
 		}
+		if q.env == nil {
+			continue
+		}
+		req := &q.env.Msg.(*wire.RequestMsg).Req
+		sess := g.sessions[req.Client]
+		if sess == nil {
+			continue
+		}
+		e, ok := sess.inflight[req.Seq]
+		if !ok || e.counted {
+			// Answered (or forwarded via a retransmit) while parked.
+			continue
+		}
+		e.counted = true
+		sess.inflight[req.Seq] = e
+		g.inflight++
+		out = append(out, q.env)
 	}
 	return out
 }
@@ -543,18 +491,14 @@ func (g *Gateway) drainLocked() []*wire.Envelope {
 // older than the TTL, and evicts idle sessions.
 func (g *Gateway) sweeper() {
 	defer g.wg.Done()
-	period := g.cfg.InFlightTTL / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	tk := time.NewTicker(period)
+	tk := time.NewTicker(inFlightTTL / 4)
 	defer tk.Stop()
 	for {
 		select {
 		case <-g.stop:
 			return
 		case <-tk.C:
-			g.sweep(g.cfg.Clock())
+			g.sweep(g.cfg.clock())
 		}
 	}
 }
@@ -564,20 +508,20 @@ func (g *Gateway) sweep(now time.Time) {
 	g.mu.Lock()
 	for id, sess := range g.sessions {
 		for seq, e := range sess.inflight {
-			if e.counted && now.Sub(e.at) > g.cfg.InFlightTTL {
+			if e.counted && now.Sub(e.at) > inFlightTTL {
 				delete(sess.inflight, seq)
 				g.inflight--
 				g.expiredTot.Add(1)
 			}
 		}
-		if len(sess.inflight) == 0 && now.Sub(sess.lastSeen) > g.cfg.SessionTTL {
+		if len(sess.inflight) == 0 && now.Sub(sess.lastSeen) > sessionTTL {
 			delete(g.sessions, id)
 		}
 	}
 	for _, tn := range g.tenants {
 		keep := tn.queue[:0]
 		for _, q := range tn.queue {
-			if now.Sub(q.at) > g.cfg.InFlightTTL {
+			if now.Sub(q.at) > inFlightTTL {
 				req := &q.env.Msg.(*wire.RequestMsg).Req
 				if sess := g.sessions[req.Client]; sess != nil {
 					delete(sess.inflight, req.Seq)

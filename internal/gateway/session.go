@@ -86,15 +86,16 @@ func (m *SessionMux) Open(tenant uint8, n uint32) (transport.Transport, error) {
 	}
 	ep, ok := m.eps[id]
 	if !ok {
-		ep = &sessionEP{mux: m, id: id, recv: make(chan *wire.Envelope, sessionRecvBuf)}
+		ep = &sessionEP{mux: m, id: id, inbox: transport.NewInbox(sessionRecvBuf)}
 		m.eps[id] = ep
 	}
 	return ep, nil
 }
 
-// Drops counts replies that arrived for no open session plus per-session
-// buffer overflow. The mux lives in client processes, which keep no
-// metrics registry, so this method is its only read surface.
+// Drops counts replies that arrived for no open session or a closed one,
+// plus evictions from full session inboxes. The mux lives in client
+// processes, which keep no metrics registry, so this method is its only
+// read surface.
 func (m *SessionMux) Drops() uint64 { return m.drops.Load() }
 
 // Close closes the underlying transport, which quiesces its sink
@@ -115,7 +116,7 @@ func (m *SessionMux) Close() error {
 	}
 	m.mu.Unlock()
 	for _, ep := range eps {
-		ep.closeRecv()
+		ep.inbox.Close()
 	}
 	return err
 }
@@ -131,21 +132,16 @@ func (m *SessionMux) dispatch(env *wire.Envelope) {
 	m.mu.Lock()
 	ep := m.eps[to]
 	m.mu.Unlock()
-	if ep == nil {
+	if ep == nil || ep.inbox.Deliver(env) != transport.Queued {
 		m.drops.Add(1)
-		return
 	}
-	ep.deliver(env, &m.drops)
 }
 
 // sessionEP is one logical session's view of the shared transport.
 type sessionEP struct {
-	mux  *SessionMux
-	id   wire.NodeID
-	recv chan *wire.Envelope
-
-	cmu      sync.Mutex
-	detached bool
+	mux   *SessionMux
+	id    wire.NodeID
+	inbox *transport.Inbox
 }
 
 // Local implements transport.Transport: the session's logical ID.
@@ -159,7 +155,7 @@ func (e *sessionEP) Send(env *wire.Envelope) {
 }
 
 // Recv implements transport.Transport.
-func (e *sessionEP) Recv() <-chan *wire.Envelope { return e.recv }
+func (e *sessionEP) Recv() <-chan *wire.Envelope { return e.inbox.Recv() }
 
 // Close detaches the session from the mux. The shared transport stays
 // open for other sessions.
@@ -169,31 +165,6 @@ func (e *sessionEP) Close() error {
 		delete(e.mux.eps, e.id)
 	}
 	e.mux.mu.Unlock()
-	e.closeRecv()
+	e.inbox.Close()
 	return nil
-}
-
-func (e *sessionEP) deliver(env *wire.Envelope, drops *atomic.Uint64) {
-	e.cmu.Lock()
-	if e.detached {
-		e.cmu.Unlock()
-		drops.Add(1)
-		return
-	}
-	select {
-	case e.recv <- env:
-		e.cmu.Unlock()
-	default:
-		e.cmu.Unlock()
-		drops.Add(1)
-	}
-}
-
-func (e *sessionEP) closeRecv() {
-	e.cmu.Lock()
-	if !e.detached {
-		e.detached = true
-		close(e.recv)
-	}
-	e.cmu.Unlock()
 }

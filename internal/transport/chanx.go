@@ -119,18 +119,14 @@ func (n *Network) Endpoint(id wire.NodeID) (*Endpoint, error) {
 	if n.closed {
 		return nil, ErrClosed
 	}
-	if ep, ok := n.endpoints[id]; ok && !ep.isClosed() {
+	if ep, ok := n.endpoints[id]; ok {
 		return ep, nil
 	}
 	buf := replicaRecvBuf
 	if id >= wire.ClientIDBase {
 		buf = clientRecvBuf
 	}
-	ep := &Endpoint{
-		id:   id,
-		net:  n,
-		recv: make(chan *wire.Envelope, buf),
-	}
+	ep := &Endpoint{id: id, net: n, inbox: NewInbox(buf)}
 	n.endpoints[id] = ep
 	return ep, nil
 }
@@ -154,7 +150,7 @@ func (n *Network) Close() error {
 	n.mu.Unlock()
 	n.kick()
 	for _, ep := range eps {
-		ep.closeRecv()
+		ep.inbox.Close()
 	}
 	return nil
 }
@@ -267,7 +263,11 @@ func (n *Network) run() {
 			if tracer != nil {
 				tracer(d.at, d.env)
 			}
-			d.dest.deliver(d.env, n)
+			// A full endpoint's eviction is a drop, as a real kernel's
+			// would be; a closed endpoint's refusal is not counted.
+			if d.dest.inbox.Deliver(d.env) == Evicted {
+				n.drops.Add(1)
+			}
 		}
 
 		if wait <= spinBudget {
@@ -292,17 +292,13 @@ func (n *Network) run() {
 
 // Endpoint is one node's attachment to a Network.
 type Endpoint struct {
-	id   wire.NodeID
-	net  *Network
-	recv chan *wire.Envelope
-	// sink, when set (Sinker), replaces the recv channel: the fabric's
+	id  wire.NodeID
+	net *Network
+	// inbox is the receive side. With a sink set (Sinker), the fabric's
 	// delivery goroutine calls it directly, skipping one queue hop (the
 	// group multiplexer uses this to dispatch straight into per-group
 	// queues).
-	sink atomic.Pointer[func(*wire.Envelope)]
-
-	mu     sync.Mutex
-	closed bool
+	inbox *Inbox
 }
 
 var _ Transport = (*Endpoint)(nil)
@@ -310,7 +306,7 @@ var _ Sinker = (*Endpoint)(nil)
 var _ RTTReporter = (*Endpoint)(nil)
 
 // SetSink implements Sinker. Set before traffic starts.
-func (ep *Endpoint) SetSink(fn func(*wire.Envelope)) { ep.sink.Store(&fn) }
+func (ep *Endpoint) SetSink(fn func(*wire.Envelope)) { ep.inbox.SetSink(fn) }
 
 // Local implements Transport.
 func (ep *Endpoint) Local() wire.NodeID { return ep.id }
@@ -319,7 +315,7 @@ func (ep *Endpoint) Local() wire.NodeID { return ep.id }
 func (ep *Endpoint) Send(env *wire.Envelope) { ep.net.send(ep.id, env) }
 
 // Recv implements Transport.
-func (ep *Endpoint) Recv() <-chan *wire.Envelope { return ep.recv }
+func (ep *Endpoint) Recv() <-chan *wire.Envelope { return ep.inbox.Recv() }
 
 // PeerRTT implements RTTReporter from the netem model: the round trip
 // is the sum of the two directed links' mean one-way latencies. Where
@@ -339,48 +335,15 @@ func (ep *Endpoint) PeerRTT(peer wire.NodeID) (time.Duration, bool) {
 // keeps running for other endpoints. The registry slot is released so a
 // long-lived network shedding thousands of short-lived session
 // endpoints (an open-loop benchmark, a gateway soak) does not
-// accumulate dead endpoints and their buffers forever.
+// accumulate dead endpoints and their buffers forever. The slot goes
+// first, so a concurrent Endpoint call for the same id builds a fresh
+// endpoint instead of returning this closing one.
 func (ep *Endpoint) Close() error {
-	ep.closeRecv()
 	ep.net.mu.Lock()
 	if cur, ok := ep.net.endpoints[ep.id]; ok && cur == ep {
 		delete(ep.net.endpoints, ep.id)
 	}
 	ep.net.mu.Unlock()
+	ep.inbox.Close()
 	return nil
-}
-
-func (ep *Endpoint) isClosed() bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.closed
-}
-
-func (ep *Endpoint) closeRecv() {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if !ep.closed {
-		ep.closed = true
-		close(ep.recv)
-	}
-}
-
-func (ep *Endpoint) deliver(env *wire.Envelope, n *Network) {
-	if fn := ep.sink.Load(); fn != nil {
-		if ep.isClosed() {
-			return
-		}
-		(*fn)(env)
-		return
-	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed {
-		return
-	}
-	select {
-	case ep.recv <- env:
-	default: // receiver buffer full: drop, as a real kernel would
-		n.drops.Add(1)
-	}
 }

@@ -58,11 +58,9 @@ func NewGroupMux(under SinkTransport, n int, route func(*wire.Request) (uint32, 
 		eps:   make([]*groupEndpoint, n),
 	}
 	for g := range m.eps {
-		m.eps[g] = &groupEndpoint{
-			mux:   m,
-			group: uint32(g),
-			recv:  make(chan *wire.Envelope, groupRecvBuf),
-		}
+		// As deep as a replica's inbox: one event loop drains each group,
+		// and an eviction is a drop the protocol retries.
+		m.eps[g] = &groupEndpoint{mux: m, group: uint32(g), inbox: NewInbox(replicaRecvBuf)}
 	}
 	if hr, ok := under.(HealthReporter); ok {
 		hr.SetHealth(m.fanOutHealth)
@@ -70,11 +68,6 @@ func NewGroupMux(under SinkTransport, n int, route func(*wire.Request) (uint32, 
 	under.SetSink(m.dispatch)
 	return m
 }
-
-// groupRecvBuf mirrors the underlying transports' per-endpoint buffers:
-// the consumer is one event loop per group, and overflow counts as a
-// drop exactly like a network loss (the protocol retries).
-const groupRecvBuf = 65536
 
 // Group returns group g's virtual transport.
 func (m *GroupMux) Group(g int) Transport { return m.eps[g] }
@@ -93,7 +86,7 @@ func (m *GroupMux) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
 		for _, ep := range m.eps {
-			ep.detach()
+			ep.inbox.Close()
 		}
 		err = m.under.Close()
 	})
@@ -114,8 +107,8 @@ func (m *GroupMux) fanOutHealth(peer wire.NodeID, up bool) {
 
 // dispatch routes one inbound envelope to its group's queue. Safe for
 // concurrent callers (the sink runs it from every connection's decode
-// goroutine): routing is serialized by routeMu, and group
-// delivery is mutex-guarded per endpoint.
+// goroutine): routing is serialized by routeMu, and each group's inbox
+// guards its own delivery.
 func (m *GroupMux) dispatch(env *wire.Envelope) {
 	g := env.Group
 	if rm, ok := env.Msg.(*wire.RequestMsg); ok && m.route != nil {
@@ -144,20 +137,21 @@ func (m *GroupMux) dispatch(env *wire.Envelope) {
 		m.drops.Add(1)
 		return
 	}
-	m.eps[g].deliver(env)
+	ep := m.eps[g]
+	switch ep.inbox.Deliver(env) {
+	case Evicted:
+		ep.drops.Add(1)
+	case Refused:
+		m.drops.Add(1)
+	}
 }
 
 // groupEndpoint is one group's virtual Transport.
 type groupEndpoint struct {
 	mux   *GroupMux
 	group uint32
-	// mu orders deliver against detach: a replica's Stop may close the
-	// group channel while a dispatch is mid-delivery, and an unguarded
-	// close would panic the send.
-	mu     sync.Mutex
-	recv   chan *wire.Envelope
-	drops  metrics.Counter // full group queue
-	closed bool
+	inbox *Inbox
+	drops metrics.Counter // evictions from the full group inbox
 }
 
 var (
@@ -178,40 +172,13 @@ func (ep *groupEndpoint) Send(env *wire.Envelope) {
 	ep.mux.under.Send(env)
 }
 
-func (ep *groupEndpoint) Recv() <-chan *wire.Envelope { return ep.recv }
+func (ep *groupEndpoint) Recv() <-chan *wire.Envelope { return ep.inbox.Recv() }
 
 // Close detaches this group only; the shared transport stays up for the
 // other groups (a group replica's Stop must not sever its siblings).
 func (ep *groupEndpoint) Close() error {
-	ep.detach()
+	ep.inbox.Close()
 	return nil
-}
-
-func (ep *groupEndpoint) detach() {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if !ep.closed {
-		ep.closed = true
-		close(ep.recv)
-	}
-}
-
-// deliver hands an envelope to the group's event loop without ever
-// blocking the transport goroutine that called the sink: a full or closed group counts the envelope as
-// dropped, and the protocol's retransmissions recover — the same
-// contract as the underlying transports' receive buffers.
-func (ep *groupEndpoint) deliver(env *wire.Envelope) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed {
-		ep.mux.drops.Add(1)
-		return
-	}
-	select {
-	case ep.recv <- env:
-	default:
-		ep.drops.Add(1)
-	}
 }
 
 // RegisterMetrics implements metrics.Instrumented: the group's core

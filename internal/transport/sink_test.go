@@ -11,34 +11,6 @@ import (
 	"gridrep/internal/wire"
 )
 
-// TestChanxSinkBypassesRecv: once a sink is set, the fabric delivers
-// straight into the callback and nothing reaches the Recv channel.
-func TestChanxSinkBypassesRecv(t *testing.T) {
-	n := newTestNet(t, netem.Loopback())
-	a, _ := n.Endpoint(0)
-	b, _ := n.Endpoint(1)
-
-	got := make(chan *wire.Envelope, 16)
-	b.SetSink(func(env *wire.Envelope) { got <- env })
-
-	env := hb(0, 42)
-	env.To = 1
-	a.Send(env)
-	select {
-	case d := <-got:
-		if d.Msg.(*wire.Heartbeat).Epoch != 42 {
-			t.Fatalf("sink got %+v", d.Msg)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("sink never called")
-	}
-	select {
-	case d := <-b.Recv():
-		t.Fatalf("Recv must be silent with a sink set, got %+v", d)
-	default:
-	}
-}
-
 // TestTCPSinkDelivery: the TCP transport's per-connection decode
 // goroutines call the sink directly — possibly concurrently, one caller
 // per connection — and Recv stays silent.

@@ -35,13 +35,12 @@ type TCP struct {
 	local wire.NodeID
 	opts  Options
 	ln    net.Listener
-	recv  chan *wire.Envelope
 	stats counters
-	// sink, when set (Sinker), replaces the recv channel: each
-	// connection's decode goroutine calls it directly, so inbound
-	// fan-in stays sharded by connection instead of funneling through
-	// one consumer.
-	sink atomic.Pointer[func(*wire.Envelope)]
+	// inbox is the receive side. With a sink set (Sinker), each
+	// connection's decode goroutine hands envelopes to it directly, so
+	// inbound fan-in stays sharded by connection instead of funneling
+	// through one consumer.
+	inbox *Inbox
 
 	mu       sync.Mutex
 	book     map[wire.NodeID]string
@@ -77,10 +76,6 @@ type Options struct {
 	// frame) arrives for this long (default 4×PingEvery). This is what
 	// detects blackholed links whose writes still succeed locally.
 	PingTimeout time.Duration
-	// RecvBuf bounds the receive channel (default 65536 envelopes,
-	// matching the in-process Network). Overflow evicts the oldest
-	// buffered envelope.
-	RecvBuf int
 }
 
 func (o *Options) fillDefaults() {
@@ -101,9 +96,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.PingTimeout == 0 {
 		o.PingTimeout = 4 * o.PingEvery
-	}
-	if o.RecvBuf == 0 {
-		o.RecvBuf = 65536
 	}
 }
 
@@ -263,7 +255,7 @@ func newTCP(local wire.NodeID, book map[wire.NodeID]string, opts Options) *TCP {
 		local:    local,
 		opts:     opts,
 		book:     b,
-		recv:     make(chan *wire.Envelope, opts.RecvBuf),
+		inbox:    NewInbox(replicaRecvBuf),
 		sups:     make(map[wire.NodeID]*supervisor),
 		inbound:  make(map[wire.NodeID]*tcpConn),
 		accepted: make(map[*tcpConn]struct{}),
@@ -297,7 +289,7 @@ func (t *TCP) PeerRTT(peer wire.NodeID) (time.Duration, bool) {
 // SetSink implements Sinker: inbound envelopes are handed to fn —
 // possibly concurrently, one caller per live connection's decode stage —
 // instead of the Recv channel. Set before traffic starts.
-func (t *TCP) SetSink(fn func(*wire.Envelope)) { t.sink.Store(&fn) }
+func (t *TCP) SetSink(fn func(*wire.Envelope)) { t.inbox.SetSink(fn) }
 
 // Local implements Transport.
 func (t *TCP) Local() wire.NodeID { return t.local }
@@ -468,7 +460,7 @@ func (t *TCP) Send(env *wire.Envelope) {
 }
 
 // Recv implements Transport.
-func (t *TCP) Recv() <-chan *wire.Envelope { return t.recv }
+func (t *TCP) Recv() <-chan *wire.Envelope { return t.inbox.Recv() }
 
 // Close implements Transport.
 func (t *TCP) Close() error {
@@ -498,7 +490,7 @@ func (t *TCP) Close() error {
 		c.c.Close()
 	}
 	t.wg.Wait()
-	close(t.recv)
+	t.inbox.Close()
 	return nil
 }
 
@@ -577,34 +569,6 @@ func (t *TCP) replyLoop(conn *tcpConn) {
 				}
 			}
 		}
-	}
-}
-
-// deliver hands env to the sink when one is set (each decode goroutine
-// calls it directly — sharded fan-in), else to the receive channel. On
-// channel overflow the oldest buffered envelope is evicted in favour of
-// the new one — fresh protocol messages supersede stale ones — and the
-// drop is counted.
-func (t *TCP) deliver(env *wire.Envelope) {
-	if fn := t.sink.Load(); fn != nil {
-		(*fn)(env)
-		return
-	}
-	select {
-	case t.recv <- env:
-		return
-	default:
-	}
-	select {
-	case <-t.recv:
-		t.stats.dropRecvOverflow.Add(1)
-	default:
-	}
-	select {
-	case t.recv <- env:
-	default:
-		// Lost the refill race; the new envelope is the casualty.
-		t.stats.dropRecvOverflow.Add(1)
 	}
 }
 
@@ -721,7 +685,9 @@ func (t *TCP) decodeLoop(conn *tcpConn, acceptSide bool, frames <-chan []byte) {
 		if acceptSide {
 			t.learn(env.From, conn, &learned)
 		}
-		t.deliver(env)
+		if t.inbox.Deliver(env) != Queued {
+			t.stats.dropRecvOverflow.Add(1)
+		}
 	}
 }
 

@@ -258,49 +258,6 @@ func TestTCPSupervisorReconnect(t *testing.T) {
 	}
 }
 
-// TestTCPRecvOverflowDropsOldest verifies the receive buffer evicts the
-// oldest envelope on overflow and accounts for every drop under its
-// cause.
-func TestTCPRecvOverflowDropsOldest(t *testing.T) {
-	opts := fastOpts()
-	opts.RecvBuf = 4
-	b, err := ListenTCPOpts(1, map[wire.NodeID]string{1: "127.0.0.1:0"}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a := DialTCPOpts(wire.ClientIDBase, map[wire.NodeID]string{1: b.Addr()}, fastOpts())
-	defer a.Close()
-
-	for i := 0; i < 10; i++ {
-		env := hb(wire.ClientIDBase, uint64(i))
-		env.To = 1
-		a.Send(env)
-	}
-	ctr := tcpCounters(b)
-	deadline := time.Now().Add(5 * time.Second)
-	for ctr("drop_recv_overflow_total") < 6 {
-		if time.Now().After(deadline) {
-			t.Fatalf("recv overflow drops = %d, want 6", ctr("drop_recv_overflow_total"))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for want := uint64(6); want < 10; want++ {
-		got := tcpRecv(t, b, time.Second).Msg.(*wire.Heartbeat).Epoch
-		if got != want {
-			t.Fatalf("surviving epoch = %d, want %d (oldest must be evicted first)", got, want)
-		}
-	}
-	for _, cause := range []string{"queue_full", "no_route", "write_fail", "reply_overflow"} {
-		if n := ctr("drop_" + cause + "_total"); n != 0 {
-			t.Errorf("%s drops = %d, want 0: every drop here is a recv overflow", cause, n)
-		}
-	}
-	if n := ctr("drop_recv_overflow_total"); n != 6 {
-		t.Errorf("recv overflow drops = %d, want 6", n)
-	}
-}
-
 // TestTCPHealthCallback asserts peer up/down transitions reach the
 // registered health callback when the remote listener dies.
 func TestTCPHealthCallback(t *testing.T) {

@@ -15,11 +15,6 @@ import (
 	"gridrep/internal/wire"
 )
 
-// TransportOptions tunes the self-healing TCP transport: queue bounds,
-// reconnect backoff, write deadlines, and the heartbeat that detects
-// dead links. The zero value picks sensible defaults.
-type TransportOptions = transport.Options
-
 // ServerOptions configures one TCP replica process.
 type ServerOptions struct {
 	// ID is this replica's index into Peers.
@@ -59,10 +54,8 @@ type ServerOptions struct {
 	// through a committed configuration entry. Peers must still contain
 	// this replica's own listen address under ID.
 	Join bool
-	// Transport tunes the TCP transport (zero value = defaults).
-	Transport TransportOptions
 	// Gateway, when non-nil, enables the client-facing edge (DESIGN.md
-	// §15): per-tenant admission control, weighted fair queueing, typed
+	// §15): per-tenant admission control, round-robin fair queueing, typed
 	// StatusOverload sheds with retry-after hints, and the per-session
 	// dedup window. A zero GatewayOptions value picks defaults, with the
 	// global in-flight budget sized from pipeline depth × groups. Nil
@@ -70,7 +63,9 @@ type ServerOptions struct {
 	Gateway *GatewayOptions
 }
 
-// GatewayOptions tunes the client-facing edge; see internal/gateway.
+// GatewayOptions are the client-facing edge's four deployment knobs —
+// MaxInFlight, QueueLen, TenantRate and TenantBurst, which replicad's
+// gateway flags set; see internal/gateway.
 type GatewayOptions = gateway.Config
 
 // Server is one running TCP replica process — every consensus group it
@@ -99,7 +94,7 @@ func ListenAndServe(opts ServerOptions) (*Server, error) {
 	for id := range opts.Peers {
 		ids = append(ids, id)
 	}
-	tr, err := transport.ListenTCPOpts(opts.ID, opts.Peers, opts.Transport)
+	tr, err := transport.ListenTCP(opts.ID, opts.Peers)
 	if err != nil {
 		return nil, err
 	}
@@ -249,8 +244,6 @@ type DialOptions struct {
 	Replicas map[NodeID]string
 	// Deadline bounds each operation (default 30s).
 	Deadline time.Duration
-	// Transport tunes the TCP transport (zero value = defaults).
-	Transport TransportOptions
 	// NearRead serves X-Paxos reads from the nearest replica's confirm
 	// quorum instead of always the leader (DESIGN.md §16). The nearest
 	// replica is picked from the transport's heartbeat RTT estimates, or
@@ -271,7 +264,7 @@ func dial(opts DialOptions) (*transport.TCP, client.Config, error) {
 	for id := range opts.Replicas {
 		ids = append(ids, id)
 	}
-	tr := transport.DialTCPOpts(wire.ClientIDBase+wire.NodeID(opts.ID), opts.Replicas, opts.Transport)
+	tr := transport.DialTCP(wire.ClientIDBase+wire.NodeID(opts.ID), opts.Replicas)
 	return tr, client.Config{
 		Replicas:    ids,
 		Deadline:    opts.Deadline,
