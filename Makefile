@@ -48,13 +48,15 @@ selectors:
 	exit $$fail
 
 # State moves one way (DESIGN.md "State transfer"): core copies the full
-# service state at five named places — wave undo, full-mode wave top,
-# exclusive-transaction preSnap, reconfiguration-wave undo, durable
-# snapshot — and bulk state never rides in a CatchUpResp. This fails when
-# a sixth svc.Snapshot() call appears in non-test internal/core, or when
-# any non-test file outside the codec builds a CatchUpResp with State or
-# StateAt set. The bound goes down again when the undo-point item lands.
-SNAPSHOT_SITES_MAX = 5
+# service state at three named places — the base state New captures
+# while no durable snapshot exists, full mode's wave top, and the durable
+# snapshot — and bulk state never rides in a CatchUpResp. Nothing is
+# copied to undo speculation: a demoted leader re-derives its state from
+# the durable snapshot and the log. This fails when a fourth
+# svc.Snapshot() call appears in non-test internal/core, or when any
+# non-test file outside the codec builds a CatchUpResp with State or
+# StateAt set.
+SNAPSHOT_SITES_MAX = 3
 snapshot-sites:
 	@n=$$(cat $$(ls internal/core/*.go | grep -v _test) | grep -c 'svc\.Snapshot()'); \
 	if [ $$n -gt $(SNAPSHOT_SITES_MAX) ]; then \

@@ -91,7 +91,7 @@ func (r *Replica) advanceChosen(idx uint64, claimBal wire.Ballot) {
 			return
 		}
 		r.applyCommitted(valid)
-		r.maybeCompact()
+		r.maybeSnapshot(r.cfg.SnapshotEvery)
 	}
 	if valid < idx && idx > r.hintChosen {
 		r.hintChosen = idx
@@ -221,7 +221,7 @@ func (r *Replica) onCatchUpResp(m *wire.CatchUpResp) {
 		return
 	}
 	r.applyCommitted(m.Chosen)
-	r.maybeCompact()
+	r.maybeSnapshot(r.cfg.SnapshotEvery)
 	r.logf("caught up to %d", r.applied)
 	if r.role == RolePreparing && r.awaitCatchup && r.applied >= r.prep.MaxChosen() {
 		r.awaitCatchup = false

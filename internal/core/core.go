@@ -157,7 +157,6 @@ func (c *Config) fillDefaults() {
 type wave struct {
 	round    *paxos.AcceptRound
 	entries  []wire.Entry
-	undo     []byte      // pre-execution snapshot; nil for recovery waves
 	recovery bool        // re-proposing learned entries after election
 	acked    bool        // quorum complete, waiting on predecessor waves
 	txns     []*txnState // transactions committing in this wave
@@ -234,15 +233,14 @@ type Replica struct {
 	// pendingConfig blocks new wave launches (and further membership
 	// proposals) while a configuration entry is in flight: changes are
 	// one-at-a-time, and the quorum switches at the commit point.
-	pendingConfig  bool
-	joining        bool // announcing via JoinReq until promoted to voter
-	joinSentAt     time.Time
-	peerAddrs      map[wire.NodeID]string // advertised transport addresses
-	peerApplied    map[wire.NodeID]uint64 // gossiped applied watermarks
-	snapFetch      *snapFetch             // in-progress snapshot stream (requester)
-	snapSumAt      uint64                 // served-snapshot CRC cache (responder)
-	snapSumVal     uint32
-	lastPruneCheck time.Time
+	pendingConfig bool
+	joining       bool // announcing via JoinReq until promoted to voter
+	joinSentAt    time.Time
+	peerAddrs     map[wire.NodeID]string // advertised transport addresses
+	peerApplied   map[wire.NodeID]uint64 // gossiped applied watermarks
+	snapFetch     *snapFetch             // in-progress snapshot stream (requester)
+	snapSumAt     uint64                 // served-snapshot CRC cache (responder)
+	snapSumVal    uint32
 
 	// hintChosen records a commit index claimed by a peer (heartbeat, or
 	// a Commit whose entries this replica cannot locally validate); the
@@ -290,7 +288,10 @@ type Replica struct {
 	// clients, so churn cannot wedge the gate closed.
 	writers map[wire.NodeID]time.Time
 
-	lastCompact uint64
+	// base is the service state captured in New while the store held no
+	// durable snapshot: the state before instance 1, where rederive starts
+	// until a durable snapshot exists.
+	base []byte
 
 	// Durability (persist.go): non-nil flusher means the store stages
 	// records and a driver flushes them. deferEnvs and deferFns
@@ -404,12 +405,15 @@ func New(cfg Config) (*Replica, error) {
 	// configuration entries, each of which switches membership in
 	// commit order on top of this base.
 	r.initMembership()
-	// A recovering replica first replays its own durable log into the
-	// service; without this, a full-cluster restart would deadlock with
-	// every replica waiting for an up-to-date peer to catch up from.
-	// Whatever the local log cannot reconstruct (compacted state, a
-	// missed suffix) is fetched from peers later.
-	r.applyCommitted(acc.Chosen())
+	// A recovering replica first rebuilds its service from its own durable
+	// snapshot and log; without this, a full-cluster restart would deadlock
+	// with every replica waiting for an up-to-date peer to catch up from.
+	// Whatever the local log cannot reconstruct (a missed suffix) is
+	// fetched from peers later.
+	if _, at := acc.ServiceSnapshot(); at == 0 {
+		r.base = r.svc.Snapshot()
+	}
+	r.rederive()
 	return r, nil
 }
 
@@ -641,7 +645,7 @@ func (r *Replica) tick(now time.Time) {
 	}
 	r.tickJoin(now)
 	r.maybeSnapshot(r.cfg.SnapshotEvery)
-	r.maybePrune(now)
+	r.maybePrune()
 	leader, ok := r.elector.Leader(now)
 	switch {
 	case ok && leader == r.cfg.ID && r.role == RoleBackup:
@@ -779,7 +783,7 @@ func (r *Replica) startPrepare(now time.Time) {
 	})
 }
 
-// stepDown returns to the backup role, rolling back every speculative
+// stepDown returns to the backup role, discarding every speculative
 // effect: the in-flight waves' executions, open transactions, and pending
 // reads.
 func (r *Replica) stepDown() {
@@ -797,19 +801,15 @@ func (r *Replica) stepDown() {
 		tx.ws.Abort()
 	}
 	r.txns = make(map[txnKey]*txnState)
-	// Roll back the speculatively executed waves: the oldest wave's undo
-	// snapshot is the state after the last committed instance, so one
-	// restore discards every in-flight wave's effects at once.
-	if len(r.waves) > 0 {
-		if w := r.waves[0]; w.undo != nil {
-			if err := r.svc.Restore(w.undo); err != nil {
-				r.fatal("undo restore: %v", err)
-			}
-			r.stats.specRollbacks.Add(1)
-			r.stats.wavesRolledBack.Add(uint64(len(r.waves)))
-			r.logf("rolled back %d speculative wave(s) to chosen=%d",
-				len(r.waves), r.acc.Chosen())
-		}
+	// The service ran ahead of applied by the in-flight waves' executions
+	// (a recovery wave executes nothing): rebuild it from the chosen log,
+	// which discards every in-flight wave's effects at once.
+	if len(r.waves) > 0 && !r.waves[0].recovery {
+		r.rederive()
+		r.stats.specRollbacks.Add(1)
+		r.stats.wavesRolledBack.Add(uint64(len(r.waves)))
+		r.logf("re-derived past %d speculative wave(s) to applied=%d",
+			len(r.waves), r.applied)
 	}
 	r.waves = nil
 	r.stats.wavesInFlight.Set(0)
@@ -841,6 +841,24 @@ func (r *Replica) stepDown() {
 	r.pendingConfig = false
 	r.nextInstance = r.acc.Chosen() + 1
 	r.logf("stepped down at chosen=%d", r.acc.Chosen())
+}
+
+// rederive rebuilds the service from local durable state: the durable
+// snapshot (or, while none exists, the state New captured), then every
+// chosen effect above it through applyCommitted — how a replica boots and
+// how a demoted leader gets back to the chosen state (§3.6). The log holds
+// every such effect because Compact strips only what a snapshot covers.
+func (r *Replica) rederive() {
+	snap, at := r.acc.ServiceSnapshot()
+	if at == 0 {
+		snap = r.base
+	}
+	if err := r.svc.Restore(snap); err != nil {
+		r.fatal("restore at %d: %v", at, err)
+		return
+	}
+	r.applied = at
+	r.applyCommitted(r.acc.Chosen())
 }
 
 // fatal reports an unrecoverable local fault (storage failure). The

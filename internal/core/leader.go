@@ -136,9 +136,9 @@ func (r *Replica) drainBlocked() {
 // proposed before i−1 commits. Deeper pipelines launch wave i+1 against
 // the local speculative post-i state — the leader already executed wave i
 // before proposing it, which is the paper's own insight — while wave i's
-// quorum round trip and fsync are still outstanding. Each wave's undo
-// snapshot captures the state it was built on, so the oldest in-flight
-// wave's undo always equals the last committed state.
+// quorum round trip and fsync are still outstanding. Nothing is copied to
+// undo them: a leader demoted with waves in flight rebuilds its service
+// from the chosen log (rederive), as a lagging backup would.
 //
 // Speculative launches are gated against batch fragmentation: launching
 // on every arrival would turn one big wave per round trip into many
@@ -182,7 +182,6 @@ func (r *Replica) maybeStartWave() {
 // speculative) service state and launches the covering accept wave.
 func (r *Replica) startWave(items []workItem) {
 	execStart := wallClock()
-	undo := r.svc.Snapshot()
 	var entries []wire.Entry
 	var txns []*txnState
 	var firstAt time.Time
@@ -196,11 +195,6 @@ func (r *Replica) startWave(items []workItem) {
 			// T-Paxos commit: one instance decides the whole transaction
 			// and carries its effect (§3.5) — the write set as one delta,
 			// the aux each op captured, or full mode's wave top.
-			if it.txn.exclusive {
-				// The pre-transaction snapshot is the only state
-				// that excludes the transaction's effects.
-				undo = it.txn.preSnap
-			}
 			reqs := append(append([]wire.Request{}, it.txn.ops...), it.req)
 			results := append(append([][]byte{}, it.txn.results...), nil)
 			prop := wire.Proposal{Reqs: reqs, Results: results}
@@ -246,7 +240,7 @@ func (r *Replica) startWave(items []workItem) {
 	}
 	exec := wallClock().Sub(execStart)
 	r.stats.execLat.ObserveDuration(exec)
-	r.launchWave(&wave{entries: entries, undo: undo, txns: txns, firstAt: firstAt, exec: exec})
+	r.launchWave(&wave{entries: entries, txns: txns, firstAt: firstAt, exec: exec})
 }
 
 // executeWrite runs one write on the service per the state mode,
@@ -455,7 +449,7 @@ func (r *Replica) commitWave(w *wave) {
 	for _, tx := range w.txns {
 		r.finishTxn(tx)
 	}
-	r.maybeCompact()
+	r.maybeSnapshot(r.cfg.SnapshotEvery)
 
 	if w.recovery {
 		r.activate()
@@ -480,20 +474,6 @@ func (r *Replica) noteCommitted(e wire.Entry, replyNow bool) {
 		delete(r.pending, req.Key())
 		if replyNow && i == n-1 {
 			r.reply(req, wire.StatusOK, res, "")
-		}
-	}
-}
-
-// compactEvery is how many committed instances pass between log-state
-// compactions.
-const compactEvery = 1024
-
-// maybeCompact strips old state payloads from the log periodically.
-func (r *Replica) maybeCompact() {
-	if chosen := r.acc.Chosen(); chosen-r.lastCompact >= compactEvery {
-		r.lastCompact = chosen
-		if err := r.acc.Compact(chosen); err != nil {
-			r.fatal("compact: %v", err)
 		}
 	}
 }

@@ -33,10 +33,10 @@ type Options struct {
 	// instance i is proposed only after i−1 commits. Depths above 1 let
 	// the leader execute wave i+1 against its local post-i state and
 	// propose it while wave i's quorum round trip and fsync are still
-	// outstanding; every wave keeps an undo snapshot so a ballot demotion
-	// rolls the service back to the last committed instance, and client
+	// outstanding; a ballot demotion re-derives the service from the
+	// chosen log (discarding every speculative execution), and client
 	// replies still fire only when a wave and all its predecessors
-	// commit. See DESIGN.md §10 for the ordering/rollback contract.
+	// commit. See DESIGN.md §10 for the ordering/re-derivation contract.
 	PipelineDepth int
 	// NoBatch disables multi-instance accept waves (ablation knob): each
 	// wave carries exactly one request, so the strictly sequential
@@ -45,8 +45,8 @@ type Options struct {
 	// batching is what lets write throughput scale in Figure 5.
 	NoBatch bool
 	// SnapshotEvery takes a durable service snapshot every this many
-	// applied instances (default 4096). Snapshots bound WAL pruning and
-	// serve streaming catch-up.
+	// applied instances (default 1024). Snapshots bound WAL pruning and
+	// Compact, and serve streaming catch-up.
 	SnapshotEvery uint64
 	// PruneKeep retains this many instances below the cluster-wide
 	// minimum applied watermark when pruning the WAL (default 1024);
@@ -99,7 +99,7 @@ func (o *Options) FillDefaults(maxOneWay time.Duration, depthHint int, flushHint
 		o.PipelineDepth = 1
 	}
 	if o.SnapshotEvery == 0 {
-		o.SnapshotEvery = 4096
+		o.SnapshotEvery = 1024
 	}
 	if o.PruneKeep == 0 {
 		o.PruneKeep = 1024

@@ -129,8 +129,8 @@ func TestPipelineDepthOneStaysSerial(t *testing.T) {
 }
 
 // TestLeaderSwitchMidPipelineRollsBack forces a §3.6 leader switch while
-// a depth-4 pipeline is busy. The demoted leader must roll its service
-// back to the last committed instance (discarding speculative
+// a depth-4 pipeline is busy. The demoted leader must re-derive its
+// service at the last committed instance (discarding speculative
 // executions), and no acked write may be lost or duplicated across the
 // switch — clients retry unacked requests at the new leader and the
 // reply cache deduplicates.
@@ -174,7 +174,7 @@ func TestLeaderSwitchMidPipelineRollsBack(t *testing.T) {
 	}
 	checkCounter(t, c, writers*each)
 
-	// The demoted leader rolled back whatever was speculative. With 4
+	// The demoted leader re-derived past whatever was speculative. With 4
 	// concurrent WAN writers and a ~35ms quorum RTT the pipeline is
 	// essentially always occupied, so the demotion must have found waves
 	// in flight.

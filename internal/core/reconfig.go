@@ -201,7 +201,7 @@ func (r *Replica) proposeConfig(op wire.ConfigOp, node wire.NodeID, addr string)
 	r.nextInstance++
 	r.pendingConfig = true
 	r.logf("proposing config %v %v at instance %d", op, node, entries[0].Instance)
-	r.launchWave(&wave{entries: entries, undo: r.svc.Snapshot()})
+	r.launchWave(&wave{entries: entries})
 	return nil
 }
 
@@ -454,10 +454,12 @@ func (r *Replica) tickFetch(now time.Time) {
 
 // maybeSnapshot takes a durable service snapshot — the bound storage will
 // not prune above — once applied is every instances past the last
-// (SnapshotEvery on the tick, 1 for a catch-up responder that needs one
-// now) and reports whether it did. Only a clean state is captured, with no
-// speculative wave executions and no open exclusive transaction, so that
-// the service reflects exactly instance r.applied.
+// (SnapshotEvery at each commit point and on the tick, 1 for a catch-up
+// responder that needs one now) and reports whether it did. Only a clean
+// state is captured, with no speculative wave executions and no open
+// exclusive transaction, so that the service reflects exactly instance
+// r.applied. Compact then strips only what the snapshot covers, so the log
+// keeps every effect above it, which is what rederive replays.
 func (r *Replica) maybeSnapshot(every uint64) bool {
 	_, at := r.acc.ServiceSnapshot()
 	if r.applied < at+every || len(r.waves) > 0 || r.exclusiveBusy() {
@@ -468,23 +470,24 @@ func (r *Replica) maybeSnapshot(every uint64) bool {
 		return false
 	}
 	r.stats.snapSaves.Add(1)
+	if err := r.acc.Compact(r.applied); err != nil {
+		r.fatal("compact: %v", err)
+		return false
+	}
 	return true
 }
 
-// maybePrune discards WAL entries below the cluster-wide minimum
-// applied watermark (minus a retention slack), at most once a second.
-// Pruning requires a watermark from every current member — a silent or
-// dead peer blocks pruning until it recovers or is removed, which is
-// the safety property: no replica still entitled to entry catch-up can
-// have its suffix pruned away (it would be forced into a full snapshot
-// install instead, which also works, but the slack keeps the cheap
-// path available). Storage additionally clamps the cut to the durable
-// snapshot bound.
-func (r *Replica) maybePrune(now time.Time) {
-	if r.cfg.PruneKeep == 0 || now.Sub(r.lastPruneCheck) < time.Second {
-		return
-	}
-	r.lastPruneCheck = now
+// maybePrune discards WAL entries below the cluster-wide minimum applied
+// watermark (minus a retention slack) once at least PruneKeep of them can
+// go: pruning copies the surviving log, so it runs in steps of PruneKeep
+// rather than on every tick. Pruning requires a watermark from every
+// current member — a silent or dead peer blocks pruning until it recovers
+// or is removed, which is the safety property: no replica still entitled
+// to entry catch-up can have its suffix pruned away (it would be forced
+// into a full snapshot install instead, which also works, but the slack
+// keeps the cheap path available). Storage additionally clamps the cut to
+// the durable snapshot bound.
+func (r *Replica) maybePrune() {
 	min := r.applied
 	for _, p := range r.others {
 		w, ok := r.peerApplied[p]
@@ -503,7 +506,7 @@ func (r *Replica) maybePrune(now time.Time) {
 		keepFrom = at + 1
 	}
 	pruned := r.acc.PrunedTo()
-	if keepFrom == 0 || keepFrom-1 <= pruned {
+	if keepFrom-1 < pruned+r.cfg.PruneKeep {
 		return
 	}
 	if err := r.acc.PruneTo(keepFrom); err != nil {

@@ -222,6 +222,9 @@ func TestSimCorpus(t *testing.T) {
 	}{
 		{"near-confirm durability gap (PR 10)", corpusConfirmDurability},
 		{"dirty read under an open exclusive transaction (PR 19)", corpusExclusiveDirtyRead},
+		{"full restart after 1,000 writes", corpusFullRestart(1000)},
+		{"full restart after 1,500 writes: Compact past the durable snapshot", corpusFullRestart(1500)},
+		{"full restart after 5,000 writes", corpusFullRestart(5000)},
 	} {
 		t.Run(row.name, row.run)
 	}
@@ -306,6 +309,194 @@ func corpusExclusiveDirtyRead(t *testing.T) {
 		if rep.Status != wire.StatusOK || string(rep.Result) != "n1 0/10\n" {
 			t.Fatalf("read answered %v %q, want the committed %q", rep.Status, rep.Result, "n1 0/10\n")
 		}
+	}
+}
+
+// corpusFullRestart writes n increments one at a time, crashes all three
+// replicas at once and restarts them from their stores: every replica must
+// come back with all n, and a leader must be elected. Compact once
+// stripped effects below the commit index every 1,024 instances while the
+// first durable snapshot came only at 4,096, so after 1,500 writes every
+// replica rebooted at applied 0, no peer could serve the rest, and no
+// leader ever appeared. The 1,000- and 5,000-write rows, which lie before
+// the first Compact and past the first snapshot, guard the boot-time
+// restore of the durable snapshot.
+func corpusFullRestart(n int) func(t *testing.T) {
+	return func(t *testing.T) {
+		s := newSim(t, simConfig{seed: int64(n)})
+		s.awaitLeader(time.Second)
+		c := s.newClient()
+		for i := 0; i < n; i++ {
+			if rep := c.call(kvAdd("ctr"), time.Second); rep.Status != wire.StatusOK {
+				t.Fatalf("write %d: %v", i, rep.Status)
+			}
+		}
+		for _, node := range s.nodes {
+			s.crash(node.id)
+		}
+		for _, node := range s.nodes {
+			s.restart(node.id)
+		}
+		if !s.runUntil(5*time.Second, func() bool { _, ok := s.leader(); return ok }) {
+			var at []string
+			for _, node := range s.nodes {
+				at = append(at, fmt.Sprintf("%d: applied=%d chosen=%d", node.id, node.r.Applied(), node.r.Chosen()))
+			}
+			t.Fatalf("no leader within 5s of the restart (%s)", strings.Join(at, ", "))
+		}
+		if !s.runUntil(5*time.Second, s.converged) {
+			t.Fatal("the replicas did not converge")
+		}
+		for _, node := range s.nodes {
+			res, _ := node.r.Service().Execute(service.KVGet("ctr"))
+			if got, _ := service.KVInt(res); got != int64(n) {
+				t.Fatalf("replica %d: counter %d after the restart, want %d", node.id, got, n)
+			}
+		}
+		if len(s.violations) > 0 {
+			t.Fatal(strings.Join(s.violations, "\n"))
+		}
+	}
+}
+
+// TestSimDemotionMidWave makes a leader lose its ballot with waves in
+// flight, in every state mode and with a configuration wave. The leader's
+// sends to the other replicas are lost from the moment it launches them
+// until a new leader is active, so nothing it ran speculatively can be
+// chosen. When stepDown returns its service must be the chosen state:
+// applied == Chosen(), byte-equal to a replica that never led. The run
+// then heals, every client retries, and the replicas converge.
+func TestSimDemotionMidWave(t *testing.T) {
+	plainKV := func(wire.NodeID, int) service.Service { return struct{ service.Service }{service.NewKV()} }
+	kv := func(wire.NodeID, int) service.Service { return service.NewKV() }
+	sched := func(wire.NodeID, int) service.Service { return service.NewSched() }
+	for i, row := range []struct {
+		name    string
+		service func(wire.NodeID, int) service.Service
+		mode    stateMode
+		warm    func(i int) []byte
+		// launch puts work in flight on leader lead; it returns how many
+		// waves that is.
+		launch func(s *sim, lead wire.NodeID, a, b *simClient) int
+	}{
+		{"delta: a write and a T-Paxos commit", kv, stateDelta,
+			func(i int) []byte { return service.KVPut(fmt.Sprint("k", i%4), []byte{byte(i)}) },
+			func(s *sim, _ wire.NodeID, a, b *simClient) int {
+				a.do(wire.Request{Kind: wire.KindWrite, Op: service.KVAdd("k0", 7)}, func(wire.Reply) {})
+				op := wire.Request{Kind: wire.KindTxnOp, Txn: 1, Op: service.KVPut("k1", []byte("txn"))}
+				if rep := b.call(op, time.Second); rep.Status != wire.StatusOK {
+					s.t.Fatalf("txn op: %v", rep.Status)
+				}
+				b.do(wire.Request{Kind: wire.KindTxnCommit, Txn: 1, TxnSeq: 1}, func(wire.Reply) {})
+				return 2
+			}},
+		{"replay: an exclusive transaction's commit", sched, stateReplay,
+			func(i int) []byte { return service.SchedSubmit(fmt.Sprint("j", i), int64(i%3)) },
+			func(s *sim, _ wire.NodeID, _, b *simClient) int {
+				for seq, op := range [][]byte{service.SchedSubmit("t", 9), service.SchedDispatch()} {
+					req := wire.Request{Kind: wire.KindTxnOp, Txn: 1, TxnSeq: uint32(seq), Op: op}
+					if rep := b.call(req, time.Second); rep.Status != wire.StatusOK {
+						s.t.Fatalf("txn op %d: %v", seq, rep.Status)
+					}
+				}
+				b.do(wire.Request{Kind: wire.KindTxnCommit, Txn: 1, TxnSeq: 2}, func(wire.Reply) {})
+				return 1
+			}},
+		{"full: two write waves", plainKV, stateFull,
+			func(i int) []byte { return service.KVPut(fmt.Sprint("k", i%4), []byte{byte(i)}) },
+			func(_ *sim, _ wire.NodeID, a, b *simClient) int {
+				a.do(wire.Request{Kind: wire.KindWrite, Op: service.KVAdd("k0", 7)}, func(wire.Reply) {})
+				b.do(wire.Request{Kind: wire.KindWrite, Op: service.KVPut("k1", []byte("w"))}, func(wire.Reply) {})
+				return 2
+			}},
+		{"configuration: a write and a membership change", kv, stateDelta,
+			func(i int) []byte { return service.KVPut(fmt.Sprint("k", i%4), []byte{byte(i)}) },
+			func(s *sim, lead wire.NodeID, a, _ *simClient) int {
+				a.do(wire.Request{Kind: wire.KindWrite, Op: service.KVAdd("k0", 7)}, func(wire.Reply) {})
+				s.runUntil(time.Second, func() bool { return len(s.nodes[lead].r.waves) == 1 })
+				s.control(lead, func(r *Replica) {
+					if err := r.proposeConfig(wire.ConfigRemove, (lead+1)%3, ""); err != nil {
+						s.t.Fatalf("propose: %v", err)
+					}
+				})
+				return 2
+			}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := newSim(t, simConfig{seed: int64(i + 1), service: row.service, opts: Options{PipelineDepth: 4}})
+			lead := s.awaitLeader(time.Second)
+			old := s.nodes[lead]
+			if old.r.mode != row.mode {
+				t.Fatalf("mode %d, want %d", old.r.mode, row.mode)
+			}
+			a, b := s.newClient(), s.newClient()
+			for i := 0; i < 8; i++ {
+				if rep := a.call(wire.Request{Kind: wire.KindWrite, Op: row.warm(i)}, time.Second); rep.Status != wire.StatusOK {
+					t.Fatalf("write %d: %v", i, rep.Status)
+				}
+			}
+			if !s.runUntil(time.Second, func() bool {
+				for _, n := range s.nodes {
+					if n.r.Applied() != old.r.Chosen() {
+						return false
+					}
+				}
+				return true
+			}) {
+				t.Fatal("the backups never applied the warm-up writes")
+			}
+			isolated := true
+			s.drop = func(from wire.NodeID, env *wire.Envelope) bool {
+				return isolated && from == lead && !env.To.IsClient()
+			}
+			want := row.launch(s, lead, a, b)
+			if !s.runUntil(100*time.Millisecond, func() bool { return len(old.r.waves) == want }) {
+				t.Fatalf("%d waves in flight, want %d", len(old.r.waves), want)
+			}
+			stepped := false
+			s.watch = func() {
+				r := old.r
+				if stepped || r.role != RoleBackup {
+					return
+				}
+				stepped = true
+				if r.Applied() != r.Chosen() || len(r.waves) > 0 {
+					t.Fatalf("stepped down at applied %d, chosen %d, %d waves", r.Applied(), r.Chosen(), len(r.waves))
+				}
+				witnesses := 0
+				for _, n := range s.nodes {
+					if n != old && n.r.Applied() == r.Applied() {
+						witnesses++
+						if !bytes.Equal(n.r.Service().Snapshot(), r.Service().Snapshot()) {
+							t.Fatalf("stepped down with state unlike replica %d's at applied %d", n.id, r.Applied())
+						}
+					}
+				}
+				if witnesses == 0 {
+					t.Fatalf("no other replica at applied %d to compare with", r.Applied())
+				}
+			}
+			s.suspect(lead)
+			if !s.runUntil(time.Second, func() bool { l, ok := s.leader(); return ok && l != lead }) {
+				t.Fatal("no new leader")
+			}
+			if !stepped {
+				t.Fatal("the old leader never stepped down")
+			}
+			if n := old.r.stats.specRollbacks.Load(); n != 1 {
+				t.Fatalf("%d re-derivations, want 1", n)
+			}
+			if n := old.r.stats.wavesRolledBack.Load(); n != uint64(want) {
+				t.Fatalf("%d waves re-derived past, want %d", n, want)
+			}
+			isolated = false
+			if !s.runUntil(2*time.Second, func() bool { return !a.busy && !b.busy && s.converged() }) {
+				t.Fatal("the replicas did not converge")
+			}
+			if len(s.violations) > 0 {
+				t.Fatal(strings.Join(s.violations, "\n"))
+			}
+		})
 	}
 }
 

@@ -88,9 +88,9 @@ func (s *stats) register(reg *metrics.Registry) {
 	reg.RegisterGauge("gridrep_waves_in_flight_max",
 		"high-water mark of outstanding accept waves", &s.maxWavesInFlight)
 	reg.RegisterCounter("gridrep_spec_rollbacks_total",
-		"ballot demotions that rolled speculative state back", &s.specRollbacks)
+		"ballot demotions that re-derived the service past speculative waves", &s.specRollbacks)
 	reg.RegisterCounter("gridrep_waves_rolled_back_total",
-		"speculative waves discarded by rollbacks", &s.wavesRolledBack)
+		"speculative waves discarded by re-derivations", &s.wavesRolledBack)
 	reg.RegisterCounter("gridrep_recovery_discarded_total",
 		"learned entries discarded during prepare-phase recovery", &s.recoveryDiscarded)
 	reg.RegisterCounter("gridrep_deferred_drops_total",

@@ -28,7 +28,6 @@ type txnState struct {
 	nextSeq    uint32   // expected TxnSeq of the next operation
 	committing bool
 	exclusive  bool
-	preSnap    []byte // pre-transaction state (exclusive services only)
 }
 
 // txnUID derives the service-level transaction ID from the client and its
@@ -83,16 +82,12 @@ func (r *Replica) onTxnOp(key txnKey, tx *txnState, req wire.Request) {
 			r.blocked = append(r.blocked, req)
 			return
 		}
-		var preSnap []byte
-		if r.exclus {
-			preSnap = r.svc.Snapshot()
-		}
 		ws, err := r.txnSvc.Begin(txnUID(key))
 		if err != nil {
 			r.reply(req, wire.StatusError, nil, err.Error())
 			return
 		}
-		tx = &txnState{key: key, ws: ws, exclusive: r.exclus, preSnap: preSnap}
+		tx = &txnState{key: key, ws: ws, exclusive: r.exclus}
 		r.txns[key] = tx
 	}
 

@@ -196,7 +196,8 @@ func (a *Acceptor) ServiceSnapshot() ([]byte, uint64) {
 }
 
 // SaveSnapshot durably records the service snapshot valid after applying
-// instance at; it is the guard that makes PruneTo safe.
+// instance at; it is the guard that makes PruneTo safe. The acceptor and
+// the store keep snap itself: the caller must not modify it afterwards.
 func (a *Acceptor) SaveSnapshot(snap []byte, at uint64) error {
 	if err := a.store.SaveSnapshot(snap, at); err != nil {
 		return err

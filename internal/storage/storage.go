@@ -32,7 +32,8 @@ type PersistentState struct {
 	// ServiceSnap is the latest durable service-state snapshot, valid
 	// after applying instance ServiceSnapAt. It is what makes WAL pruning
 	// safe: every instance <= ServiceSnapAt is covered by the snapshot,
-	// so its log entries may be discarded.
+	// so its log entries may be discarded. The bytes are immutable once
+	// saved: the store, the acceptor and clones share one slice.
 	ServiceSnap   []byte
 	ServiceSnapAt uint64
 	// Members and Learners are the membership in force as decided by the
@@ -273,23 +274,25 @@ func (s *PersistentState) ApplyMembers(members, learners []wire.NodeID, at uint6
 }
 
 // ApplySnapshot records a service snapshot if it is at least as new as
-// the one held; shared by implementations.
+// the one held; shared by implementations. It keeps snap itself, which
+// the caller must not modify afterwards.
 func (s *PersistentState) ApplySnapshot(snap []byte, at uint64) {
 	if at < s.ServiceSnapAt {
 		return
 	}
-	s.ServiceSnap = append([]byte(nil), snap...)
+	s.ServiceSnap = snap
 	s.ServiceSnapAt = at
 }
 
-// Clone deep-copies the state (for snapshot isolation in tests).
+// Clone deep-copies the state (for snapshot isolation in tests), sharing
+// only the immutable ServiceSnap bytes.
 func (s *PersistentState) Clone() *PersistentState {
 	return &PersistentState{
 		Promised:      s.Promised,
 		MaxAccepted:   s.MaxAccepted,
 		Chosen:        s.Chosen,
 		Accepted:      s.Accepted.Clone(),
-		ServiceSnap:   append([]byte(nil), s.ServiceSnap...),
+		ServiceSnap:   s.ServiceSnap,
 		ServiceSnapAt: s.ServiceSnapAt,
 		Members:       append([]wire.NodeID(nil), s.Members...),
 		Learners:      append([]wire.NodeID(nil), s.Learners...),
