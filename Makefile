@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites stats-sites inbox-sites coverage-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test bench bench-quick bench-durable-quick bench-pipeline-quick bench-shard-quick bench-multicore-quick bench-overload-quick bench-wan-quick microbench benchstat clean
+.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites stats-sites inbox-sites coverage-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test paper bench-overload-quick microbench benchstat clean
 
 # The race gates' test selections, each written once: `-run 'regex'`
 # then the packages it applies to. `make selectors` checks every
@@ -8,9 +8,9 @@ GO ?= go
 RECONFIG_RACE = -run 'Reconfig|OnlineJoin|ChaosCrashRejoin|RemoveReplica|TCPOnlineJoin|GracefulShutdown|Learner|SetPeers|Prune|SnapshotMembers|TailBitFlip|Checkpoint' ./internal/cluster ./internal/omega ./internal/storage ./internal/chaos .
 DURABLE_RACE = -run 'Durable|PersistFailure|ConcurrentFlush|GroupCommit|Buffered|SyncPolicy|AsyncRewrite|Poison' ./internal/storage ./internal/cluster ./internal/chaos
 PIPELINE_RACE = -run 'Pipelin|Linearizability|Recovery' ./internal/core ./internal/chaos ./internal/paxos
-SHARD_RACE = -run 'Shard|GroupMux|CrossGroup|OpenFile|WithPrefix|Rank|Group' ./internal/shard ./internal/transport ./internal/storage ./internal/metrics ./internal/omega ./internal/cluster ./internal/bench .
+SHARD_RACE = -run 'Shard|GroupMux|CrossGroup|OpenFile|WithPrefix|Rank|Group' ./internal/shard ./internal/transport ./internal/storage ./internal/metrics ./internal/omega ./internal/cluster .
 MULTICORE_RACE = -run 'ParallelRead|ReadView|ReadPool|Sink|Inbox|DecodeStage|ReplyWriter|Multicore' ./internal/core ./internal/service ./internal/transport
-OVERLOAD_RACE = -run 'Overload|RetryAfter|ReplyDrop|Shed|OpenLoop' ./internal/client ./internal/transport ./internal/bench
+OVERLOAD_RACE = -run 'Overload|RetryAfter|ReplyDrop|Shed|OpenLoop' ./internal/client ./internal/transport ./cmd/benchpaxos
 OVERLOAD_TCP_RACE = -run 'TCPIdempotentRetryAcrossLeaderCrash' .
 WAN_RACE = -run 'Preempt|Cost|Rank|Near|Vouch|Confirm|Deposed|ReadExpires|ExclusiveTxnOpen|WAN|Wan|ProfileTimeout|ProfileByName|RegionPartition' ./internal/omega ./internal/core ./internal/client ./internal/netem ./internal/cluster ./internal/chaos
 
@@ -179,39 +179,21 @@ benchmark-test:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-bench:
-	$(GO) run ./cmd/benchpaxos -exp all
-
-# Scaled-down full suite (~30-60s): every experiment, shape-checkable.
-bench-quick:
-	$(GO) run ./cmd/benchpaxos -exp all -quick
-
-# Scaled-down durable-mode run: fig5/fig6 over file-backed WALs with
-# group commit.
-bench-durable-quick:
-	$(GO) run ./cmd/benchpaxos -exp fig5,fig6 -quick -durable
-
-# Scaled-down pipeline-depth sweep over durable WALs (PR 4).
-bench-pipeline-quick:
-	$(GO) run ./cmd/benchpaxos -exp pipeline -quick -durable
-
-# Scaled-down sharded benchmarks (PR 7): the single-vs-sharded Figure 6
-# write curve and the durable groups × GOMAXPROCS sweep.
-bench-shard-quick:
-	$(GO) run ./cmd/benchpaxos -exp fig6-sharded -quick
-	$(GO) run ./cmd/benchpaxos -exp shard-sweep -quick -durable
-
-# Scaled-down multi-core sweep (PR 8): read & write throughput across
-# GOMAXPROCS × groups over durable WALs.
-bench-multicore-quick:
-	$(GO) run ./cmd/benchpaxos -exp multicore-sweep -quick -durable
+# The paper's evaluation (§4) in virtual time: the seeded simulator runs
+# every row — §4.1 response times, Table 1, Figures 5-9, §4.3 — and
+# prints the tables with each DESIGN.md §4 shape predicate's verdict.
+# Tier-1 asserts the same predicates (TestPaper) and the protocol-cost
+# golden (TestProtocolCostGolden, internal/core/testdata/protocol_cost.txt).
+paper:
+	@out=$$($(GO) test -count 1 -run '^TestPaper$$' -v ./internal/core); st=$$?; \
+		echo "$$out" | grep -v -e '^=== RUN' -e '^--- PASS' -e '^    --- PASS' -e '^    --- SKIP' -e 'paper_test.go'; exit $$st
 
 # Gateway / overload suite under the race detector at GOMAXPROCS=4
 # (PR 9, DESIGN.md §15): the full edge package (admission, fair
 # queueing, dedup window, session mux), the typed-overload client
-# contract, the reply-drop accounting split, the open-loop harness,
-# and the idempotent-retry-across-leader-crash test over real TCP +
-# WALs.
+# contract, the reply-drop accounting split, the open-loop harness of
+# cmd/benchpaxos, and the idempotent-retry-across-leader-crash test over
+# real TCP + WALs.
 overload-race:
 	GOMAXPROCS=4 $(GO) test -race -count 1 ./internal/gateway
 	GOMAXPROCS=4 $(GO) test -race -count 1 $(OVERLOAD_RACE)
@@ -232,11 +214,6 @@ bench-overload-quick:
 # real TCP.
 wan-race:
 	GOMAXPROCS=4 $(GO) test -race -count 1 $(WAN_RACE)
-
-# Scaled-down per-region read-latency comparison (PR 10): leader reads
-# vs nearest-replica reads on the compressed wan3/wan5 geographies.
-bench-wan-quick:
-	$(GO) run ./cmd/benchpaxos -exp fig-wan -quick
 
 # Hot-path microbenchmarks: wire codec, both transports, and the WAL
 # write path (per-record vs group commit), with allocs.

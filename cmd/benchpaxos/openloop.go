@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"errors"
@@ -12,23 +12,66 @@ import (
 	"gridrep/internal/cluster"
 	"gridrep/internal/gateway"
 	"gridrep/internal/metrics"
+	"gridrep/internal/service"
 )
 
-// The closed-loop harnesses above hold offered load hostage to service
-// time: when the cluster slows down, the clients slow down with it, so
-// a closed-loop sweep can never push the system past saturation. The
-// open-loop harness below does the opposite — arrivals follow a Poisson
-// process at a fixed target rate regardless of how the cluster is
-// doing, which is how real front ends experience overload. Goodput
-// (acked requests per second), shed fraction, and arrival-to-ack
-// latency at rates beyond saturation are the gateway's admission-control
-// acceptance metrics (DESIGN.md §15).
+// measureThroughput is the closed-loop write throughput of clients
+// clients, total/clients writes each, all released by one start signal:
+// the saturation point fig-overload's offered rates are multiples of.
+func measureThroughput(cl *cluster.Cluster, clients, total int) (float64, error) {
+	per := max(total/clients, 1)
+	clis := make([]*client.Client, clients)
+	for i := range clis {
+		cli, err := cl.NewClient()
+		if err != nil {
+			return 0, err
+		}
+		defer cli.Close()
+		clis[i] = cli
+		if _, err := cli.Write(service.NoopWriteOp); err != nil {
+			return 0, fmt.Errorf("warmup: %w", err)
+		}
+	}
+	start := make(chan struct{})
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for _, cli := range clis {
+		wg.Add(1)
+		go func(cli *client.Client) {
+			defer wg.Done()
+			<-start
+			for j := 0; j < per; j++ {
+				if _, err := cli.Write(service.NoopWriteOp); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(cli)
+	}
+	t0 := time.Now()
+	close(start)
+	wg.Wait()
+	elapsed := time.Since(t0)
+	select {
+	case err := <-errs:
+		return 0, err
+	default:
+	}
+	return float64(per*clients) / elapsed.Seconds(), nil
+}
 
-// OpenLoopConfig parameterizes one open-loop measurement point.
-type OpenLoopConfig struct {
-	// Class selects the request kind (default ClassWrite — the paper's
-	// coordinated path, and the one that saturates first).
-	Class ReqClass
+// A closed loop holds offered load hostage to service time: when the
+// cluster slows down, the clients slow down with it, so a closed-loop
+// sweep can never push the system past saturation. The open-loop harness
+// below does the opposite — arrivals follow a Poisson process at a fixed
+// target rate regardless of how the cluster is doing, which is how real
+// front ends experience overload. Goodput (acked writes per second),
+// shed fraction, and arrival-to-ack latency at rates beyond saturation
+// are the gateway's admission-control acceptance metrics (DESIGN.md
+// §15).
+
+// openLoopConfig parameterizes one open-loop measurement point.
+type openLoopConfig struct {
 	// Rate is the target offered load in requests/second.
 	Rate float64
 	// Duration is the arrival-generation window (default 2s).
@@ -48,16 +91,13 @@ type OpenLoopConfig struct {
 	RetryEvery time.Duration
 	// Seed drives the Poisson arrival process (default 1).
 	Seed int64
-	// OpFor gives each worker its op family (nil = cluster default:
-	// keyed ops when sharded, the classic shared op otherwise).
-	OpFor func(worker int) []byte
 	// NewClient overrides the session-client factory (nil = a fresh
 	// session of Tenant per worker on the cluster's network).
 	NewClient func(worker int) (*client.Client, error)
 }
 
-// OpenLoopPoint is one measured (offered load → outcome) sample.
-type OpenLoopPoint struct {
+// openLoopPoint is one measured (offered load → outcome) sample.
+type openLoopPoint struct {
 	// TargetRate is the configured arrival rate; OfferedPerSec is the
 	// rate actually generated (they track closely unless the generator
 	// itself fell behind).
@@ -93,9 +133,9 @@ var openLoopSession = func() *atomic.Uint32 {
 	return &v
 }()
 
-func (cfg *OpenLoopConfig) withDefaults(cl *cluster.Cluster) error {
+func (cfg *openLoopConfig) withDefaults(cl *cluster.Cluster) error {
 	if cfg.Rate <= 0 {
-		return fmt.Errorf("bench: open loop needs a positive Rate, got %v", cfg.Rate)
+		return fmt.Errorf("open loop needs a positive Rate, got %v", cfg.Rate)
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 2 * time.Second
@@ -111,13 +151,6 @@ func (cfg *OpenLoopConfig) withDefaults(cl *cluster.Cluster) error {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.OpFor == nil {
-		if f := defaultOpFor(cl); f != nil {
-			cfg.OpFor = f
-		} else {
-			cfg.OpFor = func(int) []byte { return nil }
-		}
 	}
 	if cfg.NewClient == nil {
 		cfg.NewClient = func(worker int) (*client.Client, error) {
@@ -143,22 +176,22 @@ func (cfg *OpenLoopConfig) withDefaults(cl *cluster.Cluster) error {
 	return nil
 }
 
-// MeasureOpenLoop offers cfg.Rate requests/second of Poisson arrivals to
+// measureOpenLoop offers cfg.Rate requests/second of Poisson arrivals to
 // the cluster for cfg.Duration and reports what came back. Unlike the
 // closed-loop harnesses, the arrival process never waits for the
 // cluster: when offered load exceeds capacity the client-side queue
 // grows, latency includes the wait, and the edge's shed/timeout policy —
 // not the arrival rate — decides what completes.
-func MeasureOpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopPoint, error) {
+func measureOpenLoop(cl *cluster.Cluster, cfg openLoopConfig) (openLoopPoint, error) {
 	if err := cfg.withDefaults(cl); err != nil {
-		return OpenLoopPoint{}, err
+		return openLoopPoint{}, err
 	}
 
 	clis := make([]*client.Client, cfg.Workers)
 	for i := range clis {
 		cli, err := cfg.NewClient(i)
 		if err != nil {
-			return OpenLoopPoint{}, err
+			return openLoopPoint{}, err
 		}
 		defer cli.Close()
 		clis[i] = cli
@@ -175,16 +208,15 @@ func MeasureOpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopPoint, er
 	warmSem := make(chan struct{}, 64)
 	warmErr := make(chan error, 1)
 	var warmWG sync.WaitGroup
-	for i, cli := range clis {
+	for _, cli := range clis {
 		warmWG.Add(1)
-		go func(i int, cli *client.Client) {
+		go func(cli *client.Client) {
 			defer warmWG.Done()
 			warmSem <- struct{}{}
 			defer func() { <-warmSem }()
-			op := cfg.OpFor(i)
 			var err error
 			for attempt := 0; attempt < 20; attempt++ {
-				if err = cfg.Class.issueOp(cli, op); err == nil ||
+				if _, err = cli.Write(service.NoopWriteOp); err == nil ||
 					(!errors.Is(err, client.ErrOverloaded) && !errors.Is(err, client.ErrTimeout)) {
 					break
 				}
@@ -196,12 +228,12 @@ func MeasureOpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopPoint, er
 				default:
 				}
 			}
-		}(i, cli)
+		}(cli)
 	}
 	warmWG.Wait()
 	select {
 	case err := <-warmErr:
-		return OpenLoopPoint{}, err
+		return openLoopPoint{}, err
 	default:
 	}
 
@@ -224,9 +256,9 @@ func MeasureOpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopPoint, er
 		defer endMu.Unlock()
 		return !end.IsZero() && now.After(end)
 	}
-	for i, cli := range clis {
+	for _, cli := range clis {
 		wg.Add(1)
-		go func(cli *client.Client, op []byte) {
+		go func(cli *client.Client) {
 			defer wg.Done()
 			for arrival := range work {
 				now := time.Now()
@@ -238,7 +270,7 @@ func MeasureOpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopPoint, er
 					unserved.Add(1)
 					continue
 				}
-				err := cfg.Class.issueOp(cli, op)
+				_, err := cli.Write(service.NoopWriteOp)
 				switch {
 				case err == nil:
 					oks.Add(1)
@@ -251,7 +283,7 @@ func MeasureOpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopPoint, er
 					errs.Add(1)
 				}
 			}
-		}(cli, cfg.OpFor(i))
+		}(cli)
 	}
 
 	// Poisson arrival generator: exponential inter-arrival gaps at the
@@ -282,7 +314,7 @@ func MeasureOpenLoop(cl *cluster.Cluster, cfg OpenLoopConfig) (OpenLoopPoint, er
 
 	elapsed := end.Sub(t0).Seconds()
 	s := hist.Snapshot()
-	p := OpenLoopPoint{
+	p := openLoopPoint{
 		TargetRate:    cfg.Rate,
 		OfferedPerSec: float64(offered) / elapsed,
 		GoodputPerSec: float64(oks.Load()) / elapsed,

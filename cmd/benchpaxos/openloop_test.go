@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"testing"
@@ -9,7 +9,9 @@ import (
 	"gridrep/internal/gateway"
 )
 
-func gatewayCluster(t *testing.T, gw *gateway.Config) *cluster.Cluster {
+// testCluster is a three-replica in-process cluster, behind gateways
+// when gw is set.
+func testCluster(t *testing.T, gw *gateway.Config) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		Options:          core.Options{HeartbeatInterval: 5 * time.Millisecond},
@@ -31,9 +33,8 @@ func gatewayCluster(t *testing.T, gw *gateway.Config) *cluster.Cluster {
 // gateway, everything offered completes and the accounting identity
 // holds.
 func TestMeasureOpenLoopUnderCapacity(t *testing.T) {
-	c := loopbackCluster(t)
-	p, err := MeasureOpenLoop(c, OpenLoopConfig{
-		Class:    ClassWrite,
+	c := testCluster(t, nil)
+	p, err := measureOpenLoop(c, openLoopConfig{
 		Rate:     200,
 		Duration: 500 * time.Millisecond,
 		Workers:  16,
@@ -59,12 +60,11 @@ func TestMeasureOpenLoopUnderCapacity(t *testing.T) {
 // budget facing far more offered load than it will admit must shed, and
 // the sheds must surface as typed outcomes rather than timeouts.
 func TestMeasureOpenLoopShedsPastBudget(t *testing.T) {
-	c := gatewayCluster(t, &gateway.Config{
+	c := testCluster(t, &gateway.Config{
 		MaxInFlight: 1,
 		QueueLen:    1,
 	})
-	p, err := MeasureOpenLoop(c, OpenLoopConfig{
-		Class:    ClassWrite,
+	p, err := measureOpenLoop(c, openLoopConfig{
 		Rate:     2000,
 		Duration: 500 * time.Millisecond,
 		Workers:  32,
@@ -81,5 +81,18 @@ func TestMeasureOpenLoopShedsPastBudget(t *testing.T) {
 	}
 	if p.Errors > 0 {
 		t.Fatalf("unexpected hard errors: %+v", p)
+	}
+}
+
+// TestMeasureThroughput: the closed-loop saturation point is a positive
+// rate.
+func TestMeasureThroughput(t *testing.T) {
+	c := testCluster(t, nil)
+	tp, err := measureThroughput(c, 4, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tp <= 0 {
+		t.Fatalf("throughput = %v", tp)
 	}
 }

@@ -103,7 +103,7 @@ const (
 )
 
 // ParseSyncPolicy parses "always", "batch" or "interval" (the -sync flag
-// vocabulary of replicad and benchpaxos).
+// vocabulary of replicad).
 var ParseSyncPolicy = storage.ParseSyncPolicy
 
 // Client errors, re-exported.

@@ -92,6 +92,20 @@ type simConfig struct {
 	link    netem.Latency                                 // every directed link
 	fsync   [2]time.Duration                              // flush latency range
 	retry   time.Duration                                 // client rebroadcast interval
+
+	// profile, when set, replaces link: every class pair's link is fixed
+	// at the profile's mean one-way delay, which is what the §3.4 model
+	// assumes, and the options are filled from the profile as
+	// cluster.New fills them.
+	profile *netem.Profile
+	// noDisk makes every flush complete the instant it is due, as on the
+	// paper's testbed, which kept no state on disk.
+	noDisk bool
+	// cost, when set, is the replica service-time model: each delivered
+	// envelope keeps its replica busy for cost(r, env); inputs that
+	// arrive meanwhile wait and then run as one burst, and a burst's
+	// sends and flush leave when its work is done. Ticks are free.
+	cost func(r *Replica, env *wire.Envelope) time.Duration
 }
 
 // simNode is one replica slot: the running incarnation (nil while
@@ -103,6 +117,13 @@ type simNode struct {
 	inc      int
 	jobs     []persistJob
 	flushing bool
+
+	// The service-time model's state: inputs waiting for the replica,
+	// when its current burst's work is done, and whether a burst is
+	// scheduled.
+	backlog   []*wire.Envelope
+	busyUntil time.Time
+	waking    bool
 }
 
 // simEvent is a delivery (data set) or a scheduled action (fn set).
@@ -165,6 +186,17 @@ type sim struct {
 	// its sender had not flushed (durability before vouching).
 	violations []string
 	steps      int
+
+	// lag is the current burst's work under the service-time model: its
+	// sends and its flush leave that much after now.
+	lag time.Duration
+	// Protocol cost: messages and encoded bytes sent, per message type,
+	// and flushes completed, over every replica.
+	msgs, bytes map[wire.MsgType]uint64
+	flushes     int
+	// retired holds every crashed incarnation, whose counters still
+	// count toward the run's protocol cost.
+	retired []*Replica
 }
 
 var simEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -185,6 +217,9 @@ func newSim(t testing.TB, cfg simConfig) *sim {
 	if cfg.retry == 0 {
 		cfg.retry = 50 * time.Millisecond
 	}
+	if p := cfg.profile; p != nil {
+		cfg.opts.FillDefaults(p.MaxOneWay, p.PipelineDepth, p.CommitFlushDelay)
+	}
 	if cfg.opts.HeartbeatInterval == 0 {
 		cfg.opts.HeartbeatInterval = 5 * time.Millisecond
 	}
@@ -196,10 +231,22 @@ func newSim(t testing.TB, cfg simConfig) *sim {
 		now:     simEpoch,
 		clients: make(map[wire.NodeID]*simClient),
 		floor:   make(map[[2]wire.NodeID]time.Time),
+		msgs:    make(map[wire.MsgType]uint64),
+		bytes:   make(map[wire.MsgType]uint64),
 	}
-	for _, a := range []netem.Class{netem.ClassReplica, netem.ClassClient} {
-		for _, b := range []netem.Class{netem.ClassReplica, netem.ClassClient} {
-			s.model.SetLink(a, b, cfg.link)
+	if p := cfg.profile; p != nil {
+		s.model = netem.NewModel(cfg.seed, p.ClassOf)
+		means := p.NewModel(cfg.seed)
+		for a := netem.Class(0); a < 16; a++ {
+			for b := netem.Class(0); b < 16; b++ {
+				s.model.SetLink(a, b, netem.Latency{Base: means.MeanLatency(a, b)})
+			}
+		}
+	} else {
+		for _, a := range []netem.Class{netem.ClassReplica, netem.ClassClient} {
+			for _, b := range []netem.Class{netem.ClassReplica, netem.ClassClient} {
+				s.model.SetLink(a, b, cfg.link)
+			}
 		}
 	}
 	for i := 0; i < cfg.n; i++ {
@@ -256,7 +303,10 @@ func (s *sim) send(from wire.NodeID, env *wire.Envelope) {
 	if s.drop != nil && s.drop(from, env) {
 		return
 	}
-	s.out = append(s.out, simOut{from: from, to: env.To, data: wire.EncodeEnvelope(nil, env)})
+	data := wire.EncodeEnvelope(nil, env)
+	s.msgs[env.Msg.Type()]++
+	s.bytes[env.Msg.Type()] += uint64(len(data))
+	s.out = append(s.out, simOut{from: from, to: env.To, data: data})
 }
 
 // checkDurable enforces durability before vouching: a Promise, an
@@ -296,7 +346,7 @@ func (s *sim) flushOut() {
 		if !ok {
 			continue
 		}
-		at := s.now.Add(delay)
+		at := s.now.Add(s.lag + delay)
 		link := [2]wire.NodeID{o.from, o.to}
 		if floor := s.floor[link]; at.Before(floor) {
 			at = floor // FIFO per directed link
@@ -333,8 +383,12 @@ func (s *sim) step(n *simNode, f func(r *Replica)) {
 		if !n.flushing {
 			n.flushing = true
 			inc := n.inc
-			lo, hi := s.cfg.fsync[0], s.cfg.fsync[1]
-			s.after(lo+time.Duration(s.rng.Int63n(int64(hi-lo)+1)), func() { s.flush(n, inc) })
+			d := s.lag
+			if !s.cfg.noDisk {
+				lo, hi := s.cfg.fsync[0], s.cfg.fsync[1]
+				d += lo + time.Duration(s.rng.Int63n(int64(hi-lo)+1))
+			}
+			s.after(d, func() { s.flush(n, inc) })
 		}
 	}
 }
@@ -346,6 +400,7 @@ func (s *sim) flush(n *simNode, inc int) {
 		return // the replica crashed since: its staged records are gone
 	}
 	n.store.Flush()
+	s.flushes++
 	wake := 0
 	for _, j := range n.jobs {
 		for _, env := range j.envs {
@@ -368,7 +423,9 @@ func (s *sim) crash(id wire.NodeID) {
 	if n.r == nil {
 		return
 	}
+	s.retired = append(s.retired, n.r)
 	n.r, n.jobs, n.flushing = nil, nil, false
+	n.backlog, n.busyUntil, n.waking = nil, time.Time{}, false
 	n.inc++
 	n.store = n.store.reopen()
 	s.model.SetDown(id, true)
@@ -426,6 +483,7 @@ func (s *sim) advance(until time.Time) bool {
 		s.handle(heap.Pop(&s.events).(*simEvent))
 	}
 	s.flushOut()
+	s.lag = 0
 	if s.watch != nil {
 		s.watch()
 	}
@@ -454,9 +512,46 @@ func (s *sim) handle(ev *simEvent) {
 		c.receive(env)
 		return
 	}
-	if n := s.nodes[ev.to]; n.r != nil && n.inc == ev.inc {
+	n := s.nodes[ev.to]
+	switch {
+	case n.r == nil || n.inc != ev.inc:
+	case s.cfg.cost != nil:
+		n.backlog = append(n.backlog, env)
+		if !n.waking {
+			n.waking = true
+			inc := n.inc
+			s.push(&simEvent{at: maxTime(s.now, n.busyUntil), fn: func() { s.work(n, inc) }})
+		}
+	default:
 		s.step(n, func(r *Replica) { r.deliver(s.now, env) })
 	}
+}
+
+// work runs a replica's waiting inputs as one burst under the
+// service-time model: the burst costs the sum of its inputs' costs, and
+// the replica is busy until that much after now.
+func (s *sim) work(n *simNode, inc int) {
+	if n.inc != inc {
+		return
+	}
+	in := n.backlog
+	n.backlog, n.waking = nil, false
+	for _, env := range in {
+		s.lag += s.cfg.cost(n.r, env)
+	}
+	n.busyUntil = s.now.Add(s.lag)
+	s.step(n, func(r *Replica) {
+		for _, env := range in {
+			r.deliver(s.now, env)
+		}
+	})
+}
+
+func maxTime(a, b time.Time) time.Time {
+	if a.Before(b) {
+		return b
+	}
+	return a
 }
 
 // runFor advances virtual time by d.

@@ -164,8 +164,6 @@ func Loopback() Profile {
 // differ per direction on real backbones — and every cross-region link
 // gets jitter plus a heavy tail (cf. the PlanetLab delivery-time
 // variance of §4.3).
-var wanRegionNames = [5]string{"us-east", "eu-west", "ap-southeast", "us-west", "sa-east"}
-
 var wanOneWayMS = [5][5]float64{
 	{0.3, 37, 105, 30, 58},
 	{40, 0.3, 88, 65, 92},
@@ -257,14 +255,6 @@ func WAN3Scaled(scale float64) Profile { return wanSpread("wan3", 3, scale) }
 
 // WAN5Scaled is WAN3Scaled for the five-region spread.
 func WAN5Scaled(scale float64) Profile { return wanSpread("wan5", 5, scale) }
-
-// RegionName returns a human-readable name for a wan3/wan5 region index.
-func RegionName(r int) string {
-	if r < 0 || r >= len(wanRegionNames) {
-		return fmt.Sprintf("region%d", r)
-	}
-	return wanRegionNames[r]
-}
 
 // ProfileNames lists every name ProfileByName accepts.
 func ProfileNames() []string {

@@ -120,7 +120,7 @@ func BenchmarkTCPWaveRoundTrip(b *testing.B) {
 
 // BenchmarkNetworkRoundTrip measures the in-process transport's codec
 // round trip (encode + decode per Send) on the zero-delay loopback
-// profile, the substrate every cmd/benchpaxos number runs over.
+// profile, the substrate of the in-process cluster.
 func BenchmarkNetworkRoundTrip(b *testing.B) {
 	n := NewNetwork(netem.Loopback().NewModel(1))
 	defer n.Close()
