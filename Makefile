@@ -68,13 +68,20 @@ snapshot-sites:
 	echo "snapshot-sites: $$n of $(SNAPSHOT_SITES_MAX) svc.Snapshot() sites, no CatchUpResp state"
 
 # The step function (DESIGN.md §20): protocol code reads time only as the
-# step's now. This fails when any non-test internal/core file but the
-# wall-clock driver reads the clock or arms a timer.
+# step's now, and core's tests drive it on the simulator's virtual clock.
+# This fails when any non-test internal/core file but the wall-clock
+# driver reads the clock or arms a timer, or when an internal/core test
+# sleeps outside the two that run replicas on the wall clock: the read
+# pool's (parallelread_test.go) and TestSimRecordReplay's live half
+# (simrun_test.go).
 clock-sites:
 	@hits=$$(grep -nE 'time\.(Now|Since|Until|After|AfterFunc|NewTimer|NewTicker|Tick|Sleep)\(' \
 		$$(ls internal/core/*.go | grep -v -e _test.go -e /driver.go) || true); \
 	if [ -n "$$hits" ]; then echo "clock-sites: wall clock outside driver.go:"; echo "$$hits"; exit 1; fi; \
-	echo "clock-sites: no wall clock in internal/core outside driver.go"
+	hits=$$(grep -n 'time\.Sleep(' $$(ls internal/core/*_test.go | \
+		grep -v -e /parallelread_test.go -e /simrun_test.go) || true); \
+	if [ -n "$$hits" ]; then echo "clock-sites: internal/core tests sleeping on the wall clock:"; echo "$$hits"; exit 1; fi; \
+	echo "clock-sites: no wall clock in internal/core outside driver.go, no sleep in its simulated tests"
 
 # One counter surface (DESIGN.md §11): every counter is read by name
 # through the metrics registry. This fails when non-test Go outside
@@ -140,7 +147,10 @@ durable-race:
 
 # Pipelined-mode suite under the race detector: wave pipelining, the
 # linearizability matrix (depth × batching), recovery truncation, and
-# the leader-crash-mid-pipeline chaos test.
+# the leader-crash-mid-pipeline chaos test. core's tests run on the
+# simulator, one goroutine; the wall-clock tests that give the race
+# detector work here are internal/chaos's TestPipelinedLeaderCrashMidFlight
+# and internal/core's TestReadLinearizabilityMulticore.
 pipeline-race:
 	$(GO) test -race -count 1 $(PIPELINE_RACE)
 
@@ -156,7 +166,9 @@ shard-race:
 # concurrency matrix under the race detector — the parallel read pool
 # vs write commits vs snapshot rewrites vs metrics scrapes, the
 # read-view copy-on-write service contract, the off-loop decode stage,
-# and the linearizability bracket at GOMAXPROCS ∈ {1,4}.
+# and the linearizability bracket at GOMAXPROCS ∈ {1,4}. In internal/core
+# the concurrent ones are the read pool's wall-clock tests,
+# TestParallelRead* and TestReadLinearizabilityMulticore.
 # The leadership *placement* tests (group g lands on replica g mod N)
 # run unskipped since PR 10: a rank function now opts the elector into
 # rank preemption, so the preferred replica reclaims its group after
@@ -211,7 +223,8 @@ bench-overload-quick:
 # tests with nearest-replica reads end to end, the WAN profile timeout
 # derivation, the wan3 linearizability bracket under region partition
 # (in-process fabric), and the region-partition chaos scenario over
-# real TCP.
+# real TCP. internal/core's near-read seams run on the simulator; the
+# wall-clock near reads are internal/cluster's TestWANNearRead*.
 wan-race:
 	GOMAXPROCS=4 $(GO) test -race -count 1 $(WAN_RACE)
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -12,15 +13,36 @@ import (
 	"gridrep/internal/chaos"
 	"gridrep/internal/client"
 	"gridrep/internal/core"
-	"gridrep/internal/failure"
 	"gridrep/internal/service"
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
 )
 
-// Grid must satisfy the failure package's link-fault abstraction so the
-// same injection plans drive both the in-process fabric and real TCP.
-var _ failure.LinkController = (*chaos.Grid)(nil)
+// severEvery cuts the live connections of one seeded-random replica link
+// every d, until the returned stop is called; stop reports how many links
+// it cut.
+func severEvery(grid *chaos.Grid, d time.Duration) (stop func() int) {
+	quit, cut := make(chan struct{}), make(chan int)
+	go func() {
+		rng, n := rand.New(rand.NewSource(1)), 0
+		tick := time.NewTicker(d)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				cut <- n
+				return
+			case <-tick.C:
+				if links := grid.Links(); len(links) > 0 {
+					l := links[rng.Intn(len(links))]
+					grid.Sever(l[0], l[1])
+					n++
+				}
+			}
+		}
+	}()
+	return func() int { close(quit); return <-cut }
+}
 
 // echoServer accepts connections and echoes bytes back until closed.
 func echoServer(t *testing.T) net.Listener {
@@ -300,11 +322,7 @@ func TestClusterSurvivesLinkChaos(t *testing.T) {
 	})
 	defer cli.Close()
 
-	inj := failure.NewLinks(grid, 1)
-	inj.Start(failure.LinkPlan{
-		Every:   20 * time.Millisecond,
-		Weights: map[failure.LinkAction]int{failure.LinkSever: 1},
-	})
+	stopSevering := severEvery(grid, 20*time.Millisecond)
 
 	const ops = 500
 	acked := make(map[string][]byte, ops)
@@ -334,12 +352,12 @@ func TestClusterSurvivesLinkChaos(t *testing.T) {
 		}
 		acked[key] = val
 	}
-	rep := inj.Stop()
+	severs := stopSevering()
 	for _, link := range grid.Links() {
 		grid.Restore(link[0], link[1])
 		grid.SetDown(link[0], link[1], false)
 	}
-	t.Logf("chaos: %d severs, %d blackholes; grid %+v", rep.Severs, rep.Blackholes, grid.Stats())
+	t.Logf("chaos: %d severs; grid %+v", severs, grid.Stats())
 
 	// Zero lost acknowledged writes: every acked key must read back.
 	for key, want := range acked {
@@ -368,7 +386,7 @@ func TestClusterSurvivesLinkChaos(t *testing.T) {
 	if reconnects == 0 {
 		t.Error("no reconnects recorded despite repeated link severing")
 	}
-	if rep.Severs > 0 && drops == 0 {
+	if severs > 0 && drops == 0 {
 		t.Error("no drops recorded under chaos; expected at least one counted cause")
 	}
 }

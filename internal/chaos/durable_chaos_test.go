@@ -10,7 +10,6 @@ import (
 	"gridrep/internal/chaos"
 	"gridrep/internal/client"
 	"gridrep/internal/core"
-	"gridrep/internal/failure"
 	"gridrep/internal/service"
 	"gridrep/internal/storage"
 	"gridrep/internal/transport"
@@ -168,11 +167,7 @@ func TestDurableClusterSurvivesCrashUnderChaos(t *testing.T) {
 	})
 	defer cli.Close()
 
-	inj := failure.NewLinks(grid, 1)
-	inj.Start(failure.LinkPlan{
-		Every:   25 * time.Millisecond,
-		Weights: map[failure.LinkAction]int{failure.LinkSever: 1},
-	})
+	stopSevering := severEvery(grid, 25*time.Millisecond)
 
 	const ops = 300
 	acked := make(map[string][]byte, ops)
@@ -203,12 +198,12 @@ func TestDurableClusterSurvivesCrashUnderChaos(t *testing.T) {
 		}
 		acked[key] = val
 	}
-	rep := inj.Stop()
+	severs := stopSevering()
 	for _, link := range grid.Links() {
 		grid.Restore(link[0], link[1])
 		grid.SetDown(link[0], link[1], false)
 	}
-	t.Logf("chaos: %d severs; grid %+v", rep.Severs, grid.Stats())
+	t.Logf("chaos: %d severs; grid %+v", severs, grid.Stats())
 
 	// Zero lost acknowledged writes across both crashes.
 	for key, want := range acked {

@@ -110,13 +110,6 @@ func (g *Grid) Sever(from, to wire.NodeID) {
 	}
 }
 
-// SetBlackhole toggles byte-swallowing on the (from → to) link.
-func (g *Grid) SetBlackhole(from, to wire.NodeID, on bool) {
-	if p, ok := g.Link(from, to); ok {
-		p.SetBlackhole(on)
-	}
-}
-
 // SetDelay adds one-way latency to the (from → to) link.
 func (g *Grid) SetDelay(from, to wire.NodeID, d time.Duration) {
 	if p, ok := g.Link(from, to); ok {

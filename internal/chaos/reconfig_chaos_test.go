@@ -10,7 +10,6 @@ import (
 	"gridrep/internal/chaos"
 	"gridrep/internal/client"
 	"gridrep/internal/core"
-	"gridrep/internal/failure"
 	"gridrep/internal/metrics"
 	"gridrep/internal/service"
 	"gridrep/internal/storage"
@@ -138,11 +137,7 @@ func TestReconfigJoinUnderLinkChaos(t *testing.T) {
 	})
 	defer cli.Close()
 
-	inj := failure.NewLinks(grid, 1)
-	inj.Start(failure.LinkPlan{
-		Every:   25 * time.Millisecond,
-		Weights: map[failure.LinkAction]int{failure.LinkSever: 1},
-	})
+	stopSevering := severEvery(grid, 25*time.Millisecond)
 
 	acked := make(map[string][]byte, 300)
 	put := func(i int) {
@@ -248,12 +243,12 @@ func TestReconfigJoinUnderLinkChaos(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	rep := inj.Stop()
+	severs := stopSevering()
 	for _, link := range grid.Links() {
 		grid.Restore(link[0], link[1])
 		grid.SetDown(link[0], link[1], false)
 	}
-	t.Logf("chaos: %d severs; grid %+v", rep.Severs, grid.Stats())
+	t.Logf("chaos: %d severs; grid %+v", severs, grid.Stats())
 
 	// Zero lost acked writes, read through the post-change membership.
 	vtr := transport.DialTCPOpts(wire.ClientIDBase+2, realBook, topts)

@@ -232,6 +232,33 @@ func TestClientTxnFieldsOnWire(t *testing.T) {
 	}
 }
 
+// TestClientKindsOnWire: Original, Read and Write each put their own
+// request kind on the wire, outside any transaction.
+func TestClientKindsOnWire(t *testing.T) {
+	net := newClientNet(t)
+	var got []wire.Request
+	startFake(t, net, 0, func(req wire.Request, send func(wire.Reply)) {
+		got = append(got, req)
+		send(wire.Reply{Status: wire.StatusOK})
+	})
+	cli := newTestClient(t, net, []wire.NodeID{0})
+	for _, call := range []func([]byte) ([]byte, error){cli.Original, cli.Read, cli.Write} {
+		if _, err := call([]byte("op")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops := collapseRetransmits(got)
+	want := []wire.RequestKind{wire.KindOriginal, wire.KindRead, wire.KindWrite}
+	if len(ops) != len(want) {
+		t.Fatalf("saw %d distinct requests: %+v", len(ops), got)
+	}
+	for i, op := range ops {
+		if op.Kind != want[i] || op.Txn != 0 {
+			t.Fatalf("request %d went out as %v (txn %d), want %v", i, op.Kind, op.Txn, want[i])
+		}
+	}
+}
+
 // collapseRetransmits drops adjacent requests sharing a seq: a starved
 // round trip may rebroadcast an operation, and the retransmit is
 // byte-identical by the idempotency contract. The client is synchronous

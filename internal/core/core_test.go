@@ -1,515 +1,290 @@
-package core_test
+package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
 
-	"gridrep/internal/client"
-	"gridrep/internal/cluster"
-	"gridrep/internal/core"
 	"gridrep/internal/netem"
 	"gridrep/internal/service"
 	"gridrep/internal/wire"
 )
 
-// newCluster builds a 3-replica loopback cluster with fast timeouts and
-// waits for a leader.
-func newCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
-	t.Helper()
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 5 * time.Millisecond
-	}
-	if cfg.ClientRetryEvery == 0 {
-		cfg.ClientRetryEvery = 100 * time.Millisecond
-	}
-	if cfg.ClientDeadline == 0 {
-		cfg.ClientDeadline = 10 * time.Second
-	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if _, err := c.WaitForLeader(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	return c
+// The basic protocol (§3.3) on the simulator: writes, reads and
+// failover on a three-replica KV cluster unless a test says otherwise.
+
+// kvSim boots a KV cluster, waits for its leader, and returns a client.
+func kvSim(t *testing.T, seed int64) (*sim, *simClient) {
+	s := newSim(t, simConfig{seed: seed})
+	s.awaitLeader(time.Second)
+	return s, s.newClient()
 }
 
-// replica returns the running group-0 replica id.
-func replica(t *testing.T, c *cluster.Cluster, id wire.NodeID) *core.Replica {
-	t.Helper()
-	rep, ok := c.Replica(id)
-	if !ok {
-		t.Fatalf("replica %v is not running", id)
-	}
-	return rep
-}
-
-func newKVCluster(t *testing.T) (*cluster.Cluster, *client.Client) {
-	t.Helper()
-	c := newCluster(t, cluster.Config{Service: service.KVFactory})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cli.Close)
-	return c, cli
-}
-
+// TestBootElectsSingleStableLeader: Ω's entitlement rule (omega.go) hands
+// the boot election to the lowest live replica, so replica 0 leads on
+// every seed, and it still leads, alone, twenty election timeouts later.
 func TestBootElectsSingleStableLeader(t *testing.T) {
-	// Ω guarantees a single stable leader, and the entitlement rule
-	// biases the boot election to the lowest live replica; under heavy
-	// scheduler stalls (e.g. the race detector) a higher replica may
-	// legitimately win, so only stability is asserted.
-	c := newCluster(t, cluster.Config{})
-	leader, ok := c.Leader()
-	if !ok {
-		t.Fatal("no leader after boot")
-	}
-	time.Sleep(100 * time.Millisecond)
-	again, ok := c.Leader()
-	if !ok || again != leader {
-		t.Fatalf("leadership flapped: %v -> %v", leader, again)
+	for seed := int64(1); seed <= 20; seed++ {
+		s := newSim(t, simConfig{seed: seed})
+		if lead := s.awaitLeader(time.Second); lead != 0 {
+			t.Fatalf("seed %d: replica %d leads, want 0", seed, lead)
+		}
+		flapped := false
+		s.watch = func() {
+			for _, n := range s.nodes {
+				flapped = flapped || (n.id != 0 && n.r.role != RoleBackup) || !s.nodes[0].r.IsActiveLeader()
+			}
+		}
+		s.runFor(20 * s.nodes[0].r.cfg.ElectionTimeout)
+		if flapped {
+			t.Fatalf("seed %d: leadership left replica 0", seed)
+		}
 	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	_, cli := newKVCluster(t)
-	if _, err := cli.Write(service.KVPut("k", []byte("v1"))); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	res, err := cli.Read(service.KVGet("k"))
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if v, ok := service.KVReply(res); !ok || string(v) != "v1" {
+	_, c := kvSim(t, 1)
+	c.must(wire.KindWrite, service.KVPut("k", []byte("v1")))
+	if v, ok := c.get("k"); !ok || v != "v1" {
 		t.Fatalf("read = %q,%v", v, ok)
 	}
 }
 
+// TestReadReflectsLatestWrite is §3.4's consistency requirement: the
+// value a read returns reflects the latest update.
 func TestReadReflectsLatestWrite(t *testing.T) {
-	// §3.4's consistency requirement: the value returned by a read must
-	// reflect the latest update.
-	_, cli := newKVCluster(t)
+	_, c := kvSim(t, 2)
 	for i := 0; i < 20; i++ {
-		want := []byte(fmt.Sprintf("v%d", i))
-		if _, err := cli.Write(service.KVPut("k", want)); err != nil {
-			t.Fatal(err)
-		}
-		res, err := cli.Read(service.KVGet("k"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, _ := service.KVReply(res); !bytes.Equal(v, want) {
+		want := fmt.Sprintf("v%d", i)
+		c.must(wire.KindWrite, service.KVPut("k", []byte(want)))
+		if v, _ := c.get("k"); v != want {
 			t.Fatalf("iteration %d: read %q, want %q", i, v, want)
 		}
 	}
 }
 
 func TestOriginalBaseline(t *testing.T) {
-	_, cli := newKVCluster(t)
-	if _, err := cli.Original(service.KVPut("k", []byte("v"))); err != nil {
-		t.Fatalf("original: %v", err)
-	}
-	res, err := cli.Original(service.KVGet("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := service.KVReply(res); string(v) != "v" {
+	_, c := kvSim(t, 3)
+	c.must(wire.KindOriginal, service.KVPut("k", []byte("v")))
+	if v, _ := service.KVReply(c.must(wire.KindOriginal, service.KVGet("k"))); string(v) != "v" {
 		t.Fatalf("original read = %q", v)
 	}
 }
 
 func TestServiceErrorReported(t *testing.T) {
-	_, cli := newKVCluster(t)
-	_, err := cli.Write([]byte{0xFF, 0x00}) // malformed op
-	var se *client.ServiceError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want ServiceError", err)
+	_, c := kvSim(t, 4)
+	if rep := c.call(wire.Request{Kind: wire.KindWrite, Op: []byte{0xFF, 0x00}}, opLimit); rep.Status != wire.StatusError || rep.Err == "" {
+		t.Fatalf("malformed op answered %v %q, want a service error", rep.Status, rep.Err)
+	}
+}
+
+// concurrently starts one closed loop per client, each issuing ops(i)
+// in order, and runs until every loop is done; check sees each reply.
+func (s *sim) concurrently(clients int, ops func(i int) []wire.Request, check func(i, n int, rep wire.Reply)) {
+	s.t.Helper()
+	left := clients
+	for i := 0; i < clients; i++ {
+		c, reqs, n := s.newClient(), ops(i), 0
+		var next func()
+		next = func() {
+			if n == len(reqs) {
+				left--
+				return
+			}
+			c.do(reqs[n], func(rep wire.Reply) {
+				if rep.Status != wire.StatusOK {
+					s.t.Errorf("client %d op %d: %v %s", i, n, rep.Status, rep.Err)
+				}
+				check(i, n, rep)
+				n++
+				next()
+			})
+		}
+		next()
+	}
+	if !s.runUntil(time.Minute, func() bool { return left == 0 }) {
+		s.t.Fatalf("%d of %d clients unfinished", left, clients)
 	}
 }
 
 func TestConcurrentClients(t *testing.T) {
-	c := newCluster(t, cluster.Config{Service: service.KVFactory})
-	const nClients = 8
-	const nOps = 25
-	errCh := make(chan error, nClients)
-	for i := 0; i < nClients; i++ {
-		cli, err := c.NewClient()
-		if err != nil {
-			t.Fatal(err)
+	s, _ := kvSim(t, 5)
+	const clients, each = 8, 25
+	s.concurrently(clients, func(i int) []wire.Request {
+		var reqs []wire.Request
+		for j := 0; j < each; j++ {
+			reqs = append(reqs, kvAdd(fmt.Sprint("k", i)))
 		}
-		go func(i int, cli *client.Client) {
-			defer cli.Close()
-			key := fmt.Sprintf("k%d", i)
-			for j := 0; j < nOps; j++ {
-				if _, err := cli.Write(service.KVAdd(key, 1)); err != nil {
-					errCh <- err
-					return
-				}
-			}
-			res, err := cli.Read(service.KVGet(key))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if n, _ := service.KVInt(res); n != nOps {
-				errCh <- fmt.Errorf("client %d: counter = %d, want %d", i, n, nOps)
-				return
-			}
-			errCh <- nil
-		}(i, cli)
-	}
-	for i := 0; i < nClients; i++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
+		return append(reqs, wire.Request{Kind: wire.KindRead, Op: service.KVGet(fmt.Sprint("k", i))})
+	}, func(i, n int, rep wire.Reply) {
+		if got, _ := service.KVInt(rep.Result); n == each && got != each {
+			t.Errorf("client %d: counter = %d, want %d", i, got, each)
 		}
+	})
+	s.mustConverge()
+}
+
+// brokers gives every replica incarnation its own RNG seed.
+func brokers(base int64) func(wire.NodeID, int) service.Service {
+	return func(id wire.NodeID, inc int) service.Service {
+		return service.NewBroker(base + int64(id)*100 + int64(inc))
 	}
 }
 
 // TestNondeterministicStateConsistency is the paper's core claim: even
-// for a service whose executions are randomized, all replicas end up with
-// the identical state, because the leader's post-execution state — not
-// the request — is what consensus decides.
+// for a service whose executions are randomized, all replicas end with
+// identical state, because the leader's post-execution state — not the
+// request — is what consensus decides.
 func TestNondeterministicStateConsistency(t *testing.T) {
-	seed := int64(0)
-	c := newCluster(t, cluster.Config{Service: func() service.Service {
-		seed++
-		return service.NewBroker(seed) // every replica gets a different RNG
-	}})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
+	s := newSim(t, simConfig{seed: 6, service: brokers(1)})
+	s.awaitLeader(time.Second)
+	c := s.newClient()
 	for i := 0; i < 4; i++ {
-		if _, err := cli.Write(service.BrokerRegister(fmt.Sprintf("res%d", i), 10)); err != nil {
-			t.Fatal(err)
-		}
+		c.must(wire.KindWrite, service.BrokerRegister(fmt.Sprint("res", i), 10))
 	}
-	var selections [][]string
-	for i := 0; i < 10; i++ {
-		res, err := cli.Write(service.BrokerRequest(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel, err := service.BrokerSelection(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		selections = append(selections, sel)
-	}
-	waitConverged(t, c)
-
-	// All replicas must hold the identical broker state.
-	snaps := snapshotAll(t, c)
-	for id, snap := range snaps {
-		if !bytes.Equal(snap, snaps[0]) {
-			t.Fatalf("replica %v state diverged from replica 0", id)
-		}
-	}
-	// And the replicated state must reflect the leader's actual random
-	// selections: total in-use = 20.
 	total := 0
-	for _, sel := range selections {
+	for i := 0; i < 10; i++ {
+		sel, err := service.BrokerSelection(c.must(wire.KindWrite, service.BrokerRequest(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		total += len(sel)
 	}
+	s.mustConverge()
 	if total != 20 {
 		t.Fatalf("selections lost: %d", total)
 	}
+	// The replicated state holds the leader's random selections.
+	if res, _ := s.nodes[1].r.Service().Execute(service.BrokerList()); inUse(res) != 20 {
+		t.Fatalf("a backup's allocation %q does not hold the leader's 20 selections", res)
+	}
 }
 
-// waitConverged blocks until every replica has applied the same commit
-// index as the leader.
-func waitConverged(t *testing.T, c *cluster.Cluster) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		var chosen []uint64
-		var applied []uint64
-		for _, id := range c.IDs() {
-			rep, ok := c.Replica(id)
-			if !ok {
-				continue // crashed
-			}
-			rep.Inspect(func(r *core.Replica) {
-				chosen = append(chosen, r.Chosen())
-				applied = append(applied, r.Applied())
-			})
-		}
-		same := true
-		for i := 1; i < len(chosen); i++ {
-			if chosen[i] != chosen[0] || applied[i] != applied[0] || applied[i] != chosen[i] {
-				same = false
-			}
-		}
-		if same && len(chosen) > 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+// inUse sums the allocated slots of a BrokerList result.
+func inUse(list []byte) (n int) {
+	for _, line := range bytes.Split(bytes.TrimSpace(list), []byte("\n")) {
+		var name string
+		var used, capacity int
+		fmt.Sscanf(string(line), "%s %d/%d", &name, &used, &capacity)
+		n += used
 	}
-	t.Fatal("replicas did not converge")
-}
-
-// snapshotAll returns every live replica's service snapshot, indexed by
-// position in IDs order.
-func snapshotAll(t *testing.T, c *cluster.Cluster) [][]byte {
-	t.Helper()
-	var snaps [][]byte
-	for _, id := range c.IDs() {
-		rep, ok := c.Replica(id)
-		if !ok {
-			continue
-		}
-		var snap []byte
-		rep.Inspect(func(r *core.Replica) { snap = r.Service().Snapshot() })
-		snaps = append(snaps, snap)
-	}
-	return snaps
+	return n
 }
 
 func TestBackupsAdoptLeaderState(t *testing.T) {
-	c, cli := newKVCluster(t)
+	s, c := kvSim(t, 7)
 	for i := 0; i < 10; i++ {
-		if _, err := cli.Write(service.KVPut(fmt.Sprintf("k%d", i), []byte{byte(i)})); err != nil {
-			t.Fatal(err)
-		}
+		c.must(wire.KindWrite, service.KVPut(fmt.Sprint("k", i), []byte{byte(i)}))
 	}
-	waitConverged(t, c)
-	snaps := snapshotAll(t, c)
-	for i, snap := range snaps {
-		if !bytes.Equal(snap, snaps[0]) {
-			t.Fatalf("replica #%d state differs", i)
-		}
-	}
+	s.mustConverge()
 }
 
+// TestRetransmitIsIdempotent: 20 % loss on client traffic forces
+// retransmits of writes that already committed; KVAdd is not idempotent,
+// so exactly-once rests on the leader's reply cache.
 func TestRetransmitIsIdempotent(t *testing.T) {
-	// A lossy network forces client retransmits; KVAdd is not
-	// idempotent at the service level, so exactly-once depends on the
-	// leader's reply cache.
-	c := newCluster(t, cluster.Config{
-		Service: service.KVFactory,
-		Profile: netem.Loopback(),
-	})
-	// 20% loss on client<->replica traffic.
-	c.Net.Model().SetLoss(netem.ClassClient, netem.ClassReplica, 0.2)
-	c.Net.Model().SetLoss(netem.ClassReplica, netem.ClassClient, 0.2)
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	s, c := kvSim(t, 8)
+	s.model.SetLoss(netem.ClassClient, netem.ClassReplica, 0.2)
+	s.model.SetLoss(netem.ClassReplica, netem.ClassClient, 0.2)
 	const n = 15
 	for i := 0; i < n; i++ {
-		if _, err := cli.Write(service.KVAdd("ctr", 1)); err != nil {
-			t.Fatal(err)
-		}
+		c.must(wire.KindWrite, service.KVAdd("ctr", 1))
 	}
-	c.Net.Model().SetLoss(netem.ClassClient, netem.ClassReplica, 0)
-	c.Net.Model().SetLoss(netem.ClassReplica, netem.ClassClient, 0)
-	res, err := cli.Read(service.KVGet("ctr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := service.KVInt(res); got != n {
+	s.model.SetLoss(netem.ClassClient, netem.ClassReplica, 0)
+	s.model.SetLoss(netem.ClassReplica, netem.ClassClient, 0)
+	if got := c.counter("ctr"); got != n {
 		t.Fatalf("counter = %d, want %d (duplicated or lost execution)", got, n)
 	}
 }
 
 func TestLeaderFailover(t *testing.T) {
-	c, cli := newKVCluster(t)
-	if _, err := cli.Write(service.KVPut("k", []byte("before"))); err != nil {
-		t.Fatal(err)
-	}
-	old, _ := c.Leader()
-	c.Crash(old)
-	// The client keeps retrying; a new leader must take over and serve.
-	if _, err := cli.Write(service.KVPut("k", []byte("after"))); err != nil {
-		t.Fatalf("write after leader crash: %v", err)
-	}
-	res, err := cli.Read(service.KVGet("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := service.KVReply(res); string(v) != "after" {
+	s, c := kvSim(t, 9)
+	c.must(wire.KindWrite, service.KVPut("k", []byte("before")))
+	old, _ := s.leader()
+	s.crash(old)
+	c.must(wire.KindWrite, service.KVPut("k", []byte("after")))
+	if v, _ := c.get("k"); v != "after" {
 		t.Fatalf("read = %q after failover", v)
 	}
-	newLeader, ok := c.Leader()
-	if !ok || newLeader == old {
-		t.Fatalf("leader did not move: %v", newLeader)
+	if lead, ok := s.leader(); !ok || lead == old {
+		t.Fatalf("leader did not move from %d", old)
 	}
 }
 
 func TestFailoverPreservesCommittedState(t *testing.T) {
-	c, cli := newKVCluster(t)
+	s, c := kvSim(t, 10)
 	for i := 0; i < 10; i++ {
-		if _, err := cli.Write(service.KVAdd("ctr", 1)); err != nil {
-			t.Fatal(err)
-		}
+		c.must(wire.KindWrite, service.KVAdd("ctr", 1))
 	}
-	old, _ := c.Leader()
-	c.Crash(old)
-	res, err := cli.Read(service.KVGet("ctr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := service.KVInt(res); got != 10 {
+	old, _ := s.leader()
+	s.crash(old)
+	if got := c.counter("ctr"); got != 10 {
 		t.Fatalf("counter = %d after failover, want 10", got)
 	}
 }
 
 func TestCrashedReplicaRecoversAndCatchesUp(t *testing.T) {
-	c, cli := newKVCluster(t)
-	crash := wire.NodeID(2) // crash a backup
-	c.Crash(crash)
+	s, c := kvSim(t, 11)
+	s.crash(2)
 	for i := 0; i < 10; i++ {
-		if _, err := cli.Write(service.KVPut(fmt.Sprintf("k%d", i), []byte("x"))); err != nil {
-			t.Fatal(err)
-		}
+		c.must(wire.KindWrite, service.KVPut(fmt.Sprint("k", i), []byte("x")))
 	}
-	if err := c.Restart(crash); err != nil {
-		t.Fatal(err)
-	}
-	waitConverged(t, c)
-	snaps := snapshotAll(t, c)
-	for i, snap := range snaps {
-		if !bytes.Equal(snap, snaps[0]) {
-			t.Fatalf("recovered replica state differs (#%d)", i)
-		}
-	}
+	s.restart(2)
+	s.mustConverge()
 }
 
+// TestRecoveredReplicaCanLead: a backup crashes, misses a write, restarts
+// and catches up; when the leader then crashes, it — the lowest live
+// replica — takes over with the full state.
 func TestRecoveredReplicaCanLead(t *testing.T) {
-	c, cli := newKVCluster(t)
-	if _, err := cli.Write(service.KVPut("k", []byte("v"))); err != nil {
-		t.Fatal(err)
-	}
-	// Crash both backups, write is impossible (no quorum), so first
-	// crash only one, write, restart it, then crash the other two and
-	// let the recovered one... simpler: crash backup 1, write, restart,
-	// wait converged, then crash leader 0 AND backup 2 is alive: the
-	// new leader is chosen between 1 and 2; force it to be the
-	// recovered replica by crashing 2 as well after 1 catches up? A
-	// majority of 3 is 2, so only one crash at a time.
-	c.Crash(1)
-	if _, err := cli.Write(service.KVPut("k", []byte("v2"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Restart(1); err != nil {
-		t.Fatal(err)
-	}
-	waitConverged(t, c)
-	// Now crash the leader and replica 2, leaving only the recovered
-	// replica 1... that breaks quorum. Instead crash just the leader;
-	// replica 1 (recovered, lower ID than 2) must take over with full
-	// state.
-	c.Crash(0)
-	res, err := cli.Read(service.KVGet("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := service.KVReply(res); string(v) != "v2" {
+	s, c := kvSim(t, 12)
+	c.must(wire.KindWrite, service.KVPut("k", []byte("v")))
+	s.crash(1)
+	c.must(wire.KindWrite, service.KVPut("k", []byte("v2")))
+	s.restart(1)
+	s.mustConverge()
+	s.crash(0)
+	if v, _ := c.get("k"); v != "v2" {
 		t.Fatalf("read after recovered-replica failover = %q", v)
 	}
-	leader, ok := c.Leader()
-	if !ok || leader != 1 {
-		t.Fatalf("leader = %v, want recovered replica 1", leader)
+	if lead, ok := s.leader(); !ok || lead != 1 {
+		t.Fatalf("leader = %v, want recovered replica 1", lead)
 	}
 }
 
+// TestMinorityCrashTolerated: floor((n-1)/2) = 1 crash of three must not
+// block.
 func TestMinorityCrashTolerated(t *testing.T) {
-	// floor((n-1)/2) = 1 crash of a 3-replica group must not block.
-	c, cli := newKVCluster(t)
-	c.Crash(2)
+	s, c := kvSim(t, 13)
+	s.crash(2)
 	for i := 0; i < 5; i++ {
-		if _, err := cli.Write(service.KVAdd("ctr", 1)); err != nil {
-			t.Fatal(err)
-		}
+		c.must(wire.KindWrite, service.KVAdd("ctr", 1))
 	}
-	res, err := cli.Read(service.KVGet("ctr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := service.KVInt(res); got != 5 {
+	if got := c.counter("ctr"); got != 5 {
 		t.Fatalf("counter = %d", got)
 	}
 }
 
 func TestFiveReplicasTolerateTwoCrashes(t *testing.T) {
-	c := newCluster(t, cluster.Config{N: 5, Service: service.KVFactory})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Write(service.KVPut("k", []byte("v"))); err != nil {
-		t.Fatal(err)
-	}
-	c.Crash(3)
-	c.Crash(4)
-	if _, err := cli.Write(service.KVPut("k", []byte("v2"))); err != nil {
-		t.Fatalf("write with 2/5 crashed: %v", err)
-	}
-	res, err := cli.Read(service.KVGet("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := service.KVReply(res); string(v) != "v2" {
+	s := newSim(t, simConfig{n: 5, seed: 14})
+	s.awaitLeader(time.Second)
+	c := s.newClient()
+	c.must(wire.KindWrite, service.KVPut("k", []byte("v")))
+	s.crash(3)
+	s.crash(4)
+	c.must(wire.KindWrite, service.KVPut("k", []byte("v2")))
+	if v, _ := c.get("k"); v != "v2" {
 		t.Fatalf("read = %q", v)
 	}
 }
 
 func TestSingleReplicaCluster(t *testing.T) {
-	c := newCluster(t, cluster.Config{N: 1, Service: service.KVFactory})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Write(service.KVPut("k", []byte("v"))); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cli.Read(service.KVGet("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := service.KVReply(res); string(v) != "v" {
+	s := newSim(t, simConfig{n: 1, seed: 15})
+	s.awaitLeader(time.Second)
+	c := s.newClient()
+	c.must(wire.KindWrite, service.KVPut("k", []byte("v")))
+	if v, _ := c.get("k"); v != "v" {
 		t.Fatalf("read = %q", v)
-	}
-}
-
-func TestForcedLeaderSwitch(t *testing.T) {
-	c, cli := newKVCluster(t)
-	if _, err := cli.Write(service.KVPut("k", []byte("v1"))); err != nil {
-		t.Fatal(err)
-	}
-	old, _ := c.Leader()
-	c.SuspectLeader()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if l, ok := c.Leader(); ok && l != old {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no leader switch after SuspectLeader")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// Service keeps working and state survived.
-	res, err := cli.Read(service.KVGet("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := service.KVReply(res); string(v) != "v1" {
-		t.Fatalf("read = %q after forced switch", v)
-	}
-	if _, err := cli.Write(service.KVPut("k", []byte("v2"))); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -341,6 +341,11 @@ func ablations(t testing.TB, c *costReport) {
 		run := runCost(s, writers(1, 50, func(_, n int) []byte { return service.KVPut(fmt.Sprint("k", n%8), val) }))
 		c.row(fmt.Sprintf("wire.accept_bytes_per_write.%dB", size), float64(s.bytes[wire.MsgAccept])/float64(run.ops["write"]))
 	}
+	c.section("ablation: a leader switch inside each of 6 T-Paxos transactions, one plain write after each (KV)")
+	aborts, commits, writes := leaderSwitchSensitivity(t)
+	c.row("txn.aborted", float64(aborts))
+	c.row("txn.committed", float64(commits))
+	c.row("writes.ok", float64(writes))
 }
 
 // probeWaves runs 8 writers x 250 writes over disks at a pipeline depth

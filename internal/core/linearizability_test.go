@@ -1,116 +1,76 @@
-package core_test
+package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
-	"gridrep/internal/cluster"
-	"gridrep/internal/core"
 	"gridrep/internal/service"
+	"gridrep/internal/wire"
 )
 
-// TestReadLinearizability brackets every X-Paxos read of a monotonic
-// counter between two bounds derived from the writer's history:
+// TestReadLinearizability brackets every X-Paxos read of a counter one
+// writer increments between two bounds from the writer's history:
 //
 //	completed-before-read-start <= read value <= started-before-read-end
 //
-// which is exactly linearizability for a register that only increments.
-// Violating the lower bound is a stale read (the §3.4 consistency
-// requirement: "the value ... must reflect the latest update");
-// violating the upper bound would mean reading an increment that was
-// never issued.
+// which is linearizability for a register that only increments. Below
+// the lower bound is a stale read (§3.4: "the value ... must reflect the
+// latest update"); above the upper one, an increment never issued. Each
+// reader's view must also never go backwards.
 //
-// The suite runs over PipelineDepth {1,4} × NoBatch {false,true}: the
-// speculative pipeline must not weaken the read contract — a reply (read
-// or write) may only expose state whose every instance is committed,
-// never a speculative suffix.
+// It runs over PipelineDepth {1,4} × NoBatch {false,true}: the
+// speculative pipeline must not weaken the read contract — a reply may
+// expose only state whose every instance is committed.
 func TestReadLinearizability(t *testing.T) {
 	for _, depth := range []int{1, 4} {
 		for _, noBatch := range []bool{false, true} {
 			t.Run(fmt.Sprintf("depth=%d,nobatch=%v", depth, noBatch), func(t *testing.T) {
-				readLinearizability(t, newCluster(t, cluster.Config{
-					Service: service.KVFactory,
-					Options: core.Options{
-						PipelineDepth: depth,
-						NoBatch:       noBatch,
-					},
-				}))
+				s := newSim(t, simConfig{seed: int64(100 + depth), opts: Options{PipelineDepth: depth, NoBatch: noBatch}})
+				s.awaitLeader(time.Second)
+				readLinearizability(t, s)
 			})
 		}
 	}
 }
 
-func readLinearizability(t *testing.T, c *cluster.Cluster) {
-	wcli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
+func readLinearizability(t *testing.T, s *sim) {
+	w := s.newClient()
+	started, completed := int64(0), int64(0)
+	var write func()
+	write = func() {
+		if started == 80 {
+			return
+		}
+		started++
+		w.do(kvAdd("ctr"), func(wire.Reply) { completed++; write() })
 	}
-	defer wcli.Close()
-
-	var started, completed atomic.Int64
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		for i := 0; i < 80; i++ {
-			started.Add(1)
-			if _, err := wcli.Write(service.KVAdd("ctr", 1)); err != nil {
-				t.Error(err)
+	write()
+	reads := 0
+	for i := 0; i < 3; i++ {
+		r, prev := s.newClient(), int64(-1)
+		var read func()
+		read = func() {
+			if completed == 80 {
 				return
 			}
-			completed.Add(1)
-		}
-	}()
-
-	const nReaders = 3
-	var wg sync.WaitGroup
-	errs := make(chan error, nReaders)
-	for r := 0; r < nReaders; r++ {
-		rcli, err := c.NewClient()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer rcli.Close()
-			var prev int64 = -1
-			for {
-				select {
-				case <-writerDone:
-					errs <- nil
-					return
-				default:
-				}
-				lower := completed.Load()
-				res, err := rcli.Read(service.KVGet("ctr"))
-				if err != nil {
-					errs <- err
-					return
-				}
-				upper := started.Load()
-				got, _ := service.KVInt(res)
-				if got < lower {
-					t.Errorf("stale read: %d < %d completed writes", got, lower)
-				}
-				if got > upper {
-					t.Errorf("phantom read: %d > %d started writes", got, upper)
-				}
-				// Session monotonicity: this reader's view never goes
-				// backwards.
-				if got < prev {
-					t.Errorf("non-monotonic reads: %d after %d", got, prev)
+			lower := completed
+			r.do(wire.Request{Kind: wire.KindRead, Op: service.KVGet("ctr")}, func(rep wire.Reply) {
+				got, _ := service.KVInt(rep.Result)
+				if rep.Status != wire.StatusOK || got < lower || got > started || got < prev {
+					t.Errorf("read %v %d outside [%d, %d] or below this reader's previous %d", rep.Status, got, lower, started, prev)
 				}
 				prev = got
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
+				reads++
+				read()
+			})
 		}
+		read()
+	}
+	if !s.runUntil(opLimit, func() bool { return completed == 80 }) {
+		t.Fatalf("%d of 80 writes completed", completed)
+	}
+	if reads < 80 {
+		t.Fatalf("only %d reads overlapped 80 writes", reads)
 	}
 }

@@ -1,53 +1,45 @@
-package core_test
+package core
 
 import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
-	"gridrep/internal/cluster"
-	"gridrep/internal/core"
 	"gridrep/internal/service"
-	"gridrep/internal/storage"
 	"gridrep/internal/wire"
 )
+
+// The three state-transfer modes of §3.3: full state, a delta
+// (service.Differ), and the request plus what its execution captured
+// (service.Replayer).
 
 // plainKV is a KV behind the bare service.Service interface: like a
 // user's service that implements neither Differ nor Replayer, it runs in
 // full mode, where the KV itself runs in delta mode.
-func plainKV() service.Service { return struct{ service.Service }{service.NewKV()} }
+func plainKV(wire.NodeID, int) service.Service { return struct{ service.Service }{service.NewKV()} }
 
-// TestStateModesEquivalent drives the identical workload through full and
-// delta mode and requires identical replicated state — §3.3's point that
-// the reductions change bytes on the wire, not semantics.
+// TestStateModesEquivalent drives one workload through full and delta
+// mode and requires identical replicated state — §3.3's point that the
+// reductions change bytes on the wire, not semantics.
 func TestStateModesEquivalent(t *testing.T) {
 	var finals [][]byte
 	for _, mode := range []struct {
-		name    string
-		service service.Factory
-	}{{"full", plainKV}, {"delta", service.KVFactory}} {
-		c := newCluster(t, cluster.Config{Service: mode.service})
-		cli, err := c.NewClient()
-		if err != nil {
-			t.Fatal(err)
+		mode    stateMode
+		service func(wire.NodeID, int) service.Service
+	}{{stateFull, plainKV}, {stateDelta, nil}} {
+		s := newSim(t, simConfig{seed: 31, service: mode.service})
+		lead := s.awaitLeader(time.Second)
+		if m := s.nodes[lead].r.mode; m != mode.mode {
+			t.Fatalf("mode %d, want %d", m, mode.mode)
 		}
+		c := s.newClient()
 		for i := 0; i < 10; i++ {
-			if _, err := cli.Write(service.KVPut(fmt.Sprintf("k%d", i%3), []byte{byte(i)})); err != nil {
-				t.Fatalf("%s: %v", mode.name, err)
-			}
-			if _, err := cli.Write(service.KVAdd("ctr", 2)); err != nil {
-				t.Fatalf("%s: %v", mode.name, err)
-			}
+			c.must(wire.KindWrite, service.KVPut(fmt.Sprint("k", i%3), []byte{byte(i)}))
+			c.must(wire.KindWrite, service.KVAdd("ctr", 2))
 		}
-		waitConverged(t, c)
-		snaps := snapshotAll(t, c)
-		for i, s := range snaps {
-			if !bytes.Equal(s, snaps[0]) {
-				t.Fatalf("%s: replica #%d diverged", mode.name, i)
-			}
-		}
-		finals = append(finals, snaps[0])
-		cli.Close()
+		s.mustConverge()
+		finals = append(finals, s.nodes[0].r.Service().Snapshot())
 	}
 	if !bytes.Equal(finals[0], finals[1]) {
 		t.Fatal("full and delta modes produced different final states")
@@ -55,201 +47,112 @@ func TestStateModesEquivalent(t *testing.T) {
 }
 
 func TestDeltaModeBackupsFollow(t *testing.T) {
-	c := newCluster(t, cluster.Config{Service: service.KVFactory})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	s, c := kvSim(t, 32)
 	for i := 0; i < 20; i++ {
-		if _, err := cli.Write(service.KVAdd("n", 1)); err != nil {
-			t.Fatal(err)
-		}
+		c.must(wire.KindWrite, service.KVAdd("n", 1))
 	}
-	waitConverged(t, c)
-	for _, id := range c.IDs() {
-		rep, _ := c.Replica(id)
-		var snap []byte
-		rep.Inspect(func(r *core.Replica) { snap = r.Service().Snapshot() })
-		kv := service.NewKV()
-		if err := kv.Restore(snap); err != nil {
-			t.Fatal(err)
-		}
-		res, _ := kv.Execute(service.KVGet("n"))
-		if n, _ := service.KVInt(res); n != 20 {
-			t.Fatalf("replica %v: n = %d, want 20", id, n)
+	s.mustConverge()
+	for _, n := range s.nodes {
+		res, _ := n.r.Service().Execute(service.KVGet("n"))
+		if got, _ := service.KVInt(res); got != 20 {
+			t.Fatalf("replica %d: n = %d, want 20", n.id, got)
 		}
 	}
 }
 
 func TestDeltaModeFailover(t *testing.T) {
-	c := newCluster(t, cluster.Config{Service: service.KVFactory})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	s, c := kvSim(t, 33)
 	for i := 0; i < 10; i++ {
-		if _, err := cli.Write(service.KVAdd("n", 1)); err != nil {
-			t.Fatal(err)
-		}
+		c.must(wire.KindWrite, service.KVAdd("n", 1))
 	}
-	old, _ := c.Leader()
-	c.Crash(old)
-	if _, err := cli.Write(service.KVAdd("n", 1)); err != nil {
-		t.Fatalf("delta-mode write after failover: %v", err)
-	}
-	res, err := cli.Read(service.KVGet("n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := service.KVInt(res); n != 11 {
-		t.Fatalf("n = %d after delta-mode failover, want 11", n)
+	old, _ := s.leader()
+	s.crash(old)
+	c.must(wire.KindWrite, service.KVAdd("n", 1))
+	if got := c.counter("n"); got != 11 {
+		t.Fatalf("n = %d after delta-mode failover, want 11", got)
 	}
 }
 
+// TestDeltaModeTransactions: a transaction commits as one delta, its
+// write set, between plain delta writes.
 func TestDeltaModeTransactions(t *testing.T) {
-	// A transaction commits as one delta, its write set; interleave
-	// transactions with delta writes and verify consistency.
-	c := newCluster(t, cluster.Config{Service: service.KVFactory})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
+	s, c := kvSim(t, 34)
+	c.must(wire.KindWrite, service.KVAdd("n", 1))
+	tx := c.begin()
+	if rep := tx.do(service.KVAdd("t", 5)); rep.Status != wire.StatusOK {
+		t.Fatalf("txn op: %v", rep.Status)
 	}
-	defer cli.Close()
-	if _, err := cli.Write(service.KVAdd("n", 1)); err != nil {
-		t.Fatal(err)
+	if rep := tx.commit(); rep.Status != wire.StatusOK {
+		t.Fatalf("commit: %v", rep.Status)
 	}
-	tx := cli.Begin()
-	if _, err := tx.Do(service.KVAdd("t", 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Write(service.KVAdd("n", 1)); err != nil {
-		t.Fatal(err)
-	}
-	waitConverged(t, c)
-	snaps := snapshotAll(t, c)
-	for i, s := range snaps {
-		if !bytes.Equal(s, snaps[0]) {
-			t.Fatalf("replica #%d diverged mixing txns into delta mode", i)
-		}
+	c.must(wire.KindWrite, service.KVAdd("n", 1))
+	s.mustConverge()
+	if n, t5 := c.counter("n"), c.counter("t"); n != 2 || t5 != 5 {
+		t.Fatalf("n = %d, t = %d, want 2 and 5", n, t5)
 	}
 }
 
-// TestReplayModeBroker covers the §3.3 "request plus additional
-// information" path end to end: backups re-execute the randomized broker
-// deterministically from the leader's captured selections.
+// TestReplayModeBroker is §3.3's "request plus additional information":
+// backups re-execute the randomized broker deterministically from the
+// leader's captured selections.
 func TestReplayModeBroker(t *testing.T) {
-	seed := int64(0)
-	c := newCluster(t, cluster.Config{
-		Service: func() service.Service {
-			seed++
-			return service.NewBroker(seed)
-		},
-	})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
+	s := newSim(t, simConfig{seed: 35, service: brokers(1)})
+	if lead := s.awaitLeader(time.Second); s.nodes[lead].r.mode != stateReplay {
+		t.Fatalf("mode %d, want replay", s.nodes[lead].r.mode)
 	}
-	defer cli.Close()
+	c := s.newClient()
 	for i := 0; i < 3; i++ {
-		if _, err := cli.Write(service.BrokerRegister(fmt.Sprintf("r%d", i), 10)); err != nil {
-			t.Fatal(err)
-		}
+		c.must(wire.KindWrite, service.BrokerRegister(fmt.Sprint("r", i), 10))
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := cli.Write(service.BrokerRequest(2)); err != nil {
-			t.Fatal(err)
-		}
+		c.must(wire.KindWrite, service.BrokerRequest(2))
 	}
-	waitConverged(t, c)
-	snaps := snapshotAll(t, c)
-	for i, s := range snaps {
-		if !bytes.Equal(s, snaps[0]) {
-			t.Fatalf("replica #%d diverged in replay mode", i)
-		}
-	}
+	s.mustConverge()
 }
 
 func TestReplayModeFailoverKeepsSelections(t *testing.T) {
-	seed := int64(50)
-	c := newCluster(t, cluster.Config{
-		Service: func() service.Service {
-			seed++
-			return service.NewBroker(seed)
-		},
-	})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Write(service.BrokerRegister("a", 10)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cli.Write(service.BrokerRequest(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, _ := service.BrokerSelection(res)
-	old, _ := c.Leader()
-	c.Crash(old)
-	list, err := cli.Read(service.BrokerList())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("a %d/10\n", len(sel))
-	if string(list) != want {
+	s := newSim(t, simConfig{seed: 36, service: brokers(51)})
+	s.awaitLeader(time.Second)
+	c := s.newClient()
+	c.must(wire.KindWrite, service.BrokerRegister("a", 10))
+	sel, _ := service.BrokerSelection(c.must(wire.KindWrite, service.BrokerRequest(3)))
+	old, _ := s.leader()
+	s.crash(old)
+	if list, want := c.must(wire.KindRead, service.BrokerList()), fmt.Sprintf("a %d/10\n", len(sel)); string(list) != want {
 		t.Fatalf("allocation after replay-mode failover = %q, want %q", list, want)
 	}
 }
 
+// TestReplayModeSchedDurable: the scheduler in replay mode across a
+// backup's crash and recovery from its store — its unflushed records
+// lost — and then a restart of the whole cluster: the dispatch decisions
+// survive both.
 func TestReplayModeSchedDurable(t *testing.T) {
-	// Scheduler in replay mode across crash-recovery with file storage:
-	// dispatch decisions survive a full cluster restart.
-	stores := map[wire.NodeID]storage.Store{}
-	dir := t.TempDir()
-	for i := 0; i < 3; i++ {
-		st, err := storage.OpenFile(fmt.Sprintf("%s/r%d.wal", dir, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Sync = false
-		stores[wire.NodeID(i)] = st
-	}
-	c := newCluster(t, cluster.Config{
-		Service: func() service.Service { return service.NewSched() },
-		Stores:  stores,
-	})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	cli.Write(service.SchedSubmit("j1", 1))
-	cli.Write(service.SchedSubmit("j2", 9))
-	picked, err := cli.Write(service.SchedDispatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(picked) != "j2" {
+	s := newSim(t, simConfig{seed: 37, service: func(wire.NodeID, int) service.Service { return service.NewSched() }})
+	s.awaitLeader(time.Second)
+	c := s.newClient()
+	c.must(wire.KindWrite, service.SchedSubmit("j1", 1))
+	c.must(wire.KindWrite, service.SchedSubmit("j2", 9))
+	if picked := c.must(wire.KindWrite, service.SchedDispatch()); string(picked) != "j2" {
 		t.Fatalf("dispatched %q", picked)
 	}
-	// Crash and recover a backup; it must rebuild the schedule by
-	// replaying from its WAL + catch-up.
-	c.Crash(2)
-	cli.Write(service.SchedSubmit("j3", 5))
-	if err := c.Restart(2); err != nil {
-		t.Fatal(err)
+	s.crash(2)
+	c.must(wire.KindWrite, service.SchedSubmit("j3", 5))
+	s.restart(2)
+	s.mustConverge()
+	want := s.nodes[0].r.Service().Snapshot()
+	for _, n := range s.nodes {
+		s.crash(n.id)
 	}
-	waitConverged(t, c)
-	snaps := snapshotAll(t, c)
-	for i, s := range snaps {
-		if !bytes.Equal(s, snaps[0]) {
-			t.Fatalf("replica #%d schedule diverged", i)
-		}
+	for _, n := range s.nodes {
+		s.restart(n.id)
+	}
+	s.awaitLeader(time.Second)
+	s.mustConverge()
+	if !bytes.Equal(s.nodes[0].r.Service().Snapshot(), want) {
+		t.Fatal("the schedule changed across a full restart")
+	}
+	if picked := c.must(wire.KindWrite, service.SchedDispatch()); string(picked) != "j3" {
+		t.Fatalf("dispatched %q after the restart, want j3", picked)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,23 @@ import (
 	"gridrep/internal/service"
 	"gridrep/internal/wire"
 )
+
+// The read pool's tests. They are the one part of internal/core's suite
+// that runs on the wall clock, over cluster.New: the pool is goroutines,
+// which the simulator (sim_test.go) never starts.
+
+// aBackup returns a running replica that is not the leader.
+func aBackup(t *testing.T, c *cluster.Cluster) wire.NodeID {
+	t.Helper()
+	lead, _ := c.Leader()
+	for _, id := range c.Running() {
+		if id != lead {
+			return id
+		}
+	}
+	t.Fatal("no backup running")
+	return 0
+}
 
 // readCounters sums gridrep_reads_parallel_total / _inline_total across
 // all replicas (only the leader's move, but leadership may migrate).
@@ -29,12 +47,27 @@ func readCounters(t *testing.T, c *cluster.Cluster) (parallel, inline int64) {
 	return
 }
 
-// poolCluster starts cfg's cluster at GOMAXPROCS 4, so every replica
-// starts its parallel read pool — which a single processor leaves off —
-// and restores the scheduler width before returning.
+// poolCluster builds a 3-replica in-process KV cluster with fast
+// timeouts at GOMAXPROCS 4, so every replica starts its parallel read
+// pool — which a single processor leaves off — restores the scheduler
+// width, and waits for a leader.
 func poolCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	return newCluster(t, cfg)
+	t.Helper()
+	cfg.Service = service.KVFactory
+	cfg.HeartbeatInterval = 5 * time.Millisecond
+	cfg.ClientRetryEvery = 100 * time.Millisecond
+	cfg.ClientDeadline = 10 * time.Second
+	procs := runtime.GOMAXPROCS(4)
+	c, err := cluster.New(cfg)
+	runtime.GOMAXPROCS(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if _, err := c.WaitForLeader(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestParallelReadPoolEngages starts the read pool whatever the host's
@@ -42,7 +75,7 @@ func poolCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
 // actually dispatches off-loop: the parallel counter moves, and every
 // read still sees the committed value.
 func TestParallelReadPoolEngages(t *testing.T) {
-	c := poolCluster(t, cluster.Config{Service: service.KVFactory})
+	c := poolCluster(t, cluster.Config{})
 	cli, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -93,10 +126,7 @@ func TestParallelReadPoolEngages(t *testing.T) {
 // chiefly under -race (make multicore-race runs it at GOMAXPROCS=4);
 // value correctness is asserted by the linearizability matrix.
 func TestParallelReadVsWritesSnapshotsScrapes(t *testing.T) {
-	c := poolCluster(t, cluster.Config{
-		Service: service.KVFactory,
-		Options: core.Options{SnapshotEvery: 8},
-	})
+	c := poolCluster(t, cluster.Config{Options: core.Options{SnapshotEvery: 8}})
 	wcli, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -149,14 +179,14 @@ func TestParallelReadVsWritesSnapshotsScrapes(t *testing.T) {
 	// A near-read client pinned to a backup: the pool serves a
 	// non-leader's reads too, against views pinned between the deltas the
 	// backup applies.
-	lead, _ := c.Leader()
+	near := aBackup(t, c)
 	ep, err := c.Net.Endpoint(wire.ClientIDBase + 930)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ncli := client.New(client.Config{
 		Transport: ep, Replicas: c.IDs(), RetryEvery: 100 * time.Millisecond,
-		NearRead: true, NearPin: true, NearReplica: others(c, lead)[0],
+		NearRead: true, NearPin: true, NearReplica: near,
 	})
 	wg.Add(1)
 	go func() {
@@ -180,7 +210,11 @@ func TestParallelReadVsWritesSnapshotsScrapes(t *testing.T) {
 		}
 	}
 	pooledNear := func() bool {
-		m := replica(t, c, others(c, lead)[0]).Metrics()
+		rep, ok := c.Replica(near)
+		if !ok {
+			t.Fatalf("replica %d is not running", near)
+		}
+		m := rep.Metrics()
 		return m.Value("gridrep_reads_near_total") > 0 && m.Value("gridrep_reads_parallel_total") > 0
 	}
 	for deadline := time.Now().Add(5 * time.Second); !pooledNear() && time.Now().Before(deadline); {
@@ -200,9 +234,71 @@ func TestParallelReadVsWritesSnapshotsScrapes(t *testing.T) {
 func TestReadLinearizabilityMulticore(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			c := poolCluster(t, cluster.Config{Service: service.KVFactory})
+			c := poolCluster(t, cluster.Config{})
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			readLinearizability(t, c)
 		})
 	}
+}
+
+// readLinearizability brackets every read of a counter one writer
+// increments between two bounds from the writer's history:
+//
+//	completed-before-read-start <= read value <= started-before-read-end
+//
+// which is linearizability for a register that only increments; each
+// reader's view must also never go backwards.
+func readLinearizability(t *testing.T, c *cluster.Cluster) {
+	wcli, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wcli.Close()
+
+	var started, completed atomic.Int64
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for i := 0; i < 80; i++ {
+			started.Add(1)
+			if _, err := wcli.Write(service.KVAdd("ctr", 1)); err != nil {
+				t.Error(err)
+				return
+			}
+			completed.Add(1)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		rcli, err := c.NewClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer rcli.Close()
+			prev := int64(-1)
+			for {
+				select {
+				case <-writerDone:
+					return
+				default:
+				}
+				lower := completed.Load()
+				res, err := rcli.Read(service.KVGet("ctr"))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, _ := service.KVInt(res)
+				if upper := started.Load(); got < lower || got > upper || got < prev {
+					t.Errorf("read %d outside [%d, %d] or below this reader's previous %d", got, lower, upper, prev)
+				}
+				prev = got
+			}
+		}()
+	}
+	wg.Wait()
 }

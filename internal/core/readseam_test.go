@@ -1,194 +1,45 @@
-package core_test
+package core
 
 import (
 	"testing"
 	"time"
 
-	"gridrep/internal/cluster"
-	"gridrep/internal/core"
 	"gridrep/internal/service"
-	"gridrep/internal/transport"
 	"gridrep/internal/wire"
 )
 
-// rawClient is a bare client endpoint that sends hand-built requests to
-// chosen replicas: the schedules below need a read to reach one replica
-// now and the others later, which the real client's broadcast cannot do.
-type rawClient struct{ ep *transport.Endpoint }
+// The read path's seams: schedules where a read reaches one replica now
+// and the others later, which a client's broadcast never produces. A
+// rawReader sends hand-built reads and records every reply.
 
-func newRawClient(t *testing.T, c *cluster.Cluster, n wire.NodeID) *rawClient {
-	t.Helper()
-	ep, err := c.Net.Endpoint(wire.ClientIDBase + n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rawClient{ep: ep}
+type rawReader struct {
+	*simClient
+	got []wire.Reply
 }
 
-func (rc *rawClient) request(seq uint64, kind wire.RequestKind, op []byte) wire.Request {
-	return wire.Request{Client: rc.ep.Local(), Seq: seq, Kind: kind, Op: op}
+func (s *sim) rawReader() *rawReader {
+	rr := &rawReader{simClient: s.newClient()}
+	rr.raw = func(rep wire.Reply) { rr.got = append(rr.got, rep) }
+	return rr
 }
 
-func (rc *rawClient) send(req wire.Request, to ...wire.NodeID) {
-	for _, id := range to {
-		rc.ep.Send(&wire.Envelope{To: id, Msg: &wire.RequestMsg{Req: req}})
-	}
-}
-
-// await returns the next reply to seq, or false after the timeout.
-func (rc *rawClient) await(seq uint64, timeout time.Duration) (wire.Reply, bool) {
-	deadline := time.After(timeout)
-	for {
-		select {
-		case env := <-rc.ep.Recv():
-			if rm, ok := env.Msg.(*wire.ReplyMsg); ok && rm.Rep.Seq == seq {
-				return rm.Rep, true
-			}
-		case <-deadline:
-			return wire.Reply{}, false
+// answer is the first reply to seq, if any.
+func (rr *rawReader) answer(seq uint64) *wire.Reply {
+	for i := range rr.got {
+		if rr.got[i].Seq == seq {
+			return &rr.got[i]
 		}
 	}
+	return nil
 }
 
-// readState reads a replica's pending-read table and held-confirm buffer
-// sizes on its event loop.
-func readState(t *testing.T, c *cluster.Cluster, id wire.NodeID) (pending, held int) {
-	t.Helper()
-	replica(t, c, id).Inspect(func(r *core.Replica) { pending, held = r.ReadState() })
-	return
-}
-
-func others(c *cluster.Cluster, not wire.NodeID) []wire.NodeID {
-	var out []wire.NodeID
-	for _, id := range c.IDs() {
-		if id != not {
-			out = append(out, id)
-		}
+// read builds a read of key at seq, stamped Near when near is set.
+func (rr *rawReader) read(seq uint64, op []byte, near *wire.NodeID) wire.Request {
+	req := wire.Request{Client: rr.id, Seq: seq, Kind: wire.KindRead, Op: op}
+	if near != nil {
+		req.Near, req.NearSet = *near, true
 	}
-	return out
-}
-
-func isActiveLeader(t *testing.T, c *cluster.Cluster, id wire.NodeID) (active bool) {
-	t.Helper()
-	replica(t, c, id).Inspect(func(r *core.Replica) { active = r.IsActiveLeader() })
-	return
-}
-
-// TestServedReadsLeaveNoHeldConfirms: on three replicas every read is
-// served by the leader's own vote plus the first confirm, so the second
-// confirm arrives for a read that no longer exists and is held as if it
-// had outrun its request. Those must age out with the sweep, not sit in
-// the buffer — and count against its cap — for the rest of the term.
-func TestServedReadsLeaveNoHeldConfirms(t *testing.T) {
-	c, cli := newKVCluster(t)
-	if _, err := cli.Write(service.KVPut("k", []byte("v"))); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := cli.Read(service.KVGet("k")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lead, _ := c.Leader()
-	// Two sweep periods (40 ms each here) retire any held confirm.
-	waitFor(t, "the leader's late confirms to age out", func() bool {
-		pending, held := readState(t, c, lead)
-		return pending == 0 && held == 0
-	})
-}
-
-// TestAbandonedLeaderReadExpires: a read that reached only the leader —
-// so no backup ever confirms it — from a client that never retries must
-// not live in the pending table until the next step-down. The sweep
-// expires it after ElectionTimeout and tells the client to retry.
-func TestAbandonedLeaderReadExpires(t *testing.T) {
-	c, _ := newKVCluster(t)
-	lead, _ := c.Leader()
-	rc := newRawClient(t, c, 910)
-	rc.send(rc.request(1, wire.KindRead, service.KVGet("k")), lead)
-	rep, ok := rc.await(1, 5*time.Second)
-	if !ok {
-		pending, _ := readState(t, c, lead)
-		t.Fatalf("no reply to a read whose quorum cannot complete (%d still pending)", pending)
-	}
-	if rep.Status != wire.StatusNotLeader {
-		t.Fatalf("reply status %v, want NotLeader", rep.Status)
-	}
-	if pending, _ := readState(t, c, lead); pending != 0 {
-		t.Fatalf("%d reads still pending after expiry", pending)
-	}
-	if !isActiveLeader(t, c, lead) {
-		t.Fatal("the leader stepped down: the read was answered by demotion, not by the sweep")
-	}
-}
-
-// waitFor polls cond (every millisecond, for up to five seconds).
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
-}
-
-// waitRegistered waits until replica id is serving exactly one read.
-func waitRegistered(t *testing.T, c *cluster.Cluster, id wire.NodeID) {
-	t.Helper()
-	waitFor(t, "the read to register", func() bool {
-		pending, _ := readState(t, c, id)
-		return pending == 1
-	})
-}
-
-// seamCluster is a KV cluster holding one acknowledged overwrite, so
-// that a stale answer is distinguishable from the right one.
-func seamCluster(t *testing.T, opts core.Options) *cluster.Cluster {
-	t.Helper()
-	opts.HeartbeatInterval = 50 * time.Millisecond
-	c := newCluster(t, cluster.Config{Service: service.KVFactory, Options: opts})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	for _, v := range []string{"stale", "fresh"} {
-		if _, err := cli.Write(service.KVPut("k", []byte(v))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return c
-}
-
-// nearReadAcrossElection produces the schedule behind seams (a) and (b):
-// a read stamped Near = X reaches X alone while X is a backup — so it
-// registers with only X's own vote — and X then wins leadership and
-// activates with the read still pending. The leader is crashed and X is
-// the survivor Ω will entitle; the read is sent most of the way into the
-// detection window, because detection and read expiry both take one
-// ElectionTimeout and the read must outlive the election comfortably.
-func nearReadAcrossElection(t *testing.T, seq uint64) (*cluster.Cluster, *rawClient, wire.NodeID) {
-	t.Helper()
-	const electionTimeout = time.Second
-	c := seamCluster(t, core.Options{ElectionTimeout: electionTimeout})
-	rc := newRawClient(t, c, 911)
-	old, _ := c.Leader()
-	x := others(c, old)[0] // lowest surviving ID: the one Ω entitles
-	c.Crash(old)
-	time.Sleep(electionTimeout * 6 / 10)
-
-	req := rc.request(seq, wire.KindRead, service.KVGet("k"))
-	req.Near, req.NearSet = x, true
-	rc.send(req, x)
-	waitRegistered(t, c, x)
-	if isActiveLeader(t, c, x) {
-		t.Fatal("X already leads: the read did not register at a backup")
-	}
-	waitFor(t, "X to win leadership", func() bool { return isActiveLeader(t, c, x) })
-	if pending, _ := readState(t, c, x); pending != 1 {
-		t.Fatal("the near read did not survive its server's election")
-	}
-	return c, rc, x
+	return req
 }
 
 func wantValue(t *testing.T, rep wire.Reply, want string) {
@@ -201,29 +52,124 @@ func wantValue(t *testing.T, rep wire.Reply, want string) {
 	}
 }
 
+// TestServedReadsLeaveNoHeldConfirms: on three replicas every read is
+// served on the leader's own vote plus the first confirm, so the second
+// confirm arrives for a read that no longer exists and is held as if it
+// had outrun its request. Those age out with the sweep — two sweep
+// periods of one ElectionTimeout each — instead of sitting in the buffer,
+// and counting against its cap, for the rest of the term.
+func TestServedReadsLeaveNoHeldConfirms(t *testing.T) {
+	s, c := kvSim(t, 91)
+	c.must(wire.KindWrite, service.KVPut("k", []byte("v")))
+	for i := 0; i < 50; i++ {
+		c.get("k")
+	}
+	lead, _ := s.leader()
+	r := s.nodes[lead].r
+	if len(r.confirmBuf) == 0 {
+		t.Fatal("no late confirm was held: the schedule tests nothing")
+	}
+	s.runFor(3 * r.cfg.ElectionTimeout)
+	if len(r.reads) != 0 || len(r.confirmBuf) != 0 {
+		t.Fatalf("%d reads pending, %d keys of confirms held three election timeouts on", len(r.reads), len(r.confirmBuf))
+	}
+}
+
+// TestAbandonedLeaderReadExpires: a read that reached only the leader —
+// so no backup ever confirms it — from a client that never retries must
+// not live in the pending table until the next step-down. The sweep
+// expires it one ElectionTimeout after it registered and tells the
+// client to retry, with the leader still active.
+func TestAbandonedLeaderReadExpires(t *testing.T) {
+	s, _ := kvSim(t, 92)
+	lead, _ := s.leader()
+	r := s.nodes[lead].r
+	rr := s.rawReader()
+	rr.sendTo(rr.read(1, service.KVGet("k"), nil), lead)
+	if !s.runUntil(time.Second, func() bool { return len(r.reads) == 1 }) {
+		t.Fatal("the read never registered")
+	}
+	registered := s.now
+	if !s.runUntil(time.Second, func() bool { return len(rr.got) > 0 }) {
+		t.Fatalf("no reply to a read whose quorum cannot complete (%d still pending)", len(r.reads))
+	}
+	if rep := rr.got[0]; rep.Status != wire.StatusNotLeader || rep.Err != "read expired" {
+		t.Fatalf("reply %+v, want NotLeader (read expired)", rep)
+	}
+	if waited := s.now.Sub(registered); waited < r.cfg.ElectionTimeout || waited > r.cfg.ElectionTimeout+r.cfg.HeartbeatInterval+time.Millisecond {
+		t.Fatalf("the read expired %v after registering, want one ElectionTimeout (%v) plus at most a tick and the link", waited, r.cfg.ElectionTimeout)
+	}
+	if len(r.reads) != 0 || !r.IsActiveLeader() {
+		t.Fatalf("%d reads pending, leader active %v: the read was not answered by the sweep", len(r.reads), r.IsActiveLeader())
+	}
+}
+
+// seamSim is a KV cluster with 50 ms heartbeats holding one acknowledged
+// overwrite, so that a stale answer is distinguishable from the right
+// one.
+func seamSim(t *testing.T, seed int64, opts Options) *sim {
+	t.Helper()
+	opts.HeartbeatInterval = 50 * time.Millisecond
+	s := newSim(t, simConfig{seed: seed, opts: opts})
+	s.awaitLeader(time.Second)
+	c := s.newClient()
+	for _, v := range []string{"stale", "fresh"} {
+		c.must(wire.KindWrite, service.KVPut("k", []byte(v)))
+	}
+	return s
+}
+
+// nearReadAcrossElection produces the schedule behind seams (a) and (b):
+// a read stamped Near = X reaches X alone while X is a backup — so it
+// registers with only X's own vote — and X then wins leadership and
+// activates with the read still pending. The leader is crashed and X is
+// the survivor Ω entitles; the read is sent six tenths into the
+// detection window, because detection and read expiry both take one
+// ElectionTimeout and the read must outlive the election.
+func nearReadAcrossElection(t *testing.T) (s *sim, rr *rawReader, read wire.Request, x wire.NodeID) {
+	t.Helper()
+	const electionTimeout = time.Second
+	s = seamSim(t, 93, Options{ElectionTimeout: electionTimeout})
+	rr = s.rawReader()
+	old, _ := s.leader()
+	x = s.others(old)[0] // the lowest survivor: the one Ω entitles
+	s.crash(old)
+	s.runFor(electionTimeout * 6 / 10)
+
+	read = rr.read(1, service.KVGet("k"), &x)
+	rr.sendTo(read, x)
+	xr := s.nodes[x].r
+	if !s.runUntil(time.Second, func() bool { return len(xr.reads) == 1 }) {
+		t.Fatal("the near read never registered")
+	}
+	if xr.IsActiveLeader() {
+		t.Fatal("X already leads: the read did not register at a backup")
+	}
+	if !s.runUntil(2*electionTimeout, xr.IsActiveLeader) {
+		t.Fatal("X never won leadership")
+	}
+	if len(xr.reads) != 1 || len(rr.got) != 0 {
+		t.Fatalf("the near read did not survive its server's election (%d pending, replies %+v)", len(xr.reads), rr.got)
+	}
+	return s, rr, read, x
+}
+
 // TestNearReadSurvivesServerWinningLeadership is seam (a): the read
 // registers with a backup's horizon and completes on evidence only a
-// leader may count. It must be served exactly once, with the
-// acknowledged value.
+// leader may count. It is served exactly once, with the acknowledged
+// value.
 func TestNearReadSurvivesServerWinningLeadership(t *testing.T) {
-	const seq = 1
-	c, rc, x := nearReadAcrossElection(t, seq)
-
+	s, rr, read, x := nearReadAcrossElection(t)
 	// The rest of the client's broadcast arrives: the surviving backup
 	// vouches to X, now the active leader of the ballot it promised.
-	req := rc.request(seq, wire.KindRead, service.KVGet("k"))
-	req.Near, req.NearSet = x, true
-	rc.send(req, others(c, x)...)
-	rep, ok := rc.await(seq, 5*time.Second)
-	if !ok {
-		t.Fatal("near read never answered after its server won leadership")
+	rr.sendTo(read, s.others(x)...)
+	s.runFor(time.Second)
+	if len(rr.got) != 1 {
+		t.Fatalf("near read answered %d times after its server won leadership: %+v", len(rr.got), rr.got)
 	}
-	wantValue(t, rep, "fresh")
-	if rep.Leader != x {
-		t.Fatalf("read answered by %d, want its near replica %d", rep.Leader, x)
-	}
-	if dup, ok := rc.await(seq, 100*time.Millisecond); ok {
-		t.Fatalf("read answered twice; second reply %+v", dup)
+	wantValue(t, rr.got[0], "fresh")
+	if rr.got[0].Leader != x {
+		t.Fatalf("read answered by %d, want its near replica %d", rr.got[0].Leader, x)
 	}
 }
 
@@ -231,126 +177,109 @@ func TestNearReadSurvivesServerWinningLeadership(t *testing.T) {
 // every pending read, near ones included, and the client's unstamped
 // rebroadcast then succeeds on the leader path.
 func TestNearReadAnsweredNotLeaderOnDemotion(t *testing.T) {
-	const seq = 1
-	c, rc, x := nearReadAcrossElection(t, seq)
-
+	s, rr, read, x := nearReadAcrossElection(t)
 	// A candidate's prepare at a higher ballot deposes X.
-	var bal wire.Ballot
-	replica(t, c, x).Inspect(func(r *core.Replica) { bal = r.Ballot() })
-	rc.ep.Send(&wire.Envelope{To: x, Msg: &wire.Prepare{Bal: wire.Ballot{Round: bal.Round + 1, Node: others(c, x)[0]}}})
-	rep, ok := rc.await(seq, 5*time.Second)
-	if !ok {
-		t.Fatal("pending near read got no answer when its server was demoted")
+	bal := s.nodes[x].r.Ballot()
+	s.inject(rr.id, x, &wire.Prepare{Bal: wire.Ballot{Round: bal.Round + 1, Node: s.others(x)[0]}})
+	if !s.runUntil(time.Second, func() bool { return len(rr.got) > 0 }) {
+		t.Fatal("the pending near read got no answer when its server was demoted")
 	}
-	if rep.Status != wire.StatusNotLeader || rep.Leader != x || rep.Err != "leader switch" {
+	if rep := rr.got[0]; rep.Status != wire.StatusNotLeader || rep.Leader != x || rep.Err != "leader switch" {
 		t.Fatalf("reply %+v, want NotLeader (leader switch) from %d", rep, x)
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		rc.send(rc.request(seq, wire.KindRead, service.KVGet("k")), c.IDs()...)
-		if rep, ok := rc.await(seq, 200*time.Millisecond); ok && rep.Status == wire.StatusOK {
-			wantValue(t, rep, "fresh")
+	read.Near, read.NearSet = 0, false
+	for try := 0; ; try++ {
+		rr.got = nil
+		rr.sendTo(read, s.peers()...)
+		s.runFor(200 * time.Millisecond)
+		if len(rr.got) > 0 && rr.got[0].Status == wire.StatusOK {
+			wantValue(t, rr.got[0], "fresh")
 			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("rebroadcast of the demoted near read never succeeded on the leader path")
+		if try == 50 {
+			t.Fatal("the rebroadcast of the demoted near read never succeeded on the leader path")
 		}
 	}
 }
 
 // TestNearReadAtLeaderHeldUntilExecTopCommits is seam (d): a near read
-// whose gates clear at an active leader while a wave launched after it
-// is still in flight executes against that wave's speculative state, so
-// its reply must wait for the wave to commit.
+// whose gates clear at an active leader while a wave launched after it is
+// still in flight executes against that wave's speculative state, so its
+// reply waits for the wave to commit.
 func TestNearReadAtLeaderHeldUntilExecTopCommits(t *testing.T) {
-	c := seamCluster(t, core.Options{RetryTimeout: 50 * time.Millisecond})
-	lead, _ := c.Leader()
-	rep := replica(t, c, lead)
-	rc := newRawClient(t, c, 913)
-
-	read := rc.request(1, wire.KindRead, service.KVGet("k"))
-	read.Near, read.NearSet = lead, true
-	rc.send(read, lead) // registers with the leader's own vote only
-	waitRegistered(t, c, lead)
+	s := seamSim(t, 94, Options{RetryTimeout: 50 * time.Millisecond})
+	lead, _ := s.leader()
+	r := s.nodes[lead].r
+	rr := s.rawReader()
+	read := rr.read(1, service.KVGet("k"), &lead)
+	rr.sendTo(read, lead) // registers with the leader's own vote only
+	if !s.runUntil(time.Second, func() bool { return len(r.reads) == 1 }) {
+		t.Fatal("the read never registered")
+	}
 
 	// A write the leader executes and proposes but cannot commit.
-	backups := others(c, lead)
+	backups := s.others(lead)
 	for _, b := range backups {
-		c.Net.Model().Cut(lead, b)
+		s.model.Cut(lead, b)
 	}
-	rc.send(rc.request(2, wire.KindWrite, service.KVPut("k", []byte("speculative"))), lead)
-	waitFor(t, "the wave to launch", func() bool { return rep.Metrics().Value("gridrep_waves_in_flight") > 0 })
+	rr.sendTo(wire.Request{Client: rr.id, Seq: 2, Kind: wire.KindWrite, Op: service.KVPut("k", []byte("speculative"))}, lead)
+	if !s.runUntil(time.Second, func() bool { return len(r.waves) > 0 }) {
+		t.Fatal("the wave never launched")
+	}
 
 	// The backup's confirm, as it would have arrived: quorum complete,
 	// barrier long committed — only the execution point is not.
-	var bal wire.Ballot
-	var before uint64
-	rep.Inspect(func(r *core.Replica) { bal, before = r.Ballot(), r.Chosen() })
-	rc.ep.Send(&wire.Envelope{To: lead, Msg: &wire.Confirm{Bal: bal, From: backups[0], Reads: []wire.Key{read.Key()}}})
-	if early, ok := rc.await(1, 60*time.Millisecond); ok {
-		t.Fatalf("read answered (%+v) while the wave it executed against was uncommitted", early)
+	before := r.Chosen()
+	s.inject(rr.id, lead, &wire.Confirm{Bal: r.Ballot(), From: backups[0], Reads: []wire.Key{read.Key()}})
+	s.runFor(100 * time.Millisecond)
+	if len(rr.got) != 0 {
+		t.Fatalf("read answered (%+v) while the wave it executed against was uncommitted", rr.got)
 	}
 
 	for _, b := range backups {
-		c.Net.Model().Heal(lead, b)
+		s.model.Heal(lead, b)
 	}
-	got, ok := rc.await(1, 5*time.Second)
-	if !ok {
-		t.Fatal("held read never released after its execution point committed")
+	var rep *wire.Reply
+	if !s.runUntil(time.Second, func() bool { rep = rr.answer(read.Seq); return rep != nil }) {
+		t.Fatal("the held read was never released after its execution point committed")
 	}
-	wantValue(t, got, "speculative")
-	var after uint64
-	rep.Inspect(func(r *core.Replica) { after = r.Chosen() })
-	if after <= before {
+	wantValue(t, *rep, "speculative")
+	if after := r.Chosen(); after <= before {
 		t.Fatalf("read released at commit index %d, not past %d where it executed", after, before)
 	}
 }
 
 // TestReadHeldWhileExclusiveTxnOpen: a serialized service executes a
 // transaction's operations directly against its live state, so a read
-// whose quorum completes while such a transaction is open must wait for
-// it to finish — even one that registered before the transaction began
+// whose quorum completes while such a transaction is open waits for it
+// to finish — even one that registered before the transaction began
 // (reads arriving later are parked at registration). Answering from the
 // live state would expose effects that an abort then erases.
 func TestReadHeldWhileExclusiveTxnOpen(t *testing.T) {
-	seed := int64(300)
-	c := newCluster(t, cluster.Config{
-		Service: func() service.Service { seed++; return service.NewBroker(seed) },
-		Options: core.Options{HeartbeatInterval: 50 * time.Millisecond},
-	})
-	cli, err := c.NewClient()
-	if err != nil {
-		t.Fatal(err)
+	s := newSim(t, simConfig{seed: 95, service: brokers(301), opts: Options{HeartbeatInterval: 50 * time.Millisecond}})
+	lead := s.awaitLeader(time.Second)
+	r := s.nodes[lead].r
+	c := s.newClient()
+	c.must(wire.KindWrite, service.BrokerRegister("n1", 10))
+	rr := s.rawReader()
+	read := rr.read(1, service.BrokerList(), nil)
+	rr.sendTo(read, lead) // registers with the leader's own vote only
+	if !s.runUntil(time.Second, func() bool { return len(r.reads) == 1 }) {
+		t.Fatal("the read never registered")
 	}
-	defer cli.Close()
-	if _, err := cli.Write(service.BrokerRegister("n1", 10)); err != nil {
-		t.Fatal(err)
-	}
-	lead, _ := c.Leader()
-	rc := newRawClient(t, c, 914)
-	read := rc.request(1, wire.KindRead, service.BrokerList())
-	rc.send(read, lead) // registers with the leader's own vote only
-	waitRegistered(t, c, lead)
 
-	tx := cli.Begin()
-	if _, err := tx.Do(service.BrokerRequest(3)); err != nil {
-		t.Fatal(err)
+	tx := c.begin()
+	mustOK(t, "txn op", tx.do(service.BrokerRequest(3)))
+	s.inject(rr.id, lead, &wire.Confirm{Bal: r.Ballot(), From: s.others(lead)[0], Reads: []wire.Key{read.Key()}})
+	s.runFor(100 * time.Millisecond)
+	if len(rr.got) != 0 {
+		t.Fatalf("read answered %q while an exclusive transaction held uncommitted state", rr.got[0].Result)
 	}
-	var bal wire.Ballot
-	replica(t, c, lead).Inspect(func(r *core.Replica) { bal = r.Ballot() })
-	rc.ep.Send(&wire.Envelope{To: lead, Msg: &wire.Confirm{Bal: bal, From: others(c, lead)[0], Reads: []wire.Key{read.Key()}}})
-	if dirty, ok := rc.await(1, 60*time.Millisecond); ok {
-		t.Fatalf("read answered %q while an exclusive transaction held uncommitted state", dirty.Result)
+	mustOK(t, "abort", tx.abort())
+	if !s.runUntil(time.Second, func() bool { return len(rr.got) > 0 }) {
+		t.Fatal("the held read was never released after the transaction finished")
 	}
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	rep, ok := rc.await(1, 5*time.Second)
-	if !ok {
-		t.Fatal("held read never released after the transaction finished")
-	}
-	if rep.Status != wire.StatusOK || string(rep.Result) != "n1 0/10\n" {
+	if rep := rr.got[0]; rep.Status != wire.StatusOK || string(rep.Result) != "n1 0/10\n" {
 		t.Fatalf("read returned %v %q, want the state the abort restored", rep.Status, rep.Result)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
+	"log"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,6 +103,9 @@ type simConfig struct {
 	// noDisk makes every flush complete the instant it is due, as on the
 	// paper's testbed, which kept no state on disk.
 	noDisk bool
+	// log, when set, receives every replica's role transitions and
+	// anomalies.
+	log *log.Logger
 	// cost, when set, is the replica service-time model: each delivered
 	// envelope keeps its replica busy for cost(r, env); inputs that
 	// arrive meanwhile wait and then run as one burst, and a burst's
@@ -285,6 +290,7 @@ func (s *sim) boot(n *simNode) {
 		Store:     n.store,
 		Transport: simEndpoint{s, n.id},
 		Options:   s.cfg.opts,
+		Logger:    s.cfg.log,
 	})
 	if err != nil {
 		s.t.Fatalf("replica %d: %v", n.id, err)
@@ -508,8 +514,10 @@ func (s *sim) handle(ev *simEvent) {
 	if err != nil {
 		s.t.Fatalf("decode: %v", err)
 	}
-	if c := s.clients[ev.to]; c != nil {
-		c.receive(env)
+	if ev.to.IsClient() {
+		if c := s.clients[ev.to]; c != nil {
+			c.receive(env)
+		}
 		return
 	}
 	n := s.nodes[ev.to]
@@ -632,11 +640,22 @@ type simClient struct {
 	req  wire.Request
 	busy bool
 	done func(wire.Reply)
+	txns uint64
+	// raw, when set, sees every reply this client receives instead:
+	// scripted schedules use it to watch NotLeader answers and
+	// duplicates.
+	raw func(wire.Reply)
 }
 
 func (s *sim) newClient() *simClient {
-	c := &simClient{s: s, id: wire.ClientIDBase + wire.NodeID(len(s.clients))}
-	s.clients[c.id] = c
+	return s.clientAs(wire.ClientIDBase + wire.NodeID(len(s.clients)))
+}
+
+// clientAs is a client with a chosen ID: a schedule that retransmits a
+// request some earlier client sent.
+func (s *sim) clientAs(id wire.NodeID) *simClient {
+	c := &simClient{s: s, id: id}
+	s.clients[id] = c
 	return c
 }
 
@@ -669,6 +688,10 @@ func (c *simClient) sendTo(req wire.Request, to ...wire.NodeID) {
 
 func (c *simClient) receive(env *wire.Envelope) {
 	rm, ok := env.Msg.(*wire.ReplyMsg)
+	if ok && c.raw != nil {
+		c.raw(rm.Rep)
+		return
+	}
 	if !ok || !c.busy || rm.Rep.Seq != c.seq || rm.Rep.Status == wire.StatusNotLeader {
 		return
 	}
@@ -686,4 +709,121 @@ func (c *simClient) call(req wire.Request, limit time.Duration) wire.Reply {
 		c.s.t.Fatalf("client %d: no reply to %v within %v", c.id, req.Kind, limit)
 	}
 	return rep
+}
+
+// again re-sends the client's last request, Seq unchanged, as a client
+// whose reply was lost does, and runs until it is answered.
+func (c *simClient) again(limit time.Duration) wire.Reply {
+	c.s.t.Helper()
+	var rep wire.Reply
+	got := false
+	c.busy, c.done = true, func(r wire.Reply) { rep, got = r, true }
+	c.sendTo(c.req, c.s.peers()...)
+	c.retryLater(c.seq)
+	if !c.s.runUntil(limit, func() bool { return got }) {
+		c.s.t.Fatalf("client %d: no reply to the retransmitted %v within %v", c.id, c.req.Kind, limit)
+	}
+	return rep
+}
+
+// opLimit bounds one operation in virtual time: room for a failover on
+// any profile.
+const opLimit = 10 * time.Second
+
+// must runs one operation and requires it answered OK.
+func (c *simClient) must(kind wire.RequestKind, op []byte) []byte {
+	c.s.t.Helper()
+	rep := c.call(wire.Request{Kind: kind, Op: op}, opLimit)
+	if rep.Status != wire.StatusOK {
+		c.s.t.Fatalf("client %d: %v: %v %s", c.id, kind, rep.Status, rep.Err)
+	}
+	return rep.Result
+}
+
+// get reads one KV key.
+func (c *simClient) get(key string) (string, bool) {
+	c.s.t.Helper()
+	v, ok := service.KVReply(c.must(wire.KindRead, service.KVGet(key)))
+	return string(v), ok
+}
+
+// counter reads one KV counter.
+func (c *simClient) counter(key string) int64 {
+	c.s.t.Helper()
+	n, _ := service.KVInt(c.must(wire.KindRead, service.KVGet(key)))
+	return n
+}
+
+// simTxn is one T-Paxos transaction at wire level, numbered as
+// client.Txn numbers it: ops carry TxnSeq 0, 1, ..., and the commit or
+// abort the count of ops answered OK.
+type simTxn struct {
+	c   *simClient
+	id  uint64
+	ops uint32
+}
+
+func (c *simClient) begin() *simTxn {
+	c.txns++
+	return &simTxn{c: c, id: c.txns}
+}
+
+func (tx *simTxn) send(kind wire.RequestKind, op []byte) wire.Reply {
+	tx.c.s.t.Helper()
+	rep := tx.c.call(wire.Request{Kind: kind, Txn: tx.id, TxnSeq: tx.ops, Op: op}, opLimit)
+	if kind == wire.KindTxnOp && rep.Status == wire.StatusOK {
+		tx.ops++
+	}
+	return rep
+}
+
+func (tx *simTxn) do(op []byte) wire.Reply { tx.c.s.t.Helper(); return tx.send(wire.KindTxnOp, op) }
+func (tx *simTxn) commit() wire.Reply      { tx.c.s.t.Helper(); return tx.send(wire.KindTxnCommit, nil) }
+func (tx *simTxn) abort() wire.Reply       { tx.c.s.t.Helper(); return tx.send(wire.KindTxnAbort, nil) }
+
+// inject delivers a hand-built message from any sender, as a forger or
+// a confused peer would send it.
+func (s *sim) inject(from, to wire.NodeID, msg wire.Message) {
+	s.send(from, &wire.Envelope{From: from, To: to, Msg: msg})
+	s.flushOut()
+}
+
+// reseed reboots replica id from mem, as if that were what its disk held.
+func (s *sim) reseed(id wire.NodeID, mem *storage.Mem) {
+	s.crash(id)
+	s.nodes[id].store = &simStore{durable: mem}
+	s.restart(id)
+}
+
+// others lists every replica but id.
+func (s *sim) others(id wire.NodeID) []wire.NodeID {
+	var out []wire.NodeID
+	for _, p := range s.peers() {
+		if p != id {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// mustConverge lets the cluster run quiet for a second of virtual time —
+// every commit and catch-up lands well within it — and then requires it
+// converged: every replica up, fully applied, byte-equal.
+func (s *sim) mustConverge() {
+	s.t.Helper()
+	s.runFor(time.Second)
+	if !s.converged() {
+		var at []string
+		for _, n := range s.nodes {
+			if n.r == nil {
+				at = append(at, fmt.Sprintf("%d: down", n.id))
+				continue
+			}
+			at = append(at, fmt.Sprintf("%d: chosen=%d applied=%d", n.id, n.r.Chosen(), n.r.Applied()))
+		}
+		s.t.Fatalf("the replicas did not converge (%s)", strings.Join(at, ", "))
+	}
+	if len(s.violations) > 0 {
+		s.t.Fatal(strings.Join(s.violations, "\n"))
+	}
 }

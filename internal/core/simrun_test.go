@@ -198,6 +198,9 @@ func TestSimRecordReplay(t *testing.T) {
 	for _, r := range reps {
 		r.Stop()
 	}
+	if reps[0].Inspect(func(*Replica) {}) {
+		t.Fatal("a stopped replica ran an inspection")
+	}
 	for i, live := range reps {
 		again, err := New(config(peers[i], &sendRecorder{}))
 		if err != nil {
@@ -609,10 +612,10 @@ func TestManySequentialLeaderSwitches(t *testing.T) {
 	}
 }
 
-// TestSimChurn ports TestSoakExactlyOnceUnderChurn's fault mix to the
-// simulator: four clients increment one counter while a seeded plan
-// switches leaders, crashes replicas (losing unflushed records),
-// restarts them from their stores, and drops client traffic in bursts.
+// TestSimChurn is the churn soak: four clients increment one counter
+// while a seeded plan switches leaders, crashes replicas (losing
+// unflushed records), restarts them from their stores, and drops client
+// traffic in bursts.
 // Every seed must keep the exactly-once bracket, converge byte-equal, and
 // have an active leader within ten election timeouts of its last fault.
 func TestSimChurn(t *testing.T) {

@@ -50,8 +50,7 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParseSyncPolicy parses the -sync flag values used by replicad and
-// benchpaxos.
+// ParseSyncPolicy parses the values of replicad's -sync flag.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
