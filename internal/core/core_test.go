@@ -212,6 +212,26 @@ func TestLeaderFailover(t *testing.T) {
 	}
 }
 
+// TestForcedLeaderSwitch is a §3.6 leader switch forced by suspicion,
+// not by a crash: leadership moves within an election timeout, the
+// committed state survives, and writes go on.
+func TestForcedLeaderSwitch(t *testing.T) {
+	s, c := kvSim(t, 16)
+	c.must(wire.KindWrite, service.KVPut("k", []byte("v1")))
+	old, _ := s.leader()
+	s.suspect(old)
+	if !s.runUntil(s.nodes[old].r.cfg.ElectionTimeout, func() bool { l, ok := s.leader(); return ok && l != old }) {
+		t.Fatalf("leadership did not move from %d after suspicion", old)
+	}
+	if v, _ := c.get("k"); v != "v1" {
+		t.Fatalf("read = %q after the forced switch, want v1", v)
+	}
+	c.must(wire.KindWrite, service.KVPut("k", []byte("v2")))
+	if v, _ := c.get("k"); v != "v2" {
+		t.Fatalf("read = %q, want v2", v)
+	}
+}
+
 func TestFailoverPreservesCommittedState(t *testing.T) {
 	s, c := kvSim(t, 10)
 	for i := 0; i < 10; i++ {

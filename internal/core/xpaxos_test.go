@@ -114,6 +114,28 @@ func TestReadsWaitForInFlightWrites(t *testing.T) {
 	readLinearizability(t, s)
 }
 
+// TestXPaxosLatencyAlgebra verifies the §3.4 latency claims on the WAN
+// profile, where they are starkest: original = 2M, read = 2M + max(E, m)
+// and write = 2M + E + 2m, every sample to the nanosecond, so a read
+// costs about an original and a write the backup round trip 2m more.
+func TestXPaxosLatencyAlgebra(t *testing.T) {
+	r := measureRRT(t, "wan", netem.WAN(0), 3)
+	if ok, detail := rrtExact(r); !ok {
+		t.Fatalf("WAN response times differ from the §3.4 model: %s", detail)
+	}
+	orig, read, write := r.lo[0], r.lo[1], r.lo[2]
+	t.Logf("WAN RRT: original=%v read=%v write=%v (paper: 70.8 / 75.5 / 106.7 ms)", orig, read, write)
+	if write < orig+25*time.Millisecond {
+		t.Errorf("write (%v) should exceed original (%v) by ≈2m=35ms", write, orig)
+	}
+	if read > orig+15*time.Millisecond {
+		t.Errorf("read (%v) should be within a few ms of original (%v)", read, orig)
+	}
+	if read >= write {
+		t.Errorf("X-Paxos read (%v) must beat the basic protocol write (%v)", read, write)
+	}
+}
+
 // TestConfirmBufferedBeforeRead: on the WAN profile a client is nearer
 // the backups than the leader, so backup confirms reach the leader before
 // the client's own request. The leader holds them, and the reads
