@@ -228,17 +228,19 @@ bench-overload-quick:
 wan-race:
 	GOMAXPROCS=4 $(GO) test -race -count 1 $(WAN_RACE)
 
-# Hot-path microbenchmarks: wire codec, both transports, and the WAL
-# write path (per-record vs group commit), with allocs.
+# Hot-path microbenchmarks: wire codec, both transports, the WAL write
+# path (per-record vs group commit), and the KV store (put, put after a
+# read-view pin, get through a view, snapshot), with allocs.
+BENCH_PKGS = ./internal/wire ./internal/transport ./internal/storage ./internal/service
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem -count 1 ./internal/wire ./internal/transport ./internal/storage
+	$(GO) test -run '^$$' -bench . -benchmem -count 1 $(BENCH_PKGS)
 
 # Compare current microbenchmarks against the checked-in baseline.
 # Fails when allocs/op regresses beyond 10%; run
 #   make microbench > bench_baseline.txt
 # to re-baseline after an intentional change.
 benchstat:
-	$(GO) test -run '^$$' -bench . -benchmem -count 1 ./internal/wire ./internal/transport ./internal/storage > /tmp/bench_current.txt || (cat /tmp/bench_current.txt; exit 1)
+	$(GO) test -run '^$$' -bench . -benchmem -count 1 $(BENCH_PKGS) > /tmp/bench_current.txt || (cat /tmp/bench_current.txt; exit 1)
 	$(GO) run ./cmd/benchdiff bench_baseline.txt /tmp/bench_current.txt
 
 clean:

@@ -3,7 +3,8 @@ package service
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"gridrep/internal/wire"
 )
@@ -15,25 +16,73 @@ import (
 //
 // Operation payloads are built with KVPut/KVGet/KVDelete/KVAdd and
 // replies parsed with KVReply.
+//
+// The state is split into kvBuckets maps by a hash of the key, each
+// copied on write on its own (DESIGN.md §14): a write after a read view
+// was pinned copies the one bucket it touches, not the whole store.
 type KV struct {
-	data  map[string][]byte
-	locks map[string]uint64 // key -> owning transaction
-	open  map[uint64]*kvWS
-	// shared marks data as pinned by at least one concurrent ReadView:
-	// the next mutation must copy the map first (copy-on-write) so view
-	// holders keep reading the pinned state race-free. Values are never
-	// mutated in place (every put stores a fresh slice), so sharing the
-	// value slices between generations is safe.
-	shared bool
+	buckets [kvBuckets]map[string][]byte // nil until a key lands there
+	// pinned has bit b set while a view may hold buckets[b]: the next
+	// write to that bucket copies it first, so view holders keep reading
+	// the pinned state race-free. Values are never mutated in place
+	// (every put stores a fresh slice), so sharing the value slices
+	// between generations is safe.
+	pinned [kvBuckets / 64]uint64
+	view   *kvView           // the current generation's view; nil once written
+	locks  map[string]uint64 // key -> owning transaction
+	open   map[uint64]*kvWS
+}
+
+// kvBuckets is the number of copy-on-write units: a pin copies
+// kvBuckets map pointers (2 KB), and a write after a pin copies about
+// 1/kvBuckets of the keys. It is a constant, not an option; no encoding
+// depends on it (DESIGN.md §14).
+const kvBuckets = 256
+
+// kvBucket returns key's bucket: the low byte of its FNV-1a hash.
+func kvBucket(key string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % kvBuckets)
 }
 
 // NewKV returns an empty store.
 func NewKV() *KV {
 	return &KV{
-		data:  make(map[string][]byte),
 		locks: make(map[string]uint64),
 		open:  make(map[uint64]*kvWS),
 	}
+}
+
+// get reads key from the live state.
+func (s *KV) get(key string) ([]byte, bool) {
+	v, ok := s.buckets[kvBucket(key)][key]
+	return v, ok
+}
+
+// put and del write the live state through writable.
+func (s *KV) put(key string, value []byte) { s.writable(key)[key] = value }
+func (s *KV) del(key string)               { delete(s.writable(key), key) }
+
+// writable returns key's bucket ready for a write, first copying it if a
+// view may hold it, and ends the cached view's generation. Only the
+// event loop calls it.
+func (s *KV) writable(key string) map[string][]byte {
+	b := kvBucket(key)
+	s.view = nil
+	m := s.buckets[b]
+	if bit := uint64(1) << (b % 64); m == nil || s.pinned[b/64]&bit != 0 {
+		c := make(map[string][]byte, len(m)+1)
+		for k, v := range m {
+			c[k] = v
+		}
+		s.buckets[b], m = c, c
+		s.pinned[b/64] &^= bit
+	}
+	return m
 }
 
 var (
@@ -124,7 +173,7 @@ func KVInt(res []byte) (int64, bool) {
 }
 
 func kvReply(value []byte, found bool) []byte {
-	enc := wire.NewEncoder(nil)
+	enc := wire.NewEncoder(make([]byte, 0, 1+uvarintLen(len(value))+len(value)))
 	enc.Bool(found)
 	enc.Bytes8(value)
 	return enc.Bytes()
@@ -180,41 +229,30 @@ func (s *KV) Execute(op []byte) ([]byte, error) {
 		// lock discipline applies to singleton operations too.
 		return nil, fmt.Errorf("%w: key %q locked by txn %d", ErrConflict, key, owner)
 	}
-	res := kvApply(code, key, value,
-		func(k string) ([]byte, bool) { v, ok := s.data[k]; return v, ok },
-		func(k string, v []byte) { s.mutableData()[k] = v },
-		func(k string) { delete(s.mutableData(), k) })
-	return res, nil
+	return kvApply(code, key, value, s.get, s.put, s.del), nil
 }
 
-// mutableData returns the data map, first cloning it if a concurrent
-// ReadView has it pinned. Amortized cost is one map copy per pinned
-// view generation; the single-goroutine mutation discipline is
-// unchanged (only the event loop calls this).
-func (s *KV) mutableData() map[string][]byte {
-	if s.shared {
-		clone := make(map[string][]byte, len(s.data))
-		for k, v := range s.data {
-			clone[k] = v
-		}
-		s.data = clone
-		s.shared = false
-	}
-	return s.data
-}
+// uvarintLen is the encoded size of v as a wire uvarint.
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
-// Snapshot implements Service with a deterministic (sorted) encoding.
+// Snapshot implements Service with a deterministic (sorted) encoding,
+// into one buffer sized before encoding.
 func (s *KV) Snapshot() []byte {
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
+	keys := make([]string, 0, s.Len())
+	size := 0
+	for _, m := range s.buckets {
+		for k, v := range m {
+			keys = append(keys, k)
+			size += uvarintLen(len(k)) + len(k) + uvarintLen(len(v)) + len(v)
+		}
 	}
-	sort.Strings(keys)
-	enc := wire.NewEncoder(nil)
+	slices.Sort(keys)
+	enc := wire.NewEncoder(make([]byte, 0, uvarintLen(len(keys))+size))
 	enc.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
+		v, _ := s.get(k)
 		enc.String(k)
-		enc.Bytes8(s.data[k])
+		enc.Bytes8(v)
 	}
 	return enc.Bytes()
 }
@@ -227,24 +265,34 @@ func (s *KV) Restore(snap []byte) error {
 	if dec.Err() != nil {
 		return dec.Err()
 	}
-	data := make(map[string][]byte, n)
-	for i := 0; i < n; i++ {
+	var buckets [kvBuckets]map[string][]byte
+	for i := 0; i < n && dec.Err() == nil; i++ {
 		k := dec.String()
 		v := dec.Bytes8()
-		data[k] = v
+		b := &buckets[kvBucket(k)]
+		if *b == nil {
+			*b = make(map[string][]byte, n/kvBuckets+1)
+		}
+		(*b)[k] = v
 	}
 	if err := dec.Done(); err != nil {
 		return err
 	}
-	s.data = data
-	s.shared = false // brand-new map; pinned views keep the old one
+	// Brand-new buckets: pinned views keep the old ones.
+	s.buckets, s.pinned, s.view = buckets, [kvBuckets / 64]uint64{}, nil
 	s.locks = make(map[string]uint64)
 	s.open = make(map[uint64]*kvWS)
 	return nil
 }
 
-// Len returns the number of keys (for tests).
-func (s *KV) Len() int { return len(s.data) }
+// Len returns the number of keys.
+func (s *KV) Len() int {
+	n := 0
+	for _, m := range s.buckets {
+		n += len(m)
+	}
+	return n
+}
 
 // Begin implements Transactional.
 func (s *KV) Begin(txn uint64) (Workspace, error) {
@@ -297,8 +345,7 @@ func (w *kvWS) Execute(op []byte) ([]byte, error) {
 			if v, ok := w.overlay[k]; ok {
 				return v, true
 			}
-			v, ok := w.s.data[k]
-			return v, ok
+			return w.s.get(k)
 		},
 		func(k string, v []byte) { w.overlay[k] = v; delete(w.deleted, k) },
 		func(k string) { delete(w.overlay, k); w.deleted[k] = true })
@@ -350,11 +397,13 @@ func (w *kvWS) finish() {
 }
 
 // KV implements ReadViewer by copy-on-write: ReadView pins the current
-// data map; the next mutation clones it (mutableData), so view holders
-// keep a stable, never-again-written map with zero per-read cost.
+// bucket array; the next write to a bucket copies that bucket
+// (writable), so view holders keep stable, never-again-written maps with
+// zero per-read cost.
 var _ ReadViewer = (*KV)(nil)
 
-// ReadView implements ReadViewer. Pinning is refused while any
+// ReadView implements ReadViewer. A generation's view is built once and
+// returned until the next write. Pinning is refused while any
 // transaction holds locks: an inline read of a locked key must return
 // ErrConflict (§3.5), and a frozen view cannot see the live lock table,
 // so the caller falls back to inline execution until the locks drain.
@@ -362,19 +411,24 @@ func (s *KV) ReadView() (ReadView, bool) {
 	if len(s.locks) > 0 {
 		return nil, false
 	}
-	s.shared = true
-	return kvView{data: s.data}, true
+	if s.view == nil {
+		s.view = &kvView{buckets: s.buckets}
+		for i := range s.pinned {
+			s.pinned[i] = ^uint64(0)
+		}
+	}
+	return s.view, true
 }
 
 // kvView is a pinned KV state generation. Safe for concurrent
-// ReadExecute calls: the map is never written after pinning.
+// ReadExecute calls: its buckets are never written after pinning.
 type kvView struct {
-	data map[string][]byte
+	buckets [kvBuckets]map[string][]byte
 }
 
 // ReadExecute implements ReadView: kvGet only — every other opcode
 // mutates and must be rejected, not silently applied to a frozen copy.
-func (v kvView) ReadExecute(op []byte) ([]byte, error) {
+func (v *kvView) ReadExecute(op []byte) ([]byte, error) {
 	code, key, _, err := kvParse(op)
 	if err != nil {
 		return nil, err
@@ -382,7 +436,7 @@ func (v kvView) ReadExecute(op []byte) ([]byte, error) {
 	if code != kvGet {
 		return nil, fmt.Errorf("%w: opcode %d on read-only view", ErrBadOp, code)
 	}
-	val, ok := v.data[key]
+	val, ok := v.buckets[kvBucket(key)][key]
 	return kvReply(val, ok), nil
 }
 
@@ -403,54 +457,60 @@ func (s *KV) ExecuteDelta(op []byte) (reply, delta []byte, err error) {
 	if owner, locked := s.locks[key]; locked {
 		return nil, nil, fmt.Errorf("%w: key %q locked by txn %d", ErrConflict, key, owner)
 	}
-	enc := wire.NewEncoder(nil)
-	var changes uint64
-	res := kvApply(code, key, value,
-		func(k string) ([]byte, bool) { v, ok := s.data[k]; return v, ok },
+	// An op changes at most one key, so the change count is one byte:
+	// reserved first, filled in last, in one buffer sized for the change.
+	n := max(len(value), 8) // an add stores 8 bytes
+	enc := wire.NewEncoder(make([]byte, 1, 2+uvarintLen(len(key))+len(key)+uvarintLen(n)+n))
+	var changes byte
+	res := kvApply(code, key, value, s.get,
 		func(k string, v []byte) {
-			s.mutableData()[k] = v
+			s.put(k, v)
 			enc.Bool(true) // put
 			enc.String(k)
 			enc.Bytes8(v)
 			changes++
 		},
 		func(k string) {
-			delete(s.mutableData(), k)
+			s.del(k)
 			enc.Bool(false) // delete
 			enc.String(k)
 			changes++
 		})
-	hdr := wire.NewEncoder(nil)
-	hdr.Uvarint(changes)
-	return res, append(hdr.Bytes(), enc.Bytes()...), nil
+	delta = enc.Bytes()
+	delta[0] = changes
+	return res, delta, nil
 }
 
-// ApplyDelta implements Differ.
+// kvChange is one decoded delta entry: a put of value, or a delete.
+type kvChange struct {
+	key   string
+	value []byte
+	put   bool
+}
+
+// ApplyDelta implements Differ. The whole delta is decoded and checked
+// before any entry is applied, so a refused delta changes nothing.
 func (s *KV) ApplyDelta(delta []byte) error {
 	dec := wire.NewDecoder(delta)
 	n := dec.SliceLen()
-	if dec.Err() != nil {
-		return dec.Err()
+	var small [4]kvChange // a write's delta has one entry
+	changes := small[:0]
+	for i := 0; i < n && dec.Err() == nil; i++ {
+		c := kvChange{put: dec.Bool(), key: dec.String()}
+		if c.put {
+			c.value = dec.Bytes8()
+		}
+		changes = append(changes, c)
 	}
-	data := s.data
-	if n > 0 {
-		data = s.mutableData()
+	if err := dec.Done(); err != nil {
+		return err
 	}
-	for i := 0; i < n; i++ {
-		if dec.Bool() {
-			k := dec.String()
-			v := dec.Bytes8()
-			if dec.Err() != nil {
-				return dec.Err()
-			}
-			data[k] = v
+	for _, c := range changes {
+		if c.put {
+			s.put(c.key, c.value)
 		} else {
-			k := dec.String()
-			if dec.Err() != nil {
-				return dec.Err()
-			}
-			delete(data, k)
+			s.del(c.key)
 		}
 	}
-	return dec.Done()
+	return nil
 }

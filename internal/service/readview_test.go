@@ -146,7 +146,7 @@ func TestKVReadViewConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestKVReadViewSurvivesRestore: Restore swaps the whole map in; a view
+// TestKVReadViewSurvivesRestore: Restore swaps in new buckets; a view
 // pinned beforehand must keep answering from the pre-restore state.
 func TestKVReadViewSurvivesRestore(t *testing.T) {
 	s := NewKV()
