@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites stats-sites inbox-sites coverage-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test paper bench-overload-quick microbench benchstat clean
+.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites read-sites stats-sites inbox-sites coverage-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test paper bench-overload-quick microbench benchstat clean
 
 # The race gates' test selections, each written once: `-run 'regex'`
 # then the packages it applies to. `make selectors` checks every
@@ -82,6 +82,23 @@ clock-sites:
 		grep -v -e /parallelread_test.go -e /simrun_test.go) || true); \
 	if [ -n "$$hits" ]; then echo "clock-sites: internal/core tests sleeping on the wall clock:"; echo "$$hits"; exit 1; fi; \
 	echo "clock-sites: no wall clock in internal/core outside driver.go, no sleep in its simulated tests"
+
+# One read rule (DESIGN.md §18): a read executes on the state at the
+# commit point, through a service.ReadView. Only a service without
+# ReadViewer has its reads run on the live state through Execute, at one
+# site (liveState.ReadExecute in reads.go). This fails listing every
+# svc.Execute( call in non-test internal/core unless there is exactly one
+# in each of the two write paths — executeWrite and onRequest's
+# unreplicated Original baseline — and in that read site.
+READ_SITES = ReadExecute executeWrite onRequest
+read-sites:
+	@sites=$$(awk '/^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) } \
+		/svc\.Execute\(/ { print FILENAME ":" FNR ": " fn }' $$(ls internal/core/*.go | grep -v _test.go)); \
+	got=$$(echo "$$sites" | awk '{ print $$2 }' | sort | tr '\n' ' '); \
+	want=$$(echo $(READ_SITES) | tr ' ' '\n' | sort | tr '\n' ' '); \
+	if [ "$$got" != "$$want" ]; then \
+		echo "read-sites: want one svc.Execute call in each of $(READ_SITES), found:"; echo "$$sites"; exit 1; fi; \
+	echo "read-sites: one live-state read site, $$(echo "$$sites" | grep ': ReadExecute$$')"
 
 # One counter surface (DESIGN.md §11): every counter is read by name
 # through the metrics registry. This fails when non-test Go outside

@@ -160,8 +160,12 @@ type wave struct {
 	recovery bool        // re-proposing learned entries after election
 	acked    bool        // quorum complete, waiting on predecessor waves
 	txns     []*txnState // transactions committing in this wave
-	sentAt   time.Time
-	firstAt  time.Time // admission time of the wave's oldest request
+	// view is the state before this wave executed, pinned while a read
+	// was registered: the state at the commit point once the wave is the
+	// oldest in flight (reads.go).
+	view    service.ReadView
+	sentAt  time.Time
+	firstAt time.Time // admission time of the wave's oldest request
 	// exec is the execution time (execLat) the launching step spent
 	// before the accept left; the quorum and commit phases start after it.
 	exec time.Duration
@@ -196,10 +200,9 @@ type Replica struct {
 	differ   service.TxnDiffer // non-nil in delta mode
 	replayer service.Replayer  // non-nil in replay mode
 
-	// Parallel read execution (readpool.go): viewer pins immutable
-	// state views, readPool runs gate-cleared reads off-loop. Start sets
-	// both, unless the service cannot pin views or the process has one
-	// processor.
+	// Reads (reads.go): viewer, set in New when the service can pin
+	// views, pins the states reads execute on; readPool, started by
+	// Start when there is more than one processor, runs them off-loop.
 	viewer   service.ReadViewer
 	readPool *readPool
 
@@ -399,6 +402,7 @@ func New(cfg Config) (*Replica, error) {
 		r.flusher = fl
 	}
 	r.differ, r.replayer = differ, replayer
+	r.viewer, _ = cfg.Service.(service.ReadViewer)
 	r.maxSeen = acc.Promised()
 	r.nextInstance = acc.Chosen() + 1
 	// Seed the participant set before replay: boot replay below may walk

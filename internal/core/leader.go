@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gridrep/internal/paxos"
+	"gridrep/internal/service"
 	"gridrep/internal/wire"
 )
 
@@ -184,11 +185,13 @@ func (r *Replica) startWave(items []workItem) {
 	execStart := wallClock()
 	var entries []wire.Entry
 	var txns []*txnState
-	var firstAt time.Time
-	for _, it := range items {
-		if !it.at.IsZero() && (firstAt.IsZero() || it.at.Before(firstAt)) {
-			firstAt = it.at
-		}
+	// The state before this wave, kept only while a read waits (pinning
+	// before every wave costs writes a copy-on-write each, DESIGN.md
+	// §14) and for an exclusive transaction's commit, the one wave that
+	// launches while it is open: its ops already ran on the live state.
+	var view service.ReadView
+	if r.viewer != nil && (len(r.reads) > 0 || r.exclusiveBusy()) {
+		view = r.liveView()
 	}
 	for _, it := range items {
 		if it.txn != nil {
@@ -240,42 +243,26 @@ func (r *Replica) startWave(items []workItem) {
 	}
 	exec := wallClock().Sub(execStart)
 	r.stats.execLat.ObserveDuration(exec)
-	r.launchWave(&wave{entries: entries, txns: txns, firstAt: firstAt, exec: exec})
+	// The queue is in admission order, so the first item is the oldest.
+	r.launchWave(&wave{entries: entries, txns: txns, view: view, firstAt: items[0].at, exec: exec})
 }
 
 // executeWrite runs one write on the service per the state mode,
 // producing the proposal for its consensus instance.
 func (r *Replica) executeWrite(req wire.Request) (wire.Proposal, error) {
+	prop := wire.Proposal{Reqs: []wire.Request{req}, Results: make([][]byte, 1)}
+	var err error
 	switch r.mode {
 	case stateReplay:
-		res, aux, err := r.replayer.ExecuteCapture(req.Op)
-		if err != nil {
-			return wire.Proposal{}, err
-		}
-		return wire.Proposal{
-			Reqs:    []wire.Request{req},
-			Results: [][]byte{res},
-			Aux:     [][]byte{aux},
-		}, nil
+		prop.Aux = make([][]byte, 1)
+		prop.Results[0], prop.Aux[0], err = r.replayer.ExecuteCapture(req.Op)
 	case stateDelta:
-		res, delta, err := r.differ.ExecuteDelta(req.Op)
-		if err != nil {
-			return wire.Proposal{}, err
-		}
-		return wire.Proposal{
-			Reqs:     []wire.Request{req},
-			Results:  [][]byte{res},
-			State:    delta,
-			HasState: true,
-			Kind:     wire.StateDelta,
-		}, nil
+		prop.Results[0], prop.State, err = r.differ.ExecuteDelta(req.Op)
+		prop.HasState, prop.Kind = true, wire.StateDelta
 	default:
-		res, err := r.svc.Execute(req.Op)
-		if err != nil {
-			return wire.Proposal{}, err
-		}
-		return wire.Proposal{Reqs: []wire.Request{req}, Results: [][]byte{res}}, nil
+		prop.Results[0], err = r.svc.Execute(req.Op)
 	}
+	return prop, err
 }
 
 // launchWave self-accepts and broadcasts one accept message covering all
@@ -387,10 +374,8 @@ func (r *Replica) commitReady() {
 	if !committed {
 		return
 	}
-	// Unblock reads whose barrier (or speculative execution horizon) the
-	// commits satisfied, then refill the pipeline.
+	// Serve the reads the commits unblocked, then refill the pipeline.
 	r.flushReads()
-	r.drainBlocked()
 	r.maybeStartWave()
 }
 

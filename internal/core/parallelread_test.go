@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,13 +48,15 @@ func readCounters(t *testing.T, c *cluster.Cluster) (parallel, inline int64) {
 	return
 }
 
-// poolCluster builds a 3-replica in-process KV cluster with fast
-// timeouts at GOMAXPROCS 4, so every replica starts its parallel read
-// pool — which a single processor leaves off — restores the scheduler
-// width, and waits for a leader.
+// poolCluster builds a 3-replica in-process cluster (KV unless cfg
+// names a service) with fast timeouts at GOMAXPROCS 4, so every replica
+// starts its parallel read pool — which a single processor leaves off —
+// restores the scheduler width, and waits for a leader.
 func poolCluster(t *testing.T, cfg cluster.Config) *cluster.Cluster {
 	t.Helper()
-	cfg.Service = service.KVFactory
+	if cfg.Service == nil {
+		cfg.Service = service.KVFactory
+	}
 	cfg.HeartbeatInterval = 5 * time.Millisecond
 	cfg.ClientRetryEvery = 100 * time.Millisecond
 	cfg.ClientDeadline = 10 * time.Second
@@ -224,6 +227,96 @@ func TestParallelReadVsWritesSnapshotsScrapes(t *testing.T) {
 	wg.Wait()
 	if !pooledNear() {
 		t.Fatal("the pinned backup never served a near read from its pool")
+	}
+}
+
+// TestParallelReadSchedExclusiveTxns: status reads through the pool
+// while exclusive Sched transactions commit and abort beside plain
+// submits, so workers read the views pinned before each transaction's
+// first op and before waves while the event loop writes the maps behind
+// them (meaningful under -race). No read ever shows an aborted
+// transaction's job, and the pool serves some of them.
+func TestParallelReadSchedExclusiveTxns(t *testing.T) {
+	c := poolCluster(t, cluster.Config{Service: func() service.Service { return service.NewSched() }})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		rcli, err := c.NewClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer rcli.Close()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := rcli.Read(service.SchedStatus())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if strings.Contains(string(res), "aborted") {
+					t.Errorf("a read showed an aborted transaction's job:\n%s", res)
+					return
+				}
+			}
+		}()
+	}
+	wcli, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wcli.Close()
+	wg.Add(1)
+	go func() { // plain submits beside the transactions
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := wcli.Write(service.SchedSubmit(fmt.Sprint("w", i), 1)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	tcli, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcli.Close()
+	for i := 0; i < 30; i++ {
+		tx := tcli.Begin()
+		job := fmt.Sprint("committed", i)
+		if i%2 == 1 {
+			job = fmt.Sprint("aborted", i)
+		}
+		if _, err := tx.Do(service.SchedSubmit(job, 9)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Do(service.SchedDispatch()); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			err = tx.Abort()
+		} else {
+			err = tx.Commit()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if parallel, _ := readCounters(t, c); parallel == 0 {
+		t.Fatal("no status read took the pool path")
 	}
 }
 

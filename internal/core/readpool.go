@@ -12,15 +12,15 @@ import (
 
 // readPool executes confirmed X-Paxos reads concurrently, off the event
 // loop. A read reaches the pool only after its §3.4 protocol work is
-// done — majority confirms counted, commit barrier satisfied — and only
-// while no speculative wave is in flight, so the service state equals
-// the last committed instance and the pinned service.ReadView the job
-// carries is exactly the state the reply must reflect. Workers execute
-// against that immutable view and fan the reply out directly through
-// the transport (transports are safe for concurrent senders; the
-// persister relies on the same contract), so neither the execution nor
-// the reply serializes through the event loop. Writes are untouched:
-// they stay strictly ordered on the loop.
+// done — majority confirms counted, commit barrier satisfied — and with
+// the view of the state at the commit point (reads.go readState): a
+// service.ReadView pinned before the speculative work still in flight,
+// or pinned at dispatch when none is. Workers execute against that
+// immutable view and fan the reply out directly through the transport
+// (transports are safe for concurrent senders; the persister relies on
+// the same contract), so neither the execution nor the reply serializes
+// through the event loop. Writes are untouched: they stay strictly
+// ordered on the loop.
 type readPool struct {
 	tr      transport.Transport
 	local   wire.NodeID
@@ -98,20 +98,20 @@ func (p *readPool) stop() {
 func (p *readPool) worker() {
 	defer p.wg.Done()
 	for j := range p.jobs {
-		rep := wire.Reply{
-			Client: j.req.Client,
-			Seq:    j.req.Seq,
-			Status: wire.StatusOK,
-			Leader: p.local,
-		}
-		res, err := j.view.ReadExecute(j.req.Op)
-		if err != nil {
-			rep.Status = wire.StatusError
-			rep.Err = err.Error()
-		} else {
-			rep.Result = res
-		}
-		p.tr.Send(&wire.Envelope{To: j.req.Client, Msg: &wire.ReplyMsg{Rep: rep}})
+		p.tr.Send(j.run(p.local))
 		p.inFlight.Add(-1)
 	}
+}
+
+// run executes the read on its view and returns the reply, sent as from
+// local: by a worker, or by the event loop for an inline read.
+func (j readJob) run(local wire.NodeID) *wire.Envelope {
+	rep := wire.Reply{Client: j.req.Client, Seq: j.req.Seq, Status: wire.StatusOK, Leader: local}
+	res, err := j.view.ReadExecute(j.req.Op)
+	if err != nil {
+		rep.Status, rep.Err = wire.StatusError, err.Error()
+	} else {
+		rep.Result = res
+	}
+	return &wire.Envelope{To: j.req.Client, Msg: &wire.ReplyMsg{Rep: rep}}
 }

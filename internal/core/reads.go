@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"gridrep/internal/service"
 	"gridrep/internal/wire"
 )
 
@@ -16,27 +17,20 @@ import (
 // Who serves is read off the request: the replica the client stamped as
 // its nearest, else the active leader; everyone else only sends that
 // replica a confirm. A confirm vouches by ballot (R is the active leader
-// and the sender had promised R's own ballot: B stays R's proposal
-// horizon) or by stamp (the sender's accepted horizon MaxAcc: B rises to
-// it, valid in any role); anything else is ignored. Where a gate-cleared
-// read executes — worker pool or event loop — is independent of how it
-// was vouched.
+// and the sender had promised R's own ballot: B stays R's commit index)
+// or by stamp (the sender's accepted horizon MaxAcc: B rises to it,
+// valid in any role); anything else is ignored. A gate-cleared read
+// executes on the state at R's commit point, in the worker pool or on
+// the event loop, however it was vouched.
 
 // pendingRead is a read this replica serves, waiting for its voter
-// quorum and for the applied state to reach its barrier. Once both hold
-// the read executes; under pipelining the service state it observed may
-// still be speculative, so the reply is held until the newest instance
-// proposed at execution time (execTop) commits.
+// quorum, for the applied state to reach its barrier, and for the state
+// at the commit point to be readable (readState).
 type pendingRead struct {
-	req      wire.Request
-	vouched  map[wire.NodeID]bool // voters counted, self included when it votes
-	barrier  uint64               // instance the applied state must cover
-	expires  time.Time
-	executed bool
-	execTop  uint64 // newest proposed instance at execution time
-	status   wire.ReplyStatus
-	result   []byte
-	errStr   string
+	req     wire.Request
+	vouched map[wire.NodeID]bool // voters counted, self included when it votes
+	barrier uint64               // instance the applied state must cover
+	expires time.Time
 }
 
 // heldConfirm is one sender's evidence for one read: the ballot it had
@@ -95,10 +89,6 @@ func (r *Replica) flushConfirms() {
 // sets the barrier to its own horizon, and folds in whatever evidence
 // outran the request.
 func (r *Replica) registerRead(req wire.Request) {
-	if r.exclusiveBusy() {
-		r.blocked = append(r.blocked, req)
-		return
-	}
 	key := req.Key()
 	if _, dup := r.reads[key]; dup {
 		return
@@ -110,11 +100,11 @@ func (r *Replica) registerRead(req wire.Request) {
 		expires: r.now.Add(r.cfg.ElectionTimeout),
 	}
 	if r.IsActiveLeader() {
-		// A leader's horizon is what it has proposed (or recovered): its
-		// acceptor may still hold a deposed leader's never-chosen suffix
-		// that recovery discarded, and waiting on that would stall every
-		// read until expiry.
-		pr.barrier = r.nextInstance - 1
+		// A leader's horizon is its commit index: it acknowledges a write
+		// only once chosen (DESIGN.md §18). Its acceptor may also hold a
+		// deposed leader's never-chosen suffix that recovery discarded,
+		// and waiting on that would stall every read until expiry.
+		pr.barrier = r.acc.Chosen()
 	}
 	if r.isVoter(r.cfg.ID) {
 		pr.vouched[r.cfg.ID] = true
@@ -172,56 +162,73 @@ func (r *Replica) vouch(pr *pendingRead, c heldConfirm) bool {
 	return true
 }
 
-// tryFinishRead advances one read through its gates and picks where it
-// executes. The gates: a voter quorum, applied state at the barrier, and
-// no exclusive transaction open (its uncommitted effects sit in the live
-// state). A gate-cleared read goes to the worker pool (readpool.go) when
-// no speculative wave is in flight — with waves outstanding the live
-// state leads the commit index, and a view pinned now would expose
-// uncommitted effects — and the service agrees to pin a view; on
-// dispatch the read is complete from the protocol's point of view, so it
-// leaves the table now and a later step-down has nothing to answer.
-// Otherwise, or when the pool queue is full, it executes inline and the
-// reply is held until everything proposed up to the execution point has
-// committed. If those waves roll back instead, the replica steps down
-// and the held read is answered NotLeader — the speculative result is
-// never exposed. Off the leader, and at PipelineDepth 1, the execution
-// point never leads the commit index, so the reply leaves immediately.
+// tryFinishRead executes a read once its gates clear — a voter quorum
+// and applied state at the barrier — on the state at the commit point
+// (readState), and drops it from the table: the read is then complete
+// from the protocol's point of view, so a later step-down has nothing to
+// answer. It runs in the worker pool (readpool.go) when one runs and its
+// queue has room, else inline.
 func (r *Replica) tryFinishRead(pr *pendingRead) {
-	key := pr.req.Key()
-	if !pr.executed {
-		if len(pr.vouched) < r.quorum() || r.applied < pr.barrier || r.exclusiveBusy() {
-			return
-		}
-		if !r.IsActiveLeader() {
-			r.stats.readsNear.Add(1)
-		}
-		if r.readPool != nil && len(r.waves) == 0 {
-			if view, ok := r.viewer.ReadView(); ok && r.readPool.tryDispatch(readJob{view: view, req: pr.req}) {
-				delete(r.reads, key)
-				r.stats.readsParallel.Add(1)
-				return
-			}
-		}
-		pr.executed = true
-		r.stats.readsInline.Add(1)
-		pr.execTop = r.nextInstance - 1
-		res, err := r.svc.Execute(pr.req.Op)
-		pr.status, pr.result = wire.StatusOK, res
-		if err != nil {
-			pr.status, pr.result, pr.errStr = wire.StatusError, nil, err.Error()
-		}
+	if len(pr.vouched) < r.quorum() || r.applied < pr.barrier {
+		return
 	}
-	if r.acc.Chosen() < pr.execTop {
-		return // result reflects speculative state; wait for its commit
+	view := r.readState()
+	if view == nil {
+		return // the state at the commit point was not pinned: wait for a commit
 	}
-	delete(r.reads, key)
-	r.reply(pr.req, pr.status, pr.result, pr.errStr)
+	delete(r.reads, pr.req.Key())
+	if !r.IsActiveLeader() {
+		r.stats.readsNear.Add(1)
+	}
+	job := readJob{view: view, req: pr.req}
+	if r.readPool != nil && r.readPool.tryDispatch(job) {
+		r.stats.readsParallel.Add(1)
+		return
+	}
+	r.stats.readsInline.Add(1)
+	r.tr.Send(job.run(r.cfg.ID))
 }
 
-// flushReads re-checks every pending read after something its gates
-// depend on may have moved: a commit, applied state advancing on a
-// backup, an exclusive transaction closing.
+// readState returns the state at the commit point, which every read
+// executes on (DESIGN.md §18): the view pinned before the oldest wave in
+// flight, else liveView. Nil means the state at the commit point was not
+// pinned: the read waits for a commit.
+func (r *Replica) readState() service.ReadView {
+	if len(r.waves) > 0 {
+		return r.waves[0].view
+	}
+	return r.liveView()
+}
+
+// liveView is the live state as it stands without the open exclusive
+// transaction's ops: that transaction's view, pinned before its first op
+// (onTxnOp); else the live state itself for a service without
+// ReadViewer; else a view pinned now.
+func (r *Replica) liveView() service.ReadView {
+	switch {
+	case r.exclusiveBusy():
+		for _, tx := range r.txns {
+			return tx.view // the only one; nil without ReadViewer
+		}
+	case r.viewer == nil:
+		return liveState{r.svc}
+	}
+	view, _ := r.viewer.ReadView()
+	return view
+}
+
+// liveState reads a service without ReadViewer on its live state, which
+// liveView hands out only while nothing speculative is outstanding. It
+// is the one read that runs through Execute (make read-sites), and runs
+// only on the event loop: a replica starts a read pool only for a
+// ReadViewer.
+type liveState struct{ svc service.Service }
+
+func (l liveState) ReadExecute(op []byte) ([]byte, error) { return l.svc.Execute(op) }
+
+// flushReads re-checks every pending read after something it waits on
+// may have moved: a commit, applied state advancing on a backup, an
+// exclusive transaction closing.
 func (r *Replica) flushReads() {
 	for _, pr := range r.reads {
 		r.tryFinishRead(pr)

@@ -202,11 +202,13 @@ func TestNearReadAnsweredNotLeaderOnDemotion(t *testing.T) {
 	}
 }
 
-// TestNearReadAtLeaderHeldUntilExecTopCommits is seam (d): a near read
-// whose gates clear at an active leader while a wave launched after it is
-// still in flight executes against that wave's speculative state, so its
-// reply waits for the wave to commit.
-func TestNearReadAtLeaderHeldUntilExecTopCommits(t *testing.T) {
+// TestNearReadAtLeaderAnsweredFromCommitPoint is seam (d): a near read
+// registered at an active leader when a write's wave launches is
+// answered, once its quorum completes, from the view pinned before that
+// wave executed — the state at the commit point — while the wave is
+// still in flight. It never shows the wave's uncommitted write, and it
+// does not wait for the wave.
+func TestNearReadAtLeaderAnsweredFromCommitPoint(t *testing.T) {
 	s := seamSim(t, 94, Options{RetryTimeout: 50 * time.Millisecond})
 	lead, _ := s.leader()
 	r := s.nodes[lead].r
@@ -222,64 +224,75 @@ func TestNearReadAtLeaderHeldUntilExecTopCommits(t *testing.T) {
 	for _, b := range backups {
 		s.model.Cut(lead, b)
 	}
-	rr.sendTo(wire.Request{Client: rr.id, Seq: 2, Kind: wire.KindWrite, Op: service.KVPut("k", []byte("speculative"))}, lead)
+	write := wire.Request{Client: rr.id, Seq: 2, Kind: wire.KindWrite, Op: service.KVPut("k", []byte("speculative"))}
+	rr.sendTo(write, lead)
 	if !s.runUntil(time.Second, func() bool { return len(r.waves) > 0 }) {
 		t.Fatal("the wave never launched")
 	}
 
-	// The backup's confirm, as it would have arrived: quorum complete,
-	// barrier long committed — only the execution point is not.
+	// The backup's confirm, as it would have arrived: the quorum
+	// completes with the write's wave still in flight.
 	before := r.Chosen()
 	s.inject(rr.id, lead, &wire.Confirm{Bal: r.Ballot(), From: backups[0], Reads: []wire.Key{read.Key()}})
-	s.runFor(100 * time.Millisecond)
-	if len(rr.got) != 0 {
-		t.Fatalf("read answered (%+v) while the wave it executed against was uncommitted", rr.got)
+	var rep *wire.Reply
+	if !s.runUntil(100*time.Millisecond, func() bool { rep = rr.answer(read.Seq); return rep != nil }) {
+		t.Fatal("the read waited for the wave in flight")
+	}
+	wantValue(t, *rep, "fresh")
+	if len(r.waves) == 0 || r.Chosen() != before {
+		t.Fatalf("the wave committed (chosen %d, was %d) before the read was answered", r.Chosen(), before)
 	}
 
 	for _, b := range backups {
 		s.model.Heal(lead, b)
 	}
-	var rep *wire.Reply
-	if !s.runUntil(time.Second, func() bool { rep = rr.answer(read.Seq); return rep != nil }) {
-		t.Fatal("the held read was never released after its execution point committed")
+	if !s.runUntil(time.Second, func() bool { return rr.answer(write.Seq) != nil }) {
+		t.Fatal("the write never committed after the heal")
+	}
+	rr.sendTo(rr.read(3, service.KVGet("k"), &lead), s.peers()...)
+	if !s.runUntil(time.Second, func() bool { rep = rr.answer(3); return rep != nil }) {
+		t.Fatal("the read after the commit was never answered")
 	}
 	wantValue(t, *rep, "speculative")
-	if after := r.Chosen(); after <= before {
-		t.Fatalf("read released at commit index %d, not past %d where it executed", after, before)
-	}
 }
 
-// TestReadHeldWhileExclusiveTxnOpen: a serialized service executes a
-// transaction's operations directly against its live state, so a read
-// whose quorum completes while such a transaction is open waits for it
-// to finish — even one that registered before the transaction began
-// (reads arriving later are parked at registration). Answering from the
-// live state would expose effects that an abort then erases.
-func TestReadHeldWhileExclusiveTxnOpen(t *testing.T) {
+// TestReadAnsweredWhileExclusiveTxnOpen: a serialized service executes
+// a transaction's operations directly against its live state, so reads
+// run on the view pinned before the transaction's first op. A read that
+// registered before the transaction began and one sent while it is open
+// are both answered while it is still open, with the state before it;
+// neither shows effects that the abort then erases.
+func TestReadAnsweredWhileExclusiveTxnOpen(t *testing.T) {
 	s := newSim(t, simConfig{seed: 95, service: brokers(301), opts: Options{HeartbeatInterval: 50 * time.Millisecond}})
 	lead := s.awaitLeader(time.Second)
 	r := s.nodes[lead].r
 	c := s.newClient()
 	c.must(wire.KindWrite, service.BrokerRegister("n1", 10))
 	rr := s.rawReader()
-	read := rr.read(1, service.BrokerList(), nil)
-	rr.sendTo(read, lead) // registers with the leader's own vote only
+	early := rr.read(1, service.BrokerList(), nil)
+	rr.sendTo(early, lead) // registers with the leader's own vote only
 	if !s.runUntil(time.Second, func() bool { return len(r.reads) == 1 }) {
 		t.Fatal("the read never registered")
 	}
 
 	tx := c.begin()
 	mustOK(t, "txn op", tx.do(service.BrokerRequest(3)))
-	s.inject(rr.id, lead, &wire.Confirm{Bal: r.Ballot(), From: s.others(lead)[0], Reads: []wire.Key{read.Key()}})
-	s.runFor(100 * time.Millisecond)
-	if len(rr.got) != 0 {
-		t.Fatalf("read answered %q while an exclusive transaction held uncommitted state", rr.got[0].Result)
+	s.inject(rr.id, lead, &wire.Confirm{Bal: r.Ballot(), From: s.others(lead)[0], Reads: []wire.Key{early.Key()}})
+	late := rr.read(2, service.BrokerList(), nil)
+	rr.sendTo(late, s.peers()...)
+	if !s.runUntil(time.Second, func() bool { return rr.answer(early.Seq) != nil && rr.answer(late.Seq) != nil }) {
+		t.Fatalf("reads answered %+v while the exclusive transaction is open, want both", rr.got)
+	}
+	if len(r.txns) != 1 {
+		t.Fatal("the transaction ended before the reads were answered")
 	}
 	mustOK(t, "abort", tx.abort())
-	if !s.runUntil(time.Second, func() bool { return len(rr.got) > 0 }) {
-		t.Fatal("the held read was never released after the transaction finished")
+	for _, rep := range rr.got {
+		if rep.Status != wire.StatusOK || string(rep.Result) != "n1 0/10\n" {
+			t.Fatalf("read returned %v %q, want the state before the transaction", rep.Status, rep.Result)
+		}
 	}
-	if rep := rr.got[0]; rep.Status != wire.StatusOK || string(rep.Result) != "n1 0/10\n" {
-		t.Fatalf("read returned %v %q, want the state the abort restored", rep.Status, rep.Result)
+	if list := c.must(wire.KindRead, service.BrokerList()); string(list) != "n1 0/10\n" {
+		t.Fatalf("state after the abort: %q", list)
 	}
 }

@@ -225,6 +225,8 @@ func TestSimCorpus(t *testing.T) {
 	}{
 		{"near-confirm durability gap (PR 10)", corpusConfirmDurability},
 		{"dirty read under an open exclusive transaction (PR 19)", corpusExclusiveDirtyRead},
+		{"queued write run inside an open exclusive transaction", corpusWriteInsideExclusiveTxn},
+		{"mutating op sent as a read", corpusMutatingRead},
 		{"full restart after 1,000 writes", corpusFullRestart(1000)},
 		{"full restart after 1,500 writes: Compact past the durable snapshot", corpusFullRestart(1500)},
 		{"full restart after 5,000 writes", corpusFullRestart(5000)},
@@ -277,8 +279,9 @@ func corpusConfirmDurability(t *testing.T) {
 // corpusExclusiveDirtyRead: a read registers at the leader with its own
 // vote only; an exclusive (serialized) transaction then executes an op
 // against the live state; the backups' confirms complete the read's
-// quorum while the transaction is open. The read must wait — dropping
-// exclusiveBusy() from tryFinishRead's gate answers it from state the
+// quorum while the transaction is open. The read is answered then, from
+// the view pinned before the transaction's first op, and the abort
+// follows. Reading the live state instead answers it from state the
 // abort then erases.
 func corpusExclusiveDirtyRead(t *testing.T) {
 	s := newSim(t, simConfig{seed: 20, service: func(id wire.NodeID, inc int) service.Service {
@@ -301,18 +304,69 @@ func corpusExclusiveDirtyRead(t *testing.T) {
 	}
 	reader.sendTo(read, s.peers()...)
 	s.runFor(20 * time.Millisecond)
+	if len(replies) == 0 {
+		t.Fatal("the read waited for the open exclusive transaction")
+	}
 	if rep := tx.call(wire.Request{Kind: wire.KindTxnAbort, Txn: 1}, time.Second); rep.Status != wire.StatusOK {
 		t.Fatalf("abort: %v", rep.Status)
 	}
-	s.runUntil(time.Second, func() bool { return len(replies) > 0 })
-	if len(replies) == 0 {
-		t.Fatal("the held read was never answered")
-	}
+	s.runFor(20 * time.Millisecond)
 	for _, rep := range replies {
 		if rep.Status != wire.StatusOK || string(rep.Result) != "n1 0/10\n" {
 			t.Fatalf("read answered %v %q, want the committed %q", rep.Status, rep.Result, "n1 0/10\n")
 		}
 	}
+}
+
+// corpusWriteInsideExclusiveTxn: A's submit is in flight and B's
+// dispatch queued behind it when C opens an exclusive transaction whose
+// first op runs on the live state. Run after C's op, the dispatch picks
+// C's uncommitted job, which the backups' replay does not know, and C's
+// abort then restores the pre-transaction state over the acknowledged
+// dispatch. No write may run between an exclusive transaction's first op
+// and its end, so the dispatch waits for C and picks a committed job.
+func corpusWriteInsideExclusiveTxn(t *testing.T) {
+	p := netem.WAN(0)
+	s := newSim(t, simConfig{seed: 9, profile: &p, noDisk: true, retry: time.Second,
+		service: func(wire.NodeID, int) service.Service { return service.NewSched() }})
+	s.awaitLeader(10 * time.Second)
+	a, b, c := s.newClient(), s.newClient(), s.newClient()
+	a.must(wire.KindWrite, service.SchedSubmit("j1", 1))
+	var dispatched *wire.Reply
+	a.do(wire.Request{Kind: wire.KindWrite, Op: service.SchedSubmit("j2", 1)}, func(wire.Reply) {})
+	s.after(5*time.Millisecond, func() {
+		b.do(wire.Request{Kind: wire.KindWrite, Op: service.SchedDispatch()}, func(rep wire.Reply) { dispatched = &rep })
+	})
+	s.runFor(10 * time.Millisecond)
+	tx := c.begin()
+	mustOK(t, "txn op", tx.do(service.SchedSubmit("jT", 9)))
+	mustOK(t, "abort", tx.abort())
+	if !s.runUntil(opLimit, func() bool { return dispatched != nil }) {
+		t.Fatal("the dispatch was never answered")
+	}
+	if rep := *dispatched; rep.Status != wire.StatusOK || string(rep.Result) != "j1" {
+		t.Fatalf("dispatch answered %v %q, want j1", rep.Status, rep.Result)
+	}
+	s.mustConverge()
+	if got := b.must(wire.KindRead, service.SchedStatus()); string(got) != "j1 running\nj2 queued\n" {
+		t.Fatalf("final state %q", got)
+	}
+}
+
+// corpusMutatingRead: a read-kind request carrying a put. Executed as a
+// read on the leader's live state it changes that replica alone, outside
+// consensus; a read runs through a view, which refuses every mutating
+// op, so the request is answered with an error and nothing changes.
+func corpusMutatingRead(t *testing.T) {
+	s, c := kvSim(t, 7)
+	c.must(wire.KindWrite, service.KVPut("a", []byte("committed")))
+	if rep := c.call(wire.Request{Kind: wire.KindRead, Op: service.KVPut("a", []byte("evil"))}, opLimit); rep.Status != wire.StatusError {
+		t.Fatalf("a put sent as a read answered %v %q, want an error", rep.Status, rep.Result)
+	}
+	if v, _ := c.get("a"); v != "committed" {
+		t.Fatalf("a = %q after a put sent as a read, want committed", v)
+	}
+	s.mustConverge()
 }
 
 // corpusFullRestart writes n increments one at a time, crashes all three

@@ -27,7 +27,7 @@ type txnState struct {
 	aux        [][]byte // per op: the choices it captured (nil outside replay mode)
 	nextSeq    uint32   // expected TxnSeq of the next operation
 	committing bool
-	exclusive  bool
+	view       service.ReadView // exclusive: the state before its first op (reads.go)
 }
 
 // txnUID derives the service-level transaction ID from the client and its
@@ -64,7 +64,6 @@ func (r *Replica) onTxnRequest(req wire.Request) {
 		// Aborting an unknown transaction is idempotent success: the
 		// client only wants it gone.
 		r.reply(req, wire.StatusOK, nil, "")
-		r.drainBlocked()
 	}
 }
 
@@ -87,7 +86,20 @@ func (r *Replica) onTxnOp(key txnKey, tx *txnState, req wire.Request) {
 			r.reply(req, wire.StatusError, nil, err.Error())
 			return
 		}
-		tx = &txnState{key: key, ws: ws, exclusive: r.exclus}
+		tx = &txnState{key: key, ws: ws}
+		if r.exclus {
+			// Its ops run on the live state: reads run on the state
+			// before them, and no write runs until it ends — the ones
+			// queued behind a wave wait with the blocked.
+			if r.viewer != nil {
+				tx.view, _ = r.viewer.ReadView()
+			}
+			for _, it := range r.queue {
+				delete(r.pending, it.req.Key())
+				r.blocked = append(r.blocked, it.req)
+			}
+			r.queue = nil
+		}
 		r.txns[key] = tx
 	}
 
@@ -146,7 +158,5 @@ func (r *Replica) replyCommitDup(req wire.Request) {
 // exclusive one.
 func (r *Replica) finishTxn(tx *txnState) {
 	delete(r.txns, tx.key)
-	if tx.exclusive {
-		r.drainBlocked()
-	}
+	r.drainBlocked()
 }

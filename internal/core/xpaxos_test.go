@@ -154,3 +154,75 @@ func TestConfirmBufferedBeforeRead(t *testing.T) {
 		t.Fatal("no confirm ever outran its read to the leader")
 	}
 }
+
+// TestWANReadAtCommitPoint: on the WAN profile a read costs the §3.4
+// read 2M + max(E, m) whatever writes are open beside it, because it
+// executes on the state at the commit point (DESIGN.md §18). A read that
+// registered before a write's wave launched, and a read sent while an
+// exclusive Sched transaction is open, answer in the time of a read
+// alone and show the state before the open work. A read that registers
+// behind a wave launched while no read was registered finds no view
+// pinned for it and waits for that one wave: the one wait the rule
+// keeps, answered with the wave's write.
+func TestWANReadAtCommitPoint(t *testing.T) {
+	p := netem.WAN(0)
+	s := newSim(t, simConfig{seed: 9, profile: &p, noDisk: true, retry: time.Second,
+		service: func(wire.NodeID, int) service.Service { return service.NewSched() }})
+	s.awaitLeader(10 * time.Second)
+	w, rd := s.newClient(), s.newClient()
+	w.must(wire.KindWrite, service.SchedSubmit("j1", 1))
+	// read times a status read started offset after w starts the chain
+	// reqs (a negative offset starts the read first) and returns its
+	// response time and result once the chain is answered too.
+	read := func(offset time.Duration, reqs ...wire.Request) (time.Duration, string) {
+		t.Helper()
+		var rep *wire.Reply
+		var took time.Duration
+		issue := func() {
+			start := s.now
+			rd.do(wire.Request{Kind: wire.KindRead, Op: service.SchedStatus()}, func(r wire.Reply) {
+				rep, took = &r, s.now.Sub(start)
+			})
+		}
+		chain := func() { w.mustChain("writes", reqs, func() {}) }
+		if offset < 0 {
+			issue()
+			s.after(-offset, chain)
+		} else {
+			chain()
+			s.after(offset, issue)
+		}
+		if !s.runUntil(time.Second, func() bool { return rep != nil && !w.busy }) || rep.Status != wire.StatusOK {
+			t.Fatalf("read beside %v: %+v", reqs, rep)
+		}
+		return took, string(rep.Result)
+	}
+	submit := func(job string) wire.Request {
+		return wire.Request{Kind: wire.KindWrite, Op: service.SchedSubmit(job, 1)}
+	}
+	check := func(what string, took, want time.Duration, got, wantState string) {
+		t.Helper()
+		t.Logf("%s: %v", what, took)
+		if took != want || got != wantState {
+			t.Errorf("%s answered %q after %v, want %q after %v", what, got, took, wantState, want)
+		}
+	}
+	alone, state := read(0)
+	check("read alone", alone, latencyModel(p)[1], state, "j1 queued\n")
+
+	took, state := read(-2*time.Millisecond, submit("j2"))
+	check("read registered 2 ms before a write's wave launched", took, alone, state, "j1 queued\n")
+
+	took, state = read(2*time.Millisecond, submit("j3"))
+	t.Logf("read registered 2 ms after a write's wave launched: %v", took)
+	if wave := took - alone; state != "j1 queued\nj2 queued\nj3 queued\n" || wave <= 0 || wave > 2*p.MaxOneWay {
+		t.Errorf("read behind an unpinned wave answered %q after %v, want the wave's write after at most one wave beyond %v", state, took, alone)
+	}
+
+	took, state = read(2*time.Millisecond,
+		wire.Request{Kind: wire.KindTxnOp, Txn: 1, Op: service.SchedSubmit("jT", 9)},
+		wire.Request{Kind: wire.KindTxnCommit, Txn: 1, TxnSeq: 1})
+	check("read while an exclusive transaction is open", took, alone, state, "j1 queued\nj2 queued\nj3 queued\n")
+	took, state = read(0)
+	check("read after the commit", took, alone, state, "j1 queued\nj2 queued\nj3 queued\njT queued\n")
+}

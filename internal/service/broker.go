@@ -20,6 +20,7 @@ import (
 type Broker struct {
 	rng       *rand.Rand
 	resources map[string]*resource
+	pinned    bool // a read view holds resources: the next write copies it
 }
 
 type resource struct {
@@ -102,7 +103,11 @@ func (b *Broker) Execute(op []byte) ([]byte, error) {
 		return nil, ErrBadOp
 	}
 	dec := wire.NewDecoder(op)
-	switch code := dec.Uint8(); code {
+	code := dec.Uint8()
+	if code != brList {
+		b.writable()
+	}
+	switch code {
 	case brRegister:
 		name := dec.String()
 		cap := int64(dec.Uvarint())
@@ -129,7 +134,7 @@ func (b *Broker) Execute(op []byte) ([]byte, error) {
 		r.inUse--
 		return nil, nil
 	case brList:
-		return b.list(), nil
+		return resourceList(b.resources), nil
 	default:
 		return nil, fmt.Errorf("%w: broker opcode %d", ErrBadOp, code)
 	}
@@ -179,15 +184,17 @@ func (b *Broker) request(n int) ([]byte, error) {
 	return enc.Bytes(), nil
 }
 
-func (b *Broker) list() []byte {
-	names := make([]string, 0, len(b.resources))
-	for n := range b.resources {
+// resourceList renders the "name used/capacity" lines a list read
+// returns.
+func resourceList(resources map[string]*resource) []byte {
+	names := make([]string, 0, len(resources))
+	for n := range resources {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	out := ""
 	for _, n := range names {
-		r := b.resources[n]
+		r := resources[n]
 		out += fmt.Sprintf("%s %d/%d\n", n, r.inUse, r.capacity)
 	}
 	return []byte(out)
@@ -230,7 +237,7 @@ func (b *Broker) Restore(snap []byte) error {
 	if err := dec.Done(); err != nil {
 		return err
 	}
-	b.resources = res
+	b.resources, b.pinned = res, false
 	return nil
 }
 
@@ -276,6 +283,7 @@ func (b *Broker) Replay(op, aux []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	b.writable()
 	for _, name := range selected {
 		r, ok := b.resources[name]
 		if !ok || r.inUse >= r.capacity {
@@ -284,4 +292,38 @@ func (b *Broker) Replay(op, aux []byte) ([]byte, error) {
 		r.inUse++
 	}
 	return aux, nil
+}
+
+// Broker implements ReadViewer by copy-on-write: a view shares the
+// resource map, and the first write after a pin copies it with its
+// records, which a request or release changes in place (writable).
+var _ ReadViewer = (*Broker)(nil)
+
+type brokerView struct{ resources map[string]*resource }
+
+// ReadView implements ReadViewer.
+func (b *Broker) ReadView() (ReadView, bool) {
+	b.pinned = true
+	return brokerView{b.resources}, true
+}
+
+// writable copies the resources if a view may hold them.
+func (b *Broker) writable() {
+	if !b.pinned {
+		return
+	}
+	c := make(map[string]*resource, len(b.resources))
+	for name, r := range b.resources {
+		cp := *r
+		c[name] = &cp
+	}
+	b.resources, b.pinned = c, false
+}
+
+// ReadExecute implements ReadView: a list read only.
+func (v brokerView) ReadExecute(op []byte) ([]byte, error) {
+	if len(op) == 0 || op[0] != brList {
+		return nil, fmt.Errorf("%w: broker op on a read-only view", ErrBadOp)
+	}
+	return resourceList(v.resources), nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 
@@ -322,6 +323,7 @@ func (w *kvWS) lock(key string) error {
 	if !locked {
 		w.s.locks[key] = w.txn
 		w.held = append(w.held, key)
+		w.s.view = nil // the cached view recorded the old lock table
 	}
 	return nil
 }
@@ -388,6 +390,9 @@ func (w *kvWS) Abort() {
 
 func (w *kvWS) finish() {
 	w.done = true
+	if len(w.held) > 0 {
+		w.s.view = nil
+	}
 	for _, k := range w.held {
 		if w.s.locks[k] == w.txn {
 			delete(w.s.locks, k)
@@ -403,16 +408,15 @@ func (w *kvWS) finish() {
 var _ ReadViewer = (*KV)(nil)
 
 // ReadView implements ReadViewer. A generation's view is built once and
-// returned until the next write. Pinning is refused while any
-// transaction holds locks: an inline read of a locked key must return
-// ErrConflict (§3.5), and a frozen view cannot see the live lock table,
-// so the caller falls back to inline execution until the locks drain.
+// returned until the next write or lock change. It records the lock
+// table held at the pin, so a read of a key an open transaction has
+// locked answers the §3.5 conflict from the view as Execute does.
 func (s *KV) ReadView() (ReadView, bool) {
-	if len(s.locks) > 0 {
-		return nil, false
-	}
 	if s.view == nil {
 		s.view = &kvView{buckets: s.buckets}
+		if len(s.locks) > 0 {
+			s.view.locks = maps.Clone(s.locks)
+		}
 		for i := range s.pinned {
 			s.pinned[i] = ^uint64(0)
 		}
@@ -421,9 +425,11 @@ func (s *KV) ReadView() (ReadView, bool) {
 }
 
 // kvView is a pinned KV state generation. Safe for concurrent
-// ReadExecute calls: its buckets are never written after pinning.
+// ReadExecute calls: its buckets and locks are never written after
+// pinning.
 type kvView struct {
 	buckets [kvBuckets]map[string][]byte
+	locks   map[string]uint64 // held at the pin; nil when none was
 }
 
 // ReadExecute implements ReadView: kvGet only — every other opcode
@@ -435,6 +441,9 @@ func (v *kvView) ReadExecute(op []byte) ([]byte, error) {
 	}
 	if code != kvGet {
 		return nil, fmt.Errorf("%w: opcode %d on read-only view", ErrBadOp, code)
+	}
+	if owner, locked := v.locks[key]; locked {
+		return nil, fmt.Errorf("%w: key %q locked by txn %d", ErrConflict, key, owner)
 	}
 	val, ok := v.buckets[kvBucket(key)][key]
 	return kvReply(val, ok), nil

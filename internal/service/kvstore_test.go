@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand/v2"
@@ -239,9 +240,11 @@ func kvRandomWalk(t *testing.T, seed uint64, steps int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			overlay := maps.Clone(model)
+			overlay, locked := maps.Clone(model), map[string]bool{}
 			for i := 0; i < 1+rng.IntN(4); i++ {
 				op := randOp()
+				_, k, _, _ := kvParse(op)
+				locked[k] = true
 				res, err := w.Execute(op)
 				if err != nil {
 					t.Fatal(err)
@@ -250,8 +253,14 @@ func kvRandomWalk(t *testing.T, seed uint64, steps int) {
 					t.Fatalf("step %d: txn reply %x, model %x", step, res, want)
 				}
 			}
-			if _, ok := s.ReadView(); ok {
-				t.Fatalf("step %d: pinned a view under transaction locks", step)
+			view, ok := s.ReadView()
+			if !ok {
+				t.Fatalf("step %d: refused a pin under transaction locks", step)
+			}
+			for k := range locked {
+				if _, err := view.ReadExecute(KVGet(k)); !errors.Is(err, ErrConflict) {
+					t.Fatalf("step %d: a view pinned under the locks read locked %q: %v, want a conflict", step, k, err)
+				}
 			}
 			if rng.IntN(3) == 0 {
 				w.Abort()

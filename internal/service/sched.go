@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"gridrep/internal/wire"
@@ -22,8 +23,10 @@ type Sched struct {
 	arrivals uint64
 	queued   map[string]*job
 	running  map[string]*job
+	pinned   bool // a read view holds the maps: the next write copies them
 }
 
+// job is never modified once submitted, so a map copy shares them.
 type job struct {
 	id      string
 	prio    int64
@@ -79,7 +82,11 @@ func (s *Sched) Execute(op []byte) ([]byte, error) {
 		return nil, ErrBadOp
 	}
 	dec := wire.NewDecoder(op)
-	switch code := dec.Uint8(); code {
+	code := dec.Uint8()
+	if code != schStatus {
+		s.writable()
+	}
+	switch code {
 	case schSubmit:
 		id := dec.String()
 		prio := int64(dec.Uint64())
@@ -120,7 +127,7 @@ func (s *Sched) Execute(op []byte) ([]byte, error) {
 		if err := dec.Done(); err != nil {
 			return nil, err
 		}
-		return s.status(), nil
+		return jobStatus(s.queued, s.running), nil
 	default:
 		return nil, fmt.Errorf("%w: scheduler opcode %d", ErrBadOp, code)
 	}
@@ -138,13 +145,14 @@ func (s *Sched) pick() *job {
 	return best
 }
 
-func (s *Sched) status() []byte {
+// jobStatus renders the queue summary a status read returns.
+func jobStatus(queued, running map[string]*job) []byte {
 	type row struct{ id, state string }
 	var rows []row
-	for id := range s.queued {
+	for id := range queued {
 		rows = append(rows, row{id, "queued"})
 	}
-	for id := range s.running {
+	for id := range running {
 		rows = append(rows, row{id, "running"})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
@@ -208,7 +216,7 @@ func (s *Sched) Restore(snap []byte) error {
 	if err := dec.Done(); err != nil {
 		return err
 	}
-	s.arrivals, s.queued, s.running = arrivals, queued, running
+	s.arrivals, s.queued, s.running, s.pinned = arrivals, queued, running, false
 	return nil
 }
 
@@ -252,7 +260,35 @@ func (s *Sched) Replay(op, aux []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: replay dispatch of unknown job %q", ErrBadOp, id)
 	}
+	s.writable()
 	delete(s.queued, id)
 	s.running[id] = j
 	return aux, nil
+}
+
+// Sched implements ReadViewer by copy-on-write: a view shares the two
+// job maps, and the first write after a pin copies them (writable).
+var _ ReadViewer = (*Sched)(nil)
+
+type schedView struct{ queued, running map[string]*job }
+
+// ReadView implements ReadViewer.
+func (s *Sched) ReadView() (ReadView, bool) {
+	s.pinned = true
+	return schedView{s.queued, s.running}, true
+}
+
+// writable copies the job maps if a view may hold them.
+func (s *Sched) writable() {
+	if s.pinned {
+		s.queued, s.running, s.pinned = maps.Clone(s.queued), maps.Clone(s.running), false
+	}
+}
+
+// ReadExecute implements ReadView: a status read only.
+func (v schedView) ReadExecute(op []byte) ([]byte, error) {
+	if len(op) != 1 || op[0] != schStatus {
+		return nil, fmt.Errorf("%w: scheduler op on a read-only view", ErrBadOp)
+	}
+	return jobStatus(v.queued, v.running), nil
 }

@@ -193,23 +193,31 @@ type Sharder interface {
 // what the owning service mutates afterwards.
 type ReadView interface {
 	// ReadExecute applies one read-only operation against the pinned
-	// state. It must not mutate anything (neither the view nor the
-	// owning service) and must reject operations that would.
+	// state and returns what Execute would have returned at the pin. It
+	// must not mutate anything (neither the view nor the owning service)
+	// and must reject every operation that would, with ErrBadOp: a
+	// client can send any op as a read.
 	ReadExecute(op []byte) ([]byte, error)
 }
 
 // ReadViewer is implemented by services that can pin an immutable view
 // of their current state — by copy-on-write, epoch pinning, or any other
-// scheme — enabling the replica to execute reads in parallel off the
-// event loop while writes keep mutating the live state. Services without
-// ReadViewer still serve reads; they just execute inline on the event
-// loop, the pre-parallelism behavior.
+// scheme. The replica runs every read of such a service through a view
+// pinned at its commit point, so reads run beside speculative writes
+// and open transactions, in parallel off the event loop or inline.
+//
+// A service without ReadViewer has its reads executed by Execute on the
+// live state, once no write is in flight and no exclusive transaction
+// is open. Its Execute must then leave the state unchanged for every
+// read-only op, and refuse on its own any mutating op it is not willing
+// to apply outside consensus: the replica cannot tell a read-only op
+// from a mutating one, and a mutating op a client sends as a read would
+// change that one replica's state alone.
 type ReadViewer interface {
 	Service
 	// ReadView pins the current state. ok is false when the state cannot
-	// be pinned right now (e.g. open transactions hold locks whose
-	// conflict semantics a concurrent frozen view could not honor); the
-	// caller then falls back to inline execution.
+	// be pinned right now; the reads that needed the pin wait until one
+	// succeeds.
 	ReadView() (ReadView, bool)
 }
 
