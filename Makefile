@@ -9,7 +9,7 @@ RECONFIG_RACE = -run 'Reconfig|OnlineJoin|ChaosCrashRejoin|RemoveReplica|TCPOnli
 DURABLE_RACE = -run 'Durable|PersistFailure|ConcurrentFlush|GroupCommit|Buffered|SyncPolicy|AsyncRewrite|Poison' ./internal/storage ./internal/cluster ./internal/chaos
 PIPELINE_RACE = -run 'Pipelin|Linearizability|Recovery' ./internal/core ./internal/chaos ./internal/paxos
 SHARD_RACE = -run 'Shard|GroupMux|CrossGroup|OpenFile|WithPrefix|Rank|Group' ./internal/shard ./internal/transport ./internal/storage ./internal/metrics ./internal/omega ./internal/cluster .
-MULTICORE_RACE = -run 'ParallelRead|ReadView|ReadPool|Sink|Inbox|DecodeStage|ReplyWriter|Multicore' ./internal/core ./internal/service ./internal/transport
+MULTICORE_RACE = -run 'ParallelRead|ReadView|ReadPool|Sink|Inbox|DecodeStage|ReplyWriter|Coalesc|Multicore' ./internal/core ./internal/service ./internal/transport
 OVERLOAD_RACE = -run 'Overload|RetryAfter|ReplyDrop|Shed|OpenLoop' ./internal/client ./internal/transport ./cmd/benchpaxos
 OVERLOAD_TCP_RACE = -run 'TCPIdempotentRetryAcrossLeaderCrash' .
 WAN_RACE = -run 'Preempt|Cost|Rank|Near|Vouch|Confirm|Deposed|ReadExpires|ExclusiveTxnOpen|WAN|Wan|ProfileTimeout|ProfileByName|RegionPartition' ./internal/omega ./internal/core ./internal/client ./internal/netem ./internal/cluster ./internal/chaos

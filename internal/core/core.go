@@ -160,9 +160,10 @@ type wave struct {
 	recovery bool        // re-proposing learned entries after election
 	acked    bool        // quorum complete, waiting on predecessor waves
 	txns     []*txnState // transactions committing in this wave
-	// view is the state before this wave executed, pinned while a read
-	// was registered: the state at the commit point once the wave is the
-	// oldest in flight (reads.go).
+	// view is the state before this wave executed (waveView): the state
+	// at the commit point once the wave is the oldest in flight
+	// (reads.go). Nil for a service without ReadViewer, or if the pin
+	// was refused.
 	view    service.ReadView
 	sentAt  time.Time
 	firstAt time.Time // admission time of the wave's oldest request
@@ -305,6 +306,10 @@ type Replica struct {
 	deferEnvs []*wire.Envelope
 	deferFns  []func()
 	awaiting  [][]func()
+	// promStaged is the highest promise a durability closure was
+	// registered for, promDurable the highest the store has flushed
+	// (endBurst); a confirm carrying promDurable needs no gate.
+	promStaged, promDurable wire.Ballot
 }
 
 // peerHealth is a transport-level link transition for one peer, reported
@@ -404,6 +409,7 @@ func New(cfg Config) (*Replica, error) {
 	r.differ, r.replayer = differ, replayer
 	r.viewer, _ = cfg.Service.(service.ReadViewer)
 	r.maxSeen = acc.Promised()
+	r.promStaged, r.promDurable = r.maxSeen, r.maxSeen // loaded: on disk
 	r.nextInstance = acc.Chosen() + 1
 	// Seed the participant set before replay: boot replay below may walk
 	// configuration entries, each of which switches membership in
@@ -512,12 +518,20 @@ func (r *Replica) control(now time.Time, f func(*Replica)) {
 	f(r)
 }
 
-// endBurst closes a burst of steps: it sends the burst's coalesced
-// confirms, re-checks pending reads, and hands back one persist job — the
-// deferred sends plus any staged records, which still need a flush —
-// keeping the deferred closures until durable reports the job done.
+// endBurst closes a burst of steps: it notes a promise the burst staged,
+// sends the burst's coalesced confirms, re-checks pending reads, and
+// hands back one persist job — the deferred sends plus any staged
+// records, which still need a flush — keeping the deferred closures
+// until durable reports the job done.
 func (r *Replica) endBurst() (persistJob, bool) {
 	r.enter(r.now, burstInput{})
+	if p := r.acc.Promised(); !p.Equal(r.promStaged) {
+		// The promise changed in this burst: it is durable once the
+		// flush covering this job returns. Closures run in order and a
+		// promise only rises, so promDurable only rises.
+		r.promStaged = p
+		r.deferLoop(func() { r.promDurable = p })
+	}
 	r.flushConfirms()
 	r.flushReads()
 	if r.flusher == nil || !r.flusher.Staged() && len(r.deferEnvs) == 0 && len(r.deferFns) == 0 {
@@ -532,9 +546,10 @@ func (r *Replica) endBurst() (persistJob, bool) {
 }
 
 // sendDurable routes a message that claims durable acceptor state — a
-// Promise, an Accepted, a Confirm — into the burst's persist job, so it
-// leaves only after the staged records backing the claim are flushed.
-// Without a flusher the inline store already made them durable; send now.
+// Promise, an Accepted, a Confirm whose promise is still staged
+// (flushConfirms) — into the burst's persist job, so it leaves only
+// after the staged records backing the claim are flushed. Without a
+// flusher the inline store already made them durable; send now.
 func (r *Replica) sendDurable(to wire.NodeID, msg wire.Message) {
 	if r.flusher != nil {
 		r.deferEnvs = append(r.deferEnvs, &wire.Envelope{To: to, Msg: msg})

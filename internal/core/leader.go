@@ -126,7 +126,13 @@ func (r *Replica) drainBlocked() {
 	for _, req := range blocked {
 		r.onRequest(req)
 		if r.exclusiveBusy() {
-			// A new exclusive transaction started; park the rest again.
+			// A new exclusive transaction started. The rest of the list
+			// is dropped, not parked again (r.blocked was emptied
+			// above): their clients wait a rebroadcast. Kept, the rest
+			// could hold a retransmitted opening op of a transaction
+			// that has since finished, which would begin it again on
+			// the live state with no commit or abort to follow
+			// (ROADMAP, "A finished transaction can be begun again").
 			break
 		}
 	}
@@ -185,14 +191,13 @@ func (r *Replica) startWave(items []workItem) {
 	execStart := wallClock()
 	var entries []wire.Entry
 	var txns []*txnState
-	// The state before this wave, kept only while a read waits (pinning
-	// before every wave costs writes a copy-on-write each, DESIGN.md
-	// §14) and for an exclusive transaction's commit, the one wave that
-	// launches while it is open: its ops already ran on the live state.
-	var view service.ReadView
-	if r.viewer != nil && (len(r.reads) > 0 || r.exclusiveBusy()) {
-		view = r.liveView()
-	}
+	// The state before this wave, pinned before it executes: the state
+	// at the commit point while the wave is the oldest in flight, so a
+	// read never waits for it (DESIGN.md §18). For an exclusive
+	// transaction's commit, the one wave that launches while it is
+	// open, that is the transaction's view: its ops already ran on the
+	// live state.
+	view := r.waveView()
 	for _, it := range items {
 		if it.txn != nil {
 			// T-Paxos commit: one instance decides the whole transaction
@@ -245,6 +250,17 @@ func (r *Replica) startWave(items []workItem) {
 	r.stats.execLat.ObserveDuration(exec)
 	// The queue is in admission order, so the first item is the oldest.
 	r.launchWave(&wave{entries: entries, txns: txns, view: view, firstAt: items[0].at, exec: exec})
+}
+
+// waveView pins the state before a wave launches, for reads to execute
+// on while it is in flight; nil for a service without ReadViewer, whose
+// reads wait for the wave to commit. Every wave carries one: pinning
+// costs the next write to each bucket a copy-on-write (DESIGN.md §14).
+func (r *Replica) waveView() service.ReadView {
+	if r.viewer == nil {
+		return nil
+	}
+	return r.liveView()
 }
 
 // executeWrite runs one write on the service per the state mode,
@@ -543,7 +559,7 @@ func (r *Replica) finishActivation() {
 	top := entries[len(entries)-1].Instance
 	r.nextInstance = top + 1
 	r.logf("recovery wave %d..%d", chosen+1, top)
-	r.launchWave(&wave{entries: entries, recovery: true})
+	r.launchWave(&wave{entries: entries, recovery: true, view: r.waveView()})
 }
 
 // activate opens the leader for client traffic and replays requests that

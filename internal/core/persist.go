@@ -21,8 +21,15 @@ import (
 // concurrent senders) and counts the jobs off. The ordering contract:
 //
 //   - A message that claims durable acceptor state — a Promise, an
-//     Accepted, an X-Paxos Confirm — is deferred via sendDurable and
-//     leaves only after the Flush covering the staged records returns.
+//     Accepted — is deferred via sendDurable and leaves only after the
+//     Flush covering the staged records returns.
+//   - An X-Paxos Confirm claims only the promise behind its ballot: it
+//     is deferred the same way while that promise is staged, and sent
+//     at once when it equals promDurable, the highest promise a Flush
+//     has covered. endBurst learns that promise through a deferLoop
+//     closure registered in each burst that changed it; the loaded
+//     promise is durable from boot. The confirm's MaxAcc stamp needs
+//     no gate: it only ever raises a read's barrier.
 //   - The leader's own phase-1b/2b votes count toward quorum only via
 //     deferred closures (deferLoop), so commit — and therefore the client
 //     reply — implies a quorum of durable votes. Backups' votes arrive
@@ -44,8 +51,9 @@ import (
 
 // persistJob is one burst's deferred sends, to leave once the records
 // staged so far are durable. wake marks a job the core holds closures
-// for: only those are counted off and wake the loop, so a backup, which
-// defers sends but no closures, is never woken by its own flushes.
+// for: only those are counted off and wake the loop, so a backup, whose
+// only closure notes a new promise durable (endBurst), is woken by its
+// own flushes about once per term.
 type persistJob struct {
 	envs []*wire.Envelope
 	wake bool

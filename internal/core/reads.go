@@ -64,23 +64,30 @@ func (r *Replica) readServer(req wire.Request) (wire.NodeID, bool) {
 // is what makes each listed key valid per-read evidence: the message
 // leaves after every listed read was received, carrying the highest
 // ballot this replica has promised and the highest instance it has
-// accepted as of now. Every confirm goes through the durability gate:
-// whichever replica counts its ballot as §3.4 leadership evidence, the
-// promise behind that ballot must survive this replica's crash, or a new
-// leader could commit writes while the old one still assembles read
-// majorities from pre-crash confirms. (The stamp alone would not need
-// the gate: it only ever raises a barrier, so an overshooting claim is
-// harmless.) The queue needs no cap — it holds at most one burst.
+// accepted as of now. Whichever replica counts the ballot as §3.4
+// leadership evidence, the promise behind it must survive this
+// replica's crash, or a new leader could commit writes while the old
+// one still assembles read majorities from pre-crash confirms. So the
+// confirms leave at once when that promise is flushed (promDurable,
+// endBurst) and through the durability gate while it is only staged.
+// The stamp needs no gate: it only ever raises a barrier, so an
+// overshooting claim is harmless (DESIGN.md §9). The queue needs no
+// cap — it holds at most one burst.
 func (r *Replica) flushConfirms() {
 	if len(r.confirmQ) == 0 {
 		return
 	}
 	c := wire.Confirm{Bal: r.acc.Promised(), From: r.cfg.ID,
 		MaxAcc: r.acc.MaxInstance(), MaxAccSet: true}
+	direct := c.Bal.Equal(r.promDurable)
 	for to, keys := range r.confirmQ {
 		m := c
 		m.Reads = keys
-		r.sendDurable(to, &m)
+		if direct {
+			r.send(to, &m)
+		} else {
+			r.sendDurable(to, &m)
+		}
 		delete(r.confirmQ, to)
 	}
 }
@@ -191,8 +198,9 @@ func (r *Replica) tryFinishRead(pr *pendingRead) {
 
 // readState returns the state at the commit point, which every read
 // executes on (DESIGN.md §18): the view pinned before the oldest wave in
-// flight, else liveView. Nil means the state at the commit point was not
-// pinned: the read waits for a commit.
+// flight (every wave carries one, waveView), else liveView. Nil means
+// the service has no ReadViewer (or refused the pin) and a wave is in
+// flight: the read waits for it to commit, the serial engine's rule.
 func (r *Replica) readState() service.ReadView {
 	if len(r.waves) > 0 {
 		return r.waves[0].view

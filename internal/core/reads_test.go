@@ -50,61 +50,86 @@ func lead(r *Replica, bal wire.Ballot) {
 	r.role, r.activated, r.bal = RoleLeading, true, bal
 }
 
-// TestNearConfirmsAreDurabilityGated pins the fix for the near-confirm
-// durability hole: a confirm sent to the client's nearest replica
-// carries this replica's promised ballot, and when that replica is the
-// active leader the ballot is counted as §3.4 leadership evidence. The
-// message must therefore be deferred through the persister
-// (sendDurable) like every other confirm — a direct send could let a
-// read majority count a promise still staged in the WAL, which a crash
-// would forget.
+// TestNearConfirmsAreDurabilityGated pins the confirm gate (DESIGN.md
+// §9): a confirm carries this replica's promised ballot, and when the
+// replica it goes to is the active leader the ballot is counted as §3.4
+// leadership evidence, so the confirm must not leave before the promise
+// behind that ballot is durable — a read majority could otherwise count
+// a promise still staged in the WAL, which a crash would forget. It
+// leaves directly once the flush covering the promise has returned, and
+// is deferred through the persister (sendDurable) while a newer promise
+// is only staged. Either way a leader-path read and a near read bound
+// for the same replica share one stamped message.
 func TestNearConfirmsAreDurabilityGated(t *testing.T) {
-	r, tr := bareReplica(t)
+	low, high := wire.Ballot{Round: 1, Node: 2}, wire.Ballot{Round: 2, Node: 2}
+	// promise stages a promise of bal and ends the burst, as the event
+	// loop does; flushed reports that burst's job durable.
+	promise := func(t *testing.T, r *Replica, bal wire.Ballot) {
+		t.Helper()
+		if _, err := r.acc.OnPrepare(&wire.Prepare{Bal: bal}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.endBurst(); !ok {
+			t.Fatal("a burst that staged a promise handed back no persist job")
+		}
+	}
+	flushed := func(r *Replica) { r.durable(r.now, 1) }
+	cases := []struct {
+		name   string
+		setup  func(*testing.T, *Replica)
+		direct bool
+	}{
+		{"ConfirmDeferredWhilePromiseStaged", func(t *testing.T, r *Replica) {
+			promise(t, r, low)
+		}, false},
+		{"ConfirmDirectOncePromiseFlushed", func(t *testing.T, r *Replica) {
+			promise(t, r, low)
+			flushed(r)
+		}, true},
+		{"ConfirmDeferredAgainAfterHigherPromise", func(t *testing.T, r *Replica) {
+			promise(t, r, low)
+			flushed(r)
+			promise(t, r, high)
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, tr := bareReplica(t)
+			tc.setup(t, r)
+			tr.sent, r.deferEnvs = nil, nil
 
-	req := wire.Request{Client: wire.ClientIDBase, Seq: 7, Kind: wire.KindRead, Near: 2, NearSet: true}
-	r.onRequest(req)
-	r.flushConfirms()
+			near := wire.Request{Client: wire.ClientIDBase, Seq: 7, Kind: wire.KindRead, Near: 2, NearSet: true}
+			leaderPath := wire.Request{Client: wire.ClientIDBase + 1, Seq: 1, Kind: wire.KindRead}
+			r.onRequest(near)
+			r.onRequest(leaderPath)
+			r.flushConfirms()
 
-	if len(tr.sent) != 0 {
-		t.Fatalf("near confirm sent directly (%d envelopes) — it bypassed the durability gate", len(tr.sent))
-	}
-	if len(r.deferEnvs) != 1 {
-		t.Fatalf("deferred envelopes = %d, want exactly 1 near confirm", len(r.deferEnvs))
-	}
-	env := r.deferEnvs[0]
-	if env.To != 2 {
-		t.Fatalf("confirm addressed to %d, want near target 2", env.To)
-	}
-	c, ok := env.Msg.(*wire.Confirm)
-	if !ok {
-		t.Fatalf("deferred message is %T, want *wire.Confirm", env.Msg)
-	}
-	if len(c.Reads) != 1 || c.Reads[0] != req.Key() {
-		t.Fatalf("confirm reads = %v, want [%v]", c.Reads, req.Key())
-	}
-	if !c.MaxAccSet {
-		t.Fatal("near confirm not stamped with MaxAcc — it cannot vouch for the read's barrier")
-	}
-	if len(r.confirmQ) != 0 {
-		t.Fatal("confirm queue not drained by flushConfirms")
-	}
-
-	// One queue: a leader-path read and a near read bound for the same
-	// replica share one gated message.
-	if _, err := r.acc.OnPrepare(&wire.Prepare{Bal: wire.Ballot{Round: 1, Node: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	r.deferEnvs = nil
-	unstamped := wire.Request{Client: wire.ClientIDBase + 1, Seq: 1, Kind: wire.KindRead}
-	r.onRequest(unstamped)
-	r.onRequest(req)
-	r.flushConfirms()
-	if len(tr.sent) != 0 || len(r.deferEnvs) != 1 {
-		t.Fatalf("direct sends = %d, deferred = %d; want 0 and one coalesced confirm", len(tr.sent), len(r.deferEnvs))
-	}
-	c = r.deferEnvs[0].Msg.(*wire.Confirm)
-	if r.deferEnvs[0].To != 2 || len(c.Reads) != 2 || c.Bal.Node != 2 {
-		t.Fatalf("coalesced confirm to %d = %+v, want both reads to the leader of the promised ballot", r.deferEnvs[0].To, c)
+			out, other := r.deferEnvs, tr.sent
+			if tc.direct {
+				out, other = tr.sent, r.deferEnvs
+			}
+			if len(out) != 1 || len(other) != 0 {
+				t.Fatalf("direct sends = %d, deferred = %d; want one coalesced confirm, sent directly = %v",
+					len(tr.sent), len(r.deferEnvs), tc.direct)
+			}
+			c, ok := out[0].Msg.(*wire.Confirm)
+			if !ok {
+				t.Fatalf("message is %T, want *wire.Confirm", out[0].Msg)
+			}
+			if out[0].To != 2 || len(c.Reads) != 2 || !c.Bal.Equal(r.acc.Promised()) {
+				t.Fatalf("confirm to %d = %+v, want both reads to replica 2 under the promised ballot %v",
+					out[0].To, c, r.acc.Promised())
+			}
+			if !c.MaxAccSet {
+				t.Fatal("confirm not stamped with MaxAcc — it cannot vouch for a near read's barrier")
+			}
+			if tc.direct && r.promDurable.Less(c.Bal) {
+				t.Fatalf("confirm claiming %v sent directly with only %v flushed", c.Bal, r.promDurable)
+			}
+			if len(r.confirmQ) != 0 {
+				t.Fatal("confirm queue not drained by flushConfirms")
+			}
+		})
 	}
 }
 

@@ -201,7 +201,7 @@ func (r *Replica) proposeConfig(op wire.ConfigOp, node wire.NodeID, addr string)
 	r.nextInstance++
 	r.pendingConfig = true
 	r.logf("proposing config %v %v at instance %d", op, node, entries[0].Instance)
-	r.launchWave(&wave{entries: entries})
+	r.launchWave(&wave{entries: entries, view: r.waveView()})
 	return nil
 }
 

@@ -238,9 +238,10 @@ func TestSimCorpus(t *testing.T) {
 // corpusConfirmDurability: a backup stages a new leader's promise and, in
 // the same instant, is asked to vouch for a read — its confirm carries
 // that promise's ballot. The backup then crashes before the flush and
-// forgets the promise. A confirm sent ahead of the flush (send instead
-// of sendDurable in flushConfirms) has by then claimed a ballot no disk
-// backs; the vouching check catches it at the send.
+// forgets the promise. A confirm sent ahead of the flush (flushConfirms
+// sending directly while the promise is only staged) has by then
+// claimed a ballot no disk backs; the vouching check catches it at the
+// send.
 func corpusConfirmDurability(t *testing.T) {
 	s := newSim(t, simConfig{seed: 10, fsync: [2]time.Duration{20 * time.Millisecond, 20 * time.Millisecond}})
 	old := s.awaitLeader(time.Second)

@@ -118,6 +118,28 @@ func BenchmarkTCPWaveRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkTCPBurst measures a burst on one supervised link: 16 request
+// frames enqueued back to back to one peer, timed until all 16 are
+// received — the leader fanning a wave's replies or a backup's votes out
+// faster than one write per frame drains them.
+func BenchmarkTCPBurst(b *testing.B) {
+	const burst = 16
+	t0, t1 := tcpPair(b)
+	env := benchEnv(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < burst; j++ {
+			t0.Send(env)
+		}
+		for j := 0; j < burst; j++ {
+			if _, ok := <-t1.Recv(); !ok {
+				b.Fatal("t1 recv closed")
+			}
+		}
+	}
+}
+
 // BenchmarkNetworkRoundTrip measures the in-process transport's codec
 // round trip (encode + decode per Send) on the zero-delay loopback
 // profile, the substrate of the in-process cluster.

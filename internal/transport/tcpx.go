@@ -25,12 +25,13 @@ import (
 // ran on PlanetLab-class networks where connections die and peers stall.
 // Every outbound route to a peer in the address book is therefore owned
 // by a connection supervisor: a goroutine with a bounded outbound queue
-// that dials with exponential backoff plus jitter, applies a write
-// deadline to every frame, sends transport-level ping frames while the
-// link is idle, and declares the peer dead when pongs stop arriving
-// (which catches blackholed links that writes alone never notice). Peer
-// up/down transitions are reported through SetHealth so the Ω elector
-// can react to real socket failures, not just missing heartbeats.
+// that dials with exponential backoff plus jitter, writes what is
+// queued a burst per write under one deadline, sends transport-level
+// ping frames while the link is idle, and declares the peer dead when
+// pongs stop arriving (which catches blackholed links that writes alone
+// never notice). Peer up/down transitions are reported through SetHealth
+// so the Ω elector can react to real socket failures, not just missing
+// heartbeats.
 type TCP struct {
 	local wire.NodeID
 	opts  Options
@@ -65,9 +66,10 @@ type Options struct {
 	// every sleep is jittered to avoid reconnection stampedes.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// WriteTimeout is the per-frame write deadline and dial timeout
-	// (default 5s). A write that cannot complete within it severs the
-	// connection and triggers a reconnect.
+	// WriteTimeout is the deadline of each write — a burst of queued
+	// frames, or one ping or pong — and the dial timeout (default 5s).
+	// A write that cannot complete within it severs the connection and
+	// triggers a reconnect.
 	WriteTimeout time.Duration
 	// PingEvery is the transport heartbeat period on supervised
 	// connections (default 500ms).
@@ -116,6 +118,7 @@ const maxFrame = wire.MaxBlob + (1 << 16)
 type counters struct {
 	dials, dialFails, reconnects    metrics.Counter
 	sent, recvd                     metrics.Counter
+	flushes                         metrics.Counter // writes of envelope bursts (writeBurst)
 	pingsSent, pongsRecvd           metrics.Counter
 	dropQueueFull, dropNoRoute      metrics.Counter
 	dropWriteFail, dropRecvOverflow metrics.Counter
@@ -136,8 +139,8 @@ type counters struct {
 type tcpConn struct {
 	c  net.Conn
 	w  *bufio.Writer
-	wt time.Duration // per-frame write deadline
-	mu sync.Mutex    // serializes frame writes
+	wt time.Duration // write deadline, set once per write
+	mu sync.Mutex    // serializes writes
 
 	// Accept-side reply writer (nil on supervisor connections): Send
 	// enqueues encoded replies here and replyLoop writes them from a
@@ -189,24 +192,76 @@ func (tc *tcpConn) enqueueReply(bp *[]byte, st *counters, shed bool) {
 	}
 }
 
+// writeFrame writes and flushes one frame on its own: the ping and pong
+// frames, which must not wait behind a burst.
 func (tc *tcpConn) writeFrame(kind byte, payload []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)+1))
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.wt > 0 {
 		tc.c.SetWriteDeadline(time.Now().Add(tc.wt))
 	}
+	if err := tc.bufferFrame(kind, payload); err != nil {
+		return err
+	}
+	return tc.w.Flush()
+}
+
+// bufferFrame appends one frame to the connection's buffered writer,
+// which writes to the socket only when it fills. Caller holds tc.mu.
+func (tc *tcpConn) bufferFrame(kind byte, payload []byte) error {
+	var hdr [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(payload)+1))
 	if _, err := tc.w.Write(hdr[:n]); err != nil {
 		return err
 	}
 	if err := tc.w.WriteByte(kind); err != nil {
 		return err
 	}
-	if _, err := tc.w.Write(payload); err != nil {
+	_, err := tc.w.Write(payload)
+	return err
+}
+
+// frameBurst bounds the envelope frames one writeBurst coalesces, so a
+// queue that never drains still yields to the writer's other work
+// (pings, pongs, shutdown) between bursts.
+const frameBurst = 64
+
+// writeBurst writes the envelope frame its caller dequeued and then,
+// without blocking, every frame already queued on q up to frameBurst,
+// under one write deadline and one Flush: a burst of queued frames costs
+// one write syscall, not one each (DESIGN.md §8). The pooled buffers go
+// back to the pool. Every frame is counted in sent, and the flush in
+// flushes; on a failure the burst's frames died with the connection.
+func (t *TCP) writeBurst(tc *tcpConn, first *[]byte, q <-chan *[]byte) error {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if tc.wt > 0 {
+		tc.c.SetWriteDeadline(time.Now().Add(tc.wt))
+	}
+	n := uint64(1)
+	err := tc.bufferFrame(frameEnv, *first)
+	wire.PutBuf(first)
+drain:
+	for err == nil && n < frameBurst {
+		select {
+		case bp := <-q:
+			err = tc.bufferFrame(frameEnv, *bp)
+			wire.PutBuf(bp)
+			n++
+		default:
+			break drain
+		}
+	}
+	if err == nil {
+		err = tc.w.Flush()
+	}
+	if err != nil {
+		t.stats.dropWriteFail.Add(n)
 		return err
 	}
-	return tc.w.Flush()
+	t.stats.sent.Add(n)
+	t.stats.flushes.Add(1)
+	return nil
 }
 
 // ListenTCP starts a listening transport for a replica with default
@@ -343,6 +398,8 @@ func (t *TCP) RegisterMetrics(reg *metrics.Registry) {
 		"re-establishments after a healthy link died", &t.stats.reconnects)
 	reg.RegisterCounter("gridrep_tcp_sent_total",
 		"envelope frames sent", &t.stats.sent)
+	reg.RegisterCounter("gridrep_tcp_flushes_total",
+		"writes of queued envelope frames, one per burst (frames per write = sent / flushes)", &t.stats.flushes)
 	reg.RegisterCounter("gridrep_tcp_recvd_total",
 		"envelope frames received", &t.stats.recvd)
 	reg.RegisterCounter("gridrep_tcp_pings_sent_total",
@@ -540,24 +597,20 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// replyLoop writes one accept-side connection's queued replies. It
-// lives until the connection's read loop closes wstop, then drains the
-// queue back to the buffer pool. A write failure severs the connection
-// (the read loop notices and tears the learned routes down); later
-// queued frames fail fast on the closed socket.
+// replyLoop writes one accept-side connection's queued replies, each
+// reply it wakes for together with every reply queued behind it, in one
+// write (writeBurst). It lives until the connection's read loop closes
+// wstop, then drains the queue back to the buffer pool. A write failure
+// severs the connection (the read loop notices and tears the learned
+// routes down); later queued frames fail fast on the closed socket.
 func (t *TCP) replyLoop(conn *tcpConn) {
 	defer t.wg.Done()
 	for {
 		select {
 		case bp := <-conn.wq:
-			err := conn.writeFrame(frameEnv, *bp)
-			wire.PutBuf(bp)
-			if err != nil {
-				t.stats.dropWriteFail.Add(1)
+			if t.writeBurst(conn, bp, conn.wq) != nil {
 				conn.c.Close()
-				continue
 			}
-			t.stats.sent.Add(1)
 		case <-conn.wstop:
 			for {
 				select {
@@ -581,10 +634,11 @@ const decodeBacklog = 256
 // to the connection's decode stage (decodeLoop), keeping socket reads
 // and envelope decoding on separate goroutines so N connections decode
 // on N cores instead of serializing decode behind I/O. Ping/pong frames
-// stay inline — they are latency-sensitive and byte-cheap. Accept-side
-// route learning moves with the decode (it needs the envelope's From
-// field); supervisor-side loops report pongs to their supervisor via
-// the pong channel.
+// stay inline — they are latency-sensitive and byte-cheap — and a pong
+// is written on its own (writeFrame), waiting at most for the one burst
+// the connection's writer is flushing. Accept-side route learning moves
+// with the decode (it needs the envelope's From field); supervisor-side
+// loops report pongs to their supervisor via the pong channel.
 func (t *TCP) readLoop(conn *tcpConn, acceptSide bool, pong chan<- int64) {
 	defer t.wg.Done()
 	defer conn.c.Close()
@@ -906,9 +960,10 @@ func (s *supervisor) run() {
 	}
 }
 
-// pump drains the queue onto conn and keeps the link verified with
-// pings. It returns when the connection must be abandoned: a write
-// failed, the reader saw EOF, or the peer stopped answering pings.
+// pump drains the queue onto conn, a burst per write (writeBurst), and
+// keeps the link verified with pings. It returns when the connection
+// must be abandoned: a write failed, the reader saw EOF, or the peer
+// stopped answering pings.
 func (s *supervisor) pump(conn *tcpConn, readerDone <-chan struct{}, pong <-chan int64) pumpResult {
 	ping := time.NewTicker(s.t.opts.PingEvery)
 	defer ping.Stop()
@@ -927,13 +982,9 @@ func (s *supervisor) pump(conn *tcpConn, readerDone <-chan struct{}, pong <-chan
 				s.noteRTT(rtt)
 			}
 		case bp := <-s.q:
-			err := conn.writeFrame(frameEnv, *bp)
-			wire.PutBuf(bp)
-			if err != nil {
-				s.t.stats.dropWriteFail.Add(1)
+			if s.t.writeBurst(conn, bp, s.q) != nil {
 				return pumpConnDead
 			}
-			s.t.stats.sent.Add(1)
 		case <-ping.C:
 			if time.Since(lastHeard) > s.t.opts.PingTimeout {
 				return pumpStalled // peer stalled or link blackholed
