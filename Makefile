@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites read-sites stats-sites inbox-sites coverage-sites chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test paper bench-overload-quick microbench benchstat clean
+.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites read-sites stats-sites inbox-sites coverage-sites fuzz-smoke chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test paper bench-overload-quick microbench benchstat clean
 
 # The race gates' test selections, each written once: `-run 'regex'`
 # then the packages it applies to. `make selectors` checks every
@@ -144,6 +144,15 @@ coverage-sites:
 	if [ -n "$$zero" ]; then echo "coverage-sites: functions no tier-1 test reaches:"; echo "$$zero"; exit 1; fi; \
 	echo "coverage-sites: tier-1 reaches every function in core, wire, transport, storage and gateway"
 
+# Fuzz smoke: each decoder fuzz target explores FUZZTIME beyond its seed
+# corpus (testdata/fuzz/, which tier-1 already replays). A failure
+# writes the crashing input under that testdata directory.
+FUZZTIME = 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzKVApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzKVRestore$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire
+
 # Just the socket-level chaos suite (transport + chaos), race-enabled.
 chaos:
 	$(GO) test -race ./internal/transport ./internal/chaos
@@ -162,12 +171,13 @@ chaos-reconfig:
 durable-race:
 	$(GO) test -race -count 1 $(DURABLE_RACE)
 
-# Pipelined-mode suite under the race detector: wave pipelining, the
-# linearizability matrix (depth × batching), recovery truncation, and
-# the leader-crash-mid-pipeline chaos test. core's tests run on the
-# simulator, one goroutine; the wall-clock tests that give the race
-# detector work here are internal/chaos's TestPipelinedLeaderCrashMidFlight
-# and internal/core's TestReadLinearizabilityMulticore.
+# The one-wave suite under the race detector (DESIGN.md §10): the
+# one-wave rule and a leader switch mid-wave, the linearizability
+# bracket with batching off and on, recovery truncation, and the leader
+# crash with a wave in flight. core's tests run on the simulator, one
+# goroutine; the wall-clock tests that give the race detector work here
+# are internal/chaos's TestPipelinedLeaderCrashMidFlight and
+# internal/core's TestReadLinearizabilityMulticore.
 pipeline-race:
 	$(GO) test -race -count 1 $(PIPELINE_RACE)
 

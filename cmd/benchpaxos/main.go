@@ -138,8 +138,8 @@ func main() {
 
 // overloadLabProfile is the substrate for fig-overload: a latency-bound
 // cluster whose capacity does not depend on the host CPU. NoBatch mode
-// pins throughput to one accept wave per request, PipelineDepth 1 makes
-// waves serial, and the ~500µs replica links price each wave at about a
+// pins throughput to one accept wave per request, waves are serial,
+// and the ~500µs replica links price each wave at about a
 // millisecond — roughly 1k writes/s of capacity regardless of how fast
 // the machine is. That matters because the open-loop driver shares the
 // process with the cluster: against the normal batching substrate the
@@ -168,7 +168,7 @@ func overloadLabConfig(gw *gateway.Config) cluster.Config {
 	return cluster.Config{
 		N: 3, Profile: overloadLabProfile(), Seed: 1,
 		ClientDeadline: 120 * time.Second, Gateway: gw,
-		Options: core.Options{PipelineDepth: 1, NoBatch: true},
+		Options: core.Options{NoBatch: true},
 	}
 }
 

@@ -37,14 +37,13 @@ func main() {
 	seed := flag.Int64("seed", time.Now().UnixNano(), "RNG seed for nondeterministic services")
 	var o gridrep.Options // the protocol tunables, bound straight into the struct the server takes
 	flag.DurationVar(&o.HeartbeatInterval, "heartbeat", 25*time.Millisecond, "Ω heartbeat interval")
-	flag.IntVar(&o.PipelineDepth, "pipeline", 1, "max accept waves in flight while leading (1 = serial protocol)")
 	flag.DurationVar(&o.CommitFlushDelay, "commit-flush", 0, "commit notification batching window (0 = default 1ms; widen on WAN links)")
 	flag.BoolVar(&o.RTTPlacement, "rtt-placement", false, "fold measured peer RTTs into leader placement: the cluster converges on the best-connected replica regardless of boot order (DESIGN.md 16)")
 	flag.Uint64Var(&o.SnapshotEvery, "snapshot-every", 0, "durable service snapshot cadence in applied instances (0 = default 1024)")
 	flag.Uint64Var(&o.PruneKeep, "prune-keep", 0, "WAL instances retained below the cluster-min applied watermark (0 = default 1024)")
 	join := flag.Bool("join", false, "join a running cluster as a learner: catch up via snapshot streaming, then get promoted to voter by a committed config entry")
 	gatewayOn := flag.Bool("gateway", false, "enable the client-facing edge: admission control, per-tenant fair queueing, typed overload sheds, session dedup window")
-	gwInflight := flag.Int("gateway-inflight", 0, "global admitted-but-unanswered budget (0 = pipeline depth x groups x 64)")
+	gwInflight := flag.Int("gateway-inflight", 0, "global admitted-but-unanswered budget (0 = groups x 64)")
 	gwQueue := flag.Int("gateway-queue", 0, "per-tenant fair-queue length (0 = 2x the in-flight budget)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate in requests/second (0 = no per-tenant throttle)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant token bucket capacity (0 = max(16, in-flight budget))")
@@ -173,8 +172,8 @@ func main() {
 							v("gateway_shed_throttle_total"), v("gateway_shed_queue_full_total"), v("gateway_shed_queue_aged_total"),
 							v("gateway_expired_inflight_total"), v("gateway_inflight"), v("gateway_queued"), v("gateway_sessions"))
 					}
-					log.Printf("replica: pipeline=%d inflight=%d/%d waves{started=%d committed=%d} rollbacks{demotions=%d waves=%d recovery_discarded=%d} deferred_drops=%d",
-						o.PipelineDepth, v("waves_in_flight"), v("waves_in_flight_max"),
+					log.Printf("replica: inflight=%d/%d waves{started=%d committed=%d} rollbacks{demotions=%d waves=%d recovery_discarded=%d} deferred_drops=%d",
+						v("waves_in_flight"), v("waves_in_flight_max"),
 						v("waves_started_total"), v("waves_committed_total"),
 						v("spec_rollbacks_total"), v("waves_rolled_back_total"), v("recovery_discarded_total"),
 						v("deferred_drops_total"))

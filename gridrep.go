@@ -64,14 +64,14 @@ type (
 	Txn = client.Txn
 
 	// Options are the protocol tunables — heartbeat and timeouts,
-	// pipeline depth, commit-flush window, snapshot cadence, RTT
-	// placement. The state-transfer reduction of §3.3 is not among them:
-	// it follows from the Service's capabilities (full state, a delta, or
-	// the captured choices to replay). ServerOptions and ClusterOptions
+	// commit-flush window, batching, snapshot cadence, RTT placement.
+	// The state-transfer reduction of §3.3 is not among them: it follows
+	// from the Service's capabilities (full state, a delta, or the
+	// captured choices to replay). ServerOptions and ClusterOptions
 	// embed the struct, so a TCP replica and an in-process cluster take
 	// exactly the same knobs:
 	//
-	//	gridrep.ClusterOptions{Options: gridrep.Options{PipelineDepth: 4}}
+	//	gridrep.ClusterOptions{Options: gridrep.Options{SnapshotEvery: 4096}}
 	Options = core.Options
 
 	// SyncPolicy selects when a WAL-backed replica forces a group-commit
@@ -189,7 +189,8 @@ var (
 	// ProfileWAN3 models three replicas spread across three continents
 	// with asymmetric per-link latency and heavy-tail jitter; ProfileWAN5
 	// extends the spread to five regions. See internal/netem/profiles.go
-	// for the latency matrices and EXPERIMENTS.md for the fig-wan runs.
+	// for the latency matrices; TestWANNearReadLinearizableUnderRegionPartition
+	// and `make wan-race` run them.
 	ProfileWAN3 = netem.WAN3
 	ProfileWAN5 = netem.WAN5
 	// ProfileByName resolves a profile from its -profile flag name
@@ -223,9 +224,8 @@ type ClusterOptions struct {
 	ClientDeadline time.Duration
 	// Options are the protocol tunables, the same struct ServerOptions
 	// takes. Zero values take defaults derived from Profile: timeouts
-	// from its worst one-way delay, pipeline depth and commit-flush
-	// window from its tuning hints (the WAN profiles deepen and widen
-	// them).
+	// from its worst one-way delay, the commit-flush window from its
+	// tuning hint (the WAN profiles widen it).
 	Options
 	// Groups is the number of independent consensus groups hosted by
 	// every replica process (default 1). With Groups > 1 the key space

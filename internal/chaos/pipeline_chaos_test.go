@@ -18,14 +18,15 @@ import (
 )
 
 // TestPipelinedLeaderCrashMidFlight kills the leader of a WAL-backed TCP
-// cluster while its depth-4 speculative pipeline demonstrably holds
-// multiple waves in flight. The crash is honest — staged in-RAM records
+// cluster while its speculative wave demonstrably is in flight under
+// eight concurrent writers. The crash is honest — staged in-RAM records
 // are discarded, the WAL replays only what fsync put on disk — so the
-// recovering cluster sees exactly the scenario the pipelining design
-// must survive: a committed prefix plus an uncommitted speculative
-// suffix, possibly with gaps. Every acknowledged write must survive, the
-// suffix past any gap must be discarded rather than grafted onto the
-// wrong state, and all replicas must converge.
+// recovering cluster sees exactly the scenario the one-wave design must
+// survive: a committed prefix plus an uncommitted speculative wave that
+// some replicas may hold. Every acknowledged write must survive, an
+// unadoptable suffix must be discarded rather than grafted onto the
+// wrong state, the leader must never have held two waves at once, and
+// all replicas must converge.
 func TestPipelinedLeaderCrashMidFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline chaos test skipped in -short mode")
@@ -80,7 +81,6 @@ func TestPipelinedLeaderCrashMidFlight(t *testing.T) {
 				HeartbeatInterval: 10 * time.Millisecond,
 				ElectionTimeout:   300 * time.Millisecond,
 				RetryTimeout:      40 * time.Millisecond,
-				PipelineDepth:     4,
 			},
 		})
 		if err != nil {
@@ -135,9 +135,9 @@ func TestPipelinedLeaderCrashMidFlight(t *testing.T) {
 	}
 	waitLeader()
 
-	// Concurrent writers: enough parallel load that the leader's pipeline
-	// holds several waves at once (each wave waits on a quorum fsync, so
-	// waves are milliseconds long even on loopback TCP).
+	// Concurrent writers: enough parallel load that writes queue behind
+	// the wave in flight (each wave waits on a quorum fsync, so waves are
+	// milliseconds long even on loopback TCP).
 	const writers, each = 8, 40
 	acked := make(map[string][]byte)
 	var ackMu sync.Mutex
@@ -168,16 +168,18 @@ func TestPipelinedLeaderCrashMidFlight(t *testing.T) {
 		}(w, cli)
 	}
 
-	// Wait until the leader demonstrably has 2+ waves in flight (the
-	// registry is safe from any goroutine), then kill it mid-pipeline.
+	// Wait until the leader demonstrably has a wave in flight past a
+	// committed prefix (the registry is safe from any goroutine), then
+	// kill it mid-wave.
 	var victim wire.NodeID
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			t.Fatal("pipeline never held 2+ waves in flight")
+			t.Fatal("the leader never held a wave in flight")
 		}
 		lead, ok := leaderOf()
-		if ok && replica(lead).Metrics().Value("gridrep_waves_in_flight") >= 2 {
+		if m := replica(lead).Metrics(); ok && m.Value("gridrep_waves_in_flight") == 1 &&
+			m.Value("gridrep_waves_committed_total") >= writers {
 			victim = lead
 			break
 		}
@@ -187,6 +189,9 @@ func TestPipelinedLeaderCrashMidFlight(t *testing.T) {
 	t.Logf("killing leader %d with %d waves in flight (max %d, started %d, committed %d)",
 		victim, vm.Value("gridrep_waves_in_flight"), vm.Value("gridrep_waves_in_flight_max"),
 		vm.Value("gridrep_waves_started_total"), vm.Value("gridrep_waves_committed_total"))
+	if n := vm.Value("gridrep_waves_in_flight_max"); n != 1 {
+		t.Fatalf("leader %d held %d waves in flight at once, want 1", victim, n)
+	}
 
 	// Honest crash: Stop discards staged in-RAM records; the reopened WAL
 	// replays only what fsync put on disk.

@@ -66,9 +66,8 @@ type Config struct {
 
 	// Options are the replica tunables, forwarded whole to every group
 	// of every node. Zero values take defaults derived from the profile:
-	// timeouts from its MaxOneWay, pipeline depth and commit-flush window
-	// from its tuning hints (long-haul profiles ask for a deep pipeline
-	// and a wide window).
+	// timeouts from its MaxOneWay, the commit-flush window from its
+	// tuning hint (long-haul profiles ask for a wide window).
 	core.Options
 
 	// ClientRetryEvery and ClientDeadline configure clients.
@@ -107,7 +106,7 @@ func (c *Config) fillDefaults() {
 	if c.Service == nil {
 		c.Service = service.NoopFactory
 	}
-	c.Options.FillDefaults(c.Profile.MaxOneWay, c.Profile.PipelineDepth, c.Profile.CommitFlushDelay)
+	c.Options.FillDefaults(c.Profile.MaxOneWay, c.Profile.CommitFlushDelay)
 }
 
 // gsKey identifies one (node, group) replica slot.

@@ -1,10 +1,11 @@
-// Package failure holds the wall-clock fault tests: the test itself
-// injects faults into an assembled in-process cluster (cluster.New) —
-// crashes and restarts, §3.6 leader switches, client loss bursts and
-// replica link cuts — while real goroutines and timers run. The protocol's
-// own fault schedules run exactly on core's simulator (DESIGN.md §20);
-// these add the assembled cluster, under the race detector in make race.
-package failure
+package cluster_test
+
+// The wall-clock fault tests: the test itself injects faults into an
+// assembled in-process cluster (cluster.New) — crashes and restarts,
+// §3.6 leader switches, client loss bursts and replica link cuts — while
+// real goroutines and timers run. The protocol's own fault schedules run
+// exactly on core's simulator (DESIGN.md §20); these add the assembled
+// cluster, under the race detector in make race.
 
 import (
 	"bytes"

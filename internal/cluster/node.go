@@ -47,7 +47,7 @@ type NodeConfig struct {
 	Options core.Options
 	// Gateway, when non-nil, puts the client-facing edge (DESIGN.md §15)
 	// between Edge and the cores. A non-positive MaxInFlight is sized
-	// pipeline depth × groups × 64.
+	// groups × 64.
 	Gateway *gateway.Config
 	// Join boots every group as an online joiner (DESIGN.md §12), with
 	// AdvertiseAddr the address peers should add to their books.
@@ -73,7 +73,6 @@ type Node struct {
 // metrics; a GroupMux would cost it a 64k-slot queue per group and a hop
 // on every message. On error nothing is left running or open.
 func StartNode(cfg NodeConfig) (*Node, error) {
-	cfg.Options.FillDefaults(0, 0, 0) // the gateway is sized from the effective pipeline depth
 	groups := cfg.Groups
 	if groups < 1 {
 		groups = 1
@@ -86,7 +85,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		// goroutines, before any group queue.
 		gcfg := *cfg.Gateway
 		if gcfg.MaxInFlight <= 0 {
-			gcfg.MaxInFlight = cfg.Options.PipelineDepth * groups * 64
+			gcfg.MaxInFlight = groups * 64
 		}
 		n.gw = gateway.Wrap(cfg.Edge, gcfg)
 		edge, n.top = n.gw, n.gw

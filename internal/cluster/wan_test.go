@@ -44,12 +44,8 @@ func TestProfileTimeoutDerivation(t *testing.T) {
 			t.Errorf("%s: retry timeout %v, want >= max(4x heartbeat, 6x MaxOneWay)",
 				name, cfg.RetryTimeout)
 		}
-		// Long-haul profiles carry tuning hints and fillDefaults must
-		// adopt them when the caller left the knobs zero.
-		if p.PipelineDepth > 0 && cfg.PipelineDepth != p.PipelineDepth {
-			t.Errorf("%s: pipeline depth %d, want profile hint %d",
-				name, cfg.PipelineDepth, p.PipelineDepth)
-		}
+		// Long-haul profiles carry a tuning hint and fillDefaults must
+		// adopt it when the caller left the knob zero.
 		if p.CommitFlushDelay > 0 && cfg.CommitFlushDelay != p.CommitFlushDelay {
 			t.Errorf("%s: commit-flush delay %v, want profile hint %v",
 				name, cfg.CommitFlushDelay, p.CommitFlushDelay)

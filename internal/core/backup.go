@@ -61,11 +61,11 @@ func (r *Replica) onAccept(from wire.NodeID, m *wire.Accept) {
 // applies the newly chosen entries to the service.
 //
 // The index only advances over instances whose local entry carries a
-// ballot at least claimBal (the claimant's). A pipelining leader lets
-// backups hold same-ballot instances out of order, and a leader switch
-// can redefine an instance a stale accepted entry still occupies — so an
-// entry below the claimed ballot may be a superseded leftover whose value
-// was never chosen, and applying it would corrupt the state chain. An
+// ballot at least claimBal (the claimant's). A backup that missed one
+// wave's accept still accepts the next, and a leader switch can redefine
+// an instance a stale accepted entry still occupies — so an entry below
+// the claimed ballot may be a superseded leftover whose value was never
+// chosen, and applying it would corrupt the state chain. An
 // entry at the claimed ballot was committed by the claimant itself; one
 // above it can only exist if a newer leader re-proposed the chosen value
 // (P2c), so both are safe. Anything else stops the walk; the remainder of

@@ -146,24 +146,20 @@ func (c *Config) fillDefaults() {
 	if c.Store == nil {
 		c.Store = storage.NewMem()
 	}
-	c.Options.FillDefaults(0, 0, 0)
+	c.Options.FillDefaults(0, 0)
 }
 
-// wave is one in-flight multi-instance accept (§3.3: several instances,
-// one message; state attached to the top instance only). Up to
-// Config.PipelineDepth waves may be in flight at once; they commit
-// strictly in launch order (acked marks a wave whose own quorum is
-// complete but whose predecessors are not).
+// wave is the in-flight multi-instance accept (§3.3: several instances,
+// one message; state attached to the top instance only). At most one is
+// in flight: the next launches only after it commits (DESIGN.md §10).
 type wave struct {
 	round    *paxos.AcceptRound
 	entries  []wire.Entry
 	recovery bool        // re-proposing learned entries after election
-	acked    bool        // quorum complete, waiting on predecessor waves
 	txns     []*txnState // transactions committing in this wave
 	// view is the state before this wave executed (waveView): the state
-	// at the commit point once the wave is the oldest in flight
-	// (reads.go). Nil for a service without ReadViewer, or if the pin
-	// was refused.
+	// at the commit point while the wave is in flight (reads.go). Nil
+	// for a service without ReadViewer, or if the pin was refused.
 	view    service.ReadView
 	sentAt  time.Time
 	firstAt time.Time // admission time of the wave's oldest request
@@ -221,7 +217,7 @@ type Replica struct {
 	lagAsks      int       // and how many peers have been asked
 
 	queue        []workItem
-	waves        []*wave // in-flight waves, oldest first (≤ PipelineDepth)
+	wave         *wave // the accept wave in flight, if any
 	nextInstance uint64
 	applied      uint64 // instance whose post-state the service reflects
 
@@ -234,10 +230,13 @@ type Replica struct {
 	learners  []wire.NodeID
 	others    []wire.NodeID
 	membersAt uint64
-	// pendingConfig blocks new wave launches (and further membership
-	// proposals) while a configuration entry is in flight: changes are
-	// one-at-a-time, and the quorum switches at the commit point.
+	// pendingConfig refuses further membership proposals from when one
+	// is accepted until its entry commits: changes are one-at-a-time, and
+	// the quorum switches at the commit point. configProp holds the
+	// accepted proposal until the client wave in flight commits and it
+	// can launch as its own wave.
 	pendingConfig bool
+	configProp    *wire.Proposal
 	joining       bool // announcing via JoinReq until promoted to voter
 	joinSentAt    time.Time
 	peerAddrs     map[wire.NodeID]string // advertised transport addresses
@@ -284,13 +283,6 @@ type Replica struct {
 
 	lastReply map[wire.NodeID]cachedReply
 	pending   map[wire.Key]bool // queued or in-flight mutating requests
-
-	// writers tracks when each client last submitted a mutating request;
-	// entries older than ElectionTimeout are swept on the tick. Its size
-	// is the live writer population the speculative launch gate compares
-	// against (maybeStartWave) — unlike lastReply it forgets departed
-	// clients, so churn cannot wedge the gate closed.
-	writers map[wire.NodeID]time.Time
 
 	// base is the service state captured in New while the store held no
 	// durable snapshot: the state before instance 1, where rederive starts
@@ -377,7 +369,6 @@ func New(cfg Config) (*Replica, error) {
 		txns:        make(map[txnKey]*txnState),
 		lastReply:   make(map[wire.NodeID]cachedReply),
 		pending:     make(map[wire.Key]bool),
-		writers:     make(map[wire.NodeID]time.Time),
 		peerAddrs:   make(map[wire.NodeID]string),
 		peerApplied: make(map[wire.NodeID]uint64),
 	}
@@ -689,13 +680,10 @@ func (r *Replica) tick(now time.Time) {
 			r.othersDo(&wire.Prepare{Bal: r.bal, After: r.acc.Chosen()})
 		}
 	case RoleLeading:
-		r.sweepWriters(now)
 		r.maybePromote()
-		for _, w := range r.waves {
-			if !w.acked && now.Sub(w.sentAt) > r.cfg.RetryTimeout {
-				w.sentAt, w.exec = now, 0
-				r.othersDo(&wire.Accept{Bal: r.bal, Entries: w.entries, Commit: r.acc.Chosen()})
-			}
+		if w := r.wave; w != nil && now.Sub(w.sentAt) > r.cfg.RetryTimeout {
+			w.sentAt, w.exec = now, 0
+			r.othersDo(&wire.Accept{Bal: r.bal, Entries: w.entries, Commit: r.acc.Chosen()})
 		}
 	case RoleBackup:
 		// A backup whose applied state trails the commit index is
@@ -803,7 +791,7 @@ func (r *Replica) startPrepare(now time.Time) {
 }
 
 // stepDown returns to the backup role, discarding every speculative
-// effect: the in-flight waves' executions, open transactions, and pending
+// effect: the in-flight wave's execution, open transactions, and pending
 // reads.
 func (r *Replica) stepDown() {
 	wasLeading := r.role != RoleBackup
@@ -820,17 +808,16 @@ func (r *Replica) stepDown() {
 		tx.ws.Abort()
 	}
 	r.txns = make(map[txnKey]*txnState)
-	// The service ran ahead of applied by the in-flight waves' executions
+	// The service ran ahead of applied by the in-flight wave's execution
 	// (a recovery wave executes nothing): rebuild it from the chosen log,
-	// which discards every in-flight wave's effects at once.
-	if len(r.waves) > 0 && !r.waves[0].recovery {
+	// which discards the wave's effects.
+	if r.wave != nil && !r.wave.recovery {
 		r.rederive()
 		r.stats.specRollbacks.Add(1)
-		r.stats.wavesRolledBack.Add(uint64(len(r.waves)))
-		r.logf("re-derived past %d speculative wave(s) to applied=%d",
-			len(r.waves), r.applied)
+		r.stats.wavesRolledBack.Add(1)
+		r.logf("re-derived past the speculative wave to applied=%d", r.applied)
 	}
-	r.waves = nil
+	r.wave = nil
 	r.stats.wavesInFlight.Set(0)
 	// Tell waiting clients to retry elsewhere. Every pending read goes,
 	// however it was being vouched: evidence counted by ballot dies with
@@ -855,9 +842,10 @@ func (r *Replica) stepDown() {
 	// Any unflushed commit is moot: backups will learn the commit index
 	// from the next leader's traffic or from heartbeats. An uncommitted
 	// configuration proposal dies with the ballot; the next leader's
-	// recovery either re-proposes or discards it.
+	// recovery either re-proposes or discards it, and one still waiting
+	// to launch is simply dropped.
 	r.flushAt = time.Time{}
-	r.pendingConfig = false
+	r.pendingConfig, r.configProp = false, nil
 	r.nextInstance = r.acc.Chosen() + 1
 	r.logf("stepped down at chosen=%d", r.acc.Chosen())
 }

@@ -348,13 +348,12 @@ func ablations(t testing.TB, c *costReport) {
 	c.row("writes.ok", float64(writes))
 }
 
-// probeWaves runs 8 writers x 250 writes over disks at a pipeline depth
-// and returns the leader's waves started and its in-flight high-water
-// mark.
-func probeWaves(t testing.TB, depth int) (started uint64, inFlightMax int64) {
+// probeWaves runs 8 writers x 250 writes over disks and returns the
+// leader's waves started and its in-flight high-water mark.
+func probeWaves(t testing.TB) (started uint64, inFlightMax int64) {
 	p := netem.Sysnet()
 	s := newSim(t, simConfig{seed: 8, profile: &p, cost: serviceTime, retry: time.Second,
-		service: noop, opts: Options{PipelineDepth: depth}})
+		service: noop})
 	lead := s.awaitLeader(time.Second)
 	runCost(s, writers(8, 250, noopWrite))
 	r := s.nodes[lead].r
@@ -381,11 +380,9 @@ func buildGolden(t testing.TB, p *paperResult) []byte {
 	}
 	ablations(t, &c)
 	c.section("wave fragmentation probe: Sysnet, 0.2-2 ms flushes, noop, 8 writers x 250")
-	for _, depth := range []int{1, 4} {
-		started, inFlight := probeWaves(t, depth)
-		c.row(fmt.Sprintf("core.waves_started.depth%d", depth), float64(started))
-		c.row(fmt.Sprintf("core.waves_in_flight_max.depth%d", depth), float64(inFlight))
-	}
+	started, inFlight := probeWaves(t)
+	c.row("core.waves_started.depth1", float64(started))
+	c.row("core.waves_in_flight_max.depth1", float64(inFlight))
 	c.section("the paper's §4 rows (paper_test.go; predicates in TestPaper)")
 	c.b.WriteString(renderPaper(p, false))
 	return c.b.Bytes()
@@ -450,22 +447,18 @@ func TestProtocolCostDeterministic(t *testing.T) {
 	}
 }
 
-// TestProbeWaveFragmentation guards the speculative launch gate in
-// maybeStartWave: without it, depth 4 runs 2-3x the waves of depth 1 with
-// near-singleton batches. Under a fixed closed-loop write load the
-// leader never exceeds PipelineDepth waves in flight, and depth 4 starts
-// at most 25 % more waves than the serial depth 1 (slack for the
-// cold-start ramp).
+// TestProbeWaveFragmentation guards batching under the one-wave rule
+// (DESIGN.md §10): under a fixed closed-loop write load of 8 writers the
+// leader keeps exactly one wave in flight, and each wave carries what
+// queued while its predecessor was in flight, so 2000 writes take at
+// most a third as many waves.
 func TestProbeWaveFragmentation(t *testing.T) {
-	serial, _ := probeWaves(t, 1)
-	for _, depth := range []int{1, 4} {
-		started, inFlight := probeWaves(t, depth)
-		t.Logf("depth %d: %d waves for 2000 writes, %d in flight at most", depth, started, inFlight)
-		if inFlight > int64(depth) {
-			t.Errorf("depth %d: %d waves in flight exceeds PipelineDepth", depth, inFlight)
-		}
-		if started > serial*5/4 {
-			t.Errorf("depth %d: %d waves (serial took %d): speculative batch fragmentation", depth, started, serial)
-		}
+	started, inFlight := probeWaves(t)
+	t.Logf("%d waves for 2000 writes, %d in flight at most", started, inFlight)
+	if inFlight != 1 {
+		t.Errorf("%d waves in flight at most, want 1", inFlight)
+	}
+	if started > 2000/3 {
+		t.Errorf("%d waves for 2000 writes: batches fragmented", started)
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"maps"
-	"slices"
 	"time"
 
 	"gridrep/internal/paxos"
@@ -71,7 +69,6 @@ func (r *Replica) deferRequest(req wire.Request) {
 
 // admitWrite queues a write for the next wave, deduplicating retransmits.
 func (r *Replica) admitWrite(req wire.Request) {
-	r.writers[req.Client] = r.now // retransmits count: the client is still there
 	if r.dedup(req) {
 		return
 	}
@@ -82,14 +79,6 @@ func (r *Replica) admitWrite(req wire.Request) {
 	r.pending[req.Key()] = true
 	r.queue = append(r.queue, workItem{req: req, at: r.now})
 	r.maybeStartWave()
-}
-
-// sweepWriters forgets writers that have been quiet for a full election
-// timeout; called from the tick while leading.
-func (r *Replica) sweepWriters(now time.Time) {
-	maps.DeleteFunc(r.writers, func(_ wire.NodeID, seen time.Time) bool {
-		return now.Sub(seen) > r.cfg.ElectionTimeout
-	})
 }
 
 // dedup implements at-most-once execution per client: a retransmitted
@@ -138,43 +127,27 @@ func (r *Replica) drainBlocked() {
 	}
 }
 
-// maybeStartWave launches accept waves while the pipeline rule allows.
-// At PipelineDepth 1 this is §3.3's serial protocol: instance i is not
-// proposed before i−1 commits. Deeper pipelines launch wave i+1 against
-// the local speculative post-i state — the leader already executed wave i
-// before proposing it, which is the paper's own insight — while wave i's
-// quorum round trip and fsync are still outstanding. Nothing is copied to
-// undo them: a leader demoted with waves in flight rebuilds its service
-// from the chosen log (rederive), as a lagging backup would.
-//
-// Speculative launches are gated against batch fragmentation: launching
-// on every arrival would turn one big wave per round trip into many
-// single-request waves, trading the amortized per-wave cost (messages,
-// WAL records, proposal bookkeeping) for overlap that closed-loop
-// clients cannot exploit — the measured failure mode is waves/request
-// going up 2-3x while throughput drops. A speculative wave launches only
-// once every live writer already has a request queued or in flight
-// (len(pending) covers both; r.writers is the recently-active writer
-// population, swept of clients quiet for an election timeout). At that
-// point no further arrival is likely before the next commit, so
-// waiting longer cannot grow the batch — launching now is strictly
-// earlier than the serial schedule with exactly the batch serial would
-// have built. Clients that go quiet make the gate conservative (it
-// degrades to the serial one-wave-per-commit schedule) only until the
-// sweep forgets them, and never unsafe.
-// An empty pipeline always launches immediately (that is the serial
-// protocol's latency), and NoBatch mode skips the gate — there every
-// wave carries one request by design, so fragmentation is the
-// configuration, not a failure mode. If the gate defers a launch, the
-// queued work goes out at the latest when the oldest wave commits,
-// which is exactly the serial schedule.
+// maybeStartWave launches the next accept wave once none is in flight:
+// §3.3's serial protocol, instance i is not proposed before i−1 commits.
+// Throughput comes from batching — the wave carries everything queued
+// while its predecessor was in flight — not from overlapping waves
+// (DESIGN.md §10). A membership change accepted while a client wave was
+// in flight goes first, as its own wave, and holds the queue until it
+// commits.
 func (r *Replica) maybeStartWave() {
-	for r.role == RoleLeading && r.activated && !r.pendingConfig &&
-		len(r.waves) < r.cfg.PipelineDepth && len(r.queue) > 0 {
-		if !r.cfg.NoBatch && len(r.waves) > 0 &&
-			len(r.pending) < len(r.writers) {
-			return
-		}
+	if r.role != RoleLeading || !r.activated || r.wave != nil {
+		return
+	}
+	if p := r.configProp; p != nil {
+		r.configProp = nil
+		entries := []wire.Entry{{Instance: r.nextInstance, Prop: *p}}
+		r.nextInstance++
+		r.logf("proposing config %v %v at instance %d", p.ConfigOp, p.ConfigNode, entries[0].Instance)
+		r.launchWave(&wave{entries: entries, view: r.waveView()})
+		return
+	}
+	// A batch whose every item failed launches nothing; try the next.
+	for r.role == RoleLeading && r.wave == nil && len(r.queue) > 0 {
 		items := r.queue
 		r.queue = nil
 		if r.cfg.NoBatch && len(items) > 1 {
@@ -185,18 +158,17 @@ func (r *Replica) maybeStartWave() {
 	}
 }
 
-// startWave executes one batch of work items against the current (possibly
-// speculative) service state and launches the covering accept wave.
+// startWave executes one batch of work items against the current service
+// state and launches the covering accept wave.
 func (r *Replica) startWave(items []workItem) {
 	execStart := wallClock()
 	var entries []wire.Entry
 	var txns []*txnState
 	// The state before this wave, pinned before it executes: the state
-	// at the commit point while the wave is the oldest in flight, so a
-	// read never waits for it (DESIGN.md §18). For an exclusive
-	// transaction's commit, the one wave that launches while it is
-	// open, that is the transaction's view: its ops already ran on the
-	// live state.
+	// at the commit point while the wave is in flight, so a read never
+	// waits for it (DESIGN.md §18). For an exclusive transaction's
+	// commit, the one wave that launches while it is open, that is the
+	// transaction's view: its ops already ran on the live state.
 	view := r.waveView()
 	for _, it := range items {
 		if it.txn != nil {
@@ -282,7 +254,7 @@ func (r *Replica) executeWrite(req wire.Request) (wire.Proposal, error) {
 }
 
 // launchWave self-accepts and broadcasts one accept message covering all
-// of the wave's instances, appending it to the in-flight pipeline.
+// of the wave's instances; it becomes the wave in flight.
 func (r *Replica) launchWave(w *wave) {
 	insts := make([]uint64, len(w.entries))
 	for i, e := range w.entries {
@@ -290,9 +262,9 @@ func (r *Replica) launchWave(w *wave) {
 	}
 	w.round = paxos.NewAcceptRound(r.bal, insts, r.quorum())
 	w.sentAt = r.now
-	r.waves = append(r.waves, w)
+	r.wave = w
 	r.stats.wavesStarted.Add(1)
-	r.stats.noteInFlight(len(r.waves))
+	r.stats.noteInFlight(1)
 
 	msg := &wire.Accept{Bal: r.bal, Entries: w.entries, Commit: r.acc.Chosen()}
 	acked, err := r.acc.OnAccept(msg)
@@ -307,36 +279,19 @@ func (r *Replica) launchWave(w *wave) {
 	// The leader's own vote joins the quorum only once the staged accept
 	// record is durable. The backups' votes arrive already durable, so a
 	// quorum of backups can complete the wave before the local fsync
-	// finishes — the leader's disk overlaps the network round trip. With
-	// pipelining, several of these closures can be queued behind one
-	// flush, one per outstanding wave; each guards against its wave
-	// having committed or been rolled back by the time it runs.
+	// finishes — the leader's disk overlaps the network round trip. The
+	// closure guards against its wave having committed or been rolled
+	// back by the time it runs.
 	r.deferLoop(func() {
-		if r.role != RoleLeading || !slices.Contains(r.waves, w) {
-			return
-		}
-		if done, _ := w.round.Add(acked, r.cfg.ID); done {
-			r.noteAcked(w)
-			r.commitReady()
+		if r.role == RoleLeading && r.wave == w {
+			r.addVote(acked, r.cfg.ID)
 		}
 	})
 }
 
-// noteAcked marks a wave's quorum complete and stamps the quorum-phase
-// latency (accept broadcast to quorum completion).
-func (r *Replica) noteAcked(w *wave) {
-	w.acked = true
-	if !w.recovery {
-		r.stats.quorumLat.ObserveDuration(r.now.Sub(w.sentAt) - w.exec)
-	}
-}
-
-// onAccepted folds a phase-2b vote into the in-flight wave it covers.
-// Waves may complete their quorums out of order — a backup that missed
-// wave i's accept still acks wave i+1 — but commitment stays in order:
-// commitReady only pops the contiguous acked prefix.
+// onAccepted folds a phase-2b vote into the wave in flight.
 func (r *Replica) onAccepted(from wire.NodeID, m *wire.Accepted) {
-	if r.role != RoleLeading || len(r.waves) == 0 || !m.Bal.Equal(r.bal) {
+	if r.role != RoleLeading || r.wave == nil || !m.Bal.Equal(r.bal) {
 		return
 	}
 	if !r.isVoter(from) {
@@ -352,45 +307,32 @@ func (r *Replica) onAccepted(from wire.NodeID, m *wire.Accepted) {
 		r.stepDown()
 		return
 	}
-	// The vote names the instances it covers; AcceptRound.Add ignores it
-	// for any wave whose instance set it does not cover, so the ack
-	// routes itself to the one wave it belongs to.
-	for _, w := range r.waves {
-		if w.acked {
-			continue
-		}
-		if done, _ := w.round.Add(m, from); done {
-			r.noteAcked(w)
-		}
-	}
-	r.commitReady()
+	r.addVote(m, from)
 }
 
-// commitReady commits the contiguous prefix of quorum-complete waves, in
-// launch order. Client replies, reply-cache updates, and transaction
-// completion happen per committed wave; a wave whose quorum finished
-// early stays in flight until every predecessor commits, so no acked
-// write can ever depend on an uncommitted instance.
-func (r *Replica) commitReady() {
-	committed := false
-	for len(r.waves) > 0 && r.waves[0].acked {
-		w := r.waves[0]
-		r.waves = r.waves[1:]
-		r.stats.wavesCommitted.Add(1)
-		r.stats.noteInFlight(len(r.waves))
-		if !w.recovery {
-			r.stats.commitLat.ObserveDuration(r.now.Sub(w.sentAt) - w.exec)
-		}
-		committed = true
-		r.commitWave(w)
-		if r.role != RoleLeading {
-			return // commit failed fatally, or recovery activation reset us
-		}
-	}
-	if !committed {
+// addVote folds one vote into the wave in flight and, once it completes
+// the quorum, commits the wave. AcceptRound.Add ignores a vote that does
+// not cover the wave's instances (a late ack of an earlier wave).
+// Client replies, reply-cache updates and transaction completion happen
+// at the commit, then the next wave launches.
+func (r *Replica) addVote(m *wire.Accepted, from wire.NodeID) {
+	w := r.wave
+	if done, _ := w.round.Add(m, from); !done {
 		return
 	}
-	// Serve the reads the commits unblocked, then refill the pipeline.
+	r.wave = nil
+	r.stats.wavesCommitted.Add(1)
+	r.stats.noteInFlight(0)
+	if !w.recovery {
+		lat := r.now.Sub(w.sentAt) - w.exec
+		r.stats.quorumLat.ObserveDuration(lat)
+		r.stats.commitLat.ObserveDuration(lat)
+	}
+	r.commitWave(w)
+	if r.role != RoleLeading {
+		return // commit failed fatally, or recovery activation reset us
+	}
+	// Serve the reads the commit unblocked, then launch the next wave.
 	r.flushReads()
 	r.maybeStartWave()
 }
@@ -519,10 +461,10 @@ func (r *Replica) onPrepared() {
 // business (§3.3's recovery example: one message covering the accept
 // phases of several instances).
 //
-// Adoption is prefix-only (paxos.OutcomePrefix): a crashed leader that
-// was pipelining may leave speculative instances past a gap, and their
-// attached states were computed on top of predecessors no quorum member
-// accepted. The prepare quorum intersects the accept quorum of every
+// Adoption is prefix-only (paxos.OutcomePrefix): deposed leaders may
+// leave speculative instances past a gap or below a later ballot, and
+// their attached states were computed on top of predecessors that were
+// never chosen. The prepare quorum intersects the accept quorum of every
 // committed instance, so the committed log is always a gap-free,
 // ballot-monotone prefix of what prepare learns — anything past the first
 // gap or ballot regression is provably uncommitted (hence unacked) and is

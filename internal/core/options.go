@@ -27,17 +27,6 @@ type Options struct {
 	// case where the queue drains and no next wave follows, so the last
 	// wave's commit is never delayed beyond this bound.
 	CommitFlushDelay time.Duration
-	// PipelineDepth bounds how many accept waves the leader may keep in
-	// flight speculatively. The default — unless the deployment profile
-	// hints at a deeper pipeline — is 1, the paper's serial protocol:
-	// instance i is proposed only after i−1 commits. Depths above 1 let
-	// the leader execute wave i+1 against its local post-i state and
-	// propose it while wave i's quorum round trip and fsync are still
-	// outstanding; a ballot demotion re-derives the service from the
-	// chosen log (discarding every speculative execution), and client
-	// replies still fire only when a wave and all its predecessors
-	// commit. See DESIGN.md §10 for the ordering/re-derivation contract.
-	PipelineDepth int
 	// NoBatch disables multi-instance accept waves (ablation knob): each
 	// wave carries exactly one request, so the strictly sequential
 	// reading of §3.3 is enforced even under load. Default off — the
@@ -65,12 +54,12 @@ type Options struct {
 
 // FillDefaults replaces every zero tunable with its default. The
 // arguments are what a deployment knows about its network — the worst
-// one-way delay, and the pipeline depth and commit-flush window its
-// profile suggests (netem.Profile carries all three); zeros mean nothing
-// is known, which is what the TCP server and a bare core.New pass.
+// one-way delay and the commit-flush window its profile suggests
+// (netem.Profile carries both); zeros mean nothing is known, which is
+// what the TCP server and a bare core.New pass.
 // Filling is idempotent, so a layer may fill with its hints and hand the
 // struct down to one that fills again with none.
-func (o *Options) FillDefaults(maxOneWay time.Duration, depthHint int, flushHint time.Duration) {
+func (o *Options) FillDefaults(maxOneWay, flushHint time.Duration) {
 	if o.HeartbeatInterval == 0 {
 		o.HeartbeatInterval = 25 * time.Millisecond
 		if hb := 2 * maxOneWay; hb > o.HeartbeatInterval {
@@ -91,12 +80,6 @@ func (o *Options) FillDefaults(maxOneWay time.Duration, depthHint int, flushHint
 	}
 	if o.CommitFlushDelay == 0 {
 		o.CommitFlushDelay = time.Millisecond
-	}
-	if o.PipelineDepth == 0 {
-		o.PipelineDepth = depthHint
-	}
-	if o.PipelineDepth <= 0 {
-		o.PipelineDepth = 1
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 1024

@@ -35,11 +35,9 @@ import (
 //     reply — implies a quorum of durable votes. Backups' votes arrive
 //     already durable, so a commit can complete before the leader's own
 //     fsync does: the leader's disk overlaps the network round trip.
-//     With wave pipelining (DESIGN.md §10) several such closures are
-//     outstanding at once, one per in-flight wave; they are queued and
-//     delivered in wave-launch order, and each closure re-checks that its
-//     wave is still in flight before counting the vote, so a rollback or
-//     an early backup-quorum commit leaves the stale closure inert.
+//     Each closure re-checks that its wave is still the one in flight
+//     before counting the vote, so a rollback or an early backup-quorum
+//     commit leaves the stale closure inert.
 //   - Everything else (Prepare/Accept broadcasts, Commit notifications,
 //     heartbeats, catch-up traffic, client replies) claims nothing about
 //     local durable state and is sent immediately.

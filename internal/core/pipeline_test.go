@@ -8,12 +8,12 @@ import (
 	"gridrep/internal/wire"
 )
 
-// wanPipeline boots a WAN cluster whose leader runs up to depth waves,
-// one request per wave, and returns it with its leader. The WAN quorum
-// round trip is long enough that concurrent writers overlap waves.
-func wanPipeline(t *testing.T, seed int64, depth int) (*sim, wire.NodeID) {
+// wanPipeline boots a WAN cluster whose leader runs one request per
+// wave and returns it with its leader. The WAN quorum round trip is long
+// enough that concurrent writers queue behind the wave in flight.
+func wanPipeline(t *testing.T, seed int64) (*sim, wire.NodeID) {
 	p := netem.WAN(0)
-	s := newSim(t, simConfig{seed: seed, profile: &p, opts: Options{HeartbeatInterval: 5 * time.Millisecond, PipelineDepth: depth, NoBatch: true}})
+	s := newSim(t, simConfig{seed: seed, profile: &p, opts: Options{HeartbeatInterval: 5 * time.Millisecond, NoBatch: true}})
 	return s, s.awaitLeader(10 * time.Second)
 }
 
@@ -35,17 +35,17 @@ func (s *sim) increments(writers, each int) {
 	}
 }
 
-// TestPipelinedWritesOverlapAndCommitInOrder runs concurrent writers
-// against a depth-4 leader. The pipeline, not batching, absorbs the
-// concurrency. Every ack must be right — the counter is exact — and the
-// waves must really have overlapped, and all have committed once the
-// writers are done.
-func TestPipelinedWritesOverlapAndCommitInOrder(t *testing.T) {
-	s, lead := wanPipeline(t, 41, 4)
-	s.increments(4, 6)
+// TestPipelineDepthOneStaysSerial checks the one-wave rule (DESIGN.md
+// §10): under concurrent writers the leader never has more than one wave
+// in flight, reproducing the paper's serial protocol exactly; every ack
+// is right — the counter is exact — and every wave has committed once
+// the writers are done.
+func TestPipelineDepthOneStaysSerial(t *testing.T) {
+	s, lead := wanPipeline(t, 41)
+	s.increments(4, 4)
 	st := &s.nodes[lead].r.stats
-	if n := st.maxWavesInFlight.Load(); n < 2 {
-		t.Fatalf("waves in flight max = %d; waves never overlapped", n)
+	if n := st.maxWavesInFlight.Load(); n != 1 {
+		t.Fatalf("waves in flight max = %d; the serial protocol runs exactly 1", n)
 	}
 	if n := st.wavesInFlight.Load(); n != 0 {
 		t.Fatalf("waves in flight = %d after quiescence", n)
@@ -55,38 +55,74 @@ func TestPipelinedWritesOverlapAndCommitInOrder(t *testing.T) {
 	}
 }
 
-// TestPipelineDepthOneStaysSerial checks the compatibility contract:
-// under the same concurrent writers, a depth-1 leader never has more than
-// one wave in flight, reproducing the paper's serial protocol exactly.
-func TestPipelineDepthOneStaysSerial(t *testing.T) {
-	s, lead := wanPipeline(t, 41, 1)
-	s.increments(4, 4)
-	if n := s.nodes[lead].r.stats.maxWavesInFlight.Load(); n != 1 {
-		t.Fatalf("waves in flight max = %d at depth 1; the serial protocol runs exactly 1", n)
-	}
-}
-
 // TestLeaderSwitchMidPipelineRollsBack forces a §3.6 leader switch the
-// moment a depth-4 leader has two waves in flight. The demoted leader
-// must re-derive its service past the speculative executions, and no
-// acked write may be lost or duplicated across the switch: clients retry
-// unacked requests at the new leader and the reply cache deduplicates.
+// moment the leader has a wave in flight and more writes queued behind
+// it. The demoted leader must re-derive its service past the speculative
+// execution, and no acked write may be lost or duplicated across the
+// switch: clients retry unacked requests at the new leader and the reply
+// cache deduplicates.
 func TestLeaderSwitchMidPipelineRollsBack(t *testing.T) {
-	s, lead := wanPipeline(t, 42, 4)
+	s, lead := wanPipeline(t, 42)
 	old := s.nodes[lead].r
 	switched := false
 	s.watch = func() {
-		if !switched && old.stats.wavesInFlight.Load() >= 2 {
+		if !switched && old.wave != nil && len(old.queue) > 0 {
 			switched = true
 			s.suspect(lead)
 		}
 	}
 	s.increments(4, 8)
 	if !switched {
-		t.Fatal("the pipeline never filled with 2+ waves")
+		t.Fatal("no write ever queued behind the wave in flight")
 	}
 	if n := old.stats.specRollbacks.Load(); n != 1 {
-		t.Fatalf("spec rollbacks = %d after one demotion mid-pipeline, want 1 (waves rolled back: %d)",
+		t.Fatalf("spec rollbacks = %d after one demotion mid-wave, want 1 (waves rolled back: %d)",
 			n, old.stats.wavesRolledBack.Load())
+	}
+}
+
+// TestConfigChangeWaitsForWaveInFlight proposes a membership change
+// while closed-loop writers keep the leader's wave in flight. The change
+// is accepted at once but launches, as its own wave, only when that wave
+// commits: it takes the instance right after the wave's top, the leader
+// never has two waves in flight, and no acked write is lost or
+// duplicated across the quorum switch.
+func TestConfigChangeWaitsForWaveInFlight(t *testing.T) {
+	s, lead := wanPipeline(t, 43)
+	r := s.nodes[lead].r
+	gone := (lead + 1) % 3
+	var top uint64 // the top instance of the wave in flight at the proposal
+	s.watch = func() {
+		if top == 0 && r.wave != nil && r.stats.wavesCommitted.Load() >= 2 {
+			top = r.wave.round.Top
+			s.control(lead, func(r *Replica) {
+				if err := r.proposeConfig(wire.ConfigRemove, gone, ""); err != nil {
+					t.Fatalf("propose: %v", err)
+				}
+				if r.configProp == nil {
+					t.Fatal("the membership change launched beside the wave in flight")
+				}
+			})
+		}
+	}
+	const writers, each = 4, 6
+	s.concurrently(writers, func(int) []wire.Request {
+		reqs := make([]wire.Request, each)
+		for i := range reqs {
+			reqs[i] = kvAdd("ctr")
+		}
+		return reqs
+	}, func(int, int, wire.Reply) {})
+	if top == 0 {
+		t.Fatal("the writers never kept a wave in flight")
+	}
+	if r.membersAt != top+1 || r.isVoter(gone) {
+		t.Fatalf("the change is in force at instance %d (voters %v), want %d without %d", r.membersAt, r.voters, top+1, gone)
+	}
+	if n := r.stats.maxWavesInFlight.Load(); n != 1 {
+		t.Fatalf("waves in flight max = %d, want 1", n)
+	}
+	if got := s.newClient().counter("ctr"); got != writers*each {
+		t.Fatalf("ctr = %d, want %d (lost or duplicated acked writes)", got, writers*each)
 	}
 }

@@ -197,13 +197,13 @@ func (r *Replica) tryFinishRead(pr *pendingRead) {
 }
 
 // readState returns the state at the commit point, which every read
-// executes on (DESIGN.md §18): the view pinned before the oldest wave in
+// executes on (DESIGN.md §18): the view pinned before the wave in
 // flight (every wave carries one, waveView), else liveView. Nil means
 // the service has no ReadViewer (or refused the pin) and a wave is in
 // flight: the read waits for it to commit, the serial engine's rule.
 func (r *Replica) readState() service.ReadView {
-	if len(r.waves) > 0 {
-		return r.waves[0].view
+	if r.wave != nil {
+		return r.wave.view
 	}
 	return r.liveView()
 }

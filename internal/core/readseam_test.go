@@ -226,7 +226,7 @@ func TestNearReadAtLeaderAnsweredFromCommitPoint(t *testing.T) {
 	}
 	write := wire.Request{Client: rr.id, Seq: 2, Kind: wire.KindWrite, Op: service.KVPut("k", []byte("speculative"))}
 	rr.sendTo(write, lead)
-	if !s.runUntil(time.Second, func() bool { return len(r.waves) > 0 }) {
+	if !s.runUntil(time.Second, func() bool { return r.wave != nil }) {
 		t.Fatal("the wave never launched")
 	}
 
@@ -239,7 +239,7 @@ func TestNearReadAtLeaderAnsweredFromCommitPoint(t *testing.T) {
 		t.Fatal("the read waited for the wave in flight")
 	}
 	wantValue(t, *rep, "fresh")
-	if len(r.waves) == 0 || r.Chosen() != before {
+	if r.wave == nil || r.Chosen() != before {
 		t.Fatalf("the wave committed (chosen %d, was %d) before the read was answered", r.Chosen(), before)
 	}
 

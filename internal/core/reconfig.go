@@ -151,7 +151,8 @@ func (r *Replica) Reconfigure(op wire.ConfigOp, node wire.NodeID, addr string) e
 }
 
 // proposeConfig validates a membership change and launches it as its
-// own single-entry accept wave. Event-loop only.
+// own single-entry accept wave — at once, or when the client wave in
+// flight commits (maybeStartWave). Event-loop only.
 func (r *Replica) proposeConfig(op wire.ConfigOp, node wire.NodeID, addr string) error {
 	if r.role != RoleLeading || !r.activated {
 		return ErrNotLeader
@@ -196,12 +197,9 @@ func (r *Replica) proposeConfig(op wire.ConfigOp, node wire.NodeID, addr string)
 	default:
 		return fmt.Errorf("%w: unknown configuration op", ErrUnsafeChange)
 	}
-	prop := wire.Proposal{ConfigOp: op, ConfigNode: node, ConfigAddr: addr}
-	entries := []wire.Entry{{Instance: r.nextInstance, Prop: prop}}
-	r.nextInstance++
 	r.pendingConfig = true
-	r.logf("proposing config %v %v at instance %d", op, node, entries[0].Instance)
-	r.launchWave(&wave{entries: entries, view: r.waveView()})
+	r.configProp = &wire.Proposal{ConfigOp: op, ConfigNode: node, ConfigAddr: addr}
+	r.maybeStartWave()
 	return nil
 }
 
@@ -462,7 +460,7 @@ func (r *Replica) tickFetch(now time.Time) {
 // keeps every effect above it, which is what rederive replays.
 func (r *Replica) maybeSnapshot(every uint64) bool {
 	_, at := r.acc.ServiceSnapshot()
-	if r.applied < at+every || len(r.waves) > 0 || r.exclusiveBusy() {
+	if r.applied < at+every || r.wave != nil || r.exclusiveBusy() {
 		return false
 	}
 	if err := r.acc.SaveSnapshot(r.svc.Snapshot(), r.applied); err != nil {

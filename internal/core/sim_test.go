@@ -223,7 +223,7 @@ func newSim(t testing.TB, cfg simConfig) *sim {
 		cfg.retry = 50 * time.Millisecond
 	}
 	if p := cfg.profile; p != nil {
-		cfg.opts.FillDefaults(p.MaxOneWay, p.PipelineDepth, p.CommitFlushDelay)
+		cfg.opts.FillDefaults(p.MaxOneWay, p.CommitFlushDelay)
 	}
 	if cfg.opts.HeartbeatInterval == 0 {
 		cfg.opts.HeartbeatInterval = 5 * time.Millisecond
@@ -617,7 +617,7 @@ func (s *sim) suspect(id wire.NodeID) {
 func (s *sim) converged() bool {
 	var first []byte
 	for i, n := range s.nodes {
-		if n.r == nil || n.r.Chosen() != n.r.Applied() || len(n.r.waves) > 0 {
+		if n.r == nil || n.r.Chosen() != n.r.Applied() || n.r.wave != nil {
 			return false
 		}
 		snap := n.r.Service().Snapshot()

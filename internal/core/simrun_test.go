@@ -417,13 +417,15 @@ func corpusFullRestart(n int) func(t *testing.T) {
 	}
 }
 
-// TestSimDemotionMidWave makes a leader lose its ballot with waves in
-// flight, in every state mode and with a configuration wave. The leader's
-// sends to the other replicas are lost from the moment it launches them
-// until a new leader is active, so nothing it ran speculatively can be
-// chosen. When stepDown returns its service must be the chosen state:
-// applied == Chosen(), byte-equal to a replica that never led. The run
-// then heals, every client retries, and the replicas converge.
+// TestSimDemotionMidWave makes a leader lose its ballot with a wave in
+// flight and more work queued behind it, in every state mode and with a
+// membership change waiting to launch. The leader's sends to the other
+// replicas are lost from the moment it launches them until a new leader
+// is active, so nothing it ran speculatively can be chosen. When
+// stepDown returns its service must be the chosen state: applied ==
+// Chosen(), byte-equal to a replica that never led, with nothing left in
+// flight or waiting. The run then heals, every client retries, and the
+// replicas converge.
 func TestSimDemotionMidWave(t *testing.T) {
 	plainKV := func(wire.NodeID, int) service.Service { return struct{ service.Service }{service.NewKV()} }
 	kv := func(wire.NodeID, int) service.Service { return service.NewKV() }
@@ -433,24 +435,22 @@ func TestSimDemotionMidWave(t *testing.T) {
 		service func(wire.NodeID, int) service.Service
 		mode    stateMode
 		warm    func(i int) []byte
-		// launch puts work in flight on leader lead; it returns how many
-		// waves that is.
-		launch func(s *sim, lead wire.NodeID, a, b *simClient) int
+		// launch puts work in flight on leader lead.
+		launch func(s *sim, lead wire.NodeID, a, b *simClient)
 	}{
 		{"delta: a write and a T-Paxos commit", kv, stateDelta,
 			func(i int) []byte { return service.KVPut(fmt.Sprint("k", i%4), []byte{byte(i)}) },
-			func(s *sim, _ wire.NodeID, a, b *simClient) int {
+			func(s *sim, _ wire.NodeID, a, b *simClient) {
 				a.do(wire.Request{Kind: wire.KindWrite, Op: service.KVAdd("k0", 7)}, func(wire.Reply) {})
 				op := wire.Request{Kind: wire.KindTxnOp, Txn: 1, Op: service.KVPut("k1", []byte("txn"))}
 				if rep := b.call(op, time.Second); rep.Status != wire.StatusOK {
 					s.t.Fatalf("txn op: %v", rep.Status)
 				}
 				b.do(wire.Request{Kind: wire.KindTxnCommit, Txn: 1, TxnSeq: 1}, func(wire.Reply) {})
-				return 2
 			}},
 		{"replay: an exclusive transaction's commit", sched, stateReplay,
 			func(i int) []byte { return service.SchedSubmit(fmt.Sprint("j", i), int64(i%3)) },
-			func(s *sim, _ wire.NodeID, _, b *simClient) int {
+			func(s *sim, _ wire.NodeID, _, b *simClient) {
 				for seq, op := range [][]byte{service.SchedSubmit("t", 9), service.SchedDispatch()} {
 					req := wire.Request{Kind: wire.KindTxnOp, Txn: 1, TxnSeq: uint32(seq), Op: op}
 					if rep := b.call(req, time.Second); rep.Status != wire.StatusOK {
@@ -458,30 +458,30 @@ func TestSimDemotionMidWave(t *testing.T) {
 					}
 				}
 				b.do(wire.Request{Kind: wire.KindTxnCommit, Txn: 1, TxnSeq: 2}, func(wire.Reply) {})
-				return 1
 			}},
-		{"full: two write waves", plainKV, stateFull,
+		{"full: a write wave and a queued write", plainKV, stateFull,
 			func(i int) []byte { return service.KVPut(fmt.Sprint("k", i%4), []byte{byte(i)}) },
-			func(_ *sim, _ wire.NodeID, a, b *simClient) int {
+			func(_ *sim, _ wire.NodeID, a, b *simClient) {
 				a.do(wire.Request{Kind: wire.KindWrite, Op: service.KVAdd("k0", 7)}, func(wire.Reply) {})
 				b.do(wire.Request{Kind: wire.KindWrite, Op: service.KVPut("k1", []byte("w"))}, func(wire.Reply) {})
-				return 2
 			}},
 		{"configuration: a write and a membership change", kv, stateDelta,
 			func(i int) []byte { return service.KVPut(fmt.Sprint("k", i%4), []byte{byte(i)}) },
-			func(s *sim, lead wire.NodeID, a, _ *simClient) int {
+			func(s *sim, lead wire.NodeID, a, _ *simClient) {
 				a.do(wire.Request{Kind: wire.KindWrite, Op: service.KVAdd("k0", 7)}, func(wire.Reply) {})
-				s.runUntil(time.Second, func() bool { return len(s.nodes[lead].r.waves) == 1 })
+				s.runUntil(time.Second, func() bool { return s.nodes[lead].r.wave != nil })
 				s.control(lead, func(r *Replica) {
 					if err := r.proposeConfig(wire.ConfigRemove, (lead+1)%3, ""); err != nil {
 						s.t.Fatalf("propose: %v", err)
 					}
+					if r.configProp == nil {
+						s.t.Fatal("the membership change launched beside the write's wave")
+					}
 				})
-				return 2
 			}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			s := newSim(t, simConfig{seed: int64(i + 1), service: row.service, opts: Options{PipelineDepth: 4}})
+			s := newSim(t, simConfig{seed: int64(i + 1), service: row.service})
 			lead := s.awaitLeader(time.Second)
 			old := s.nodes[lead]
 			if old.r.mode != row.mode {
@@ -507,9 +507,9 @@ func TestSimDemotionMidWave(t *testing.T) {
 			s.drop = func(from wire.NodeID, env *wire.Envelope) bool {
 				return isolated && from == lead && !env.To.IsClient()
 			}
-			want := row.launch(s, lead, a, b)
-			if !s.runUntil(100*time.Millisecond, func() bool { return len(old.r.waves) == want }) {
-				t.Fatalf("%d waves in flight, want %d", len(old.r.waves), want)
+			row.launch(s, lead, a, b)
+			if !s.runUntil(100*time.Millisecond, func() bool { return old.r.wave != nil }) {
+				t.Fatal("no wave in flight")
 			}
 			stepped := false
 			s.watch = func() {
@@ -518,8 +518,8 @@ func TestSimDemotionMidWave(t *testing.T) {
 					return
 				}
 				stepped = true
-				if r.Applied() != r.Chosen() || len(r.waves) > 0 {
-					t.Fatalf("stepped down at applied %d, chosen %d, %d waves", r.Applied(), r.Chosen(), len(r.waves))
+				if r.Applied() != r.Chosen() || r.wave != nil || len(r.queue) > 0 || r.configProp != nil {
+					t.Fatalf("stepped down at applied %d, chosen %d, with work in flight or waiting", r.Applied(), r.Chosen())
 				}
 				witnesses := 0
 				for _, n := range s.nodes {
@@ -544,8 +544,8 @@ func TestSimDemotionMidWave(t *testing.T) {
 			if n := old.r.stats.specRollbacks.Load(); n != 1 {
 				t.Fatalf("%d re-derivations, want 1", n)
 			}
-			if n := old.r.stats.wavesRolledBack.Load(); n != uint64(want) {
-				t.Fatalf("%d waves re-derived past, want %d", n, want)
+			if n := old.r.stats.wavesRolledBack.Load(); n != 1 {
+				t.Fatalf("%d waves re-derived past, want 1", n)
 			}
 			isolated = false
 			if !s.runUntil(2*time.Second, func() bool { return !a.busy && !b.busy && s.converged() }) {

@@ -25,7 +25,7 @@ type stats struct {
 
 	// Where each served read executed (DESIGN.md "Reads"): parallel
 	// counts reads dispatched to the worker pool, inline counts reads
-	// executed on the event loop (pool absent, speculative waves in
+	// executed on the event loop (pool absent, a speculative wave in
 	// flight, view pin refused, or pool queue full). readsNear counts,
 	// independently of where they ran, the reads this replica served
 	// while not the active leader — as the client's nearest replica.
@@ -60,9 +60,9 @@ type stats struct {
 	// Per-phase latency histograms stamped through the leader hot path
 	// (DESIGN.md §11): execute is the service execution of one wave's
 	// batch; quorum is accept-broadcast to quorum completion; commit is
-	// accept-broadcast to commitment (includes waiting on predecessor
-	// waves under pipelining); request is client-admission to reply, the
-	// leader-side component of what clients observe.
+	// accept-broadcast to commitment (the same span: a wave commits the
+	// moment its quorum completes); request is client-admission to reply,
+	// the leader-side component of what clients observe.
 	execLat    *metrics.Histogram
 	quorumLat  *metrics.Histogram
 	commitLat  *metrics.Histogram
@@ -147,7 +147,7 @@ func (s *stats) register(reg *metrics.Registry) {
 		"client admission to reply per wave (oldest request)", metrics.UnitNanoseconds)
 }
 
-// noteInFlight records the current pipeline occupancy and keeps the
+// noteInFlight records the current wave occupancy and keeps the
 // high-water mark (the event loop is the only writer, so SetMax's
 // load+store is race-free).
 func (s *stats) noteInFlight(n int) {

@@ -37,7 +37,6 @@ func txnUID(k txnKey) uint64 {
 }
 
 func (r *Replica) onTxnRequest(req wire.Request) {
-	r.writers[req.Client] = r.now
 	key := txnKey{client: req.Client, txn: req.Txn}
 	tx := r.txns[key]
 

@@ -107,8 +107,7 @@ func TestDeposedLeaderCannotServeReads(t *testing.T) {
 
 // TestReadsWaitForInFlightWrites: a read that starts while writes are in
 // flight sees every write acknowledged before it started (the barrier
-// rule) — TestReadLinearizability's bracket at the default pipeline depth
-// and batching.
+// rule) — TestReadLinearizability's bracket with batching on.
 func TestReadsWaitForInFlightWrites(t *testing.T) {
 	s, _ := kvSim(t, 83)
 	readLinearizability(t, s)
@@ -255,7 +254,7 @@ func TestDurableReadBesideFlushingWave(t *testing.T) {
 		}
 		return true
 	}
-	if !s.runUntil(time.Second, flushing) || written || len(s.nodes[lead].r.waves) == 0 {
+	if !s.runUntil(time.Second, flushing) || written || s.nodes[lead].r.wave == nil {
 		t.Fatal("no point with the write's wave in flight and both backups flushing its accept")
 	}
 	took, v := read()

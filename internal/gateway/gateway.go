@@ -9,7 +9,7 @@
 // have to pay for:
 //
 //   - Admission control: a token bucket per tenant plus one global
-//     in-flight budget sized from pipeline depth × groups. When the
+//     in-flight budget sized from the group count. When the
 //     budget is exhausted, requests wait in per-tenant fair queues
 //     (round-robin, one request per turn); when those fill, the gateway
 //     sheds at the edge with a typed StatusOverload reply carrying a
@@ -48,8 +48,9 @@ import (
 // budget.
 type Config struct {
 	// MaxInFlight is the global admitted-but-unanswered budget. Size it
-	// from pipeline depth × groups × batch headroom: admitting more than
-	// the consensus layer can have in flight only grows queues.
+	// from groups × batch headroom (each group has one wave in flight):
+	// admitting more than the consensus layer can have in flight only
+	// grows queues.
 	MaxInFlight int
 	// TenantRate is the per-tenant token refill rate in requests/second.
 	// 0 disables per-tenant throttling.

@@ -44,12 +44,10 @@ type Profile struct {
 	// single-geometry profiles.
 	Regions  int
 	RegionOf func(wire.NodeID) int
-	// PipelineDepth and CommitFlushDelay are per-profile tuning hints:
-	// long-haul profiles need a deep speculative pipeline to hide the
-	// round trip and a wider commit-flush window to amortize commit
-	// broadcasts. Harnesses apply them when the caller did not override
-	// (0 = no hint, keep the core defaults).
-	PipelineDepth    int
+	// CommitFlushDelay is a per-profile tuning hint: long-haul profiles
+	// need a wider commit-flush window to amortize commit broadcasts.
+	// Harnesses apply it when the caller did not override (0 = no hint,
+	// keep the core default).
 	CommitFlushDelay time.Duration
 }
 
@@ -223,12 +221,10 @@ func wanSpread(name string, n int, scale float64) Profile {
 				}
 			}
 		},
-		// Long-haul tuning: enough pipeline depth to keep several waves
-		// in flight across a ~100 ms RTT, and a commit-flush window wide
-		// enough to piggyback commits on the next wave instead of paying
-		// a broadcast per instance. Scaled with the geography, floored
-		// at the core defaults.
-		PipelineDepth:    8,
+		// Long-haul tuning: a commit-flush window wide enough to
+		// piggyback commits on the next wave instead of paying a
+		// broadcast per instance. Scaled with the geography, floored at
+		// the core default.
 		CommitFlushDelay: maxDuration(time.Millisecond, at(5)),
 	}
 }

@@ -104,9 +104,9 @@ func (r *PrepareRound) Outcome(chosen uint64) []wire.Entry {
 
 // OutcomePrefix is Outcome for engines whose decided values chain across
 // instances — the <req, state> tuples of §3.3, where state i is computed
-// on top of state i−1. Such an engine may pipeline accept waves, so the
-// learned suffix can contain speculative instances whose predecessors
-// were never accepted anywhere. Adopting those would graft a state built
+// on top of state i−1. Deposed leaders leave speculative waves behind,
+// so the learned suffix can contain instances whose predecessors were
+// never chosen. Adopting those would graft a state built
 // on discarded history onto the log, so the new leader binds itself only
 // to the longest adoptable prefix:
 //

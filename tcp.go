@@ -46,7 +46,7 @@ type ServerOptions struct {
 	SyncEvery time.Duration
 	// Options are the protocol tunables, the same struct ClusterOptions
 	// takes, with the same defaults (no network profile to derive them
-	// from: 25ms heartbeat, serial pipeline, 1ms commit-flush window).
+	// from: 25ms heartbeat, 1ms commit-flush window).
 	Options
 	// Join starts this replica as an online joiner (DESIGN.md §12): a
 	// non-voting learner that announces itself to the peers listed in
@@ -58,7 +58,7 @@ type ServerOptions struct {
 	// §15): per-tenant admission control, round-robin fair queueing, typed
 	// StatusOverload sheds with retry-after hints, and the per-session
 	// dedup window. A zero GatewayOptions value picks defaults, with the
-	// global in-flight budget sized from pipeline depth × groups. Nil
+	// global in-flight budget sized from the group count. Nil
 	// keeps the exact PR 8 byte path.
 	Gateway *GatewayOptions
 }
