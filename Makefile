@@ -84,13 +84,13 @@ clock-sites:
 	echo "clock-sites: no wall clock in internal/core outside driver.go, no sleep in its simulated tests"
 
 # One read rule (DESIGN.md §18): a read executes on the state at the
-# commit point, through a service.ReadView. Only a service without
-# ReadViewer has its reads run on the live state through Execute, at one
-# site (liveState.ReadExecute in reads.go). This fails listing every
-# svc.Execute( call in non-test internal/core unless there is exactly one
-# in each of the two write paths — executeWrite and onRequest's
-# unreplicated Original baseline — and in that read site.
-READ_SITES = ReadExecute executeWrite onRequest
+# commit point, through a service.ReadView — a service without
+# ReadViewer gets service.AsReadViewer's snapshot adapter — so there is
+# no live-state read site. This fails listing every svc.Execute( call in
+# non-test internal/core unless there is exactly one in each of the two
+# write paths: executeWrite and onRequest's unreplicated Original
+# baseline.
+READ_SITES = executeWrite onRequest
 read-sites:
 	@sites=$$(awk '/^func /{ fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) } \
 		/svc\.Execute\(/ { print FILENAME ":" FNR ": " fn }' $$(ls internal/core/*.go | grep -v _test.go)); \
@@ -98,7 +98,7 @@ read-sites:
 	want=$$(echo $(READ_SITES) | tr ' ' '\n' | sort | tr '\n' ' '); \
 	if [ "$$got" != "$$want" ]; then \
 		echo "read-sites: want one svc.Execute call in each of $(READ_SITES), found:"; echo "$$sites"; exit 1; fi; \
-	echo "read-sites: one live-state read site, $$(echo "$$sites" | grep ': ReadExecute$$')"
+	echo "read-sites: svc.Execute only in $(READ_SITES), no live-state read site"
 
 # One counter surface (DESIGN.md §11): every counter is read by name
 # through the metrics registry. This fails when non-test Go outside

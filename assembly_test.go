@@ -23,9 +23,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/metric_names fro
 // {in-process, TCP} × groups {1, 2} × gateway {off, on}, WAL-backed, on
 // the KV service. The benchmark reads its per-layer metrics as registry
 // deltas by name, so a rename or a registration lost in assembly would
-// silently zero a metric; here it fails a byte comparison. The lists
-// under testdata/metric_names only ever gain names: rerun with -update
-// after registering a new instrument, and never rename one.
+// silently zero a metric; here it fails a byte comparison. Rerun with
+// -update after registering a new instrument or deleting one no reader
+// uses, and never rename one.
 func TestMetricNamesGolden(t *testing.T) {
 	// Two processors while the replicas start: the read-pool gauges exist
 	// only when the pool does, which otherwise depends on the host.

@@ -18,7 +18,10 @@
 // re-execute operations; they adopt the leader's state, which is what
 // keeps nondeterministic replicas consistent. Optionally implement
 // Transactional for concurrent T-Paxos transactions; otherwise
-// transactions are serialized automatically.
+// transactions are serialized automatically. A Service's reads run,
+// one at a time, on a second instance from its ServiceFactory restored
+// to the Snapshot at the commit point, and an op that changes that
+// Snapshot is refused as a read.
 //
 // # Deploying
 //

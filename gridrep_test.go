@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,6 +42,34 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if v, ok := gridrep.KVReply(res); !ok || string(v) != "hello" {
 		t.Fatalf("read = %q,%v", v, ok)
+	}
+}
+
+// TestPublicAPIBareService: a user's service that is neither
+// transactional nor able to pin read views is replicated and read
+// through the factory's scratch instance; as one ServerOptions.Service
+// instance, with no factory for that scratch, it is refused at start.
+func TestPublicAPIBareService(t *testing.T) {
+	bare := func() gridrep.Service { return struct{ gridrep.Service }{gridrep.NewKV()} }
+	c := startCluster(t, gridrep.ClusterOptions{Service: bare})
+	cli, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Write(gridrep.KVPut("k", []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Read(gridrep.KVPut("k", []byte("read"))); err == nil {
+		t.Fatal("a put sent as a read succeeded")
+	}
+	res, err := cli.Read(gridrep.KVGet("k"))
+	if v, ok := gridrep.KVReply(res); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("read = %q,%v,%v", v, ok, err)
+	}
+	_, err = gridrep.ListenAndServe(gridrep.ServerOptions{Peers: map[gridrep.NodeID]string{0: "127.0.0.1:0"}, Service: bare()})
+	if err == nil || !strings.Contains(err.Error(), "NewService") {
+		t.Fatalf("ListenAndServe with one bare instance: err = %v", err)
 	}
 }
 

@@ -265,7 +265,7 @@ func TestClusterSurvivesLinkChaos(t *testing.T) {
 		r, err := core.New(core.Config{
 			ID:        id,
 			Peers:     peers,
-			Service:   service.NewKV(),
+			Service:   service.KVFactory,
 			Transport: trs[id],
 			// Ping timeout (100ms) beats the election timeout, so the
 			// blackholed leader is deposed by the transport's PeerDown

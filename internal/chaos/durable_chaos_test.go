@@ -70,7 +70,7 @@ func TestDurableClusterSurvivesCrashUnderChaos(t *testing.T) {
 		r, err := core.New(core.Config{
 			ID:        id,
 			Peers:     peers,
-			Service:   service.NewKV(),
+			Service:   service.KVFactory,
 			Store:     st,
 			Transport: tr,
 			Options: core.Options{

@@ -73,7 +73,7 @@ func TestReconfigJoinUnderLinkChaos(t *testing.T) {
 		r, err := core.New(core.Config{
 			ID:        id,
 			Peers:     known,
-			Service:   service.NewKV(),
+			Service:   service.KVFactory,
 			Store:     st,
 			Transport: tr,
 			Options: core.Options{

@@ -74,7 +74,7 @@ func TestWANRegionPartitionZeroAckedLoss(t *testing.T) {
 		r, err := core.New(core.Config{
 			ID:        id,
 			Peers:     peers,
-			Service:   service.NewKV(),
+			Service:   service.KVFactory,
 			Transport: trs[id],
 			// Heartbeats must outpace the scaled cross-region delay
 			// (~5ms worst mean) by a wide margin, and the ping timeout

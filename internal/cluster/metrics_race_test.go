@@ -102,15 +102,15 @@ func TestMetricsConcurrentReaders(t *testing.T) {
 		t.Fatal("no replica registry shows committed waves")
 	}
 	snap := rep.Metrics().Snapshot()
-	m, ok := metrics.Find(snap, "gridrep_commit_latency_seconds")
+	m, ok := metrics.Find(snap, "gridrep_quorum_latency_seconds")
 	if !ok || m.Hist == nil || m.Hist.Count == 0 {
-		t.Fatalf("commit latency histogram empty: %+v", m)
+		t.Fatalf("quorum latency histogram empty: %+v", m)
 	}
 	var sb strings.Builder
 	if err := rep.Metrics().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "gridrep_commit_latency_seconds_count") {
-		t.Fatal("prometheus output missing commit latency histogram")
+	if !strings.Contains(sb.String(), "gridrep_quorum_latency_seconds_count") {
+		t.Fatal("prometheus output missing quorum latency histogram")
 	}
 }

@@ -34,8 +34,9 @@ type NodeConfig struct {
 	Groups int
 	// Edge is the node's network endpoint. The node closes it on Stop.
 	Edge transport.SinkTransport
-	// Service creates one service instance per group (and, sharded, one
-	// more for the router to ask about keys).
+	// Service creates one service instance per group, a second per group
+	// as the read scratch of a service that is no service.ReadViewer,
+	// and, sharded, one more for the router to ask about keys.
 	Service service.Factory
 	// OpenStore returns group g's stable storage; nil means in-memory.
 	// With OwnStores set the node closes what OpenStore returned — on
@@ -115,7 +116,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		cc := core.Config{
 			ID:            cfg.ID,
 			Peers:         append([]wire.NodeID(nil), cfg.Peers...),
-			Service:       cfg.Service(),
+			Service:       cfg.Service,
 			Transport:     edge, // the core makes its own registry and probes edge
 			Options:       cfg.Options,
 			Join:          cfg.Join,

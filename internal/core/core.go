@@ -47,7 +47,7 @@ import (
 // stateMode is how proposals carry service state (§3.3 discusses all
 // three). It is a property of the service: New picks the cheapest mode
 // that can express the service's writes and its transactions — replay
-// for a Serialize'd service.Replayer, delta for a service.TxnDiffer, full
+// for a serialized service.Replayer, delta for a service.TxnDiffer, full
 // otherwise.
 type stateMode int
 
@@ -99,9 +99,10 @@ type Config struct {
 	ID wire.NodeID
 	// Peers lists all replica IDs, including ID.
 	Peers []wire.NodeID
-	// Service is the replicated application instance owned by this
-	// replica.
-	Service service.Service
+	// Service builds the replicated application instance this replica
+	// owns, and the scratch instance a service without ReadViewer reads
+	// on (service.AsReadViewer).
+	Service service.Factory
 	// Store is the replica's stable storage. Defaults to storage.NewMem.
 	Store storage.Store
 	// Transport carries protocol messages. Required.
@@ -157,9 +158,9 @@ type wave struct {
 	entries  []wire.Entry
 	recovery bool        // re-proposing learned entries after election
 	txns     []*txnState // transactions committing in this wave
-	// view is the state before this wave executed (waveView): the state
-	// at the commit point while the wave is in flight (reads.go). Nil
-	// for a service without ReadViewer, or if the pin was refused.
+	// view is the state before this wave executed: the state at the
+	// commit point while the wave is in flight (reads.go). Nil if the
+	// pin was refused.
 	view    service.ReadView
 	sentAt  time.Time
 	firstAt time.Time // admission time of the wave's oldest request
@@ -190,17 +191,15 @@ type Replica struct {
 	tr       transport.Transport
 	acc      *paxos.Acceptor
 	elector  *omega.Elector
-	svc      service.Service
+	svc      service.ReadViewer // a bare Service in service.AsReadViewer's adapter
 	txnSvc   service.Transactional
 	exclus   bool // transactions serialize all other work
 	mode     stateMode
 	differ   service.TxnDiffer // non-nil in delta mode
 	replayer service.Replayer  // non-nil in replay mode
 
-	// Reads (reads.go): viewer, set in New when the service can pin
-	// views, pins the states reads execute on; readPool, started by
-	// Start when there is more than one processor, runs them off-loop.
-	viewer   service.ReadViewer
+	// readPool, started by Start when there is more than one processor,
+	// runs reads off-loop on views svc pins (reads.go).
 	readPool *readPool
 
 	role      Role
@@ -327,16 +326,21 @@ func New(cfg Config) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	txnSvc := service.AsTransactional(cfg.Service)
-	exclus := service.IsExclusive(txnSvc)
-	replayer, isReplayer := cfg.Service.(service.Replayer)
-	differ, isTxnDiffer := cfg.Service.(service.TxnDiffer)
+	// The capabilities are the live instance's own, never the read
+	// adapter's. Not natively transactional means serialized, so
+	// exclusive: one transaction at a time, its ops run on the live state
+	// (service.AsTransactional).
+	live := cfg.Service()
+	txnSvc := service.AsTransactional(live)
+	_, native := live.(service.Transactional)
+	replayer, isReplayer := live.(service.Replayer)
+	differ, isTxnDiffer := live.(service.TxnDiffer)
 	// A mode must express writes and T-Paxos commits: replay needs the
 	// transaction's ops run on the base state through the Replayer (a
-	// Serialize'd service), delta a commit that yields its write set.
+	// serialized service), delta a commit that yields its write set.
 	mode := stateFull
 	switch {
-	case isReplayer && exclus:
+	case isReplayer && !native:
 		mode, differ = stateReplay, nil
 	case isTxnDiffer:
 		mode, replayer = stateDelta, nil
@@ -347,9 +351,9 @@ func New(cfg Config) (*Replica, error) {
 		cfg:    cfg,
 		tr:     cfg.Transport,
 		acc:    acc,
-		svc:    cfg.Service,
+		svc:    service.AsReadViewer(live, cfg.Service),
 		txnSvc: txnSvc,
-		exclus: exclus,
+		exclus: !native,
 		mode:   mode,
 		elector: omega.New(omega.Config{
 			Self:     cfg.ID,
@@ -398,7 +402,6 @@ func New(cfg Config) (*Replica, error) {
 		r.flusher = fl
 	}
 	r.differ, r.replayer = differ, replayer
-	r.viewer, _ = cfg.Service.(service.ReadViewer)
 	r.maxSeen = acc.Promised()
 	r.promStaged, r.promDurable = r.maxSeen, r.maxSeen // loaded: on disk
 	r.nextInstance = acc.Chosen() + 1

@@ -61,10 +61,9 @@ func (r *Replica) initDriver() {
 }
 
 // Start launches the event loop, the persister when the store stages
-// records, and the parallel read pool (readpool.go) when the service can
-// pin read views and the process has more than one processor — on one,
-// handing reads off gains nothing, and reads execute on their views
-// inline, as under the simulator.
+// records, and the parallel read pool (readpool.go) when the process has
+// more than one processor — on one, handing reads off gains nothing, and
+// reads execute on their views inline, as under the simulator.
 func (r *Replica) Start() {
 	if r.flusher != nil {
 		r.persist = newPersister(r.flusher, r.tr, func(err error) {
@@ -76,7 +75,7 @@ func (r *Replica) Start() {
 			r.stopOnce.Do(func() { close(r.stop) })
 		})
 	}
-	if r.viewer != nil && runtime.GOMAXPROCS(0) > 1 {
+	if runtime.GOMAXPROCS(0) > 1 {
 		r.readPool = newReadPool(r.tr, r.cfg.ID, runtime.GOMAXPROCS(0))
 		r.readPool.RegisterMetrics(r.reg)
 	}

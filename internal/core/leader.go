@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"gridrep/internal/paxos"
-	"gridrep/internal/service"
 	"gridrep/internal/wire"
 )
 
@@ -143,7 +142,7 @@ func (r *Replica) maybeStartWave() {
 		entries := []wire.Entry{{Instance: r.nextInstance, Prop: *p}}
 		r.nextInstance++
 		r.logf("proposing config %v %v at instance %d", p.ConfigOp, p.ConfigNode, entries[0].Instance)
-		r.launchWave(&wave{entries: entries, view: r.waveView()})
+		r.launchWave(&wave{entries: entries, view: r.readState()})
 		return
 	}
 	// A batch whose every item failed launches nothing; try the next.
@@ -166,10 +165,12 @@ func (r *Replica) startWave(items []workItem) {
 	var txns []*txnState
 	// The state before this wave, pinned before it executes: the state
 	// at the commit point while the wave is in flight, so a read never
-	// waits for it (DESIGN.md §18). For an exclusive transaction's
-	// commit, the one wave that launches while it is open, that is the
-	// transaction's view: its ops already ran on the live state.
-	view := r.waveView()
+	// waits for it (DESIGN.md §18). Every wave carries one: pinning
+	// costs the next write to each bucket a copy-on-write (DESIGN.md
+	// §14). For an exclusive transaction's commit, the one wave that
+	// launches while it is open, that is the transaction's view: its ops
+	// already ran on the live state.
+	view := r.readState()
 	for _, it := range items {
 		if it.txn != nil {
 			// T-Paxos commit: one instance decides the whole transaction
@@ -222,17 +223,6 @@ func (r *Replica) startWave(items []workItem) {
 	r.stats.execLat.ObserveDuration(exec)
 	// The queue is in admission order, so the first item is the oldest.
 	r.launchWave(&wave{entries: entries, txns: txns, view: view, firstAt: items[0].at, exec: exec})
-}
-
-// waveView pins the state before a wave launches, for reads to execute
-// on while it is in flight; nil for a service without ReadViewer, whose
-// reads wait for the wave to commit. Every wave carries one: pinning
-// costs the next write to each bucket a copy-on-write (DESIGN.md §14).
-func (r *Replica) waveView() service.ReadView {
-	if r.viewer == nil {
-		return nil
-	}
-	return r.liveView()
 }
 
 // executeWrite runs one write on the service per the state mode,
@@ -324,9 +314,7 @@ func (r *Replica) addVote(m *wire.Accepted, from wire.NodeID) {
 	r.stats.wavesCommitted.Add(1)
 	r.stats.noteInFlight(0)
 	if !w.recovery {
-		lat := r.now.Sub(w.sentAt) - w.exec
-		r.stats.quorumLat.ObserveDuration(lat)
-		r.stats.commitLat.ObserveDuration(lat)
+		r.stats.quorumLat.ObserveDuration(r.now.Sub(w.sentAt) - w.exec)
 	}
 	r.commitWave(w)
 	if r.role != RoleLeading {
@@ -501,7 +489,7 @@ func (r *Replica) finishActivation() {
 	top := entries[len(entries)-1].Instance
 	r.nextInstance = top + 1
 	r.logf("recovery wave %d..%d", chosen+1, top)
-	r.launchWave(&wave{entries: entries, recovery: true, view: r.waveView()})
+	r.launchWave(&wave{entries: entries, recovery: true, view: r.readState()})
 }
 
 // activate opens the leader for client traffic and replays requests that

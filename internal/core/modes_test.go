@@ -46,6 +46,71 @@ func TestStateModesEquivalent(t *testing.T) {
 	}
 }
 
+// A bare Service reads through service.AsReadViewer's snapshot adapter,
+// on a view pinned at the commit point like every other service's.
+
+// TestBareServiceReadRefusesMutatingOp: a put sent as a read is refused,
+// not executed on the leader's live state — which would change that one
+// replica alone, and a later full-mode wave would ship the change to
+// the backups.
+func TestBareServiceReadRefusesMutatingOp(t *testing.T) {
+	s := newSim(t, simConfig{seed: 35, service: plainKV})
+	s.awaitLeader(time.Second)
+	c := s.newClient()
+	c.must(wire.KindWrite, service.KVPut("k", []byte("v")))
+	rep := c.call(wire.Request{Kind: wire.KindRead, Op: service.KVPut("k", []byte("read"))}, time.Second)
+	if rep.Status == wire.StatusOK {
+		t.Fatal("a put sent as a read was answered OK")
+	}
+	c.must(wire.KindWrite, service.KVPut("other", []byte("w")))
+	s.mustConverge()
+	for _, n := range s.nodes {
+		res, _ := n.r.Service().Execute(service.KVGet("k"))
+		if v, _ := service.KVReply(res); string(v) != "v" {
+			t.Fatalf("replica %d: k = %q, want %q", n.id, v, "v")
+		}
+	}
+}
+
+// TestBareServiceReadBesideWaveInFlight: a read issued while a write's
+// wave is in flight is answered from the state before that wave, before
+// it commits — it does not wait for the wave.
+func TestBareServiceReadBesideWaveInFlight(t *testing.T) {
+	s := newSim(t, simConfig{seed: 36, service: plainKV})
+	lead := s.awaitLeader(time.Second)
+	r := s.nodes[lead].r
+	c := s.newClient()
+	c.must(wire.KindWrite, service.KVPut("k", []byte("fresh")))
+	hold := true // the backups' votes are lost: the wave stays in flight
+	s.drop = func(from wire.NodeID, env *wire.Envelope) bool {
+		_, vote := env.Msg.(*wire.Accepted)
+		return hold && vote && from != lead
+	}
+	w, wrote := s.newClient(), false
+	w.do(wire.Request{Kind: wire.KindWrite, Op: service.KVPut("k", []byte("speculative"))}, func(wire.Reply) { wrote = true })
+	if !s.runUntil(time.Second, func() bool { return r.wave != nil }) {
+		t.Fatal("the wave never launched")
+	}
+	before := r.Chosen()
+	var rep *wire.Reply
+	c.do(wire.Request{Kind: wire.KindRead, Op: service.KVGet("k")}, func(got wire.Reply) { rep = &got })
+	if !s.runUntil(100*time.Millisecond, func() bool { return rep != nil }) {
+		t.Fatal("the read waited for the wave in flight")
+	}
+	if r.wave == nil || r.Chosen() != before {
+		t.Fatalf("the wave committed (chosen %d, was %d) before the read was answered", r.Chosen(), before)
+	}
+	wantValue(t, *rep, "fresh")
+	hold = false
+	if !s.runUntil(5*time.Second, func() bool { return wrote }) {
+		t.Fatal("the write never committed once the votes flowed")
+	}
+	if v, _ := c.get("k"); v != "speculative" {
+		t.Fatalf("read after the commit: k = %q, want %q", v, "speculative")
+	}
+	s.mustConverge()
+}
+
 func TestDeltaModeBackupsFollow(t *testing.T) {
 	s, c := kvSim(t, 32)
 	for i := 0; i < 20; i++ {

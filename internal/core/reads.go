@@ -181,7 +181,7 @@ func (r *Replica) tryFinishRead(pr *pendingRead) {
 	}
 	view := r.readState()
 	if view == nil {
-		return // the state at the commit point was not pinned: wait for a commit
+		return // the service refused the pin: wait for the next one
 	}
 	delete(r.reads, pr.req.Key())
 	if !r.IsActiveLeader() {
@@ -196,43 +196,24 @@ func (r *Replica) tryFinishRead(pr *pendingRead) {
 	r.tr.Send(job.run(r.cfg.ID))
 }
 
-// readState returns the state at the commit point, which every read
-// executes on (DESIGN.md §18): the view pinned before the wave in
-// flight (every wave carries one, waveView), else liveView. Nil means
-// the service has no ReadViewer (or refused the pin) and a wave is in
-// flight: the read waits for it to commit, the serial engine's rule.
+// readState returns the state at the commit point (DESIGN.md §18),
+// which every read executes on and every wave carries: the view pinned
+// before the wave in flight; else the open exclusive transaction's,
+// pinned before its first op (onTxnOp) — the live state without that
+// transaction's ops; else a view pinned now. Nil means the service
+// refused the pin: a read waits for the next one.
 func (r *Replica) readState() service.ReadView {
-	if r.wave != nil {
-		return r.wave.view
-	}
-	return r.liveView()
-}
-
-// liveView is the live state as it stands without the open exclusive
-// transaction's ops: that transaction's view, pinned before its first op
-// (onTxnOp); else the live state itself for a service without
-// ReadViewer; else a view pinned now.
-func (r *Replica) liveView() service.ReadView {
 	switch {
+	case r.wave != nil:
+		return r.wave.view
 	case r.exclusiveBusy():
 		for _, tx := range r.txns {
-			return tx.view // the only one; nil without ReadViewer
+			return tx.view // the only one
 		}
-	case r.viewer == nil:
-		return liveState{r.svc}
 	}
-	view, _ := r.viewer.ReadView()
+	view, _ := r.svc.ReadView()
 	return view
 }
-
-// liveState reads a service without ReadViewer on its live state, which
-// liveView hands out only while nothing speculative is outstanding. It
-// is the one read that runs through Execute (make read-sites), and runs
-// only on the event loop: a replica starts a read pool only for a
-// ReadViewer.
-type liveState struct{ svc service.Service }
-
-func (l liveState) ReadExecute(op []byte) ([]byte, error) { return l.svc.Execute(op) }
 
 // flushReads re-checks every pending read after something it waits on
 // may have moved: a commit, applied state advancing on a backup, an

@@ -286,7 +286,7 @@ func (s *sim) boot(n *simNode) {
 	r, err := New(Config{
 		ID:        n.id,
 		Peers:     s.peers(),
-		Service:   s.cfg.service(n.id, n.inc),
+		Service:   func() service.Service { return s.cfg.service(n.id, n.inc) },
 		Store:     n.store,
 		Transport: simEndpoint{s, n.id},
 		Options:   s.cfg.opts,

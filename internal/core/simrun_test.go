@@ -131,7 +131,7 @@ func TestSimRecordReplay(t *testing.T) {
 	defer net.Close()
 	peers := []wire.NodeID{0, 1, 2}
 	config := func(id wire.NodeID, tr transport.Transport) Config {
-		return Config{ID: id, Peers: peers, Service: service.NewKV(), Store: storage.NewMem(), Transport: tr,
+		return Config{ID: id, Peers: peers, Service: service.KVFactory, Store: storage.NewMem(), Transport: tr,
 			Options: Options{HeartbeatInterval: 5 * time.Millisecond}}
 	}
 	logs := make([]stepLog, len(peers))

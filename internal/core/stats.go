@@ -59,13 +59,11 @@ type stats struct {
 
 	// Per-phase latency histograms stamped through the leader hot path
 	// (DESIGN.md §11): execute is the service execution of one wave's
-	// batch; quorum is accept-broadcast to quorum completion; commit is
-	// accept-broadcast to commitment (the same span: a wave commits the
-	// moment its quorum completes); request is client-admission to reply,
-	// the leader-side component of what clients observe.
+	// batch; quorum is accept-broadcast to quorum completion, which is
+	// the wave's commit; request is client-admission to reply, the
+	// leader-side component of what clients observe.
 	execLat    *metrics.Histogram
 	quorumLat  *metrics.Histogram
-	commitLat  *metrics.Histogram
 	requestLat *metrics.Histogram
 	catchupLat *metrics.Histogram
 }
@@ -141,8 +139,6 @@ func (s *stats) register(reg *metrics.Registry) {
 		"service execution time per accept wave", metrics.UnitNanoseconds)
 	s.quorumLat = reg.Histogram("gridrep_quorum_latency_seconds",
 		"accept broadcast to quorum completion per wave", metrics.UnitNanoseconds)
-	s.commitLat = reg.Histogram("gridrep_commit_latency_seconds",
-		"accept broadcast to commitment per wave", metrics.UnitNanoseconds)
 	s.requestLat = reg.Histogram("gridrep_request_latency_seconds",
 		"client admission to reply per wave (oldest request)", metrics.UnitNanoseconds)
 }

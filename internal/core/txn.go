@@ -90,9 +90,7 @@ func (r *Replica) onTxnOp(key txnKey, tx *txnState, req wire.Request) {
 			// Its ops run on the live state: reads run on the state
 			// before them, and no write runs until it ends — the ones
 			// queued behind a wave wait with the blocked.
-			if r.viewer != nil {
-				tx.view, _ = r.viewer.ReadView()
-			}
+			tx.view, _ = r.svc.ReadView()
 			for _, it := range r.queue {
 				delete(r.pending, it.req.Key())
 				r.blocked = append(r.blocked, it.req)
@@ -119,7 +117,7 @@ func (r *Replica) onTxnOp(key txnKey, tx *txnState, req wire.Request) {
 	var res, aux []byte
 	var err error
 	if r.mode == stateReplay {
-		// Serialize'd (New), so the op runs on the base state either way.
+		// Serialized (New), so the op runs on the base state either way.
 		res, aux, err = r.replayer.ExecuteCapture(req.Op)
 	} else {
 		res, err = tx.ws.Execute(req.Op)

@@ -186,9 +186,9 @@ func TestTxnNoopConcurrent(t *testing.T) {
 }
 
 // TestExclusiveTxnSerialization: the broker is not natively
-// transactional, so the Serialize adapter admits one transaction at a
-// time and the replica parks everything else behind it — here a plain
-// write, which must neither be lost nor interleave.
+// transactional, so AsTransactional's serializing adapter admits one
+// transaction at a time and the replica parks everything else behind
+// it — here a plain write, which must neither be lost nor interleave.
 func TestExclusiveTxnSerialization(t *testing.T) {
 	s := newSim(t, simConfig{seed: 71, service: brokers(101)})
 	s.awaitLeader(time.Second)

@@ -200,8 +200,18 @@ func TestNoopReadView(t *testing.T) {
 	}
 }
 
+// TestAsReadViewerPassthrough: a service that pins its own views is
+// returned as is, and no scratch instance is built for it.
+func TestAsReadViewerPassthrough(t *testing.T) {
+	kv := NewKV()
+	if AsReadViewer(kv, func() Service { t.Fatal("scratch built for a ReadViewer"); return nil }) != ReadViewer(kv) {
+		t.Fatal("a ReadViewer must not be wrapped")
+	}
+}
+
 // TestReadViewContract is the ReadView contract, once per service that
-// implements it: a view answers what Execute answered when it was
+// implements it and once for AsReadViewer's adapter around a service
+// that does not: a view answers what Execute answered when it was
 // pinned, keeps answering that after every later write path, rejects
 // every mutating opcode with ErrBadOp and changes nothing doing so, and
 // serves concurrent ReadExecute calls while the owner writes and
@@ -270,6 +280,19 @@ func TestReadViewContract(t *testing.T) {
 				}
 				return BrokerRequest(1)
 			}},
+		{"snapshot adapter", AsReadViewer(struct{ Service }{NewKV()}, KVFactory),
+			[][]byte{KVPut("a", []byte("1")), KVPut("b", []byte("2"))},
+			func(s ReadViewer) { // a bare Service writes by Execute and Restore
+				s.Execute(KVPut("a", []byte("x")))
+				s.Execute(KVDelete("b"))
+				other := NewKV()
+				other.Restore(s.Snapshot())
+				other.Execute(KVAdd("c", 3))
+				s.Restore(other.Snapshot())
+			},
+			[][]byte{KVGet("a"), KVGet("b"), KVGet("c")},
+			[][]byte{KVPut("a", []byte("y")), KVDelete("a"), KVAdd("c", 1)}, false,
+			func(i int) []byte { return KVAdd(fmt.Sprint("k", i%8), 1) }},
 		{"noop", NewNoop(), [][]byte{NoopWriteOp},
 			func(s ReadViewer) { s.Execute(NoopWriteOp) },
 			[][]byte{NoopReadOp}, [][]byte{NoopWriteOp}, true,

@@ -11,7 +11,10 @@
 // peer's state (Restore); it never needs deterministic re-execution.
 package service
 
-import "errors"
+import (
+	"errors"
+	"sync"
+)
 
 // Common service errors.
 var (
@@ -40,8 +43,8 @@ type Service interface {
 
 // Transactional is implemented by services that support concurrent
 // T-Paxos transactions natively (with per-item locking). Services that do
-// not implement it are wrapped by Serialize, which provides one-at-a-time
-// transactions via snapshot/undo.
+// not implement it are wrapped by AsTransactional, which provides
+// one-at-a-time transactions via snapshot/undo.
 type Transactional interface {
 	Service
 	// Begin opens a workspace for a transaction. It returns ErrConflict
@@ -62,16 +65,18 @@ type Workspace interface {
 	Abort()
 }
 
-// Factory creates a fresh service instance; each replica owns one.
+// Factory creates a fresh service instance; each replica owns one, and
+// one more as AsReadViewer's scratch when the service is no ReadViewer.
 type Factory func() Service
 
 // AsTransactional returns svc's native transactional interface, or wraps
-// it with Serialize.
+// it so T-Paxos can still run against it: one transaction at a time,
+// with abort implemented by restoring the pre-transaction snapshot.
 func AsTransactional(svc Service) Transactional {
 	if t, ok := svc.(Transactional); ok {
 		return t
 	}
-	return Serialize(svc)
+	return &serialized{Service: svc}
 }
 
 // serialized adapts any Service to Transactional by admitting one
@@ -80,11 +85,6 @@ type serialized struct {
 	Service
 	busy bool
 }
-
-// Serialize wraps a non-transactional service so T-Paxos can still run
-// against it: one transaction at a time, with abort implemented by
-// restoring the pre-transaction snapshot.
-func Serialize(svc Service) Transactional { return &serialized{Service: svc} }
 
 func (s *serialized) Begin(txn uint64) (Workspace, error) {
 	if s.busy {
@@ -125,23 +125,6 @@ func (w *serialWS) Abort() {
 	// Ignoring the error is safe: undo came from this very service's
 	// Snapshot moments ago.
 	_ = w.s.Service.Restore(w.undo)
-}
-
-// Exclusive is implemented by Transactional services that admit only one
-// transaction at a time and execute transaction operations directly
-// against base state (the Serialize adapter). The replica serializes all
-// other work around such transactions.
-type Exclusive interface {
-	ExclusiveTxns() bool
-}
-
-// ExclusiveTxns implements Exclusive.
-func (s *serialized) ExclusiveTxns() bool { return true }
-
-// IsExclusive reports whether t serializes transactions.
-func IsExclusive(t Transactional) bool {
-	e, ok := t.(Exclusive)
-	return ok && e.ExclusiveTxns()
 }
 
 // Differ is the §3.3 "exchange only the updated state" optimization: the
@@ -200,19 +183,12 @@ type ReadView interface {
 	ReadExecute(op []byte) ([]byte, error)
 }
 
-// ReadViewer is implemented by services that can pin an immutable view
-// of their current state — by copy-on-write, epoch pinning, or any other
-// scheme. The replica runs every read of such a service through a view
-// pinned at its commit point, so reads run beside speculative writes
-// and open transactions, in parallel off the event loop or inline.
-//
-// A service without ReadViewer has its reads executed by Execute on the
-// live state, once no write is in flight and no exclusive transaction
-// is open. Its Execute must then leave the state unchanged for every
-// read-only op, and refuse on its own any mutating op it is not willing
-// to apply outside consensus: the replica cannot tell a read-only op
-// from a mutating one, and a mutating op a client sends as a read would
-// change that one replica's state alone.
+// ReadViewer is a service that can pin an immutable view of its current
+// state — by copy-on-write, epoch pinning, or any other scheme. The
+// replica runs every read through a view pinned at its commit point, so
+// reads run beside speculative writes and open transactions, in
+// parallel off the event loop or inline. A service that does not
+// implement it reads through AsReadViewer's snapshot adapter.
 type ReadViewer interface {
 	Service
 	// ReadView pins the current state. ok is false when the state cannot
@@ -220,6 +196,48 @@ type ReadViewer interface {
 	// succeeds.
 	ReadView() (ReadView, bool)
 }
+
+// AsReadViewer returns svc's native ReadViewer, or adapts it: a view
+// pins svc's Snapshot, and each read restores it into one scratch
+// instance from newScratch, built once here, and executes there, one
+// read at a time. An op after which the scratch's Snapshot differs from
+// the pinned one is refused with ErrBadOp, so the adapter keeps the
+// ReadView contract whatever Execute does. Correct and slow, as
+// AsTransactional's wrapper is for transactions: a pin and a read each
+// copy the whole state.
+func AsReadViewer(svc Service, newScratch Factory) ReadViewer {
+	if v, ok := svc.(ReadViewer); ok {
+		return v
+	}
+	return &snapshotViewer{Service: svc, scratch: newScratch()}
+}
+
+type snapshotViewer struct {
+	Service
+	mu      sync.Mutex
+	scratch Service
+}
+
+func (s *snapshotViewer) ReadView() (ReadView, bool) {
+	snap := s.Snapshot()
+	return readFunc(func(op []byte) ([]byte, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.scratch.Restore(snap); err != nil {
+			return nil, err
+		}
+		res, err := s.scratch.Execute(op)
+		if string(s.scratch.Snapshot()) != string(snap) {
+			return nil, ErrBadOp
+		}
+		return res, err
+	}), true
+}
+
+// readFunc is a ReadView made of its ReadExecute.
+type readFunc func(op []byte) ([]byte, error)
+
+func (f readFunc) ReadExecute(op []byte) ([]byte, error) { return f(op) }
 
 // Replayer is the §3.3 "request plus additional information" optimization:
 // the nondeterministic operation can be reproduced from the request and

@@ -10,6 +10,7 @@ import (
 	"gridrep/internal/cluster"
 	"gridrep/internal/gateway"
 	"gridrep/internal/metrics"
+	"gridrep/internal/service"
 	"gridrep/internal/storage"
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
@@ -24,6 +25,9 @@ type ServerOptions struct {
 	// between all processes (§4); so does this deployment mode.
 	Peers map[NodeID]string
 	// Service is this replica's service instance (single-group mode).
+	// Only a shipped service, which pins its own read views, can be
+	// passed as one instance; any other needs NewService, because its
+	// reads run on a second, scratch instance (service.AsReadViewer).
 	Service Service
 	// Groups is the number of independent consensus groups this process
 	// hosts (default 1). With Groups > 1 the key space is partitioned by
@@ -81,14 +85,15 @@ type Server struct {
 func ListenAndServe(opts ServerOptions) (*Server, error) {
 	newService := opts.NewService
 	if newService == nil {
-		if opts.Service == nil {
-			return nil, fmt.Errorf("gridrep: ServerOptions.Service (or NewService) is required")
+		if _, ok := opts.Service.(service.ReadViewer); !ok {
+			// Nil, or a service whose reads run on a second, scratch
+			// instance (service.AsReadViewer) one instance cannot supply.
+			return nil, fmt.Errorf("gridrep: ServerOptions.NewService is required, or Service set to a shipped service")
 		}
 		if opts.Groups > 1 {
 			return nil, fmt.Errorf("gridrep: Groups > 1 requires ServerOptions.NewService (one independent service instance per group)")
 		}
-		svc := opts.Service
-		newService = func() Service { return svc }
+		newService = func() Service { return opts.Service }
 	}
 	ids := make([]wire.NodeID, 0, len(opts.Peers))
 	for id := range opts.Peers {
