@@ -1,18 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race selectors snapshot-sites clock-sites read-sites stats-sites inbox-sites coverage-sites fuzz-smoke chaos chaos-reconfig durable-race pipeline-race shard-race multicore-race overload-race wan-race benchmark benchmark-test paper bench-overload-quick microbench benchstat clean
-
-# The race gates' test selections, each written once: `-run 'regex'`
-# then the packages it applies to. `make selectors` checks every
-# (regex, package) pair still selects something.
-RECONFIG_RACE = -run 'Reconfig|OnlineJoin|ChaosCrashRejoin|RemoveReplica|TCPOnlineJoin|GracefulShutdown|Learner|SetPeers|Prune|SnapshotMembers|TailBitFlip|Checkpoint' ./internal/cluster ./internal/omega ./internal/storage ./internal/chaos .
-DURABLE_RACE = -run 'Durable|PersistFailure|ConcurrentFlush|GroupCommit|Buffered|SyncPolicy|AsyncRewrite|Poison' ./internal/storage ./internal/cluster ./internal/chaos
-PIPELINE_RACE = -run 'Pipelin|Linearizability|Recovery' ./internal/core ./internal/chaos ./internal/paxos
-SHARD_RACE = -run 'Shard|GroupMux|CrossGroup|OpenFile|WithPrefix|Rank|Group' ./internal/shard ./internal/transport ./internal/storage ./internal/metrics ./internal/omega ./internal/cluster .
-MULTICORE_RACE = -run 'ParallelRead|ReadView|ReadPool|Sink|Inbox|DecodeStage|ReplyWriter|Coalesc|Multicore' ./internal/core ./internal/service ./internal/transport
-OVERLOAD_RACE = -run 'Overload|RetryAfter|ReplyDrop|Shed|OpenLoop' ./internal/client ./internal/transport ./cmd/benchpaxos
-OVERLOAD_TCP_RACE = -run 'TCPIdempotentRetryAcrossLeaderCrash' .
-WAN_RACE = -run 'Preempt|Cost|Rank|Near|Vouch|Confirm|Deposed|ReadExpires|ExclusiveTxnOpen|WAN|Wan|ProfileTimeout|ProfileByName|RegionPartition' ./internal/omega ./internal/core ./internal/client ./internal/netem ./internal/cluster ./internal/chaos
+.PHONY: all tier1 fmt race snapshot-sites clock-sites read-sites stats-sites inbox-sites coverage-sites fuzz-smoke chaos benchmark benchmark-test paper bench-overload-quick microbench benchstat clean
 
 all: tier1
 
@@ -27,25 +15,14 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Race tier: vet + full test suite under the race detector. The chaos
-# and transport tests are required to be race-clean.
+# Race tier: vet + the full test suite under the race detector at a
+# widened scheduler, the one race gate. Every suite that needs the race
+# detector — chaos, transport, the read pool, durability, sharding,
+# reconfiguration, the gateway, the WAN tests — is in ./..., so no test
+# is selected by name and none can drop out of the gate by a rename.
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./...
-
-# A renamed or merged test silently drops out of a gate that selects it
-# by regex. This fails when any (-run regex, package) pair above lists
-# no test; run it before the gates.
-selectors:
-	@fail=0; \
-	check() { re=$$2; shift 2; for pkg in "$$@"; do \
-		$(GO) test -list "$$re" $$pkg | grep -q '^Test' || \
-			{ echo "selectors: -run '$$re' selects no test in $$pkg"; fail=1; }; \
-	done; }; \
-	check $(RECONFIG_RACE); check $(DURABLE_RACE); check $(PIPELINE_RACE); \
-	check $(SHARD_RACE); check $(MULTICORE_RACE); check $(OVERLOAD_RACE); \
-	check $(OVERLOAD_TCP_RACE); check $(WAN_RACE); \
-	exit $$fail
+	GOMAXPROCS=4 $(GO) test -race -count 1 ./...
 
 # State moves one way (DESIGN.md "State transfer"): core copies the full
 # service state at three named places — the base state New captures
@@ -157,56 +134,6 @@ fuzz-smoke:
 chaos:
 	$(GO) test -race ./internal/transport ./internal/chaos
 
-# Online-reconfiguration suite under the race detector (PR 6): snapshot
-# catch-up, consensus-decided membership change, WAL pruning, the
-# crash-rejoin-via-snapshot chaos scenario, the join-under-link-chaos
-# acceptance test, the TCP -join test, and graceful-shutdown WAL
-# flushing.
-chaos-reconfig:
-	$(GO) test -race -count 1 $(RECONFIG_RACE)
-
-# Durability-pipeline suite under the race detector: group commit and
-# sync policies in the WAL, the persister's fail-stop on storage errors,
-# crash/restart with memory loss, and the durable chaos scenario.
-durable-race:
-	$(GO) test -race -count 1 $(DURABLE_RACE)
-
-# The one-wave suite under the race detector (DESIGN.md §10): the
-# one-wave rule and a leader switch mid-wave, the linearizability
-# bracket with batching off and on, recovery truncation, and the leader
-# crash with a wave in flight. core's tests run on the simulator, one
-# goroutine; the wall-clock tests that give the race detector work here
-# are internal/chaos's TestPipelinedLeaderCrashMidFlight and
-# internal/core's TestReadLinearizabilityMulticore.
-pipeline-race:
-	$(GO) test -race -count 1 $(PIPELINE_RACE)
-
-# Sharded-consensus suite under the race detector (PR 7, DESIGN.md §13):
-# the shard router, the group multiplexer, per-group WAL directory
-# creation, the sharded in-process cluster scenarios, the groups={1,4}
-# TCP linearizability matrix, and the cross-group transaction refusal.
-shard-race:
-	$(GO) test -race -count 1 $(SHARD_RACE)
-
-# Multi-core gate at a widened scheduler (PR 8, DESIGN.md §14): tier-1
-# plus the pipeline/shard race suites at GOMAXPROCS=4, then the new
-# concurrency matrix under the race detector — the parallel read pool
-# vs write commits vs snapshot rewrites vs metrics scrapes, the
-# read-view copy-on-write service contract, the off-loop decode stage,
-# and the linearizability bracket at GOMAXPROCS ∈ {1,4}. In internal/core
-# the concurrent ones are the read pool's wall-clock tests,
-# TestParallelRead* and TestReadLinearizabilityMulticore.
-# The leadership *placement* tests (group g lands on replica g mod N)
-# run unskipped since PR 10: a rank function now opts the elector into
-# rank preemption, so the preferred replica reclaims its group after
-# the stability holddown even when a GOMAXPROCS=4 boot race let a
-# sibling claim first (DESIGN.md §16).
-multicore-race:
-	GOMAXPROCS=4 $(GO) test -count 1 ./...
-	GOMAXPROCS=4 $(GO) test -race -count 1 $(PIPELINE_RACE)
-	GOMAXPROCS=4 $(GO) test -race -count 1 $(SHARD_RACE)
-	GOMAXPROCS=4 $(GO) test -race -count 1 $(MULTICORE_RACE)
-
 # The canonical benchmark (BENCHMARK.json, benchmark/README.md): four
 # named workloads, end-to-end and per-layer metrics. It is its own Go
 # module, so tier-1 neither builds nor tests it — benchmark-test does,
@@ -227,33 +154,11 @@ paper:
 	@out=$$($(GO) test -count 1 -run '^TestPaper$$' -v ./internal/core); st=$$?; \
 		echo "$$out" | grep -v -e '^=== RUN' -e '^--- PASS' -e '^    --- PASS' -e '^    --- SKIP' -e 'paper_test.go'; exit $$st
 
-# Gateway / overload suite under the race detector at GOMAXPROCS=4
-# (PR 9, DESIGN.md §15): the full edge package (admission, fair
-# queueing, dedup window, session mux), the typed-overload client
-# contract, the reply-drop accounting split, the open-loop harness of
-# cmd/benchpaxos, and the idempotent-retry-across-leader-crash test over
-# real TCP + WALs.
-overload-race:
-	GOMAXPROCS=4 $(GO) test -race -count 1 ./internal/gateway
-	GOMAXPROCS=4 $(GO) test -race -count 1 $(OVERLOAD_RACE)
-	GOMAXPROCS=4 $(GO) test -race -count 1 $(OVERLOAD_TCP_RACE)
-
 # Scaled-down open-loop goodput ablation (PR 9): Poisson offered load
 # at 1-4x saturation with admission on vs off, on the latency-bound
 # overload-lab substrate.
 bench-overload-quick:
 	$(GO) run ./cmd/benchpaxos -exp fig-overload -quick
-
-# Geo-replication suite under the race detector at GOMAXPROCS=4
-# (PR 10, DESIGN.md §16): Ω rank preemption and cost-composed ranks,
-# the RTT placement feed, the read path's rule, regression and seam
-# tests with nearest-replica reads end to end, the WAN profile timeout
-# derivation, the wan3 linearizability bracket under region partition
-# (in-process fabric), and the region-partition chaos scenario over
-# real TCP. internal/core's near-read seams run on the simulator; the
-# wall-clock near reads are internal/cluster's TestWANNearRead*.
-wan-race:
-	GOMAXPROCS=4 $(GO) test -race -count 1 $(WAN_RACE)
 
 # Hot-path microbenchmarks: wire codec, both transports, the WAL write
 # path (per-record vs group commit), and the KV store (put, put after a

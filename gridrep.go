@@ -17,11 +17,14 @@
 // externalizes state, Restore adopts a peer's state. Replicas never
 // re-execute operations; they adopt the leader's state, which is what
 // keeps nondeterministic replicas consistent. Optionally implement
-// Transactional for concurrent T-Paxos transactions; otherwise
-// transactions are serialized automatically. A Service's reads run,
-// one at a time, on a second instance from its ServiceFactory restored
-// to the Snapshot at the commit point, and an op that changes that
-// Snapshot is refused as a read.
+// Transactional for concurrent T-Paxos transactions; otherwise the
+// replica serializes transactions, running one at a time on the live
+// state and undoing an abort from its durable snapshot and log.
+// Optionally implement ReadViewer to pin copy-on-write views that reads
+// run on concurrently; otherwise reads run, one at a time, on a second
+// instance from its ServiceFactory restored to the Snapshot at the
+// commit point, and an op that changes that Snapshot is refused as a
+// read.
 //
 // # Deploying
 //
@@ -53,6 +56,11 @@ type (
 	Transactional = service.Transactional
 	// Workspace is one open transaction's execution context.
 	Workspace = service.Workspace
+	// ReadViewer is a Service that pins immutable views of its state,
+	// on which the replica runs reads concurrently.
+	ReadViewer = service.ReadViewer
+	// ReadView is one pinned state; its ReadExecute runs a read.
+	ReadView = service.ReadView
 	// ServiceFactory creates one service instance per replica.
 	ServiceFactory = service.Factory
 
@@ -193,7 +201,7 @@ var (
 	// with asymmetric per-link latency and heavy-tail jitter; ProfileWAN5
 	// extends the spread to five regions. See internal/netem/profiles.go
 	// for the latency matrices; TestWANNearReadLinearizableUnderRegionPartition
-	// and `make wan-race` run them.
+	// and `make race` run them.
 	ProfileWAN3 = netem.WAN3
 	ProfileWAN5 = netem.WAN5
 	// ProfileByName resolves a profile from its -profile flag name

@@ -49,6 +49,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 // transactional nor able to pin read views is replicated and read
 // through the factory's scratch instance; as one ServerOptions.Service
 // instance, with no factory for that scratch, it is refused at start.
+// One that is a ReadViewer, written here with gridrep's names alone, is
+// served as one instance and read through its own views.
 func TestPublicAPIBareService(t *testing.T) {
 	bare := func() gridrep.Service { return struct{ gridrep.Service }{gridrep.NewKV()} }
 	c := startCluster(t, gridrep.ClusterOptions{Service: bare})
@@ -68,9 +70,64 @@ func TestPublicAPIBareService(t *testing.T) {
 		t.Fatalf("read = %q,%v,%v", v, ok, err)
 	}
 	_, err = gridrep.ListenAndServe(gridrep.ServerOptions{Peers: map[gridrep.NodeID]string{0: "127.0.0.1:0"}, Service: bare()})
-	if err == nil || !strings.Contains(err.Error(), "NewService") {
+	if err == nil || !strings.Contains(err.Error(), "ReadViewer") {
 		t.Fatalf("ListenAndServe with one bare instance: err = %v", err)
 	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := map[gridrep.NodeID]string{0: ln.Addr().String()}
+	ln.Close()
+	reg := &register{}
+	var _ gridrep.ReadViewer = reg
+	srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{Peers: peers, Service: reg})
+	if err != nil {
+		t.Fatalf("ListenAndServe with one ReadViewer instance: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	tcli, err := gridrep.Dial(gridrep.DialOptions{ID: 1, Replicas: peers, Deadline: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcli.Close()
+	if _, err := tcli.Write([]byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tcli.Read(nil); err != nil || string(got) != "v1" {
+		t.Fatalf("read through the register's view = %q, %v", got, err)
+	}
+	if _, err := tcli.Read([]byte("v2")); err == nil {
+		t.Fatal("a write sent as a read succeeded")
+	}
+}
+
+// register is a one-value service written against gridrep's names
+// only: a non-empty op sets the value, the empty op reads it. A write
+// replaces the value rather than changing it in place, so a view keeps
+// the value it pinned.
+type register struct{ v []byte }
+
+func (r *register) Execute(op []byte) ([]byte, error) {
+	if len(op) > 0 {
+		r.v = append([]byte(nil), op...)
+	}
+	return r.v, nil
+}
+func (r *register) Snapshot() []byte          { return append([]byte(nil), r.v...) }
+func (r *register) Restore(snap []byte) error { r.v = append([]byte(nil), snap...); return nil }
+func (r *register) ReadView() (gridrep.ReadView, bool) {
+	return registerView(r.v), true
+}
+
+type registerView []byte
+
+func (v registerView) ReadExecute(op []byte) ([]byte, error) {
+	if len(op) > 0 {
+		return nil, errors.New("register: a write on a read view")
+	}
+	return v, nil
 }
 
 func TestPublicAPITransactions(t *testing.T) {

@@ -106,7 +106,7 @@ func (c *Config) fillDefaults() {
 	if c.Service == nil {
 		c.Service = service.NoopFactory
 	}
-	c.Options.FillDefaults(c.Profile.MaxOneWay, c.Profile.CommitFlushDelay)
+	c.Options.FillDefaults(c.Profile.MaxOneWay)
 }
 
 // gsKey identifies one (node, group) replica slot.

@@ -44,12 +44,6 @@ func TestProfileTimeoutDerivation(t *testing.T) {
 			t.Errorf("%s: retry timeout %v, want >= max(4x heartbeat, 6x MaxOneWay)",
 				name, cfg.RetryTimeout)
 		}
-		// Long-haul profiles carry a tuning hint and fillDefaults must
-		// adopt it when the caller left the knob zero.
-		if p.CommitFlushDelay > 0 && cfg.CommitFlushDelay != p.CommitFlushDelay {
-			t.Errorf("%s: commit-flush delay %v, want profile hint %v",
-				name, cfg.CommitFlushDelay, p.CommitFlushDelay)
-		}
 	}
 	// The geo spreads must be the profiles with geography attached —
 	// the WAN tests below rely on RegionOf.

@@ -106,53 +106,58 @@ func (r *Replica) advanceChosen(idx uint64, claimBal wire.Ballot) {
 func (r *Replica) applyCommitted(idx uint64) {
 	for inst := r.applied + 1; inst <= idx; inst++ {
 		e, ok := r.acc.Get(inst)
-		if !ok {
+		if !ok || !r.applyEntry(inst, &e.Prop) {
 			return // missing entry: stay behind, catch-up will fix it
 		}
-		p := &e.Prop
-		switch {
-		case len(p.Reqs) == 0:
-			// A configuration entry (or an old no-op filler). Reached in
-			// order even where full mode skipped the intermediates below:
-			// applied never passes an entry the walk did not visit.
-			if p.IsConfig() {
-				r.applyConfigEntry(inst, p)
-			}
-			if r.applied == inst-1 {
-				r.applied = inst
-			}
-		case p.HasState && p.Kind == wire.StateFull:
-			// Subsumes all before it; full-mode intermediates fall through.
-			if err := r.svc.Restore(p.State); err != nil {
-				r.fatal("state restore at %d: %v", inst, err)
-				return
-			}
-			r.applied = inst
-		case p.HasState && p.Kind == wire.StateDelta:
-			if r.applied != inst-1 || r.differ == nil {
-				return // not contiguous (or wrong mode): need catch-up
-			}
-			if err := r.differ.ApplyDelta(p.State); err != nil {
-				r.fatal("delta apply at %d: %v", inst, err)
-				return
-			}
-			r.applied = inst
-		case len(p.Aux) == len(p.Reqs):
-			if r.applied != inst-1 || r.replayer == nil {
-				return
-			}
-			for i := range p.Reqs {
-				if p.Reqs[i].Kind == wire.KindTxnCommit {
-					continue // the marker; the ops before it are the effect
-				}
-				if _, err := r.replayer.Replay(p.Reqs[i].Op, p.Aux[i]); err != nil {
-					r.fatal("replay at %d: %v", inst, err)
-					return
-				}
-			}
+	}
+}
+
+// applyEntry folds one entry's effect into the service state and
+// reports whether the walk may go on past it.
+func (r *Replica) applyEntry(inst uint64, p *wire.Proposal) bool {
+	switch {
+	case len(p.Reqs) == 0:
+		// A configuration entry (or an old no-op filler). Reached in
+		// order even where full mode skipped the intermediates below:
+		// applied never passes an entry the walk did not visit.
+		if p.IsConfig() {
+			r.applyConfigEntry(inst, p)
+		}
+		if r.applied == inst-1 {
 			r.applied = inst
 		}
+	case p.HasState && p.Kind == wire.StateFull:
+		// Subsumes all before it; full-mode intermediates fall through.
+		if err := r.svc.Restore(p.State); err != nil {
+			r.fatal("state restore at %d: %v", inst, err)
+			return false
+		}
+		r.applied = inst
+	case p.HasState && p.Kind == wire.StateDelta:
+		if r.applied != inst-1 || r.differ == nil {
+			return false // not contiguous (or wrong mode): need catch-up
+		}
+		if err := r.differ.ApplyDelta(p.State); err != nil {
+			r.fatal("delta apply at %d: %v", inst, err)
+			return false
+		}
+		r.applied = inst
+	case len(p.Aux) == len(p.Reqs):
+		if r.applied != inst-1 || r.replayer == nil {
+			return false
+		}
+		for i := range p.Reqs {
+			if p.Reqs[i].Kind == wire.KindTxnCommit {
+				continue // the marker; the ops before it are the effect
+			}
+			if _, err := r.replayer.Replay(p.Reqs[i].Op, p.Aux[i]); err != nil {
+				r.fatal("replay at %d: %v", inst, err)
+				return false
+			}
+		}
+		r.applied = inst
 	}
+	return true
 }
 
 // sendCatchup asks one peer for the chosen suffix above r.applied: the

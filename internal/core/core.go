@@ -147,7 +147,7 @@ func (c *Config) fillDefaults() {
 	if c.Store == nil {
 		c.Store = storage.NewMem()
 	}
-	c.Options.FillDefaults(0, 0)
+	c.Options.FillDefaults(0)
 }
 
 // wave is the in-flight multi-instance accept (§3.3: several instances,
@@ -191,9 +191,8 @@ type Replica struct {
 	tr       transport.Transport
 	acc      *paxos.Acceptor
 	elector  *omega.Elector
-	svc      service.ReadViewer // a bare Service in service.AsReadViewer's adapter
-	txnSvc   service.Transactional
-	exclus   bool // transactions serialize all other work
+	svc      service.ReadViewer    // a bare Service in service.AsReadViewer's adapter
+	native   service.Transactional // nil: the replica serializes transactions (txn.go)
 	mode     stateMode
 	differ   service.TxnDiffer // non-nil in delta mode
 	replayer service.Replayer  // non-nil in replay mode
@@ -327,12 +326,10 @@ func New(cfg Config) (*Replica, error) {
 		return nil, err
 	}
 	// The capabilities are the live instance's own, never the read
-	// adapter's. Not natively transactional means serialized, so
-	// exclusive: one transaction at a time, its ops run on the live state
-	// (service.AsTransactional).
+	// adapter's. Not natively transactional means exclusive: one
+	// transaction at a time, its ops run on the live state (txn.go).
 	live := cfg.Service()
-	txnSvc := service.AsTransactional(live)
-	_, native := live.(service.Transactional)
+	native, _ := live.(service.Transactional)
 	replayer, isReplayer := live.(service.Replayer)
 	differ, isTxnDiffer := live.(service.TxnDiffer)
 	// A mode must express writes and T-Paxos commits: replay needs the
@@ -340,7 +337,7 @@ func New(cfg Config) (*Replica, error) {
 	// serialized service), delta a commit that yields its write set.
 	mode := stateFull
 	switch {
-	case isReplayer && !native:
+	case isReplayer && native == nil:
 		mode, differ = stateReplay, nil
 	case isTxnDiffer:
 		mode, replayer = stateDelta, nil
@@ -352,8 +349,7 @@ func New(cfg Config) (*Replica, error) {
 		tr:     cfg.Transport,
 		acc:    acc,
 		svc:    service.AsReadViewer(live, cfg.Service),
-		txnSvc: txnSvc,
-		exclus: !native,
+		native: native,
 		mode:   mode,
 		elector: omega.New(omega.Config{
 			Self:     cfg.ID,
@@ -806,19 +802,26 @@ func (r *Replica) stepDown() {
 		return
 	}
 	// Abort open transactions (§3.6: "if the leader switches during the
-	// transaction ... the transaction has to be aborted").
+	// transaction ... the transaction has to be aborted"). An exclusive
+	// one ran on the live state, which the re-derivation below discards.
+	exclusive := r.exclusiveBusy()
 	for _, tx := range r.txns {
-		tx.ws.Abort()
+		if tx.ws != nil {
+			tx.ws.Abort()
+		}
 	}
 	r.txns = make(map[txnKey]*txnState)
 	// The service ran ahead of applied by the in-flight wave's execution
-	// (a recovery wave executes nothing): rebuild it from the chosen log,
-	// which discards the wave's effects.
-	if r.wave != nil && !r.wave.recovery {
+	// (a recovery wave executes nothing) and an exclusive transaction's
+	// ops: rebuild it from the chosen log, which discards both.
+	rollback := r.wave != nil && !r.wave.recovery
+	if rollback || exclusive {
 		r.rederive()
+		r.logf("re-derived past speculative effects to applied=%d", r.applied)
+	}
+	if rollback {
 		r.stats.specRollbacks.Add(1)
 		r.stats.wavesRolledBack.Add(1)
-		r.logf("re-derived past the speculative wave to applied=%d", r.applied)
 	}
 	r.wave = nil
 	r.stats.wavesInFlight.Set(0)
@@ -855,8 +858,9 @@ func (r *Replica) stepDown() {
 
 // rederive rebuilds the service from local durable state: the durable
 // snapshot (or, while none exists, the state New captured), then every
-// chosen effect above it through applyCommitted — how a replica boots and
-// how a demoted leader gets back to the chosen state (§3.6). The log holds
+// chosen effect above it through applyCommitted — how a replica boots, how
+// a demoted leader gets back to the chosen state (§3.6), and how an
+// exclusive transaction aborts (txn.go). The log holds
 // every such effect because Compact strips only what a snapshot covers.
 func (r *Replica) rederive() {
 	snap, at := r.acc.ServiceSnapshot()

@@ -101,7 +101,7 @@ func (r *Replica) dedup(req wire.Request) bool {
 
 // exclusiveBusy reports whether an exclusive (serialized) transaction
 // currently owns the service, forcing everything else to wait.
-func (r *Replica) exclusiveBusy() bool { return r.exclus && len(r.txns) > 0 }
+func (r *Replica) exclusiveBusy() bool { return r.native == nil && len(r.txns) > 0 }
 
 // drainBlocked re-admits work that was parked behind an exclusive
 // transaction.
@@ -175,19 +175,20 @@ func (r *Replica) startWave(items []workItem) {
 		if it.txn != nil {
 			// T-Paxos commit: one instance decides the whole transaction
 			// and carries its effect (§3.5) — the write set as one delta,
-			// the aux each op captured, or full mode's wave top.
+			// the aux each op captured, or full mode's wave top. An
+			// exclusive transaction's ops already ran on the live state,
+			// so only a native one has a workspace to commit.
 			reqs := append(append([]wire.Request{}, it.txn.ops...), it.req)
 			results := append(append([][]byte{}, it.txn.results...), nil)
 			prop := wire.Proposal{Reqs: reqs, Results: results}
 			var err error
-			switch r.mode {
-			case stateDelta:
+			switch {
+			case r.mode == stateDelta:
 				prop.State, err = r.differ.CommitDelta(it.txn.ws)
 				prop.HasState, prop.Kind = true, wire.StateDelta
-			case stateReplay:
+			case r.mode == stateReplay:
 				prop.Aux = append(it.txn.aux, nil)
-				fallthrough
-			default:
+			case it.txn.ws != nil:
 				err = it.txn.ws.Commit()
 			}
 			if err != nil {

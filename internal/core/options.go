@@ -20,12 +20,12 @@ type Options struct {
 	// (default 4×HeartbeatInterval, at least six worst one-way delays).
 	RetryTimeout time.Duration
 	// CommitFlushDelay bounds how long a committed wave's notification
-	// may wait for the next accept wave to carry it (default: the
-	// deployment profile's hint — long-haul profiles widen the window to
-	// amortize commit broadcasts — else 1ms). Commits always piggyback
-	// on the next wave's accept broadcast; this timer only covers the
-	// case where the queue drains and no next wave follows, so the last
-	// wave's commit is never delayed beyond this bound.
+	// may wait for the next accept wave to carry it (default 1ms; widen
+	// it on long-haul links to amortize commit broadcasts). Commits
+	// always piggyback on the next wave's accept broadcast; this timer
+	// only covers the case where the queue drains and no next wave
+	// follows, so the last wave's commit is never delayed beyond this
+	// bound.
 	CommitFlushDelay time.Duration
 	// NoBatch disables multi-instance accept waves (ablation knob): each
 	// wave carries exactly one request, so the strictly sequential
@@ -52,14 +52,13 @@ type Options struct {
 	RTTPlacement bool
 }
 
-// FillDefaults replaces every zero tunable with its default. The
-// arguments are what a deployment knows about its network — the worst
-// one-way delay and the commit-flush window its profile suggests
-// (netem.Profile carries both); zeros mean nothing is known, which is
-// what the TCP server and a bare core.New pass.
+// FillDefaults replaces every zero tunable with its default. maxOneWay
+// is what a deployment knows about its network — the worst one-way delay
+// its profile carries (netem.Profile.MaxOneWay); zero means nothing is
+// known, which is what the TCP server and a bare core.New pass.
 // Filling is idempotent, so a layer may fill with its hints and hand the
 // struct down to one that fills again with none.
-func (o *Options) FillDefaults(maxOneWay, flushHint time.Duration) {
+func (o *Options) FillDefaults(maxOneWay time.Duration) {
 	if o.HeartbeatInterval == 0 {
 		o.HeartbeatInterval = 25 * time.Millisecond
 		if hb := 2 * maxOneWay; hb > o.HeartbeatInterval {
@@ -74,9 +73,6 @@ func (o *Options) FillDefaults(maxOneWay, flushHint time.Duration) {
 		if rt := 6 * maxOneWay; rt > o.RetryTimeout {
 			o.RetryTimeout = rt
 		}
-	}
-	if o.CommitFlushDelay == 0 {
-		o.CommitFlushDelay = flushHint
 	}
 	if o.CommitFlushDelay == 0 {
 		o.CommitFlushDelay = time.Millisecond

@@ -126,7 +126,7 @@ func TestParallelReadPoolEngages(t *testing.T) {
 // pooled reads racing write commits (which mutate KV state behind the
 // pinned views), snapshot rewrites (SnapshotEvery=8 keeps the §3.3
 // checkpointer busy), and metrics scrapes, all at once. Meaningful
-// chiefly under -race (make multicore-race runs it at GOMAXPROCS=4);
+// chiefly under -race (make race runs it at GOMAXPROCS=4);
 // value correctness is asserted by the linearizability matrix.
 func TestParallelReadVsWritesSnapshotsScrapes(t *testing.T) {
 	c := poolCluster(t, cluster.Config{Options: core.Options{SnapshotEvery: 8}})

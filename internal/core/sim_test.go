@@ -223,7 +223,7 @@ func newSim(t testing.TB, cfg simConfig) *sim {
 		cfg.retry = 50 * time.Millisecond
 	}
 	if p := cfg.profile; p != nil {
-		cfg.opts.FillDefaults(p.MaxOneWay, p.CommitFlushDelay)
+		cfg.opts.FillDefaults(p.MaxOneWay)
 	}
 	if cfg.opts.HeartbeatInterval == 0 {
 		cfg.opts.HeartbeatInterval = 5 * time.Millisecond
@@ -793,6 +793,17 @@ func (s *sim) reseed(id wire.NodeID, mem *storage.Mem) {
 	s.crash(id)
 	s.nodes[id].store = &simStore{durable: mem}
 	s.restart(id)
+}
+
+// holdAccepted loses every Accepted vote until release is called, so
+// the wave in flight stays in flight (the leader keeps retransmitting).
+func (s *sim) holdAccepted() (release func()) {
+	hold := true
+	s.drop = func(_ wire.NodeID, env *wire.Envelope) bool {
+		_, accepted := env.Msg.(*wire.Accepted)
+		return hold && accepted
+	}
+	return func() { hold = false }
 }
 
 // others lists every replica but id.

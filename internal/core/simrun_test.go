@@ -226,6 +226,7 @@ func TestSimCorpus(t *testing.T) {
 		{"near-confirm durability gap (PR 10)", corpusConfirmDurability},
 		{"dirty read under an open exclusive transaction (PR 19)", corpusExclusiveDirtyRead},
 		{"queued write run inside an open exclusive transaction", corpusWriteInsideExclusiveTxn},
+		{"exclusive abort beside the wave in flight", corpusAbortBesideWaveInFlight},
 		{"mutating op sent as a read", corpusMutatingRead},
 		{"full restart after 1,000 writes", corpusFullRestart(1000)},
 		{"full restart after 1,500 writes: Compact past the durable snapshot", corpusFullRestart(1500)},
@@ -352,6 +353,42 @@ func corpusWriteInsideExclusiveTxn(t *testing.T) {
 	if got := b.must(wire.KindRead, service.SchedStatus()); string(got) != "j1 running\nj2 queued\n" {
 		t.Fatalf("final state %q", got)
 	}
+}
+
+// corpusAbortBesideWaveInFlight: A's submit is in flight, its accepts
+// held back, when C opens an exclusive transaction, runs an op and
+// aborts; the abort reaches the leader before the wave commits. The
+// transaction ran on top of the wave's effect, which is not chosen yet:
+// re-deriving the state from the chosen log alone would lose A's job on
+// the leader for good, and the commit that follows would leave it
+// behind its backups.
+func corpusAbortBesideWaveInFlight(t *testing.T) {
+	s := newSim(t, simConfig{seed: 11, service: func(wire.NodeID, int) service.Service { return service.NewSched() }})
+	lead := s.awaitLeader(time.Second)
+	a, c := s.newClient(), s.newClient()
+	a.must(wire.KindWrite, service.SchedSubmit("j1", 1))
+	release := s.holdAccepted()
+	var submitted *wire.Reply
+	a.do(wire.Request{Kind: wire.KindWrite, Op: service.SchedSubmit("j2", 1)}, func(rep wire.Reply) { submitted = &rep })
+	s.runFor(5 * time.Millisecond)
+	inFlight := s.nodes[lead].r.wave
+	if inFlight == nil {
+		t.Fatal("A's submit launched no wave")
+	}
+	tx := c.begin()
+	mustOK(t, "txn op", tx.do(service.SchedSubmit("jT", 9)))
+	mustOK(t, "abort", tx.abort())
+	if s.nodes[lead].r.wave != inFlight {
+		t.Fatal("A's wave committed before the abort reached the leader")
+	}
+	release()
+	if !s.runUntil(opLimit, func() bool { return submitted != nil }) || submitted.Status != wire.StatusOK {
+		t.Fatalf("A's submit: %+v", submitted)
+	}
+	if got := a.must(wire.KindRead, service.SchedStatus()); string(got) != "j1 queued\nj2 queued\n" {
+		t.Fatalf("leader state %q after the abort", got)
+	}
+	s.mustConverge()
 }
 
 // corpusMutatingRead: a read-kind request carrying a put. Executed as a

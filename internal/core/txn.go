@@ -8,11 +8,15 @@ import (
 )
 
 // T-Paxos (§3.5): within a transaction the leader executes each request
-// against a workspace and replies immediately, with no coordination; one
-// consensus instance at commit carries the whole transaction and its
-// effect (startWave). Aborts are leader-local. A leader switch aborts every
-// open transaction (§3.6) — a new leader answers continuations of
-// transactions it never saw with StatusAborted.
+// and replies immediately, with no coordination; one consensus instance
+// at commit carries the whole transaction and its effect (startWave).
+// A natively transactional service executes it in a workspace. Any other
+// service's transactions are exclusive: one at a time, its ops run on
+// the live state exactly as writes do (executeWrite), and nothing else
+// writes until it ends. Aborts are leader-local: a workspace is
+// discarded, an exclusive transaction's state re-derived (abortTxn). A
+// leader switch aborts every open transaction (§3.6) — a new leader
+// answers continuations of transactions it never saw with StatusAborted.
 
 type txnKey struct {
 	client wire.NodeID
@@ -21,7 +25,7 @@ type txnKey struct {
 
 type txnState struct {
 	key        txnKey
-	ws         service.Workspace
+	ws         service.Workspace // nil for an exclusive transaction
 	ops        []wire.Request
 	results    [][]byte
 	aux        [][]byte // per op: the choices it captured (nil outside replay mode)
@@ -56,9 +60,13 @@ func (r *Replica) onTxnRequest(req wire.Request) {
 		r.queue = append(r.queue, workItem{req: req, txn: tx, at: r.now})
 		r.maybeStartWave()
 	case wire.KindTxnAbort:
+		if tx != nil && tx.committing {
+			// Its commit is queued or in flight, and its outcome stands.
+			r.reply(req, wire.StatusError, nil, "transaction is committing")
+			return
+		}
 		if tx != nil {
-			tx.ws.Abort()
-			r.finishTxn(tx)
+			r.abortTxn(tx)
 		}
 		// Aborting an unknown transaction is idempotent success: the
 		// client only wants it gone.
@@ -80,13 +88,15 @@ func (r *Replica) onTxnOp(key txnKey, tx *txnState, req wire.Request) {
 			r.blocked = append(r.blocked, req)
 			return
 		}
-		ws, err := r.txnSvc.Begin(txnUID(key))
-		if err != nil {
-			r.reply(req, wire.StatusError, nil, err.Error())
-			return
-		}
-		tx = &txnState{key: key, ws: ws}
-		if r.exclus {
+		tx = &txnState{key: key}
+		if r.native != nil {
+			ws, err := r.native.Begin(txnUID(key))
+			if err != nil {
+				r.reply(req, wire.StatusError, nil, err.Error())
+				return
+			}
+			tx.ws = ws
+		} else {
 			// Its ops run on the live state: reads run on the state
 			// before them, and no write runs until it ends — the ones
 			// queued behind a wave wait with the blocked.
@@ -116,17 +126,22 @@ func (r *Replica) onTxnOp(key txnKey, tx *txnState, req wire.Request) {
 
 	var res, aux []byte
 	var err error
-	if r.mode == stateReplay {
-		// Serialized (New), so the op runs on the base state either way.
-		res, aux, err = r.replayer.ExecuteCapture(req.Op)
-	} else {
+	if tx.ws != nil {
 		res, err = tx.ws.Execute(req.Op)
+	} else {
+		// Exclusive: the op runs on the live state as a write does,
+		// capturing its choices in replay mode (never delta: see New).
+		var prop wire.Proposal
+		prop, err = r.executeWrite(req)
+		res = prop.Results[0]
+		if prop.Aux != nil {
+			aux = prop.Aux[0]
+		}
 	}
 	if err != nil {
 		if errors.Is(err, service.ErrConflict) {
 			// Lock conflict: wound the transaction (§3.5).
-			tx.ws.Abort()
-			r.finishTxn(tx)
+			r.abortTxn(tx)
 			r.reply(req, wire.StatusAborted, nil, err.Error())
 			return
 		}
@@ -149,6 +164,30 @@ func (r *Replica) replyCommitDup(req wire.Request) {
 		return
 	}
 	r.reply(req, wire.StatusAborted, nil, "transaction lost in leader switch")
+}
+
+// abortTxn ends an open transaction without effect. A native one
+// discards its workspace. An exclusive one ran on the live state, which
+// is re-derived from the durable snapshot and the chosen log — then the
+// client wave still in flight, launched before the transaction opened,
+// is applied again: its effect is not chosen yet, but it stands, and
+// applied stays at the commit index until the wave commits. A
+// configuration wave has no effect on the service to apply.
+func (r *Replica) abortTxn(tx *txnState) {
+	if tx.ws != nil {
+		tx.ws.Abort()
+	} else {
+		r.rederive()
+		if w := r.wave; w != nil {
+			for _, e := range w.entries {
+				if !e.Prop.IsConfig() && !r.applyEntry(e.Instance, &e.Prop) {
+					break
+				}
+			}
+			r.applied = r.acc.Chosen()
+		}
+	}
+	r.finishTxn(tx)
 }
 
 // finishTxn drops the transaction and unblocks work that waited behind an

@@ -186,9 +186,9 @@ func TestTxnNoopConcurrent(t *testing.T) {
 }
 
 // TestExclusiveTxnSerialization: the broker is not natively
-// transactional, so AsTransactional's serializing adapter admits one
-// transaction at a time and the replica parks everything else behind
-// it — here a plain write, which must neither be lost nor interleave.
+// transactional, so the replica admits one transaction at a time and
+// parks everything else behind it — here a plain write, which must
+// neither be lost nor interleave.
 func TestExclusiveTxnSerialization(t *testing.T) {
 	s := newSim(t, simConfig{seed: 71, service: brokers(101)})
 	s.awaitLeader(time.Second)
@@ -211,16 +211,134 @@ func TestExclusiveTxnSerialization(t *testing.T) {
 	}
 }
 
+// TestExclusiveTxnAbortRollsBack: on every service that is not natively
+// transactional the aborted op ran on the leader's live state; the abort
+// re-derives it, so the leader reads exactly the committed state and the
+// replicas converge. The expected read comes from a fresh instance that
+// ran the committed write alone.
 func TestExclusiveTxnAbortRollsBack(t *testing.T) {
-	s := newSim(t, simConfig{seed: 72, service: brokers(201)})
-	s.awaitLeader(time.Second)
+	for _, row := range []struct {
+		name              string
+		svc               func(wire.NodeID, int) service.Service
+		write, op, status []byte
+	}{
+		{"broker", brokers(201), service.BrokerRegister("n1", 10), service.BrokerRequest(3), service.BrokerList()},
+		{"sched", func(wire.NodeID, int) service.Service { return service.NewSched() },
+			service.SchedSubmit("j1", 1), service.SchedSubmit("jT", 9), service.SchedStatus()},
+		{"plainKV", plainKV, service.KVPut("a", []byte("committed")), service.KVPut("a", []byte("aborted")), service.KVGet("a")},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := newSim(t, simConfig{seed: 72, service: row.svc})
+			s.awaitLeader(time.Second)
+			c := s.newClient()
+			c.must(wire.KindWrite, row.write)
+			tx := c.begin()
+			mustOK(t, "op", tx.do(row.op))
+			mustOK(t, "abort", tx.abort())
+			fresh := row.svc(0, 0)
+			fresh.Execute(row.write)
+			want, _ := fresh.Execute(row.status)
+			if got := c.must(wire.KindRead, row.status); string(got) != string(want) {
+				t.Fatalf("leader read after the exclusive abort %q, want %q", got, want)
+			}
+			s.mustConverge()
+		})
+	}
+}
+
+// TestTxnAbortWhileCommitting: a client sends a transaction's commit,
+// queued behind a wave whose accepts are held back, and then an abort.
+// The abort must change nothing: it is refused, the commit lands, its
+// effect is readable on the leader and the replicas converge. Undoing
+// the transaction there leaves the leader behind its backups on a
+// serialized service, and commits a write set whose locks were already
+// released on the KV.
+func TestTxnAbortWhileCommitting(t *testing.T) {
+	for _, row := range []struct {
+		name              string
+		svc               func(wire.NodeID, int) service.Service
+		write, op, status []byte
+	}{
+		{"sched", func(wire.NodeID, int) service.Service { return service.NewSched() },
+			service.SchedSubmit("j1", 1), service.SchedSubmit("jT", 9), service.SchedStatus()},
+		{"kv", func(wire.NodeID, int) service.Service { return service.NewKV() }, service.KVPut("w", []byte("1")), service.KVPut("t", []byte("committed")), service.KVGet("t")},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := newSim(t, simConfig{seed: 75, service: row.svc})
+			lead := s.awaitLeader(time.Second)
+			writer, c := s.newClient(), s.newClient()
+			release := s.holdAccepted()
+			writer.do(wire.Request{Kind: wire.KindWrite, Op: row.write}, func(wire.Reply) {})
+			s.runFor(5 * time.Millisecond)
+			tx := c.begin()
+			mustOK(t, "op", tx.do(row.op))
+			if s.nodes[lead].r.wave == nil {
+				t.Fatal("the write's wave is no longer in flight")
+			}
+			replies := make(map[uint64]wire.Reply)
+			c.raw = func(rep wire.Reply) { replies[rep.Seq] = rep }
+			commit := wire.Request{Client: c.id, Seq: c.seq + 1, Kind: wire.KindTxnCommit, Txn: tx.id, TxnSeq: tx.ops}
+			abort := wire.Request{Client: c.id, Seq: c.seq + 2, Kind: wire.KindTxnAbort, Txn: tx.id, TxnSeq: tx.ops}
+			c.seq += 2
+			c.sendTo(commit, lead)
+			c.sendTo(abort, lead)
+			s.runFor(5 * time.Millisecond)
+			release()
+			if !s.runUntil(opLimit, func() bool { _, ok := replies[commit.Seq]; return ok }) {
+				t.Fatal("the commit was never answered")
+			}
+			c.raw = nil
+			mustOK(t, "commit", replies[commit.Seq])
+			s.mustConverge()
+			fresh := row.svc(0, 0)
+			fresh.Execute(row.write)
+			fresh.Execute(row.op)
+			want, _ := fresh.Execute(row.status)
+			if got := c.must(wire.KindRead, row.status); string(got) != string(want) {
+				t.Fatalf("leader read %q after the commit, want %q", got, want)
+			}
+			if rep := replies[abort.Seq]; rep.Status != wire.StatusError {
+				t.Fatalf("the abort of a committing transaction was answered %v, and its commit landed", rep.Status)
+			}
+		})
+	}
+}
+
+// countingSched is a scheduler that counts its Snapshot calls.
+type countingSched struct {
+	*service.Sched
+	snapshots *int
+}
+
+func (c countingSched) Snapshot() []byte { *c.snapshots++; return c.Sched.Snapshot() }
+
+// TestExclusiveTxnTakesNoSnapshot: an exclusive transaction copies no
+// state. Over 20 scheduler transactions, every third aborted, the
+// leader's service is asked for no Snapshot beyond its boot.
+func TestExclusiveTxnTakesNoSnapshot(t *testing.T) {
+	counts := make(map[wire.NodeID]*int)
+	s := newSim(t, simConfig{seed: 76, service: func(id wire.NodeID, _ int) service.Service {
+		counts[id] = new(int)
+		return countingSched{service.NewSched(), counts[id]}
+	}})
+	lead := s.awaitLeader(time.Second)
+	before := *counts[lead]
 	c := s.newClient()
-	c.must(wire.KindWrite, service.BrokerRegister("n1", 10))
-	tx := c.begin()
-	mustOK(t, "op", tx.do(service.BrokerRequest(3)))
-	mustOK(t, "abort", tx.abort())
-	if list := c.must(wire.KindRead, service.BrokerList()); string(list) != "n1 0/10\n" {
-		t.Fatalf("state after the exclusive abort:\n%s", list)
+	for i := 0; i < 20; i++ {
+		tx := c.begin()
+		mustOK(t, "op", tx.do(service.SchedSubmit(fmt.Sprint("j", i), int64(i))))
+		mustOK(t, "op", tx.do(service.SchedDispatch()))
+		if i%3 == 2 {
+			mustOK(t, "abort", tx.abort())
+		} else {
+			mustOK(t, "commit", tx.commit())
+		}
+	}
+	if l, _ := s.leader(); l != lead {
+		t.Fatalf("leadership moved from %d to %d", lead, l)
+	}
+	if n := *counts[lead] - before; n != 0 {
+		t.Fatalf("the leader took %d snapshots over 20 transactions", n)
 	}
 	s.mustConverge()
 }

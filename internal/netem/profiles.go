@@ -44,11 +44,6 @@ type Profile struct {
 	// single-geometry profiles.
 	Regions  int
 	RegionOf func(wire.NodeID) int
-	// CommitFlushDelay is a per-profile tuning hint: long-haul profiles
-	// need a wider commit-flush window to amortize commit broadcasts.
-	// Harnesses apply it when the caller did not override (0 = no hint,
-	// keep the core default).
-	CommitFlushDelay time.Duration
 }
 
 // NewModel builds a configured network model for the profile.
@@ -221,19 +216,7 @@ func wanSpread(name string, n int, scale float64) Profile {
 				}
 			}
 		},
-		// Long-haul tuning: a commit-flush window wide enough to
-		// piggyback commits on the next wave instead of paying a
-		// broadcast per instance. Scaled with the geography, floored at
-		// the core default.
-		CommitFlushDelay: maxDuration(time.Millisecond, at(5)),
 	}
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WAN3 is a modernized three-continent spread (us-east, eu-west,

@@ -215,7 +215,7 @@ func TestAsReadViewerPassthrough(t *testing.T) {
 // pinned, keeps answering that after every later write path, rejects
 // every mutating opcode with ErrBadOp and changes nothing doing so, and
 // serves concurrent ReadExecute calls while the owner writes and
-// re-pins (meaningful under -race; make multicore-race runs it).
+// re-pins (meaningful under -race; make race runs it).
 func TestReadViewContract(t *testing.T) {
 	brokerPick := func(name string) []byte { // a BrokerRequest reply selecting name
 		b := NewBroker(1)

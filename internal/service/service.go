@@ -42,9 +42,10 @@ type Service interface {
 }
 
 // Transactional is implemented by services that support concurrent
-// T-Paxos transactions natively (with per-item locking). Services that do
-// not implement it are wrapped by AsTransactional, which provides
-// one-at-a-time transactions via snapshot/undo.
+// T-Paxos transactions natively (with per-item locking). Transactions on
+// any other service are serialized by the replica: one at a time, its
+// ops run on the live state while all other writes wait, and an abort
+// re-derives the state from the replica's durable snapshot and log.
 type Transactional interface {
 	Service
 	// Begin opens a workspace for a transaction. It returns ErrConflict
@@ -68,64 +69,6 @@ type Workspace interface {
 // Factory creates a fresh service instance; each replica owns one, and
 // one more as AsReadViewer's scratch when the service is no ReadViewer.
 type Factory func() Service
-
-// AsTransactional returns svc's native transactional interface, or wraps
-// it so T-Paxos can still run against it: one transaction at a time,
-// with abort implemented by restoring the pre-transaction snapshot.
-func AsTransactional(svc Service) Transactional {
-	if t, ok := svc.(Transactional); ok {
-		return t
-	}
-	return &serialized{Service: svc}
-}
-
-// serialized adapts any Service to Transactional by admitting one
-// transaction at a time and keeping an undo snapshot.
-type serialized struct {
-	Service
-	busy bool
-}
-
-func (s *serialized) Begin(txn uint64) (Workspace, error) {
-	if s.busy {
-		return nil, ErrConflict
-	}
-	s.busy = true
-	return &serialWS{s: s, undo: s.Snapshot()}, nil
-}
-
-type serialWS struct {
-	s    *serialized
-	undo []byte
-	done bool
-}
-
-func (w *serialWS) Execute(op []byte) ([]byte, error) {
-	if w.done {
-		return nil, ErrConflict
-	}
-	return w.s.Service.Execute(op)
-}
-
-func (w *serialWS) Commit() error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	w.s.busy = false
-	return nil
-}
-
-func (w *serialWS) Abort() {
-	if w.done {
-		return
-	}
-	w.done = true
-	w.s.busy = false
-	// Ignoring the error is safe: undo came from this very service's
-	// Snapshot moments ago.
-	_ = w.s.Service.Restore(w.undo)
-}
 
 // Differ is the §3.3 "exchange only the updated state" optimization: the
 // service expresses each operation's effect as a delta against the
@@ -202,9 +145,8 @@ type ReadViewer interface {
 // instance from newScratch, built once here, and executes there, one
 // read at a time. An op after which the scratch's Snapshot differs from
 // the pinned one is refused with ErrBadOp, so the adapter keeps the
-// ReadView contract whatever Execute does. Correct and slow, as
-// AsTransactional's wrapper is for transactions: a pin and a read each
-// copy the whole state.
+// ReadView contract whatever Execute does. Correct and slow: a pin and
+// a read each copy the whole state.
 func AsReadViewer(svc Service, newScratch Factory) ReadViewer {
 	if v, ok := svc.(ReadViewer); ok {
 		return v

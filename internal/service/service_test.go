@@ -245,47 +245,6 @@ func TestKVDuplicateTxnID(t *testing.T) {
 	}
 }
 
-func TestSerializeAdapter(t *testing.T) {
-	base := NewBroker(1)
-	if _, ok := Service(base).(Transactional); ok {
-		t.Skip("broker became natively transactional; adapter untested here")
-	}
-	tr := AsTransactional(base)
-	w, err := tr.Begin(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only one serialized transaction at a time.
-	if _, err := tr.Begin(2); !errors.Is(err, ErrConflict) {
-		t.Fatalf("second serialized txn admitted: %v", err)
-	}
-	w.Execute(BrokerRegister("n1", 4))
-	w.Abort()
-	// Abort must restore the pre-txn state.
-	if _, cap := base.Load("n1"); cap != 0 {
-		t.Fatal("abort did not roll back serialized txn")
-	}
-	// And release the slot.
-	w2, err := tr.Begin(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2.Execute(BrokerRegister("n2", 2))
-	if err := w2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, cap := base.Load("n2"); cap != 2 {
-		t.Fatal("commit lost serialized txn effects")
-	}
-}
-
-func TestAsTransactionalPassthrough(t *testing.T) {
-	kv := NewKV()
-	if AsTransactional(kv) != Transactional(kv) {
-		t.Fatal("natively transactional service must not be wrapped")
-	}
-}
-
 func TestBrokerAllocateRelease(t *testing.T) {
 	b := NewBroker(42)
 	b.Execute(BrokerRegister("a", 2))

@@ -25,9 +25,9 @@ type ServerOptions struct {
 	// between all processes (§4); so does this deployment mode.
 	Peers map[NodeID]string
 	// Service is this replica's service instance (single-group mode).
-	// Only a shipped service, which pins its own read views, can be
-	// passed as one instance; any other needs NewService, because its
-	// reads run on a second, scratch instance (service.AsReadViewer).
+	// Only a ReadViewer, which pins its own read views, can be passed as
+	// one instance; any other needs NewService, because its reads run
+	// on a second, scratch instance (service.AsReadViewer).
 	Service Service
 	// Groups is the number of independent consensus groups this process
 	// hosts (default 1). With Groups > 1 the key space is partitioned by
@@ -88,7 +88,7 @@ func ListenAndServe(opts ServerOptions) (*Server, error) {
 		if _, ok := opts.Service.(service.ReadViewer); !ok {
 			// Nil, or a service whose reads run on a second, scratch
 			// instance (service.AsReadViewer) one instance cannot supply.
-			return nil, fmt.Errorf("gridrep: ServerOptions.NewService is required, or Service set to a shipped service")
+			return nil, fmt.Errorf("gridrep: ServerOptions.NewService is required, or Service set to a ReadViewer")
 		}
 		if opts.Groups > 1 {
 			return nil, fmt.Errorf("gridrep: Groups > 1 requires ServerOptions.NewService (one independent service instance per group)")
