@@ -126,8 +126,9 @@ coverage-sites:
 # writes the crashing input under that testdata directory.
 FUZZTIME = 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzKVApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzKVRestore$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzServiceOp$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzServiceRestore$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzServiceApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 # Just the socket-level chaos suite (transport + chaos), race-enabled.

@@ -172,10 +172,10 @@ func main() {
 							v("gateway_shed_throttle_total"), v("gateway_shed_queue_full_total"), v("gateway_shed_queue_aged_total"),
 							v("gateway_expired_inflight_total"), v("gateway_inflight"), v("gateway_queued"), v("gateway_sessions"))
 					}
-					log.Printf("replica: inflight=%d/%d waves{started=%d committed=%d} rollbacks{demotions=%d waves=%d recovery_discarded=%d} deferred_drops=%d",
+					log.Printf("replica: inflight=%d/%d waves{started=%d committed=%d} rollbacks{waves=%d recovery_discarded=%d} deferred_drops=%d",
 						v("waves_in_flight"), v("waves_in_flight_max"),
 						v("waves_started_total"), v("waves_committed_total"),
-						v("spec_rollbacks_total"), v("waves_rolled_back_total"), v("recovery_discarded_total"),
+						v("waves_rolled_back_total"), v("recovery_discarded_total"),
 						v("deferred_drops_total"))
 				}
 			}

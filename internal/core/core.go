@@ -47,7 +47,7 @@ import (
 // stateMode is how proposals carry service state (§3.3 discusses all
 // three). It is a property of the service: New picks the cheapest mode
 // that can express the service's writes and its transactions — replay
-// for a serialized service.Replayer, delta for a service.TxnDiffer, full
+// for a serialized service.Replayer, delta for a service.Differ, full
 // otherwise.
 type stateMode int
 
@@ -194,8 +194,8 @@ type Replica struct {
 	svc      service.ReadViewer    // a bare Service in service.AsReadViewer's adapter
 	native   service.Transactional // nil: the replica serializes transactions (txn.go)
 	mode     stateMode
-	differ   service.TxnDiffer // non-nil in delta mode
-	replayer service.Replayer  // non-nil in replay mode
+	differ   service.Differ   // non-nil in delta mode
+	replayer service.Replayer // non-nil in replay mode
 
 	// readPool, started by Start when there is more than one processor,
 	// runs reads off-loop on views svc pins (reads.go).
@@ -331,7 +331,7 @@ func New(cfg Config) (*Replica, error) {
 	live := cfg.Service()
 	native, _ := live.(service.Transactional)
 	replayer, isReplayer := live.(service.Replayer)
-	differ, isTxnDiffer := live.(service.TxnDiffer)
+	differ, isDiffer := live.(service.Differ)
 	// A mode must express writes and T-Paxos commits: replay needs the
 	// transaction's ops run on the base state through the Replayer (a
 	// serialized service), delta a commit that yields its write set.
@@ -339,7 +339,7 @@ func New(cfg Config) (*Replica, error) {
 	switch {
 	case isReplayer && native == nil:
 		mode, differ = stateReplay, nil
-	case isTxnDiffer:
+	case isDiffer:
 		mode, replayer = stateDelta, nil
 	default:
 		differ, replayer = nil, nil
@@ -820,7 +820,6 @@ func (r *Replica) stepDown() {
 		r.logf("re-derived past speculative effects to applied=%d", r.applied)
 	}
 	if rollback {
-		r.stats.specRollbacks.Add(1)
 		r.stats.wavesRolledBack.Add(1)
 	}
 	r.wave = nil

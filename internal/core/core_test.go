@@ -161,6 +161,22 @@ func TestNondeterministicStateConsistency(t *testing.T) {
 	}
 }
 
+// TestFailedRequestLeavesNoTrace: an op the leader's service refuses
+// leaves nothing behind. With two free slots, a request for three is
+// answered with an error, and the leader, which proposed nothing, still
+// holds the state its backups do.
+func TestFailedRequestLeavesNoTrace(t *testing.T) {
+	s := newSim(t, simConfig{seed: 6, service: brokers(1)})
+	s.awaitLeader(time.Second)
+	c := s.newClient()
+	c.must(wire.KindWrite, service.BrokerRegister("a", 1))
+	c.must(wire.KindWrite, service.BrokerRegister("b", 1))
+	if rep := c.call(wire.Request{Kind: wire.KindWrite, Op: service.BrokerRequest(3)}, opLimit); rep.Status != wire.StatusError {
+		t.Fatalf("a request past the free slots answered %v %q, want a service error", rep.Status, rep.Err)
+	}
+	s.mustConverge()
+}
+
 // inUse sums the allocated slots of a BrokerList result.
 func inUse(list []byte) (n int) {
 	for _, line := range bytes.Split(bytes.TrimSpace(list), []byte("\n")) {

@@ -578,9 +578,6 @@ func TestSimDemotionMidWave(t *testing.T) {
 			if !stepped {
 				t.Fatal("the old leader never stepped down")
 			}
-			if n := old.r.stats.specRollbacks.Load(); n != 1 {
-				t.Fatalf("%d re-derivations, want 1", n)
-			}
 			if n := old.r.stats.wavesRolledBack.Load(); n != 1 {
 				t.Fatalf("%d waves re-derived past, want 1", n)
 			}

@@ -15,7 +15,6 @@ import (
 // (DESIGN.md §11), the one surface they are read through.
 type stats struct {
 	deferredDrops     metrics.Counter
-	specRollbacks     metrics.Counter
 	wavesRolledBack   metrics.Counter
 	recoveryDiscarded metrics.Counter
 	wavesStarted      metrics.Counter
@@ -85,8 +84,6 @@ func (s *stats) register(reg *metrics.Registry) {
 		"speculative accept waves currently outstanding", &s.wavesInFlight)
 	reg.RegisterGauge("gridrep_waves_in_flight_max",
 		"high-water mark of outstanding accept waves", &s.maxWavesInFlight)
-	reg.RegisterCounter("gridrep_spec_rollbacks_total",
-		"ballot demotions that re-derived the service past speculative waves", &s.specRollbacks)
 	reg.RegisterCounter("gridrep_waves_rolled_back_total",
 		"speculative waves discarded by re-derivations", &s.wavesRolledBack)
 	reg.RegisterCounter("gridrep_recovery_discarded_total",

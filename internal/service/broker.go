@@ -117,7 +117,7 @@ func (b *Broker) Execute(op []byte) ([]byte, error) {
 		b.resources[name] = &resource{capacity: cap}
 		return nil, nil
 	case brRequest:
-		n := int(dec.Uvarint())
+		n := dec.Uvarint()
 		if err := dec.Done(); err != nil {
 			return nil, err
 		}
@@ -142,17 +142,24 @@ func (b *Broker) Execute(op []byte) ([]byte, error) {
 
 // request allocates n slots with the power-of-two-choices randomized
 // policy: sample two resources with free capacity, take the less loaded.
-// This is the intentional nondeterminism of §2.
-func (b *Broker) request(n int) ([]byte, error) {
+// This is the intentional nondeterminism of §2. A request the free
+// capacity cannot meet, or whose selection a replay could not decode, is
+// refused before anything is allocated.
+func (b *Broker) request(n uint64) ([]byte, error) {
 	free := make([]string, 0, len(b.resources))
+	var slots uint64 // free slots, each resource's counted up to wire.MaxSlice
 	for name, r := range b.resources {
 		if r.inUse < r.capacity {
 			free = append(free, name)
+			slots += min(uint64(r.capacity-r.inUse), wire.MaxSlice)
 		}
+	}
+	if n > slots || n > wire.MaxSlice {
+		return nil, fmt.Errorf("%w: request for %d slots, %d free", ErrBadOp, n, slots)
 	}
 	sort.Strings(free) // stable candidate order; choice stays random
 	selected := make([]string, 0, n)
-	for i := 0; i < n; i++ {
+	for range n {
 		// Refresh the free list lazily: drop now-full entries.
 		avail := free[:0]
 		for _, name := range free {
@@ -162,9 +169,6 @@ func (b *Broker) request(n int) ([]byte, error) {
 			}
 		}
 		free = avail
-		if len(free) == 0 {
-			return nil, fmt.Errorf("%w: no free resources (allocated %d of %d)", ErrBadOp, i, n)
-		}
 		pick := free[b.rng.Intn(len(free))]
 		if len(free) > 1 {
 			alt := free[b.rng.Intn(len(free))]
@@ -283,13 +287,19 @@ func (b *Broker) Replay(op, aux []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.writable()
+	// The whole selection is checked before any slot is taken, so a
+	// refused replay changes nothing.
+	picks := make(map[string]int64, len(selected))
 	for _, name := range selected {
+		picks[name]++
 		r, ok := b.resources[name]
-		if !ok || r.inUse >= r.capacity {
+		if !ok || picks[name] > r.capacity-r.inUse {
 			return nil, fmt.Errorf("%w: replay selection %q invalid", ErrBadOp, name)
 		}
-		r.inUse++
+	}
+	b.writable()
+	for name, k := range picks {
+		b.resources[name].inUse += k
 	}
 	return aux, nil
 }

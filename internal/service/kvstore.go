@@ -89,7 +89,6 @@ func (s *KV) writable(key string) map[string][]byte {
 var (
 	_ Service       = (*KV)(nil)
 	_ Transactional = (*KV)(nil)
-	_ TxnDiffer     = (*KV)(nil)
 )
 
 // KV operation opcodes.
@@ -136,6 +135,9 @@ func kvParse(op []byte) (code uint8, key string, value []byte, err error) {
 	}
 	if code < kvGet || code > kvAdd {
 		return 0, "", nil, fmt.Errorf("%w: opcode %d", ErrBadOp, code)
+	}
+	if code == kvAdd && len(value) != 8 {
+		return 0, "", nil, fmt.Errorf("%w: add of a %d-byte value", ErrBadOp, len(value))
 	}
 	return code, key, value, nil
 }
@@ -355,17 +357,17 @@ func (w *kvWS) Execute(op []byte) ([]byte, error) {
 }
 
 func (w *kvWS) Commit() error {
-	if w.done {
-		return nil
-	}
 	_, err := w.s.CommitDelta(w)
 	return err
 }
 
-// CommitDelta implements TxnDiffer: a transaction commits by encoding its
+// CommitDelta implements Differ: a transaction commits by encoding its
 // write set as a delta and applying that, the path backups take too.
 func (s *KV) CommitDelta(ws Workspace) ([]byte, error) {
 	w := ws.(*kvWS) // a workspace from this store's Begin, by contract
+	if w.done {
+		return nil, fmt.Errorf("%w: transaction finished", ErrConflict)
+	}
 	enc := wire.NewEncoder(nil)
 	enc.Uvarint(uint64(len(w.overlay) + len(w.deleted)))
 	for k, v := range w.overlay {

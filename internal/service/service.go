@@ -28,6 +28,13 @@ var (
 
 // Service is a replicated application. Implementations are driven by a
 // single replica goroutine and need no internal locking.
+//
+// Every entry point of a Service and of the capabilities below keeps two
+// rules, whatever bytes a client sends: malformed op bytes are an error,
+// never a panic; and an op that returns an error leaves Snapshot
+// byte-equal, because the leader proposes nothing for it and the
+// backups never see it. The conformance suite (conformance_test.go)
+// checks both, with the rest of the contract, for every shipped service.
 type Service interface {
 	// Execute applies one operation and returns its reply. Execution
 	// may be nondeterministic and may mutate state; the protocol layer
@@ -55,7 +62,8 @@ type Transactional interface {
 
 // Workspace is the execution context of one open transaction. Operations
 // executed in a workspace are isolated from the base service until
-// Commit.
+// Commit. Commit and Abort finish it: Execute, Commit and Differ's
+// CommitDelta on a finished workspace change nothing.
 type Workspace interface {
 	// Execute applies one operation inside the transaction. A returned
 	// ErrConflict aborts the whole transaction.
@@ -73,23 +81,20 @@ type Factory func() Service
 // Differ is the §3.3 "exchange only the updated state" optimization: the
 // service expresses each operation's effect as a delta against the
 // pre-operation state. Replicas holding the previous state apply deltas
-// instead of adopting full snapshots, shrinking state transfer.
+// instead of adopting full snapshots, shrinking state transfer. A Differ
+// is Transactional, and its transactions commit as one delta too — the
+// write set, not the state — so every write the replica proposes is a
+// delta.
 type Differ interface {
-	Service
+	Transactional
 	// ExecuteDelta executes op (possibly nondeterministically) and
 	// additionally returns a delta: ApplyDelta(delta) on a replica
 	// holding the pre-operation state reproduces the post-operation
 	// state exactly.
 	ExecuteDelta(op []byte) (reply, delta []byte, err error)
-	// ApplyDelta applies a delta produced by ExecuteDelta.
+	// ApplyDelta applies a delta produced by ExecuteDelta or
+	// CommitDelta.
 	ApplyDelta(delta []byte) error
-}
-
-// TxnDiffer is a Differ whose native transactions commit as one delta —
-// the write set, not the state — in the format ApplyDelta reads.
-type TxnDiffer interface {
-	Differ
-	Transactional
 	// CommitDelta commits ws (from Begin) as ws.Commit would and returns
 	// the delta reproducing it on a replica at the pre-commit state.
 	CommitDelta(ws Workspace) (delta []byte, err error)

@@ -50,9 +50,9 @@ type txnKey struct {
 	txn    uint64
 }
 
-// maxPinned bounds the pin table. Pins are dropped at commit/abort; the
-// cap only matters when clients vanish mid-transaction, and 1<<16
-// in-flight transactions is far beyond any deployment here.
+// maxPinned bounds the pin table. A pin outlives its transaction's
+// commit or abort, so a retransmitted copy routes where the first one
+// did; past the bound the oldest pin is evicted.
 const maxPinned = 1 << 16
 
 // Router maps requests to groups. It is not safe for concurrent use:
@@ -64,6 +64,7 @@ type Router struct {
 	n       int
 	sharder service.Sharder // nil: hash whole ops
 	pinned  map[txnKey]uint32
+	order   []txnKey // the pinned transactions, oldest first
 }
 
 // NewRouter returns a router over n groups. svc (any replica's service
@@ -113,17 +114,15 @@ func (r *Router) Route(req *wire.Request) (uint32, error) {
 			}
 			return pinned, nil
 		}
-		if len(r.pinned) >= maxPinned {
-			// Emergency valve: drop the table rather than grow without
-			// bound on leaked transactions. Live retried txns re-pin to
-			// the same group because routing is deterministic.
-			r.pinned = make(map[txnKey]uint32)
+		if len(r.order) >= maxPinned {
+			delete(r.pinned, r.order[0])
+			r.order = r.order[1:]
 		}
 		r.pinned[k] = g
+		r.order = append(r.order, k)
 		return g, nil
 	case wire.KindTxnCommit, wire.KindTxnAbort:
 		if pinned, ok := r.pinned[k]; ok {
-			delete(r.pinned, k)
 			return pinned, nil
 		}
 		// Commit/abort of a transaction this router never saw an op for

@@ -82,7 +82,7 @@ func findKeys(t *testing.T, r *Router) (same, other string) {
 
 // TestTxnPinningAndCrossGroup: a transaction is pinned to its first
 // op's group; a second op hashing elsewhere is refused with
-// ErrCrossGroup, and commit/abort release the pin.
+// ErrCrossGroup, and the commit routes to the pinned group.
 func TestTxnPinningAndCrossGroup(t *testing.T) {
 	r := NewRouter(4, service.NewKV())
 	k1, k2 := findKeys(t, r)
@@ -105,17 +105,61 @@ func TestTxnPinningAndCrossGroup(t *testing.T) {
 	if _, err = r.Route(req(wire.KindTxnOp, 7, service.KVPut(k2, []byte("v")))); !errors.Is(err, ErrCrossGroup) {
 		t.Fatalf("cross-group op: err=%v, want ErrCrossGroup", err)
 	}
-	// Commit routes to the pinned group and releases the pin.
+	// Commit routes to the pinned group.
 	if g, err = r.Route(req(wire.KindTxnCommit, 7, nil)); err != nil || g != g1 {
 		t.Fatalf("commit: g=%d err=%v", g, err)
-	}
-	if len(r.pinned) != 0 {
-		t.Fatalf("pin not released: %v", r.pinned)
 	}
 
 	// A non-transactional request on k2 is unaffected.
 	if _, err := r.Route(req(wire.KindWrite, 0, service.KVPut(k2, nil))); err != nil {
 		t.Fatalf("plain write: %v", err)
+	}
+}
+
+// TestRetransmittedCommitKeepsItsGroup: a pin outlives its commit or
+// abort, so a retransmitted copy routes to the pinned group too, not to
+// the hash of the transaction identity a router that never saw the
+// transaction falls back to.
+func TestRetransmittedCommitKeepsItsGroup(t *testing.T) {
+	r := NewRouter(4, service.NewKV())
+	op := service.KVPut("k", nil)
+	g := r.GroupForOp(op)
+	moved := 0
+	for txn := uint64(1); txn <= 16; txn++ {
+		if _, err := r.Route(&wire.Request{Client: 100, Kind: wire.KindTxnOp, Txn: txn, Op: op}); err != nil {
+			t.Fatal(err)
+		}
+		end := &wire.Request{Client: 100, Kind: wire.KindTxnCommit, Txn: txn}
+		if txn%2 == 0 {
+			end.Kind = wire.KindTxnAbort
+		}
+		for copy := 1; copy <= 2; copy++ {
+			if got, err := r.Route(end); err != nil || got != g {
+				t.Fatalf("txn %d: copy %d of its %v routed to group %d (%v), pinned to %d", txn, copy, end.Kind, got, err, g)
+			}
+		}
+		if fallback, _ := NewRouter(4, service.NewKV()).Route(end); fallback != g {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("every fallback group is the pinned one: the case tests nothing")
+	}
+}
+
+// TestPinTableEvictsOldest: past maxPinned pins the oldest goes, and only
+// it.
+func TestPinTableEvictsOldest(t *testing.T) {
+	r := NewRouter(4, service.NewKV())
+	for txn := uint64(1); txn <= maxPinned+1; txn++ {
+		if _, err := r.Route(&wire.Request{Client: 1, Kind: wire.KindTxnOp, Txn: txn, Op: service.KVGet("k")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, oldest := r.pinned[txnKey{client: 1, txn: 1}]
+	_, second := r.pinned[txnKey{client: 1, txn: 2}]
+	if len(r.pinned) != maxPinned || oldest || !second {
+		t.Fatalf("%d pins, oldest kept %v, second kept %v; want %d, false, true", len(r.pinned), oldest, second, maxPinned)
 	}
 }
 
