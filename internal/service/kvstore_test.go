@@ -3,9 +3,14 @@ package service
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"maps"
+	"math/rand/v2"
 	"runtime"
 	"testing"
+
+	"gridrep/internal/wire"
 )
 
 // kvGoldenStore builds a small fixed store through every write path.
@@ -64,6 +69,203 @@ func TestKVSnapshotGolden(t *testing.T) {
 	}
 	if !bytes.Equal(r.Snapshot(), snap) {
 		t.Fatal("restore of the golden does not re-encode to it")
+	}
+}
+
+// pinnedView is a view with the model state of its generation.
+type pinnedView struct {
+	view  ReadView
+	state kvModel
+	step  int
+}
+
+// TestKVDifferential runs a seeded random walk over every write path —
+// Execute, ExecuteDelta, ApplyDelta (valid and truncated), transaction
+// commits and aborts, Restore — pinning views at random generations,
+// and checks the store against a plain map after every step: every view
+// keeps answering its own generation, and Snapshot equals the reference
+// encoder's bytes.
+func TestKVDifferential(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { kvRandomWalk(t, seed, 1500) })
+	}
+}
+
+func kvRandomWalk(t *testing.T, seed uint64, steps int) {
+	rng := rand.New(rand.NewPCG(seed, 0x6b76))
+	const nkeys = 700 // a few keys per bucket, some buckets empty
+	key := func() string { return fmt.Sprintf("key-%d", rng.IntN(nkeys)) }
+	value := func() []byte {
+		if rng.IntN(8) == 0 {
+			return nil
+		}
+		v := make([]byte, 1+rng.IntN(24))
+		for i := range v {
+			v[i] = byte(rng.Uint32())
+		}
+		return v
+	}
+	s, model := NewKV(), kvModel{}
+	var views []pinnedView
+
+	get := func(m kvModel, k string) []byte {
+		v, ok := m[k]
+		return kvReply(v, ok)
+	}
+	apply := func(m kvModel, op []byte) []byte { // the model's Execute
+		code, k, v, err := kvParse(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kvApply(code, k, v,
+			func(k string) ([]byte, bool) { v, ok := m[k]; return v, ok },
+			func(k string, v []byte) { m[k] = v },
+			func(k string) { delete(m, k) })
+	}
+	randOp := func() []byte {
+		switch rng.IntN(4) {
+		case 0:
+			return KVGet(key())
+		case 1:
+			return KVDelete(key())
+		case 2:
+			return KVAdd(key(), rng.Int64N(100)-50)
+		}
+		return KVPut(key(), value())
+	}
+	check := func(step int) {
+		if got, want := s.Snapshot(), refSnapshot(model); !bytes.Equal(got, want) {
+			t.Fatalf("step %d: snapshot differs from the reference encoder", step)
+		}
+		if s.Len() != len(model) {
+			t.Fatalf("step %d: Len %d, model %d", step, s.Len(), len(model))
+		}
+		for _, p := range views {
+			for i := 0; i < 40; i++ {
+				k := key()
+				res, err := p.view.ReadExecute(KVGet(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := get(p.state, k); !bytes.Equal(res, want) {
+					t.Fatalf("step %d: view pinned at step %d answers %q = %x, want %x", step, p.step, k, res, want)
+				}
+			}
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		switch r := rng.IntN(100); {
+		case r < 30: // Execute
+			op := randOp()
+			res, err := s.Execute(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := apply(model, op); !bytes.Equal(res, want) {
+				t.Fatalf("step %d: Execute reply %x, model %x", step, res, want)
+			}
+		case r < 55: // ExecuteDelta; its delta must carry the model's change
+			op := randOp()
+			res, delta, err := s.ExecuteDelta(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed := maps.Clone(model)
+			if want := apply(model, op); !bytes.Equal(res, want) {
+				t.Fatalf("step %d: ExecuteDelta reply %x, model %x", step, res, want)
+			}
+			if err := replayed.ApplyDelta(delta); err != nil {
+				t.Fatalf("step %d: delta does not decode: %v", step, err)
+			}
+			if !bytes.Equal(refSnapshot(replayed), refSnapshot(model)) {
+				t.Fatalf("step %d: delta %x does not carry op %x's change", step, delta, op)
+			}
+		case r < 65: // ApplyDelta of a few changes, sometimes truncated
+			enc := wire.NewEncoder(nil)
+			n := 1 + rng.IntN(4)
+			enc.Uvarint(uint64(n))
+			next := maps.Clone(model)
+			for i := 0; i < n; i++ {
+				k := key()
+				if rng.IntN(3) == 0 {
+					enc.Bool(false)
+					enc.String(k)
+					delete(next, k)
+				} else {
+					v := value()
+					enc.Bool(true)
+					enc.String(k)
+					enc.Bytes8(v)
+					next[k] = v
+				}
+			}
+			delta := enc.Bytes()
+			if rng.IntN(4) == 0 {
+				if err := s.ApplyDelta(delta[:rng.IntN(len(delta))]); err == nil {
+					t.Fatalf("step %d: truncated delta accepted", step)
+				}
+				break // state must be untouched: check() compares with model
+			}
+			if err := s.ApplyDelta(delta); err != nil {
+				t.Fatal(err)
+			}
+			model = next
+		case r < 75: // a transaction, committed or aborted
+			w, err := s.Begin(uint64(step))
+			if err != nil {
+				t.Fatal(err)
+			}
+			overlay, locked := maps.Clone(model), map[string]bool{}
+			for i := 0; i < 1+rng.IntN(4); i++ {
+				op := randOp()
+				_, k, _, _ := kvParse(op)
+				locked[k] = true
+				res, err := w.Execute(op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := apply(overlay, op); !bytes.Equal(res, want) {
+					t.Fatalf("step %d: txn reply %x, model %x", step, res, want)
+				}
+			}
+			view, ok := s.ReadView()
+			if !ok {
+				t.Fatalf("step %d: refused a pin under transaction locks", step)
+			}
+			for k := range locked {
+				if _, err := view.ReadExecute(KVGet(k)); !errors.Is(err, ErrConflict) {
+					t.Fatalf("step %d: a view pinned under the locks read locked %q: %v, want a conflict", step, k, err)
+				}
+			}
+			if rng.IntN(3) == 0 {
+				w.Abort()
+			} else {
+				if err := w.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				model = overlay
+			}
+		case r < 78: // Restore from another state
+			next := kvModel{}
+			for i := 0; i < rng.IntN(300); i++ {
+				next[key()] = value()
+			}
+			if err := s.Restore(refSnapshot(next)); err != nil {
+				t.Fatal(err)
+			}
+			model = next
+		default: // pin a view
+			view, ok := s.ReadView()
+			if !ok {
+				t.Fatalf("step %d: quiescent store refused a pin", step)
+			}
+			views = append(views, pinnedView{view: view, state: maps.Clone(model), step: step})
+			if len(views) > 12 {
+				views = views[1:]
+			}
+		}
+		check(step)
 	}
 }
 

@@ -127,6 +127,31 @@ func TestKVIsWriteOp(t *testing.T) {
 	}
 }
 
+func TestKVSnapshotRestore(t *testing.T) {
+	a := NewKV()
+	a.Execute(KVPut("x", []byte("1")))
+	a.Execute(KVPut("y", []byte("2")))
+	snap := a.Snapshot()
+	b := NewKV()
+	if err := b.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 2 {
+		t.Fatalf("restored %d keys", b.Len())
+	}
+	res, _ := b.Execute(KVGet("y"))
+	if v, _ := KVReply(res); string(v) != "2" {
+		t.Fatalf("restored value = %q", v)
+	}
+	// Snapshot must be deterministic.
+	if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+		t.Fatal("snapshots of equal states differ")
+	}
+	if err := b.Restore([]byte{0xff, 0x01}); err == nil {
+		t.Fatal("corrupt snapshot accepted")
+	}
+}
+
 func TestKVTxnIsolationAndCommit(t *testing.T) {
 	s := NewKV()
 	s.Execute(KVPut("a", []byte("base")))
@@ -293,6 +318,23 @@ func TestBrokerLoadBalance(t *testing.T) {
 	}
 }
 
+func TestBrokerSnapshotRestore(t *testing.T) {
+	a := NewBroker(1)
+	a.Execute(BrokerRegister("x", 5))
+	a.Execute(BrokerRequest(2))
+	b := NewBroker(99) // different seed must not matter for state
+	if err := b.Restore(a.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+		t.Fatal("restored broker state differs")
+	}
+	used, cap := b.Load("x")
+	if used != 2 || cap != 5 {
+		t.Fatalf("restored load = %d/%d", used, cap)
+	}
+}
+
 func TestBrokerListAndClassify(t *testing.T) {
 	b := NewBroker(1)
 	b.Execute(BrokerRegister("x", 5))
@@ -380,6 +422,27 @@ func TestSchedCompleteAndStatus(t *testing.T) {
 	}
 }
 
+func TestSchedSnapshotRestore(t *testing.T) {
+	a := NewSched()
+	a.Execute(SchedSubmit("x", 3))
+	a.Execute(SchedSubmit("y", 1))
+	a.Execute(SchedDispatch())
+	b := NewSched()
+	if err := b.Restore(a.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
+		t.Fatal("restored scheduler state differs")
+	}
+	// FCFS stamps must survive: submitting to the restored replica must
+	// order after the existing jobs.
+	b.Execute(SchedSubmit("z", 1))
+	res, _ := b.Execute(SchedDispatch())
+	if string(res) != "y" {
+		t.Fatalf("dispatched %q, want y (older arrival)", res)
+	}
+}
+
 func TestSchedClassify(t *testing.T) {
 	if SchedIsWrite(SchedStatus()) {
 		t.Error("status classified as write")
@@ -395,31 +458,5 @@ func TestSchedBadOps(t *testing.T) {
 		if _, err := s.Execute(op); err == nil {
 			t.Errorf("bad op %v accepted", op)
 		}
-	}
-}
-
-func TestBrokerReplayRejectsInvalidSelection(t *testing.T) {
-	b := NewBroker(1)
-	b.Execute(BrokerRegister("a", 1))
-	// Aux claiming a selection of an unknown resource must fail loudly.
-	enc := BrokerRequest(1)
-	badAux := []byte{1, 7, 'u', 'n', 'k', 'n', 'o', 'w', 'n'}
-	if _, err := b.Replay(enc, badAux); err == nil {
-		t.Fatal("invalid replay selection accepted")
-	}
-}
-
-func TestSchedReplayEmptyDispatch(t *testing.T) {
-	s := NewSched()
-	res, err := s.Replay(SchedDispatch(), nil)
-	if err != nil || len(res) != 0 {
-		t.Fatalf("empty-queue replay = %q, %v", res, err)
-	}
-}
-
-func TestSchedReplayUnknownJobFails(t *testing.T) {
-	s := NewSched()
-	if _, err := s.Replay(SchedDispatch(), []byte("ghost")); err == nil {
-		t.Fatal("replay of unknown job accepted")
 	}
 }
