@@ -130,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServiceRestore$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzServiceApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzTCPReadLoop$$' -fuzztime $(FUZZTIME) ./internal/transport
 
 # Just the socket-level chaos suite (transport + chaos), race-enabled.
 chaos:

@@ -323,7 +323,8 @@ type openTxn struct {
 //   - an op that returns an error leaves Snapshot byte-equal;
 //   - a committed workspace equals applying its ops, an aborted one
 //     leaves the state byte-equal, and Execute, Commit and CommitDelta
-//     on a finished one change nothing;
+//     on a finished one change nothing; on one opened before a Restore
+//     they fail, too;
 //   - every view, pinned on the walked instance or its twin (under an
 //     open workspace, too), answers every read as Execute did at the
 //     pin, through every later write, refuses each mutating op with
@@ -492,7 +493,7 @@ func checkService(t *testing.T, row serviceRow, seed uint64, steps int) {
 			if !bytes.Equal(s.Snapshot(), pre) {
 				fail(step, "an open workspace's op %x changed the state", op)
 			}
-		case path < 10 && txn == nil: // Restore another state
+		case path < 10: // Restore another state
 			other := build(4)
 			for range rng.IntN(20) {
 				other.Execute(row.op(rng))
@@ -503,6 +504,27 @@ func checkService(t *testing.T, row serviceRow, seed uint64, steps int) {
 					fail(step, "Restore of a Snapshot refused")
 				}
 			}
+			if txn == nil {
+				break
+			}
+			// The workspace open across the Restore is void.
+			ws := txn.ws
+			if _, err := ws.Execute(row.op(rng)); err == nil {
+				fail(step, "Execute on a workspace opened before a Restore succeeded")
+			}
+			if ws.Commit() == nil {
+				fail(step, "Commit of a workspace opened before a Restore succeeded")
+			}
+			if differ != nil {
+				if _, err := differ.CommitDelta(ws); err == nil {
+					fail(step, "CommitDelta of a workspace opened before a Restore succeeded")
+				}
+			}
+			ws.Abort()
+			if !bytes.Equal(s.Snapshot(), snap) {
+				fail(step, "a workspace opened before a Restore changed the restored state")
+			}
+			txn = nil
 		default: // pin a view on the instance and on its twin
 			for _, svc := range []ReadViewer{s, twin} {
 				view, ok := svc.ReadView()

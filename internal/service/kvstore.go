@@ -262,6 +262,8 @@ func (s *KV) Snapshot() []byte {
 
 // Restore implements Service. Open transactions are discarded: a restore
 // happens only on state transfer, when local speculation is void anyway.
+// Their workspaces are finished without touching the new state, so a
+// late Execute, Commit or CommitDelta on one fails and changes nothing.
 func (s *KV) Restore(snap []byte) error {
 	dec := wire.NewDecoder(snap)
 	n := dec.SliceLen()
@@ -283,6 +285,9 @@ func (s *KV) Restore(snap []byte) error {
 	}
 	// Brand-new buckets: pinned views keep the old ones.
 	s.buckets, s.pinned, s.view = buckets, [kvBuckets / 64]uint64{}, nil
+	for _, w := range s.open {
+		w.done = true // its locks go with the old lock table
+	}
 	s.locks = make(map[string]uint64)
 	s.open = make(map[uint64]*kvWS)
 	return nil

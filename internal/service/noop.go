@@ -1,6 +1,9 @@
 package service
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Noop is the paper's benchmark service (§4): every request invokes an
 // empty method, so measurements isolate replication overhead. Its state
@@ -13,6 +16,7 @@ import "encoding/binary"
 // scale with the client count.
 type Noop struct {
 	version uint64
+	gen     uint64 // bumped by Restore: it voids every open workspace
 }
 
 // NewNoop returns the benchmark service.
@@ -39,12 +43,14 @@ func (n *Noop) Snapshot() []byte {
 	return b[:]
 }
 
-// Restore implements Service.
+// Restore implements Service. Workspaces open across it are void: a
+// late Execute or Commit on one fails and changes nothing.
 func (n *Noop) Restore(snap []byte) error {
 	if len(snap) != 8 {
 		return ErrBadOp
 	}
 	n.version = binary.LittleEndian.Uint64(snap)
+	n.gen++
 	return nil
 }
 
@@ -53,16 +59,23 @@ func (n *Noop) Version() uint64 { return n.version }
 
 // Begin implements Transactional.
 func (n *Noop) Begin(txn uint64) (Workspace, error) {
-	return &noopWS{svc: n}, nil
+	return &noopWS{svc: n, gen: n.gen}, nil
 }
 
 type noopWS struct {
 	svc    *Noop
+	gen    uint64 // the service's generation at Begin
 	writes uint64
 	done   bool
 }
 
+// errRestored is what a workspace opened before a Restore answers.
+var errRestored = fmt.Errorf("%w: the state was restored under the transaction", ErrConflict)
+
 func (w *noopWS) Execute(op []byte) ([]byte, error) {
+	if w.gen != w.svc.gen {
+		return nil, errRestored
+	}
 	if len(op) > 0 {
 		w.writes++
 	}
@@ -70,6 +83,9 @@ func (w *noopWS) Execute(op []byte) ([]byte, error) {
 }
 
 func (w *noopWS) Commit() error {
+	if w.gen != w.svc.gen {
+		return errRestored
+	}
 	if !w.done {
 		w.done = true
 		w.svc.version += w.writes

@@ -63,7 +63,9 @@ type Transactional interface {
 // Workspace is the execution context of one open transaction. Operations
 // executed in a workspace are isolated from the base service until
 // Commit. Commit and Abort finish it: Execute, Commit and Differ's
-// CommitDelta on a finished workspace change nothing.
+// CommitDelta on a finished workspace change nothing. The service's
+// Restore voids every workspace open across it: on such a workspace
+// Execute, Commit and CommitDelta return an error and change nothing.
 type Workspace interface {
 	// Execute applies one operation inside the transaction. A returned
 	// ErrConflict aborts the whole transaction.

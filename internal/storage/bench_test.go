@@ -129,3 +129,24 @@ func BenchmarkFileWaveAppend(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAcceptedLogPruneCycle is the in-memory log's steady state on
+// a compacting replica: a wave of 64 entries is put, then the log is
+// pruned back to its newest 256 instances. One op is one cycle.
+func BenchmarkAcceptedLogPruneCycle(b *testing.B) {
+	const batch, window = 64, 256
+	l := NewAcceptedLog()
+	e := benchEntry(1, wire.Ballot{Round: 1})
+	next := uint64(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < batch; j++ {
+			e.Instance = next
+			l.Put(e)
+			next++
+		}
+		if next > window {
+			l.PruneTo(next - window)
+		}
+	}
+}

@@ -160,8 +160,10 @@ func (l *AcceptedLog) StripStatesBelow(keepStateFrom uint64) {
 	}
 }
 
-// PruneTo discards every entry with instance < keepFrom, releasing the
-// backing memory. Callers must ensure a service snapshot covers the
+// PruneTo discards every entry with instance < keepFrom. The survivors
+// shift down in place, so the backing array is kept for the Puts that
+// follow, and the vacated slots are zeroed, so the pruned payloads can
+// be collected. Callers must ensure a service snapshot covers the
 // discarded prefix first (see Store.PruneTo).
 func (l *AcceptedLog) PruneTo(keepFrom uint64) {
 	if keepFrom == 0 || keepFrom-1 <= l.base {
@@ -177,11 +179,9 @@ func (l *AcceptedLog) PruneTo(keepFrom uint64) {
 			l.n--
 		}
 	}
-	// Copy the survivors into a fresh slice so the pruned prefix's
-	// backing array (and the payloads it pins) becomes collectable.
-	rest := make([]wire.Entry, uint64(len(l.ents))-drop)
-	copy(rest, l.ents[drop:])
-	l.ents = rest
+	kept := copy(l.ents, l.ents[drop:])
+	clear(l.ents[kept:])
+	l.ents = l.ents[:kept]
 	l.base = newBase
 	if l.stripLo > drop {
 		l.stripLo -= drop

@@ -558,3 +558,44 @@ func TestFilePoisonedAfterFailedAppend(t *testing.T) {
 		t.Error("stale SetPromised after poison should fail")
 	}
 }
+
+// TestAcceptedLogPruneCycleAllocs: a log that Puts a batch and prunes
+// back to a fixed window, the steady state of a compacting replica,
+// allocates nothing once warm: PruneTo shifts the survivors down in
+// place and Put reuses the slots behind them. The slots a prune
+// vacates are zeroed, so a pruned entry's payload stays collectable.
+func TestAcceptedLogPruneCycleAllocs(t *testing.T) {
+	const batch, window = 64, 256
+	l := NewAcceptedLog()
+	payload := []byte("state")
+	next := uint64(1)
+	cycle := func() {
+		for i := 0; i < batch; i++ {
+			l.Put(wire.Entry{Instance: next, Prop: wire.Proposal{HasState: true, State: payload}})
+			next++
+		}
+		l.PruneTo(next - window)
+	}
+	for i := 0; i < 16; i++ {
+		cycle() // grow the backing array to its steady size
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("a Put/PruneTo cycle allocates %.2f/op, want 0", avg)
+	}
+	if l.Len() != window {
+		t.Fatalf("Len = %d after pruning to a window of %d", l.Len(), window)
+	}
+	if _, ok := l.Get(next - window - 1); ok {
+		t.Fatalf("instance %d survived PruneTo(%d)", next-window-1, next-window)
+	}
+	for i := next - window; i < next; i++ {
+		if e, ok := l.Get(i); !ok || e.Instance != i {
+			t.Fatalf("instance %d lost by the shift: %+v, %v", i, e, ok)
+		}
+	}
+	for i, e := range l.ents[len(l.ents):cap(l.ents)] {
+		if e.Instance != 0 || e.Prop.State != nil {
+			t.Fatalf("vacated slot %d still holds instance %d", len(l.ents)+i, e.Instance)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"testing"
+
+	"gridrep/internal/wire"
 )
 
 // TestTCPRoundTripAllocs pins the steady-state allocation budget of the
@@ -34,6 +36,35 @@ func TestTCPRoundTripAllocs(t *testing.T) {
 	if avg > 10 {
 		t.Errorf("tcp round trip allocates %.2f/op, budget 10", avg)
 	}
+}
+
+// TestTCPDialRoundTripAllocs is the same budget for the pair
+// gridrep.Dial sets up: a DialTCPSync client writing its request inline
+// and a replica answering through its reply writer.
+func TestTCPDialRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts on pooled paths are not meaningful under -race (sync.Pool drops items)")
+	}
+	rep, cli := dialPair(t)
+	req, reply := benchEnv(0), benchEnv(wire.ClientIDBase)
+	roundTrip := func() {
+		cli.Send(req)
+		if _, ok := <-rep.Recv(); !ok {
+			t.Fatal("replica recv closed")
+		}
+		rep.Send(reply)
+		if _, ok := <-cli.Recv(); !ok {
+			t.Fatal("client recv closed")
+		}
+	}
+	for i := 0; i < 50; i++ {
+		roundTrip()
+	}
+	avg := testing.AllocsPerRun(200, roundTrip)
+	if avg > 10 {
+		t.Errorf("dial round trip allocates %.2f/op, budget 10", avg)
+	}
+	t.Logf("%.2f allocs per round trip", avg)
 }
 
 // TestTCPWaveRoundTripAllocs is the same budget check for a loaded

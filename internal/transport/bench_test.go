@@ -99,6 +99,52 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 	}
 }
 
+// dialPair builds a listening replica transport and a DialTCPSync
+// client of it, the pair gridrep.Dial sets up, warmed in both
+// directions: the replica has learned the client's reply route.
+func dialPair(b testing.TB) (rep, cli *TCP) {
+	b.Helper()
+	rep, err := ListenTCPOpts(0, map[wire.NodeID]string{0: "127.0.0.1:0"}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cli = DialTCPSync(wire.ClientIDBase, map[wire.NodeID]string{0: rep.Addr()})
+	b.Cleanup(func() { cli.Close(); rep.Close() })
+	cli.Send(benchEnv(0))
+	for _, tr := range []*TCP{rep, cli} {
+		select {
+		case <-tr.Recv():
+		case <-time.After(5 * time.Second):
+			b.Fatal("transport warmup timed out")
+		}
+		if tr == rep {
+			rep.Send(benchEnv(wire.ClientIDBase))
+		}
+	}
+	return rep, cli
+}
+
+// BenchmarkTCPDialRoundTrip is BenchmarkTCPRoundTrip between a
+// synchronous client's transport and a replica: the request leaves on
+// the caller's goroutine (an inline write), the reply through the
+// replica's reply writer.
+func BenchmarkTCPDialRoundTrip(b *testing.B) {
+	rep, cli := dialPair(b)
+	req, reply := benchEnv(0), benchEnv(wire.ClientIDBase)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cli.Send(req)
+		if _, ok := <-rep.Recv(); !ok {
+			b.Fatal("replica recv closed")
+		}
+		rep.Send(reply)
+		if _, ok := <-cli.Recv(); !ok {
+			b.Fatal("client recv closed")
+		}
+	}
+}
+
 // BenchmarkTCPWaveRoundTrip is BenchmarkTCPRoundTrip with a loaded
 // accept-wave payload 0→1 (leader→backup) and a small ack back.
 func BenchmarkTCPWaveRoundTrip(b *testing.B) {

@@ -32,7 +32,7 @@ type GroupMux struct {
 	// replies wire.StatusCrossGroup on the caller's behalf.
 	route func(*wire.Request) (uint32, error)
 	// routeMu serializes route calls: dispatch runs concurrently from the
-	// underlying transport's per-connection decode goroutines, and the
+	// underlying transport's per-connection read loops, and the
 	// shard router keeps single-goroutine transaction-pinning state.
 	routeMu sync.Mutex
 	eps     []*groupEndpoint

@@ -11,7 +11,7 @@ import (
 )
 
 // fakeUnder is a scriptable underlying SinkTransport for mux tests:
-// inject plays the part of a connection's decode goroutine.
+// inject plays the part of a connection's read loop.
 type fakeUnder struct {
 	recv chan *wire.Envelope
 	sink func(*wire.Envelope)

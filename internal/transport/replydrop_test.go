@@ -9,11 +9,12 @@ import (
 	"gridrep/internal/wire"
 )
 
-// newBuf returns a pooled buffer holding a tiny payload, the shape
-// enqueueReply owns.
+// newBuf returns a pooled buffer holding an envelope frame with a tiny
+// payload, the shape encodeFrame fills and the writers' queues own.
 func newBuf(b byte) *[]byte {
 	bp := wire.GetBuf()
-	*bp = append((*bp)[:0], b)
+	*bp = append(append((*bp)[:0], frameGap[:]...), b)
+	sealFrame(*bp)
 	return bp
 }
 

@@ -58,8 +58,7 @@ func TestTCPSinkDelivery(t *testing.T) {
 	}
 }
 
-// TestTCPDecodeStageOrdering: decode runs on a worker stage behind the
-// socket read loop, but frames of one connection must still be
+// TestTCPDecodeStageOrdering: frames of one connection are decoded and
 // delivered in wire order (the FIFO-per-link contract the shard router
 // pins transactions with).
 func TestTCPDecodeStageOrdering(t *testing.T) {
@@ -75,13 +74,13 @@ func TestTCPDecodeStageOrdering(t *testing.T) {
 	for i := 0; i < k; i++ {
 		got := tcpRecv(t, reps[1], 5*time.Second).Msg.(*wire.Heartbeat)
 		if got.Epoch != uint64(i) {
-			t.Fatalf("decode stage reordered: epoch %d at position %d", got.Epoch, i)
+			t.Fatalf("read loop reordered: epoch %d at position %d", got.Epoch, i)
 		}
 	}
 }
 
-// TestTCPDecodeLatencyHistogram: the off-loop decode stage times every
-// frame into gridrep_tcp_decode_seconds.
+// TestTCPDecodeLatencyHistogram: the read loop times every frame's
+// decode into gridrep_tcp_decode_seconds.
 func TestTCPDecodeLatencyHistogram(t *testing.T) {
 	reps, _ := startTCPCluster(t, 2)
 	reg := metrics.NewRegistry()

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"gridrep/internal/metrics"
@@ -26,22 +28,26 @@ import (
 // Every outbound route to a peer in the address book is therefore owned
 // by a connection supervisor: a goroutine with a bounded outbound queue
 // that dials with exponential backoff plus jitter, writes what is
-// queued a burst per write under one deadline, sends transport-level
-// ping frames while the link is idle, and declares the peer dead when
-// pongs stop arriving (which catches blackholed links that writes alone
-// never notice). Peer up/down transitions are reported through SetHealth
-// so the Ω elector can react to real socket failures, not just missing
-// heartbeats.
+// queued a burst per write under one deadline (on a DialTCPSync
+// transport, Send writes an idle link's frame itself), sends
+// transport-level ping frames while the link is idle, and declares the
+// peer dead when pongs stop arriving (which catches blackholed links
+// that writes alone never notice). Peer up/down transitions are reported
+// through SetHealth so the Ω elector can react to real socket failures,
+// not just missing heartbeats.
 type TCP struct {
 	local wire.NodeID
 	opts  Options
 	ln    net.Listener
 	stats counters
 	// inbox is the receive side. With a sink set (Sinker), each
-	// connection's decode goroutine hands envelopes to it directly, so
-	// inbound fan-in stays sharded by connection instead of funneling
-	// through one consumer.
+	// connection's read loop hands envelopes to it directly, so inbound
+	// fan-in stays sharded by connection instead of funneling through
+	// one consumer.
 	inbox *Inbox
+	// inline lets Send write a frame on the caller's goroutine when its
+	// supervised link is idle (DialTCPSync, DESIGN.md §8).
+	inline bool
 
 	mu       sync.Mutex
 	book     map[wire.NodeID]string
@@ -113,12 +119,46 @@ const (
 // maxFrame bounds a single frame on the wire.
 const maxFrame = wire.MaxBlob + (1 << 16)
 
+// frameRoom is the room encodeFrame reserves in front of an envelope's
+// encoding for the frame header: a uvarint length and the kind byte.
+const frameRoom = binary.MaxVarintLen64 + 1
+
+var frameGap [frameRoom]byte
+
+// encodeFrame encodes env as one envelope frame into a pooled buffer
+// (ownership goes to the caller): frameOf(*bp) is the frame, header and
+// payload contiguous, so it can leave in one write; the buffer's bytes
+// before it are padding.
+func encodeFrame(env *wire.Envelope) *[]byte {
+	bp := wire.GetBuf()
+	*bp = wire.EncodeEnvelope(append((*bp)[:0], frameGap[:]...), env)
+	sealFrame(*bp)
+	return bp
+}
+
+// sealFrame writes the envelope frame header into b's reserved room, in
+// front of the payload that follows it.
+func sealFrame(b []byte) {
+	b[frameRoom-1] = frameEnv
+	binary.PutUvarint(b[frameStart(b):], uint64(len(b)-frameRoom+1))
+}
+
+// frameStart is the offset of the frame in a buffer encodeFrame filled:
+// its header ends where the payload begins, at frameRoom.
+func frameStart(b []byte) int {
+	n := uint64(len(b) - frameRoom + 1) // kind byte and payload
+	return frameRoom - 1 - (bits.Len64(n|1)+6)/7
+}
+
+// frameOf returns the frame in a buffer encodeFrame filled.
+func frameOf(b []byte) []byte { return b[frameStart(b):] }
+
 // counters aggregates transport events; they are read through the
 // registry RegisterMetrics publishes them into.
 type counters struct {
 	dials, dialFails, reconnects    metrics.Counter
 	sent, recvd                     metrics.Counter
-	flushes                         metrics.Counter // writes of envelope bursts (writeBurst)
+	flushes                         metrics.Counter // writes of envelope frames: bursts and inline writes
 	pingsSent, pongsRecvd           metrics.Counter
 	dropQueueFull, dropNoRoute      metrics.Counter
 	dropWriteFail, dropRecvOverflow metrics.Counter
@@ -130,9 +170,9 @@ type counters struct {
 	// reading its socket).
 	dropReplyShed, dropReplySlow metrics.Counter
 	lastRTT                      metrics.Gauge // nanoseconds
-	// decodeLat times the off-loop decode stage per envelope frame
-	// (created at transport construction, registered on demand — the
-	// storage.File histogram pattern).
+	// decodeLat times each envelope frame's decode on its connection's
+	// read loop (created at transport construction, registered on
+	// demand — the storage.File histogram pattern).
 	decodeLat *metrics.Histogram
 }
 
@@ -149,10 +189,73 @@ type tcpConn struct {
 	// on the way out; queued buffers are drained back to the pool.
 	wq    chan *[]byte
 	wstop chan struct{}
+
+	// Inline writes (writeInline), on the supervised links of a
+	// DialTCPSync transport; raw is nil on every other connection. rest
+	// is the frame an inline write left partly written: (*rest)[restAt:]
+	// is still to go, and the connection's next write starts with it.
+	// wbuf and wn carry one write through rawFn, the method value
+	// rawWrite bound once, so a write allocates nothing. All guarded by
+	// mu.
+	raw    syscall.RawConn
+	rawFn  func(fd uintptr) bool
+	rest   *[]byte
+	restAt int
+	wbuf   []byte
+	wn     int
 }
 
 func newTCPConn(nc net.Conn, wt time.Duration) *tcpConn {
 	return &tcpConn{c: nc, w: bufio.NewWriter(nc), wt: wt}
+}
+
+// enableInline readies tc for writeInline. A connection that exposes no
+// raw socket keeps every frame on the queue.
+func (tc *tcpConn) enableInline() {
+	if sc, ok := tc.c.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			tc.raw, tc.rawFn = raw, tc.rawWrite
+		}
+	}
+}
+
+// writeNow makes one non-blocking write of b and returns how many bytes
+// the kernel took: 0 when the socket buffer is full or the write fails.
+// Caller holds tc.mu.
+func (tc *tcpConn) writeNow(b []byte) int {
+	tc.wbuf, tc.wn = b, 0
+	tc.raw.Write(tc.rawFn) // an error means nothing was written
+	tc.wbuf = nil
+	return tc.wn
+}
+
+// rawWrite is rawFn: one write of wbuf on the socket, never waiting for
+// it to drain.
+func (tc *tcpConn) rawWrite(fd uintptr) bool {
+	tc.wn = nonblockingWrite(fd, tc.wbuf)
+	return true
+}
+
+// bufferRest buffers the tail an inline write left, ahead of any other
+// frame, and reports the frames it buffered (0 or 1). Caller holds
+// tc.mu.
+func (tc *tcpConn) bufferRest() (uint64, error) {
+	if tc.rest == nil {
+		return 0, nil
+	}
+	_, err := tc.w.Write((*tc.rest)[tc.restAt:])
+	wire.PutBuf(tc.rest)
+	tc.rest = nil
+	return 1, err
+}
+
+// failed severs the connection on a write error, under tc.mu, so no
+// later write lands behind a frame the failed one may have torn.
+func (tc *tcpConn) failed(err error) error {
+	if err != nil {
+		tc.c.Close()
+	}
+	return err
 }
 
 // replyQueue bounds each accept-side connection's outbound reply queue.
@@ -193,17 +296,27 @@ func (tc *tcpConn) enqueueReply(bp *[]byte, st *counters, shed bool) {
 }
 
 // writeFrame writes and flushes one frame on its own: the ping and pong
-// frames, which must not wait behind a burst.
-func (tc *tcpConn) writeFrame(kind byte, payload []byte) error {
+// frames, which must not wait behind a burst. An inline write's tail
+// goes first, counted as sent.
+func (t *TCP) writeFrame(tc *tcpConn, kind byte, payload []byte) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.wt > 0 {
 		tc.c.SetWriteDeadline(time.Now().Add(tc.wt))
 	}
-	if err := tc.bufferFrame(kind, payload); err != nil {
-		return err
+	n, err := tc.bufferRest()
+	if err == nil {
+		err = tc.bufferFrame(kind, payload)
 	}
-	return tc.w.Flush()
+	if err == nil {
+		err = tc.w.Flush()
+	}
+	if err != nil {
+		t.stats.dropWriteFail.Add(n)
+		return tc.failed(err)
+	}
+	t.stats.sent.Add(n)
+	return nil
 }
 
 // bufferFrame appends one frame to the connection's buffered writer,
@@ -226,42 +339,55 @@ func (tc *tcpConn) bufferFrame(kind byte, payload []byte) error {
 // (pings, pongs, shutdown) between bursts.
 const frameBurst = 64
 
-// writeBurst writes the envelope frame its caller dequeued and then,
-// without blocking, every frame already queued on q up to frameBurst,
-// under one write deadline and one Flush: a burst of queued frames costs
-// one write syscall, not one each (DESIGN.md §8). The pooled buffers go
-// back to the pool. Every frame is counted in sent, and the flush in
-// flushes; on a failure the burst's frames died with the connection.
-func (t *TCP) writeBurst(tc *tcpConn, first *[]byte, q <-chan *[]byte) error {
+// writeBurst writes, under one write deadline and one Flush, the tail
+// an inline write left (if any), the frame its caller dequeued (if
+// any), and then, without blocking, every frame already queued on q up
+// to frameBurst: a burst of queued frames costs one write syscall, not
+// one each (DESIGN.md §8). The pooled buffers go back to the pool. It
+// returns how many frames it took from q, first included. Every frame
+// is counted in sent, and the flush in flushes; on a failure the burst's
+// frames died with the connection, which it severs.
+func (t *TCP) writeBurst(tc *tcpConn, first *[]byte, q <-chan *[]byte) (int64, error) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.wt > 0 {
 		tc.c.SetWriteDeadline(time.Now().Add(tc.wt))
 	}
-	n := uint64(1)
-	err := tc.bufferFrame(frameEnv, *first)
-	wire.PutBuf(first)
+	n, err := tc.bufferRest()
+	taken := int64(0)
+	take := func(bp *[]byte) {
+		if err == nil {
+			_, err = tc.w.Write(frameOf(*bp))
+		}
+		wire.PutBuf(bp)
+		n++
+		taken++
+	}
+	if first != nil {
+		take(first)
+	}
 drain:
 	for err == nil && n < frameBurst {
 		select {
 		case bp := <-q:
-			err = tc.bufferFrame(frameEnv, *bp)
-			wire.PutBuf(bp)
-			n++
+			take(bp)
 		default:
 			break drain
 		}
+	}
+	if n == 0 {
+		return 0, nil
 	}
 	if err == nil {
 		err = tc.w.Flush()
 	}
 	if err != nil {
 		t.stats.dropWriteFail.Add(n)
-		return err
+		return taken, tc.failed(err)
 	}
 	t.stats.sent.Add(n)
 	t.stats.flushes.Add(1)
-	return nil
+	return taken, nil
 }
 
 // ListenTCP starts a listening transport for a replica with default
@@ -298,6 +424,19 @@ func DialTCP(local wire.NodeID, book map[wire.NodeID]string) *TCP {
 // DialTCPOpts is DialTCP with explicit self-healing options.
 func DialTCPOpts(local wire.NodeID, book map[wire.NodeID]string, opts Options) *TCP {
 	return newTCP(local, book, opts)
+}
+
+// DialTCPSync is DialTCP for one synchronous client, which has a frame
+// or a few in flight and waits for the reply: Send writes a frame on
+// the caller's goroutine, one non-blocking write, when its link is up
+// with nothing queued and no write in progress, and queues it for the
+// link's writer otherwise (DESIGN.md §8). A transport many goroutines
+// share keeps DialTCP: there, the writer's wake-up delay is what
+// coalesces their concurrent frames into one write.
+func DialTCPSync(local wire.NodeID, book map[wire.NodeID]string) *TCP {
+	t := newTCP(local, book, Options{})
+	t.inline = true
+	return t
 }
 
 func newTCP(local wire.NodeID, book map[wire.NodeID]string, opts Options) *TCP {
@@ -342,7 +481,7 @@ func (t *TCP) PeerRTT(peer wire.NodeID) (time.Duration, bool) {
 }
 
 // SetSink implements Sinker: inbound envelopes are handed to fn —
-// possibly concurrently, one caller per live connection's decode stage —
+// possibly concurrently, one caller per live connection's read loop —
 // instead of the Recv channel. Set before traffic starts.
 func (t *TCP) SetSink(fn func(*wire.Envelope)) { t.inbox.SetSink(fn) }
 
@@ -399,7 +538,7 @@ func (t *TCP) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("gridrep_tcp_sent_total",
 		"envelope frames sent", &t.stats.sent)
 	reg.RegisterCounter("gridrep_tcp_flushes_total",
-		"writes of queued envelope frames, one per burst (frames per write = sent / flushes)", &t.stats.flushes)
+		"writes of envelope frames, one per burst of queued frames and one per inline write (frames per write = sent / flushes)", &t.stats.flushes)
 	reg.RegisterCounter("gridrep_tcp_recvd_total",
 		"envelope frames received", &t.stats.recvd)
 	reg.RegisterCounter("gridrep_tcp_pings_sent_total",
@@ -421,7 +560,7 @@ func (t *TCP) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("gridrep_tcp_drop_reply_slow_client_total",
 		"overflow-dropped replies lost to a client that stopped reading", &t.stats.dropReplySlow)
 	reg.RegisterHistogram("gridrep_tcp_decode_seconds",
-		"off-loop envelope decode latency per frame", t.stats.decodeLat)
+		"envelope decode latency per frame, on the connection's read loop", t.stats.decodeLat)
 	reg.RegisterGauge("gridrep_tcp_last_rtt_nanoseconds",
 		"most recent measured ping round trip", &t.stats.lastRTT)
 	reg.RegisterGaugeFunc("gridrep_tcp_rtt_ewma_max_nanoseconds",
@@ -468,7 +607,9 @@ func (t *TCP) RegisterMetrics(reg *metrics.Registry) {
 // and replies to learned client routes to that connection's reply
 // writer; either way they are written off the caller's goroutine, so a
 // replica's event loop (or a parallel-read worker) never blocks on a
-// socket, and failures never block the caller.
+// socket, and failures never block the caller. A DialTCPSync transport
+// writes a frame itself when its link is idle, without ever blocking
+// (supervisor.writeInline).
 //
 // Encoding uses pooled buffers: the frame bytes live in a wire.GetBuf
 // buffer that returns to the pool once written (or dropped), so a warm
@@ -486,8 +627,7 @@ func (t *TCP) Send(env *wire.Envelope) {
 	if rm, ok := env.Msg.(*wire.ReplyMsg); ok {
 		shed = rm.Rep.Status == wire.StatusOverload
 	}
-	bp := wire.GetBuf()
-	*bp = wire.EncodeEnvelope((*bp)[:0], env)
+	bp := encodeFrame(env)
 
 	t.mu.Lock()
 	if t.closed {
@@ -497,13 +637,13 @@ func (t *TCP) Send(env *wire.Envelope) {
 	}
 	if sup, ok := t.sups[env.To]; ok {
 		t.mu.Unlock()
-		sup.enqueue(bp)
+		sup.send(bp)
 		return
 	}
 	if _, inBook := t.book[env.To]; inBook {
 		sup := t.startSupervisorLocked(env.To)
 		t.mu.Unlock()
-		sup.enqueue(bp)
+		sup.enqueue(bp) // no link yet
 		return
 	}
 	conn, ok := t.inbound[env.To]
@@ -567,6 +707,9 @@ func (t *TCP) startSupervisorLocked(peer wire.NodeID) *supervisor {
 		q:    make(chan *[]byte, t.opts.QueueLen),
 		stop: make(chan struct{}),
 	}
+	if t.inline {
+		sup.kick = make(chan struct{}, 1)
+	}
 	t.sups[peer] = sup
 	t.wg.Add(1)
 	go sup.run()
@@ -608,9 +751,7 @@ func (t *TCP) replyLoop(conn *tcpConn) {
 	for {
 		select {
 		case bp := <-conn.wq:
-			if t.writeBurst(conn, bp, conn.wq) != nil {
-				conn.c.Close()
-			}
+			t.writeBurst(conn, bp, conn.wq)
 		case <-conn.wstop:
 			for {
 				select {
@@ -625,35 +766,34 @@ func (t *TCP) replyLoop(conn *tcpConn) {
 	}
 }
 
-// decodeBacklog bounds each connection's read-to-decode hand-off queue.
-// A blocked send here is the same backpressure the old inline decode
-// exerted: the socket read stalls until the decode stage catches up.
-const decodeBacklog = 256
-
-// readLoop reads frames from one connection and hands envelope payloads
-// to the connection's decode stage (decodeLoop), keeping socket reads
-// and envelope decoding on separate goroutines so N connections decode
-// on N cores instead of serializing decode behind I/O. Ping/pong frames
-// stay inline — they are latency-sensitive and byte-cheap — and a pong
-// is written on its own (writeFrame), waiting at most for the one burst
-// the connection's writer is flushing. Accept-side route learning moves
-// with the decode (it needs the envelope's From field); supervisor-side
-// loops report pongs to their supervisor via the pong channel.
+// readLoop reads frames from one connection, decodes each envelope
+// frame and delivers it, all on this goroutine: every connection has its
+// own read loop, so N connections still decode on N cores, and a
+// received envelope reaches the inbox (or the sink) with no hand-off
+// between socket and consumer. Ping/pong frames reuse a scratch buffer,
+// and a pong is written on its own (writeFrame), waiting at most for the
+// one burst the connection's writer is flushing. A frame that fails to
+// frame or decode severs the connection. On the accept side the loop
+// learns client return routes from each envelope's From and tears them
+// down on the way out; supervisor-side loops report pongs to their
+// supervisor via the pong channel.
 func (t *TCP) readLoop(conn *tcpConn, acceptSide bool, pong chan<- int64) {
 	defer t.wg.Done()
 	defer conn.c.Close()
+	var learned []wire.NodeID
 	if acceptSide {
 		defer func() {
 			t.mu.Lock()
 			delete(t.accepted, conn)
+			for _, id := range learned {
+				if t.inbound[id] == conn {
+					delete(t.inbound, id)
+				}
+			}
 			t.mu.Unlock()
 			close(conn.wstop) // release the reply writer
 		}()
 	}
-	frames := make(chan []byte, decodeBacklog)
-	t.wg.Add(1)
-	go t.decodeLoop(conn, acceptSide, frames)
-	defer close(frames)
 	r := bufio.NewReader(conn.c)
 	var scratch [16]byte // reused for ping/pong payloads: no alloc per heartbeat
 	for {
@@ -680,7 +820,7 @@ func (t *TCP) readLoop(conn *tcpConn, acceptSide bool, pong chan<- int64) {
 		}
 		switch kind {
 		case framePing:
-			if conn.writeFrame(framePong, payload) != nil {
+			if t.writeFrame(conn, framePong, payload) != nil {
 				return
 			}
 		case framePong:
@@ -691,56 +831,21 @@ func (t *TCP) readLoop(conn *tcpConn, acceptSide bool, pong chan<- int64) {
 				}
 			}
 		case frameEnv:
-			// Ownership of the payload buffer transfers to the decode
-			// stage (and from there into the decoded message — the PR 2
-			// pooled-buffer contract is untouched because this buffer
-			// was never pooled; it is the exact-size owned allocation).
-			frames <- payload
+			start := time.Now()
+			env, err := wire.DecodeEnvelopeOwned(payload)
+			if err != nil {
+				return // corrupt peer: sever
+			}
+			t.stats.decodeLat.Since(start)
+			t.stats.recvd.Add(1)
+			if acceptSide {
+				t.learn(env.From, conn, &learned)
+			}
+			if t.inbox.Deliver(env) != Queued {
+				t.stats.dropRecvOverflow.Add(1)
+			}
 		default:
 			return // unknown frame kind; sever
-		}
-	}
-}
-
-// decodeLoop is one connection's decode stage: it turns owned frame
-// payloads into envelopes, learns client return routes (accept side),
-// and delivers. A corrupt frame severs the connection; the loop then
-// keeps draining so the reader can never block on a dead stage. The
-// learned-route cleanup lives here because only this goroutine ever
-// appends to learned.
-func (t *TCP) decodeLoop(conn *tcpConn, acceptSide bool, frames <-chan []byte) {
-	defer t.wg.Done()
-	var learned []wire.NodeID
-	defer func() {
-		t.mu.Lock()
-		for _, id := range learned {
-			if t.inbound[id] == conn {
-				delete(t.inbound, id)
-			}
-		}
-		t.mu.Unlock()
-	}()
-	dead := false
-	for payload := range frames {
-		if dead {
-			continue
-		}
-		start := time.Now()
-		env, err := wire.DecodeEnvelopeOwned(payload)
-		if err != nil {
-			// Corrupt peer: sever. The read loop exits on the closed
-			// socket and closes frames; until then, drain.
-			conn.c.Close()
-			dead = true
-			continue
-		}
-		t.stats.decodeLat.Since(start)
-		t.stats.recvd.Add(1)
-		if acceptSide {
-			t.learn(env.From, conn, &learned)
-		}
-		if t.inbox.Deliver(env) != Queued {
-			t.stats.dropRecvOverflow.Add(1)
 		}
 	}
 }
@@ -768,6 +873,13 @@ type supervisor struct {
 	peer wire.NodeID
 	q    chan *[]byte // pooled frame buffers; consumer returns them
 	stop chan struct{}
+	// unsent counts the frames queued on q or taken off it by the pump
+	// and not yet written: while it is nonzero, writeInline leaves the
+	// frame to the queue, so frames keep their order per connection.
+	unsent atomic.Int64
+	// kick wakes the pump to write the tail an inline write left (nil
+	// unless the transport writes inline).
+	kick chan struct{}
 
 	// rtt is the smoothed ping round trip to this peer in nanoseconds
 	// (0 = no sample yet): a TCP-style EWMA with gain 1/8, so one jittery
@@ -790,10 +902,60 @@ func (s *supervisor) noteRTT(sample int64) {
 	s.rtt.Store(cur + (sample-cur)/8)
 }
 
-// enqueue adds an encoded envelope (in a pooled buffer whose ownership
+// send hands an encoded frame (pooled buffer, ownership transfers) to
+// the link: written at once on an inline link that is idle, queued
+// otherwise.
+func (s *supervisor) send(bp *[]byte) {
+	if s.kick == nil || !s.writeInline(bp) {
+		s.enqueue(bp)
+	}
+}
+
+// writeInline writes bp's frame on the caller's goroutine with one
+// non-blocking write, when the link is up and idle: nothing queued, no
+// write in progress, no frame tail pending. If the kernel takes only
+// part of the frame, the tail becomes the connection's rest, which the
+// pump writes ahead of every frame queued later, so frames keep their
+// order per connection. It reports false, leaving bp to the caller,
+// when the frame must be queued instead: the link is busy or down, or
+// the kernel took none of it.
+func (s *supervisor) writeInline(bp *[]byte) bool {
+	s.mu.Lock()
+	tc := s.conn
+	s.mu.Unlock()
+	if tc == nil || tc.raw == nil || s.unsent.Load() != 0 || !tc.mu.TryLock() {
+		return false
+	}
+	defer tc.mu.Unlock()
+	// Again under the lock: a frame the pump has dequeued but not yet
+	// written still counts in unsent.
+	if s.unsent.Load() != 0 || tc.rest != nil {
+		return false
+	}
+	frame := frameOf(*bp)
+	n := tc.writeNow(frame)
+	switch {
+	case n == 0:
+		return false
+	case n < len(frame):
+		tc.rest, tc.restAt = bp, len(*bp)-len(frame)+n
+		select {
+		case s.kick <- struct{}{}:
+		default:
+		}
+		return true
+	}
+	wire.PutBuf(bp)
+	s.t.stats.sent.Add(1)
+	s.t.stats.flushes.Add(1)
+	return true
+}
+
+// enqueue adds an encoded frame (in a pooled buffer whose ownership
 // transfers to the queue) to the outbound queue, evicting the oldest
-// queued envelope when full.
+// queued frame when full.
 func (s *supervisor) enqueue(bp *[]byte) {
+	s.unsent.Add(1)
 	select {
 	case s.q <- bp:
 		return
@@ -802,12 +964,14 @@ func (s *supervisor) enqueue(bp *[]byte) {
 	select {
 	case old := <-s.q:
 		wire.PutBuf(old)
+		s.unsent.Add(-1)
 		s.t.stats.dropQueueFull.Add(1)
 	default:
 	}
 	select {
 	case s.q <- bp:
 	default:
+		s.unsent.Add(-1)
 		s.t.stats.dropQueueFull.Add(1)
 		wire.PutBuf(bp)
 	}
@@ -923,6 +1087,9 @@ func (s *supervisor) run() {
 		backoff = s.t.opts.BackoffMin
 
 		conn := newTCPConn(nc, s.t.opts.WriteTimeout)
+		if s.kick != nil {
+			conn.enableInline()
+		}
 		s.setConn(conn)
 		if !up {
 			up = true
@@ -942,6 +1109,15 @@ func (s *supervisor) run() {
 		s.setConn(nil)
 		conn.c.Close()
 		<-readerDone
+		// A tail no write took dies with its connection. The socket is
+		// closed, so no inline write can leave another.
+		conn.mu.Lock()
+		if conn.rest != nil {
+			wire.PutBuf(conn.rest)
+			conn.rest = nil
+			s.t.stats.dropWriteFail.Add(1)
+		}
+		conn.mu.Unlock()
 		switch res {
 		case pumpStopped:
 			return
@@ -961,9 +1137,10 @@ func (s *supervisor) run() {
 }
 
 // pump drains the queue onto conn, a burst per write (writeBurst), and
-// keeps the link verified with pings. It returns when the connection
-// must be abandoned: a write failed, the reader saw EOF, or the peer
-// stopped answering pings.
+// keeps the link verified with pings. A kick has it write the tail an
+// inline write left, with whatever is queued behind it. It returns when
+// the connection must be abandoned: a write failed, the reader saw EOF,
+// or the peer stopped answering pings.
 func (s *supervisor) pump(conn *tcpConn, readerDone <-chan struct{}, pong <-chan int64) pumpResult {
 	ping := time.NewTicker(s.t.opts.PingEvery)
 	defer ping.Stop()
@@ -982,7 +1159,11 @@ func (s *supervisor) pump(conn *tcpConn, readerDone <-chan struct{}, pong <-chan
 				s.noteRTT(rtt)
 			}
 		case bp := <-s.q:
-			if s.t.writeBurst(conn, bp, s.q) != nil {
+			if !s.flush(conn, bp) {
+				return pumpConnDead
+			}
+		case <-s.kick:
+			if !s.flush(conn, nil) {
 				return pumpConnDead
 			}
 		case <-ping.C:
@@ -991,10 +1172,18 @@ func (s *supervisor) pump(conn *tcpConn, readerDone <-chan struct{}, pong <-chan
 			}
 			var p [8]byte
 			binary.BigEndian.PutUint64(p[:], uint64(time.Now().UnixNano()))
-			if err := conn.writeFrame(framePing, p[:]); err != nil {
+			if err := s.t.writeFrame(conn, framePing, p[:]); err != nil {
 				return pumpConnDead
 			}
 			s.t.stats.pingsSent.Add(1)
 		}
 	}
+}
+
+// flush writes one burst on conn (writeBurst), first leading it if not
+// nil, and reports whether the write succeeded.
+func (s *supervisor) flush(conn *tcpConn, first *[]byte) bool {
+	taken, err := s.t.writeBurst(conn, first, s.q)
+	s.unsent.Add(-taken)
+	return err == nil
 }

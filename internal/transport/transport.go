@@ -47,7 +47,7 @@ type HealthReporter interface {
 // connection on TCP), so receivers must synchronize internally and must
 // never block — the callback runs on the hot receive path. Set the sink
 // before traffic starts. This is how the group multiplexer shards
-// receive fan-in by connection: each connection's decode stage
+// receive fan-in by connection: each connection's read loop
 // dispatches straight into per-group queues instead of funneling
 // through one pump goroutine (DESIGN.md §14).
 type Sinker interface {

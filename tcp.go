@@ -258,10 +258,10 @@ type DialOptions struct {
 	NearReplica NodeID
 }
 
-// dial opens the client-side transport and fills in everything of the
-// client configuration but the transport itself — a ClientMux puts a
-// session endpoint there, Dial the connection set.
-func dial(opts DialOptions) (*transport.TCP, client.Config, error) {
+// dial opens the client-side transport with open and fills in
+// everything of the client configuration but the transport itself — a
+// ClientMux puts a session endpoint there, Dial the connection set.
+func dial(opts DialOptions, open func(wire.NodeID, map[wire.NodeID]string) *transport.TCP) (*transport.TCP, client.Config, error) {
 	if len(opts.Replicas) == 0 {
 		return nil, client.Config{}, fmt.Errorf("gridrep: DialOptions.Replicas is required")
 	}
@@ -269,7 +269,7 @@ func dial(opts DialOptions) (*transport.TCP, client.Config, error) {
 	for id := range opts.Replicas {
 		ids = append(ids, id)
 	}
-	tr := transport.DialTCP(wire.ClientIDBase+wire.NodeID(opts.ID), opts.Replicas)
+	tr := open(wire.ClientIDBase+wire.NodeID(opts.ID), opts.Replicas)
 	return tr, client.Config{
 		Replicas:    ids,
 		Deadline:    opts.Deadline,
@@ -279,9 +279,11 @@ func dial(opts DialOptions) (*transport.TCP, client.Config, error) {
 	}, nil
 }
 
-// Dial connects a client to a TCP-deployed replicated service.
+// Dial connects a client to a TCP-deployed replicated service. The
+// client is synchronous, so its requests leave on its own goroutine
+// when the connection is idle (transport.DialTCPSync).
 func Dial(opts DialOptions) (*Client, error) {
-	tr, cfg, err := dial(opts)
+	tr, cfg, err := dial(opts, transport.DialTCPSync)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +305,7 @@ type ClientMux struct {
 // client process. The ID in opts seeds nothing here — session identity
 // comes from Session's tenant and session number.
 func DialMux(opts DialOptions) (*ClientMux, error) {
-	tr, cfg, err := dial(opts)
+	tr, cfg, err := dial(opts, transport.DialTCP)
 	if err != nil {
 		return nil, err
 	}
