@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 fmt race snapshot-sites clock-sites read-sites stats-sites inbox-sites coverage-sites fuzz-smoke chaos benchmark benchmark-test paper bench-overload-quick microbench benchstat clean
+.PHONY: all tier1 fmt race snapshot-sites clock-sites read-sites stats-sites inbox-sites coverage-sites doc-refs fuzz-smoke chaos benchmark benchmark-test paper bench-overload-quick microbench benchstat clean
 
 all: tier1
 
@@ -17,7 +17,7 @@ fmt:
 
 # Race tier: vet + the full test suite under the race detector at a
 # widened scheduler, the one race gate. Every suite that needs the race
-# detector — chaos, transport, the read pool, durability, sharding,
+# detector — chaos, transport, the read pool, durability,
 # reconfiguration, the gateway, the WAN tests — is in ./..., so no test
 # is selected by name and none can drop out of the gate by a rename.
 race:
@@ -120,6 +120,30 @@ coverage-sites:
 		grep -vxF -f $$tmp/keys || true); \
 	if [ -n "$$zero" ]; then echo "coverage-sites: functions no tier-1 test reaches:"; echo "$$zero"; exit 1; fi; \
 	echo "coverage-sites: tier-1 reaches every function in core, wire, transport, storage and gateway"
+
+# Docs cite what exists: every Test*, Fuzz* or Benchmark* name and every
+# `make <target>` (in backticks or opening a code line) that README.md,
+# DESIGN.md or EXPERIMENTS.md cites must still be a test function in the
+# repository or a target here. This fails listing each stale citation
+# that testdata/doc_refs_allow.txt does not name. An allowlist line is
+# "<name> <reason>" — a name cited as deleted on purpose; a line without
+# a reason fails.
+DOC_REFS = README.md DESIGN.md EXPERIMENTS.md
+DOC_REFS_ALLOW = testdata/doc_refs_allow.txt
+doc-refs:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	grep -vE '^(#|$$)' $(DOC_REFS_ALLOW) > $$tmp/allow || true; \
+	bad=$$(awk 'NF < 2' $$tmp/allow); \
+	if [ -n "$$bad" ]; then echo "doc-refs: allowlist lines without a reason:"; echo "$$bad"; exit 1; fi; \
+	awk '{ print $$1 }' $$tmp/allow > $$tmp/keys; \
+	git ls-files --cached --others --exclude-standard '*_test.go' | xargs grep -ohE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]+' | \
+		sed 's/^func //' > $$tmp/have; \
+	grep -oE '^[a-z][a-z0-9-]*:' Makefile | sed 's/:$$//; s/^/make /' >> $$tmp/have; \
+	stale=$$( { grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*' $(DOC_REFS); \
+		grep -ohE '(`|^[[:space:]]*)make [a-z][a-z0-9-]*' $(DOC_REFS) | sed -E 's/^[`[:space:]]*//'; } | \
+		sort -u | grep -vxF -f $$tmp/have | grep -vxF -f $$tmp/keys || true); \
+	if [ -n "$$stale" ]; then echo "doc-refs: $(DOC_REFS) cite names that do not exist:"; echo "$$stale"; exit 1; fi; \
+	echo "doc-refs: every test name and make target $(DOC_REFS) cite exists"
 
 # Fuzz smoke: each decoder fuzz target explores FUZZTIME beyond its seed
 # corpus (testdata/fuzz/, which tier-1 already replays). A failure

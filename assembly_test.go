@@ -20,8 +20,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/metric_names from the running code")
 
 // TestMetricNamesGolden pins every registered instrument name for
-// {in-process, TCP} × groups {1, 2} × gateway {off, on}, WAL-backed, on
-// the KV service. The benchmark reads its per-layer metrics as registry
+// {in-process, TCP} × gateway {off, on}, WAL-backed, on the KV service.
+// The golden names keep the "groups1" of the days when a process could
+// host several consensus groups. The benchmark reads its per-layer metrics as registry
 // deltas by name, so a rename or a registration lost in assembly would
 // silently zero a metric; here it fails a byte comparison. Rerun with
 // -update after registering a new instrument or deleting one no reader
@@ -31,55 +32,53 @@ func TestMetricNamesGolden(t *testing.T) {
 	// only when the pool does, which otherwise depends on the host.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, deploy := range []string{"inproc", "tcp"} {
-		for _, groups := range []int{1, 2} {
-			for _, gw := range []bool{false, true} {
-				name := fmt.Sprintf("%s-groups%d", deploy, groups)
-				var gwOpts *gridrep.GatewayOptions
-				if gw {
-					name += "-gateway"
-					gwOpts = &gridrep.GatewayOptions{}
-				}
-				t.Run(name, func(t *testing.T) {
-					var names []string
-					if deploy == "inproc" {
-						c, err := cluster.New(cluster.Config{N: 1, Groups: groups, Service: service.KVFactory,
-							DataDir: t.TempDir(), Gateway: gwOpts})
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer c.Close()
-						reg, _ := c.NodeMetrics(0)
-						names = reg.Names()
-					} else {
-						srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
-							ID: 0, Peers: map[gridrep.NodeID]string{0: "127.0.0.1:0"},
-							NewService: service.KVFactory, Groups: groups,
-							WALPath: filepath.Join(t.TempDir(), "replica.wal"),
-							Gateway: gwOpts,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer srv.Shutdown()
-						names = srv.Metrics().Names()
-					}
-					got := strings.Join(names, "\n") + "\n"
-					path := filepath.Join("testdata", "metric_names", name+".txt")
-					if *updateGolden {
-						if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-							t.Fatal(err)
-						}
-						return
-					}
-					recorded, err := os.ReadFile(path)
+		for _, gw := range []bool{false, true} {
+			name := deploy + "-groups1"
+			var gwOpts *gridrep.GatewayOptions
+			if gw {
+				name += "-gateway"
+				gwOpts = &gridrep.GatewayOptions{}
+			}
+			t.Run(name, func(t *testing.T) {
+				var names []string
+				if deploy == "inproc" {
+					c, err := cluster.New(cluster.Config{N: 1, Service: service.KVFactory,
+						DataDir: t.TempDir(), Gateway: gwOpts})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got != string(recorded) {
-						t.Errorf("registered metric names differ from %s\ngot:\n%swant:\n%s", path, got, recorded)
+					defer c.Close()
+					reg, _ := c.NodeMetrics(0)
+					names = reg.Names()
+				} else {
+					srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
+						ID: 0, Peers: map[gridrep.NodeID]string{0: "127.0.0.1:0"},
+						NewService: service.KVFactory,
+						WALPath:    filepath.Join(t.TempDir(), "replica.wal"),
+						Gateway:    gwOpts,
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-				})
-			}
+					defer srv.Shutdown()
+					names = srv.Metrics().Names()
+				}
+				got := strings.Join(names, "\n") + "\n"
+				path := filepath.Join("testdata", "metric_names", name+".txt")
+				if *updateGolden {
+					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				recorded, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != string(recorded) {
+					t.Errorf("registered metric names differ from %s\ngot:\n%swant:\n%s", path, got, recorded)
+				}
+			})
 		}
 	}
 }
@@ -193,28 +192,27 @@ func openFDs(t *testing.T) int {
 	return len(ents)
 }
 
-// TestListenAndServeFailureReleasesEverything: when a later group fails
-// to boot, the groups already started are stopped and their WALs closed,
-// along with the listener — nothing of the failed server is left open.
+// TestListenAndServeFailureReleasesEverything: when the WAL fails to
+// open, the listener already bound is closed — nothing of the failed
+// server is left open, and a second boot on the same address succeeds.
 func TestListenAndServeFailureReleasesEverything(t *testing.T) {
 	dir := t.TempDir()
 	opts := gridrep.ServerOptions{
 		ID:         0,
 		Peers:      reservePorts(t, []gridrep.NodeID{0}),
 		NewService: func() gridrep.Service { return gridrep.NewKV() },
-		Groups:     2,
-		WALPath:    filepath.Join(dir, "replica.wal"),
+		WALPath:    filepath.Join(dir, "wal", "replica.wal"),
 	}
-	// Group 1's WAL belongs in dir/group-1/; a regular file of that name
-	// makes opening it fail after group 0 is already running.
-	blocker := filepath.Join(dir, "group-1")
+	// The WAL belongs in dir/wal/; a regular file of that name makes
+	// opening it fail after the listener is bound.
+	blocker := filepath.Join(dir, "wal")
 	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	start := openFDs(t)
 	if srv, err := gridrep.ListenAndServe(opts); err == nil {
 		srv.Close()
-		t.Fatal("ListenAndServe succeeded with group 1's WAL directory blocked")
+		t.Fatal("ListenAndServe succeeded with its WAL directory blocked")
 	}
 	if now := openFDs(t); now != start {
 		t.Errorf("%d descriptors open after the failed boot, %d before it", now, start)

@@ -122,8 +122,8 @@ func runTxn(cli *gridrep.Client, ops []string) {
 		res, err := tx.Do(op)
 		if err != nil {
 			// Abort before exiting: a failed op (a conflict, a
-			// cross-group key) leaves the transaction open and its
-			// locks held on the leader until a leader switch.
+			// rejected op) leaves the transaction open and its locks
+			// held on the leader until a leader switch.
 			tx.Abort()
 			log.Fatalf("txn op %q: %v", raw, err)
 		}

@@ -30,7 +30,6 @@ func main() {
 	id := flag.Uint("id", 0, "this replica's ID (index into -peers)")
 	peersFlag := flag.String("peers", "", "comma-separated id=host:port list for all replicas")
 	svcName := flag.String("service", "kv", "service to replicate: kv, broker, sched, noop")
-	groups := flag.Int("groups", 1, "independent consensus groups hosted by this process (sharded key space; 1 = classic single-group deployment)")
 	wal := flag.String("wal", "", "write-ahead log path (empty = in-memory storage)")
 	syncFlag := flag.String("sync", "batch", "WAL sync policy: always, batch, or interval")
 	syncEvery := flag.Duration("syncinterval", 0, "fsync period for -sync interval (default 2ms)")
@@ -43,7 +42,7 @@ func main() {
 	flag.Uint64Var(&o.PruneKeep, "prune-keep", 0, "WAL instances retained below the cluster-min applied watermark (0 = default 1024)")
 	join := flag.Bool("join", false, "join a running cluster as a learner: catch up via snapshot streaming, then get promoted to voter by a committed config entry")
 	gatewayOn := flag.Bool("gateway", false, "enable the client-facing edge: admission control, per-tenant fair queueing, typed overload sheds, session dedup window")
-	gwInflight := flag.Int("gateway-inflight", 0, "global admitted-but-unanswered budget (0 = groups x 64)")
+	gwInflight := flag.Int("gateway-inflight", 0, "global admitted-but-unanswered budget (0 = 64)")
 	gwQueue := flag.Int("gateway-queue", 0, "per-tenant fair-queue length (0 = 2x the in-flight budget)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate in requests/second (0 = no per-tenant throttle)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant token bucket capacity (0 = max(16, in-flight budget))")
@@ -86,8 +85,6 @@ func main() {
 		log.Fatalf("replicad: -id %d not present in -peers", *id)
 	}
 
-	// Each consensus group owns an independent slice of the key space,
-	// so every group gets its own service instance.
 	var newSvc gridrep.ServiceFactory
 	switch *svcName {
 	case "kv":
@@ -109,7 +106,6 @@ func main() {
 		ID:         gridrep.NodeID(*id),
 		Peers:      peers,
 		NewService: newSvc,
-		Groups:     *groups,
 		WALPath:    *wal,
 		SyncPolicy: pol,
 		SyncEvery:  *syncEvery,
@@ -132,11 +128,7 @@ func main() {
 	if *join {
 		mode = "joining as learner,"
 	}
-	if *groups > 1 {
-		fmt.Printf("replica %d %s %s on %s (peers: %d, groups: %d)\n", *id, mode, *svcName, srv.Addr(), len(peers), *groups)
-	} else {
-		fmt.Printf("replica %d %s %s on %s (peers: %d)\n", *id, mode, *svcName, srv.Addr(), len(peers))
-	}
+	fmt.Printf("replica %d %s %s on %s (peers: %d)\n", *id, mode, *svcName, srv.Addr(), len(peers))
 
 	var dbg *http.Server
 	if *metricsAddr != "" {

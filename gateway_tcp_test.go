@@ -1,8 +1,6 @@
 package gridrep_test
 
 import (
-	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,24 +9,6 @@ import (
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
 )
-
-// startGatewayServer boots one WAL-backed TCP replica with the
-// client-facing edge enabled (defaults).
-func startGatewayServer(t *testing.T, dir string, id gridrep.NodeID, peers map[gridrep.NodeID]string) *gridrep.Server {
-	t.Helper()
-	srv, err := gridrep.ListenAndServe(gridrep.ServerOptions{
-		ID:      id,
-		Peers:   peers,
-		Service: gridrep.NewKV(),
-		WALPath: filepath.Join(dir, fmt.Sprintf("r%d.wal", id)),
-		Options: gridrep.Options{HeartbeatInterval: 10 * time.Millisecond},
-		Gateway: &gridrep.GatewayOptions{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
-}
 
 // TestTCPIdempotentRetryAcrossLeaderCrash is the satellite-3 acceptance
 // scenario: a client retransmitting one request with a fixed (client,
@@ -45,7 +25,7 @@ func TestTCPIdempotentRetryAcrossLeaderCrash(t *testing.T) {
 	peers := reservePorts(t, ids)
 	srvs := make(map[gridrep.NodeID]*gridrep.Server, len(ids))
 	for _, id := range ids {
-		srvs[id] = startGatewayServer(t, dir, id, peers)
+		srvs[id] = startKVServer(t, dir, id, peers, &gridrep.GatewayOptions{})
 	}
 	t.Cleanup(func() {
 		for _, s := range srvs {
@@ -127,7 +107,7 @@ func TestTCPIdempotentRetryAcrossLeaderCrash(t *testing.T) {
 	// and kill the current leader immediately: the request may or may not
 	// have committed when the leader dies. Retransmitting the same seq
 	// until acked must land it exactly once either way.
-	srvs[leader1] = startGatewayServer(t, dir, leader1, peers)
+	srvs[leader1] = startKVServer(t, dir, leader1, peers, &gridrep.GatewayOptions{})
 	leader2 := tcpLeader(t, srvs, 20*time.Second)
 	send(3, add)
 	srvs[leader2].Close()

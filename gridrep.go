@@ -124,11 +124,6 @@ var (
 	ErrAborted = client.ErrAborted
 	// ErrTimeout reports that no leader answered within the deadline.
 	ErrTimeout = client.ErrTimeout
-	// ErrCrossGroup reports a transaction that touched keys in more
-	// than one consensus group of a sharded deployment (DESIGN.md §13);
-	// each group coordinates independently, so a transaction must stay
-	// within the group of its first operation.
-	ErrCrossGroup = client.ErrCrossGroup
 	// ErrOverloaded reports a request shed at the gateway edge with
 	// StatusOverload (DESIGN.md §15) that no replica answered before
 	// the deadline. The request never executed; retrying is safe.
@@ -238,15 +233,6 @@ type ClusterOptions struct {
 	// from its worst one-way delay, the commit-flush window from its
 	// tuning hint (the WAN profiles widen it).
 	Options
-	// Groups is the number of independent consensus groups hosted by
-	// every replica process (default 1). With Groups > 1 the key space
-	// is partitioned by hash routing: each group runs its own state
-	// machine, Ω elector, and WAL family (group-<g>/ subdirectories
-	// under DataDir), with leadership spread so group g prefers replica
-	// g mod Replicas. Transactions must stay within one group — a
-	// multi-group transaction fails with ErrCrossGroup. See DESIGN.md
-	// §13.
-	Groups int
 	// NearReads makes clients serve X-Paxos reads from their nearest
 	// replica's confirm quorum instead of always the leader (DESIGN.md
 	// §16) — the WAN read-latency optimisation.
@@ -262,7 +248,6 @@ type Cluster struct {
 func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	inner, err := cluster.New(cluster.Config{
 		N:              opts.Replicas,
-		Groups:         opts.Groups,
 		Service:        opts.Service,
 		Profile:        opts.Profile,
 		Seed:           opts.Seed,

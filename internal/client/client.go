@@ -30,11 +30,6 @@ var (
 	ErrTimeout = errors.New("client: request timed out")
 	// ErrClosed reports use of a closed client.
 	ErrClosed = errors.New("client: closed")
-	// ErrCrossGroup reports a transaction operation that routed to a
-	// different consensus group than the transaction's first operation.
-	// Sharded deployments (DESIGN.md §13) coordinate each group
-	// independently; a transaction must stay within one group.
-	ErrCrossGroup = errors.New("client: transaction spans consensus groups")
 	// ErrOverloaded reports that the gateway shed the request at the
 	// edge (StatusOverload, DESIGN.md §15) and no replica answered it
 	// before the deadline. The request was never executed; retrying it
@@ -211,9 +206,6 @@ func (c *Client) do(kind wire.RequestKind, txn uint64, txnSeq uint32, op []byte)
 			case wire.StatusError:
 				// Terminal: the service rejected the operation itself.
 				return nil, &ServiceError{Msg: rm.Rep.Err}
-			case wire.StatusCrossGroup:
-				// Terminal: a retry would route identically.
-				return nil, fmt.Errorf("%w: %s", ErrCrossGroup, rm.Rep.Err)
 			case wire.StatusNotLeader:
 				// Keep waiting; the rebroadcast timer covers the case
 				// where no real leader saw the request.

@@ -82,9 +82,9 @@ func TestClientOverloadKeepsWaitingForLeader(t *testing.T) {
 	}
 }
 
-// TestClientStopsRetryingOnTerminalStatus: Aborted, Error, and
-// CrossGroup replies end the operation immediately — no further
-// rebroadcast reaches the replica.
+// TestClientStopsRetryingOnTerminalStatus: Aborted and Error replies
+// end the operation immediately — no further rebroadcast reaches the
+// replica.
 func TestClientStopsRetryingOnTerminalStatus(t *testing.T) {
 	for _, tc := range []struct {
 		status wire.ReplyStatus
@@ -92,7 +92,6 @@ func TestClientStopsRetryingOnTerminalStatus(t *testing.T) {
 	}{
 		{wire.StatusAborted, func(err error) bool { return errors.Is(err, ErrAborted) }},
 		{wire.StatusError, func(err error) bool { var se *ServiceError; return errors.As(err, &se) }},
-		{wire.StatusCrossGroup, func(err error) bool { return errors.Is(err, ErrCrossGroup) }},
 	} {
 		net := newClientNet(t)
 		var mu sync.Mutex

@@ -2,12 +2,6 @@
 // n core.Replica instances and any number of clients on one chanx
 // network whose latencies come from a netem profile. Integration tests,
 // examples, and the benchmark harness all build on it.
-//
-// With Config.Groups > 1 the cluster becomes a group manager (DESIGN.md
-// §13): every node hosts one independent consensus group per group id —
-// its own state machine, Ω elector, and WAL — multiplexed over the
-// node's single network endpoint, with client requests routed by key
-// hash and leadership spread so group g prefers replica g mod N.
 package cluster
 
 import (
@@ -32,31 +26,21 @@ type Config struct {
 	// N is the number of service replicas (default 3, the paper's
 	// configuration: t=1).
 	N int
-	// Groups is the number of independent consensus groups hosted by
-	// every node (default 1 — the single-group deployment, whose boot
-	// path, wire format, and metric names are exactly the pre-sharding
-	// ones). See DESIGN.md §13.
-	Groups int
 	// Profile selects the network model (default netem.Loopback()).
 	Profile netem.Profile
 	// Seed drives the network model's randomness.
 	Seed int64
 	// Service creates each replica's service instance (default
-	// service.NoopFactory). With Groups > 1 every group gets its own
-	// instance; the service should implement service.Sharder if routing
-	// must follow application keys.
+	// service.NoopFactory).
 	Service service.Factory
 	// Stores optionally provides stable storage per replica (default
 	// in-memory); retained across Crash/Restart and never closed by the
-	// cluster — they stay the caller's. With Groups > 1 this map covers
-	// group 0 only; other groups use DataDir-derived WALs or in-memory
-	// stores.
+	// cluster — they stay the caller's.
 	Stores map[wire.NodeID]storage.Store
 	// DataDir, when set and no store is supplied for a replica, gives
 	// each replica a file-backed WAL at <DataDir>/replica-<id>.wal
-	// instead of the in-memory default. Groups beyond 0 nest under
-	// <DataDir>/group-<g>/. The cluster owns the WALs it opens: Close
-	// flushes and closes them.
+	// instead of the in-memory default. The cluster owns the WALs it
+	// opens: Close flushes and closes them.
 	DataDir string
 	// SyncPolicy and SyncInterval configure DataDir-created WALs (see
 	// storage.SyncPolicy; interval only applies to
@@ -64,8 +48,7 @@ type Config struct {
 	SyncPolicy   storage.SyncPolicy
 	SyncInterval time.Duration
 
-	// Options are the replica tunables, forwarded whole to every group
-	// of every node. Zero values take defaults derived from the profile:
+	// Options are the replica tunables, forwarded whole to every node. Zero values take defaults derived from the profile:
 	// timeouts from its MaxOneWay, the commit-flush window from its
 	// tuning hint (long-haul profiles ask for a wide window).
 	core.Options
@@ -97,9 +80,6 @@ func (c *Config) fillDefaults() {
 	if c.N == 0 {
 		c.N = 3
 	}
-	if c.Groups <= 0 {
-		c.Groups = 1
-	}
 	if c.Profile.Configure == nil {
 		c.Profile = netem.Loopback()
 	}
@@ -109,13 +89,7 @@ func (c *Config) fillDefaults() {
 	c.Options.FillDefaults(c.Profile.MaxOneWay)
 }
 
-// gsKey identifies one (node, group) replica slot.
-type gsKey struct {
-	id wire.NodeID
-	g  int
-}
-
-// slot is the stable storage of one replica slot. It outlives the
+// slot is the stable storage of one replica. It outlives the
 // node's crashes: Restart recovers from the same object. owned marks a
 // store the cluster opened itself, which Close therefore closes; stores
 // handed in through Config.Stores or SetStore stay the caller's.
@@ -135,7 +109,7 @@ type Cluster struct {
 	nextCli uint32
 	joiners map[wire.NodeID]bool  // replicas added via AddReplica
 	nodes   map[wire.NodeID]*Node // running nodes
-	stores  map[gsKey]slot
+	stores  map[wire.NodeID]slot
 }
 
 // New builds and starts a cluster.
@@ -148,10 +122,10 @@ func New(cfg Config) (*Cluster, error) {
 		Net:     net,
 		joiners: make(map[wire.NodeID]bool),
 		nodes:   make(map[wire.NodeID]*Node),
-		stores:  make(map[gsKey]slot),
+		stores:  make(map[wire.NodeID]slot),
 	}
 	for id, st := range cfg.Stores {
-		c.stores[gsKey{id, 0}] = slot{st: st}
+		c.stores[id] = slot{st: st}
 	}
 	for i := 0; i < cfg.N; i++ {
 		c.ids = append(c.ids, wire.NodeID(i))
@@ -165,29 +139,25 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Groups returns the per-node consensus group count.
-func (c *Cluster) Groups() int { return c.cfg.Groups }
-
 // store resolves (creating if necessary) the stable storage for one
-// replica slot: in memory, or with DataDir set a WAL the cluster owns.
+// replica: in memory, or with DataDir set a WAL the cluster owns.
 // Caller holds c.mu.
-func (c *Cluster) store(id wire.NodeID, g int) (storage.Store, error) {
-	k := gsKey{id, g}
-	if sl, ok := c.stores[k]; ok {
+func (c *Cluster) store(id wire.NodeID) (storage.Store, error) {
+	if sl, ok := c.stores[id]; ok {
 		return sl.st, nil
 	}
 	var st storage.Store = storage.NewMem()
 	if c.cfg.DataDir != "" {
 		var err error
-		if st, err = OpenWAL(GroupWALPath(c.cfg.DataDir, g, id), c.cfg.SyncPolicy, c.cfg.SyncInterval); err != nil {
+		if st, err = OpenWAL(GroupWALPath(c.cfg.DataDir, 0, id), c.cfg.SyncPolicy, c.cfg.SyncInterval); err != nil {
 			return nil, err
 		}
 	}
-	c.stores[k] = slot{st: st, owned: true}
+	c.stores[id] = slot{st: st, owned: true}
 	return st, nil
 }
 
-// startReplica boots every consensus group of one node.
+// startReplica boots one node.
 func (c *Cluster) startReplica(id wire.NodeID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -198,11 +168,9 @@ func (c *Cluster) startReplica(id wire.NodeID) error {
 	n, err := StartNode(NodeConfig{
 		ID:        id,
 		Peers:     c.ids,
-		BootN:     c.cfg.N,
-		Groups:    c.cfg.Groups,
 		Edge:      ep,
 		Service:   c.cfg.Service,
-		OpenStore: func(g int) (storage.Store, error) { return c.store(id, g) },
+		OpenStore: func() (storage.Store, error) { return c.store(id) },
 		Options:   c.cfg.Options,
 		Gateway:   c.cfg.Gateway,
 		Join:      c.joiners[id],
@@ -218,9 +186,7 @@ func (c *Cluster) startReplica(id wire.NodeID) error {
 // IDs returns the replica IDs.
 func (c *Cluster) IDs() []wire.NodeID { return append([]wire.NodeID{}, c.ids...) }
 
-// NewClient attaches a fresh client to the cluster. Clients are
-// group-unaware: requests are routed to consensus groups by the
-// replicas' multiplexers.
+// NewClient attaches a fresh client to the cluster.
 func (c *Cluster) NewClient() (*client.Client, error) {
 	c.mu.Lock()
 	c.nextCli++
@@ -270,22 +236,16 @@ func (c *Cluster) node(id wire.NodeID) (*Node, bool) {
 	return n, ok
 }
 
-// Replica returns the running group-0 replica with the given ID, if any.
-func (c *Cluster) Replica(id wire.NodeID) (*core.Replica, bool) { return c.GroupReplica(id, 0) }
-
-// GroupReplica returns node id's replica for consensus group g, if
-// running.
-func (c *Cluster) GroupReplica(id wire.NodeID, g int) (*core.Replica, bool) {
+// Replica returns the running replica with the given ID, if any.
+func (c *Cluster) Replica(id wire.NodeID) (*core.Replica, bool) {
 	n, ok := c.node(id)
-	if !ok || g >= n.Groups() {
+	if !ok {
 		return nil, false
 	}
-	return n.Group(g), true
+	return n.Replica(), true
 }
 
-// NodeMetrics returns the node's process-wide registry when sharded
-// (group 0 unprefixed, group g prefixed group_<g>_), or the group-0
-// replica's own registry otherwise.
+// NodeMetrics returns the running replica's registry.
 func (c *Cluster) NodeMetrics(id wire.NodeID) (*metrics.Registry, bool) {
 	n, ok := c.node(id)
 	if !ok {
@@ -294,14 +254,15 @@ func (c *Cluster) NodeMetrics(id wire.NodeID) (*metrics.Registry, bool) {
 	return n.Metrics(), true
 }
 
-// GroupHealths reports every group's protocol position on one node, in
-// group order — the in-process twin of the TCP server's /healthz array.
+// GroupHealths reports the protocol position of the one consensus
+// group a running node hosts, group 0, as a one-element slice (nil when
+// id is not running); the benchmark harness calls this signature.
 func (c *Cluster) GroupHealths(id wire.NodeID) []core.Health {
 	n, ok := c.node(id)
 	if !ok {
 		return nil
 	}
-	return n.Healths()
+	return []core.Health{n.Replica().Health()}
 }
 
 // Running returns the IDs of currently running replicas.
@@ -317,19 +278,16 @@ func (c *Cluster) Running() []wire.NodeID {
 	return out
 }
 
-// Leader returns the currently active leader of group 0, if any. A
-// partitioned stale leader may still believe it leads (harmlessly — it
-// can commit nothing); among several claimants the one with the highest
-// ballot is the real leader.
-func (c *Cluster) Leader() (wire.NodeID, bool) { return c.GroupLeader(0) }
-
-// GroupLeader returns the currently active leader of group g, if any.
-func (c *Cluster) GroupLeader(g int) (wire.NodeID, bool) {
+// Leader returns the currently active leader, if any. A partitioned
+// stale leader may still believe it leads (harmlessly — it can commit
+// nothing); among several claimants the one with the highest ballot is
+// the real leader.
+func (c *Cluster) Leader() (wire.NodeID, bool) {
 	var best wire.NodeID
 	var bestBal wire.Ballot
 	found := false
 	for _, id := range c.Running() {
-		rep, ok := c.GroupReplica(id, g)
+		rep, ok := c.Replica(id)
 		if !ok {
 			continue
 		}
@@ -346,8 +304,7 @@ func (c *Cluster) GroupLeader(g int) (wire.NodeID, bool) {
 	return best, found
 }
 
-// WaitForLeader blocks until some replica is an active leader of
-// group 0.
+// WaitForLeader blocks until some replica is an active leader.
 func (c *Cluster) WaitForLeader(timeout time.Duration) (wire.NodeID, error) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -359,28 +316,7 @@ func (c *Cluster) WaitForLeader(timeout time.Duration) (wire.NodeID, error) {
 	return 0, fmt.Errorf("cluster: no leader within %v", timeout)
 }
 
-// WaitForAllLeaders blocks until every consensus group has an active
-// leader, returning the leader of each group in group order.
-func (c *Cluster) WaitForAllLeaders(timeout time.Duration) ([]wire.NodeID, error) {
-	deadline := time.Now().Add(timeout)
-	leaders := make([]wire.NodeID, c.cfg.Groups)
-	for g := 0; g < c.cfg.Groups; {
-		id, ok := c.GroupLeader(g)
-		if ok {
-			leaders[g] = id
-			g++
-			continue
-		}
-		if !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("cluster: group %d has no leader within %v", g, timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return leaders, nil
-}
-
-// Crash stops a node — every consensus group it hosts — and drops all
-// its traffic, modelling a crash failure (§3.1). Its stores are kept,
+// Crash stops a node and drops all its traffic, modelling a crash failure (§3.1). Its stores are kept,
 // unflushed and open, for Restart.
 func (c *Cluster) Crash(id wire.NodeID) {
 	c.mu.Lock()
@@ -403,7 +339,7 @@ func (c *Cluster) Restart(id wire.NodeID) error {
 	return c.startReplica(id)
 }
 
-// SetStore replaces a crashed replica's group-0 store before Restart.
+// SetStore replaces a crashed replica's store before Restart.
 // Crash tests use it to model memory loss faithfully: the retained Store
 // object still holds staged (never-flushed) records in RAM, so a test
 // reopens the WAL file fresh and swaps it in, keeping only what a real
@@ -412,29 +348,28 @@ func (c *Cluster) Restart(id wire.NodeID) error {
 // itself is closed here, unflushed, while nothing writes the file.
 func (c *Cluster) SetStore(id wire.NodeID, st storage.Store) {
 	c.mu.Lock()
-	old := c.stores[gsKey{id, 0}]
-	c.stores[gsKey{id, 0}] = slot{st: st}
+	old := c.stores[id]
+	c.stores[id] = slot{st: st}
 	c.mu.Unlock()
 	if old.owned {
 		old.st.Close()
 	}
 }
 
-// Store returns the stable storage currently assigned to a replica
-// (group 0).
+// Store returns the stable storage currently assigned to a replica.
 func (c *Cluster) Store(id wire.NodeID) (storage.Store, bool) {
 	c.mu.Lock()
-	sl, ok := c.stores[gsKey{id, 0}]
+	sl, ok := c.stores[id]
 	c.mu.Unlock()
 	return sl.st, ok
 }
 
 // AddReplica starts a brand-new node that joins the running cluster
-// online: every group boots as a non-voting learner, announces itself
+// online: it boots as a non-voting learner, announces itself
 // with JoinReq, catches up (through snapshot streaming when the peers
 // have pruned their WALs), and is promoted to voter by a committed
 // configuration entry once caught up. Returns once the node is running;
-// use WaitForVoter to observe the (group 0) promotion.
+// use WaitForVoter to observe the promotion.
 func (c *Cluster) AddReplica(id wire.NodeID) error {
 	c.mu.Lock()
 	for _, cur := range c.ids {
@@ -450,28 +385,23 @@ func (c *Cluster) AddReplica(id wire.NodeID) error {
 	return c.startReplica(id)
 }
 
-// RemoveReplica proposes removing a member through each group's current
-// leader. The removal is in force per group once its configuration
-// entry commits; the removed replica steps down to an idle non-member
-// but keeps running until Crash/Close.
+// RemoveReplica proposes removing a member through the current leader.
+// The removal is in force once its configuration entry commits; the
+// removed replica steps down to an idle non-member but keeps running
+// until Crash/Close.
 func (c *Cluster) RemoveReplica(id wire.NodeID) error {
-	for g := 0; g < c.cfg.Groups; g++ {
-		leader, ok := c.GroupLeader(g)
-		if !ok {
-			return fmt.Errorf("cluster: group %d has no active leader to propose removal", g)
-		}
-		rep, ok := c.GroupReplica(leader, g)
-		if !ok {
-			return fmt.Errorf("cluster: group %d leader %v not running", g, leader)
-		}
-		if err := rep.Reconfigure(wire.ConfigRemove, id, ""); err != nil {
-			return err
-		}
+	leader, ok := c.Leader()
+	if !ok {
+		return fmt.Errorf("cluster: no active leader to propose removal")
 	}
-	return nil
+	rep, ok := c.Replica(leader)
+	if !ok {
+		return fmt.Errorf("cluster: leader %v not running", leader)
+	}
+	return rep.Reconfigure(wire.ConfigRemove, id, "")
 }
 
-// WaitForVoter blocks until the (group 0) leader's committed
+// WaitForVoter blocks until the leader's committed
 // configuration lists id as a voter.
 func (c *Cluster) WaitForVoter(id wire.NodeID, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
@@ -497,18 +427,15 @@ func (c *Cluster) WaitForVoter(id wire.NodeID, timeout time.Duration) error {
 }
 
 // SuspectLeader forces every replica's Ω module to distrust the current
-// group-0 leader, triggering an election without a real crash — the
-// §3.6 leader switch scenario.
-func (c *Cluster) SuspectLeader() { c.SuspectGroupLeader(0) }
-
-// SuspectGroupLeader forces a leader switch in one consensus group.
-func (c *Cluster) SuspectGroupLeader(g int) {
-	leader, ok := c.GroupLeader(g)
+// leader, triggering an election without a real crash — the §3.6 leader
+// switch scenario.
+func (c *Cluster) SuspectLeader() {
+	leader, ok := c.Leader()
 	if !ok {
 		return
 	}
 	for _, id := range c.Running() {
-		rep, ok := c.GroupReplica(id, g)
+		rep, ok := c.Replica(id)
 		if !ok {
 			continue
 		}
@@ -524,7 +451,7 @@ func (c *Cluster) SuspectGroupLeader(g int) {
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	nodes, stores := c.nodes, c.stores
-	c.nodes, c.stores = map[wire.NodeID]*Node{}, map[gsKey]slot{}
+	c.nodes, c.stores = map[wire.NodeID]*Node{}, map[wire.NodeID]slot{}
 	c.mu.Unlock()
 	for _, n := range nodes {
 		n.Stop()

@@ -11,46 +11,36 @@ import (
 	"gridrep/internal/gateway"
 	"gridrep/internal/metrics"
 	"gridrep/internal/service"
-	"gridrep/internal/shard"
 	"gridrep/internal/storage"
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
 )
 
-// NodeConfig describes one replica process: every consensus group it
-// hosts, on one network endpoint. The in-process cluster and the TCP
+// NodeConfig describes one replica process: its consensus group's
+// replica on one network endpoint. The in-process cluster and the TCP
 // server (gridrep.ListenAndServe) both boot their replicas by filling
 // one of these — DESIGN.md "Node assembly and options".
 type NodeConfig struct {
 	// ID is this node; Peers lists every member, ID included.
 	ID    wire.NodeID
 	Peers []wire.NodeID
-	// BootN is the bootstrap member count. Sharded deployments spread
-	// group leadership over it (group g prefers replica g mod BootN), so
-	// a node that joins later must be given the count the founding
-	// members booted with, not the size of its own address book.
-	BootN int
-	// Groups is the number of consensus groups (values below 1 mean 1).
-	Groups int
 	// Edge is the node's network endpoint. The node closes it on Stop.
 	Edge transport.SinkTransport
-	// Service creates one service instance per group, a second per group
-	// as the read scratch of a service that is no service.ReadViewer,
-	// and, sharded, one more for the router to ask about keys.
+	// Service creates the service instance, and a second as the read
+	// scratch of a service that is no service.ReadViewer.
 	Service service.Factory
-	// OpenStore returns group g's stable storage; nil means in-memory.
-	// With OwnStores set the node closes what OpenStore returned — on
-	// Shutdown and when the boot fails part way; otherwise the stores
-	// stay the caller's, untouched by any exit path.
-	OpenStore func(g int) (storage.Store, error)
-	OwnStores bool
-	// Options are the protocol tunables, handed to every group whole.
+	// OpenStore returns the replica's stable storage; nil means
+	// in-memory. With OwnStore set the node closes what OpenStore
+	// returned — on Shutdown and when the boot fails; otherwise the
+	// store stays the caller's, untouched by any exit path.
+	OpenStore func() (storage.Store, error)
+	OwnStore  bool
+	// Options are the protocol tunables, handed to the core whole.
 	Options core.Options
 	// Gateway, when non-nil, puts the client-facing edge (DESIGN.md §15)
-	// between Edge and the cores. A non-positive MaxInFlight is sized
-	// groups × 64.
+	// between Edge and the core.
 	Gateway *gateway.Config
-	// Join boots every group as an online joiner (DESIGN.md §12), with
+	// Join boots the replica as an online joiner (DESIGN.md §12), with
 	// AdvertiseAddr the address peers should add to their books.
 	Join          bool
 	AdvertiseAddr string
@@ -60,146 +50,80 @@ type NodeConfig struct {
 
 // Node is one running replica process.
 type Node struct {
-	reps   []*core.Replica // index = group id
-	stores []storage.Store // what OpenStore returned, when owned
-	gw     *gateway.Gateway
-	reg    *metrics.Registry // the shared registry; nil when single-group
-	top    io.Closer         // outermost transport layer; closing it closes Edge
+	rep   *core.Replica
+	store storage.Store // what OpenStore returned, when owned
+	top   io.Closer     // outermost transport layer; closing it closes Edge
 }
 
-// StartNode assembles and starts a node: Edge → gateway → (router +
-// GroupMux when sharded) → one core per group. A single group gets the
-// endpoint directly, with no multiplexer and no shared registry — the
-// pre-sharding assembly, byte for byte on the wire and name for name in
-// metrics; a GroupMux would cost it a 64k-slot queue per group and a hop
-// on every message. On error nothing is left running or open.
+// StartNode assembles and starts a node: Edge → gateway → core. On
+// error nothing is left running or open.
 func StartNode(cfg NodeConfig) (*Node, error) {
-	groups := cfg.Groups
-	if groups < 1 {
-		groups = 1
-	}
 	n := &Node{top: cfg.Edge}
-	edge := cfg.Edge
+	var edge transport.Transport = cfg.Edge
 	if cfg.Gateway != nil {
-		// The edge wraps the endpoint before the multiplexer sees it, so
-		// admission decisions happen on the transport's receive
-		// goroutines, before any group queue.
-		gcfg := *cfg.Gateway
-		if gcfg.MaxInFlight <= 0 {
-			gcfg.MaxInFlight = groups * 64
-		}
-		n.gw = gateway.Wrap(cfg.Edge, gcfg)
-		edge, n.top = n.gw, n.gw
+		// Admission decisions happen on the transport's receive
+		// goroutines, before the core's queue.
+		gw := gateway.Wrap(cfg.Edge, *cfg.Gateway)
+		edge, n.top = gw, gw
 	}
-	var mux *transport.GroupMux
-	if groups > 1 {
-		// Sharded: hash routing, group-id stamping and health fan-out in
-		// a GroupMux, and one registry for the process with the shared
-		// edge and the mux registered once at the root (the group
-		// endpoints hide the edge from the cores' own probe).
-		mux = transport.NewGroupMux(edge, groups, shard.NewRouter(groups, cfg.Service()).Route)
-		n.top = mux
-		n.reg = metrics.NewRegistry()
-		if ins, ok := edge.(metrics.Instrumented); ok {
-			ins.RegisterMetrics(n.reg)
-		}
-		mux.RegisterMetrics(n.reg)
+	cc := core.Config{
+		ID:            cfg.ID,
+		Peers:         append([]wire.NodeID(nil), cfg.Peers...),
+		Service:       cfg.Service,
+		Transport:     edge, // the core makes its registry and probes edge
+		Options:       cfg.Options,
+		Join:          cfg.Join,
+		AdvertiseAddr: cfg.AdvertiseAddr,
+		Logger:        cfg.Logger,
 	}
-	fail := func(err error) (*Node, error) {
-		n.Stop()
-		for _, st := range n.stores {
-			st.Close() // nothing acknowledged depends on a boot that failed
+	if cfg.OpenStore != nil {
+		var err error
+		if cc.Store, err = cfg.OpenStore(); err != nil {
+			n.top.Close()
+			return nil, err
+		}
+		if cfg.OwnStore {
+			n.store = cc.Store
+		}
+	}
+	rep, err := core.New(cc)
+	if err != nil {
+		n.top.Close()
+		if n.store != nil {
+			n.store.Close() // nothing acknowledged depends on a boot that failed
 		}
 		return nil, err
 	}
-	for g := 0; g < groups; g++ {
-		cc := core.Config{
-			ID:            cfg.ID,
-			Peers:         append([]wire.NodeID(nil), cfg.Peers...),
-			Service:       cfg.Service,
-			Transport:     edge, // the core makes its own registry and probes edge
-			Options:       cfg.Options,
-			Join:          cfg.Join,
-			AdvertiseAddr: cfg.AdvertiseAddr,
-			Logger:        cfg.Logger,
-		}
-		if mux != nil {
-			cc.Transport = mux.Group(g)
-			cc.Metrics = n.reg // group 0 unprefixed: names as in a single-group node
-			if g > 0 {
-				cc.Metrics = n.reg.WithPrefix(fmt.Sprintf("group_%d_", g))
-			}
-			cc.LeaderRank = shard.LeaderRank(uint32(g), cfg.BootN)
-		}
-		if cfg.OpenStore != nil {
-			var err error
-			if cc.Store, err = cfg.OpenStore(g); err != nil {
-				return fail(err)
-			}
-			if cfg.OwnStores {
-				n.stores = append(n.stores, cc.Store)
-			}
-		}
-		rep, err := core.New(cc)
-		if err != nil {
-			return fail(err)
-		}
-		n.reps = append(n.reps, rep)
-		rep.Start()
-	}
+	n.rep = rep
+	rep.Start()
 	return n, nil
 }
 
-// Groups returns the number of consensus groups the node hosts.
-func (n *Node) Groups() int { return len(n.reps) }
+// Replica returns the node's replica.
+func (n *Node) Replica() *core.Replica { return n.rep }
 
-// Group returns group g's replica.
-func (n *Node) Group(g int) *core.Replica { return n.reps[g] }
+// Metrics returns the replica's registry. Safe from any goroutine.
+func (n *Node) Metrics() *metrics.Registry { return n.rep.Metrics() }
 
-// Metrics returns the node's registry: the shared one when sharded
-// (group 0 unprefixed, group g under group_<g>_), else the single
-// replica's own. Safe from any goroutine.
-func (n *Node) Metrics() *metrics.Registry {
-	if n.reg != nil {
-		return n.reg
-	}
-	return n.reps[0].Metrics()
-}
-
-// Healths snapshots every group's protocol position, in group order.
-func (n *Node) Healths() []core.Health {
-	out := make([]core.Health, 0, len(n.reps))
-	for _, rep := range n.reps {
-		out = append(out, rep.Health())
-	}
-	return out
-}
-
-// Stop halts the node abruptly — every group's replica, then the
-// transport stack down to Edge. This is the crash model: staged WAL
-// records are dropped (an acknowledged write is durable on a quorum,
-// never on one replica's shutdown path) and no store is flushed or
-// closed.
+// Stop halts the node abruptly — the replica, then the transport stack
+// down to Edge. This is the crash model: staged WAL records are dropped
+// (an acknowledged write is durable on a quorum, never on one replica's
+// shutdown path) and no store is flushed or closed.
 func (n *Node) Stop() {
-	for _, rep := range n.reps {
-		rep.Stop()
-	}
+	n.rep.Stop()
 	n.top.Close()
 }
 
-// Shutdown stops the node gracefully: Stop, then every store the node
+// Shutdown stops the node gracefully: Stop, then the store the node
 // owns is flushed and closed — which joins any in-flight background
 // snapshot rewrite and truncates the preallocated tail — so a restart
-// replays as much of its own logs as possible.
+// replays as much of its own log as possible.
 func (n *Node) Shutdown() error {
 	n.Stop()
-	var err error
-	for _, st := range n.stores {
-		if cerr := flushAndClose(st); err == nil {
-			err = cerr
-		}
+	if n.store == nil {
+		return nil
 	}
-	return err
+	return flushAndClose(n.store)
 }
 
 // flushAndClose makes a stopped replica's staged records durable and
@@ -227,19 +151,10 @@ func OpenWAL(path string, pol storage.SyncPolicy, every time.Duration) (storage.
 	return fs, nil
 }
 
-// WALFile is the on-disk layout of a node's WAL family, given the path
-// of its group-0 log: group 0 uses that path itself (a one-group data
-// dir is byte-for-byte a pre-sharding one) and each further group nests
-// in a group-<g> directory beside it.
-func WALFile(path string, g int) string {
-	if g == 0 {
-		return path
-	}
-	return filepath.Join(filepath.Dir(path), fmt.Sprintf("group-%d", g), filepath.Base(path))
-}
-
-// GroupWALPath names replica id's group-g WAL under an in-process
-// cluster's data directory.
-func GroupWALPath(dir string, g int, id wire.NodeID) string {
-	return WALFile(filepath.Join(dir, fmt.Sprintf("replica-%d.wal", id)), g)
+// GroupWALPath names replica id's WAL under an in-process cluster's
+// data directory. A node hosts one consensus group, group 0, and so the
+// group argument is ignored; the benchmark harness calls this
+// signature.
+func GroupWALPath(dir string, _ int, id wire.NodeID) string {
+	return filepath.Join(dir, fmt.Sprintf("replica-%d.wal", id))
 }

@@ -123,22 +123,6 @@ type Config struct {
 	// their address books. Empty on transports that route by ID alone.
 	AdvertiseAddr string
 
-	// Metrics, if set, is where this replica registers its instruments —
-	// typically a metrics.Registry.WithPrefix view when several consensus
-	// groups share one process-wide registry (DESIGN.md §13). Nil means a
-	// private registry per replica, the single-group behaviour.
-	Metrics *metrics.Registry
-
-	// LeaderRank orders replicas for Ω leader preference (lowest rank
-	// leads); nil means prefer the lowest ID. Sharded deployments rotate
-	// it per group so leadership spreads across the membership.
-	//
-	// Setting LeaderRank also enables Ω rank preemption: the preferred
-	// replica reclaims leadership from a higher-ranked incumbent after a
-	// holddown, so placement converges regardless of replica boot order
-	// instead of sticking with whoever claimed first.
-	LeaderRank func(wire.NodeID) uint64
-
 	// Logger, if set, receives role transitions and anomalies.
 	Logger *log.Logger
 }
@@ -356,12 +340,11 @@ func New(cfg Config) (*Replica, error) {
 			Peers:    cfg.Peers,
 			Interval: cfg.HeartbeatInterval,
 			Timeout:  cfg.ElectionTimeout,
-			Rank:     cfg.LeaderRank,
-			// Preemption is opt-in: only deployments that express a
-			// placement preference (explicit rank or RTT cost) want
-			// leadership to move toward it; everyone else keeps the
-			// stability-first behaviour pinned by the omega tests.
-			Preempt: cfg.LeaderRank != nil || cfg.RTTPlacement,
+			// Preemption is opt-in: only a deployment that expresses a
+			// placement preference (RTT cost) wants leadership to move
+			// toward it; everyone else keeps the stability-first
+			// behaviour pinned by the omega tests.
+			Preempt: cfg.RTTPlacement,
 		}),
 		reads:       make(map[wire.Key]*pendingRead),
 		confirmBuf:  make(map[wire.Key][]heldConfirm),
@@ -377,10 +360,7 @@ func New(cfg Config) (*Replica, error) {
 	// plus whatever the store and transport publish (they self-register
 	// when they implement metrics.Instrumented, the same probe pattern as
 	// storage.Flusher and transport.HealthReporter below).
-	r.reg = cfg.Metrics
-	if r.reg == nil {
-		r.reg = metrics.NewRegistry()
-	}
+	r.reg = metrics.NewRegistry()
 	r.stats.register(r.reg)
 	if ins, ok := cfg.Store.(metrics.Instrumented); ok {
 		ins.RegisterMetrics(r.reg)

@@ -45,10 +45,9 @@ type Options struct {
 	// preference (DESIGN.md §16): each replica smooths its transport's
 	// per-peer round-trip estimates (transport.RTTReporter) into one
 	// placement cost, gossips it on heartbeats, and Ω ranks replicas by
-	// cost before LeaderRank/ID — so leadership converges onto the
-	// replica closest to the rest of the cluster, regardless of boot
-	// order. Enables the same rank preemption as LeaderRank. No-op when
-	// the transport cannot report RTTs.
+	// cost before ID — so leadership converges onto the replica closest
+	// to the rest of the cluster, regardless of boot order: it enables
+	// Ω rank preemption. No-op when the transport cannot report RTTs.
 	RTTPlacement bool
 }
 

@@ -1,19 +1,18 @@
 // Package gateway is the client-facing edge of a replica process
-// (DESIGN.md §15). It wraps the process transport the same way the
-// group multiplexer does and interposes on exactly two flows: inbound
-// client requests and outbound client replies. Everything else — peer
-// consensus traffic, heartbeats, catch-up — passes through untouched
-// on the hot path with no locking.
+// (DESIGN.md §15). It wraps the process transport and interposes on
+// exactly two flows: inbound client requests and outbound client
+// replies. Everything else — peer consensus traffic, heartbeats,
+// catch-up — passes through untouched on the hot path with no locking.
 //
 // The edge provides three protections the consensus layer should never
 // have to pay for:
 //
 //   - Admission control: a token bucket per tenant plus one global
-//     in-flight budget sized from the group count. When the
-//     budget is exhausted, requests wait in per-tenant fair queues
-//     (round-robin, one request per turn); when those fill, the gateway
-//     sheds at the edge with a typed StatusOverload reply carrying a
-//     retry-after hint, instead of letting work queue on an event loop.
+//     in-flight budget. When the budget is exhausted, requests wait in
+//     per-tenant fair queues (round-robin, one request per turn); when
+//     those fill, the gateway sheds at the edge with a typed
+//     StatusOverload reply carrying a retry-after hint, instead of
+//     letting work queue on an event loop.
 //   - Idempotent retry: a bounded per-session dedup window caches
 //     terminal replies, so a client retry of an answered request is
 //     served from the edge without touching consensus. (Across leader
@@ -47,10 +46,9 @@ import (
 // TenantRate disables the per-tenant bucket while keeping the global
 // budget.
 type Config struct {
-	// MaxInFlight is the global admitted-but-unanswered budget. Size it
-	// from groups × batch headroom (each group has one wave in flight):
-	// admitting more than the consensus layer can have in flight only
-	// grows queues.
+	// MaxInFlight is the global admitted-but-unanswered budget (default
+	// 64). Size it from batch headroom (one wave is in flight): admitting
+	// more than the consensus layer can have in flight only grows queues.
 	MaxInFlight int
 	// TenantRate is the per-tenant token refill rate in requests/second.
 	// 0 disables per-tenant throttling.
@@ -170,8 +168,7 @@ func (t *tenant) refill(now time.Time, rate, burst float64) {
 }
 
 // Gateway wraps a transport.Transport. Wrap it around the process
-// transport before the group multiplexer: TCP/Endpoint → Gateway →
-// GroupMux → cores.
+// transport: TCP/Endpoint → Gateway → core.
 type Gateway struct {
 	under transport.SinkTransport
 	cfg   Config
@@ -230,8 +227,9 @@ func (g *Gateway) Local() wire.NodeID { return g.under.Local() }
 // Recv implements transport.Transport.
 func (g *Gateway) Recv() <-chan *wire.Envelope { return g.inbox.Recv() }
 
-// SetSink implements transport.Sinker for the layer above (the group
-// multiplexer or a core). Set it before traffic starts.
+// SetSink implements transport.Sinker for the layer above: forwarded
+// envelopes go to fn instead of Recv. A core reads Recv; the benchmark
+// harness times admission through a sink. Set it before traffic starts.
 func (g *Gateway) SetSink(fn func(*wire.Envelope)) { g.inbox.SetSink(fn) }
 
 // SetHealth forwards to the underlying transport when it reports
@@ -435,7 +433,7 @@ func (g *Gateway) observeReply(rep *wire.Reply) {
 		}
 	}
 	switch rep.Status {
-	case wire.StatusOK, wire.StatusAborted, wire.StatusError, wire.StatusCrossGroup:
+	case wire.StatusOK, wire.StatusAborted, wire.StatusError:
 		sess.cache(rep)
 	}
 	out := g.drainLocked()

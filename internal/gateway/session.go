@@ -55,7 +55,7 @@ const sessionRecvBuf = 64
 // reply route per session and the gateway sees per-session sequence
 // spaces. Inbound replies are demultiplexed to session endpoints by
 // their reply's client field, straight from the underlying transport's
-// sink as the group multiplexer does: the mux owns no goroutine.
+// sink: the mux owns no goroutine.
 type SessionMux struct {
 	under transport.SinkTransport
 

@@ -55,44 +55,12 @@ type entry struct {
 type Registry struct {
 	mu      sync.Mutex
 	entries []entry
-
-	// root/prefix implement WithPrefix views. A view owns no entries:
-	// add() prepends prefix and stores into root, and every read method
-	// operates on root's entry list.
-	root   *Registry
-	prefix string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// WithPrefix returns a registration view that prepends prefix to every
-// name registered through it, storing the instruments in the shared root
-// registry. This is how N consensus groups hosted in one process share a
-// single registry without tripping the duplicate-name panic: group 0
-// registers unprefixed (names stay byte-identical to a single-group
-// deployment), group g registers through WithPrefix("group_<g>_").
-// Prefixes nest; read methods (Snapshot, Write*, Names) always cover the
-// whole root registry.
-func (r *Registry) WithPrefix(prefix string) *Registry {
-	return &Registry{root: r.base(), prefix: r.prefix + prefix}
-}
-
-// base resolves the registry owning the entries: the root for a
-// WithPrefix view, r itself otherwise.
-func (r *Registry) base() *Registry {
-	if r.root != nil {
-		return r.root
-	}
-	return r
-}
-
 func (r *Registry) add(e entry) {
-	if r.root != nil {
-		e.name = r.prefix + e.name
-		r.root.add(e)
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, cur := range r.entries {
@@ -158,7 +126,6 @@ type Metric struct {
 // Snapshot captures every registered instrument. It is the one read
 // surface for every layer's counters; no layer keeps a stats struct.
 func (r *Registry) Snapshot() []Metric {
-	r = r.base()
 	r.mu.Lock()
 	entries := append([]entry{}, r.entries...)
 	r.mu.Unlock()
@@ -309,7 +276,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // Names returns the registered metric names, sorted (test helper).
 func (r *Registry) Names() []string {
-	r = r.base()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.entries))

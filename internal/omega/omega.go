@@ -16,13 +16,12 @@
 //   - convergence: any two simultaneous claimers order themselves by
 //     (epoch, ID) and one of them deterministically yields.
 //
-// Deployments that express a placement preference (a Rank rotation for
-// sharded groups, or an RTT-derived cost) can additionally enable
-// *rank preemption* (Config.Preempt): the best-ranked live member
-// deposes a worse-ranked incumbent by starting a fresh higher-epoch
-// claim after a holddown. Without it, placement is a boot-order
-// artifact — epoch-priority claims let whichever entitled replica
-// claims first keep the group forever. Preemption is off by default,
+// Deployments that express a placement preference (an RTT-derived cost)
+// can additionally enable *rank preemption* (Config.Preempt): the
+// best-ranked live member deposes a worse-ranked incumbent by starting a
+// fresh higher-epoch claim after a holddown. Without it, placement is a
+// boot-order artifact — epoch-priority claims let whichever entitled
+// replica claims first keep the group forever. Preemption is off by default,
 // preserving the classic stability property exactly.
 //
 // The elector owns no goroutine and no clock: the replica's event loop
@@ -48,22 +47,17 @@ type Config struct {
 	// claim stays fresh. It must exceed Interval plus the largest
 	// expected one-way delay.
 	Timeout time.Duration
-	// Rank orders nodes for leader preference: wherever the elector
-	// breaks ties or picks an entitled claimer, the node with the lowest
-	// rank wins. Nil means rank-by-ID, the classic "lowest ID leads"
-	// rule. Sharded deployments rotate ranks per group so group g
-	// prefers replica g mod n (DESIGN.md §13); all replicas must use the
-	// same Rank for a given group or elections may not converge.
-	Rank func(wire.NodeID) uint64
 	// Preempt lets the best-ranked live member depose a worse-ranked
-	// incumbent (DESIGN.md §16). Rank alone only breaks ties between
-	// simultaneous claims; with epoch-priority claims, whichever entitled
-	// replica claims first otherwise keeps leadership forever, making
-	// placement a boot-order artifact. With Preempt set, a member that
-	// (a) ranks strictly below the incumbent, (b) is the best-ranked
-	// live member overall — so at most one node ever preempts — and
-	// (c) has observed both conditions continuously for PreemptAfter,
-	// starts a fresh claim at maxEpoch+1; the incumbent yields by the
+	// incumbent (DESIGN.md §16). A node's rank is its gossiped placement
+	// cost, then its ID: wherever the elector breaks ties or picks an
+	// entitled claimer, the lowest rank wins. The rank alone only breaks
+	// ties between simultaneous claims; with epoch-priority claims,
+	// whichever entitled replica claims first otherwise keeps leadership
+	// forever, making placement a boot-order artifact. With Preempt set,
+	// a member that (a) ranks strictly below the incumbent, (b) is the
+	// best-ranked live member overall — so at most one node ever
+	// preempts — and (c) has observed both conditions continuously for
+	// PreemptAfter, starts a fresh claim at maxEpoch+1; the incumbent yields by the
 	// normal convergence rule. Off by default: the classic stability
 	// property (an incumbent survives the recovery of a better-ranked
 	// node) is preserved exactly.
@@ -102,11 +96,11 @@ type Elector struct {
 	preemptSince time.Time
 
 	// myCost and costs carry the gossiped placement costs (SetCost,
-	// Heartbeat.Cost). A cost prefixes the configured rank
-	// lexicographically: lower cost wins, Rank breaks ties. Zero is the
-	// "unknown / placement off" sentinel and ranks behind every measured
-	// cost (see costUnknown); all zero — the default when RTT placement
-	// is off — degenerates to pure Rank.
+	// Heartbeat.Cost). A cost prefixes the node ID lexicographically:
+	// lower cost wins, the ID breaks ties. Zero is the "unknown /
+	// placement off" sentinel and ranks behind every measured cost (see
+	// costUnknown); all zero — the default when RTT placement is off —
+	// degenerates to rank-by-ID.
 	myCost uint32
 	costs  map[wire.NodeID]uint32
 
@@ -199,7 +193,7 @@ func (e *Elector) OnHeartbeat(hb *wire.Heartbeat, now time.Time) {
 // RTT-derived bucket; 0 = none/unknown, which ranks behind every
 // measured cost). It is gossiped on every heartbeat this elector
 // emits, so all observers rank this node the same way: effective rank
-// is (cost, Rank) lexicographic.
+// is (cost, ID) lexicographic.
 func (e *Elector) SetCost(c uint32) { e.myCost = c }
 
 // Cost returns the node's own placement cost (for heartbeat stamping
@@ -286,10 +280,9 @@ func (e *Elector) Demote() {
 	}
 }
 
-// costBits is how much of the effective rank the base Rank occupies;
-// the gossiped cost is shifted above it. Node IDs stay below
-// wire.ClientIDBase (1<<16) and shard.LeaderRank maps into the same
-// range, so 20 bits never clips a real base rank.
+// costBits is how much of the effective rank the node ID occupies; the
+// gossiped cost is shifted above it. Node IDs stay below
+// wire.ClientIDBase (1<<16), so 20 bits never clips one.
 const costBits = 20
 
 // costUnknown is the effective cost of a node gossiping cost 0 — the
@@ -304,18 +297,11 @@ const costBits = 20
 // sub-millisecond RTT.
 const costUnknown = uint64(1) << 32
 
-// rank applies the configured leader-preference order: the gossiped
-// placement cost is the major key, the configured Rank (or node ID)
-// breaks ties. With no costs gossiped — the default — every node sits
-// at costUnknown, and the order is exactly the base rank.
+// rank applies the leader-preference order: the gossiped placement cost
+// is the major key, the node ID breaks ties. With no costs gossiped —
+// the default — every node sits at costUnknown, and the order is
+// exactly by ID.
 func (e *Elector) rank(n wire.NodeID) uint64 {
-	base := uint64(n)
-	if e.cfg.Rank != nil {
-		base = e.cfg.Rank(n)
-	}
-	if base >= 1<<costBits {
-		base = 1<<costBits - 1
-	}
 	cost := uint64(e.costs[n])
 	if n == e.cfg.Self {
 		cost = uint64(e.myCost)
@@ -323,7 +309,7 @@ func (e *Elector) rank(n wire.NodeID) uint64 {
 	if cost == 0 {
 		cost = costUnknown
 	}
-	return cost<<costBits | base
+	return cost<<costBits | uint64(n)
 }
 
 // alive reports whether n responded within the timeout. Self is always

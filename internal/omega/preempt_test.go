@@ -7,43 +7,47 @@ import (
 	"gridrep/internal/wire"
 )
 
-// preemptElector builds an elector with rank preemption enabled and a
-// rank function that prefers node `pref`.
-func preemptElector(self, pref wire.NodeID) *Elector {
-	return New(Config{
-		Self:     self,
-		Peers:    []wire.NodeID{0, 1, 2},
-		Interval: 10 * time.Millisecond,
-		Timeout:  50 * time.Millisecond,
-		Rank: func(n wire.NodeID) uint64 {
-			if n == pref {
-				return 0
-			}
-			return uint64(n) + 1
-		},
+// preemptElector builds an elector with rank preemption enabled and
+// the given placement cost of its own; peers' costs ride on their
+// heartbeats (costed).
+func preemptElector(self wire.NodeID, cost uint32) *Elector {
+	e := New(Config{
+		Self:         self,
+		Peers:        []wire.NodeID{0, 1, 2},
+		Interval:     10 * time.Millisecond,
+		Timeout:      50 * time.Millisecond,
 		Preempt:      true,
 		PreemptAfter: 30 * time.Millisecond,
 	})
+	e.SetCost(cost)
+	return e
+}
+
+// costed stamps a gossiped placement cost on a heartbeat.
+func costed(h *wire.Heartbeat, cost uint32) *wire.Heartbeat {
+	h.Cost = cost
+	return h
 }
 
 // TestPreemptReclaimsFromBootOrderWinner is the boot-order regression:
-// node 0 boots first and claims, but the rank prefers node 2. With
-// preemption enabled, node 2 deposes node 0 after the holddown — so
-// placement no longer depends on which replica started first.
+// node 0 boots first and claims, but node 2 has the lower placement
+// cost. With preemption enabled, node 2 deposes node 0 after the
+// holddown — so placement no longer depends on which replica started
+// first.
 func TestPreemptReclaimsFromBootOrderWinner(t *testing.T) {
-	e := preemptElector(2, 2)
+	e := preemptElector(2, 1)
 	// The boot-order winner's claim arrives and keeps refreshing.
-	e.OnHeartbeat(claimHB(0, 1), t0)
+	e.OnHeartbeat(costed(claimHB(0, 1), 2), t0)
 	if l, ok := e.Leader(t0.Add(time.Millisecond)); !ok || l != 0 {
 		t.Fatalf("leader = %v,%v; want incumbent 0 before holddown", l, ok)
 	}
 	// Conditions hold continuously; before the holddown elapses the
 	// incumbent must be untouched.
-	e.OnHeartbeat(claimHB(0, 1), t0.Add(20*time.Millisecond))
+	e.OnHeartbeat(costed(claimHB(0, 1), 2), t0.Add(20*time.Millisecond))
 	if l, _ := e.Leader(t0.Add(25 * time.Millisecond)); l != 0 {
 		t.Fatal("preemption must not fire before the holddown")
 	}
-	e.OnHeartbeat(claimHB(0, 1), t0.Add(30*time.Millisecond))
+	e.OnHeartbeat(costed(claimHB(0, 1), 2), t0.Add(30*time.Millisecond))
 	l, ok := e.Leader(t0.Add(40 * time.Millisecond))
 	if !ok || l != 2 {
 		t.Fatalf("leader = %v,%v; want rank-preferred 2 after holddown", l, ok)
@@ -62,16 +66,11 @@ func TestNoPreemptWhenDisabled(t *testing.T) {
 		Peers:    []wire.NodeID{0, 1, 2},
 		Interval: 10 * time.Millisecond,
 		Timeout:  50 * time.Millisecond,
-		Rank: func(n wire.NodeID) uint64 {
-			if n == 2 {
-				return 0
-			}
-			return uint64(n) + 1
-		},
 	})
+	e.SetCost(1)
 	for i := 0; i < 20; i++ {
 		at := t0.Add(time.Duration(i) * 10 * time.Millisecond)
-		e.OnHeartbeat(claimHB(0, 1), at)
+		e.OnHeartbeat(costed(claimHB(0, 1), 2), at)
 		if l, ok := e.Leader(at.Add(time.Millisecond)); !ok || l != 0 {
 			t.Fatalf("step %d: leader = %v,%v; want stable incumbent 0", i, l, ok)
 		}
@@ -82,11 +81,11 @@ func TestNoPreemptWhenDisabled(t *testing.T) {
 // Node 1 outranks the incumbent 0 but node 2 (alive) ranks even lower,
 // so node 1 must never start a rival claim — no dueling preemptors.
 func TestPreemptUniqueness(t *testing.T) {
-	e := preemptElector(1, 2) // rank prefers 2; self is 1
+	e := preemptElector(1, 2)
 	for i := 0; i < 20; i++ {
 		at := t0.Add(time.Duration(i) * 10 * time.Millisecond)
-		e.OnHeartbeat(claimHB(0, 1), at)
-		e.OnHeartbeat(hb(2), at) // 2 is alive but slow to claim
+		e.OnHeartbeat(costed(claimHB(0, 1), 3), at)
+		e.OnHeartbeat(costed(hb(2), 1), at) // 2 is alive but slow to claim
 		if l, ok := e.Leader(at.Add(time.Millisecond)); !ok || l != 0 {
 			t.Fatalf("step %d: leader = %v,%v; want 0 (node 1 must defer to 2)", i, l, ok)
 		}
@@ -96,28 +95,25 @@ func TestPreemptUniqueness(t *testing.T) {
 // TestPreemptHolddownResets: a break in the conditions (the incumbent
 // becomes best-ranked again via cost gossip) must restart the holddown.
 func TestPreemptHolddownResets(t *testing.T) {
-	e := preemptElector(2, 2)
-	e.OnHeartbeat(claimHB(0, 1), t0)
+	e := preemptElector(2, 1)
+	e.OnHeartbeat(costed(claimHB(0, 1), 2), t0)
 	e.Leader(t0.Add(time.Millisecond)) // conditions first observed
 	// At t=20ms the incumbent gossips a lower cost than ours: break.
 	e.SetCost(5)
-	hbWithCost := claimHB(0, 1)
-	hbWithCost.Cost = 1
-	e.OnHeartbeat(hbWithCost, t0.Add(20*time.Millisecond))
+	e.OnHeartbeat(costed(claimHB(0, 1), 1), t0.Add(20*time.Millisecond))
 	if l, _ := e.Leader(t0.Add(21 * time.Millisecond)); l != 0 {
 		t.Fatal("cost-advantaged incumbent must not be preempted")
 	}
-	// Costs level out again at t=25ms; the holddown restarts from here,
-	// so nothing may fire before t=55ms.
-	e.SetCost(0)
-	hbNoCost := claimHB(0, 1)
-	e.OnHeartbeat(hbNoCost, t0.Add(25*time.Millisecond))
+	// Costs return at t=25ms; the holddown restarts from here, so
+	// nothing may fire before t=55ms.
+	e.SetCost(1)
+	e.OnHeartbeat(costed(claimHB(0, 1), 2), t0.Add(25*time.Millisecond))
 	e.Leader(t0.Add(26 * time.Millisecond))
-	e.OnHeartbeat(claimHB(0, 1), t0.Add(45*time.Millisecond))
+	e.OnHeartbeat(costed(claimHB(0, 1), 2), t0.Add(45*time.Millisecond))
 	if l, _ := e.Leader(t0.Add(50 * time.Millisecond)); l != 0 {
 		t.Fatal("holddown must restart after a conditions break")
 	}
-	e.OnHeartbeat(claimHB(0, 1), t0.Add(55*time.Millisecond))
+	e.OnHeartbeat(costed(claimHB(0, 1), 2), t0.Add(55*time.Millisecond))
 	if l, _ := e.Leader(t0.Add(60 * time.Millisecond)); l != 2 {
 		t.Fatal("preemption must fire once the restarted holddown elapses")
 	}
@@ -207,5 +203,21 @@ func TestZeroCostsDegenerateToBaseRank(t *testing.T) {
 	l, ok := e.Leader(t0.Add(time.Millisecond))
 	if !ok || l != 0 {
 		t.Fatalf("leader = %v,%v; want lowest ID with all-zero costs", l, ok)
+	}
+}
+
+// TestRankIsByID: with no costs gossiped every node sits at the same
+// (unknown) cost, and the ID alone orders the rank — the classic
+// lowest-ID-leads rule.
+func TestRankIsByID(t *testing.T) {
+	e := newElector(0)
+	if got := e.rank(7) & (1<<costBits - 1); got != 7 {
+		t.Fatalf("base of rank(7) = %d, want the ID", got)
+	}
+	for id := wire.NodeID(1); id < 8; id++ {
+		if e.rank(id-1) >= e.rank(id) {
+			t.Fatalf("rank(%d)=%d !< rank(%d)=%d — lowest ID must lead",
+				id-1, e.rank(id-1), id, e.rank(id))
+		}
 	}
 }

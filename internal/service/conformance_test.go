@@ -34,7 +34,7 @@ type serviceRow struct {
 
 func serviceRows() []serviceRow {
 	kv := serviceRow{
-		name: "kv", caps: "txn delta view shard",
+		name: "kv", caps: "txn delta view",
 		new: func(int64) Service { return NewKV() },
 		setup: [][]byte{KVPut("a", []byte("\x01\x00\x00\x00\x00\x00\x00\x00")),
 			KVPut("b", []byte("bee")), KVPut("c", nil), KVPut("key-17", []byte("v"))},
@@ -223,7 +223,6 @@ func capsOf(svc Service) string {
 	}{
 		{"txn", is[Transactional](svc)}, {"delta", is[Differ](svc)},
 		{"replay", is[Replayer](svc)}, {"view", is[ReadViewer](svc)},
-		{"shard", is[Sharder](svc)},
 	} {
 		if c.ok {
 			caps = append(caps, c.name)
@@ -331,8 +330,6 @@ type openTxn struct {
 //     ErrBadOp changing nothing, and, over the last quarter of the walk,
 //     serves concurrent reads while the owner writes and re-pins
 //     (meaningful under -race);
-//   - ShardKey is pure: stable across instances and states, and it does
-//     not retain op;
 //   - with a reference model, every reply and state equal the model's.
 func checkService(t *testing.T, row serviceRow, seed uint64, steps int) {
 	rng := rand.New(rand.NewPCG(seed, 0x5e41))
@@ -347,7 +344,6 @@ func checkService(t *testing.T, row serviceRow, seed uint64, steps int) {
 	differ, _ := s.(Differ)
 	replayer, _ := s.(Replayer)
 	txnl, _ := s.(Transactional)
-	sharder, _ := s.(Sharder)
 	var txn *openTxn
 	var views []pin
 
@@ -441,16 +437,6 @@ func checkService(t *testing.T, row serviceRow, seed uint64, steps int) {
 		}
 		pre := s.Snapshot()
 		op := row.op(rng)
-		if sharder != nil {
-			cp := slices.Clone(op)
-			k1, ok1 := sharder.ShardKey(cp)
-			for i := range cp {
-				cp[i] ^= 0xff
-			}
-			if k2, ok2 := build(3).(Sharder).ShardKey(op); ok1 != ok2 || !bytes.Equal(k1, k2) {
-				fail(step, "ShardKey(%x) = %x,%v here, %x,%v on a fresh instance", op, k1, ok1, k2, ok2)
-			}
-		}
 		var err error
 		switch path := rng.IntN(12); {
 		case path < 3: // Execute; the twin adopts the snapshot

@@ -142,19 +142,6 @@ func kvParse(op []byte) (code uint8, key string, value []byte, err error) {
 	return code, key, value, nil
 }
 
-// KV implements Sharder: every operation addresses exactly one key, so
-// a sharded deployment routes it by that key (DESIGN.md §13).
-var _ Sharder = (*KV)(nil)
-
-// ShardKey implements Sharder.
-func (s *KV) ShardKey(op []byte) ([]byte, bool) {
-	_, key, _, err := kvParse(op)
-	if err != nil {
-		return nil, false
-	}
-	return []byte(key), true
-}
-
 // KVReply parses a reply payload into (value, found).
 func KVReply(res []byte) (value []byte, found bool) {
 	dec := wire.NewDecoder(res)

@@ -102,21 +102,6 @@ type Differ interface {
 	CommitDelta(ws Workspace) (delta []byte, err error)
 }
 
-// Sharder is implemented by services whose operations address a single
-// key, enabling sharded deployments (DESIGN.md §13) to route each
-// operation to one of N independent consensus groups by hashing that
-// key. Services without Sharder still shard — the router hashes the
-// whole operation encoding, which spreads load but gives no affinity
-// guarantee between operations that touch the same logical datum.
-type Sharder interface {
-	Service
-	// ShardKey extracts the routing key from an operation encoding. ok
-	// is false when the operation does not address a single key (the
-	// router then falls back to hashing op itself). ShardKey must be
-	// pure and must not retain op.
-	ShardKey(op []byte) (key []byte, ok bool)
-}
-
 // ReadView is an immutable snapshot of a service's state, pinned at the
 // moment ReadViewer.ReadView returned it. Unlike every other service
 // surface it is NOT confined to the replica's event loop: the replica

@@ -151,9 +151,8 @@ const (
 const preallocChunk = 1 << 20
 
 // OpenFile opens (or creates) a WAL at path and replays it. Missing
-// parent directories are created (concurrency-safe: N groups of one
-// process boot their per-group WAL subdirectories in parallel) and, on
-// first creation of the file or its directories, fsynced so the
+// parent directories are created (concurrency-safe) and, on first
+// creation of the file or its directories, fsynced so the
 // directory entries are as durable as the records appended behind them.
 func OpenFile(path string) (*File, error) {
 	_, statErr := os.Stat(path)

@@ -11,9 +11,9 @@ import (
 )
 
 // TestOpenFileCreatesMissingDirs: OpenFile must create missing parent
-// directories itself (sharded deployments open group-<g>/replica-<id>.wal
-// before any group-<g>/ directory exists) and the WAL must work normally
-// afterwards.
+// directories itself (a WAL path such as replicad's -wal d/r0/replica.wal
+// may name directories that do not exist yet) and the WAL must work
+// normally afterwards.
 func TestOpenFileCreatesMissingDirs(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "group-3", "nested", "replica-0.wal")
@@ -42,10 +42,9 @@ func TestOpenFileCreatesMissingDirs(t *testing.T) {
 	}
 }
 
-// TestOpenFileConcurrentSiblingDirs is the regression test for the
-// sharded-startup race: N groups of one process open their WALs
-// concurrently, each in its own fresh group-<g>/ subdirectory of one
-// shared parent. Every MkdirAll must succeed (EEXIST from a sibling's
+// TestOpenFileConcurrentSiblingDirs is the regression test for a
+// concurrent-startup race: N replicas open their WALs concurrently, each
+// in its own fresh subdirectory of one shared parent. Every MkdirAll must succeed (EEXIST from a sibling's
 // concurrent create is not an error) and every WAL must be usable.
 func TestOpenFileConcurrentSiblingDirs(t *testing.T) {
 	dir := t.TempDir()

@@ -296,8 +296,7 @@ type Endpoint struct {
 	net *Network
 	// inbox is the receive side. With a sink set (Sinker), the fabric's
 	// delivery goroutine calls it directly, skipping one queue hop (the
-	// group multiplexer uses this to dispatch straight into per-group
-	// queues).
+	// gateway filters inbound traffic this way).
 	inbox *Inbox
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -69,12 +70,13 @@ func FuzzTCPReadLoop(f *testing.F) {
 	f.Add(env(1))
 	f.Add(cat(env(1), ping, rawFrame(framePong, []byte("01234567")), env(2)))
 	f.Add(cat(env(1), rawFrame(framePing, bytes.Repeat([]byte("p"), 40)), env(2)))
-	f.Add(cat(env(1), []byte{0}, env(2)))                                    // zero length
-	f.Add(cat(env(1), binary.AppendUvarint(nil, maxFrame+1)))                // over maxFrame
-	f.Add(cat(env(1), rawFrame(7, []byte("x")), env(2)))                     // unknown kind
-	f.Add(cat(env(1), rawFrame(frameEnv, []byte{0xff, 0xff, 0xff}), env(2))) // corrupt envelope
-	f.Add(env(1)[:5])                                                        // ends mid-frame
-	f.Add(bytes.Repeat([]byte{0xff}, 11))                                    // uvarint overflow
+	f.Add(cat(env(1), []byte{0}, env(2)))                                     // zero length
+	f.Add(cat(env(1), binary.AppendUvarint(nil, maxFrame+1)))                 // over maxFrame
+	f.Add(cat(env(1), rawFrame(7, []byte("x")), env(2)))                      // unknown kind
+	f.Add(cat(env(1), rawFrame(frameEnv, []byte{0xff, 0xff, 0xff}), env(2)))  // corrupt envelope
+	f.Add(env(1)[:5])                                                         // ends mid-frame
+	f.Add(bytes.Repeat([]byte{0xff}, 11))                                     // uvarint overflow
+	f.Add(cat(env(1), binary.AppendUvarint(nil, maxFrame), []byte{frameEnv})) // maxFrame declared, then EOF
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, sever := parseFrames(data)
 		tr := newTCP(0, nil, Options{})
@@ -128,4 +130,58 @@ func FuzzTCPReadLoop(f *testing.F) {
 			t.Fatalf("%d learned routes, %d connections left after the loop exited", len(tr.inbound), len(tr.accepted))
 		}
 	})
+}
+
+// serveReadLoop runs one accept-side read loop over a pipe, delivering
+// into got, and returns the far end with a channel closed once the loop
+// has exited.
+func serveReadLoop(t *testing.T, got chan<- *wire.Envelope) (net.Conn, <-chan struct{}) {
+	tr := newTCP(0, nil, Options{})
+	tr.SetSink(func(e *wire.Envelope) { got <- e })
+	near, far := net.Pipe()
+	t.Cleanup(func() { far.Close() })
+	conn := newTCPConn(near, 0)
+	conn.wstop = make(chan struct{})
+	tr.accepted[conn] = struct{}{}
+	tr.wg.Add(1)
+	done := make(chan struct{})
+	go func() {
+		tr.readLoop(conn, true, make(chan int64, 1))
+		close(done)
+	}()
+	return far, done
+}
+
+// TestReadLoopFrameHeaderCostsNoFrame: a header that declares a
+// maxFrame envelope and then ends costs the read loop a bounded buffer,
+// not the declared 64 MB; a large envelope that does arrive, grown into
+// as its bytes come, is delivered whole.
+func TestReadLoopFrameHeaderCostsNoFrame(t *testing.T) {
+	far, done := serveReadLoop(t, make(chan *wire.Envelope, 1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	far.Write(append(binary.AppendUvarint(nil, maxFrame), frameEnv))
+	far.Close()
+	<-done
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a bare maxFrame header allocated %d bytes", grew)
+	}
+
+	got := make(chan *wire.Envelope, 1)
+	far, done = serveReadLoop(t, got)
+	op := bytes.Repeat([]byte("x"), 5*exactPayload+3)
+	e := &wire.Envelope{From: wire.ClientIDBase + 7, To: 0, Msg: &wire.RequestMsg{Req: wire.Request{
+		Client: wire.ClientIDBase + 7, Seq: 1, Kind: wire.KindWrite, Op: op}}}
+	go far.Write(rawFrame(frameEnv, wire.EncodeEnvelope(nil, e)))
+	select {
+	case d := <-got:
+		if !bytes.Equal(d.Msg.(*wire.RequestMsg).Req.Op, op) {
+			t.Fatal("large envelope delivered with a different op")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("large envelope never delivered")
+	}
+	far.Close()
+	<-done
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"gridrep/internal/metrics"
-	"gridrep/internal/netem"
 	"gridrep/internal/wire"
 )
 
@@ -59,8 +58,8 @@ func TestTCPSinkDelivery(t *testing.T) {
 }
 
 // TestTCPDecodeStageOrdering: frames of one connection are decoded and
-// delivered in wire order (the FIFO-per-link contract the shard router
-// pins transactions with).
+// delivered in wire order (the FIFO-per-link contract of §3.1 that the
+// protocol's links assume).
 func TestTCPDecodeStageOrdering(t *testing.T) {
 	reps, _ := startTCPCluster(t, 2)
 	const k = 500
@@ -135,34 +134,5 @@ func TestTCPReplyWriterQueue(t *testing.T) {
 	}
 	if d := tcpCounters(reps[0])("drop_reply_overflow_total"); d != 0 {
 		t.Fatalf("reply overflow drops = %d with a draining client", d)
-	}
-}
-
-// TestGroupMuxSinkDispatch: wrapping a Sinker transport, the mux must
-// dispatch inbound envelopes to group queues without a pump goroutine —
-// straight from the fabric's delivery path — and still honor routing.
-func TestGroupMuxSinkDispatch(t *testing.T) {
-	n := newTestNet(t, netem.Loopback())
-	a, _ := n.Endpoint(0)
-	b, _ := n.Endpoint(1)
-	mux := NewGroupMux(b, 2, nil)
-	defer mux.Close()
-
-	env := hb(0, 7)
-	env.To = 1
-	env.Group = 1
-	a.Send(env)
-	select {
-	case got := <-mux.Group(1).Recv():
-		if got.Msg.(*wire.Heartbeat).Epoch != 7 {
-			t.Fatalf("group 1 got %+v", got.Msg)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("sink dispatch never reached group 1")
-	}
-	select {
-	case got := <-mux.Group(0).Recv():
-		t.Fatalf("group 0 must stay silent, got %+v", got)
-	default:
 	}
 }

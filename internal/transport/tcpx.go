@@ -808,14 +808,15 @@ func (t *TCP) readLoop(conn *tcpConn, acceptSide bool, pong chan<- int64) {
 		var payload []byte
 		if kind != frameEnv && n-1 <= uint64(len(scratch)) {
 			payload = scratch[:n-1]
+			_, err = io.ReadFull(r, payload)
 		} else {
-			// Envelope payloads get a fresh exact-size buffer because
+			// Envelope payloads get a buffer of their own because
 			// DecodeEnvelopeOwned aliases it: ownership moves to the
 			// decoded message, which the consumer may retain (the
 			// acceptor keeps entry slices in its log).
-			payload = make([]byte, n-1)
+			payload, err = readPayload(r, int(n-1))
 		}
-		if _, err := io.ReadFull(r, payload); err != nil {
+		if err != nil {
 			return
 		}
 		switch kind {
@@ -847,6 +848,30 @@ func (t *TCP) readLoop(conn *tcpConn, acceptSide bool, pong chan<- int64) {
 		default:
 			return // unknown frame kind; sever
 		}
+	}
+}
+
+// exactPayload is the largest frame payload read into a buffer of its
+// declared size up front. A larger declaration is only the peer's word:
+// its buffer doubles as the bytes arrive, so a lone header costs at most
+// this much, not maxFrame.
+const exactPayload = 64 << 10
+
+// readPayload reads an n-byte frame payload into a buffer of its own,
+// whose length and capacity end up exactly n.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	p := make([]byte, min(n, exactPayload))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, p[got:])
+		if got += k; err != nil {
+			return nil, err
+		}
+		if got == n {
+			return p, nil
+		}
+		grown := make([]byte, min(2*len(p), n))
+		copy(grown, p)
+		p = grown
 	}
 }
 

@@ -334,9 +334,8 @@ func TestTCPPingRTT(t *testing.T) {
 }
 
 // TestTCPPeerRTT: a supervised link has no RTT estimate until it is
-// dialed and a pong comes back, then a positive one; a GroupMux group
-// endpoint over the link reports the link's estimate, which is what RTT
-// placement reads (DESIGN.md §16).
+// dialed and a pong comes back, then a positive one, which is what RTT
+// placement reads (DESIGN.md §16); a peer outside the book has none.
 func TestTCPPeerRTT(t *testing.T) {
 	b, err := ListenTCPOpts(1, map[wire.NodeID]string{1: "127.0.0.1:0"}, fastOpts())
 	if err != nil {
@@ -347,18 +346,13 @@ func TestTCPPeerRTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := NewGroupMux(a, 2, nil)
-	defer mux.Close()
+	defer a.Close()
 	if _, ok := a.PeerRTT(1); ok {
 		t.Fatal("an RTT estimate for a peer never dialed")
 	}
-	ep := mux.Group(1)
-	if ep.Local() != 0 {
-		t.Fatalf("group endpoint Local() = %v, want the link's 0", ep.Local())
-	}
 	env := hb(0, 1)
 	env.To = 1
-	ep.Send(env)
+	a.Send(env)
 	tcpRecv(t, b, 2*time.Second)
 
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
@@ -372,23 +366,7 @@ func TestTCPPeerRTT(t *testing.T) {
 			t.Fatal("no RTT estimate after the link came up")
 		}
 	}
-	rr := ep.(RTTReporter)
-	// Pongs keep folding into the estimate: compare between two equal
-	// reads of the link's own.
-	for try := 0; ; try++ {
-		before, _ := a.PeerRTT(1)
-		got, ok := rr.PeerRTT(1)
-		if after, _ := a.PeerRTT(1); before == after {
-			if !ok || got != before {
-				t.Fatalf("group endpoint PeerRTT = %v,%v, link's = %v", got, ok, before)
-			}
-			break
-		}
-		if try == 100 {
-			t.Fatal("the link's estimate never held still between two reads")
-		}
-	}
-	if _, ok := rr.PeerRTT(7); ok {
+	if _, ok := a.PeerRTT(7); ok {
 		t.Fatal("an RTT estimate for a peer outside the book")
 	}
 }

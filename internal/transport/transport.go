@@ -46,18 +46,17 @@ type HealthReporter interface {
 // run concurrently from multiple transport goroutines (one per
 // connection on TCP), so receivers must synchronize internally and must
 // never block — the callback runs on the hot receive path. Set the sink
-// before traffic starts. This is how the group multiplexer shards
-// receive fan-in by connection: each connection's read loop
-// dispatches straight into per-group queues instead of funneling
-// through one pump goroutine (DESIGN.md §14).
+// before traffic starts. This is how the gateway and the session
+// multiplexer keep receive fan-in sharded by connection: each
+// connection's read loop dispatches straight into their queues instead
+// of funneling through one pump goroutine (DESIGN.md §14).
 type Sinker interface {
 	SetSink(fn func(*wire.Envelope))
 }
 
 // SinkTransport is a Transport that delivers through a sink: what the
-// group multiplexer, the gateway and the session multiplexer require
-// underneath. The in-process endpoints, the TCP transport and the
-// gateway all are.
+// gateway and the session multiplexer require underneath. The
+// in-process endpoints and the TCP transport both are.
 type SinkTransport interface {
 	Transport
 	Sinker

@@ -247,12 +247,10 @@ func (d *Decoder) Ballot() Ballot {
 // EncodeEnvelope appends the full wire form of env — header plus message
 // body — to buf and returns the extended slice. The layout is:
 //
-//	uvarint from | uvarint to | uint8 type | [uvarint group] | body...
+//	uvarint from | uvarint to | uint8 type | body...
 //
-// The group field only exists when Group != 0: bit groupedFlag of the
-// type byte marks its presence. Group 0 therefore encodes byte-for-byte
-// as the pre-sharding protocol, which is the `-groups 1` compatibility
-// guarantee of DESIGN.md §13.
+// No MsgType has bit 0x80 set, so DecodeEnvelope refuses such a type
+// byte with ErrBadType; it once flagged a consensus-group field.
 //
 // Framing (length prefixes for stream transports) is the transport's job.
 //
@@ -265,22 +263,13 @@ func EncodeEnvelope(buf []byte, env *Envelope) []byte {
 	enc.buf = buf
 	enc.NodeID(env.From)
 	enc.NodeID(env.To)
-	if env.Group == 0 {
-		enc.Uint8(uint8(env.Msg.Type()))
-	} else {
-		enc.Uint8(uint8(env.Msg.Type()) | groupedFlag)
-		enc.Uvarint(uint64(env.Group))
-	}
+	enc.Uint8(uint8(env.Msg.Type()))
 	env.Msg.MarshalTo(enc)
 	out := enc.buf
 	enc.buf = nil // drop the reference before pooling
 	encPool.Put(enc)
 	return out
 }
-
-// groupedFlag marks a type byte that is followed by a uvarint group id.
-// MsgType values stay well below it, so the flag bit is unambiguous.
-const groupedFlag = 0x80
 
 var encPool = sync.Pool{New: func() any { return new(Encoder) }}
 
@@ -318,13 +307,7 @@ func decodeEnvelopePooled(buf []byte, alias bool) (*Envelope, error) {
 func decodeEnvelope(dec *Decoder) (*Envelope, error) {
 	from := dec.NodeID()
 	to := dec.NodeID()
-	tb := dec.Uint8()
-	var group uint32
-	if tb&groupedFlag != 0 {
-		tb &^= groupedFlag
-		group = uint32(dec.Uvarint())
-	}
-	t := MsgType(tb)
+	t := MsgType(dec.Uint8())
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
@@ -333,7 +316,6 @@ func decodeEnvelope(dec *Decoder) (*Envelope, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadType, t)
 	}
 	env.From, env.To = from, to
-	env.Group = group
 	if err := env.Msg.UnmarshalFrom(dec); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -103,5 +104,49 @@ func TestHeartbeatDecodesLegacyFormat(t *testing.T) {
 	}
 	if got.Epoch != 12 || got.Chosen != 7 {
 		t.Fatalf("legacy heartbeat decoded as %+v", got)
+	}
+}
+
+// TestGroupedEnvelopeRefused: a type byte with bit 0x80 set once
+// flagged a uvarint consensus-group field after it. No process hosts a
+// second group any longer, so such an envelope is refused with
+// ErrBadType, never decoded as some other message; the group-0 form
+// beside it, a bare type byte, still decodes.
+func TestGroupedEnvelopeRefused(t *testing.T) {
+	m := &Commit{Bal: Ballot{3, 1}, Index: 42}
+	plain := EncodeEnvelope(nil, &Envelope{From: 2, To: 0, Msg: m})
+	if _, err := DecodeEnvelope(plain); err != nil {
+		t.Fatalf("group-0 envelope refused: %v", err)
+	}
+	// The grouped layout: from, to, type|0x80, uvarint group 7, body.
+	grouped := append([]byte{plain[0], plain[1], plain[2] | 0x80, 7}, plain[3:]...)
+	if _, err := DecodeEnvelope(grouped); !errors.Is(err, ErrBadType) {
+		t.Fatalf("grouped envelope: err = %v, want ErrBadType", err)
+	}
+	if _, err := DecodeEnvelopeOwned(grouped); !errors.Is(err, ErrBadType) {
+		t.Fatalf("grouped envelope, owned decode: err = %v, want ErrBadType", err)
+	}
+}
+
+// TestReplyStatusNumbers pins the status bytes on the wire. 4 stays
+// reserved: it was the cross-group refusal, and StatusOverload keeps 5.
+func TestReplyStatusNumbers(t *testing.T) {
+	for st, want := range map[ReplyStatus]byte{
+		StatusOK: 0, StatusAborted: 1, StatusNotLeader: 2, StatusError: 3, StatusOverload: 5,
+	} {
+		if byte(st) != want {
+			t.Fatalf("%v = %d on the wire, want %d", st, byte(st), want)
+		}
+	}
+	buf := EncodeEnvelope(nil, &Envelope{From: 1, To: ClientIDBase, Msg: &ReplyMsg{Rep: Reply{
+		Client: ClientIDBase, Seq: 1, Status: StatusOverload, RetryAfterMS: 9}}})
+	var enc Encoder
+	enc.NodeID(1)
+	enc.NodeID(ClientIDBase)
+	enc.Uint8(uint8(MsgReply))
+	enc.NodeID(ClientIDBase)
+	enc.Uvarint(1)
+	if got := buf[len(enc.Bytes())]; got != 5 {
+		t.Fatalf("StatusOverload encodes as %d, want 5", got)
 	}
 }

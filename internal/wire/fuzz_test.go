@@ -10,8 +10,9 @@ import (
 // DecodeEnvelopeOwned over a private copy of the bytes, which aliases
 // them instead of copying, decodes the same envelope as DecodeEnvelope.
 // The seed corpus (testdata/fuzz/FuzzDecodeEnvelope) holds one encoding
-// of every MsgType, a grouped envelope, and the legacy unstamped Confirm
-// and Heartbeat forms.
+// of every MsgType, the legacy unstamped Confirm and Heartbeat forms, and
+// two envelopes in the retired grouped layout, type byte bit 0x80 and a
+// group field (TestGroupedEnvelopeRefused checks that it is refused).
 func FuzzDecodeEnvelope(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		env, err := DecodeEnvelope(buf)

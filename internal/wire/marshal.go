@@ -8,9 +8,8 @@ import "fmt"
 // every blob through Decoder.Bytes8.
 
 // nearFlag marks a request whose kind byte is followed by a Near target
-// (nearest-replica reads, DESIGN.md §16). Like the envelope's grouped
-// flag (codec.go), it keeps requests without the extension byte-for-byte
-// the original encoding.
+// (nearest-replica reads, DESIGN.md §16). It keeps requests without the
+// extension byte-for-byte the original encoding.
 const nearFlag = 0x80
 
 func marshalRequest(enc *Encoder, r *Request) {

@@ -27,11 +27,11 @@ func TestOverloadRetryAfterRoundTrip(t *testing.T) {
 
 // TestLegacyReplyIsByteCompatible: every reply status the pre-gateway
 // protocol can produce must encode exactly as it did before the
-// RetryAfterMS field existed — the field is status-gated, like the
-// envelope group flag, so a deployment with the gateway disabled emits
-// bytes indistinguishable from a PR 8 binary (ISSUE 9 acceptance).
+// RetryAfterMS field existed — the field is status-gated, so a
+// deployment with the gateway disabled emits bytes indistinguishable
+// from a PR 8 binary (ISSUE 9 acceptance).
 func TestLegacyReplyIsByteCompatible(t *testing.T) {
-	legacy := []ReplyStatus{StatusOK, StatusNotLeader, StatusAborted, StatusError, StatusCrossGroup}
+	legacy := []ReplyStatus{StatusOK, StatusNotLeader, StatusAborted, StatusError}
 	for _, st := range legacy {
 		rep := Reply{Client: ClientIDBase + 3, Seq: 41, Status: st,
 			Leader: 2, Result: []byte("r"), Err: "e",

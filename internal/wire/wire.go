@@ -167,10 +167,9 @@ const (
 	StatusNotLeader
 	// StatusError: the service rejected the operation.
 	StatusError
-	// StatusCrossGroup: the request's operations span more than one
-	// consensus group in a sharded deployment; cross-group transactions
-	// are not supported (DESIGN.md §13).
-	StatusCrossGroup
+	// 4 is reserved: it was the refusal of a transaction spanning
+	// consensus groups, which no replica sends any longer.
+	_
 	// StatusOverload: the gateway shed the request at the edge before it
 	// reached a consensus group (DESIGN.md §15). Reply.RetryAfterMS
 	// carries the typed backoff hint; the request was NOT executed and
@@ -188,8 +187,6 @@ func (s ReplyStatus) String() string {
 		return "not-leader"
 	case StatusError:
 		return "error"
-	case StatusCrossGroup:
-		return "cross-group"
 	case StatusOverload:
 		return "overload"
 	default:
@@ -206,9 +203,9 @@ type Reply struct {
 	Result []byte // service reply payload
 	Err    string // diagnostic detail for StatusError / StatusAborted
 	// RetryAfterMS is the gateway's typed backoff hint, present on the
-	// wire only when Status == StatusOverload — like the envelope group
-	// field (codec.go), the extension costs zero bytes on every reply the
-	// pre-gateway protocol can produce, keeping the PR 8 byte-for-byte
+	// wire only when Status == StatusOverload — like Request's Near
+	// target (marshal.go), the extension costs zero bytes on every reply
+	// the pre-gateway protocol can produce, keeping the PR 8 byte-for-byte
 	// compatibility guarantee with the gateway disabled.
 	RetryAfterMS uint32
 }
@@ -375,16 +372,11 @@ type Message interface {
 	UnmarshalFrom(dec *Decoder) error
 }
 
-// Envelope is a routed protocol message. Group selects the consensus
-// group the message belongs to when the process hosts several independent
-// Paxos groups (sharded mode, DESIGN.md §13); group 0 is encoded exactly
-// like the pre-sharding protocol, so a single-group deployment is
-// byte-for-byte the original wire format.
+// Envelope is a routed protocol message.
 type Envelope struct {
-	From  NodeID
-	To    NodeID
-	Group uint32
-	Msg   Message
+	From NodeID
+	To   NodeID
+	Msg  Message
 }
 
 // Prepare is the phase-1a message. A freshly elected leader sends a single

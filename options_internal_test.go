@@ -48,7 +48,7 @@ func TestEveryTunableReachesTheReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if got := srv.node.Group(0).Options(); got != want {
+	if got := srv.node.Replica().Options(); got != want {
 		t.Errorf("ListenAndServe: replica runs with\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -97,6 +97,18 @@ func TestTCPOnlineJoinWithPrunedWAL(t *testing.T) {
 			break
 		}
 	}
+	// The survivors prune only below the victim's last gossiped applied
+	// watermark (a dead member's lag bounds pruning until it is removed),
+	// and its heartbeats carry that watermark once per interval. Killed
+	// right after the writes, it can die having gossiped a watermark at
+	// or below 2*PruneKeep, and then the survivors never prune: let it
+	// apply every write and gossip that first.
+	for deadline := time.Now().Add(5 * time.Second); srvs[victim].Health().Applied < 100; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the victim never applied the first 100 writes")
+		}
+	}
+	time.Sleep(20 * 10 * time.Millisecond) // twenty heartbeat intervals
 	srvs[victim].Close()
 	delete(srvs, victim)
 

@@ -24,22 +24,11 @@ type ServerOptions struct {
 	// listen address. The paper's prototype used raw TCP sockets
 	// between all processes (§4); so does this deployment mode.
 	Peers map[NodeID]string
-	// Service is this replica's service instance (single-group mode).
-	// Only a ReadViewer, which pins its own read views, can be passed as
+	// Service is this replica's service instance. Only a ReadViewer, which pins its own read views, can be passed as
 	// one instance; any other needs NewService, because its reads run
 	// on a second, scratch instance (service.AsReadViewer).
 	Service Service
-	// Groups is the number of independent consensus groups this process
-	// hosts (default 1). With Groups > 1 the key space is partitioned by
-	// hash routing (DESIGN.md §13): each group runs its own state
-	// machine, Ω elector, and WAL (per-group subdirectories next to
-	// WALPath), multiplexed over the same TCP connections, with group
-	// g's preferred leader at replica g mod len(Peers). NewService is
-	// required instead of Service.
-	Groups int
-	// NewService creates one service instance per group; required when
-	// Groups > 1 (each group owns an independent partition of the key
-	// space), optional otherwise (used for group 0 if Service is nil).
+	// NewService creates the service instances (used if Service is nil).
 	NewService ServiceFactory
 	// WALPath, when non-empty, enables file-backed stable storage.
 	WALPath string
@@ -61,8 +50,7 @@ type ServerOptions struct {
 	// Gateway, when non-nil, enables the client-facing edge (DESIGN.md
 	// §15): per-tenant admission control, round-robin fair queueing, typed
 	// StatusOverload sheds with retry-after hints, and the per-session
-	// dedup window. A zero GatewayOptions value picks defaults, with the
-	// global in-flight budget sized from the group count. Nil
+	// dedup window. A zero GatewayOptions value picks defaults. Nil
 	// keeps the exact PR 8 byte path.
 	Gateway *GatewayOptions
 }
@@ -72,8 +60,7 @@ type ServerOptions struct {
 // gateway flags set; see internal/gateway.
 type GatewayOptions = gateway.Config
 
-// Server is one running TCP replica process — every consensus group it
-// hosts (one in the classic deployment, N in a sharded one).
+// Server is one running TCP replica process.
 type Server struct {
 	node *cluster.Node
 	tr   *transport.TCP
@@ -90,9 +77,6 @@ func ListenAndServe(opts ServerOptions) (*Server, error) {
 			// instance (service.AsReadViewer) one instance cannot supply.
 			return nil, fmt.Errorf("gridrep: ServerOptions.NewService is required, or Service set to a ReadViewer")
 		}
-		if opts.Groups > 1 {
-			return nil, fmt.Errorf("gridrep: Groups > 1 requires ServerOptions.NewService (one independent service instance per group)")
-		}
 		newService = func() Service { return opts.Service }
 	}
 	ids := make([]wire.NodeID, 0, len(opts.Peers))
@@ -103,28 +87,20 @@ func ListenAndServe(opts ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	bootN := len(ids)
-	if opts.Join && bootN > 1 {
-		// A joiner's book already includes itself; the founding members
-		// ranked group leadership without it.
-		bootN--
-	}
 	cfg := cluster.NodeConfig{
 		ID:            opts.ID,
 		Peers:         ids,
-		BootN:         bootN,
-		Groups:        opts.Groups,
 		Edge:          tr,
 		Service:       newService,
-		OwnStores:     true,
+		OwnStore:      true,
 		Options:       opts.Options,
 		Gateway:       opts.Gateway,
 		Join:          opts.Join,
 		AdvertiseAddr: opts.Peers[opts.ID],
 	}
 	if opts.WALPath != "" {
-		cfg.OpenStore = func(g int) (storage.Store, error) {
-			return cluster.OpenWAL(cluster.WALFile(opts.WALPath, g), opts.SyncPolicy, opts.SyncEvery)
+		cfg.OpenStore = func() (storage.Store, error) {
+			return cluster.OpenWAL(opts.WALPath, opts.SyncPolicy, opts.SyncEvery)
 		}
 	}
 	node, err := cluster.StartNode(cfg)
@@ -134,41 +110,22 @@ func ListenAndServe(opts ServerOptions) (*Server, error) {
 	return &Server{node: node, tr: tr}, nil
 }
 
-// Groups returns the number of consensus groups this process hosts.
-func (s *Server) Groups() int { return s.node.Groups() }
-
 // Addr returns the replica's actual listen address.
 func (s *Server) Addr() string { return s.tr.Addr() }
 
 // Metrics returns the process's metrics registry — protocol, WAL,
 // transport and gateway instruments in one place, and the only way to
-// read them (sharded: group 0 unprefixed, group g under group_<g>_).
-// Safe from any goroutine.
+// read them. Safe from any goroutine.
 func (s *Server) Metrics() *MetricsRegistry { return s.node.Metrics() }
 
-// Health snapshots the group-0 replica's protocol position: role,
-// ballot, commit index, applied index. Safe from any goroutine; see
-// GroupHealths for the per-group view of a sharded server.
-func (s *Server) Health() Health { return s.node.Group(0).Health() }
-
-// GroupHealths snapshots every consensus group's protocol position, in
-// group order — the payload of the sharded /healthz array.
-func (s *Server) GroupHealths() []Health { return s.node.Healths() }
-
-// groupHealth is one /healthz array element: a group id plus that
-// group's Health, flattened into one JSON object.
-type groupHealth struct {
-	Group int `json:"group"`
-	Health
-}
+// Health snapshots the replica's protocol position: role, ballot,
+// commit index, applied index. Safe from any goroutine.
+func (s *Server) Health() Health { return s.node.Replica().Health() }
 
 // DebugHandler returns the replica's debug HTTP surface: /metrics serves
 // the registry (Prometheus text by default, JSON with ?format=json), and
-// /healthz serves the Health snapshot as JSON — a single object for a
-// single-group server, an array of {"group": g, ...health} objects when
-// the process hosts several consensus groups (README documents both).
-// replicad mounts this on -metrics-addr; embedders can mount it on
-// their own mux.
+// /healthz serves the Health snapshot as one JSON object. replicad
+// mounts this on -metrics-addr; embedders can mount it on their own mux.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", metrics.Handler(s.node.Metrics()))
@@ -176,28 +133,18 @@ func (s *Server) DebugHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		hs := s.node.Healths()
-		if len(hs) == 1 {
-			_ = enc.Encode(hs[0])
-			return
-		}
-		out := make([]groupHealth, 0, len(hs))
-		for g, h := range hs {
-			out = append(out, groupHealth{Group: g, Health: h})
-		}
-		_ = enc.Encode(out)
+		_ = enc.Encode(s.Health())
 	})
 	return mux
 }
 
-// Close stops the process abruptly — every group's replica (the crash
-// model: staged WAL records are dropped — acknowledged writes are
+// Close stops the process abruptly (the crash model: staged WAL records are dropped — acknowledged writes are
 // durable on a quorum, not on one replica's shutdown path). Use
 // Shutdown for a clean exit.
 func (s *Server) Close() { s.node.Stop() }
 
-// Shutdown stops the process gracefully: every group's event loop and
-// persister exit, staged WAL batches are flushed, and the stores are
+// Shutdown stops the process gracefully: the event loop and persister
+// exit, staged WAL batches are flushed, and the stores are
 // closed — which joins any in-flight background snapshot rewrite and
 // truncates the preallocated tail. Preferred over Close when the
 // process will restart and should replay as much of its own logs as
@@ -207,37 +154,18 @@ func (s *Server) Shutdown() error { return s.node.Shutdown() }
 // AddVoter asks this replica to promote a caught-up learner to voter;
 // RemoveReplica proposes removing a member. Both changes are decided by
 // consensus and take effect at the configuration entry's commit point
-// (DESIGN.md §12). The change is proposed in every consensus group this
-// process hosts; with leadership spread across replicas a group whose
-// leader lives elsewhere answers ErrNotLeader, and the operator repeats
-// the call against the remaining leaders (group order is stable, and a
-// group that already committed the change accepts the retry as a
-// no-op-level refusal it reports distinctly).
+// (DESIGN.md §12).
 func (s *Server) AddVoter(id NodeID, addr string) error {
-	return s.reconfigure(wire.ConfigAddVoter, id, addr)
+	return s.node.Replica().Reconfigure(wire.ConfigAddVoter, id, addr)
 }
 
 // RemoveReplica proposes removing a member from the voting
-// configuration through this replica (which must be the active
-// leader of each hosted group; see AddVoter for the sharded contract).
+// configuration through this replica, which must be the active leader.
 // The leader refuses unsafe transitions: removing itself, or any change
 // that would drop the live voter count below the new configuration's
 // quorum.
 func (s *Server) RemoveReplica(id NodeID) error {
-	return s.reconfigure(wire.ConfigRemove, id, "")
-}
-
-// reconfigure proposes one membership change in every hosted group.
-func (s *Server) reconfigure(op wire.ConfigOp, id NodeID, addr string) error {
-	for g := 0; g < s.node.Groups(); g++ {
-		if err := s.node.Group(g).Reconfigure(op, id, addr); err != nil {
-			if s.node.Groups() > 1 {
-				return fmt.Errorf("group %d: %w", g, err)
-			}
-			return err
-		}
-	}
-	return nil
+	return s.node.Replica().Reconfigure(wire.ConfigRemove, id, "")
 }
 
 // DialOptions configures a TCP client.
