@@ -145,7 +145,7 @@ doc-refs:
 	if [ -n "$$stale" ]; then echo "doc-refs: $(DOC_REFS) cite names that do not exist:"; echo "$$stale"; exit 1; fi; \
 	echo "doc-refs: every test name and make target $(DOC_REFS) cite exists"
 
-# Fuzz smoke: each decoder fuzz target explores FUZZTIME beyond its seed
+# Fuzz smoke: each decoder fuzz target (and WAL replay) explores FUZZTIME beyond its seed
 # corpus (testdata/fuzz/, which tier-1 already replays). A failure
 # writes the crashing input under that testdata directory.
 FUZZTIME = 10s
@@ -155,6 +155,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServiceApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTCPReadLoop$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/storage
 
 # Just the socket-level chaos suite (transport + chaos), race-enabled.
 chaos:

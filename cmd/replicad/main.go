@@ -38,7 +38,7 @@ func main() {
 	flag.DurationVar(&o.HeartbeatInterval, "heartbeat", 25*time.Millisecond, "Ω heartbeat interval")
 	flag.DurationVar(&o.CommitFlushDelay, "commit-flush", 0, "commit notification batching window (0 = default 1ms; widen on WAN links)")
 	flag.BoolVar(&o.RTTPlacement, "rtt-placement", false, "fold measured peer RTTs into leader placement: the cluster converges on the best-connected replica regardless of boot order (DESIGN.md 16)")
-	flag.Uint64Var(&o.SnapshotEvery, "snapshot-every", 0, "durable service snapshot cadence in applied instances (0 = default 1024)")
+	flag.Uint64Var(&o.SnapshotEvery, "snapshot-every", 0, "floor of the durable service snapshot cadence in applied instances; a snapshot also waits until the log since the last is as large as it (0 = default 1024)")
 	flag.Uint64Var(&o.PruneKeep, "prune-keep", 0, "WAL instances retained below the cluster-min applied watermark (0 = default 1024)")
 	join := flag.Bool("join", false, "join a running cluster as a learner: catch up via snapshot streaming, then get promoted to voter by a committed config entry")
 	gatewayOn := flag.Bool("gateway", false, "enable the client-facing edge: admission control, per-tenant fair queueing, typed overload sheds, session dedup window")

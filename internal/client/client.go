@@ -97,6 +97,14 @@ type Client struct {
 	seq    uint64
 	txnSeq uint64
 	closed bool
+
+	// retry is the rebroadcast timer, one per client for every
+	// operation; out and outMsg are the one envelope and message every
+	// broadcast sends, readdressed per replica — Transport.Send keeps
+	// neither once it returns.
+	retry  *time.Timer
+	out    wire.Envelope
+	outMsg wire.RequestMsg
 }
 
 // seedCounter decorrelates the jitter RNGs of clients created in the
@@ -148,6 +156,9 @@ func (c *Client) ID() wire.NodeID { return c.id }
 func (c *Client) Close() {
 	if !c.closed {
 		c.closed = true
+		if c.retry != nil {
+			c.retry.Stop()
+		}
 		c.cfg.Transport.Close()
 	}
 }
@@ -184,8 +195,7 @@ func (c *Client) do(kind wire.RequestKind, txn uint64, txnSeq uint32, op []byte)
 	c.broadcast(&req)
 	attempt := 0
 	overloaded := false
-	retry := time.NewTimer(retryBackoff(c.rng, c.cfg.RetryEvery, c.cfg.RetryMax, attempt, time.Until(deadline)))
-	defer retry.Stop()
+	retry := c.armRetry(retryBackoff(c.rng, c.cfg.RetryEvery, c.cfg.RetryMax, attempt, time.Until(deadline)))
 	for {
 		select {
 		case env, ok := <-c.cfg.Transport.Recv():
@@ -234,13 +244,7 @@ func (c *Client) do(kind wire.RequestKind, txn uint64, txnSeq uint32, op []byte)
 				if wait <= 0 {
 					return nil, fmt.Errorf("%w: %s", ErrOverloaded, rm.Rep.Err)
 				}
-				if !retry.Stop() {
-					select {
-					case <-retry.C:
-					default:
-					}
-				}
-				retry.Reset(wait)
+				c.armRetry(wait)
 				continue
 			}
 		case <-retry.C:
@@ -261,6 +265,23 @@ func (c *Client) do(kind wire.RequestKind, txn uint64, txnSeq uint32, op []byte)
 			retry.Reset(retryBackoff(c.rng, c.cfg.RetryEvery, c.cfg.RetryMax, attempt, time.Until(deadline)))
 		}
 	}
+}
+
+// armRetry sets the client's rebroadcast timer to fire after d, first
+// stopping it and discarding a fire an earlier operation left behind.
+func (c *Client) armRetry(d time.Duration) *time.Timer {
+	if c.retry == nil {
+		c.retry = time.NewTimer(d)
+		return c.retry
+	}
+	if !c.retry.Stop() {
+		select {
+		case <-c.retry.C:
+		default:
+		}
+	}
+	c.retry.Reset(d)
+	return c.retry
 }
 
 // retryBackoff returns how long to wait before rebroadcast number
@@ -321,8 +342,11 @@ func contains(ids []wire.NodeID, id wire.NodeID) bool {
 }
 
 func (c *Client) broadcast(req *wire.Request) {
+	c.outMsg.Req = *req
+	c.out = wire.Envelope{Msg: &c.outMsg}
 	for _, rep := range c.cfg.Replicas {
-		c.cfg.Transport.Send(&wire.Envelope{To: rep, Msg: &wire.RequestMsg{Req: *req}})
+		c.out.To = rep
+		c.cfg.Transport.Send(&c.out)
 	}
 }
 

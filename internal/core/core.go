@@ -284,6 +284,19 @@ type Replica struct {
 	// registered for, promDurable the highest the store has flushed
 	// (endBurst); a confirm carrying promDurable needs no gate.
 	promStaged, promDurable wire.Ballot
+
+	// The durable snapshot job (reconfig.go), for a store that stages
+	// records: snapOut is the job maybeSnapshot made and no driver has
+	// taken yet, snapBusy holds from then until its completion step, so
+	// one job runs at a time, and snapEpoch, which a step-down advances,
+	// marks a completion for an older epoch stale. logSince is the size
+	// of the log applied above the durable snapshot, counted up to
+	// instance logTo: the cadence's second condition.
+	snapOut   *snapJob
+	snapBusy  bool
+	snapEpoch uint64
+	logSince  int
+	logTo     uint64
 }
 
 // peerHealth is a transport-level link transition for one peer, reported
@@ -804,6 +817,7 @@ func (r *Replica) stepDown() {
 	}
 	r.wave = nil
 	r.stats.wavesInFlight.Set(0)
+	r.dropSnapshotJob()
 	// Tell waiting clients to retry elsewhere. Every pending read goes,
 	// however it was being vouched: evidence counted by ballot dies with
 	// the ballot, and a near read caught here costs its client one

@@ -5,16 +5,19 @@ import (
 	"sync"
 	"time"
 
+	"gridrep/internal/storage"
 	"gridrep/internal/transport"
 	"gridrep/internal/wire"
 )
 
 // The wall-clock driver (DESIGN.md §20): the one goroutine that owns a
 // replica's channels and timer and feeds the step functions time.Now()
-// per input, plus the goroutines it starts beside it — the persister and
-// the read pool. The simulator in sim_test.go is the other driver.
+// per input, plus the goroutines it starts beside it — the persister,
+// the snapshotter and the read pool. The simulator in sim_test.go is the
+// other driver.
 type driver struct {
-	persist  *persister // the flush goroutine, when the store stages records
+	persist  *persister   // the flush goroutine, when the store stages records
+	snaps    *snapshotter // the snapshot-job goroutine, beside the persister
 	stop     chan struct{}
 	done     chan struct{}
 	ctl      chan ctlReq
@@ -60,12 +63,14 @@ func (r *Replica) initDriver() {
 	}
 }
 
-// Start launches the event loop, the persister when the store stages
-// records, and the parallel read pool (readpool.go) when the process has
-// more than one processor — on one, handing reads off gains nothing, and
-// reads execute on their views inline, as under the simulator.
+// Start launches the event loop, the persister and the snapshotter when
+// the store stages records, and the parallel read pool (readpool.go)
+// when the process has more than one processor — on one, handing reads
+// off gains nothing, and reads execute on their views inline, as under
+// the simulator.
 func (r *Replica) Start() {
 	if r.flusher != nil {
+		r.snaps = newSnapshotter(r.cfg.Store)
 		r.persist = newPersister(r.flusher, r.tr, func(err error) {
 			// Off the loop: touch no loop-confined state — not even the
 			// role that logf would format.
@@ -92,6 +97,7 @@ func (r *Replica) Stop() {
 	r.downOnce.Do(func() {
 		if r.persist != nil {
 			r.persist.stop()
+			r.snaps.stop()
 		}
 		if r.readPool != nil {
 			// Only the (now stopped) event loop dispatches, and workers
@@ -124,8 +130,9 @@ func (r *Replica) Inspect(f func(r *Replica)) bool {
 func (r *Replica) run() {
 	defer close(r.done)
 	var persisted <-chan struct{}
+	var snapped <-chan snapDone
 	if r.persist != nil {
-		persisted = r.persist.persisted
+		persisted, snapped = r.persist.persisted, r.snaps.done
 	}
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
@@ -140,6 +147,9 @@ func (r *Replica) run() {
 			case <-r.stop:
 				return
 			}
+		}
+		if job, ok := r.takeSnapshotJob(); ok {
+			r.snaps.jobs <- job // one job at a time: never blocks
 		}
 		r.publishHealth()
 		if d := r.deadline(); !d.Equal(armed) {
@@ -156,6 +166,8 @@ func (r *Replica) run() {
 			close(c.done)
 		case <-persisted:
 			r.durable(time.Now(), int(r.persist.woke.Swap(0)))
+		case d := <-snapped:
+			r.snapshotted(time.Now(), d)
 		case env, ok := <-r.tr.Recv():
 			if !ok {
 				return
@@ -187,6 +199,52 @@ func (r *Replica) run() {
 	}
 }
 
-// wallClock is the real time, for execLat alone: that histogram times CPU
-// work inside one step, and no protocol decision reads this.
+// wallClock is the real time, for execLat and an inline snapshot's
+// snapWriteLat alone: those histograms time work inside one step, and no
+// protocol decision reads this.
 func wallClock() time.Time { return time.Now() }
+
+// snapshotter runs a replica's snapshot jobs (snapJob), one at a time,
+// on a goroutine beside the persister: never inside Flush, which every
+// vote waits on, so a large state's encode, write and syncs hold back
+// no vote. Each completion goes back to the event loop as a step input.
+type snapshotter struct {
+	st     storage.Store
+	jobs   chan *snapJob
+	done   chan snapDone
+	quit   chan struct{}
+	exited chan struct{}
+}
+
+func newSnapshotter(st storage.Store) *snapshotter {
+	s := &snapshotter{
+		st:     st,
+		jobs:   make(chan *snapJob, 1),
+		done:   make(chan snapDone, 1),
+		quit:   make(chan struct{}),
+		exited: make(chan struct{}),
+	}
+	go s.run()
+	return s
+}
+
+func (s *snapshotter) run() {
+	defer close(s.exited)
+	for {
+		select {
+		case <-s.quit:
+			return
+		case j := <-s.jobs:
+			start := time.Now()
+			err := j.write(s.st)
+			s.done <- snapDone{job: j, err: err, took: time.Since(start)}
+		}
+	}
+}
+
+// stop ends the goroutine once any job in progress is written, so the
+// store is not closed under it. Replica.Stop calls it once.
+func (s *snapshotter) stop() {
+	close(s.quit)
+	<-s.exited
+}

@@ -33,9 +33,12 @@ type Options struct {
 	// paper's own recovery path sends multi-instance accepts, and
 	// batching is what lets write throughput scale in Figure 5.
 	NoBatch bool
-	// SnapshotEvery takes a durable service snapshot every this many
-	// applied instances (default 1024). Snapshots bound WAL pruning and
-	// Compact, and serve streaming catch-up.
+	// SnapshotEvery is the floor of the durable snapshot cadence: a
+	// snapshot is taken once at least this many instances were applied
+	// since the last (default 1024) and the log applied since then is at
+	// least as large as that snapshot (DESIGN.md §9). Snapshots bound WAL
+	// pruning and Compact, and serve streaming catch-up; they cannot be
+	// switched off, since only they keep the log rewrite small.
 	SnapshotEvery uint64
 	// PruneKeep retains this many instances below the cluster-wide
 	// minimum applied watermark when pruning the WAL (default 1024);

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"gridrep/internal/paxos"
+	"gridrep/internal/service"
+	"gridrep/internal/storage"
 	"gridrep/internal/wire"
 )
 
@@ -451,24 +453,157 @@ func (r *Replica) tickFetch(now time.Time) {
 // --- durable service snapshots and WAL pruning ---
 
 // maybeSnapshot takes a durable service snapshot — the bound storage will
-// not prune above — once applied is every instances past the last
-// (SnapshotEvery at each commit point and on the tick, 1 for a catch-up
-// responder that needs one now) and reports whether it did. Only a clean
-// state is captured, with no speculative wave executions and no open
-// exclusive transaction, so that the service reflects exactly instance
-// r.applied. Compact then strips only what the snapshot covers, so the log
-// keeps every effect above it, which is what rederive replays.
+// not prune above — once one is due, and reports whether a snapshot at
+// r.applied is durable now. One is due once applied is every instances
+// past the last (SnapshotEvery at each commit point and on the tick, 1
+// for a catch-up responder that needs one now) and, on the cadence, the
+// log applied since the last is at least as large as it: snapshot I/O
+// then costs at most as many bytes as the log it bounds, whatever the
+// state's size. Only a clean state is captured, with no speculative wave
+// executions and no open exclusive transaction, so that the service
+// reflects exactly instance r.applied. Compact then strips only what the
+// snapshot covers, so the log keeps every effect above it, which is what
+// rederive replays.
+//
+// A store that stages records gets the snapshot as a job for the driver
+// (snapJob): a view of the state that encodes itself, or the bytes
+// encoded here when the service's views cannot, written beside the log
+// off the event loop; its completion step saves it. Any other store
+// encodes and saves at once.
 func (r *Replica) maybeSnapshot(every uint64) bool {
-	_, at := r.acc.ServiceSnapshot()
-	if r.applied < at+every || r.wave != nil || r.exclusiveBusy() {
+	snap, at := r.acc.ServiceSnapshot()
+	if r.snapBusy || r.applied < at+every || r.wave != nil || r.exclusiveBusy() {
 		return false
 	}
-	if err := r.acc.SaveSnapshot(r.svc.Snapshot(), r.applied); err != nil {
+	if every > 1 && r.logBytesSince(at) < len(snap) {
+		return false
+	}
+	job := &snapJob{at: r.applied, epoch: r.snapEpoch}
+	if r.flusher != nil {
+		if v, ok := r.svc.ReadView(); ok {
+			job.view, _ = v.(service.SnapshotView)
+		}
+	}
+	start := wallClock()
+	if job.view == nil {
+		job.snap = r.svc.Snapshot()
+	}
+	if r.flusher == nil {
+		return r.saveSnapshot(job.snap, job.at, wallClock().Sub(start))
+	}
+	r.snapOut, r.snapBusy = job, true
+	return false
+}
+
+// logBytesSince returns the size of the log applied above the snapshot at
+// instance at, counting each entry once across calls.
+func (r *Replica) logBytesSince(at uint64) int {
+	if r.logTo < at {
+		r.logTo, r.logSince = at, 0
+	}
+	for ; r.logTo < r.applied; r.logTo++ {
+		if e, ok := r.acc.Get(r.logTo + 1); ok {
+			r.logSince += logBytes(&e.Prop)
+		}
+	}
+	return r.logSince
+}
+
+// logBytes is the size of a proposal's payload in the log: its state,
+// and each request's op, result and captured choices.
+func logBytes(p *wire.Proposal) int {
+	n := len(p.State)
+	for i := range p.Reqs {
+		n += len(p.Reqs[i].Op)
+	}
+	for _, b := range p.Results {
+		n += len(b)
+	}
+	for _, b := range p.Aux {
+		n += len(b)
+	}
+	return n
+}
+
+// snapJob is one durable snapshot for a driver to write off the event
+// loop: the state after instance at, as a view that encodes itself or
+// as bytes the loop encoded. epoch is the snapEpoch it was made in.
+type snapJob struct {
+	at, epoch uint64
+	view      service.SnapshotView
+	snap      []byte
+}
+
+// snapDone is a snapshot job's completion, the input of the snapshotted
+// step: took is the driver's time for the encode, the write and its
+// syncs.
+type snapDone struct {
+	job  *snapJob
+	err  error
+	took time.Duration
+}
+
+// write encodes the job's state, unless the loop already did, and writes
+// it beside the log. A driver calls it off the event loop.
+func (j *snapJob) write(st storage.Store) error {
+	if j.snap == nil {
+		j.snap = j.view.Snapshot()
+	}
+	return st.WriteSnapshot(j.snap, j.at)
+}
+
+// takeSnapshotJob hands the driver the snapshot job maybeSnapshot made,
+// if any; the driver reports its completion through snapshotted.
+func (r *Replica) takeSnapshotJob() (*snapJob, bool) {
+	job := r.snapOut
+	r.snapOut = nil
+	return job, job != nil
+}
+
+// dropSnapshotJob makes the snapshot job stale: one not yet handed out
+// is dropped, and the completion of one in the driver's hands is
+// ignored, though it still holds off the next until it arrives.
+func (r *Replica) dropSnapshotJob() {
+	r.snapEpoch++
+	if r.snapOut != nil {
+		r.snapOut, r.snapBusy = nil, false
+	}
+}
+
+// snapshotted is the step for a snapshot job's completion: the file is
+// durable beside the log, so the reference to it is staged, and Compact
+// after it. A stale job's completion changes nothing but freeing the
+// next job; so does one a newer snapshot (a catch-up install) overtook.
+func (r *Replica) snapshotted(now time.Time, d snapDone) {
+	r.enter(now, d)
+	r.snapBusy = false
+	if d.job.epoch != r.snapEpoch {
+		return
+	}
+	if d.err != nil {
+		r.fatal("snapshot write: %v", d.err)
+		return
+	}
+	if _, at := r.acc.ServiceSnapshot(); d.job.at <= at {
+		return
+	}
+	r.saveSnapshot(d.job.snap, d.job.at, d.took)
+}
+
+// saveSnapshot makes snap, the state after instance at, the durable
+// snapshot, then compacts the log below it. The Compact record follows
+// the snapshot's, so no crash leaves states stripped that no durable
+// snapshot covers.
+func (r *Replica) saveSnapshot(snap []byte, at uint64, took time.Duration) bool {
+	if err := r.acc.SaveSnapshot(snap, at); err != nil {
 		r.fatal("snapshot save: %v", err)
 		return false
 	}
 	r.stats.snapSaves.Add(1)
-	if err := r.acc.Compact(r.applied); err != nil {
+	r.stats.snapBytes.Add(uint64(len(snap)))
+	r.stats.snapWriteLat.ObserveDuration(took)
+	r.logTo, r.logSince = at, 0
+	if err := r.acc.Compact(at); err != nil {
 		r.fatal("compact: %v", err)
 		return false
 	}

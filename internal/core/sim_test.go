@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -27,10 +28,14 @@ import (
 // never Started, so no read pool runs. Nothing here reads the wall clock,
 // so a seed is a run.
 
-// simStore is a storage.Flusher over a storage.Mem that holds only what
-// was flushed: staged records wait in order and a crash drops them.
+// simStore is a storage.Flusher over a durable store that holds only
+// what was flushed: staged records wait in order and a crash drops them.
+// The durable store is a storage.Mem, or, with wal set, the storage.File
+// at that path, each record written through as it is flushed; a crash
+// then closes it and a restart replays the file.
 type simStore struct {
-	durable  *storage.Mem
+	durable  storage.Store
+	wal      string
 	promised wire.Ballot // the durable promise, for the vouching check
 	staged   []func()
 	buffered bool
@@ -38,8 +43,31 @@ type simStore struct {
 
 func newSimStore() *simStore { return &simStore{durable: storage.NewMem()} }
 
+// newFileSimStore is a simStore over a File WAL at path.
+func newFileSimStore(t testing.TB, path string) *simStore {
+	s := &simStore{wal: path}
+	s.open(t)
+	return s
+}
+
+func (s *simStore) open(t testing.TB) {
+	f, err := storage.OpenFile(s.wal)
+	if err != nil {
+		t.Fatalf("open %s: %v", s.wal, err)
+	}
+	f.Sync = false // a simulated crash loses the process, not the page cache
+	s.durable = f
+}
+
 // reopen is the store a restarted replica sees: the durable records only.
-func (s *simStore) reopen() *simStore { return &simStore{durable: s.durable, promised: s.promised} }
+func (s *simStore) reopen(t testing.TB) *simStore {
+	n := &simStore{durable: s.durable, wal: s.wal, promised: s.promised}
+	if s.wal != "" {
+		s.durable.Close()
+		n.open(t)
+	}
+	return n
+}
 
 func (s *simStore) stage(f func()) error {
 	if s.buffered {
@@ -65,6 +93,9 @@ func (s *simStore) PutAccepted(es []wire.Entry, max wire.Ballot) error {
 }
 func (s *simStore) SetChosen(idx uint64) error { return s.stage(func() { s.durable.SetChosen(idx) }) }
 func (s *simStore) Compact(from uint64) error  { return s.stage(func() { s.durable.Compact(from) }) }
+func (s *simStore) WriteSnapshot(snap []byte, at uint64) error {
+	return s.durable.WriteSnapshot(snap, at)
+}
 func (s *simStore) SaveSnapshot(snap []byte, at uint64) error {
 	return s.stage(func() { s.durable.SaveSnapshot(snap, at) })
 }
@@ -106,6 +137,9 @@ type simConfig struct {
 	// log, when set, receives every replica's role transitions and
 	// anomalies.
 	log *log.Logger
+	// walDir, when set, gives every replica a File WAL in that directory
+	// (replica-<id>.wal) instead of a Mem.
+	walDir string
 	// cost, when set, is the replica service-time model: each delivered
 	// envelope keeps its replica busy for cost(r, env); inputs that
 	// arrive meanwhile wait and then run as one burst, and a burst's
@@ -187,6 +221,10 @@ type sim struct {
 	// drop, when set, sees every send and loses the ones it returns true
 	// for: scripted schedules use it to lose one message.
 	drop func(from wire.NodeID, env *wire.Envelope) bool
+	// snapWritten, when set, runs after a snapshot job's write and
+	// before its completion step: crash rows use it to crash a replica
+	// with the file durable and its reference not yet staged.
+	snapWritten func(n *simNode, job *snapJob)
 	// violations lists every message that claimed durable acceptor state
 	// its sender had not flushed (durability before vouching).
 	violations []string
@@ -254,8 +292,18 @@ func newSim(t testing.TB, cfg simConfig) *sim {
 			}
 		}
 	}
+	if cfg.walDir != "" {
+		t.Cleanup(func() {
+			for _, n := range s.nodes {
+				n.store.durable.Close()
+			}
+		})
+	}
 	for i := 0; i < cfg.n; i++ {
 		n := &simNode{id: wire.NodeID(i), store: newSimStore()}
+		if cfg.walDir != "" {
+			n.store = newFileSimStore(t, filepath.Join(cfg.walDir, fmt.Sprintf("replica-%d.wal", i)))
+		}
 		s.nodes = append(s.nodes, n)
 		s.boot(n)
 	}
@@ -397,6 +445,33 @@ func (s *sim) step(n *simNode, f func(r *Replica)) {
 			s.after(d, func() { s.flush(n, inc) })
 		}
 	}
+	if job, ok := n.r.takeSnapshotJob(); ok {
+		// A write and two syncs, the slowest a flush takes; drawn from no
+		// random source, so a snapshot moves no other event of the run.
+		inc, d := n.inc, s.lag
+		if !s.cfg.noDisk {
+			d += s.cfg.fsync[1]
+		}
+		s.after(d, func() { s.snapshotJob(n, inc, job, d) })
+	}
+}
+
+// snapshotJob runs a snapshot job as the snapshotter does: it writes the
+// snapshot beside the log and hands the completion back as a step. A
+// crash before it is due loses the job, as a crash loses a write in
+// progress.
+func (s *sim) snapshotJob(n *simNode, inc int, job *snapJob, took time.Duration) {
+	if n.inc != inc {
+		return
+	}
+	err := job.write(n.store)
+	if s.snapWritten != nil {
+		s.snapWritten(n, job)
+		if n.inc != inc {
+			return // the hook crashed the replica between write and reference
+		}
+	}
+	s.step(n, func(r *Replica) { r.snapshotted(s.now, snapDone{job: job, err: err, took: took}) })
 }
 
 // flush makes everything staged durable, sends the jobs' deferred
@@ -433,7 +508,7 @@ func (s *sim) crash(id wire.NodeID) {
 	n.r, n.jobs, n.flushing = nil, nil, false
 	n.backlog, n.busyUntil, n.waking = nil, time.Time{}, false
 	n.inc++
-	n.store = n.store.reopen()
+	n.store = n.store.reopen(s.t)
 	s.model.SetDown(id, true)
 }
 

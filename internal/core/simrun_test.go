@@ -111,6 +111,8 @@ func (l stepLog) replay(r *Replica) {
 			r.onPeerHealth(s.now, in)
 		case func(*Replica):
 			r.control(s.now, in)
+		case snapDone:
+			r.snapshotted(s.now, in)
 		default:
 			panic(fmt.Sprintf("unknown step input %T", in))
 		}

@@ -211,16 +211,17 @@ func TestStateTransfer(t *testing.T) {
 			}
 			// It lost its memory, ballots included: one accept from the
 			// current leader teaches it a ballot its prepare can outbid.
-			x.writes(1)
-			lead, _ := x.leader()
-			x.suspect(lead)
-			if !x.runUntil(time.Second, func() bool { l, ok := x.leader(); return ok && l != lead }) {
-				t.Fatal("no new leader")
-			}
-			// The victim is elected, told while preparing that its suffix is
-			// gone, and stands down to pull the stream before it leads
+			// Every replica then distrusts everyone but the victim, so Ω
+			// elects it whatever the schedule. The victim is elected, told
+			// while preparing that its suffix is gone, and stands down to
+			// pull the stream before it leads
 			// (TestPreparingStandsDownWhenSuffixIsGone pins that step).
-			if !strings.Contains(x.logs.String(), "replica r0 [preparing]: suffix above 0 is gone") {
+			x.writes(1)
+			for _, id := range x.others(victim) {
+				x.suspect(id)
+			}
+			const stoodDown = "replica r0 [preparing]: suffix above 0 is gone"
+			if !x.runUntil(time.Second, func() bool { return strings.Contains(x.logs.String(), stoodDown) }) {
 				t.Fatal("the victim never stood down mid-prepare to fetch a snapshot")
 			}
 			x.writes(5)

@@ -36,6 +36,7 @@ type stats struct {
 	// traffic on both sides, durable snapshot saves, WAL prune
 	// activity, and committed configuration changes.
 	snapSaves        metrics.Counter
+	snapBytes        metrics.Counter
 	catchupChunksOut metrics.Counter
 	catchupChunksIn  metrics.Counter
 	catchupBytes     metrics.Counter
@@ -65,6 +66,9 @@ type stats struct {
 	quorumLat  *metrics.Histogram
 	requestLat *metrics.Histogram
 	catchupLat *metrics.Histogram
+	// snapWriteLat times one durable snapshot: its encode, the write
+	// beside the log and that write's syncs.
+	snapWriteLat *metrics.Histogram
 }
 
 // membersView is the cross-goroutine snapshot of the participant set.
@@ -110,6 +114,8 @@ func (s *stats) register(reg *metrics.Registry) {
 		func() int64 { return int64(s.applied.Load()) })
 	reg.RegisterCounter("gridrep_snapshot_saves_total",
 		"durable service snapshots written (prune/catch-up anchors)", &s.snapSaves)
+	reg.RegisterCounter("gridrep_snapshot_bytes_total",
+		"bytes of the durable service snapshots saved", &s.snapBytes)
 	reg.RegisterCounter("gridrep_catchup_chunks_sent_total",
 		"snapshot catch-up chunks served to lagging peers", &s.catchupChunksOut)
 	reg.RegisterCounter("gridrep_catchup_chunks_received_total",
@@ -132,6 +138,8 @@ func (s *stats) register(reg *metrics.Registry) {
 		func() int64 { return int64(s.prunedTo.Load()) })
 	s.catchupLat = reg.Histogram("gridrep_catchup_install_seconds",
 		"snapshot stream start to install per catch-up", metrics.UnitNanoseconds)
+	s.snapWriteLat = reg.Histogram("gridrep_snapshot_write_seconds",
+		"encode, write and sync per durable service snapshot", metrics.UnitNanoseconds)
 	s.execLat = reg.Histogram("gridrep_execute_latency_seconds",
 		"service execution time per accept wave", metrics.UnitNanoseconds)
 	s.quorumLat = reg.Histogram("gridrep_quorum_latency_seconds",

@@ -292,6 +292,7 @@ func outcomeOf(reply []byte, err error) outcome {
 type pin struct {
 	view ReadView
 	want []outcome
+	snap []byte // the owner's Snapshot at the pin
 	step int
 }
 
@@ -300,6 +301,9 @@ func (p pin) verify(reads [][]byte) error {
 		if got := outcomeOf(p.view.ReadExecute(op)); got != p.want[i] {
 			return fmt.Errorf("view pinned at step %d answers read %x with %+v; Execute answered %+v at the pin", p.step, op, got, p.want[i])
 		}
+	}
+	if sv, ok := p.view.(SnapshotView); ok && !bytes.Equal(sv.Snapshot(), p.snap) {
+		return fmt.Errorf("view pinned at step %d encodes a state other than the Snapshot at the pin", p.step)
 	}
 	return nil
 }
@@ -327,7 +331,8 @@ type openTxn struct {
 //   - every view, pinned on the walked instance or its twin (under an
 //     open workspace, too), answers every read as Execute did at the
 //     pin, through every later write, refuses each mutating op with
-//     ErrBadOp changing nothing, and, over the last quarter of the walk,
+//     ErrBadOp changing nothing, encodes (as a SnapshotView) exactly
+//     the Snapshot at the pin, and, over the last quarter of the walk,
 //     serves concurrent reads while the owner writes and re-pins
 //     (meaningful under -race);
 //   - with a reference model, every reply and state equal the model's.
@@ -526,7 +531,7 @@ func checkService(t *testing.T, row serviceRow, seed uint64, steps int) {
 				if !bytes.Equal(svc.Snapshot(), before) {
 					fail(step, "a refused op changed the state")
 				}
-				views = append(views, pin{view, answers(svc), step})
+				views = append(views, pin{view, answers(svc), before, step})
 			}
 			if len(views) > 8 {
 				views = views[2:]

@@ -227,10 +227,19 @@ func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // Snapshot implements Service with a deterministic (sorted) encoding,
 // into one buffer sized before encoding.
-func (s *KV) Snapshot() []byte {
-	keys := make([]string, 0, s.Len())
+func (s *KV) Snapshot() []byte { return encodeKV(&s.buckets) }
+
+// encodeKV encodes a bucket array: every key in sorted order with its
+// value. It only reads the buckets, so a view's may be encoded from any
+// goroutine.
+func encodeKV(buckets *[kvBuckets]map[string][]byte) []byte {
+	n := 0
+	for _, m := range buckets {
+		n += len(m)
+	}
+	keys := make([]string, 0, n)
 	size := 0
-	for _, m := range s.buckets {
+	for _, m := range buckets {
 		for k, v := range m {
 			keys = append(keys, k)
 			size += uvarintLen(len(k)) + len(k) + uvarintLen(len(v)) + len(v)
@@ -240,9 +249,8 @@ func (s *KV) Snapshot() []byte {
 	enc := wire.NewEncoder(make([]byte, 0, uvarintLen(len(keys))+size))
 	enc.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
-		v, _ := s.get(k)
 		enc.String(k)
-		enc.Bytes8(v)
+		enc.Bytes8(buckets[kvBucket(k)][k])
 	}
 	return enc.Bytes()
 }
@@ -399,7 +407,10 @@ func (w *kvWS) finish() {
 // bucket array; the next write to a bucket copies that bucket
 // (writable), so view holders keep stable, never-again-written maps with
 // zero per-read cost.
-var _ ReadViewer = (*KV)(nil)
+var (
+	_ ReadViewer   = (*KV)(nil)
+	_ SnapshotView = (*kvView)(nil)
+)
 
 // ReadView implements ReadViewer. A generation's view is built once and
 // returned until the next write or lock change. It records the lock
@@ -419,8 +430,8 @@ func (s *KV) ReadView() (ReadView, bool) {
 }
 
 // kvView is a pinned KV state generation. Safe for concurrent
-// ReadExecute calls: its buckets and locks are never written after
-// pinning.
+// ReadExecute and Snapshot calls: its buckets and locks are never
+// written after pinning.
 type kvView struct {
 	buckets [kvBuckets]map[string][]byte
 	locks   map[string]uint64 // held at the pin; nil when none was
@@ -442,6 +453,9 @@ func (v *kvView) ReadExecute(op []byte) ([]byte, error) {
 	val, ok := v.buckets[kvBucket(key)][key]
 	return kvReply(val, ok), nil
 }
+
+// Snapshot implements SnapshotView: the KV's Snapshot at the pin.
+func (v *kvView) Snapshot() []byte { return encodeKV(&v.buckets) }
 
 // KVFactory is a Factory for the key-value store.
 func KVFactory() Service { return NewKV() }

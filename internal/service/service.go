@@ -118,6 +118,17 @@ type ReadView interface {
 	ReadExecute(op []byte) ([]byte, error)
 }
 
+// SnapshotView is a ReadView that can also encode the state it pins:
+// Snapshot returns exactly the bytes the owning service's Snapshot
+// returned at the pin and, like ReadExecute, is safe from any goroutine
+// while the owner goes on mutating. The replica pins one to encode its
+// durable snapshot off the event loop (DESIGN.md §9); a service whose
+// views do not offer it has its snapshot encoded on the loop.
+type SnapshotView interface {
+	ReadView
+	Snapshot() []byte
+}
+
 // ReadViewer is a service that can pin an immutable view of its current
 // state — by copy-on-write, epoch pinning, or any other scheme. The
 // replica runs every read through a view pinned at its commit point, so
@@ -153,25 +164,31 @@ type snapshotViewer struct {
 }
 
 func (s *snapshotViewer) ReadView() (ReadView, bool) {
-	snap := s.Snapshot()
-	return readFunc(func(op []byte) ([]byte, error) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err := s.scratch.Restore(snap); err != nil {
-			return nil, err
-		}
-		res, err := s.scratch.Execute(op)
-		if string(s.scratch.Snapshot()) != string(snap) {
-			return nil, ErrBadOp
-		}
-		return res, err
-	}), true
+	return &pinnedSnapshot{s: s, snap: s.Snapshot()}, true
 }
 
-// readFunc is a ReadView made of its ReadExecute.
-type readFunc func(op []byte) ([]byte, error)
+// pinnedSnapshot is the adapter's view: the pinned encoding, which is
+// also what it answers Snapshot with.
+type pinnedSnapshot struct {
+	s    *snapshotViewer
+	snap []byte
+}
 
-func (f readFunc) ReadExecute(op []byte) ([]byte, error) { return f(op) }
+func (v *pinnedSnapshot) ReadExecute(op []byte) ([]byte, error) {
+	s := v.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.scratch.Restore(v.snap); err != nil {
+		return nil, err
+	}
+	res, err := s.scratch.Execute(op)
+	if string(s.scratch.Snapshot()) != string(v.snap) {
+		return nil, ErrBadOp
+	}
+	return res, err
+}
+
+func (v *pinnedSnapshot) Snapshot() []byte { return v.snap }
 
 // Replayer is the §3.3 "request plus additional information" optimization:
 // the nondeterministic operation can be reproduced from the request and

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -68,7 +69,14 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // mutation is one CRC-protected record; Load replays the log and stops at
 // the first torn or corrupt record (the tail a crash may have produced).
 // When the log grows past rewriteAt bytes, it is rewritten as a single
-// snapshot record.
+// checkpoint record.
+//
+// The service snapshot is not in the log: it is a file of its own beside
+// it, <path>.snap-<at>, and the log holds a small reference record naming
+// it by (at, length, CRC-32). WriteSnapshot writes the file (off the
+// event loop, in the replica's snapshot job); SaveSnapshot stages the
+// reference; a superseded file is unlinked once a newer reference is
+// durable, and any file no live reference names is unlinked at open.
 //
 // File has one write path: every mutation stages its record in memory,
 // and Flush makes the staged records durable together — one write into a
@@ -125,6 +133,17 @@ type File struct {
 	tail      []byte         // records flushed while the rewrite snapshot was built
 	rewriteWG sync.WaitGroup // joins the rewrite goroutine on Close
 
+	// Snapshot files. ref (under mu) is the file the newest reference
+	// names, staged or durable; written (under mu) the newest file
+	// WriteSnapshot made durable that no reference names yet.
+	// stagedGone (under mu) lists the files the staged references
+	// supersede, and dirtyGone (under wmu) those whose superseding
+	// reference is written but not yet synced: each is unlinked once the
+	// sync covering that reference returns.
+	ref, written snapRef
+	stagedGone   []string
+	dirtyGone    []string
+
 	// I/O instruments (metrics package atomics, read through a registry).
 	// The histograms are created in OpenFile so the hot path never has to
 	// nil-check; RegisterMetrics publishes everything into a registry.
@@ -143,7 +162,38 @@ const (
 	recServiceSnap = 6 // service-state snapshot + its applied instance
 	recMembers     = 7 // membership decided by a committed config entry
 	recPrune       = 8 // accepted-log prune watermark
+	recSnapRef     = 9 // names the service snapshot file: (at, length, CRC-32)
+	recCheckpoint  = 10
 )
+
+// recSnapshot and recServiceSnap embed the service snapshot's bytes in
+// the log. Only replay reads them now — they are how a log written before
+// snapshot files boots; recCheckpoint is recSnapshot with a reference in
+// place of the bytes.
+
+// snapRef names a snapshot file: the instance it is valid after, which
+// names the file, and the length and CRC-32 its bytes must match.
+type snapRef struct {
+	at, n uint64
+	crc   uint32
+}
+
+func newSnapRef(snap []byte, at uint64) snapRef {
+	return snapRef{at: at, n: uint64(len(snap)), crc: crc32.Update(0, crcTable, snap)}
+}
+
+func (r snapRef) encode(enc *wire.Encoder) {
+	enc.Uvarint(r.at)
+	enc.Uvarint(r.n)
+	enc.Uint32(r.crc)
+}
+
+func decodeSnapRef(dec *wire.Decoder) snapRef {
+	return snapRef{at: dec.Uvarint(), n: dec.Uvarint(), crc: dec.Uint32()}
+}
+
+// snapPath is the file holding the snapshot valid after instance at.
+func (s *File) snapPath(at uint64) string { return fmt.Sprintf("%s.snap-%d", s.path, at) }
 
 // preallocChunk is how far ahead of the logical end the file extent is
 // reserved, so batched appends change no allocation metadata and
@@ -190,7 +240,69 @@ func OpenFile(path string) (*File, error) {
 		f.Close()
 		return nil, err
 	}
+	if err := st.openSnapshots(); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return st, nil
+}
+
+// openSnapshots finishes opening the snapshot side of the store. It reads
+// the file the newest reference names, which must match the reference's
+// length and CRC-32 or the open fails; an older reference whose file is
+// gone is fine. A log written before snapshot files embeds the snapshot:
+// it gets a file of its own and a reference, so no rewrite copies the
+// bytes again. Every other snapshot file beside the log, and a rewrite's
+// leftover temp file, is unlinked — after one sync of the log, so the
+// references that superseded them are durable first.
+func (s *File) openSnapshots() error {
+	if s.ref.at != 0 {
+		path := s.snapPath(s.ref.at)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("storage: snapshot file: %w", err)
+		}
+		if newSnapRef(data, s.ref.at) != s.ref {
+			return fmt.Errorf("storage: snapshot file %s does not match its reference (%d bytes, CRC-32 %08x)",
+				path, s.ref.n, s.ref.crc)
+		}
+		s.state.ServiceSnap = data
+	} else if s.state.ServiceSnapAt != 0 {
+		snap, at := s.state.ServiceSnap, s.state.ServiceSnapAt
+		if err := writeFileSynced(s.snapPath(at), snap, s.Sync); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		s.stageRef(newSnapRef(snap, at))
+		if err := s.commit(); err != nil {
+			return err
+		}
+	}
+	ents, err := os.ReadDir(filepath.Dir(s.path))
+	if err != nil {
+		return err
+	}
+	base := filepath.Base(s.path)
+	var stale []string
+	for _, e := range ents {
+		name := e.Name()
+		if (strings.HasPrefix(name, base+".snap-") && (s.ref.at == 0 || name != filepath.Base(s.snapPath(s.ref.at)))) ||
+			name == base+".tmp" {
+			stale = append(stale, filepath.Join(filepath.Dir(s.path), name))
+		}
+	}
+	if len(stale) == 0 {
+		return nil
+	}
+	if s.Sync {
+		if err := fdatasync(s.f); err != nil {
+			return err
+		}
+	}
+	for _, path := range stale {
+		os.Remove(path)
+	}
+	return nil
 }
 
 var (
@@ -327,60 +439,34 @@ func (s *File) applyRecord(body []byte) error {
 			return err
 		}
 		s.compactInMemory(from)
-	case recSnapshot:
-		st := NewPersistentState()
-		st.Promised = dec.Ballot()
-		st.MaxAccepted = dec.Ballot()
-		st.Chosen = dec.Uvarint()
-		n := dec.SliceLen()
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		for i := 0; i < n; i++ {
-			var acc wire.Accept
-			if err := acc.UnmarshalFrom(dec); err != nil {
-				return err
-			}
-			for _, e := range acc.Entries {
-				st.Accepted.Put(e)
-			}
-		}
-		st.PrunedTo = dec.Uvarint()
-		snapAt := dec.Uvarint()
-		st.ApplySnapshot(dec.Bytes8(), snapAt)
-		st.MembersAt = dec.Uvarint()
-		if dec.Bool() {
-			nm := dec.SliceLen()
-			if dec.Err() != nil {
-				return dec.Err()
-			}
-			st.Members = make([]wire.NodeID, nm)
-			for i := range st.Members {
-				st.Members[i] = dec.NodeID()
-			}
-		}
-		nl := dec.SliceLen()
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		if nl > 0 {
-			st.Learners = make([]wire.NodeID, nl)
-			for i := range st.Learners {
-				st.Learners[i] = dec.NodeID()
-			}
-		}
-		if err := dec.Done(); err != nil {
+	case recSnapshot, recCheckpoint:
+		st, err := decodeCheckpoint(dec, typ)
+		if err != nil {
 			return err
 		}
-		st.Accepted.PruneTo(st.PrunedTo + 1)
-		s.state = st
+		s.state = st.PersistentState
+		s.ref = st.ref
 	case recServiceSnap:
 		at := dec.Uvarint()
 		snap := dec.Bytes8()
 		if err := dec.Done(); err != nil {
 			return err
 		}
-		s.state.ApplySnapshot(snap, at)
+		if at >= s.state.ServiceSnapAt {
+			s.state.ApplySnapshot(snap, at)
+			s.ref = snapRef{}
+		}
+	case recSnapRef:
+		ref := decodeSnapRef(dec)
+		if err := dec.Done(); err != nil {
+			return err
+		}
+		if ref.at >= s.state.ServiceSnapAt {
+			// The bytes are read once replay is done (loadSnapshot): only
+			// the newest reference's file is ever read.
+			s.state.ApplySnapshot(nil, ref.at)
+			s.ref = ref
+		}
 	case recMembers:
 		at := dec.Uvarint()
 		nm := dec.SliceLen()
@@ -420,6 +506,72 @@ func (s *File) applyRecord(body []byte) error {
 
 func (s *File) compactInMemory(keepStateFrom uint64) {
 	s.state.Accepted.StripStatesBelow(keepStateFrom)
+}
+
+// checkpoint is a decoded checkpoint record: the whole persistent state,
+// and the snapshot file it names (zero for a recSnapshot, which embeds
+// the bytes instead).
+type checkpoint struct {
+	*PersistentState
+	ref snapRef
+}
+
+// decodeCheckpoint decodes the body of a recSnapshot or recCheckpoint
+// record after its type byte. The two differ only in the service
+// snapshot: recSnapshot embeds its bytes, recCheckpoint names its file.
+func decodeCheckpoint(dec *wire.Decoder, typ uint8) (checkpoint, error) {
+	st := NewPersistentState()
+	st.Promised = dec.Ballot()
+	st.MaxAccepted = dec.Ballot()
+	st.Chosen = dec.Uvarint()
+	n := dec.SliceLen()
+	if dec.Err() != nil {
+		return checkpoint{}, dec.Err()
+	}
+	for i := 0; i < n; i++ {
+		var acc wire.Accept
+		if err := acc.UnmarshalFrom(dec); err != nil {
+			return checkpoint{}, err
+		}
+		for _, e := range acc.Entries {
+			st.Accepted.Put(e)
+		}
+	}
+	st.PrunedTo = dec.Uvarint()
+	var ref snapRef
+	if typ == recCheckpoint {
+		ref = decodeSnapRef(dec)
+		st.ServiceSnapAt = ref.at
+	} else {
+		snapAt := dec.Uvarint()
+		st.ApplySnapshot(dec.Bytes8(), snapAt)
+	}
+	st.MembersAt = dec.Uvarint()
+	if dec.Bool() {
+		nm := dec.SliceLen()
+		if dec.Err() != nil {
+			return checkpoint{}, dec.Err()
+		}
+		st.Members = make([]wire.NodeID, nm)
+		for i := range st.Members {
+			st.Members[i] = dec.NodeID()
+		}
+	}
+	nl := dec.SliceLen()
+	if dec.Err() != nil {
+		return checkpoint{}, dec.Err()
+	}
+	if nl > 0 {
+		st.Learners = make([]wire.NodeID, nl)
+		for i := range st.Learners {
+			st.Learners[i] = dec.NodeID()
+		}
+	}
+	if err := dec.Done(); err != nil {
+		return checkpoint{}, err
+	}
+	st.Accepted.PruneTo(st.PrunedTo + 1)
+	return checkpoint{st, ref}, nil
 }
 
 // poison records the first write failure and makes it sticky.
@@ -517,10 +669,12 @@ func (s *File) flush(force bool) error {
 	batch := s.staged
 	crit := s.stagedCrit
 	recs := s.stagedRecs
+	s.dirtyGone = append(s.dirtyGone, s.stagedGone...)
 	s.staged = s.spare[:0]
 	s.spare = nil
 	s.stagedCrit = false
 	s.stagedRecs = 0
+	s.stagedGone = nil
 	s.mu.Unlock()
 
 	if len(batch) > 0 {
@@ -550,6 +704,7 @@ func (s *File) flush(force bool) error {
 		s.lastSync = time.Now()
 		s.syncs.Add(1)
 	}
+	s.unlinkGoneLocked()
 	s.maybeRewriteLocked()
 
 	// Recycle the flushed buffer for the next burst.
@@ -559,6 +714,19 @@ func (s *File) flush(force bool) error {
 	}
 	s.mu.Unlock()
 	return nil
+}
+
+// unlinkGoneLocked unlinks the superseded snapshot files once every
+// reference written so far is synced (or the store does not sync at
+// all). Caller holds wmu.
+func (s *File) unlinkGoneLocked() {
+	if len(s.dirtyGone) == 0 || s.dirty && s.Sync {
+		return
+	}
+	for _, path := range s.dirtyGone {
+		os.Remove(path) // a file left behind is unlinked at the next open
+	}
+	s.dirtyGone = s.dirtyGone[:0]
 }
 
 // shouldSyncLocked decides whether this flush forces the batch to the
@@ -659,7 +827,7 @@ func (s *File) SetChosen(idx uint64) error {
 }
 
 // Compact implements Store. Past the rewrite threshold the whole state is
-// folded into one snapshot record in a fresh file, in the background
+// folded into one checkpoint record in a fresh file, in the background
 // (triggered by the next flush).
 func (s *File) Compact(keepStateFrom uint64) error {
 	if err := s.lock(); err != nil {
@@ -673,24 +841,106 @@ func (s *File) Compact(keepStateFrom uint64) error {
 	return s.commit()
 }
 
-// SaveSnapshot implements Store. Snapshot records are critical: pruning
-// relies on the snapshot being durable, so it must not linger unsynced
-// behind a batch policy.
+// WriteSnapshot implements Store: it writes snap to the snapshot file
+// for at — a temp file, fsynced, renamed, the directory fsynced — and
+// stages nothing. It is safe off the event loop, concurrently with
+// staging and Flush: the replica's snapshot job calls it, and the
+// SaveSnapshot(snap, at) that follows finds the file written and stages
+// only the reference. A file written earlier that no reference names is
+// unlinked, since nothing will name it now.
+func (s *File) WriteSnapshot(snap []byte, at uint64) error {
+	if err := writeFileSynced(s.snapPath(at), snap, s.Sync); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	prev := s.written
+	s.written = newSnapRef(snap, at)
+	s.mu.Unlock()
+	if prev.at != 0 && prev.at != at {
+		os.Remove(s.snapPath(prev.at))
+	}
+	return nil
+}
+
+// SaveSnapshot implements Store. Unless WriteSnapshot already wrote snap
+// for at, it writes the file first, inline (a catch-up install saves
+// this way). It then stages the small
+// reference record naming the file; the record is critical, because
+// pruning relies on the snapshot being durable. The file the reference
+// supersedes is unlinked once the reference is synced.
 func (s *File) SaveSnapshot(snap []byte, at uint64) error {
 	if err := s.lock(); err != nil {
 		return err
 	}
-	if at < s.state.ServiceSnapAt {
+	if s.state.ServiceSnapAt != 0 && at <= s.state.ServiceSnapAt {
+		if s.written.at == at && at != s.ref.at {
+			os.Remove(s.snapPath(at))
+		}
+		s.written = snapRef{}
 		s.mu.Unlock()
 		return nil
 	}
-	enc := s.encScratch()
-	enc.Uint8(recServiceSnap)
-	enc.Uvarint(at)
-	enc.Bytes8(snap)
-	s.stage(enc.Bytes(), true)
+	ref := s.written
+	s.mu.Unlock()
+	if ref.at != at || ref.n != uint64(len(snap)) {
+		// Not the snapshot job's file (a catch-up install): write it here,
+		// leaving written to the job that may be running beside us.
+		ref = newSnapRef(snap, at)
+		if err := writeFileSynced(s.snapPath(at), snap, s.Sync); err != nil {
+			return err
+		}
+	}
+	if err := s.lock(); err != nil {
+		return err
+	}
+	s.stageRef(ref)
 	s.state.ApplySnapshot(snap, at)
 	return s.commit()
+}
+
+// stageRef stages the reference record naming ref's file and makes it
+// the current one; the file it supersedes waits for the sync covering
+// the reference (flush). Caller holds mu.
+func (s *File) stageRef(ref snapRef) {
+	enc := s.encScratch()
+	enc.Uint8(recSnapRef)
+	ref.encode(enc)
+	s.stage(enc.Bytes(), true)
+	if s.ref.at != 0 && s.ref.at != ref.at {
+		s.stagedGone = append(s.stagedGone, s.snapPath(s.ref.at))
+	}
+	if s.written.at == ref.at {
+		s.written = snapRef{}
+	}
+	s.ref = ref
+}
+
+// writeFileSynced writes data to path through a temp file: write, fsync,
+// rename, fsync the directory. Without sync it skips both fsyncs.
+func writeFileSynced(path string, data []byte, sync bool) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if sync {
+		return syncDir(filepath.Dir(path))
+	}
+	return nil
 }
 
 // SetMembers implements Store. Membership records are critical: a
@@ -742,7 +992,7 @@ func (s *File) PruneTo(keepFrom uint64) error {
 }
 
 // Checkpoint synchronously folds the current state into a single
-// snapshot record in a fresh file — the same temp file + rename +
+// checkpoint record in a fresh file — the same temp file + rename +
 // parent-dir fsync path as background rewrites — physically reclaiming
 // pruned and compacted records. Used after a snapshot install and by
 // tests that bound WAL disk usage.
@@ -757,10 +1007,7 @@ func (s *File) Checkpoint() error {
 	s.rewriting = true
 	s.tail = s.tail[:0]
 	s.wmu.Unlock()
-	s.mu.Lock()
-	snap := s.state.Clone()
-	s.mu.Unlock()
-	if err := s.rewriteTo(snap); err != nil {
+	if err := s.rewriteTo(s.checkpoint()); err != nil {
 		s.rewriteErrs.Add(1)
 		s.wmu.Lock()
 		s.rewriting = false
@@ -770,6 +1017,14 @@ func (s *File) Checkpoint() error {
 		return err
 	}
 	return nil
+}
+
+// checkpoint clones the mirror and the current snapshot reference for a
+// rewrite.
+func (s *File) checkpoint() checkpoint {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return checkpoint{s.state.Clone(), s.ref}
 }
 
 // maybeRewriteLocked starts a background rewrite once the log passes the
@@ -792,10 +1047,7 @@ func (s *File) maybeRewriteLocked() {
 }
 
 func (s *File) rewriteAsync() {
-	s.mu.Lock()
-	snap := s.state.Clone()
-	s.mu.Unlock()
-	if err := s.rewriteTo(snap); err != nil {
+	if err := s.rewriteTo(s.checkpoint()); err != nil {
 		// The old log is intact and still the live file, so a failed
 		// rewrite is not fatal: count it and retry at a later flush.
 		s.rewriteErrs.Add(1)
@@ -807,15 +1059,16 @@ func (s *File) rewriteAsync() {
 	}
 }
 
-// rewriteTo writes snap as a single snapshot record into a temp file,
-// syncs it, appends the tail of records that raced the snapshot, and
-// atomically renames it over the live log. The parent directory is
-// fsynced once, after the rename: without that, a crash could lose the
-// new file's directory entry — and with it every record flushed after the
-// swap — even though the rename "succeeded".
-func (s *File) rewriteTo(snap *PersistentState) error {
+// rewriteTo writes snap as a single checkpoint record into a temp file,
+// syncs it, appends the tail of records that raced the checkpoint, and
+// atomically renames it over the live log. The record names the
+// snapshot file; it never copies the snapshot's bytes. The parent
+// directory is fsynced once, after the rename: without that, a crash
+// could lose the new file's directory entry — and with it every record
+// flushed after the swap — even though the rename "succeeded".
+func (s *File) rewriteTo(snap checkpoint) error {
 	enc := wire.NewEncoder(nil)
-	enc.Uint8(recSnapshot)
+	enc.Uint8(recCheckpoint)
 	enc.Ballot(snap.Promised)
 	enc.Ballot(snap.MaxAccepted)
 	enc.Uvarint(snap.Chosen)
@@ -826,8 +1079,7 @@ func (s *File) rewriteTo(snap *PersistentState) error {
 		return true
 	})
 	enc.Uvarint(snap.PrunedTo)
-	enc.Uvarint(snap.ServiceSnapAt)
-	enc.Bytes8(snap.ServiceSnap)
+	snap.ref.encode(enc)
 	enc.Uvarint(snap.MembersAt)
 	enc.Bool(snap.Members != nil)
 	if snap.Members != nil {
@@ -969,6 +1221,7 @@ func (s *File) Close() error {
 			s.dirty, s.dirtyCrit = false, false
 		}
 	}
+	s.unlinkGoneLocked()
 	if s.size < s.allocEnd {
 		// Drop the preallocated zero tail so the file's length is its
 		// logical length again.

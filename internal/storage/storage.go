@@ -217,10 +217,18 @@ type Store interface {
 	// below keepStateFrom, bounding storage growth; requests are kept
 	// so a new leader can still learn the full command log.
 	Compact(keepStateFrom uint64) error
+	// WriteSnapshot makes snap, the service snapshot valid after
+	// applying instance at, durable beside the log without making it the
+	// store's snapshot, and stages nothing: the bulk of SaveSnapshot, safe
+	// to call off the event loop concurrently with every other call. A
+	// store that keeps the bytes in its log, or in memory, has nothing to
+	// do here.
+	WriteSnapshot(snap []byte, at uint64) error
 	// SaveSnapshot durably records the service snapshot valid after
-	// applying instance at, superseding any older one. It is the
-	// prune guard: PruneTo never discards entries the latest snapshot
-	// does not cover.
+	// applying instance at, superseding any older one; after a
+	// WriteSnapshot of the same bytes it only records the reference. It
+	// is the prune guard: PruneTo never discards entries the latest
+	// snapshot does not cover.
 	SaveSnapshot(snap []byte, at uint64) error
 	// SetMembers durably records the membership decided by the
 	// configuration entry at instance at.
@@ -343,6 +351,9 @@ func (m *Mem) Compact(keepStateFrom uint64) error {
 	m.state.Accepted.StripStatesBelow(keepStateFrom)
 	return nil
 }
+
+// WriteSnapshot implements Store: SaveSnapshot keeps the bytes.
+func (m *Mem) WriteSnapshot(snap []byte, at uint64) error { return nil }
 
 // SaveSnapshot implements Store.
 func (m *Mem) SaveSnapshot(snap []byte, at uint64) error {

@@ -22,7 +22,10 @@ type Transport interface {
 	// Local returns the node this endpoint belongs to.
 	Local() wire.NodeID
 	// Send dispatches env.Msg to env.To. The transport stamps From.
-	// It never blocks on the network; delivery is not guaranteed.
+	// It never blocks on the network; delivery is not guaranteed. Send
+	// keeps neither env nor its message once it returns — every
+	// implementation encodes (or forwards to one that encodes) before
+	// returning — so a caller may reuse both for its next Send.
 	Send(env *wire.Envelope)
 	// Recv returns the channel of inbound envelopes. The channel is
 	// closed when the transport is closed.
