@@ -187,6 +187,35 @@ func TestPublicAPIFailover(t *testing.T) {
 	}
 }
 
+// TestPublicAPISuspectLeader: SuspectLeader moves leadership without a
+// crash (§3.6), and a client's next write commits at the new leader.
+func TestPublicAPISuspectLeader(t *testing.T) {
+	c := startCluster(t, gridrep.ClusterOptions{
+		Service: func() gridrep.Service { return gridrep.NewKV() },
+	})
+	cli, err := c.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	old, ok := c.Leader()
+	if !ok {
+		t.Fatal("no leader")
+	}
+	c.SuspectLeader()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if l, ok := c.Leader(); ok && l != old {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leadership did not move from %v", old)
+		}
+	}
+	if _, err := cli.Write(gridrep.KVPut("k", []byte("v"))); err != nil {
+		t.Fatalf("write after the leader switch: %v", err)
+	}
+}
+
 func TestPublicAPIDurableCluster(t *testing.T) {
 	dir := t.TempDir()
 	c := startCluster(t, gridrep.ClusterOptions{

@@ -20,7 +20,7 @@ type echoTransport struct {
 
 func newEchoTransport(leader wire.NodeID) *echoTransport {
 	e := &echoTransport{leader: leader, inbox: make(chan *wire.Envelope, 1)}
-	e.msg.Rep = wire.Reply{Status: wire.StatusOK, Result: []byte("ok")}
+	e.msg.Rep = wire.Reply{Status: wire.StatusOK, Leader: leader, Result: []byte("ok")}
 	e.reply = wire.Envelope{Msg: &e.msg}
 	return e
 }
@@ -61,5 +61,29 @@ func TestRequestAllocs(t *testing.T) {
 	}
 	if tr.sent != 3*102 {
 		t.Fatalf("%d sends for 102 requests to 3 replicas", tr.sent)
+	}
+}
+
+// TestRoutedRequestAllocs is TestRequestAllocs for a routed client:
+// after the first request, broadcast, each write is one send to the
+// leader that answered, and the routed send allocates nothing either.
+func TestRoutedRequestAllocs(t *testing.T) {
+	tr := newEchoTransport(1)
+	c := NewRouted(Config{Transport: tr, Replicas: []wire.NodeID{0, 1, 2}, RetryEvery: time.Second})
+	defer c.Close()
+	op := []byte("op")
+	if _, err := c.Write(op); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.Write(op); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per request, want 0", allocs)
+	}
+	if tr.sent != 3+101 {
+		t.Fatalf("%d sends for 102 requests, want 3 for the first and 1 for each after", tr.sent)
 	}
 }

@@ -1,9 +1,14 @@
 // Package client implements the client side of the replication protocol:
-// every request is broadcast to all service replicas — so clients need
-// not know which replica currently leads (§3.3) — and only the leader's
+// a request is broadcast to all service replicas — so clients need not
+// know which replica currently leads (§3.3) — and only the leader's
 // reply is awaited. Lost requests and leader switches are handled by
 // rebroadcasting with the same sequence number; the leader's reply cache
 // makes retransmits safe (at-most-once execution).
+//
+// A routed client (NewRouted) sends a write, a transaction op or an
+// original to the replica that answered its last one, alone. Reads,
+// its first request, every rebroadcast and whatever follows a
+// StatusNotLeader still go to every replica (DESIGN.md §15).
 //
 // The transaction API drives T-Paxos (§3.5): operations inside a
 // transaction are answered by the leader immediately; Commit triggers the
@@ -105,6 +110,15 @@ type Client struct {
 	retry  *time.Timer
 	out    wire.Envelope
 	outMsg wire.RequestMsg
+
+	// route makes the client send non-read requests to leader alone
+	// while hinted: leader is the member that answered its last non-read
+	// request with StatusOK. Only NewRouted sets route; a rebroadcast and
+	// a StatusNotLeader clear hinted. One operation is in flight, so no
+	// lock guards them.
+	route  bool
+	hinted bool
+	leader wire.NodeID
 }
 
 // seedCounter decorrelates the jitter RNGs of clients created in the
@@ -147,6 +161,17 @@ func New(cfg Config) *Client {
 		id:  id,
 		rng: rand.New(rand.NewSource(jitterSeed(id))),
 	}
+}
+
+// NewRouted returns a client that sends each non-read request to the
+// replica that answered its last one (see the package doc). A
+// ClientMux session is built this way: its sessions share one
+// connection set, so every copy a broadcast saves is a frame that
+// neither the mux's writers nor the backups' read loops handle.
+func NewRouted(cfg Config) *Client {
+	c := New(cfg)
+	c.route = true
+	return c
 }
 
 // ID returns the client's node ID.
@@ -192,7 +217,8 @@ func (c *Client) do(kind wire.RequestKind, txn uint64, txnSeq uint32, op []byte)
 		}
 	}
 	deadline := time.Now().Add(c.cfg.Deadline)
-	c.broadcast(&req)
+	routed := c.hinted && kind != wire.KindRead
+	c.send(&req, routed)
 	attempt := 0
 	overloaded := false
 	retry := c.armRetry(retryBackoff(c.rng, c.cfg.RetryEvery, c.cfg.RetryMax, attempt, time.Until(deadline)))
@@ -208,6 +234,11 @@ func (c *Client) do(kind wire.RequestKind, txn uint64, txnSeq uint32, op []byte)
 			}
 			switch rm.Rep.Status {
 			case wire.StatusOK:
+				if c.route && kind != wire.KindRead && contains(c.cfg.Replicas, rm.Rep.Leader) {
+					// A member outside Replicas (reconfigured in) is
+					// ignored: the next request then costs a broadcast.
+					c.leader, c.hinted = rm.Rep.Leader, true
+				}
 				return rm.Rep.Result, nil
 			case wire.StatusAborted:
 				// Terminal: retrying cannot help (the transaction is
@@ -217,6 +248,13 @@ func (c *Client) do(kind wire.RequestKind, txn uint64, txnSeq uint32, op []byte)
 				// Terminal: the service rejected the operation itself.
 				return nil, &ServiceError{Msg: rm.Rep.Err}
 			case wire.StatusNotLeader:
+				c.hinted = false
+				if routed {
+					// The one copy reached a replica that stopped
+					// leading: the timer's wait would only add delay.
+					routed = false
+					c.send(&req, false)
+				}
 				// Keep waiting; the rebroadcast timer covers the case
 				// where no real leader saw the request.
 				continue
@@ -261,7 +299,8 @@ func (c *Client) do(kind wire.RequestKind, txn uint64, txnSeq uint32, op []byte)
 			// replica could not assemble its quorum (down,
 			// partitioned), the leader path is the liveness backstop.
 			req.Near, req.NearSet = 0, false
-			c.broadcast(&req)
+			c.hinted, routed = false, false
+			c.send(&req, false)
 			retry.Reset(retryBackoff(c.rng, c.cfg.RetryEvery, c.cfg.RetryMax, attempt, time.Until(deadline)))
 		}
 	}
@@ -341,10 +380,15 @@ func contains(ids []wire.NodeID, id wire.NodeID) bool {
 	return false
 }
 
-func (c *Client) broadcast(req *wire.Request) {
+// send puts req on the wire: to every replica, or to the hinted leader
+// alone when routed.
+func (c *Client) send(req *wire.Request, routed bool) {
 	c.outMsg.Req = *req
 	c.out = wire.Envelope{Msg: &c.outMsg}
 	for _, rep := range c.cfg.Replicas {
+		if routed && rep != c.leader {
+			continue
+		}
 		c.out.To = rep
 		c.cfg.Transport.Send(&c.out)
 	}

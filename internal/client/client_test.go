@@ -172,6 +172,9 @@ func TestClientStatusMapping(t *testing.T) {
 	if _, err := cli.Write([]byte("op")); !errors.As(err, &se) || se.Msg != "bad op" {
 		t.Fatalf("service error mapped to %v", err)
 	}
+	if got := se.Error(); got != "service: bad op" {
+		t.Fatalf("service error reads %q", got)
+	}
 }
 
 func TestClientSeqMonotonic(t *testing.T) {

@@ -24,8 +24,9 @@
 // Only a replying replica enforces admission. Followers never answer
 // clients — their cores silently ignore client writes — so a gateway
 // that has not produced a client reply within activeWindow is passive
-// and forwards everything. This keeps follower sheds from polluting
-// client broadcast, costs nothing at cold start (the first requests
+// and forwards everything. This keeps follower sheds from polluting a
+// client's broadcast (a ClientMux session's routed write reaches the
+// leader alone), costs nothing at cold start (the first requests
 // pass through, the leader answers, its gateway turns active), and
 // means in-flight accounting only happens where replies actually clear
 // it.

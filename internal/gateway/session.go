@@ -43,8 +43,8 @@ func TenantOf(id wire.NodeID) uint8 {
 var ErrMuxClosed = errors.New("gateway: session mux closed")
 
 // sessionRecvBuf bounds each session's reply buffer. A session has one
-// logical request outstanding, broadcast to every replica, so a small
-// multiple of the cluster size is ample.
+// logical request outstanding, sent to every replica or to the leader
+// alone, so a small multiple of the cluster size is ample.
 const sessionRecvBuf = 64
 
 // SessionMux multiplexes many logical client sessions onto one

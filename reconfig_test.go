@@ -1,9 +1,11 @@
 package gridrep_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -248,5 +250,58 @@ func TestTCPGracefulShutdownFlushesWAL(t *testing.T) {
 	}
 	if ps.Accepted.Len() == 0 {
 		t.Fatal("no accepted entries replayed after graceful shutdown")
+	}
+}
+
+// TestTCPServerReconfigure drives membership changes through the
+// Server methods replicad's operators use: a backup refuses to propose,
+// the leader refuses to remove itself, promoting a voter is trivially
+// done, and removing a live backup commits while writes go on.
+func TestTCPServerReconfigure(t *testing.T) {
+	dir := t.TempDir()
+	ids := []gridrep.NodeID{0, 1, 2}
+	peers := reservePorts(t, ids)
+	srvs := make(map[gridrep.NodeID]*gridrep.Server, len(ids))
+	for _, id := range ids {
+		srvs[id] = startKVServer(t, dir, id, peers, nil)
+		t.Cleanup(srvs[id].Close)
+		if got := srvs[id].Addr(); got != peers[id] {
+			t.Fatalf("replica %d listens on %s, want %s", id, got, peers[id])
+		}
+	}
+	leader := tcpLeader(t, srvs, 15*time.Second)
+	backup := (leader + 1) % 3
+
+	if err := srvs[backup].RemoveReplica(leader); !errors.Is(err, gridrep.ErrNotLeader) {
+		t.Fatalf("remove through a backup: %v, want ErrNotLeader", err)
+	}
+	if err := srvs[leader].RemoveReplica(leader); !errors.Is(err, gridrep.ErrUnsafeChange) {
+		t.Fatalf("leader removing itself: %v, want ErrUnsafeChange", err)
+	}
+	if err := srvs[leader].AddVoter(backup, peers[backup]); err != nil {
+		t.Fatalf("promoting a voter: %v", err)
+	}
+
+	cli, err := gridrep.Dial(gridrep.DialOptions{ID: 1, Replicas: peers, Deadline: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Write(gridrep.KVPut("before", []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := srvs[leader].RemoveReplica(backup); err != nil {
+		t.Fatalf("removing a live backup: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); slices.Contains(srvs[leader].Health().Members, backup); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("backup %d still a member: %+v", backup, srvs[leader].Health())
+		}
+	}
+	if err := srvs[leader].AddVoter(backup, peers[backup]); !errors.Is(err, gridrep.ErrUnsafeChange) {
+		t.Fatalf("promoting a removed node: %v, want ErrUnsafeChange", err)
+	}
+	if _, err := cli.Write(gridrep.KVPut("after", []byte("v"))); err != nil {
+		t.Fatalf("write after the removal: %v", err)
 	}
 }

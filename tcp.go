@@ -242,7 +242,9 @@ func DialMux(opts DialOptions) (*ClientMux, error) {
 
 // Session opens (or returns) the client for session n of tenant. All
 // sessions share the underlying connections; closing the returned
-// client detaches only that session.
+// client detaches only that session. A session sends each write to the
+// replica that answered its last one, alone; reads, its first request
+// and every rebroadcast go to every replica (DESIGN.md §15).
 func (m *ClientMux) Session(tenant uint8, n uint32) (*Client, error) {
 	ep, err := m.mux.Open(tenant, n)
 	if err != nil {
@@ -250,7 +252,7 @@ func (m *ClientMux) Session(tenant uint8, n uint32) (*Client, error) {
 	}
 	cfg := m.cfg
 	cfg.Transport = ep
-	return client.New(cfg), nil
+	return client.NewRouted(cfg), nil
 }
 
 // Close closes every session and the shared transport.
